@@ -146,7 +146,7 @@ pub fn sweep() -> String {
     assert!(scenarios >= 64, "matrix must expand to >= 64 scenarios");
 
     std::fs::write(dir.join("results.jsonl"), &table).expect("write results.jsonl");
-    report.strip_wallclock();
+    smpi_obs::Deterministic::strip_nondeterminism(&mut report);
     std::fs::write(dir.join("report.json"), report.to_json()).expect("write report.json");
 
     let speedup_4w = runs[2].2 / runs[0].2;

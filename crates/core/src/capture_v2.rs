@@ -1337,11 +1337,9 @@ impl TiV2Reader {
     /// A streaming iterator over rank `rank`'s ops. Decodes block-by-block;
     /// holds at most one decoded block at a time.
     ///
-    /// # Panics
-    ///
-    /// On i/o failure or block corruption discovered mid-stream (`open`
-    /// validates the container shape, not every block). Use
-    /// [`materialize`](Self::materialize) for a fully checked decode.
+    /// As an [`Iterator`] it panics on i/o failure or block corruption
+    /// discovered mid-stream; [`TiOpIter::try_next`] returns them instead
+    /// (and [`materialize`](Self::materialize) is a fully checked decode).
     pub fn rank_iter(self: &Arc<Self>, rank: usize) -> TiOpIter {
         assert!(rank < self.nranks, "rank {rank} out of range");
         TiOpIter {
@@ -1374,30 +1372,36 @@ pub struct TiOpIter {
     cur: Option<(Arc<DecodedBlock>, usize)>,
 }
 
-impl Iterator for TiOpIter {
-    type Item = TiOp;
-
-    fn next(&mut self) -> Option<TiOp> {
+impl TiOpIter {
+    /// The next op, or the i/o failure or block corruption met while
+    /// fetching it (`open` validates the container shape, not every block).
+    pub fn try_next(&mut self) -> Result<Option<TiOp>, TraceIoError> {
         loop {
             if let Some((blk, ix)) = &mut self.cur {
                 if *ix < blk.ops.len() {
                     let op = blk.ops[*ix].clone();
                     *ix += 1;
-                    return Some(op);
+                    return Ok(Some(op));
                 }
                 self.cur = None; // drop the block before fetching the next
             }
             let ids = &self.reader.rank_blocks[self.rank];
             if self.next_block >= ids.len() {
-                return None;
+                return Ok(None);
             }
             let id = ids[self.next_block];
             self.next_block += 1;
-            let blk = self
-                .reader
-                .block(id)
-                .unwrap_or_else(|e| panic!("TITRACE2 stream failed at block {id}: {e}"));
-            self.cur = Some((blk, 0));
+            self.cur = Some((self.reader.block(id)?, 0));
         }
+    }
+}
+
+/// Panics where [`TiOpIter::try_next`] returns an error.
+impl Iterator for TiOpIter {
+    type Item = TiOp;
+
+    fn next(&mut self) -> Option<TiOp> {
+        self.try_next()
+            .unwrap_or_else(|e| panic!("TITRACE2 stream failed on rank {}: {e}", self.rank))
     }
 }

@@ -502,57 +502,15 @@ impl<'h> Ctx<'h> {
     }
 
     // ----- raw replay interface --------------------------------------------
-    //
-    // The `smpi-replay` scheduler re-issues captured time-independent ops
-    // without any application data or communicator bookkeeping: context ids
-    // and *world* ranks come straight from the trace, payloads never exist
-    // (data-less messages), and requests are identified positionally by the
-    // caller. These entry points deliberately bypass the typed API above.
 
-    /// Replays a captured send post: data-less, addressed by world rank and
-    /// raw context id. Returns the raw request id (replay tracks requests
-    /// positionally, not through the typed wrappers).
-    pub fn replay_send(&self, dst_world: u32, cid: u32, tag: i32, bytes: u64) -> ReqId {
-        match self.call(Simcall::IsendSized {
-            dst: dst_world,
-            cid,
-            tag,
-            bytes,
-        }) {
-            SimResp::Req(id) => id,
-            other => unreachable!("bad response {other:?}"),
-        }
-    }
-
-    /// Replays a captured receive post ([`ANY_SOURCE`]/`ANY_TAG` wildcards
-    /// pass through unchanged).
-    pub fn replay_recv(&self, src_world: i32, cid: u32, tag: i32, max_bytes: u64) -> ReqId {
-        match self.call(Simcall::Irecv {
-            src: src_world,
-            cid,
-            tag,
-            max_bytes,
-        }) {
-            SimResp::Req(id) => id,
-            other => unreachable!("bad response {other:?}"),
-        }
-    }
-
-    /// Replays a captured wait over raw request ids; returns the raw
-    /// completions (unsorted, as delivered by the maestro).
-    pub fn replay_wait(&self, reqs: Vec<ReqId>, mode: WaitMode) -> Vec<Completion> {
-        self.wait_ids(reqs, mode)
-    }
-
-    /// Replays a captured region annotation. Gated on metrics being enabled,
-    /// like the collectives' own region guards.
-    pub fn replay_region(&self, name: &'static str, enter: bool) {
-        if self.shared.config.obs {
-            match self.call(Simcall::Region { name, enter }) {
-                SimResp::Unit => {}
-                other => unreachable!("bad response {other:?}"),
-            }
-        }
+    /// Issues one raw simcall and blocks for its answer. This is how the
+    /// `smpi-replay` script drives a rank that needs a stack (a replay with
+    /// a collective hook): captured ops become simcalls with no application
+    /// data or communicator bookkeeping — context ids and *world* ranks come
+    /// straight from the trace, messages are data-less, and the caller
+    /// tracks requests positionally. Deliberately bypasses the typed API.
+    pub fn simcall(&self, call: Simcall) -> SimResp {
+        self.call(call)
     }
 
     // ----- persistent requests -------------------------------------------

@@ -66,7 +66,7 @@ pub use flight::{PendingReq, Postmortem, RankPostmortem, FLIGHT_DEPTH};
 pub use group::Group;
 pub use obs_export::CriticalPath;
 pub use op::Op;
-pub use runtime::{Completion, ReqId, WaitMode, ANY_SOURCE, ANY_TAG};
+pub use runtime::{Completion, ReqId, SimResp, Simcall, WaitMode, ANY_SOURCE, ANY_TAG};
 pub use shared_mem::{MemoryReport, SharedSlice};
 pub use trace::{TraceEvent, TraceKind};
 pub use world::{Backend, RunReport, World};

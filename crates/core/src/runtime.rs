@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use simix::{ActorEvent, ActorId, Simix};
+use simix::{ActorEvent, ActorId, Scheduler, Simix};
 use smpi_obs::{
     ContentionReport, FlowAttribution, FlowRecord, Rec, Recorder, SelfProfile, TimeSeries,
     TsInstant,
@@ -555,7 +555,7 @@ impl Runtime {
     /// Fails with [`SimError::Stall`] when the fabric has in-flight work
     /// that can never complete, and [`SimError::Deadlock`] when ranks are
     /// blocked with nothing in flight.
-    pub fn drive(&mut self, sx: &mut Sx) -> Result<(), SimError> {
+    pub fn drive<S: Scheduler<Simcall, SimResp>>(&mut self, sx: &mut S) -> Result<(), SimError> {
         let mut alive = sx.num_actors();
         if self.rec.is_enabled() {
             let t = self.now();
@@ -877,9 +877,9 @@ impl Runtime {
         ))
     }
 
-    fn handle_simcall(
+    fn handle_simcall<S: Scheduler<Simcall, SimResp>>(
         &mut self,
-        sx: &mut Sx,
+        sx: &mut S,
         actor: ActorId,
         call: Simcall,
     ) -> Result<(), SimError> {
@@ -1475,7 +1475,7 @@ impl Runtime {
 
     /// Resolves every waiting actor whose condition now holds; returns how
     /// many actors were made runnable (the telemetry tick's "woken" count).
-    fn resolve_waiters(&mut self, sx: &mut Sx) -> usize {
+    fn resolve_waiters<S: Scheduler<Simcall, SimResp>>(&mut self, sx: &mut S) -> usize {
         let t0 = self.profiling.then(Instant::now);
         // Exec/Sleep completions first.
         let mut woken = 0;

@@ -2,12 +2,15 @@
 //!
 //! [`World::run`] is the `smpirun` equivalent: it spawns one actor per MPI
 //! rank, hands each a [`Ctx`], and drives the maestro until every rank
-//! finishes. The report carries everything the paper's figures need —
+//! finishes ([`World::try_run_scripts`] does the same for ranks that are
+//! threadless scripts). The report carries everything the paper's figures need —
 //! simulated time, per-rank completion times (Figs. 7 and 11), wall-clock
 //! simulation time (Figs. 17 and 18) and the memory accounting (Fig. 16).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use simix::{Scheduler, Scripts};
 
 use packetnet::PacketConfig;
 use smpi_obs::{ContentionReport, MetricsReport, Rec, SelfProfile, TimeSeries, DEFAULT_TS_BUDGET};
@@ -18,7 +21,7 @@ use crate::capture::TiTrace;
 use crate::ctx::Ctx;
 use crate::error::SimError;
 use crate::fabric::{Fabric, MpiProfile, PacketFabric, SurfFabric};
-use crate::runtime::{Runtime, Sx};
+use crate::runtime::{Runtime, SimResp, Simcall, Sx};
 use crate::shared_mem::MemoryReport;
 use crate::state::{RunConfig, SharedState};
 use crate::trace::TraceEvent;
@@ -225,6 +228,12 @@ impl World {
         self
     }
 
+    /// Whether [`metrics`](Self::metrics) is on. Ranks skip annotation
+    /// simcalls (collective regions) entirely when it is off.
+    pub fn metrics_enabled(&self) -> bool {
+        self.run_config.obs
+    }
+
     /// Enables the time-series sampler: the run report's `timeseries`
     /// carries fixed-budget ring buffers of per-interval activity (simcall
     /// rate, active flows, link utilization, …). Deterministic: two
@@ -330,17 +339,6 @@ impl World {
         R: Send + 'static,
         F: Fn(&Ctx) -> R + Send + Sync + 'static,
     {
-        assert!(nranks > 0, "need at least one rank");
-        let hosts = self.rp.platform().num_hosts();
-        assert!(hosts > 0, "platform has no hosts");
-        let placement: Vec<HostIx> = match &self.placement {
-            Some(p) => {
-                assert_eq!(p.len(), nranks, "placement length != rank count");
-                p.clone()
-            }
-            None => (0..nranks).map(|r| HostIx((r % hosts) as u32)).collect(),
-        };
-
         let shared = Arc::new(SharedState::new(self.run_config.clone()));
         let results: Arc<parking_lot::Mutex<Vec<Option<R>>>> =
             Arc::new(parking_lot::Mutex::new((0..nranks).map(|_| None).collect()));
@@ -357,6 +355,51 @@ impl World {
                 results.lock()[rank] = Some(out);
             });
         }
+        self.drive_to_report(nranks, &shared, sx, move || {
+            Arc::try_unwrap(results)
+                .unwrap_or_else(|_| panic!("rank bodies leaked the result store"))
+                .into_inner()
+                .into_iter()
+                .map(|r| r.expect("every rank stores a result"))
+                .collect()
+        })
+    }
+
+    /// The event-driven counterpart of [`try_run`](Self::try_run): rank `r`
+    /// is the resumable script `scripts[r]` (see [`simix::Scripts`]), stepped
+    /// inline on the calling thread in the same id-ordered schedule — no
+    /// actor threads, so memory, not `vm.max_map_count`, bounds the rank
+    /// count. Scripts have no [`Ctx`]: they speak raw simcalls, which is all
+    /// a replayed rank needs (`smpi-replay` runs on this).
+    pub fn try_run_scripts<F>(&self, scripts: Vec<F>) -> Result<RunReport<()>, SimError>
+    where
+        F: FnMut(Option<SimResp>) -> Option<Simcall>,
+    {
+        let nranks = scripts.len();
+        let shared = Arc::new(SharedState::new(self.run_config.clone()));
+        self.drive_to_report(nranks, &shared, Scripts::new(scripts), || vec![(); nranks])
+    }
+
+    /// Everything a run is besides its ranks: placement, runtime set-up per
+    /// this world's configuration, the drive loop and report assembly.
+    /// `results` is called once every rank has finished.
+    fn drive_to_report<S: Scheduler<Simcall, SimResp>, R>(
+        &self,
+        nranks: usize,
+        shared: &Arc<SharedState>,
+        mut sx: S,
+        results: impl FnOnce() -> Vec<R>,
+    ) -> Result<RunReport<R>, SimError> {
+        assert!(nranks > 0, "need at least one rank");
+        let hosts = self.rp.platform().num_hosts();
+        assert!(hosts > 0, "platform has no hosts");
+        let placement: Vec<HostIx> = match &self.placement {
+            Some(p) => {
+                assert_eq!(p.len(), nranks, "placement length != rank count");
+                p.clone()
+            }
+            None => (0..nranks).map(|r| HostIx((r % hosts) as u32)).collect(),
+        };
 
         let mut runtime = Runtime::new(self.build_fabric(), self.profile.clone(), placement);
         runtime.set_clock(Arc::clone(&shared.clock));
@@ -380,7 +423,7 @@ impl World {
         }
         if self.timeseries {
             runtime.enable_timeseries(self.ts_budget);
-            let mem = Arc::clone(&shared);
+            let mem = Arc::clone(shared);
             runtime.set_memory_probe(Box::new(move || mem.memory.report().peak_bytes));
         }
         if let Some(period) = self.progress_every {
@@ -389,13 +432,6 @@ impl World {
         let start = Instant::now();
         runtime.drive(&mut sx)?;
         let wall = start.elapsed();
-
-        let results = Arc::try_unwrap(results)
-            .unwrap_or_else(|_| panic!("rank bodies leaked the result store"))
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("every rank stores a result"))
-            .collect();
 
         let mut profile = runtime.self_profile();
         profile.wall_seconds = wall.as_secs_f64();
@@ -409,7 +445,7 @@ impl World {
             sim_time: runtime.now(),
             wall,
             finish_times: runtime.finish_times().to_vec(),
-            results,
+            results: results(),
             memory: shared.memory.report(),
             metrics: runtime.take_metrics(),
             profile,

@@ -327,6 +327,12 @@ where
     }
 }
 
+/// Unwraps a replay cursor for diffing. A source that fails mid-stream
+/// panics, as [`smpi::TiOpIter`] does when iterated.
+fn infallible(ops: smpi_replay::OpCursor) -> Box<dyn Iterator<Item = TiOp> + Send> {
+    Box::new(ops.map(|op| op.unwrap_or_else(|e| panic!("trace stream failed mid-diff: {e}"))))
+}
+
 /// Diffs two op sources rank by rank. A rank present in only one source is
 /// aligned against an empty stream (pure additions/removals).
 pub fn diff_sources<A: OpSource, B: OpSource>(
@@ -340,12 +346,12 @@ pub fn diff_sources<A: OpSource, B: OpSource>(
     let mut ranks = Vec::with_capacity(ranks_a.max(ranks_b));
     for rank in 0..ranks_a.max(ranks_b) {
         let ia: Box<dyn Iterator<Item = TiOp> + Send> = if rank < ranks_a {
-            Arc::clone(a).rank_ops(rank)
+            infallible(Arc::clone(a).rank_ops(rank))
         } else {
             Box::new(std::iter::empty())
         };
         let ib: Box<dyn Iterator<Item = TiOp> + Send> = if rank < ranks_b {
-            Arc::clone(b).rank_ops(rank)
+            infallible(Arc::clone(b).rank_ops(rank))
         } else {
             Box::new(std::iter::empty())
         };
@@ -414,7 +420,7 @@ impl TraceInput {
 
     fn rank_ops(&self, rank: usize) -> Box<dyn Iterator<Item = TiOp> + Send> {
         match self {
-            TraceInput::V1(t) => OpSource::rank_ops(Arc::clone(t), rank),
+            TraceInput::V1(t) => infallible(OpSource::rank_ops(Arc::clone(t), rank)),
             TraceInput::V2(r) => Box::new(r.rank_iter(rank)),
         }
     }

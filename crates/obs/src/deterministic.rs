@@ -9,11 +9,11 @@
 //! implemented next to each type, composing through `Option` so callers
 //! can strip a whole report tree in one call.
 
-use crate::{SelfProfile, SweepStats, TimeSeries};
+use crate::{SelfProfile, SweepStats, TimeSeries, WorkerStats};
 
 /// Types that can reduce themselves to their deterministic projection —
-/// zeroing every host-dependent (wall-clock, rate, memory-address) field
-/// while leaving simulated quantities untouched. After
+/// zeroing every host- or schedule-dependent field (wall-clock, rates,
+/// which thread did what) while leaving simulated quantities untouched. After
 /// [`strip_nondeterminism`](Deterministic::strip_nondeterminism), two
 /// values produced by identical simulated runs must compare (and
 /// serialize) byte-identically.
@@ -43,8 +43,10 @@ impl Deterministic for TimeSeries {
 }
 
 impl Deterministic for SweepStats {
+    /// Which worker ran or stole which scenario, and for how long, is a
+    /// race between threads: only the number of workers survives.
     fn strip_nondeterminism(&mut self) {
-        self.strip_wallclock();
+        self.workers.fill(WorkerStats::default());
     }
 }
 

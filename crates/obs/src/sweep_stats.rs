@@ -6,9 +6,10 @@
 //! from other workers' deques, busy wall-clock), aggregated into a
 //! [`SweepStats`] that lands in the sweep-level report.
 //!
-//! `busy_s` is host wall-clock and therefore machine-dependent;
-//! [`SweepStats::strip_wallclock`] zeroes it, following the same
-//! byte-stability discipline as [`crate::SelfProfile::strip_wallclock`].
+//! `busy_s` is host wall-clock, and which worker ran or stole which
+//! scenario is a race between threads: all three counters are
+//! schedule-dependent, and the [`crate::Deterministic`] projection of a
+//! [`SweepStats`] keeps only the number of workers.
 
 use crate::json_mod::JsonBuf;
 
@@ -19,8 +20,7 @@ pub struct WorkerStats {
     pub scenarios: u64,
     /// Of those, how many it stole from another worker's deque.
     pub stolen: u64,
-    /// Wall-clock seconds spent executing scenarios (host-dependent;
-    /// zeroed by [`SweepStats::strip_wallclock`]).
+    /// Wall-clock seconds spent executing scenarios (host-dependent).
     pub busy_s: f64,
 }
 
@@ -41,14 +41,6 @@ impl SweepStats {
     /// work-stealing deques actually rebalanced).
     pub fn total_stolen(&self) -> u64 {
         self.workers.iter().map(|w| w.stolen).sum()
-    }
-
-    /// Zeroes every host-dependent wall-clock field so two sweeps of the
-    /// same matrix on different machines serialize byte-identically.
-    pub fn strip_wallclock(&mut self) {
-        for w in &mut self.workers {
-            w.busy_s = 0.0;
-        }
     }
 
     /// Appends this rollup as a JSON array value to `j`.
@@ -111,23 +103,21 @@ mod tests {
     }
 
     #[test]
-    fn strip_wallclock_zeroes_busy_only() {
+    fn stripping_keeps_only_the_worker_count() {
+        use crate::Deterministic as _;
         let mut s = stats();
-        s.strip_wallclock();
-        assert!(s.workers.iter().all(|w| w.busy_s == 0.0));
-        assert_eq!(s.total_scenarios(), 16);
+        s.strip_nondeterminism();
+        assert_eq!(s.workers, vec![WorkerStats::default(); 2]);
     }
 
     #[test]
     fn json_shape_is_stable() {
-        let mut s = stats();
-        s.strip_wallclock();
         let mut j = JsonBuf::new();
-        s.append_json(&mut j);
+        stats().append_json(&mut j);
         assert_eq!(
             j.finish(),
-            "[{\"worker\":0,\"scenarios\":10,\"stolen\":2,\"busy_s\":0},\
-             {\"worker\":1,\"scenarios\":6,\"stolen\":6,\"busy_s\":0}]"
+            "[{\"worker\":0,\"scenarios\":10,\"stolen\":2,\"busy_s\":1.5},\
+             {\"worker\":1,\"scenarios\":6,\"stolen\":6,\"busy_s\":0.9}]"
         );
     }
 }

@@ -4,9 +4,11 @@
 //! (with [`World::capture`] or, for bounded-memory streaming capture,
 //! `World::capture_to`), then re-simulate its time-independent trace
 //! against *any* platform spec and network model — no rank bodies, no
-//! application compute, no payload allocation. Only the simulation kernel
-//! runs, which is what makes thousands-of-run sensitivity sweeps (swap the
-//! transfer model, the topology, the MPI profile) tractable.
+//! application compute, no payload allocation, and no threads: a replayed
+//! rank is a trace cursor stepped by the simulation kernel's own loop, on
+//! the calling thread. That is what makes thousands-of-run sensitivity
+//! sweeps (swap the transfer model, the topology, the MPI profile)
+//! tractable, and rank counts are bounded by memory alone.
 //!
 //! ```
 //! use smpi::World;
@@ -44,6 +46,9 @@
 //! [`save_trace`]/[`load_trace`] stream through `BufWriter`/`BufRead` and
 //! return typed [`TraceIoError`]s; `load_trace` sniffs the leading magic,
 //! so v1 text and v2 binary files load through the same call forever.
+//! The `try_replay_*` entries return a typed [`ReplayError`] — a deadlock
+//! or stall with its postmortem, or a block found corrupt mid-stream —
+//! where the plain names panic.
 //!
 //! ## Semantics under model swap
 //!
@@ -69,7 +74,9 @@
 //! it wants through the [`Ctx`] (e.g. calls a different algorithm), the
 //! engine skips the captured span, and later waits stay aligned because
 //! the skipped post indices are accounted for. Algorithm sweeps therefore
-//! no longer require re-capturing the application.
+//! no longer require re-capturing the application. The hook calls blocking
+//! collectives, which need a stack: a hooked replay is the one case that
+//! runs a thread per rank.
 //!
 //! Replay is faithful only for applications whose communication structure
 //! does not depend on message *values* or wall-clock races (the standard
@@ -79,11 +86,16 @@
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use smpi::capture::intern_region;
 use smpi::capture_v2::{TiV2Reader, TiV2Writer, DEFAULT_BLOCK_OPS, TIT2_MAGIC};
-use smpi::{Ctx, ReqId, RunReport, TiOp, TiTrace, TraceIoError, World};
+use smpi::{Ctx, ReqId, RunReport, SimError, SimResp, Simcall, TiOp, TiTrace, TraceIoError, World};
+
+/// One rank's op cursor. A streaming source can fail mid-stream (i/o,
+/// block corruption), hence the fallible items.
+pub type OpCursor = Box<dyn Iterator<Item = Result<TiOp, TraceIoError>> + Send>;
 
 /// A per-rank supplier of time-independent ops. Implemented by in-memory
 /// traces and by the streaming `TITRACE2` reader; the replay engine never
@@ -92,24 +104,7 @@ pub trait OpSource: Send + Sync + 'static {
     /// Number of ranks the source describes.
     fn num_ranks(&self) -> usize;
     /// An owning iterator over rank `rank`'s ops, in capture order.
-    fn rank_ops(self: Arc<Self>, rank: usize) -> Box<dyn Iterator<Item = TiOp> + Send>;
-}
-
-/// Owning cursor over one rank of an `Arc`'d in-memory trace.
-struct TraceCursor {
-    trace: Arc<TiTrace>,
-    rank: usize,
-    ix: usize,
-}
-
-impl Iterator for TraceCursor {
-    type Item = TiOp;
-
-    fn next(&mut self) -> Option<TiOp> {
-        let op = self.trace.ranks[self.rank].get(self.ix)?.clone();
-        self.ix += 1;
-        Some(op)
-    }
+    fn rank_ops(self: Arc<Self>, rank: usize) -> OpCursor;
 }
 
 impl OpSource for TiTrace {
@@ -117,12 +112,8 @@ impl OpSource for TiTrace {
         TiTrace::num_ranks(self)
     }
 
-    fn rank_ops(self: Arc<Self>, rank: usize) -> Box<dyn Iterator<Item = TiOp> + Send> {
-        Box::new(TraceCursor {
-            trace: self,
-            rank,
-            ix: 0,
-        })
+    fn rank_ops(self: Arc<Self>, rank: usize) -> OpCursor {
+        Box::new((0..).map_while(move |ix| self.ranks[rank].get(ix).cloned().map(Ok)))
     }
 }
 
@@ -131,8 +122,9 @@ impl OpSource for TiV2Reader {
         TiV2Reader::num_ranks(self)
     }
 
-    fn rank_ops(self: Arc<Self>, rank: usize) -> Box<dyn Iterator<Item = TiOp> + Send> {
-        Box::new(self.rank_iter(rank))
+    fn rank_ops(self: Arc<Self>, rank: usize) -> OpCursor {
+        let mut ops = self.rank_iter(rank);
+        Box::new(std::iter::from_fn(move || ops.try_next().transpose()))
     }
 }
 
@@ -166,6 +158,27 @@ pub struct ReplayOptions {
     pub coll_hook: Option<Arc<CollHook>>,
 }
 
+/// Why a replay did not produce a report.
+#[derive(Debug)]
+pub enum ReplayError {
+    /// The replayed ranks stopped making progress (deadlock, kernel stall,
+    /// protocol violation); carries the flight-recorder postmortem.
+    Sim(SimError),
+    /// The op source failed mid-stream (i/o error, corrupt `TITRACE2` block).
+    Trace(TraceIoError),
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Sim(e) => e.fmt(f),
+            ReplayError::Trace(e) => write!(f, "trace source failed mid-replay: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
 /// Re-simulates a captured trace on `world` and returns the ordinary run
 /// report (same observability artifacts as an on-line run: metrics, Paje
 /// timelines, self-profile — per the world's configuration).
@@ -177,12 +190,9 @@ pub fn replay(world: &World, trace: &TiTrace) -> RunReport<()> {
 }
 
 /// Like [`replay`], but over a shared `Arc`'d trace: no per-call deep copy
-/// of the op streams. This is the entry point for replication sweeps, where
-/// many worker threads replay the *same* captured trace concurrently
-/// against different platforms/models/perturbations — each call builds its
-/// own private runtime and fabric, so replay sessions are independent and
-/// `Send` while the trace and the parsed platform stay shared and
-/// immutable.
+/// of the op streams. The entry point for replication sweeps, where many
+/// workers replay the *same* trace concurrently on different worlds: each
+/// call builds a private runtime and fabric; the trace stays shared.
 pub fn replay_shared(world: &World, trace: Arc<TiTrace>) -> RunReport<()> {
     replay_source(world, trace)
 }
@@ -195,107 +205,202 @@ pub fn replay_stream(world: &World, reader: Arc<TiV2Reader>) -> RunReport<()> {
     replay_source(world, reader)
 }
 
+/// [`replay_stream`] with typed failures (see [`try_replay_with`]).
+pub fn try_replay_stream(
+    world: &World,
+    reader: Arc<TiV2Reader>,
+) -> Result<RunReport<()>, ReplayError> {
+    try_replay_with(world, reader, ReplayOptions::default())
+}
+
 /// Replays any [`OpSource`] with default options.
 pub fn replay_source<S: OpSource>(world: &World, source: Arc<S>) -> RunReport<()> {
     replay_with(world, source, ReplayOptions::default())
 }
 
-/// Replays any [`OpSource`] with explicit [`ReplayOptions`].
+/// Replays any [`OpSource`] with explicit [`ReplayOptions`]. Panics where
+/// [`try_replay_with`] returns an error.
 pub fn replay_with<S: OpSource>(
     world: &World,
     source: Arc<S>,
     opts: ReplayOptions,
 ) -> RunReport<()> {
-    let nranks = source.num_ranks();
-    assert!(nranks > 0, "cannot replay an empty trace");
-    let hook = opts.coll_hook;
-    world.run(nranks, move |ctx| {
-        let ops = Arc::clone(&source).rank_ops(ctx.rank());
-        replay_rank(ctx, ops, hook.as_deref());
-    })
+    try_replay_with(world, source, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Replays one rank's op stream (the whole replay "application").
-fn replay_rank(ctx: &Ctx, mut ops: impl Iterator<Item = TiOp>, hook: Option<&CollHook>) {
-    // Requests are named by post index in the trace; `live` maps the index
-    // of each not-yet-consumed request to its id in this replay.
-    let mut n_posted: u32 = 0;
-    let mut live: HashMap<u32, ReqId> = HashMap::new();
-    while let Some(op) = ops.next() {
-        match op {
-            TiOp::Compute { flops } => ctx.compute(flops),
-            TiOp::Sleep { secs } => ctx.sleep(secs),
-            TiOp::Send {
-                dst,
-                cid,
-                tag,
-                bytes,
-            } => {
-                let req = ctx.replay_send(dst, cid, tag, bytes);
-                live.insert(n_posted, req);
-                n_posted += 1;
+/// Replays any [`OpSource`], returning a typed [`ReplayError`] when the
+/// replayed ranks deadlock or stall, or when the source fails mid-stream.
+///
+/// Ranks are `RankScript`s stepped on the calling thread
+/// ([`World::try_run_scripts`]) — unless a [`ReplayOptions::coll_hook`]
+/// needs a stack: then they are actor threads ([`World::try_run`]) driving
+/// the same script.
+pub fn try_replay_with<S: OpSource>(
+    world: &World,
+    source: Arc<S>,
+    opts: ReplayOptions,
+) -> Result<RunReport<()>, ReplayError> {
+    let nranks = source.num_ranks();
+    assert!(nranks > 0, "cannot replay an empty trace");
+    let (failed, failures) = channel();
+    // A rank whose source fails ends there; the failure is picked up below.
+    let give_up = move |e: TraceIoError| -> Option<Simcall> {
+        let _ = failed.send(e);
+        None
+    };
+    let obs = world.metrics_enabled();
+    let script = move |rank| RankScript {
+        rank,
+        ops: Arc::clone(&source).rank_ops(rank),
+        obs,
+        n_posted: 0,
+        live: HashMap::new(),
+        waited: Vec::new(),
+    };
+    let result = match opts.coll_hook {
+        Some(hook) => world.try_run(nranks, move |ctx| {
+            let mut script = script(ctx.rank());
+            let mut step = |resp| script.step(resp, |site| hook(ctx, site));
+            let mut resp = None;
+            while let Some(call) = step(resp).unwrap_or_else(&give_up) {
+                resp = Some(ctx.simcall(call));
             }
-            TiOp::Recv {
-                src,
-                cid,
-                tag,
-                max_bytes,
-            } => {
-                let req = ctx.replay_recv(src, cid, tag, max_bytes);
-                live.insert(n_posted, req);
-                n_posted += 1;
+        }),
+        None => world.try_run_scripts(
+            (0..nranks)
+                .map(|rank| {
+                    let (mut script, give_up) = (script(rank), give_up.clone());
+                    move |resp| script.step(resp, |_| false).unwrap_or_else(&give_up)
+                })
+                .collect(),
+        ),
+    };
+    // The peers of a rank that ended early usually deadlock: the source
+    // failure is the cause and takes precedence.
+    match failures.try_recv() {
+        Ok(e) => Err(ReplayError::Trace(e)),
+        Err(_) => result.map_err(ReplayError::Sim),
+    }
+}
+
+fn region(name: &str, enter: bool) -> Simcall {
+    let name = intern_region(name);
+    Simcall::Region { name, enter }
+}
+
+/// One replayed rank as a resumable state machine: the single translation
+/// of captured [`TiOp`]s into [`Simcall`]s.
+struct RankScript {
+    rank: usize,
+    ops: OpCursor,
+    /// Regions are only issued when the world records metrics.
+    obs: bool,
+    /// Requests are named by post index in the trace; `live` maps the index
+    /// of each not-yet-consumed request to its id in this replay.
+    n_posted: u32,
+    live: HashMap<u32, ReqId>,
+    /// Trace indices of the requests in the wait being answered, by position.
+    waited: Vec<u32>,
+}
+
+impl RankScript {
+    /// Absorbs the answer to the previous simcall (`None` to start) and
+    /// returns the next one, or `None` when the rank is done; fails when the
+    /// op source does. `claim` decides each captured collective ([`CollHook`]).
+    fn step(
+        &mut self,
+        resp: Option<SimResp>,
+        mut claim: impl FnMut(&CollSite<'_>) -> bool,
+    ) -> Result<Option<Simcall>, TraceIoError> {
+        match resp {
+            Some(SimResp::Req(id)) => {
+                self.live.insert(self.n_posted, id);
+                self.n_posted += 1;
             }
-            TiOp::Wait { reqs, mode } => {
-                // Filter to requests still live in this replay (see the
-                // crate docs on divergence under model swap).
-                let waited: Vec<(u32, ReqId)> = reqs
-                    .iter()
-                    .filter_map(|ix| live.get(ix).map(|r| (*ix, *r)))
-                    .collect();
-                if waited.is_empty() {
-                    continue; // captured wait already satisfied here
+            Some(SimResp::Done(done)) => {
+                for c in done {
+                    self.live.remove(&self.waited[c.index]);
                 }
-                let ids = waited.iter().map(|(_, r)| *r).collect();
-                for c in ctx.replay_wait(ids, mode) {
-                    live.remove(&waited[c.index].0);
-                }
             }
-            TiOp::Region { name, enter } => {
-                ctx.replay_region(intern_region(&name), enter);
-            }
-            TiOp::Coll {
-                name,
-                algo,
-                span,
-                posts,
-            } => {
-                let claimed = hook.is_some_and(|h| {
-                    h(
-                        ctx,
-                        &CollSite {
-                            rank: ctx.rank(),
-                            name: &name,
-                            algo: &algo,
-                            span,
-                            posts,
-                        },
-                    )
-                });
-                if claimed {
-                    // Skip the captured implementation (through the closing
-                    // region exit) and advance the post counter past its
-                    // posts, so later captured waits keep their index
-                    // alignment; waits naming the skipped indices find
-                    // nothing live and are filtered.
-                    for _ in 0..span {
-                        ops.next();
-                    }
-                    n_posted += posts;
-                } else {
-                    ctx.replay_region(intern_region(&name), true);
-                }
-            }
+            _ => {}
         }
+        while let Some(op) = self.ops.next().transpose()? {
+            let call = match op {
+                TiOp::Compute { flops } => Simcall::Exec { flops },
+                TiOp::Sleep { secs } => Simcall::Sleep { secs },
+                TiOp::Send {
+                    dst,
+                    cid,
+                    tag,
+                    bytes,
+                } => Simcall::IsendSized {
+                    dst,
+                    cid,
+                    tag,
+                    bytes,
+                },
+                TiOp::Recv {
+                    src,
+                    cid,
+                    tag,
+                    max_bytes,
+                } => Simcall::Irecv {
+                    src,
+                    cid,
+                    tag,
+                    max_bytes,
+                },
+                TiOp::Wait { reqs, mode } => {
+                    // Filter to requests still live in this replay (see the
+                    // crate docs on divergence under model swap).
+                    self.waited.clear();
+                    let mut live = Vec::with_capacity(reqs.len());
+                    for ix in reqs {
+                        if let Some(&req) = self.live.get(&ix) {
+                            self.waited.push(ix);
+                            live.push(req);
+                        }
+                    }
+                    if live.is_empty() {
+                        continue; // captured wait already satisfied here
+                    }
+                    Simcall::Wait { reqs: live, mode }
+                }
+                TiOp::Region { name, enter } if self.obs => region(&name, enter),
+                TiOp::Region { .. } => continue,
+                TiOp::Coll {
+                    name,
+                    algo,
+                    span,
+                    posts,
+                } => {
+                    let site = CollSite {
+                        rank: self.rank,
+                        name: &name,
+                        algo: &algo,
+                        span,
+                        posts,
+                    };
+                    if claim(&site) {
+                        // Skip the captured implementation (through the closing
+                        // region exit) and its post indices: later waits keep
+                        // their alignment, and those naming a skipped index
+                        // find nothing live and are filtered.
+                        for _ in 0..span {
+                            self.ops.next().transpose()?;
+                        }
+                        self.n_posted += posts;
+                        continue;
+                    }
+                    if !self.obs {
+                        continue;
+                    }
+                    region(&name, true)
+                }
+            };
+            return Ok(Some(call));
+        }
+        Ok(None)
     }
 }
 

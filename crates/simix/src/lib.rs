@@ -25,6 +25,11 @@
 //! space, and drive loops can recycle their event buffer through
 //! [`Simix::run_ready_into`].
 //!
+//! A drive loop sees this crate through the four-method [`Scheduler`] seam.
+//! [`Simix`] implements it with one thread per actor, for bodies that are
+//! blocking code; [`Scripts`] steps actors that are resumable state machines
+//! (trace cursors) inline on the maestro thread, in the same id order.
+//!
 //! ```
 //! // A tiny ping protocol: every simcall is answered with its value + 1.
 //! let mut sx = simix::Simix::<u32, u32>::new();
@@ -74,6 +79,74 @@ pub enum ActorEvent<Req> {
     Request(ActorId, Req),
     /// The actor's body returned; the thread has exited.
     Finished(ActorId),
+}
+
+/// The seam between a drive loop and whatever executes the actors. Both
+/// implementors keep one contract: actors are runnable from birth; a batch
+/// runs the runnable ones in actor-id order, each until it blocks on a
+/// request or finishes; only `resolve` makes a blocked actor runnable again,
+/// once per request; an actor's panic surfaces in the caller of the batch.
+pub trait Scheduler<Req, Resp> {
+    /// Number of actors ever created.
+    fn num_actors(&self) -> usize;
+    /// Clears `events`, runs every runnable actor in id order and records
+    /// what each did. Reusing the buffer keeps the loop allocation-free.
+    fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>);
+    /// Answers an actor's pending request; it resumes in the next batch.
+    fn resolve(&mut self, id: ActorId, resp: Resp);
+    /// `true` when the next batch would run at least one actor.
+    fn has_runnable(&self) -> bool;
+}
+
+/// The runnable set of both schedulers: a dense worklist (ids plus a
+/// per-actor membership flag) whose buffers are swapped rather than
+/// collected, so steady-state batches never allocate.
+#[derive(Default)]
+struct Worklist {
+    /// Ids resolved since the last batch, unordered (sorted at batch time).
+    runnable: Vec<ActorId>,
+    /// Dense membership flags mirroring `runnable` (guards double-resolve).
+    flag: Vec<bool>,
+    /// The previous batch's (empty) buffer, recycled into the next one.
+    spare: Vec<ActorId>,
+}
+
+impl Worklist {
+    /// Registers the next actor, runnable from birth, and returns its id.
+    fn add(&mut self) -> ActorId {
+        let id = ActorId(self.flag.len() as u32);
+        self.flag.push(false);
+        self.mark(id);
+        id
+    }
+
+    fn mark(&mut self, id: ActorId) {
+        let flag = &mut self.flag[id.0 as usize];
+        assert!(!*flag, "actor {id:?} resolved twice");
+        *flag = true;
+        self.runnable.push(id);
+    }
+
+    /// Runs the runnable set as one batch, filling `events` with what `step`
+    /// reports for each actor. Resolution order is arbitrary; actor-id order
+    /// is the scheduling contract (bit-for-bit determinism), restored by an
+    /// in-place sort.
+    fn run_batch<Req>(
+        &mut self,
+        events: &mut Vec<ActorEvent<Req>>,
+        mut step: impl FnMut(ActorId) -> ActorEvent<Req>,
+    ) {
+        events.clear();
+        let mut batch = std::mem::replace(&mut self.runnable, std::mem::take(&mut self.spare));
+        batch.sort_unstable();
+        events.reserve(batch.len());
+        for &id in &batch {
+            self.flag[id.0 as usize] = false;
+            events.push(step(id));
+        }
+        batch.clear();
+        self.spare = batch;
+    }
 }
 
 /// Marker used to unwind actor threads when the runtime is dropped while
@@ -139,23 +212,24 @@ struct ActorState<Req, Resp> {
     alive: bool,
 }
 
+impl<Req, Resp> ActorState<Req, Resp> {
+    fn reap(&mut self) {
+        self.alive = false;
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
+}
+
 /// The maestro: spawns actors, runs runnable ones (strictly one at a time),
 /// and collects their simcall requests.
 ///
-/// The scheduling hot loop is allocation-free: the runnable set is a dense
-/// worklist (a `Vec` of ids plus a per-actor membership flag) sorted in
-/// place per batch, the batch buffer is swapped rather than collected, and
-/// [`run_ready_into`](Self::run_ready_into) reuses a caller-owned event
-/// buffer across iterations.
+/// The scheduling hot loop is allocation-free: the runnable set is a
+/// recycled worklist and [`run_ready_into`](Self::run_ready_into) reuses a
+/// caller-owned event buffer across iterations.
 pub struct Simix<Req, Resp> {
     actors: Vec<ActorState<Req, Resp>>,
-    /// Ids resolved since the last batch, unordered (sorted at batch time).
-    runnable: Vec<ActorId>,
-    /// Dense membership flags mirroring `runnable` (guards double-resolve).
-    runnable_flag: Vec<bool>,
-    /// Scratch buffer the worklist is swapped into while stepping a batch;
-    /// its capacity is recycled, so steady-state batches never allocate.
-    batch: Vec<ActorId>,
+    work: Worklist,
     /// Stack size for subsequently spawned actor threads.
     stack_size: usize,
 }
@@ -173,9 +247,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         assert!(stack_size > 0, "actor stack size must be non-zero");
         Simix {
             actors: Vec::new(),
-            runnable: Vec::new(),
-            runnable_flag: Vec::new(),
-            batch: Vec::new(),
+            work: Worklist::default(),
             stack_size,
         }
     }
@@ -185,18 +257,13 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         self.stack_size
     }
 
-    /// Number of actors ever spawned.
-    pub fn num_actors(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Spawns an actor. It becomes runnable and will execute during the next
     /// [`run_ready`](Self::run_ready) call. Spawn order defines actor ids.
     pub fn spawn<F>(&mut self, body: F) -> ActorId
     where
         F: FnOnce(&ActorHandle<Req, Resp>) + Send + 'static,
     {
-        let id = ActorId(self.actors.len() as u32);
+        let id = self.work.add();
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot {
                 turn: Turn::Maestro,
@@ -247,8 +314,6 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
             join: Some(join),
             alive: true,
         });
-        self.runnable.push(id);
-        self.runnable_flag.push(true);
         id
     }
 
@@ -269,25 +334,12 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
     /// caller-owned buffer, so a steady-state drive loop performs no
     /// allocation for scheduling.
     pub fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>) {
-        events.clear();
-        debug_assert!(self.batch.is_empty());
-        std::mem::swap(&mut self.batch, &mut self.runnable);
-        // Resolution order is arbitrary; actor-id order is the scheduling
-        // contract (bit-for-bit determinism), restored by an in-place sort.
-        self.batch.sort_unstable();
-        events.reserve(self.batch.len());
-        for i in 0..self.batch.len() {
-            let id = self.batch[i];
-            self.runnable_flag[id.0 as usize] = false;
-            let ev = self.step(id);
-            events.push(ev);
-        }
-        self.batch.clear();
+        let Simix { actors, work, .. } = self;
+        work.run_batch(events, |id| Self::step(&mut actors[id.0 as usize], id));
     }
 
     /// Gives the baton to one actor and waits until it yields it back.
-    fn step(&mut self, id: ActorId) -> ActorEvent<Req> {
-        let state = &mut self.actors[id.0 as usize];
+    fn step(state: &mut ActorState<Req, Resp>, id: ActorId) -> ActorEvent<Req> {
         assert!(state.alive, "stepping a finished actor {id:?}");
         let shared = Arc::clone(&state.shared);
         let mut slot = shared.slot.lock();
@@ -301,24 +353,16 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
             drop(slot);
             // Propagate the actor's panic into the maestro (test failures
             // and bugs must not be swallowed).
-            self.reap(id);
+            state.reap();
             resume_unwind(payload);
         }
         if slot.finished {
             drop(slot);
-            self.reap(id);
+            state.reap();
             ActorEvent::Finished(id)
         } else {
             let req = slot.request.take().expect("actor yielded without request");
             ActorEvent::Request(id, req)
-        }
-    }
-
-    fn reap(&mut self, id: ActorId) {
-        let state = &mut self.actors[id.0 as usize];
-        state.alive = false;
-        if let Some(join) = state.join.take() {
-            let _ = join.join();
         }
     }
 
@@ -334,21 +378,27 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         );
         slot.response = Some(resp);
         drop(slot);
-        let flag = &mut self.runnable_flag[id.0 as usize];
-        assert!(!*flag, "actor {id:?} resolved twice");
-        *flag = true;
-        self.runnable.push(id);
+        self.work.mark(id);
     }
 
     /// `true` while the actor has not finished.
     pub fn is_alive(&self, id: ActorId) -> bool {
         self.actors[id.0 as usize].alive
     }
+}
 
-    /// `true` when at least one actor is runnable (will execute on the next
-    /// [`run_ready`](Self::run_ready)).
-    pub fn has_runnable(&self) -> bool {
-        !self.runnable.is_empty()
+impl<Req: Send + 'static, Resp: Send + 'static> Scheduler<Req, Resp> for Simix<Req, Resp> {
+    fn num_actors(&self) -> usize {
+        self.actors.len()
+    }
+    fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>) {
+        Simix::run_ready_into(self, events)
+    }
+    fn resolve(&mut self, id: ActorId, resp: Resp) {
+        Simix::resolve(self, id, resp)
+    }
+    fn has_runnable(&self) -> bool {
+        !self.work.runnable.is_empty()
     }
 }
 
@@ -378,6 +428,65 @@ impl<Req, Resp> Drop for Simix<Req, Resp> {
                 let _ = join.join();
             }
         }
+    }
+}
+
+/// The threadless scheduler: each actor is a resumable *script*, a closure
+/// called with `None` to start and with the answer to its last request to
+/// resume, returning its next request or `None` when done. Scripts run
+/// inline on the caller's thread, so an actor costs its closure and nothing
+/// else — no OS thread, stack or mutex — and memory alone bounds their count.
+pub struct Scripts<F, Resp> {
+    /// Per actor: the script (`None` once finished) and the answer it
+    /// resumes with.
+    actors: Vec<(Option<F>, Option<Resp>)>,
+    work: Worklist,
+}
+
+impl<F, Resp> Scripts<F, Resp> {
+    /// One actor per script, ids in iteration order, all runnable.
+    pub fn new(scripts: impl IntoIterator<Item = F>) -> Self {
+        let mut work = Worklist::default();
+        let actors = scripts.into_iter().map(|script| {
+            work.add();
+            (Some(script), None)
+        });
+        Scripts {
+            actors: actors.collect(),
+            work,
+        }
+    }
+}
+
+impl<Req, Resp, F: FnMut(Option<Resp>) -> Option<Req>> Scheduler<Req, Resp> for Scripts<F, Resp> {
+    fn num_actors(&self) -> usize {
+        self.actors.len()
+    }
+
+    fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>) {
+        let Scripts { actors, work } = self;
+        work.run_batch(events, |id| {
+            let (script, resp) = &mut actors[id.0 as usize];
+            let step = script.as_mut().expect("only live scripts are runnable");
+            match step(resp.take()) {
+                Some(req) => ActorEvent::Request(id, req),
+                None => {
+                    *script = None;
+                    ActorEvent::Finished(id)
+                }
+            }
+        });
+    }
+
+    fn resolve(&mut self, id: ActorId, resp: Resp) {
+        let (script, slot) = &mut self.actors[id.0 as usize];
+        assert!(script.is_some(), "resolving a finished actor {id:?}");
+        *slot = Some(resp);
+        self.work.mark(id);
+    }
+
+    fn has_runnable(&self) -> bool {
+        !self.work.runnable.is_empty()
     }
 }
 
@@ -411,77 +520,152 @@ mod tests {
         assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(id)]);
     }
 
-    #[test]
-    fn actors_resume_in_id_order() {
-        let mut sx = Simix::<u32, ()>::new();
-        for i in 0..8u32 {
-            sx.spawn(move |h| {
-                h.simcall(i);
-            });
+    /// The [`Scheduler`] contract, written once and run against both
+    /// implementors. Actor `i` of a built scheduler issues `programs[i]` in
+    /// order, then finishes; the request [`BOOM`] panics instead.
+    mod contract {
+        use super::*;
+
+        pub const BOOM: u32 = u32::MAX;
+
+        pub fn threads(programs: Vec<Vec<u32>>) -> Simix<u32, u32> {
+            let mut sx = Simix::new();
+            for program in programs {
+                sx.spawn(move |h| {
+                    for req in program {
+                        assert_ne!(req, BOOM, "boom");
+                        h.simcall(req);
+                    }
+                });
+            }
+            sx
         }
-        let ev = sx.run_ready();
-        let order: Vec<u32> = ev
-            .iter()
-            .map(|e| match e {
-                ActorEvent::Request(_, v) => *v,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
-        // Resolve out of order; they still run back in id order.
-        for i in (0..8).rev() {
-            sx.resolve(ActorId(i), ());
+
+        pub fn scripts(
+            programs: Vec<Vec<u32>>,
+        ) -> Scripts<impl FnMut(Option<u32>) -> Option<u32>, u32> {
+            Scripts::new(programs.into_iter().map(|program| {
+                let mut program = program.into_iter();
+                move |_resp| {
+                    let req = program.next()?;
+                    assert_ne!(req, BOOM, "boom");
+                    Some(req)
+                }
+            }))
         }
-        let ev = sx.run_ready();
-        let finish_order: Vec<u32> = ev
-            .iter()
-            .map(|e| match e {
-                ActorEvent::Finished(ActorId(i)) => *i,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(finish_order, (0..8).collect::<Vec<_>>());
+
+        fn batch<S: Scheduler<u32, u32>>(sx: &mut S) -> Vec<ActorEvent<u32>> {
+            let mut events = Vec::new();
+            sx.run_ready_into(&mut events);
+            events
+        }
+
+        fn panic_message(f: impl FnOnce()) -> String {
+            let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+            match payload.downcast::<String>() {
+                Ok(s) => *s,
+                Err(p) => p.downcast_ref::<&str>().copied().unwrap_or("").to_string(),
+            }
+        }
+
+        pub fn actors_resume_in_id_order<S: Scheduler<u32, u32>>(
+            build: impl Fn(Vec<Vec<u32>>) -> S,
+        ) {
+            let mut sx = build((0..8).map(|i| vec![i]).collect());
+            assert_eq!(sx.num_actors(), 8);
+            assert!(sx.has_runnable(), "actors are runnable from birth");
+            let requests = (0..8).map(|i| ActorEvent::Request(ActorId(i), i));
+            assert_eq!(batch(&mut sx), requests.collect::<Vec<_>>());
+            assert!(!sx.has_runnable());
+            // Resolve out of order; they still run back in id order.
+            for i in (0..8).rev() {
+                sx.resolve(ActorId(i), 0);
+            }
+            let finishes = (0..8).map(|i| ActorEvent::Finished(ActorId(i)));
+            assert_eq!(batch(&mut sx), finishes.collect::<Vec<_>>());
+            assert!(batch(&mut sx).is_empty());
+        }
+
+        pub fn only_resolved_actors_become_runnable<S: Scheduler<u32, u32>>(
+            build: impl Fn(Vec<Vec<u32>>) -> S,
+        ) {
+            let (a, b) = (ActorId(0), ActorId(1));
+            let mut sx = build(vec![vec![1], vec![2]]);
+            let _ = batch(&mut sx);
+            sx.resolve(b, 0);
+            assert_eq!(batch(&mut sx), vec![ActorEvent::Finished(b)]);
+            assert!(!sx.has_runnable(), "a is still blocked");
+            sx.resolve(a, 0);
+            assert_eq!(batch(&mut sx), vec![ActorEvent::Finished(a)]);
+        }
+
+        pub fn double_resolve_is_rejected<S: Scheduler<u32, u32>>(
+            build: impl Fn(Vec<Vec<u32>>) -> S,
+        ) {
+            let mut sx = build(vec![vec![1]]);
+            let _ = batch(&mut sx);
+            sx.resolve(ActorId(0), 0);
+            let msg = panic_message(|| sx.resolve(ActorId(0), 0));
+            assert!(msg.contains("resolved twice"), "got {msg:?}");
+        }
+
+        pub fn actor_panic_propagates_to_caller<S: Scheduler<u32, u32>>(
+            build: impl Fn(Vec<Vec<u32>>) -> S,
+        ) {
+            let mut sx = build(vec![vec![1], vec![BOOM]]);
+            let msg = panic_message(|| drop(batch(&mut sx)));
+            assert!(msg.contains("boom"), "got {msg:?}");
+        }
+
+        pub fn drop_with_blocked_actors_returns_promptly<S: Scheduler<u32, u32>>(
+            build: impl Fn(Vec<Vec<u32>>) -> S,
+        ) {
+            let mut sx = build(vec![vec![1, 2]; 4]);
+            assert_eq!(batch(&mut sx).len(), 4);
+            drop(sx); // never resolved: must not hang (threads are joined)
+        }
     }
 
-    #[test]
-    fn only_resolved_actors_become_runnable() {
-        let mut sx = Simix::<(), ()>::new();
-        let a = sx.spawn(|h| {
-            h.simcall(());
-        });
-        let b = sx.spawn(|h| {
-            h.simcall(());
-        });
-        let _ = sx.run_ready();
-        sx.resolve(b, ());
-        let ev = sx.run_ready();
-        assert_eq!(ev, vec![ActorEvent::Finished(b)]);
-        assert!(sx.is_alive(a));
-        sx.resolve(a, ());
-        assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(a)]);
+    /// Instantiates each contract test for [`Simix`] and for [`Scripts`].
+    macro_rules! both_schedulers {
+        ($($name:ident),* $(,)?) => {$(
+            mod $name {
+                use super::contract;
+                #[test]
+                fn simix() {
+                    contract::$name(contract::threads)
+                }
+                #[test]
+                fn scripts() {
+                    contract::$name(contract::scripts)
+                }
+            }
+        )*};
     }
+    both_schedulers!(
+        actors_resume_in_id_order,
+        only_resolved_actors_become_runnable,
+        double_resolve_is_rejected,
+        actor_panic_propagates_to_caller,
+        drop_with_blocked_actors_returns_promptly,
+    );
 
     #[test]
-    fn actor_panic_propagates_to_maestro() {
-        let mut sx = Simix::<(), ()>::new();
-        sx.spawn(|_| panic!("boom"));
-        let result = catch_unwind(AssertUnwindSafe(|| sx.run_ready()));
-        let payload = result.unwrap_err();
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "boom");
-    }
-
-    #[test]
-    fn drop_kills_blocked_actors_without_hanging() {
-        let mut sx = Simix::<(), ()>::new();
-        for _ in 0..4 {
-            sx.spawn(|h| {
-                h.simcall(());
-                unreachable!("never resolved");
-            });
+    fn scripts_resume_with_the_resolved_answer() {
+        let mut seen = Vec::new();
+        let mut sx = Scripts::new([|resp: Option<u32>| {
+            seen.push(resp);
+            (seen.len() < 3).then_some(seen.len() as u32)
+        }]);
+        let mut events = Vec::new();
+        for answer in [10, 20] {
+            sx.run_ready_into(&mut events);
+            sx.resolve(ActorId(0), answer);
         }
-        let _ = sx.run_ready();
-        drop(sx); // must return promptly, joining all threads
+        sx.run_ready_into(&mut events);
+        assert_eq!(events, vec![ActorEvent::Finished(ActorId(0))]);
+        drop(sx);
+        assert_eq!(seen, vec![None, Some(10), Some(20)]);
     }
 
     #[test]

@@ -287,7 +287,7 @@ pub struct SweepReport {
     /// Scenario throughput (host-dependent).
     pub scenarios_per_s: f64,
     /// Largest reorder-buffer occupancy the emitter ever saw (a direct
-    /// measure of the bounded streaming memory).
+    /// measure of the bounded streaming memory; schedule-dependent).
     pub reorder_high_water: usize,
     /// Per-worker execution counters.
     pub stats: SweepStats,
@@ -295,21 +295,16 @@ pub struct SweepReport {
     pub cells: Vec<CellSummary>,
 }
 
-impl SweepReport {
-    /// Zeroes every host-dependent field (sweep wall-clock, throughput,
-    /// per-worker busy time) so reports from different machines — or
-    /// different worker counts on one machine — serialize identically
-    /// apart from `workers` and the per-worker scenario split.
-    pub fn strip_wallclock(&mut self) {
+impl smpi_obs::Deterministic for SweepReport {
+    /// Zeroes every host- or schedule-dependent field (sweep wall-clock,
+    /// throughput, reorder-buffer high-water mark, per-worker counters), so
+    /// two sweeps of one config serialize identically on any machine, under
+    /// any load — and, apart from `workers`, at any worker count.
+    fn strip_nondeterminism(&mut self) {
         self.wall_s = 0.0;
         self.scenarios_per_s = 0.0;
-        self.stats.strip_wallclock();
-    }
-}
-
-impl smpi_obs::Deterministic for SweepReport {
-    fn strip_nondeterminism(&mut self) {
-        self.strip_wallclock();
+        self.reorder_high_water = 0;
+        self.stats.strip_nondeterminism();
     }
 }
 
@@ -546,7 +541,7 @@ fn render_line(
     j.key("rep").uint_val(sc.rep as u64);
     j.key("makespan").num_val(out.makespan);
     j.key("simcalls").uint_val(out.simcalls);
-    // Host-dependent fields follow the strip_wallclock discipline: zeroed
+    // Host-dependent fields follow the `Deterministic` discipline: zeroed
     // under strip_hostdep so the streamed table is machine-portable.
     let (wall_s, peak) = if cfg.strip_hostdep {
         (0.0, 0)
@@ -574,9 +569,11 @@ struct SharedEmit<W: Write> {
 /// Determinism contract: for a fixed config (matrix + seed), the bytes
 /// written to `sink` and every `cells` distribution are identical for any
 /// `workers` value. Host-dependent fields (`wall_s`, `scenarios_per_s`,
-/// per-worker `busy_s`, and the per-line wall/memory fields unless
-/// `strip_hostdep` is off) are the only exceptions, and
-/// [`SweepReport::strip_wallclock`] zeroes the report-level ones.
+/// the per-line wall/memory fields unless `strip_hostdep` is off) and
+/// schedule-dependent ones (`reorder_high_water`, the per-worker counters)
+/// are the only exceptions, and the report's
+/// [`strip_nondeterminism`](smpi_obs::Deterministic::strip_nondeterminism)
+/// zeroes the report-level ones.
 pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(SweepReport, W)> {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid sweep config: {e}"));
@@ -801,8 +798,9 @@ mod tests {
         let (mut report_t, lines_t) = run_sweep(&cfg, Vec::new()).unwrap();
         let (mut report_s, lines_s) = run_sweep(&stream_cfg, Vec::new()).unwrap();
         assert_eq!(lines_t, lines_s, "scenario lines diverge");
-        report_t.strip_wallclock();
-        report_s.strip_wallclock();
+        use smpi_obs::Deterministic as _;
+        report_t.strip_nondeterminism();
+        report_s.strip_nondeterminism();
         assert_eq!(report_t.to_json(), report_s.to_json());
         // The decoder was shared: blocks decoded at most once per residency
         // window, far fewer times than scenarios replayed.

@@ -1,11 +1,12 @@
 //! Capture → replay end-to-end: cross-validation against the on-line
-//! simulation, model-swap replay, determinism, and the golden trace file.
+//! simulation, model-swap replay, determinism, the golden trace file, the
+//! event-driven tier against its threaded oracle, and typed replay errors.
 
 use std::sync::Arc;
 
 use smpi_suite::platform::{gdx, griffon, RoutedPlatform};
 use smpi_suite::replay;
-use smpi_suite::smpi::{TiTrace, World};
+use smpi_suite::smpi::{AnyRequest, Ctx, TiTrace, World};
 use smpi_suite::surf::TransferModel;
 use smpi_suite::workloads::{build_graph, dt_rank, ep_rank, DtClass, DtGraph, EpConfig};
 
@@ -216,4 +217,237 @@ fn captured_trace_matches_v2_golden_file() {
     // rel err 0 on the capture platform.
     let report = replay::replay(&griffon_world(), &v2);
     assert_eq!(report.sim_time, online.sim_time);
+}
+
+/// The p2p + collective mix: compute, a rendezvous-sized ring exchange and
+/// an allreduce.
+fn mix_app(ctx: &Ctx) {
+    let w = ctx.world();
+    ctx.compute(5e5 * (ctx.rank() + 1) as f64);
+    let right = (ctx.rank() + 1) % ctx.size();
+    let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+    let mut buf = vec![0.0f64; 64 * 1024];
+    let big = vec![ctx.rank() as f64; 64 * 1024];
+    ctx.sendrecv(&big, right, 7, &mut buf, left as i32, 7, &w);
+    let _ = ctx.allreduce(&[buf[0] + 1.0], &smpi_suite::smpi::op::sum::<f64>(), &w);
+}
+
+/// A `Test` polling loop, then wildcard receives drained by `Waitany`. How
+/// many polls come back empty depends on the platform: rank 0 computes for
+/// less time than the polled transfer takes on griffon, for longer on gdx
+/// (slower hosts). Replayed there, the first captured poll completes the
+/// request and wait filtering drops the rest.
+fn wildcard_app(ctx: &Ctx) {
+    let w = ctx.world();
+    let n = ctx.size();
+    if ctx.rank() == 0 {
+        let polled = [ctx.irecv::<f64>(1, 4, 32 * 1024, &w).into_any()];
+        ctx.compute(2e7);
+        while ctx.test(&polled).is_empty() {
+            ctx.sleep(2e-4);
+        }
+        let mut pending: Vec<AnyRequest> = (1..n)
+            .map(|_| {
+                ctx.irecv::<f64>(smpi_suite::smpi::ANY_SOURCE, 3, 4096, &w)
+                    .into_any()
+            })
+            .collect();
+        while !pending.is_empty() {
+            let done = ctx.wait_any(&pending);
+            pending.remove(done.index);
+        }
+    } else {
+        if ctx.rank() == 1 {
+            ctx.send(&vec![2.0f64; 32 * 1024], 0, 4, &w);
+        }
+        ctx.compute(1e5 * ((ctx.rank() * 7) % n) as f64);
+        ctx.send(&vec![1.0f64; 512 * ctx.rank()], 0, 3, &w);
+    }
+}
+
+/// Everything a replay produces, with host-dependent fields stripped.
+fn artifacts(mut report: smpi_suite::smpi::RunReport<()>) -> [String; 5] {
+    use smpi_obs::Deterministic as _;
+    report.strip_nondeterminism();
+    [
+        report.to_json(),
+        report.paje(),
+        report
+            .contention
+            .as_ref()
+            .map_or_else(String::new, |c| c.to_json()),
+        report
+            .ti_trace
+            .as_ref()
+            .expect("replay world captures")
+            .encode(),
+        format!("{:?}", report.trace),
+    ]
+}
+
+/// Replays `trace` event-driven (the production path) and through the
+/// threaded oracle — a collective hook that claims nothing, which keeps one
+/// actor thread per rank driving the same script — and demands identical
+/// artifacts. Returns the re-captured trace.
+fn assert_tiers_agree<S: replay::OpSource>(label: &str, world: &World, source: Arc<S>) -> String {
+    let oracle = replay::ReplayOptions {
+        coll_hook: Some(Arc::new(|_: &Ctx, _: &replay::CollSite<'_>| false)),
+    };
+    let event = artifacts(replay::replay_source(world, Arc::clone(&source)));
+    let threaded = artifacts(replay::replay_with(world, source, oracle));
+    for (what, (e, t)) in ["report JSON", "paje", "contention", "re-capture", "events"]
+        .iter()
+        .zip(event.iter().zip(&threaded))
+    {
+        assert_eq!(e, t, "{label}: {what} differs between the tiers");
+    }
+    let [_, _, _, recapture, _] = event;
+    recapture
+}
+
+/// The event-driven tier is byte-identical to the threaded oracle: same
+/// schedule, hence same reports, timelines, attribution, time series and
+/// re-captures — metrics off and on, in-memory and streamed sources, on the
+/// capture platform and on a different one.
+#[test]
+fn event_driven_replay_matches_the_threaded_oracle() {
+    let capture = griffon_world().capture(true).metrics(true);
+    let mut traces: Vec<(String, TiTrace)> = [DtGraph::Bh, DtGraph::Wh, DtGraph::Sh]
+        .into_iter()
+        .map(|shape| {
+            let online = dt_online(&capture, DtClass::S, shape);
+            (format!("dt-S-{shape:?}"), online.ti_trace.unwrap())
+        })
+        .collect();
+    traces.push(("mix".into(), capture.run(4, mix_app).ti_trace.unwrap()));
+    traces.push((
+        "wildcard".into(),
+        capture.run(6, wildcard_app).ti_trace.unwrap(),
+    ));
+
+    let dir = std::env::temp_dir().join(format!("smpi_replay_tiers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, trace) in traces {
+        let path = dir.join(format!("{name}.tit2"));
+        replay::save_trace_v2(&path, &trace).unwrap();
+        let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&path).unwrap());
+        let trace = Arc::new(trace);
+        for (platform, base) in [("griffon", griffon_world()), ("gdx", gdx_world())] {
+            for metrics in [false, true] {
+                let world = base
+                    .clone()
+                    .metrics(metrics)
+                    .capture(true)
+                    .tracing(true)
+                    .timeseries(true);
+                let label = format!("{name} on {platform}, metrics {metrics}");
+                let mem = assert_tiers_agree(&label, &world, Arc::clone(&trace));
+                let streamed = assert_tiers_agree(&label, &world, Arc::clone(&reader));
+                assert_eq!(mem, streamed, "{label}: streamed source diverges");
+                if metrics && platform == "griffon" {
+                    assert_eq!(mem, trace.encode(), "{label}: re-capture drifted");
+                }
+                if name == "wildcard" && platform == "gdx" {
+                    // Other timing, other poll outcomes: captured waits were
+                    // filtered, so the replay issued fewer of them.
+                    let waits = |t: &str| t.lines().filter(|l| l.contains("wait")).count();
+                    assert!(
+                        waits(&mem) < waits(&trace.encode()),
+                        "{label}: no filtering"
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A `TITRACE2` file corrupted inside a block that `open` never reads: the
+/// replay surfaces the decode failure as a typed error, mid-run, without
+/// panicking.
+#[test]
+fn corrupt_block_mid_stream_is_a_typed_error() {
+    use smpi_suite::smpi::{TiV2Writer, TraceIoError};
+    use std::io::Write;
+
+    /// A writer that exposes how many bytes went through it.
+    struct Counted(Arc<std::sync::Mutex<Vec<u8>>>);
+    impl Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let trace = griffon_world()
+        .capture(true)
+        .run(4, mix_app)
+        .ti_trace
+        .unwrap();
+    let bytes = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut w = TiV2Writer::new(Counted(Arc::clone(&bytes)), trace.num_ranks());
+    let mut second_block = 0;
+    for (rank, ops) in trace.ranks.iter().enumerate() {
+        if rank == 1 {
+            second_block = bytes.lock().unwrap().len();
+        }
+        w.write_block(rank as u32, ops).unwrap();
+    }
+    w.finish().unwrap();
+    let mut bytes = std::mem::take(&mut *bytes.lock().unwrap());
+    // Block header: varint(rank) varint(nops) u8(comp) ...; flip the
+    // compression tag of rank 1's block into an unknown one.
+    bytes[second_block + 2] ^= 0xff;
+
+    let dir = std::env::temp_dir().join(format!("smpi_replay_corrupt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("flipped.tit2");
+    std::fs::write(&path, &bytes).unwrap();
+    let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&path).expect("footer is intact"));
+    let err = replay::try_replay_stream(&griffon_world(), reader).unwrap_err();
+    assert!(
+        matches!(err, replay::ReplayError::Trace(TraceIoError::V2(_))),
+        "got {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A trace whose receive nobody sends to: a typed deadlock naming the
+/// blocked rank, with its postmortem, not a panic.
+#[test]
+fn unmatched_recv_is_a_typed_deadlock() {
+    use smpi_suite::smpi::{SimError, TiOp, WaitMode};
+    let trace = TiTrace {
+        ranks: vec![
+            vec![TiOp::Compute { flops: 1e6 }],
+            vec![
+                TiOp::Recv {
+                    src: 0,
+                    cid: 0,
+                    tag: 9,
+                    max_bytes: 64,
+                },
+                TiOp::Wait {
+                    reqs: vec![0],
+                    mode: WaitMode::All,
+                },
+            ],
+        ],
+    };
+    let err =
+        replay::try_replay_with(&griffon_world(), Arc::new(trace), Default::default()).unwrap_err();
+    match err {
+        replay::ReplayError::Sim(SimError::Deadlock {
+            blocked,
+            postmortem,
+        }) => {
+            assert_eq!(blocked, vec![1]);
+            assert_eq!(postmortem.ranks[0].rank, 1);
+            assert!(postmortem.render().contains("tag 9"));
+        }
+        other => panic!("expected a deadlock, got {other}"),
+    }
 }
