@@ -4,15 +4,14 @@
 
 use smpi_bench::{
     ablations, contention_demo, diff_demo, e2e, fig_alltoall, fig_dt, fig_pingpong, fig_scatter,
-    fig_schemes, fig_speed, gate, kernel_bench, obs_demo, replay_demo, scale, sweep_bench,
-    trace_bench,
+    fig_schemes, fig_speed, gate, obs_demo, replay_demo, scale, sweep_bench, trace_bench,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
     // `gate` consumes the rest of the argument list as gate-set filters
-    // (e.g. `repro -- gate kernel scale`); exit 1 on a failed gate.
+    // (e.g. `repro -- gate scale sweep`); exit 1 on a failed gate.
     if args.first().map(String::as_str) == Some("gate") {
         let sets: Vec<&str> = args[1..].iter().map(String::as_str).collect();
         let out = gate::gate(&sets);
@@ -73,7 +72,6 @@ fn main() {
             "replay" => replay_demo::replay_demo(),
             "dt" => e2e::dt_report(),
             "ep" => e2e::ep_report(),
-            "kernel" => kernel_bench::kernel_bench(),
             "scale" => scale::scale(),
             "sweep" => sweep_bench::sweep(),
             "trace" => trace_bench::trace(),

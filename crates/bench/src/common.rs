@@ -106,7 +106,6 @@ pub fn smpi_world_no_contention(rp: Arc<RoutedPlatform>) -> World {
             engine: EngineConfig {
                 contention: false,
                 tcp_window: None,
-                class_folding: true,
             },
         },
         MpiProfile::smpi(),

@@ -11,46 +11,24 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use smpi::{Backend, MpiProfile, World};
+use smpi::World;
 use smpi_platform::{griffon, RoutedPlatform};
 use smpi_workloads::{build_graph, dt_rank, DtClass, DtGraph};
-use surf_sim::{EngineConfig, TransferModel};
+use surf_sim::TransferModel;
 
 fn world() -> World {
-    world_with(EngineConfig::default())
-}
-
-fn world_with(engine: EngineConfig) -> World {
-    let rp = Arc::new(RoutedPlatform::new(griffon()));
-    World::new(
-        rp,
-        Backend::Surf {
-            model: TransferModel::default_affine(),
-            engine,
-        },
-        MpiProfile::smpi(),
+    World::smpi(
+        Arc::new(RoutedPlatform::new(griffon())),
+        TransferModel::default_affine(),
     )
-}
-
-/// [`dt_report`] with uniform-round class folding disabled — the ablation
-/// arm of the byte-identity check against the committed golden.
-pub fn dt_report_unfolded() -> String {
-    dt_report_impl(world_with(EngineConfig {
-        class_folding: false,
-        ..EngineConfig::default()
-    }))
 }
 
 /// Fixed DT run (class A, black-hole graph, griffon, affine model).
 pub fn dt_report() -> String {
-    dt_report_impl(world())
-}
-
-fn dt_report_impl(world: World) -> String {
     let class = DtClass::A;
     let graph = Arc::new(build_graph(class, DtGraph::Bh));
     let g = Arc::clone(&graph);
-    let report = world.run(graph.num_nodes(), move |ctx| dt_rank(ctx, &g, class));
+    let report = world().run(graph.num_nodes(), move |ctx| dt_rank(ctx, &g, class));
     let mut out = String::new();
     let _ = writeln!(out, "# e2e dt: class A, graph BH, griffon, smpi affine");
     let _ = writeln!(out, "ranks {}", graph.num_nodes());
@@ -71,25 +49,13 @@ fn dt_report_impl(world: World) -> String {
 /// measures the host machine, which would make the report irreproducible);
 /// the communication structure (block loop + final allreduce) is the same.
 pub fn ep_report() -> String {
-    ep_report_impl(world())
-}
-
-/// [`ep_report`] with uniform-round class folding disabled.
-pub fn ep_report_unfolded() -> String {
-    ep_report_impl(world_with(EngineConfig {
-        class_folding: false,
-        ..EngineConfig::default()
-    }))
-}
-
-fn ep_report_impl(world: World) -> String {
     const RANKS: u64 = 8;
     const TOTAL_PAIRS: u64 = 1 << 16;
     const BLOCKS: u64 = 8;
     /// Deterministic stand-in for the measured per-pair cost.
     const FLOPS_PER_PAIR: f64 = 120.0;
 
-    let report = world.run(RANKS as usize, move |ctx| {
+    let report = world().run(RANKS as usize, move |ctx| {
         let r = ctx.rank() as u64;
         let my_pairs = TOTAL_PAIRS / RANKS;
         let per_block = my_pairs / BLOCKS;

@@ -1,7 +1,7 @@
-//! `repro -- gate [kernel scale sweep trace]` — the consolidated benchmark
+//! `repro -- gate [scale sweep trace]` — the consolidated benchmark
 //! regression gate.
 //!
-//! One declarative table replaces the four per-job python snippets the CI
+//! One declarative table replaces the per-job python snippets the CI
 //! workflow used to carry: each entry names a metric inside a committed
 //! `BENCH_*.json` document, its hardware-independent absolute floor, and
 //! its ratio against the `git show HEAD:` reference (see
@@ -15,20 +15,10 @@
 
 use smpi_diff::{append_history, git_reference, render_trends, run_gates, trends, GateSpec};
 
-/// The benchmark gates, one table for all four benchmark jobs. Ratios
+/// The benchmark gates, one table for all benchmark jobs. Ratios
 /// compare two measurements of the same quantity (robust to runner
 /// variance); absolute floors encode format/algorithm promises.
 pub const GATES: &[GateSpec] = &[
-    // Incremental vs full-reshare kernel speedup: 5x acceptance floor,
-    // and within 20% of the committed reference ratio.
-    GateSpec {
-        name: "kernel.speedup",
-        file: "BENCH_kernel.json",
-        selector: "speedup",
-        floor_abs: 5.0,
-        ref_ratio: 0.2,
-        enable_if: None,
-    },
     // 4k-rank scheduler throughput within a generous 10x cross-hardware
     // factor of the reference (catches a return to the O(waiters) sweep).
     GateSpec {
@@ -93,7 +83,7 @@ fn head_stamp() -> String {
 }
 
 /// Evaluates the gates whose name starts with one of `sets`
-/// (`kernel`/`scale`/`sweep`/`trace`; empty = all), appends the outcome to
+/// (`scale`/`sweep`/`trace`; empty = all), appends the outcome to
 /// `target/bench_history.jsonl`, writes the JSON report to
 /// `target/diff/gate_report.json`, and returns the rendering (ending in
 /// the `GATE:` verdict line).
@@ -134,10 +124,9 @@ mod tests {
             .collect();
         assert_eq!(
             sets.into_iter().collect::<Vec<_>>(),
-            ["kernel", "scale", "sweep", "trace"]
+            ["scale", "sweep", "trace"]
         );
         let by_name = |n: &str| GATES.iter().find(|g| g.name == n).unwrap();
-        assert_eq!(by_name("kernel.speedup").floor_abs, 5.0);
         assert_eq!(by_name("trace.ratio").floor_abs, 5.0);
         assert_eq!(
             by_name("sweep.speedup_4w").enable_if,
@@ -153,11 +142,11 @@ mod tests {
         // empty (vacuously passing) report instead.
         let report = run_gates(
             &[GateSpec {
-                name: "kernel.speedup",
-                file: "definitely_missing_BENCH_kernel.json",
-                selector: "speedup",
+                name: "trace.ratio",
+                file: "definitely_missing_BENCH_trace.json",
+                selector: "ratio",
                 floor_abs: 5.0,
-                ref_ratio: 0.2,
+                ref_ratio: 0.0,
                 enable_if: None,
             }],
             |_| None,

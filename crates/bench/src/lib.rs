@@ -22,7 +22,6 @@ pub mod fig_scatter;
 pub mod fig_schemes;
 pub mod fig_speed;
 pub mod gate;
-pub mod kernel_bench;
 pub mod obs_demo;
 pub mod replay_demo;
 pub mod scale;

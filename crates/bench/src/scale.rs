@@ -18,11 +18,11 @@
 //! Emits `BENCH_scale.json` (see EXPERIMENTS.md for the schema): per tier
 //! `ranks`, `wall_s`, `simcalls`, `simcalls_per_s`, `sim_time`,
 //! `peak_actual_bytes`, `peak_logical_bytes` and the kernel fast-path
-//! counters `classes_folded` / `batched_completions` /
-//! `parallel_components`, plus the pre-change 4k-rank baseline and the
-//! improvement ratio against it. CI gates on `simcalls_per_s` at the 4k
-//! tier staying within a generous factor of the committed reference (same
-//! robustness argument as the kernel-bench gate).
+//! counters `classes_folded` / `batched_completions`, plus the pre-change
+//! 4k-rank baseline and the improvement ratio against it. CI gates on
+//! `simcalls_per_s` at the 4k tier staying within a generous factor of the
+//! committed reference (a ratio of two measurements of the same quantity
+//! is robust to runner variance).
 //!
 //! Every tier runs with the time-series sampler on and live progress lines
 //! on stderr (JSON, every 2 s of wall time; from the second tier onward
@@ -69,11 +69,10 @@ struct Tier {
     /// these even with metrics off.
     kernel: String,
     /// Kernel fast-path counters (see `KernelProfile`): flows saved by
-    /// uniform-round class folding, completions coalesced into shared
-    /// reshares, and components offered to the parallel solver.
+    /// uniform-round class folding and completions coalesced into shared
+    /// reshares.
     classes_folded: u64,
     batched_completions: u64,
-    parallel_components: u64,
     /// `"timeseries"` JSON section of the tier's run.
     timeseries_json: String,
 }
@@ -163,7 +162,6 @@ fn run_tier(ranks: usize, sim_time_hint: Option<f64>) -> Tier {
         kernel: k.map(|k| k.render()).unwrap_or_default(),
         classes_folded: k.map_or(0, |k| k.classes_folded),
         batched_completions: k.map_or(0, |k| k.batched_completions),
-        parallel_components: k.map_or(0, |k| k.parallel_components),
         timeseries_json: report
             .timeseries
             .as_ref()
@@ -226,8 +224,7 @@ pub fn scale() -> String {
             "    {{ \"ranks\": {}, \"wall_s\": {:.6}, \"sim_time\": {:.9}, \
              \"simcalls\": {}, \"local_simcalls\": {}, \"simcalls_per_s\": {:.1}, \
              \"peak_actual_bytes\": {}, \"peak_logical_bytes\": {}, \
-             \"classes_folded\": {}, \"batched_completions\": {}, \
-             \"parallel_components\": {} }}{}",
+             \"classes_folded\": {}, \"batched_completions\": {} }}{}",
             t.ranks,
             t.wall_s,
             t.sim_time,
@@ -238,7 +235,6 @@ pub fn scale() -> String {
             t.peak_logical_bytes,
             t.classes_folded,
             t.batched_completions,
-            t.parallel_components,
             if i + 1 < results.len() { "," } else { "" },
         );
     }

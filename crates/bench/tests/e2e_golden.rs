@@ -22,21 +22,3 @@ fn ep_report_matches_golden() {
     let want = include_str!("golden/ep_report.txt");
     assert_golden("ep_report", want, &got);
 }
-
-// Class folding is exact, not approximate: disabling it must reproduce the
-// same goldens byte for byte, which (with the two tests above) pins the
-// folded fast path to the unfolded reference on a full application run.
-
-#[test]
-fn dt_report_is_byte_identical_without_class_folding() {
-    let got = smpi_bench::e2e::dt_report_unfolded();
-    let want = include_str!("golden/dt_report.txt");
-    assert_golden("dt_report_unfolded", want, &got);
-}
-
-#[test]
-fn ep_report_is_byte_identical_without_class_folding() {
-    let got = smpi_bench::e2e::ep_report_unfolded();
-    let want = include_str!("golden/ep_report.txt");
-    assert_golden("ep_report_unfolded", want, &got);
-}

@@ -238,8 +238,8 @@ impl World {
     /// carries fixed-budget ring buffers of per-interval activity (simcall
     /// rate, active flows, link utilization, …). Deterministic: two
     /// identical runs produce byte-identical series once
-    /// [`TimeSeries::strip_wallclock`] removes the host-dependent solver
-    /// timings.
+    /// [`Deterministic::strip_nondeterminism`](smpi_obs::Deterministic::strip_nondeterminism)
+    /// removes the host-dependent solver timings.
     pub fn timeseries(mut self, enabled: bool) -> Self {
         self.timeseries = enabled;
         self

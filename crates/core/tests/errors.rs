@@ -29,7 +29,6 @@ fn kernel_stall_propagates_as_typed_error() {
             engine: EngineConfig {
                 contention: true,
                 tcp_window: Some(0.0),
-                class_folding: true,
             },
         },
         smpi::MpiProfile::smpi(),

@@ -28,7 +28,7 @@ pub struct GateSpec {
     /// Gate name, conventionally `<bench>.<metric>`.
     pub name: &'static str,
     /// Benchmark document holding the metric (path relative to the
-    /// working directory, e.g. `BENCH_kernel.json`).
+    /// working directory, e.g. `BENCH_scale.json`).
     pub file: &'static str,
     /// Selector for the gated metric inside the document.
     pub selector: &'static str,

@@ -590,7 +590,6 @@ pub fn diff_reports<RA, RB>(a: &RunReport<RA>, b: &RunReport<RB>, top_k: usize) 
     let kernel = match (&a.profile.kernel, &b.profile.kernel) {
         (Some(ka), Some(kb)) => [
             ("reshares", ka.reshares, kb.reshares),
-            ("full_reshares", ka.full_reshares, kb.full_reshares),
             ("heap_rebuilds", ka.heap_rebuilds, kb.heap_rebuilds),
             ("heap_orphans", ka.heap_orphans, kb.heap_orphans),
             ("classes_folded", ka.classes_folded, kb.classes_folded),
@@ -598,11 +597,6 @@ pub fn diff_reports<RA, RB>(a: &RunReport<RA>, b: &RunReport<RB>, top_k: usize) 
                 "batched_completions",
                 ka.batched_completions,
                 kb.batched_completions,
-            ),
-            (
-                "parallel_components",
-                ka.parallel_components,
-                kb.parallel_components,
             ),
         ]
         .into_iter()

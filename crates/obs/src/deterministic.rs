@@ -4,12 +4,9 @@
 //! reproducible run-to-run) and *host-dependent* ones (wall-clock phase
 //! timings, solver nanoseconds, events/sec). The determinism tests and
 //! the divergence-attribution tooling both need the former with the
-//! latter zeroed, and each type historically grew its own
-//! `strip_wallclock` helper. [`Deterministic`] unifies them: one method,
+//! latter zeroed. [`Deterministic`] is the one way to get it: one method,
 //! implemented next to each type, composing through `Option` so callers
 //! can strip a whole report tree in one call.
-
-use crate::{SelfProfile, SweepStats, TimeSeries, WorkerStats};
 
 /// Types that can reduce themselves to their deterministic projection —
 /// zeroing every host- or schedule-dependent field (wall-clock, rates,
@@ -30,29 +27,10 @@ impl<T: Deterministic> Deterministic for Option<T> {
     }
 }
 
-impl Deterministic for SelfProfile {
-    fn strip_nondeterminism(&mut self) {
-        self.strip_wallclock();
-    }
-}
-
-impl Deterministic for TimeSeries {
-    fn strip_nondeterminism(&mut self) {
-        self.strip_wallclock();
-    }
-}
-
-impl Deterministic for SweepStats {
-    /// Which worker ran or stole which scenario, and for how long, is a
-    /// race between threads: only the number of workers survives.
-    fn strip_nondeterminism(&mut self) {
-        self.workers.fill(WorkerStats::default());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SelfProfile;
 
     #[test]
     fn option_composes_and_none_is_a_no_op() {

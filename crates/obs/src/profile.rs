@@ -2,6 +2,7 @@
 //! time, and how fast it processes simulation events.
 
 use crate::json_mod::JsonBuf;
+use crate::Deterministic;
 
 /// Always-on log2 histogram accumulator for kernel introspection.
 ///
@@ -82,8 +83,6 @@ impl KernelHist {
 pub struct KernelProfile {
     /// Max-min reshares performed.
     pub reshares: u64,
-    /// Reshares that rebuilt the whole problem (topology edits, ablation).
-    pub full_reshares: u64,
     /// Lazy-heap hygiene rebuilds.
     pub heap_rebuilds: u64,
     /// Orphaned heap entries dropped on pop (stale generation or stale
@@ -95,9 +94,8 @@ pub struct KernelProfile {
     /// Same-instant completions observed past the first of their batch
     /// (each saved a reshare/solve a one-event-per-step kernel would pay).
     pub batched_completions: u64,
-    /// Components dispatched in parallel-ready reshare batches (≥ 2
-    /// independent components with enough coupled variables to amortize
-    /// worker threads). A property of the workload, not of the host.
+    /// Always 0: the kernel solves components inline. Kept only because the
+    /// frozen `benchmark/` reads it; the next benchmark PR drops the column.
     pub parallel_components: u64,
     /// Variables per max-min solve (the coupled component size).
     pub component_vars: KernelHist,
@@ -112,12 +110,12 @@ impl KernelProfile {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "  kernel: {} reshares ({} full), heap {} rebuilds / {} orphans\n",
-            self.reshares, self.full_reshares, self.heap_rebuilds, self.heap_orphans
+            "  kernel: {} reshares, heap {} rebuilds / {} orphans\n",
+            self.reshares, self.heap_rebuilds, self.heap_orphans
         ));
         out.push_str(&format!(
-            "  kernel fast path: {} classes folded, {} batched completions, {} parallel components\n",
-            self.classes_folded, self.batched_completions, self.parallel_components
+            "  kernel fast path: {} classes folded, {} batched completions\n",
+            self.classes_folded, self.batched_completions
         ));
         for (name, h) in [
             ("component size (vars/solve)", &self.component_vars),
@@ -141,14 +139,11 @@ impl KernelProfile {
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.key("reshares").uint_val(self.reshares);
-        j.key("full_reshares").uint_val(self.full_reshares);
         j.key("heap_rebuilds").uint_val(self.heap_rebuilds);
         j.key("heap_orphans").uint_val(self.heap_orphans);
         j.key("classes_folded").uint_val(self.classes_folded);
         j.key("batched_completions")
             .uint_val(self.batched_completions);
-        j.key("parallel_components")
-            .uint_val(self.parallel_components);
         j.key("component_vars");
         self.component_vars.to_json(&mut j);
         j.key("cascade");
@@ -282,21 +277,6 @@ impl SelfProfile {
         }
     }
 
-    /// Zeroes every field that measures the *host* machine rather than the
-    /// simulation: total wall-clock, the per-phase wall-clock breakdown,
-    /// and the kernel's solve-time histogram. After stripping, two
-    /// identical runs serialize byte-identically; everything left is a
-    /// pure function of the simcall stream and the platform.
-    pub fn strip_wallclock(&mut self) {
-        self.wall_seconds = 0.0;
-        for (_, secs) in &mut self.phases {
-            *secs = 0.0;
-        }
-        if let Some(k) = &mut self.kernel {
-            k.solve_ns = KernelHist::default();
-        }
-    }
-
     /// Human-readable multi-line summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -382,6 +362,23 @@ impl SelfProfile {
     }
 }
 
+impl Deterministic for SelfProfile {
+    /// Zeroes every field that measures the *host* machine rather than the
+    /// simulation: total wall-clock, the per-phase wall-clock breakdown,
+    /// and the kernel's solve-time histogram. After stripping, two
+    /// identical runs serialize byte-identically; everything left is a
+    /// pure function of the simcall stream and the platform.
+    fn strip_nondeterminism(&mut self) {
+        self.wall_seconds = 0.0;
+        for (_, secs) in &mut self.phases {
+            *secs = 0.0;
+        }
+        if let Some(k) = &mut self.kernel {
+            k.solve_ns = KernelHist::default();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,12 +400,10 @@ mod tests {
     fn sample_kernel() -> KernelProfile {
         let mut k = KernelProfile {
             reshares: 10,
-            full_reshares: 2,
             heap_rebuilds: 1,
             heap_orphans: 7,
             classes_folded: 30,
             batched_completions: 5,
-            parallel_components: 4,
             ..KernelProfile::default()
         };
         for v in [1.0, 3.0, 8.0] {
@@ -467,22 +462,20 @@ mod tests {
     fn kernel_profile_renders_and_serializes() {
         let k = sample_kernel();
         let text = k.render();
-        assert!(text.contains("10 reshares (2 full)"), "got: {text}");
+        assert!(text.contains("10 reshares, heap"), "got: {text}");
         assert!(text.contains("component size"), "got: {text}");
         assert!(text.contains("solve wall-clock"), "got: {text}");
         assert!(
-            text.contains("30 classes folded, 5 batched completions, 4 parallel components"),
+            text.contains("30 classes folded, 5 batched completions\n"),
             "got: {text}"
         );
         let json = k.to_json();
         for key in [
             "reshares",
-            "full_reshares",
             "heap_rebuilds",
             "heap_orphans",
             "classes_folded",
             "batched_completions",
-            "parallel_components",
             "component_vars",
             "cascade",
             "solve_ns",
@@ -500,12 +493,12 @@ mod tests {
     }
 
     #[test]
-    fn strip_wallclock_zeroes_host_fields_only() {
+    fn stripping_zeroes_host_fields_only() {
         let mut p = SelfProfile {
             kernel: Some(sample_kernel()),
             ..sample()
         };
-        p.strip_wallclock();
+        p.strip_nondeterminism();
         assert_eq!(p.wall_seconds, 0.0);
         assert!(p.phases.iter().all(|(_, s)| *s == 0.0));
         assert_eq!(p.kernel.as_ref().unwrap().solve_ns, KernelHist::default());

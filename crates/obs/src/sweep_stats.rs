@@ -12,6 +12,7 @@
 //! [`SweepStats`] keeps only the number of workers.
 
 use crate::json_mod::JsonBuf;
+use crate::Deterministic;
 
 /// Throughput counters of one sweep worker.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -74,6 +75,14 @@ impl SweepStats {
     }
 }
 
+impl Deterministic for SweepStats {
+    /// Which worker ran or stole which scenario, and for how long, is a
+    /// race between threads: only the number of workers survives.
+    fn strip_nondeterminism(&mut self) {
+        self.workers.fill(WorkerStats::default());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +113,6 @@ mod tests {
 
     #[test]
     fn stripping_keeps_only_the_worker_count() {
-        use crate::Deterministic as _;
         let mut s = stats();
         s.strip_nondeterminism();
         assert_eq!(s.workers, vec![WorkerStats::default(); 2]);

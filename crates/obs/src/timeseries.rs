@@ -21,10 +21,11 @@
 //!
 //! Everything here is a pure function of the simcall stream and the
 //! platform except `solver_ns`, which measures the host machine;
-//! [`TimeSeries::strip_wallclock`] zeroes it for byte-identity comparisons
-//! (the same discipline as [`crate::SelfProfile::strip_wallclock`]).
+//! its [`Deterministic`] impl zeroes it for byte-identity comparisons (the
+//! same discipline as [`crate::SelfProfile`]'s).
 
 use crate::json_mod::JsonBuf;
+use crate::Deterministic;
 
 /// Default bucket budget: plenty for a plot, small enough to forget about.
 pub const DEFAULT_TS_BUDGET: usize = 512;
@@ -77,7 +78,7 @@ pub struct TsSample {
     /// Peak single-link utilization observed in the bucket.
     pub util_max: f64,
     /// Solver wall-clock nanoseconds spent during the bucket
-    /// (host-dependent; zeroed by [`TimeSeries::strip_wallclock`]).
+    /// (host-dependent; zeroed by [`Deterministic::strip_nondeterminism`]).
     pub solver_ns: f64,
     /// Memory high-water mark at the end of the bucket (bytes).
     pub mem_hwm: u64,
@@ -259,15 +260,6 @@ impl TimeSeries {
         self.samples.iter().map(|s| s.active_time).sum()
     }
 
-    /// Zeroes the host-dependent solver wall-clock so that two identical
-    /// runs (or an on-line run and its replay) compare byte-identically.
-    pub fn strip_wallclock(&mut self) {
-        for s in &mut self.samples {
-            s.solver_ns = 0.0;
-        }
-        self.cum_solver_ns = 0.0;
-    }
-
     /// JSON section (spliced into the run report under `"timeseries"`).
     pub fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
@@ -297,6 +289,17 @@ impl TimeSeries {
         j.end_arr();
         j.end_obj();
         j.finish()
+    }
+}
+
+impl Deterministic for TimeSeries {
+    /// Zeroes the host-dependent solver wall-clock so that two identical
+    /// runs (or an on-line run and its replay) compare byte-identically.
+    fn strip_nondeterminism(&mut self) {
+        for s in &mut self.samples {
+            s.solver_ns = 0.0;
+        }
+        self.cum_solver_ns = 0.0;
     }
 }
 
@@ -360,12 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn strip_wallclock_zeroes_solver_only() {
+    fn stripping_zeroes_solver_only() {
         let mut ts = TimeSeries::new(8);
         ts.record(reading(1e-6, 5, 1), &[0.5]);
         assert!(ts.samples.iter().any(|s| s.solver_ns > 0.0));
         let simcalls = ts.total_simcalls();
-        ts.strip_wallclock();
+        ts.strip_nondeterminism();
         assert!(ts.samples.iter().all(|s| s.solver_ns == 0.0));
         assert_eq!(ts.total_simcalls(), simcalls);
     }

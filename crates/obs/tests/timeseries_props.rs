@@ -11,7 +11,7 @@
 //!    on.
 
 use proptest::prelude::*;
-use smpi_obs::{TimeSeries, TsInstant};
+use smpi_obs::{Deterministic, TimeSeries, TsInstant};
 
 /// A reading stream: monotone times built from non-negative increments,
 /// with per-reading activity.
@@ -97,8 +97,8 @@ proptest! {
         prop_assert_eq!(a.to_json(), b.to_json());
         let mut a = a;
         let mut b = b;
-        a.strip_wallclock();
-        b.strip_wallclock();
+        a.strip_nondeterminism();
+        b.strip_nondeterminism();
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.to_json(), b.to_json());
     }

@@ -35,10 +35,13 @@
 //!   change marks its constraints dirty, and only the connected component of
 //!   the constraint↔action graph reachable from dirty constraints is
 //!   re-shared. Remaining work is folded in lazily, at an action's own rate
-//!   changes, rather than on every global step. Topology edits with live
-//!   actions fall back to a full rebuild
-//!   ([`set_full_reshare`](Simulation::set_full_reshare) forces that mode
-//!   permanently, which is what the `repro -- kernel` baseline measures).
+//!   changes, rather than on every global step. Each dirty component is
+//!   built and solved inline, on the calling thread, in component-birth
+//!   order; a component whose members share one rate bound is folded to
+//!   one solver variable per route class. This is the only shipped
+//!   reshare path: the from-scratch rebuild it must match exists solely as
+//!   a `#[cfg(test)]` oracle for the differential tests in
+//!   `engine/oracle_tests.rs`.
 
 use crate::ids::{ActionId, HostId, LinkId};
 use crate::lmm::{CnstId, MaxMinProblem};
@@ -53,33 +56,15 @@ use std::time::Instant;
 /// Relative tolerance when deciding that an action's remaining work is done.
 const COMPLETION_EPS: f64 = 1e-9;
 
-/// Minimum total coupled variables across a reshare before independent
-/// components are considered worth dispatching to worker threads. Below
-/// this, spawn overhead dwarfs the solves. The threshold also defines the
-/// `parallel_components` counter (a property of the workload, not the
-/// host), so it must not depend on runtime core counts.
-const PARALLEL_MIN_VARS: usize = 256;
-
 /// One dirty component's max-min problem plus the bookkeeping needed to
 /// apply its solution back to engine actions.
 struct BuiltComponent {
     problem: MaxMinProblem,
     /// Constraint index → kernel link (None for host constraints).
     cnst_link: Vec<Option<u32>>,
-    /// Member slots in birth order.
-    sharing: Vec<u32>,
     /// Member index → solver variable index (identity when unfolded; the
     /// route-class representative when folded).
     var_of: Vec<u32>,
-    /// Members folded away into class representatives (0 when unfolded).
-    folded: u64,
-}
-
-/// A solved component, ready to merge in component-birth order.
-struct SolvedComponent {
-    rates: Vec<f64>,
-    bottlenecks: Option<Vec<Option<CnstId>>>,
-    ns: f64,
 }
 
 /// Birth-ordered key of an action inside constraint user sets: the start
@@ -172,11 +157,6 @@ pub struct EngineConfig {
     /// Optional TCP-window rate cap: a flow's rate is additionally bounded by
     /// `tcp_window / (2 * route_latency)` (CM02-style). `None` disables it.
     pub tcp_window: Option<f64>,
-    /// Uniform-round class folding (on by default); see
-    /// [`Simulation::set_class_folding`]. Exposed here so full-stack
-    /// harnesses can run the folding ablation without reaching into the
-    /// kernel.
-    pub class_folding: bool,
 }
 
 impl Default for EngineConfig {
@@ -184,7 +164,6 @@ impl Default for EngineConfig {
         EngineConfig {
             contention: true,
             tcp_window: None,
-            class_folding: true,
         }
     }
 }
@@ -278,16 +257,10 @@ pub struct Simulation {
     /// Links / hosts whose user set changed since the last re-share.
     dirty_links: BTreeSet<u32>,
     dirty_hosts: BTreeSet<u32>,
-    /// Topology changed under live actions: the next re-share rebuilds the
-    /// whole problem and every constraint user set.
-    full_dirty: bool,
-    /// Ablation/testing hook: always re-share from scratch.
-    force_full: bool,
-    /// Uniform-round class folding (on by default): solve one representative
-    /// per route-equivalence class when a component is uniform. Ablation
-    /// hook mirrors `force_full`; see [`set_class_folding`]
-    /// (Self::set_class_folding).
-    class_folding: bool,
+    /// Differential-test oracle: re-share through
+    /// [`reshare_full`](Self::reshare_full) instead of the shipped path.
+    #[cfg(test)]
+    full_rebuild_oracle: bool,
     config: EngineConfig,
     /// Observability sink; disabled by default (every emit is one branch).
     rec: Rec,
@@ -341,9 +314,8 @@ impl Simulation {
             next_seq: 0,
             dirty_links: BTreeSet::new(),
             dirty_hosts: BTreeSet::new(),
-            full_dirty: false,
-            force_full: false,
-            class_folding: config.class_folding,
+            #[cfg(test)]
+            full_rebuild_oracle: false,
             config,
             rec: Rec::disabled(),
             last_util: Vec::new(),
@@ -426,35 +398,10 @@ impl Simulation {
         &self.config
     }
 
-    /// Forces every re-share to rebuild the max-min problem from scratch
-    /// instead of re-solving only the affected component. Semantically
-    /// identical, much slower on large simulations; kept as the reference
-    /// implementation for differential tests and the `repro -- kernel`
-    /// baseline.
-    pub fn set_full_reshare(&mut self, force: bool) {
-        self.force_full = force;
-    }
-
-    /// Enables or disables uniform-round class folding (on by default):
-    /// when every flow of a dirty component carries the same weight and the
-    /// same rate-bound bit pattern (an *eager collective round*), flows with
-    /// identical constraint sets are folded into one solver variable per
-    /// route-equivalence class and the representative's share is replicated
-    /// to the rest. The fold is bitwise-exact under that precondition
-    /// (DESIGN §16); heterogeneous components always take the unfolded
-    /// path. Ablation hook mirroring
-    /// [`set_full_reshare`](Self::set_full_reshare).
-    pub fn set_class_folding(&mut self, enabled: bool) {
-        self.class_folding = enabled;
-    }
-
     /// Adds a link with `bandwidth` bytes/s and `latency` seconds.
     pub fn add_link(&mut self, bandwidth: f64, latency: f64) -> LinkId {
         assert!(bandwidth > 0.0 && bandwidth.is_finite());
         assert!(latency >= 0.0 && latency.is_finite());
-        if !self.actions.is_empty() {
-            self.full_dirty = true;
-        }
         self.links.push(Link {
             bandwidth,
             latency,
@@ -464,13 +411,38 @@ impl Simulation {
         LinkId::from_index(self.links.len() - 1)
     }
 
-    /// Marks a link as contention-free (infinite multiplexing capacity).
+    /// Marks a link as contention-free (infinite multiplexing capacity) or
+    /// contended again. Transfer-phase flows already crossing the link gain
+    /// or lose its constraint from this instant: they leave the user sets
+    /// they are in and re-enter the transfer phase under the new flag, so
+    /// the next event query re-shares exactly the components they touch.
     pub fn set_link_contended(&mut self, link: LinkId, contended: bool) {
-        if !self.actions.is_empty() {
-            // Live flows may gain or lose this constraint: rebuild.
-            self.full_dirty = true;
+        let was = std::mem::replace(&mut self.links[link.index()].contended, contended);
+        if was == contended || !self.config.contention {
+            return;
         }
-        self.links[link.index()].contended = contended;
+        let crossing: Vec<UserKey> = self
+            .actions
+            .iter()
+            .filter(|(_, _, a)| {
+                matches!(&a.kind, ActionKind::Transfer { route, latency_left, .. }
+                    if *latency_left <= 0.0 && route.contains(&link))
+            })
+            .map(|(slot, _, a)| (a.seq, slot))
+            .collect();
+        for key in &crossing {
+            if let ActionKind::Transfer { route, .. } = &self.actions.get(key.1).expect("live").kind
+            {
+                for l in route {
+                    if self.links[l.index()].users.remove(key) {
+                        self.dirty_links.insert(l.index() as u32);
+                    }
+                }
+            }
+        }
+        for &(_seq, slot) in &crossing {
+            self.enter_bandwidth(slot);
+        }
     }
 
     /// Nominal bandwidth of a link in bytes/s.
@@ -486,9 +458,6 @@ impl Simulation {
     /// Adds a host computing at `speed` flop/s.
     pub fn add_host(&mut self, speed: f64) -> HostId {
         assert!(speed > 0.0 && speed.is_finite());
-        if !self.actions.is_empty() {
-            self.full_dirty = true;
-        }
         self.hosts.push(Host {
             speed,
             users: BTreeSet::new(),
@@ -621,10 +590,10 @@ impl Simulation {
     /// contended links, or — if no capacity constraint applies — freeze it
     /// at its model bound directly, exactly as the solver would.
     fn enter_bandwidth(&mut self, slot: u32) {
-        let (seq, route, bound) = {
+        let (seq, route) = {
             let a = self.actions.get(slot).expect("live transfer");
             match &a.kind {
-                ActionKind::Transfer { route, bound, .. } => (a.seq, route.clone(), *bound),
+                ActionKind::Transfer { route, .. } => (a.seq, route.clone()),
                 _ => unreachable!("enter_bandwidth on a non-transfer"),
             }
         };
@@ -640,15 +609,23 @@ impl Simulation {
             }
         }
         if !constrained {
-            let now = self.now;
-            let pred = {
-                let a = self.actions.get_mut(slot).expect("live transfer");
-                a.rate = bound;
-                a.last_update = now;
-                Self::predict(a, now)
-            };
-            self.set_pred(slot, pred);
+            self.run_at_bound(slot);
         }
+    }
+
+    /// No capacity constraint applies to the transfer in `slot`: the solver
+    /// would freeze it at its own model bound, so do that directly.
+    fn run_at_bound(&mut self, slot: u32) {
+        let now = self.now;
+        let a = self.actions.get_mut(slot).expect("live transfer");
+        Self::fold(a, now);
+        let ActionKind::Transfer { bound, .. } = a.kind else {
+            unreachable!("run_at_bound on a non-transfer")
+        };
+        if let Some(attr) = a.attr.as_deref_mut() {
+            attr.bottleneck = None;
+        }
+        self.apply_rate(slot, bound);
     }
 
     /// Publishes a new predicted completion for `slot` (and a heap entry,
@@ -751,24 +728,26 @@ impl Simulation {
 
     /// Re-solves whatever part of the max-min problem is out of date.
     fn flush_reshare(&mut self) {
-        if self.full_dirty
-            || (self.force_full && !(self.dirty_links.is_empty() && self.dirty_hosts.is_empty()))
-        {
-            self.reshare_full();
-        } else if !(self.dirty_links.is_empty() && self.dirty_hosts.is_empty()) {
-            self.reshare_incremental();
-        } else {
+        if self.dirty_links.is_empty() && self.dirty_hosts.is_empty() {
             return;
         }
-        // Lazy-heap hygiene: orphaned entries accumulate with every
-        // re-share; once they dominate, rebuild the heap from the live
-        // predictions so memory stays proportional to the active set.
-        if self.heap.len() > 64 && self.heap.len() > 2 * self.actions.len() {
-            self.rebuild_heap();
+        #[cfg(test)]
+        if self.full_rebuild_oracle {
+            self.reshare_full();
+            self.compact_heap();
+            return;
         }
+        self.reshare_incremental();
+        self.compact_heap();
     }
 
-    fn rebuild_heap(&mut self) {
+    /// Lazy-heap hygiene: orphaned entries accumulate with every re-share;
+    /// once they dominate, rebuild the heap from the live predictions so
+    /// memory stays proportional to the active set.
+    fn compact_heap(&mut self) {
+        if self.heap.len() <= 64 || self.heap.len() <= 2 * self.actions.len() {
+            return;
+        }
         self.kstats.heap_rebuilds += 1;
         self.heap.clear();
         for (slot, gen, a) in self.actions.iter() {
@@ -778,12 +757,12 @@ impl Simulation {
         }
     }
 
-    /// Rebuilds constraint user sets and re-solves the whole problem.
-    /// Reference implementation: the incremental path must match it bitwise
-    /// (see `tests/engine_props.rs`).
+    /// Rebuilds constraint user sets and re-solves the whole problem in one
+    /// global, never-folded solve. The executable specification of a
+    /// reshare: the shipped path must match it (`engine/oracle_tests.rs`).
+    #[cfg(test)]
     fn reshare_full(&mut self) {
         self.kstats.reshares += 1;
-        self.kstats.full_reshares += 1;
         let now = self.now;
         for l in &mut self.links {
             l.users.clear();
@@ -870,7 +849,7 @@ impl Simulation {
                 }
             }
         }
-        let (rates, bottlenecks) = self.solve_timed(&problem, sharing.len());
+        let (rates, bottlenecks) = self.solve_timed(&problem);
         for (k, &slot) in sharing.iter().enumerate() {
             self.set_bottleneck(slot, k, &bottlenecks, &cnst_link);
             self.apply_rate(slot, rates[k]);
@@ -888,19 +867,13 @@ impl Simulation {
         }
         self.dirty_links.clear();
         self.dirty_hosts.clear();
-        self.full_dirty = false;
-        self.record_reshare(true);
+        self.record_reshare();
     }
 
     /// Solves `problem`, always timing the solve and recording the coupled
-    /// component size (`vars`); per-variable bottlenecks are computed only
-    /// while recording (attribution is meaningless — and not free —
-    /// otherwise).
-    fn solve_timed(
-        &mut self,
-        problem: &MaxMinProblem,
-        vars: usize,
-    ) -> (Vec<f64>, Option<Vec<Option<CnstId>>>) {
+    /// component size; per-variable bottlenecks are computed only while
+    /// recording (attribution is meaningless — and not free — otherwise).
+    fn solve_timed(&mut self, problem: &MaxMinProblem) -> (Vec<f64>, Option<Vec<Option<CnstId>>>) {
         let t0 = Instant::now();
         let out = if self.rec.is_enabled() {
             let (rates, bottlenecks) = problem.solve_with_bottlenecks();
@@ -909,7 +882,9 @@ impl Simulation {
             (problem.solve(), None)
         };
         self.kstats.solve_ns.observe(t0.elapsed().as_nanos() as f64);
-        self.kstats.component_vars.observe(vars as f64);
+        self.kstats
+            .component_vars
+            .observe(problem.num_variables() as f64);
         out
     }
 
@@ -939,9 +914,8 @@ impl Simulation {
     /// Visited marks are epoch stamps in per-slot/link/host scratch vectors
     /// (O(1) membership, reset by bumping `comp_epoch`), members are
     /// deduplicated by action slot and sorted into birth order per
-    /// component, and the component list is sorted by its oldest member —
-    /// the *component-birth order* that parallel solving merges results
-    /// back in.
+    /// component, and the component list is sorted by its oldest member
+    /// (*component-birth order*).
     fn collect_dirty_components(&mut self) -> Vec<Vec<UserKey>> {
         self.comp_epoch += 1;
         let epoch = self.comp_epoch;
@@ -1021,11 +995,11 @@ impl Simulation {
     /// first-use order and variables in birth order — the same relative
     /// order a full rebuild would use, so per-component arithmetic is
     /// identical. When the component is *uniform* (every member shares one
-    /// bound bit pattern; engine variables all have weight 1) and class
-    /// folding is enabled, members with identical constraint sets are folded
-    /// into a single class variable with their multiplicity; the uniformity
-    /// precondition makes the folded solve bitwise-equal to the expanded
-    /// one (see `lmm.rs` module docs and DESIGN §16).
+    /// bound bit pattern; engine variables all have weight 1), members with
+    /// identical constraint sets are folded into a single class variable
+    /// with their multiplicity; the uniformity precondition makes the
+    /// folded solve bitwise-equal to the expanded one (see `lmm.rs` module
+    /// docs and DESIGN §16).
     fn build_component(&mut self, members: &[UserKey]) -> BuiltComponent {
         self.comp_epoch += 1;
         let epoch = self.comp_epoch;
@@ -1040,7 +1014,6 @@ impl Simulation {
         // `index() == k`, so the epoch scratch can store bare indices.
         let mut cnst_ids: Vec<CnstId> = Vec::new();
         let mut cnst_link: Vec<Option<u32>> = Vec::new();
-        let mut sharing: Vec<u32> = Vec::with_capacity(members.len());
         let mut member_cnsts: Vec<Vec<CnstId>> = Vec::with_capacity(members.len());
         let mut member_bound: Vec<f64> = Vec::with_capacity(members.len());
         let mut uniform_bits: Option<u64> = None;
@@ -1089,12 +1062,10 @@ impl Simulation {
             uniform &= *uniform_bits.get_or_insert(bound.to_bits()) == bound.to_bits();
             member_cnsts.push(cnsts);
             member_bound.push(bound);
-            sharing.push(slot);
         }
 
         let mut var_of: Vec<u32> = Vec::with_capacity(members.len());
-        let mut folded = 0u64;
-        if self.class_folding && uniform && members.len() >= 2 {
+        if uniform && members.len() >= 2 {
             // One solver variable per route-equivalence class, in order of
             // each class's oldest member. Keys borrow the members' constraint
             // lists as-is (no per-member allocation or sort): constraints are
@@ -1126,7 +1097,7 @@ impl Simulation {
             for (&rep, &count) in class_rep.iter().zip(&class_count) {
                 problem.add_variable_class(bound, count, &member_cnsts[rep as usize]);
             }
-            folded = (member_cnsts.len() - class_rep.len()) as u64;
+            self.kstats.classes_folded += (member_cnsts.len() - class_rep.len()) as u64;
         } else {
             for (i, cnsts) in member_cnsts.iter().enumerate() {
                 problem.add_variable(member_bound[i], cnsts);
@@ -1136,38 +1107,14 @@ impl Simulation {
         BuiltComponent {
             problem,
             cnst_link,
-            sharing,
             var_of,
-            folded,
-        }
-    }
-
-    /// Solves one built component; pure, so components can be dispatched to
-    /// worker threads. Wall-clock timing is returned for the (wallclock-
-    /// stripped) `solve_ns` histogram; rates and bottlenecks are fully
-    /// deterministic, so thread scheduling cannot perturb results.
-    fn solve_component(problem: &MaxMinProblem, record: bool) -> SolvedComponent {
-        let t0 = Instant::now();
-        let (rates, bottlenecks) = if record {
-            let (r, b) = problem.solve_with_bottlenecks();
-            (r, Some(b))
-        } else {
-            (problem.solve(), None)
-        };
-        SolvedComponent {
-            rates,
-            bottlenecks,
-            ns: t0.elapsed().as_nanos() as f64,
         }
     }
 
     /// Re-solves only the connected components of the constraint↔action
     /// graph reachable from dirty constraints. Components are independent
-    /// sub-problems (their constraint λ arithmetic never interacts), so they
-    /// are solved separately — on worker threads when there are several and
-    /// enough coupled variables to amortize the spawns — and the results are
-    /// merged back in component-birth order, keeping every counter and rate
-    /// bitwise-deterministic regardless of the host's core count.
+    /// sub-problems (their constraint λ arithmetic never interacts), so each
+    /// is built, solved and applied on its own, in component-birth order.
     fn reshare_incremental(&mut self) {
         let now = self.now;
         let comps = self.collect_dirty_components();
@@ -1175,68 +1122,20 @@ impl Simulation {
         self.kstats
             .cascade
             .observe(comps.iter().map(|m| m.len()).sum::<usize>() as f64);
-
-        let builts: Vec<BuiltComponent> = comps.iter().map(|m| self.build_component(m)).collect();
-
-        let record = self.rec.is_enabled();
-        let total_vars: usize = builts.iter().map(|b| b.problem.num_variables()).sum();
-        // `parallel_components` counts components in parallel-*ready*
-        // batches — a property of the simulation, not of the host — so the
-        // counter is identical on a 1-core laptop and a 64-core CI runner.
-        // Whether threads are actually spawned additionally depends on the
-        // cores available right now.
-        let parallel_ready = builts.len() >= 2 && total_vars >= PARALLEL_MIN_VARS;
-        if parallel_ready {
-            self.kstats.parallel_components += builts.len() as u64;
-        }
-        let workers = if parallel_ready {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(builts.len())
-        } else {
-            1
-        };
-        let solved: Vec<SolvedComponent> = if workers > 1 {
-            let mut out: Vec<Option<SolvedComponent>> = Vec::new();
-            out.resize_with(builts.len(), || None);
-            let chunk = builts.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for (bs, os) in builts.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        for (b, o) in bs.iter().zip(os.iter_mut()) {
-                            *o = Some(Self::solve_component(&b.problem, record));
-                        }
-                    });
-                }
-            });
-            out.into_iter()
-                .map(|o| o.expect("every component solved"))
-                .collect()
-        } else {
-            builts
-                .iter()
-                .map(|b| Self::solve_component(&b.problem, record))
-                .collect()
-        };
-
-        for (b, s) in builts.iter().zip(&solved) {
-            self.kstats.solve_ns.observe(s.ns);
-            self.kstats
-                .component_vars
-                .observe(b.problem.num_variables() as f64);
-            self.kstats.classes_folded += b.folded;
-            for (i, &slot) in b.sharing.iter().enumerate() {
-                let k = b.var_of[i] as usize;
+        for members in &comps {
+            let b = self.build_component(members);
+            let (rates, bottlenecks) = self.solve_timed(&b.problem);
+            for (&(_seq, slot), &k) in members.iter().zip(&b.var_of) {
+                let k = k as usize;
                 let a = self.actions.get_mut(slot).expect("live action");
                 Self::fold(a, now);
-                self.set_bottleneck(slot, k, &s.bottlenecks, &b.cnst_link);
-                self.apply_rate(slot, s.rates[k]);
+                self.set_bottleneck(slot, k, &bottlenecks, &b.cnst_link);
+                self.apply_rate(slot, rates[k]);
             }
         }
         self.dirty_links.clear();
         self.dirty_hosts.clear();
-        self.record_reshare(false);
+        self.record_reshare();
     }
 
     /// Installs a freshly solved rate and publishes the new prediction.
@@ -1255,39 +1154,21 @@ impl Simulation {
     /// only when recording, right after rates were recomputed. Utilization
     /// sums each flow **once per distinct link** of its route (routes are
     /// stored deduplicated), so a loopback route can never report > 100%.
-    fn record_reshare(&mut self, full: bool) {
+    fn record_reshare(&mut self) {
         if !self.rec.is_enabled() {
             return;
         }
         if self.last_util.len() < self.links.len() {
             self.last_util.resize(self.links.len(), 0.0);
         }
-        let mut used = vec![0.0; self.links.len()];
-        for (_slot, _gen, a) in self.actions.iter() {
-            if let ActionKind::Transfer {
-                route,
-                latency_left,
-                ..
-            } = &a.kind
-            {
-                if *latency_left <= 0.0 {
-                    for l in route {
-                        used[l.index()] += a.rate;
-                    }
-                }
-            }
-        }
+        let mut utils = Vec::new();
+        self.link_utilizations(&mut utils);
         let now = self.now.as_secs();
-        let links = &self.links;
         let last_util = &mut self.last_util;
         self.rec.with(|r| {
             use smpi_obs::Recorder;
             r.counter_add("surf.reshares", 1);
-            if full {
-                r.counter_add("surf.reshares.full", 1);
-            }
-            for (li, &rate) in used.iter().enumerate() {
-                let util = rate / links[li].bandwidth;
+            for (li, &util) in utils.iter().enumerate() {
                 if (util - last_util[li]).abs() > 1e-12 {
                     r.gauge_set(&format!("surf.link.{li}.util"), now, util);
                     last_util[li] = util;
@@ -1680,7 +1561,6 @@ mod tests {
         let mut sim = Simulation::with_config(EngineConfig {
             contention: false,
             tcp_window: None,
-            class_folding: true,
         });
         let l = sim.add_link(100.0, 0.0);
         sim.start_transfer(&[l], 1000.0, &TransferModel::ideal());
@@ -1784,7 +1664,6 @@ mod tests {
         let mut sim = Simulation::with_config(EngineConfig {
             contention: true,
             tcp_window: Some(10.0),
-            class_folding: true,
         });
         let l = sim.add_link(1000.0, 0.5);
         // cap = 10 / (2*0.5) = 10 B/s, well below the 1000 B/s link.
@@ -1951,26 +1830,12 @@ mod tests {
     }
 
     #[test]
-    fn class_folding_off_solves_every_member() {
-        let mut sim = Simulation::new();
-        sim.set_class_folding(false);
-        let l = sim.add_link(100.0, 0.0);
-        sim.start_transfer(&[l], 1000.0, &TransferModel::ideal());
-        sim.start_transfer(&[l], 500.0, &TransferModel::ideal());
-        while sim.advance_to_next().is_some() {}
-        let k = sim.kernel_profile();
-        assert_eq!(k.classes_folded, 0, "ablated");
-        assert_eq!(k.component_vars.max, 2.0, "one variable per flow");
-    }
-
-    #[test]
     fn stall_is_reported_as_a_structured_error() {
         // A zero TCP window caps the flow at 0 bytes/s: it can never
         // progress once its latency elapsed.
         let mut sim = Simulation::with_config(EngineConfig {
             contention: true,
             tcp_window: Some(0.0),
-            class_folding: true,
         });
         let l = sim.add_link(100.0, 0.5);
         let a = sim.start_transfer(&[l], 1000.0, &TransferModel::ideal());
@@ -1993,34 +1858,10 @@ mod tests {
         let mut sim = Simulation::with_config(EngineConfig {
             contention: true,
             tcp_window: Some(0.0),
-            class_folding: true,
         });
         let l = sim.add_link(100.0, 0.5);
         sim.start_transfer(&[l], 1000.0, &TransferModel::ideal());
         let _ = sim.advance_to_next();
-    }
-
-    #[test]
-    fn forced_full_reshare_matches_incremental() {
-        let run = |force: bool| -> Vec<f64> {
-            let mut sim = Simulation::new();
-            sim.set_full_reshare(force);
-            let l1 = sim.add_link(100.0, 0.01);
-            let l2 = sim.add_link(50.0, 0.02);
-            let h = sim.add_host(1000.0);
-            sim.start_transfer(&[l1], 1000.0, &TransferModel::ideal());
-            sim.start_transfer(&[l1, l2], 500.0, &TransferModel::ideal());
-            sim.start_exec(h, 2000.0);
-            sim.start_sleep(0.5);
-            let mut times = Vec::new();
-            while let Some((t, done)) = sim.advance_to_next() {
-                for _ in done {
-                    times.push(t.as_secs());
-                }
-            }
-            times
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -2041,3 +1882,6 @@ mod tests {
         approx(t2.as_secs(), 10.0);
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;

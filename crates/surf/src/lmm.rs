@@ -69,10 +69,7 @@ pub struct VarId(usize);
 /// Build with [`add_constraint`](Self::add_constraint) /
 /// [`add_variable`](Self::add_variable), then call [`solve`](Self::solve).
 /// The engine builds one instance per *dirty component* of the
-/// constraint↔action graph on each re-share (falling back to the whole
-/// active set when topology changes); see the `ablation_lmm` bench and
-/// `repro -- kernel` for the cost of full rebuilds versus the incremental
-/// path.
+/// constraint↔action graph on each re-share.
 #[derive(Debug, Default, Clone)]
 pub struct MaxMinProblem {
     capacities: Vec<f64>,

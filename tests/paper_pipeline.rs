@@ -107,7 +107,6 @@ fn contention_blind_underestimates_alltoall() {
             engine: surf_sim::EngineConfig {
                 contention: false,
                 tcp_window: None,
-                class_folding: true,
             },
         },
         MpiProfile::smpi(),
