@@ -2,6 +2,8 @@
 //!
 //! Usage: `repro [fig3 fig4 ... | all]`. `REPRO_FAST=1` trims sweeps.
 
+#![forbid(unsafe_code)]
+
 use smpi_bench::{
     ablations, contention_demo, diff_demo, e2e, fig_alltoall, fig_dt, fig_pingpong, fig_scatter,
     fig_schemes, fig_speed, gate, obs_demo, replay_demo, scale, sweep_bench, trace_bench,

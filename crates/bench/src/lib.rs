@@ -10,6 +10,8 @@
 //!
 //! Setting `REPRO_FAST=1` shrinks sweeps for smoke tests.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod common;
 pub mod contention_demo;

@@ -7,14 +7,14 @@
 //! and `SMPI_SHARED_MALLOC` folding makes application RAM independent of
 //! the rank count, so what remains is pure simulator cost per simcall.
 //!
-//! Tiers: 1k/4k ranks under `REPRO_FAST=1` (the CI configuration), plus
-//! 16k- and 64k-rank tiers in full mode. `SCALE_RANKS=<n>` runs a single
-//! ad-hoc tier. Every simulated rank is one OS thread, and a thread costs a
-//! handful of address-space map entries (stack + guard + TLS), so large
-//! tiers are gated on `/proc/sys/vm/max_map_count`: a tier that would
-//! exhaust the host's map budget is *skipped with an explanation* (and
-//! recorded in `skipped_tiers`) instead of aborting the whole run the way a
-//! failed `pthread_create` does.
+//! Tiers: 1k/4k ranks under `REPRO_FAST=1` (the CI configuration), plus a
+//! 16k-rank tier in full mode. `SCALE_RANKS=<n>` runs a single ad-hoc tier.
+//! Every simulated rank is a fiber on the maestro thread and holds two
+//! address-space map entries (stack + guard page), so 16 384 ranks fit the
+//! default `vm.max_map_count` of 65 530 and 65 536 cannot: there is no
+//! on-line 64k tier (`tests/replay_scale.rs` runs that rank count
+//! off-line), and a host with a smaller budget gets `simix`'s panic naming
+//! the sysctl.
 //! Emits `BENCH_scale.json` (see EXPERIMENTS.md for the schema): per tier
 //! `ranks`, `wall_s`, `simcalls`, `simcalls_per_s`, `sim_time`,
 //! `peak_actual_bytes`, `peak_logical_bytes` and the kernel fast-path
@@ -75,40 +75,6 @@ struct Tier {
     batched_completions: u64,
     /// `"timeseries"` JSON section of the tier's run.
     timeseries_json: String,
-}
-
-/// A tier the host could not run, recorded in the JSON instead of silently
-/// narrowing the sweep.
-struct SkippedTier {
-    ranks: usize,
-    reason: String,
-}
-
-/// Approximate address-space map entries one actor thread costs (stack,
-/// guard page, TLS), observed on Linux 6.x; plus a flat allowance for the
-/// binary, allocator arenas and the maestro itself.
-const MAPS_PER_RANK: u64 = 4;
-const BASE_MAPS: u64 = 8192;
-
-/// Whether `ranks` actor threads fit the host's `vm.max_map_count` budget.
-/// Unreadable (non-Linux) hosts are assumed to fit — the OS will say no
-/// itself if not.
-fn tier_fits(ranks: usize) -> Result<(), String> {
-    let Some(limit) = std::fs::read_to_string("/proc/sys/vm/max_map_count")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-    else {
-        return Ok(());
-    };
-    let need = ranks as u64 * MAPS_PER_RANK + BASE_MAPS;
-    if need > limit {
-        Err(format!(
-            "{ranks} actor threads need ~{need} vm maps but vm.max_map_count is {limit}; \
-             raise it (sysctl -w vm.max_map_count={need}) to run this tier"
-        ))
-    } else {
-        Ok(())
-    }
 }
 
 fn run_tier(ranks: usize, sim_time_hint: Option<f64>) -> Tier {
@@ -191,19 +157,13 @@ pub fn scale() -> String {
     let tiers: Vec<usize> = match std::env::var("SCALE_RANKS") {
         Ok(v) => vec![v.parse().expect("SCALE_RANKS must be an integer")],
         Err(_) if fast => vec![1024, 4096],
-        Err(_) => vec![1024, 4096, 16384, 65536],
+        Err(_) => vec![1024, 4096, 16384],
     };
 
     // Each tier seeds the next one's progress ETA with its simulated
     // makespan (the workload's sim_time is nearly rank-independent).
     let mut results: Vec<Tier> = Vec::with_capacity(tiers.len());
-    let mut skipped: Vec<SkippedTier> = Vec::new();
     for &n in &tiers {
-        if let Err(reason) = tier_fits(n) {
-            eprintln!("scale: skipping {n}-rank tier: {reason}");
-            skipped.push(SkippedTier { ranks: n, reason });
-            continue;
-        }
         let hint = results.last().map(|t: &Tier| t.sim_time);
         results.push(run_tier(n, hint));
     }
@@ -236,18 +196,6 @@ pub fn scale() -> String {
             t.classes_folded,
             t.batched_completions,
             if i + 1 < results.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"skipped_tiers\": [");
-    for (i, s) in skipped.iter().enumerate() {
-        // Reasons contain only ASCII we control; escape quotes defensively.
-        let _ = writeln!(
-            json,
-            "    {{ \"ranks\": {}, \"reason\": \"{}\" }}{}",
-            s.ranks,
-            s.reason.replace('\\', "\\\\").replace('"', "\\\""),
-            if i + 1 < skipped.len() { "," } else { "" },
         );
     }
     let _ = writeln!(json, "  ],");
@@ -296,9 +244,6 @@ pub fn scale() -> String {
             t.peak_actual_bytes,
             t.peak_logical_bytes
         );
-    }
-    for s in &skipped {
-        let _ = writeln!(out, "{:>7} skipped: {}", s.ranks, s.reason);
     }
     if let Some(t) = four_k {
         let _ = writeln!(

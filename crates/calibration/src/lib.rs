@@ -5,6 +5,8 @@
 //! point-to-point model — plus the two affine baselines the evaluation
 //! compares against.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod pingpong;
 

@@ -11,14 +11,14 @@
 //! so reductions, scans and application logic all compute true values.
 //!
 //! Calls split into two tiers. **Maestro simcalls** (sends, receives,
-//! waits, compute, sleep) describe simulated work, so they yield the baton
-//! and cost two thread context switches. **Local simcalls** — pure
-//! bookkeeping with no simulated cost — are answered on the actor thread
-//! from [`crate::state::SharedState`] without yielding: `wtime` reads the
+//! waits, compute, sleep) describe simulated work, so they switch to the
+//! maestro and back (two user-level context switches). **Local simcalls** —
+//! pure bookkeeping with no simulated cost — are answered inside the rank
+//! from [`crate::state::SharedState`] without switching: `wtime` reads the
 //! published clock, sampling decisions consult the shared sample tables,
 //! `shared_malloc` hits the folded heap, and communicator/rank metadata
-//! (`rank`, `size`, `comm_create`) never leaves the rank. The baton
-//! guarantees exclusivity, so local reads race with nothing.
+//! (`rank`, `size`, `comm_create`) never leaves the rank. Ranks and maestro
+//! run one at a time on one thread, so local reads race with nothing.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -187,10 +187,10 @@ impl<'h> Ctx<'h> {
     /// Simulated time in seconds (`MPI_Wtime`).
     ///
     /// Local simcall tier: answered from the maestro-published
-    /// [`crate::state::SimClock`] without yielding the baton. Simulated
-    /// time only advances while every rank is blocked, so the value is
-    /// identical to what a maestro round-trip ([`Simcall::Now`]) returns —
-    /// minus the two thread context switches.
+    /// [`crate::state::SimClock`] without switching to the maestro.
+    /// Simulated time only advances while every rank is blocked, so the
+    /// value is identical to what a maestro round-trip ([`Simcall::Now`])
+    /// returns — minus the two context switches.
     pub fn wtime(&self) -> f64 {
         self.shared.count_local_call();
         self.shared.clock.now()
@@ -602,7 +602,9 @@ pub(crate) struct CollRegion<'a, 'h> {
 
 impl Drop for CollRegion<'_, '_> {
     fn drop(&mut self) {
-        if self.on {
+        // Not while unwinding: a rank killed inside a collective (deadlock
+        // teardown) must not issue a simcall nobody will answer.
+        if self.on && !std::thread::panicking() {
             let _ = self.ctx.call(Simcall::Region {
                 name: self.name,
                 enter: false,

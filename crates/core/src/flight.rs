@@ -4,8 +4,8 @@
 //! completions, encoded as the same [`TiOp`] lines the capture layer uses
 //! (`TITRACE v1` syntax — one vocabulary for traces and diagnostics). The
 //! ring is always on: its cost is one `VecDeque` push per simcall plus one
-//! bounded map insert per posted request, which is noise next to the two
-//! thread context switches a simcall already costs.
+//! bounded map insert per posted request, which is noise next to the
+//! maestro's matching and fabric work for the same simcall.
 //!
 //! When the maestro detects that the simulation cannot make progress
 //! ([`crate::error::SimError`]), it snapshots the rings and the matching

@@ -28,6 +28,8 @@
 //! backend (`World::testbed`), which is how the reproduction regenerates the
 //! paper's accuracy figures.
 
+#![forbid(unsafe_code)]
+
 pub mod capture;
 pub mod capture_v2;
 pub mod coll;

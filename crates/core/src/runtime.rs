@@ -427,8 +427,8 @@ impl Runtime {
     }
 
     /// Installs the clock the maestro publishes simulated time to. Ranks
-    /// holding a clone answer `MPI_Wtime` locally, with no baton pass (the
-    /// local simcall tier; see [`crate::state::SimClock`]).
+    /// holding a clone answer `MPI_Wtime` locally, without switching to the
+    /// maestro (the local simcall tier; see [`crate::state::SimClock`]).
     pub fn set_clock(&mut self, clock: std::sync::Arc<SimClock>) {
         clock.publish(self.now());
         self.clock = clock;

@@ -154,7 +154,7 @@ impl Ctx<'_> {
 
     fn sample(&self, key: Key, n: u32, body: impl FnOnce()) -> bool {
         // Local simcall tier: the measure-or-replay decision reads shared
-        // state on the actor thread; only the resulting simulated delay
+        // state inside the rank; only the resulting simulated delay
         // (the sleep below) crosses to the maestro.
         self.shared.count_local_call();
         match self.shared.sampling.decide(key.clone(), n) {

@@ -177,8 +177,8 @@ impl Ctx<'_> {
     /// (`SMPI_FREE` is the handle's `Drop`). Without folding each rank gets
     /// a private buffer, so the tracker exposes the true unfolded footprint.
     pub fn shared_malloc<T: Datatype>(&self, site: &str, len: usize) -> SharedSlice<T> {
-        // Local simcall tier: the folded-heap lookup stays on the actor
-        // thread; no baton pass is involved in allocation.
+        // Local simcall tier: the folded-heap lookup stays inside the rank;
+        // allocation involves no switch to the maestro.
         self.shared.count_local_call();
         let bytes = (len * T::SIZE) as u64;
         let (data, actual) = if self.shared.config.ram_folding {

@@ -1,10 +1,10 @@
 //! State shared by all ranks of one simulation.
 //!
 //! Because ranks execute strictly one at a time (see `simix`), these
-//! structures see no real contention; the mutexes exist to satisfy Rust's
-//! aliasing rules across the rank threads, exactly as the paper's
-//! hash-tables behind the `SMPI_*` macros are safe under SimGrid's
-//! sequential scheduler.
+//! structures see no contention at all; the mutexes and atomics exist to
+//! satisfy Rust's aliasing rules for state reachable from every rank body
+//! (`Fn + Send + Sync`), exactly as the paper's hash-tables behind the
+//! `SMPI_*` macros are safe under SimGrid's sequential scheduler.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,11 +17,11 @@ use crate::shared_mem::{MemoryTracker, SharedHeap};
 ///
 /// This is the anchor of the **local simcall tier**: simulated time only
 /// advances inside the maestro's fabric phase, which runs strictly after
-/// every runnable actor has yielded the baton — so an actor holding the
-/// baton can read the clock from shared state with no possibility of a
-/// race, and `MPI_Wtime` costs a load instead of two thread context
-/// switches. The baton's mutex hand-off provides the happens-before edge;
-/// the orderings here are belt and braces.
+/// every runnable actor has switched back to the maestro — so a running
+/// actor reads the clock from shared state with no possibility of a race,
+/// and `MPI_Wtime` costs a load instead of two context switches. Ranks and
+/// maestro share one thread, so program order is the only ordering there
+/// is; the atomic is there for the type system, not for synchronization.
 #[derive(Debug, Default)]
 pub struct SimClock(AtomicU64);
 
@@ -84,9 +84,9 @@ pub struct SharedState {
     pub memory: MemoryTracker,
     /// Simulated clock published by the maestro (local `MPI_Wtime` reads).
     pub clock: Arc<SimClock>,
-    /// Simcalls answered on the actor thread without a baton pass (wtime
-    /// reads, sampling decisions, shared-malloc lookups). Feeds the run
-    /// report's self-profile.
+    /// Simcalls answered inside the rank without switching to the maestro
+    /// (wtime reads, sampling decisions, shared-malloc lookups). Feeds the
+    /// run report's self-profile.
     pub local_calls: AtomicU64,
     /// Run configuration.
     pub config: RunConfig,
@@ -106,7 +106,7 @@ impl SharedState {
         }
     }
 
-    /// Counts one local-tier simcall (answered without yielding the baton).
+    /// Counts one local-tier simcall (answered without leaving the rank).
     pub fn count_local_call(&self) {
         self.local_calls.fetch_add(1, Ordering::Relaxed);
     }

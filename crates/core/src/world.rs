@@ -3,7 +3,7 @@
 //! [`World::run`] is the `smpirun` equivalent: it spawns one actor per MPI
 //! rank, hands each a [`Ctx`], and drives the maestro until every rank
 //! finishes ([`World::try_run_scripts`] does the same for ranks that are
-//! threadless scripts). The report carries everything the paper's figures need —
+//! stackless scripts). The report carries everything the paper's figures need —
 //! simulated time, per-rank completion times (Figs. 7 and 11), wall-clock
 //! simulation time (Figs. 17 and 18) and the memory accounting (Fig. 16).
 
@@ -161,10 +161,13 @@ impl World {
         self
     }
 
-    /// Sets the per-rank actor thread stack size in bytes (default
-    /// [`simix::DEFAULT_STACK_SIZE`], 256 KiB). Large-instance runs keep
-    /// the default; raise it for rank bodies with deep recursion or big
-    /// stack buffers.
+    /// Sets the per-rank stack size in bytes (default
+    /// [`simix::DEFAULT_STACK_SIZE`], 256 KiB). The size is rounded up to
+    /// whole pages and one inaccessible guard page is mapped below each
+    /// stack, so an overflow is a `SIGSEGV`, never a scribble over another
+    /// rank. Pages are touched lazily: a rank costs the stack it uses, not
+    /// the stack it may use. Large-instance runs keep the default; raise it
+    /// for rank bodies with deep recursion or big stack buffers.
     pub fn stack_size(mut self, bytes: usize) -> Self {
         assert!(bytes > 0, "stack size must be non-zero");
         self.stack_size = bytes;
@@ -367,10 +370,10 @@ impl World {
 
     /// The event-driven counterpart of [`try_run`](Self::try_run): rank `r`
     /// is the resumable script `scripts[r]` (see [`simix::Scripts`]), stepped
-    /// inline on the calling thread in the same id-ordered schedule — no
-    /// actor threads, so memory, not `vm.max_map_count`, bounds the rank
-    /// count. Scripts have no [`Ctx`]: they speak raw simcalls, which is all
-    /// a replayed rank needs (`smpi-replay` runs on this).
+    /// as plain calls in the same id-ordered schedule — no per-rank stack,
+    /// so memory, not `vm.max_map_count`, bounds the rank count. Scripts
+    /// have no [`Ctx`]: they speak raw simcalls, which is all a replayed
+    /// rank needs (`smpi-replay` runs on this).
     pub fn try_run_scripts<F>(&self, scripts: Vec<F>) -> Result<RunReport<()>, SimError>
     where
         F: FnMut(Option<SimResp>) -> Option<Simcall>,

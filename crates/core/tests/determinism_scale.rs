@@ -1,25 +1,26 @@
-//! Determinism at scale: two identical 1024-rank runs must produce
+//! Determinism at scale: two identical 4096-rank runs must produce
 //! byte-identical reports.
 //!
 //! The paper's methodology leans on bit-for-bit reproducibility — the
 //! maestro resumes runnable ranks strictly in actor-id order, so the
 //! sequence of simcalls (and therefore every simulated timestamp) is a pure
 //! function of the program. This test locks that property in for the
-//! scheduler fast path: the notify_one handoff, the dense runnable
-//! worklist, the local simcall tier (`wtime` answered on the actor thread)
-//! and the O(completions) waiter queue all must not introduce any
-//! dependence on OS scheduling.
+//! scheduler fast path: the fiber switch, the dense runnable worklist, the
+//! local simcall tier (`wtime` answered inside the rank, without switching
+//! to the maestro) and the O(completions) waiter queue all must not
+//! introduce any dependence on anything but the program.
 //!
 //! The workload is a deterministic EP-style mix: explicit compute bursts
 //! (no wall-clock sampling — that would be genuinely nondeterministic),
 //! folded allocations, a ring exchange and an allreduce, with `wtime`
 //! sprinkled in so the local tier is on the measured path.
 //!
-//! 1024 ranks, not more: every mechanism above is on the path at this size,
-//! and the cost of a thread-per-rank baton pass grows with the number of
-//! parked threads (17 µs per simcall at 1024 ranks, 76 µs at 4096 on the
-//! 2-vCPU reference host — ROADMAP item 3), so the 4096-rank version of
-//! this test spent 67 s of tier-1 re-measuring that and nothing else.
+//! 4096 ranks: four times the largest benchmark workload, so deep batches,
+//! a 12-round allreduce and thousands of concurrently blocked ranks are on
+//! the path. A rank is a fiber on the maestro thread (a simcall costs two
+//! user-level switches, whatever the rank count), so what the size costs
+//! tier-1 — two runs of ~14 s on 2 vCPU — is the debug-build flow kernel
+//! (the same two runs take under 5 s in release).
 
 use std::sync::Arc;
 
@@ -27,12 +28,12 @@ use smpi::{MpiProfile, World};
 use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
 use surf_sim::TransferModel;
 
-const RANKS: usize = 1024;
+const RANKS: usize = 4096;
 
 /// Serializes a run into an exact byte string: every f64 as raw bits.
 fn run_fingerprint() -> String {
     // 61 hosts: odd (so no power-of-two allreduce partner distance is a
-    // multiple of it) and not a divisor of 1023 (so the ring wraparound
+    // multiple of it) and not a divisor of 4095 (so the ring wraparound
     // never pairs two ranks of the same host — the fabric models no
     // intra-host wire).
     let rp = Arc::new(RoutedPlatform::new(flat_cluster(
@@ -84,12 +85,12 @@ fn run_fingerprint() -> String {
 }
 
 #[test]
-fn two_1024_rank_runs_are_byte_identical() {
+fn two_4096_rank_runs_are_byte_identical() {
     let first = run_fingerprint();
     let second = run_fingerprint();
     assert!(first.len() > RANKS * 2, "fingerprint covers every rank");
     assert_eq!(
         first, second,
-        "1024-rank runs diverged: scheduling is leaking into results"
+        "4096-rank runs diverged: scheduling is leaking into results"
     );
 }

@@ -92,6 +92,28 @@ fn unmatched_receive_is_a_deadlock_error() {
     }
 }
 
+#[test]
+fn deadlock_inside_a_collective_region_is_torn_down() {
+    // With metrics on, a collective is bracketed by region simcalls, the
+    // closing one issued by a drop guard. Ranks 1..3 deadlock inside the
+    // barrier; tearing them down must not run that guard's simcall.
+    let world = World::smpi(platform(4), TransferModel::ideal()).metrics(true);
+    let err = world
+        .try_run(4, |ctx| {
+            let comm = ctx.world();
+            if ctx.rank() == 0 {
+                let _ = ctx.recv_vec::<u8>(1, 99, 1, &comm);
+            } else {
+                ctx.barrier(&comm);
+            }
+        })
+        .expect_err("a barrier one rank never enters must deadlock");
+    match &err {
+        SimError::Deadlock { blocked, .. } => assert_eq!(blocked, &[0, 1, 2, 3]),
+        other => panic!("expected a deadlock, got: {other}"),
+    }
+}
+
 /// The crafted tag-mismatch scenario: after four warm-up exchange rounds
 /// (so both flight rings hold at least [`FLIGHT_DEPTH`]/2 real entries),
 /// rank 0 sends 128 KiB with tag 7 while rank 1 receives tag 9. The send

@@ -26,6 +26,8 @@
 //! e2e golden tests, so a mismatch prints a first-divergence report and
 //! leaves a JSON artifact under `target/diff/` for CI to upload.
 
+#![forbid(unsafe_code)]
+
 pub mod align;
 pub mod gate;
 pub mod golden;

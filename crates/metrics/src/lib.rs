@@ -5,6 +5,8 @@
 //! least squares ([`regress`]) and the segmented regression that instantiates
 //! the piece-wise linear network model of §4.1 ([`segmented`]).
 
+#![forbid(unsafe_code)]
+
 pub mod logerr;
 pub mod regress;
 pub mod segmented;

@@ -25,6 +25,8 @@
 //!   call strips every host-dependent field from a report tree, leaving
 //!   only exactly-reproducible simulated quantities.
 
+#![forbid(unsafe_code)]
+
 mod attribution;
 mod deterministic;
 mod json_mod;

@@ -230,11 +230,12 @@ pub struct SelfProfile {
     /// Wall-clock seconds per drive-loop phase, in display order
     /// (e.g. `actor_handoff`, `fabric_advance`, `completion_dispatch`).
     pub phases: Vec<(&'static str, f64)>,
-    /// Simcalls the maestro handled (each is one actor→maestro baton pass).
+    /// Simcalls the maestro handled (each is one switch from the rank to the
+    /// maestro and back).
     pub simcalls: u64,
-    /// Simcalls answered on the actor thread from shared state (the local
+    /// Simcalls answered inside the rank from shared state (the local
     /// tier: wtime reads, sampling decisions, shared-malloc lookups) — no
-    /// baton pass, no context switch.
+    /// switch to the maestro.
     pub local_simcalls: u64,
     /// Fabric completion tokens dispatched back to blocked requests.
     pub tokens: u64,
@@ -296,7 +297,7 @@ impl SelfProfile {
         ));
         if self.local_simcalls > 0 {
             out.push_str(&format!(
-                "  local simcalls (no baton pass): {}\n",
+                "  local simcalls (no maestro switch): {}\n",
                 self.local_simcalls
             ));
         }

@@ -17,6 +17,8 @@
 //! * full-duplex channels on `SplitDuplex` links → bidirectional exchange
 //!   patterns (pairwise all-to-all) run at full rate each way.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod net;
 

@@ -6,6 +6,8 @@
 //! kernel (via [`surf_bridge`]) and the packet-level ground-truth simulator,
 //! so accuracy comparisons always run on identical hardware models.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod perturb;
 pub mod routing;

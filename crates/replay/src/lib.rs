@@ -76,12 +76,14 @@
 //! the skipped post indices are accounted for. Algorithm sweeps therefore
 //! no longer require re-capturing the application. The hook calls blocking
 //! collectives, which need a stack: a hooked replay is the one case that
-//! runs a thread per rank.
+//! runs its ranks as fibers (`simix::Simix`, as an on-line run does).
 //!
 //! Replay is faithful only for applications whose communication structure
 //! does not depend on message *values* or wall-clock races (the standard
 //! time-independent-trace caveat); wildcard receives replay correctly as
 //! long as their matching order stays deterministic.
+
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -233,8 +235,8 @@ pub fn replay_with<S: OpSource>(
 ///
 /// Ranks are `RankScript`s stepped on the calling thread
 /// ([`World::try_run_scripts`]) — unless a [`ReplayOptions::coll_hook`]
-/// needs a stack: then they are actor threads ([`World::try_run`]) driving
-/// the same script.
+/// needs a stack: then they are fibers ([`World::try_run`]) driving the
+/// same script.
 pub fn try_replay_with<S: OpSource>(
     world: &World,
     source: Arc<S>,

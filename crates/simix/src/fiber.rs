@@ -1,0 +1,254 @@
+//! Stackful coroutines on the calling thread — the one module of the
+//! workspace that contains `unsafe`.
+//!
+//! A [`Fiber`] is a private stack plus one saved stack pointer.
+//! [`Fiber::resume`] switches the calling thread onto that stack and returns
+//! when the body calls [`suspend`] or ends; nothing else ever runs in
+//! between, which is all the "sequential, under the control of the kernel"
+//! contract of the paper (§5.1) asks for.
+//!
+//! **Memory.** One anonymous `mmap` per fiber, lowest page `PROT_NONE`:
+//!
+//! ```text
+//!  base                base + PAGE                                  base + len
+//!  | guard (PROT_NONE) | stack, grows down <-- first frame | Control |
+//! ```
+//!
+//! The pages are untouched until the stack grows into them (no zero-fill),
+//! an overflow faults on the guard instead of reaching a neighbour's stack,
+//! and a fiber costs two kernel mappings (`vm.max_map_count` bounds the
+//! actor count at ~32k by default).
+//!
+//! **Switch.** [`switch`] pushes the six callee-saved registers of the
+//! System V x86-64 ABI (`rbp rbx r12 r13 r14 r15`), exchanges `rsp` with the
+//! slot it is given, pops six and returns — on the other stack. Everything
+//! else is caller-saved, so the compiler has already spilled it around the
+//! call. MXCSR and the x87 control word are not saved: both sides run code of
+//! the same program under the same settings.
+//!
+//! **First frame.** A fresh stack is seeded so that the first switch "returns"
+//! into [`entry`]: six zero register slots, then `entry`'s address, then a
+//! null return address that ends backtraces. `top` is 16-byte aligned, so
+//! `entry` starts with `rsp ≡ 8 (mod 16)`, exactly as after a `call`.
+//!
+//! **Panics and kills.** A panic in the body is caught at the fiber's base
+//! (the unwinder never crosses a switch) and handed to the resumer. Dropping
+//! a suspended fiber resumes it with the kill flag up; [`suspend`] then
+//! raises [`Killed`] *without* the panic hook, the fiber's frames unwind —
+//! destructors run — and the base swallows the marker. That is safe while
+//! the resumer is itself unwinding: the marker never leaves the fiber's
+//! stack, so no second panic meets the first.
+//!
+//! **Porting.** Another target supplies `switch` (save the callee-saved
+//! registers, exchange the stack pointer through `*slot`, restore, return),
+//! the matching first frame in [`Fiber::new`], and `MAP_PRIVATE_ANON`.
+
+#[cfg(not(all(target_arch = "x86_64", unix)))]
+compile_error!(
+    "simix fibers are implemented for x86-64 unix only; a port supplies \
+     `fiber::switch` (callee-saved registers, stack-pointer exchange) and the \
+     first-frame layout seeded by `Fiber::new` in crates/simix/src/fiber.rs"
+);
+
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr::{self, NonNull};
+
+const PAGE: usize = 4096;
+const MAX_STACK: usize = 1 << 40;
+const PROT_NONE: i32 = 0;
+const PROT_RW: i32 = 1 | 2;
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MAP_PRIVATE_ANON: i32 = 0x02 | 0x20;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const MAP_PRIVATE_ANON: i32 = 0x02 | 0x1000; // the BSD family, macOS included
+
+// Declared here rather than through the `libc` crate: the build is offline,
+// and std already links the C library these come from.
+extern "C" {
+    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
+    fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
+    fn munmap(addr: *mut u8, len: usize) -> i32;
+}
+
+/// Exchanges the running stack with the one saved in `*slot`.
+///
+/// # Safety
+/// `*slot` must hold a stack pointer left there by an earlier `switch`, or
+/// the first frame seeded by [`Fiber::new`], on a stack that is still mapped
+/// and is not running; and the caller must be on the thread that stack
+/// belongs to.
+#[unsafe(naked)]
+unsafe extern "sysv64" fn switch(slot: *mut *mut u8) {
+    core::arch::naked_asm!(
+        "push rbp; push rbx; push r12; push r13; push r14; push r15",
+        "mov rax, [rdi]",
+        "mov [rdi], rsp",
+        "mov rsp, rax",
+        "pop r15; pop r14; pop r13; pop r12; pop rbx; pop rbp",
+        "ret",
+    )
+}
+
+/// Per-fiber bookkeeping, at the top of the fiber's own mapping (a stable
+/// address both sides can reach). Aligned so the stack below starts aligned.
+#[repr(align(16))]
+struct Control {
+    /// Stack pointer of the side that is *not* running.
+    other_sp: Cell<*mut u8>,
+    /// The body has returned or unwound: the stack holds no live frame.
+    done: Cell<bool>,
+    kill: Cell<bool>,
+    /// Taken by [`entry`]: still present means the fiber never started.
+    body: Cell<Option<Box<dyn FnOnce()>>>,
+    panic: Cell<Option<Box<dyn Any + Send>>>,
+}
+
+thread_local! {
+    /// The innermost fiber running on this thread, null outside any.
+    static CURRENT: Cell<*const Control> = const { Cell::new(ptr::null()) };
+}
+
+/// Unwinds a suspended fiber whose owner is dropped; never leaves the fiber.
+struct Killed;
+
+/// A coroutine with its own guarded stack, bound to the thread that made it
+/// (the raw pointers keep it — and whatever owns it — `!Send`).
+pub(crate) struct Fiber {
+    /// At the very top of the mapping, which is `len` bytes long.
+    ctl: NonNull<Control>,
+    len: usize,
+}
+
+impl Fiber {
+    /// Maps a stack of `stack_size` bytes rounded up to whole pages, plus
+    /// one guard page, and seeds it to run `body` on the first
+    /// [`resume`](Self::resume). Panics if the kernel refuses the mapping.
+    pub(crate) fn new(stack_size: usize, body: Box<dyn FnOnce()>) -> Fiber {
+        assert!(stack_size <= MAX_STACK, "actor stack size above 1 TiB");
+        let len = stack_size.max(1).next_multiple_of(PAGE) + PAGE;
+        // SAFETY: a fresh private anonymous mapping at an address of the
+        // kernel's choosing aliases nothing.
+        let base = unsafe { mmap(ptr::null_mut(), len, PROT_RW, MAP_PRIVATE_ANON, -1, 0) };
+        if base as isize == -1 {
+            map_failed(std::io::Error::last_os_error(), "mmap", len);
+        }
+        // SAFETY: `base..base + PAGE` is the bottom of the mapping just made
+        // and nothing points into it yet.
+        if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
+            let err = std::io::Error::last_os_error();
+            // SAFETY: unmaps exactly the mapping made above, still unused.
+            unsafe { munmap(base, len) };
+            map_failed(err, "mprotect", len);
+        }
+        // SAFETY: all offsets stay inside the `len - PAGE >= PAGE` writable
+        // bytes above the guard. `base + len` is page-aligned and `Control`'s
+        // size is a multiple of its 16-byte alignment, so `ctl` and `top` are
+        // 16-aligned. The words below `top` are the first frame described in
+        // the module docs; its six register slots are zero as mapped.
+        unsafe {
+            let ctl = base.add(len).cast::<Control>().sub(1);
+            let top = ctl.cast::<usize>();
+            top.sub(1).write(0);
+            top.sub(2).write(entry as *const () as usize);
+            ctl.write(Control {
+                other_sp: Cell::new(top.sub(8).cast()),
+                done: Cell::new(false),
+                kill: Cell::new(false),
+                body: Cell::new(Some(body)),
+                panic: Cell::new(None),
+            });
+            let ctl = NonNull::new_unchecked(ctl);
+            Fiber { ctl, len }
+        }
+    }
+
+    fn ctl(&self) -> &Control {
+        // SAFETY: written by `new`, dropped only by `drop`, inside a mapping
+        // this fiber owns for its whole life.
+        unsafe { self.ctl.as_ref() }
+    }
+
+    /// Runs the fiber on the calling thread until it suspends (`Ok(false)`)
+    /// or its body returns (`Ok(true)`); a panic of the body comes back as
+    /// `Err` with the original payload. Panics on a fiber that has ended.
+    pub(crate) fn resume(&mut self) -> std::thread::Result<bool> {
+        let ctl = self.ctl();
+        assert!(!ctl.done.get(), "resuming a finished fiber");
+        let outer = CURRENT.replace(self.ctl.as_ptr());
+        // SAFETY: not done, so `other_sp` holds the seeded first frame or the
+        // pointer `suspend` left there, on a stack this fiber keeps mapped.
+        // A `Fiber` is `!Send` and `&mut self` rules out re-entry (the
+        // running fiber's resumer holds the borrow), so this is the owning
+        // thread and the stack is not running.
+        unsafe { switch(ctl.other_sp.as_ptr()) };
+        CURRENT.set(outer);
+        ctl.panic.take().map_or(Ok(ctl.done.get()), Err)
+    }
+}
+
+impl Drop for Fiber {
+    /// Frees a fiber that never started without running it; unwinds one
+    /// that is suspended mid-body so its destructors run. A body that
+    /// catches the kill and suspends again is simply killed again; what it
+    /// panics with while being killed is dropped.
+    fn drop(&mut self) {
+        let started = self.ctl().body.take().is_none();
+        self.ctl().kill.set(true);
+        while started && !self.ctl().done.get() {
+            let _ = self.resume();
+        }
+        // SAFETY: never started or done: no frame lives on the stack and
+        // `CURRENT` does not point here. `ctl` was written by `new` and is
+        // dropped once, here; then exactly the mapping `new` made goes away.
+        // An error of `munmap` would leak the mapping, which is all `drop`
+        // can do about it.
+        unsafe {
+            ptr::drop_in_place(self.ctl.as_ptr());
+            let base = self.ctl.as_ptr().add(1).cast::<u8>().sub(self.len);
+            munmap(base, self.len);
+        }
+    }
+}
+
+/// Suspends the innermost running fiber: its `resume` returns `Ok(false)`,
+/// and this call returns when it is resumed next. Panics outside a fiber.
+/// Called while the fiber is being killed (from a destructor), it unwinds
+/// again — inside a destructor that is an abort, so destructors of actor
+/// code must not suspend when `std::thread::panicking()`.
+pub(crate) fn suspend() {
+    // SAFETY: `CURRENT` is non-null only between `resume`'s switch and its
+    // return, while the fiber it names is running — this code is on that
+    // fiber's stack, and `resume` borrows the `Fiber` for the whole time.
+    let ctl = unsafe { CURRENT.get().as_ref() }.expect("simcall outside an actor");
+    // SAFETY: `other_sp` holds the pointer the resumer's `switch` saved; the
+    // resumer is suspended inside `resume` on this same thread.
+    unsafe { switch(ctl.other_sp.as_ptr()) };
+    if ctl.kill.get() {
+        resume_unwind(Box::new(Killed));
+    }
+}
+
+/// Base frame of every fiber, entered by the first switch (see the module
+/// docs for the frame that leads here).
+extern "sysv64" fn entry() -> ! {
+    // SAFETY: only `resume` switches to a fresh stack, after pointing
+    // `CURRENT` at that fiber's control block.
+    let ctl = unsafe { &*CURRENT.get() };
+    let body = ctl.body.take().expect("a fresh fiber has its body");
+    // A `Killed` lands here too; only `drop` kills, and it discards this.
+    ctl.panic.set(catch_unwind(AssertUnwindSafe(body)).err());
+    ctl.done.set(true);
+    // SAFETY: as in `suspend`. A done fiber is never resumed, so this call
+    // does not return.
+    unsafe { switch(ctl.other_sp.as_ptr()) };
+    std::process::abort()
+}
+
+fn map_failed(err: std::io::Error, call: &str, len: usize) -> ! {
+    panic!(
+        "{call} of a {len}-byte actor stack failed: {err}; every live actor holds 2 memory \
+         mappings — check `sysctl vm.max_map_count` and `ulimit -v`"
+    )
+}

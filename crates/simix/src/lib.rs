@@ -3,12 +3,14 @@
 //! In SMPI, "an SMPI simulation runs in a single process, with each MPI
 //! process running in its own thread. However, these threads run
 //! sequentially, under the control of the SimGrid simulation kernel" (§5.1).
-//! This crate is that mechanism: actors are OS threads, but a baton
-//! (per-actor mutex + condvar) guarantees **exactly one** thread — an actor
-//! or the maestro — executes at any instant. This sidesteps every parallel
-//! discrete-event-simulation correctness issue by construction, and makes
-//! simulations bit-for-bit deterministic (runnable actors always resume in
-//! actor-id order).
+//! This crate is that mechanism, minus the threads nothing in it needs:
+//! an actor is a *fiber* — a stackful coroutine with its own guarded stack —
+//! that the maestro switches to on its own thread and that switches back
+//! when it issues a simcall. **Exactly one** of them — an actor or the
+//! maestro — executes at any instant because there is only one thread to
+//! execute on. This sidesteps every parallel discrete-event-simulation
+//! correctness issue by construction, and makes simulations bit-for-bit
+//! deterministic (runnable actors always resume in actor-id order).
 //!
 //! The crate is generic over the *simcall* protocol: an actor blocks by
 //! calling [`ActorHandle::simcall`] with a request value; the maestro
@@ -17,18 +19,19 @@
 //! The MPI semantics (what requests mean, when they complete) live entirely
 //! in the `smpi` crate.
 //!
-//! The handoff is built to scale to tens of thousands of actors: each baton
-//! condvar has exactly one waiter so every wakeup is `notify_one`, the
-//! runnable set is a dense id-ordered worklist sorted in place (no
-//! per-event allocation), actor stacks default to a small fixed size
-//! ([`DEFAULT_STACK_SIZE`]) so 16k threads fit comfortably in one address
-//! space, and drive loops can recycle their event buffer through
-//! [`Simix::run_ready_into`].
+//! A simcall round-trip is two user-level context switches (six registers
+//! and a stack pointer each) and no system call; the runnable set is a dense
+//! id-ordered worklist sorted in place (no per-event allocation); an actor
+//! costs one lazily-touched mapping of [`DEFAULT_STACK_SIZE`] plus a guard
+//! page, so tens of thousands fit in one process; and drive loops can
+//! recycle their event buffer through [`Simix::run_ready_into`].
 //!
 //! A drive loop sees this crate through the four-method [`Scheduler`] seam.
-//! [`Simix`] implements it with one thread per actor, for bodies that are
+//! [`Simix`] implements it with one fiber per actor, for bodies that are
 //! blocking code; [`Scripts`] steps actors that are resumable state machines
-//! (trace cursors) inline on the maestro thread, in the same id order.
+//! (trace cursors) as plain calls, in the same id order. Neither creates an
+//! OS thread. All `unsafe` of the workspace — the context switch and the
+//! stack mappings, x86-64 unix only — is in the private `fiber` module.
 //!
 //! ```
 //! // A tiny ping protocol: every simcall is answered with its value + 1.
@@ -48,16 +51,21 @@
 //! }
 //! ```
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
 
-use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
+use std::panic::resume_unwind;
+use std::rc::Rc;
+
+#[allow(unsafe_code)]
+mod fiber;
+
+use fiber::Fiber;
 
 /// Default actor stack size in bytes. MPI rank bodies keep their working
 /// sets on the (heap-allocated) simulated buffers, so a small fixed stack
-/// is enough — and it is what lets 16k+ actor threads coexist in one
-/// process (16k × 256 KiB = 4 GiB of address space, touched lazily).
+/// is enough — and it is what lets 16k+ actors coexist in one process
+/// (16k × 256 KiB = 4 GiB of address space, touched lazily).
 pub const DEFAULT_STACK_SIZE: usize = 256 * 1024;
 
 /// Identifier of an actor (dense, in spawn order). For SMPI this is the MPI
@@ -65,19 +73,12 @@ pub const DEFAULT_STACK_SIZE: usize = 256 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActorId(pub u32);
 
-/// Whose turn it is to run on an actor's baton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Turn {
-    Maestro,
-    Actor,
-}
-
 /// What an actor did when it last ran.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ActorEvent<Req> {
     /// The actor issued a simcall and is now blocked on it.
     Request(ActorId, Req),
-    /// The actor's body returned; the thread has exited.
+    /// The actor's body returned; its stack has been freed.
     Finished(ActorId),
 }
 
@@ -149,30 +150,18 @@ impl Worklist {
     }
 }
 
-/// Marker used to unwind actor threads when the runtime is dropped while
-/// they are still blocked. Caught by the actor wrapper, never observable by
-/// user code.
-struct ActorKilled;
-
-struct Slot<Req, Resp> {
-    turn: Turn,
-    request: Option<Req>,
-    response: Option<Resp>,
-    finished: bool,
-    killed: bool,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct Shared<Req, Resp> {
-    slot: Mutex<Slot<Req, Resp>>,
-    cond: Condvar,
+/// Where a simcall's request and its answer change hands. Plain cells: the
+/// maestro and the actor share one thread and never run at the same time.
+struct Mailbox<Req, Resp> {
+    request: Cell<Option<Req>>,
+    response: Cell<Option<Resp>>,
 }
 
 /// The actor-side handle: the only way user code interacts with the
 /// simulation while running inside an actor.
 pub struct ActorHandle<Req, Resp> {
     id: ActorId,
-    shared: Arc<Shared<Req, Resp>>,
+    mail: Rc<Mailbox<Req, Resp>>,
 }
 
 impl<Req, Resp> ActorHandle<Req, Resp> {
@@ -181,56 +170,42 @@ impl<Req, Resp> ActorHandle<Req, Resp> {
         self.id
     }
 
-    /// Issues a simcall: publishes `req` to the maestro, yields the baton,
-    /// and blocks until the maestro resolves it with a response.
+    /// Issues a simcall: publishes `req` to the maestro, switches back to
+    /// it, and returns once the maestro has resolved the request and
+    /// resumed this actor. If the scheduler is dropped first, the call
+    /// unwinds the actor instead (destructors run, no panic message); a
+    /// destructor must therefore not issue simcalls while
+    /// `std::thread::panicking()`.
     pub fn simcall(&self, req: Req) -> Resp {
-        let mut slot = self.shared.slot.lock();
-        debug_assert!(slot.turn == Turn::Actor, "simcall outside actor turn");
-        slot.request = Some(req);
-        slot.turn = Turn::Maestro;
-        // Exactly one waiter by construction: the baton serializes the
-        // maestro and this actor, so only the other side can be blocked on
-        // this condvar. notify_one avoids the broadcast bookkeeping.
-        self.shared.cond.notify_one();
-        while slot.turn == Turn::Maestro {
-            self.shared.cond.wait(&mut slot);
-        }
-        if slot.killed {
-            // Unwind the actor thread; caught by the spawn wrapper.
-            drop(slot);
-            std::panic::panic_any(ActorKilled);
-        }
-        slot.response
-            .take()
-            .expect("maestro resolved with a response")
+        self.mail.request.set(Some(req));
+        fiber::suspend();
+        let resp = self.mail.response.take();
+        resp.expect("maestro resolved with a response")
     }
 }
 
-struct ActorState<Req, Resp> {
-    shared: Arc<Shared<Req, Resp>>,
-    join: Option<JoinHandle<()>>,
-    alive: bool,
+/// A live actor: its fiber and the maestro's end of its mailbox.
+struct Actor<Req, Resp> {
+    fiber: Fiber,
+    mail: Rc<Mailbox<Req, Resp>>,
 }
 
-impl<Req, Resp> ActorState<Req, Resp> {
-    fn reap(&mut self) {
-        self.alive = false;
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-/// The maestro: spawns actors, runs runnable ones (strictly one at a time),
-/// and collects their simcall requests.
+/// The maestro: spawns actors, runs runnable ones (strictly one at a time,
+/// on the calling thread), and collects their simcall requests.
 ///
 /// The scheduling hot loop is allocation-free: the runnable set is a
 /// recycled worklist and [`run_ready_into`](Self::run_ready_into) reuses a
 /// caller-owned event buffer across iterations.
+///
+/// A `Simix` is `!Send`: its actors' stacks belong to the thread that
+/// spawned them. Dropping it unwinds every actor still blocked on a simcall
+/// (in id order, running their destructors) and frees never-started ones
+/// without running them.
 pub struct Simix<Req, Resp> {
-    actors: Vec<ActorState<Req, Resp>>,
+    /// `None` once the actor has finished.
+    actors: Vec<Option<Actor<Req, Resp>>>,
     work: Worklist,
-    /// Stack size for subsequently spawned actor threads.
+    /// Stack size for subsequently spawned actors.
     stack_size: usize,
 }
 
@@ -240,7 +215,8 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         Self::with_stack_size(DEFAULT_STACK_SIZE)
     }
 
-    /// Creates an empty runtime whose actors get `stack_size`-byte stacks.
+    /// Creates an empty runtime whose actors get `stack_size`-byte stacks
+    /// (rounded up to whole pages; one guard page is mapped below each).
     /// Raise this for rank bodies with deep recursion or large stack
     /// buffers; lower it to pack more actors into the address space.
     pub fn with_stack_size(stack_size: usize) -> Self {
@@ -252,68 +228,29 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         }
     }
 
-    /// The stack size given to spawned actor threads.
+    /// The stack size given to spawned actors.
     pub fn stack_size(&self) -> usize {
         self.stack_size
     }
 
     /// Spawns an actor. It becomes runnable and will execute during the next
     /// [`run_ready`](Self::run_ready) call. Spawn order defines actor ids.
+    /// Panics if the kernel refuses to map the actor's stack.
     pub fn spawn<F>(&mut self, body: F) -> ActorId
     where
         F: FnOnce(&ActorHandle<Req, Resp>) + Send + 'static,
     {
         let id = self.work.add();
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(Slot {
-                turn: Turn::Maestro,
-                request: None,
-                response: None,
-                finished: false,
-                killed: false,
-                panic: None,
-            }),
-            cond: Condvar::new(),
+        let mail = Rc::new(Mailbox {
+            request: Cell::new(None),
+            response: Cell::new(None),
         });
-        let thread_shared = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
-            .name(format!("actor-{}", id.0))
-            .stack_size(self.stack_size)
-            .spawn(move || {
-                let handle = ActorHandle {
-                    id,
-                    shared: Arc::clone(&thread_shared),
-                };
-                // Wait for the first baton pass.
-                {
-                    let mut slot = thread_shared.slot.lock();
-                    while slot.turn == Turn::Maestro {
-                        thread_shared.cond.wait(&mut slot);
-                    }
-                    if slot.killed {
-                        slot.finished = true;
-                        slot.turn = Turn::Maestro;
-                        thread_shared.cond.notify_one();
-                        return;
-                    }
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| body(&handle)));
-                let mut slot = thread_shared.slot.lock();
-                if let Err(payload) = result {
-                    if !payload.is::<ActorKilled>() {
-                        slot.panic = Some(payload);
-                    }
-                }
-                slot.finished = true;
-                slot.turn = Turn::Maestro;
-                thread_shared.cond.notify_one();
-            })
-            .expect("failed to spawn actor thread");
-        self.actors.push(ActorState {
-            shared,
-            join: Some(join),
-            alive: true,
-        });
+        let handle = ActorHandle {
+            id,
+            mail: Rc::clone(&mail),
+        };
+        let fiber = Fiber::new(self.stack_size, Box::new(move || body(&handle)));
+        self.actors.push(Some(Actor { fiber, mail }));
         id
     }
 
@@ -338,52 +275,36 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         work.run_batch(events, |id| Self::step(&mut actors[id.0 as usize], id));
     }
 
-    /// Gives the baton to one actor and waits until it yields it back.
-    fn step(state: &mut ActorState<Req, Resp>, id: ActorId) -> ActorEvent<Req> {
-        assert!(state.alive, "stepping a finished actor {id:?}");
-        let shared = Arc::clone(&state.shared);
-        let mut slot = shared.slot.lock();
-        debug_assert!(slot.turn == Turn::Maestro);
-        slot.turn = Turn::Actor;
-        shared.cond.notify_one();
-        while slot.turn == Turn::Actor {
-            shared.cond.wait(&mut slot);
+    /// Switches to one actor and back when it blocks, finishes or panics.
+    fn step(slot: &mut Option<Actor<Req, Resp>>, id: ActorId) -> ActorEvent<Req> {
+        let actor = slot.as_mut().expect("only live actors are runnable");
+        let outcome = actor.fiber.resume();
+        if let Ok(false) = outcome {
+            let req = actor.mail.request.take();
+            return ActorEvent::Request(id, req.expect("actor yielded without request"));
         }
-        if let Some(payload) = slot.panic.take() {
-            drop(slot);
-            // Propagate the actor's panic into the maestro (test failures
-            // and bugs must not be swallowed).
-            state.reap();
-            resume_unwind(payload);
-        }
-        if slot.finished {
-            drop(slot);
-            state.reap();
-            ActorEvent::Finished(id)
-        } else {
-            let req = slot.request.take().expect("actor yielded without request");
-            ActorEvent::Request(id, req)
+        *slot = None;
+        match outcome {
+            Ok(_) => ActorEvent::Finished(id),
+            // The actor's panic continues in the maestro (test failures and
+            // bugs must not be swallowed).
+            Err(payload) => resume_unwind(payload),
         }
     }
 
     /// Answers an actor's pending simcall, making it runnable again. The
     /// actor resumes during the next [`run_ready`](Self::run_ready).
     pub fn resolve(&mut self, id: ActorId, resp: Resp) {
-        let state = &self.actors[id.0 as usize];
-        assert!(state.alive, "resolving a finished actor {id:?}");
-        let mut slot = state.shared.slot.lock();
-        debug_assert!(
-            slot.turn == Turn::Maestro && !slot.finished,
-            "actor must be blocked on a simcall"
-        );
-        slot.response = Some(resp);
-        drop(slot);
+        let actor = self.actors[id.0 as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("resolving a finished actor {id:?}"));
+        actor.mail.response.set(Some(resp));
         self.work.mark(id);
     }
 
     /// `true` while the actor has not finished.
     pub fn is_alive(&self, id: ActorId) -> bool {
-        self.actors[id.0 as usize].alive
+        self.actors[id.0 as usize].is_some()
     }
 }
 
@@ -408,34 +329,11 @@ impl<Req: Send + 'static, Resp: Send + 'static> Default for Simix<Req, Resp> {
     }
 }
 
-impl<Req, Resp> Drop for Simix<Req, Resp> {
-    fn drop(&mut self) {
-        // Unblock and join every still-alive actor thread.
-        for state in &mut self.actors {
-            if !state.alive {
-                continue;
-            }
-            {
-                let mut slot = state.shared.slot.lock();
-                slot.killed = true;
-                slot.turn = Turn::Actor;
-                state.shared.cond.notify_one();
-                while !slot.finished {
-                    state.shared.cond.wait(&mut slot);
-                }
-            }
-            if let Some(join) = state.join.take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-/// The threadless scheduler: each actor is a resumable *script*, a closure
+/// The stackless scheduler: each actor is a resumable *script*, a closure
 /// called with `None` to start and with the answer to its last request to
 /// resume, returning its next request or `None` when done. Scripts run
 /// inline on the caller's thread, so an actor costs its closure and nothing
-/// else — no OS thread, stack or mutex — and memory alone bounds their count.
+/// else — no stack, no mapping — and memory alone bounds their count.
 pub struct Scripts<F, Resp> {
     /// Per actor: the script (`None` once finished) and the answer it
     /// resumes with.
@@ -493,6 +391,9 @@ impl<Req, Resp, F: FnMut(Option<Resp>) -> Option<Req>> Scheduler<Req, Resp> for 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn actor_runs_to_completion_without_simcalls() {
@@ -528,7 +429,7 @@ mod tests {
 
         pub const BOOM: u32 = u32::MAX;
 
-        pub fn threads(programs: Vec<Vec<u32>>) -> Simix<u32, u32> {
+        pub fn fibers(programs: Vec<Vec<u32>>) -> Simix<u32, u32> {
             let mut sx = Simix::new();
             for program in programs {
                 sx.spawn(move |h| {
@@ -622,7 +523,7 @@ mod tests {
         ) {
             let mut sx = build(vec![vec![1, 2]; 4]);
             assert_eq!(batch(&mut sx).len(), 4);
-            drop(sx); // never resolved: must not hang (threads are joined)
+            drop(sx); // never resolved: must not hang (fibers are unwound)
         }
     }
 
@@ -633,7 +534,7 @@ mod tests {
                 use super::contract;
                 #[test]
                 fn simix() {
-                    contract::$name(contract::threads)
+                    contract::$name(contract::fibers)
                 }
                 #[test]
                 fn scripts() {
@@ -668,11 +569,141 @@ mod tests {
         assert_eq!(seen, vec![None, Some(10), Some(20)]);
     }
 
+    /// Counts its drops, so a test can see whose destructors ran.
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
-    fn drop_kills_never_started_actors() {
+    fn never_started_actors_are_freed_without_running() {
+        let (ran, dropped) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let mut sx = Simix::<(), ()>::new();
-        sx.spawn(|_| {});
+        for _ in 0..3 {
+            let (ran, captured) = (Arc::clone(&ran), Counted(Arc::clone(&dropped)));
+            sx.spawn(move |_| {
+                let _captured = captured;
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
         drop(sx);
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a body ran");
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            3,
+            "a body's captures leaked"
+        );
+    }
+
+    #[test]
+    fn rank_panic_unwinds_the_blocked_ranks_too() {
+        // Actor 1 panics while actor 0 is blocked on a simcall nobody will
+        // resolve. The scheduler is dropped *while the maestro unwinds*
+        // with actor 1's payload, and still has to unwind actor 0 — on the
+        // same thread, without that becoming a panic inside a panic.
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let local = Counted(Arc::clone(&dropped));
+        let payload = catch_unwind(AssertUnwindSafe(move || {
+            let mut sx = Simix::<u32, u32>::new();
+            sx.spawn(move |h| {
+                let _local = local;
+                h.simcall(0);
+                unreachable!("never resolved");
+            });
+            sx.spawn(|_| std::panic::panic_any(1234_i64));
+            sx.run_ready();
+        }))
+        .expect_err("actor 1's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<i64>(),
+            Some(&1234),
+            "original payload"
+        );
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            1,
+            "actor 0 was not unwound"
+        );
+    }
+
+    #[test]
+    fn killing_blocked_actors_is_silent() {
+        // Unwinding a blocked actor is not a failure and must not reach the
+        // panic hook (one "panicked at … Box<dyn Any>" line per blocked rank
+        // on top of every deadlock postmortem). The hook is process-wide and
+        // sibling tests panic on purpose, with string messages: count only
+        // payloads that are not strings, as the kill marker is.
+        let hits = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&hits);
+        let previous = Arc::new(std::panic::take_hook());
+        let chained = Arc::clone(&previous);
+        std::panic::set_hook(Box::new(move |info| {
+            let p = info.payload();
+            if p.is::<&str>() || p.is::<String>() {
+                chained(info);
+            } else {
+                seen.fetch_add(1, Ordering::Relaxed);
+            }
+        }));
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let mut sx = Simix::<(), ()>::new();
+        for _ in 0..4 {
+            let local = Counted(Arc::clone(&dropped));
+            sx.spawn(move |h| {
+                let _local = local;
+                h.simcall(());
+            });
+        }
+        assert_eq!(sx.run_ready().len(), 4);
+        drop(sx);
+        drop(std::panic::take_hook()); // the counting hook and its `chained`
+        std::panic::set_hook(Arc::into_inner(previous).expect("sole owner again"));
+        assert_eq!(dropped.load(Ordering::Relaxed), 4, "blocked actors unwound");
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            0,
+            "the kill ran the panic hook"
+        );
+    }
+
+    #[test]
+    fn stack_overflow_dies_on_the_guard_page() {
+        // Re-executes this test in a child process; there an actor recurses
+        // past its 64 KiB stack. The guard page makes that a SIGSEGV, not a
+        // scribble over the neighbouring actor's stack.
+        use std::os::unix::process::ExitStatusExt;
+        const CHILD: &str = "SIMIX_OVERFLOW_CHILD";
+        fn burn(depth: usize) -> u64 {
+            let buf = std::hint::black_box([depth as u8; 4096]);
+            if depth == 0 {
+                buf[0] as u64
+            } else {
+                burn(depth - 1) + buf[4095] as u64
+            }
+        }
+        if std::env::var_os(CHILD).is_some() {
+            let mut sx = Simix::<u64, ()>::with_stack_size(64 * 1024);
+            sx.spawn(|_| {}); // a neighbour below the overflowing stack
+            sx.spawn(|h| {
+                h.simcall(burn(500));
+            });
+            sx.run_ready();
+            unreachable!("2 MiB of frames fit a 64 KiB stack");
+        }
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::stack_overflow_dies_on_the_guard_page"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert_eq!(
+            child.status.signal(),
+            Some(11),
+            "child: {:?}\n{}",
+            child.status,
+            String::from_utf8_lossy(&child.stderr)
+        );
     }
 
     #[test]
@@ -758,7 +789,6 @@ mod tests {
     fn sequential_execution_means_no_data_races() {
         // 64 actors read-modify-write a shared counter across simcalls; the
         // strict one-at-a-time alternation makes each increment atomic.
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = Arc::new(AtomicUsize::new(0));
         let mut sx = Simix::<(), ()>::new();
         for _ in 0..64 {

@@ -22,6 +22,8 @@
 //! assert!((t.as_secs() - (50e-6 + 1e6 / 125e6)).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod ids;
 pub mod lmm;

@@ -31,6 +31,8 @@
 //! `(platform, noise, replication)` — common random numbers, so paired
 //! cell comparisons see the same "weather".
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

@@ -9,6 +9,8 @@
 //! user application would be; they run unchanged on the flow-level SMPI
 //! backend and on the packet-level testbed backend.
 
+#![forbid(unsafe_code)]
+
 pub mod dt;
 pub mod ep;
 pub mod kernels;

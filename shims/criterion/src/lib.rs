@@ -11,6 +11,8 @@
 //! batch of iterations sized to run for at least a few milliseconds. The
 //! per-iteration mean, best sample, and spread are printed to stdout.
 
+#![forbid(unsafe_code)]
+
 pub use std::hint::black_box;
 
 use std::fmt::Display;

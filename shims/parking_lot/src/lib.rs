@@ -3,12 +3,13 @@
 //! The build environment has no access to crates.io, so this workspace ships
 //! a minimal API-compatible shim implemented over `std::sync`. Only the
 //! surface actually used by the workspace is provided: [`Mutex`] with a
-//! panic-free `lock()` returning the guard directly, [`MutexGuard`], and a
-//! [`Condvar`] whose `wait` takes `&mut MutexGuard` (parking_lot style).
+//! panic-free `lock()` returning the guard directly, and [`MutexGuard`].
 //!
 //! Poisoning is deliberately ignored, matching parking_lot semantics: a
-//! panicking actor thread must not poison the maestro's view of shared
-//! state (the simix baton protocol already serializes all access).
+//! panicking rank must not poison the maestro's view of shared state (ranks
+//! and maestro run strictly one at a time, see `simix`).
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -17,12 +18,7 @@ use std::ops::{Deref, DerefMut};
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 /// RAII guard returned by [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait` can temporarily take ownership of the
-    // underlying std guard (std's wait consumes it); always `Some` outside
-    // that window.
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
@@ -43,11 +39,10 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until available. Unlike `std`, returns
     /// the guard directly (poisoning is ignored).
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = match self.0.lock() {
+        MutexGuard(match self.0.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        MutexGuard { inner: Some(guard) }
+        })
     }
 }
 
@@ -66,57 +61,19 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
+        &mut self.0
     }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
-    }
-}
-
-/// A condition variable whose `wait` reborrows the guard in place.
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified, atomically releasing and re-acquiring the
-    /// guarded mutex.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present");
-        let inner = match self.0.wait(inner) {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.inner = Some(inner);
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
     }
 }
 
@@ -131,25 +88,6 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn condvar_baton_roundtrip() {
-        let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let s2 = Arc::clone(&shared);
-        let t = std::thread::spawn(move || {
-            let (m, c) = &*s2;
-            let mut flag = m.lock();
-            *flag = true;
-            c.notify_all();
-        });
-        let (m, c) = &*shared;
-        let mut flag = m.lock();
-        while !*flag {
-            c.wait(&mut flag);
-        }
-        drop(flag);
-        t.join().unwrap();
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! exactly across runs and machines. There is no shrinking — a failing case
 //! is reported with its case index and message.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Configuration accepted by `#![proptest_config(...)]`.

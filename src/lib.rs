@@ -4,6 +4,8 @@
 //! and runnable examples under `examples/` can reach the whole system through
 //! a single dependency.
 
+#![forbid(unsafe_code)]
+
 pub use packetnet;
 pub use simix;
 pub use smpi;

@@ -1,6 +1,6 @@
 //! Capture → replay end-to-end: cross-validation against the on-line
 //! simulation, model-swap replay, determinism, the golden trace file, the
-//! event-driven tier against its threaded oracle, and typed replay errors.
+//! event-driven tier against its stackful oracle, and typed replay errors.
 
 use std::sync::Arc;
 
@@ -286,18 +286,18 @@ fn artifacts(mut report: smpi_suite::smpi::RunReport<()>) -> [String; 5] {
 }
 
 /// Replays `trace` event-driven (the production path) and through the
-/// threaded oracle — a collective hook that claims nothing, which keeps one
-/// actor thread per rank driving the same script — and demands identical
+/// stackful oracle — a collective hook that claims nothing, which keeps one
+/// fiber per rank driving the same script — and demands identical
 /// artifacts. Returns the re-captured trace.
 fn assert_tiers_agree<S: replay::OpSource>(label: &str, world: &World, source: Arc<S>) -> String {
     let oracle = replay::ReplayOptions {
         coll_hook: Some(Arc::new(|_: &Ctx, _: &replay::CollSite<'_>| false)),
     };
     let event = artifacts(replay::replay_source(world, Arc::clone(&source)));
-    let threaded = artifacts(replay::replay_with(world, source, oracle));
+    let stackful = artifacts(replay::replay_with(world, source, oracle));
     for (what, (e, t)) in ["report JSON", "paje", "contention", "re-capture", "events"]
         .iter()
-        .zip(event.iter().zip(&threaded))
+        .zip(event.iter().zip(&stackful))
     {
         assert_eq!(e, t, "{label}: {what} differs between the tiers");
     }
@@ -305,12 +305,12 @@ fn assert_tiers_agree<S: replay::OpSource>(label: &str, world: &World, source: A
     recapture
 }
 
-/// The event-driven tier is byte-identical to the threaded oracle: same
+/// The event-driven tier is byte-identical to the stackful oracle: same
 /// schedule, hence same reports, timelines, attribution, time series and
 /// re-captures — metrics off and on, in-memory and streamed sources, on the
 /// capture platform and on a different one.
 #[test]
-fn event_driven_replay_matches_the_threaded_oracle() {
+fn event_driven_replay_matches_the_stackful_oracle() {
     let capture = griffon_world().capture(true).metrics(true);
     let mut traces: Vec<(String, TiTrace)> = [DtGraph::Bh, DtGraph::Wh, DtGraph::Sh]
         .into_iter()

@@ -1,12 +1,11 @@
-//! Replay at a rank count no thread-per-rank scheme reaches on default
+//! Replay at a rank count no stack-per-rank scheme reaches on default
 //! sysctls: 65 536 replayed ranks are 65 536 trace cursors stepped on the
-//! calling thread. The same trace is *not* attempted through the threaded
-//! oracle — `thread::spawn` aborts near 16k ranks under the default
+//! calling thread. The same trace is *not* attempted through the stackful
+//! oracle — 65 536 fibers need 131 072 mappings, twice the default
 //! `vm.max_map_count`.
 //!
 //! This test lives alone in its binary: it reads the process thread count,
-//! which sibling tests running on harness threads (and spawning actor
-//! threads of their own) would perturb.
+//! which sibling tests running on harness threads would perturb.
 
 use std::sync::Arc;
 
