@@ -5,24 +5,12 @@
 #![forbid(unsafe_code)]
 
 use smpi_bench::{
-    ablations, contention_demo, diff_demo, e2e, fig_alltoall, fig_dt, fig_pingpong, fig_scatter,
-    fig_schemes, fig_speed, gate, obs_demo, replay_demo, scale, sweep_bench, trace_bench,
+    ablations, common, contention_demo, diff_demo, e2e, fig_alltoall, fig_dt, fig_pingpong,
+    fig_scatter, fig_schemes, fig_speed, obs_demo, replay_demo,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // `gate` consumes the rest of the argument list as gate-set filters
-    // (e.g. `repro -- gate scale sweep`); exit 1 on a failed gate.
-    if args.first().map(String::as_str) == Some("gate") {
-        let sets: Vec<&str> = args[1..].iter().map(String::as_str).collect();
-        let out = gate::gate(&sets);
-        println!("{out}");
-        if !out.contains("GATE: PASS") {
-            std::process::exit(1);
-        }
-        return;
-    }
 
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
@@ -71,12 +59,9 @@ fn main() {
             "obs" => obs_demo::obs(),
             "contention" => contention_demo::contention(),
             "diff" => diff_demo::diff(),
-            "replay" => replay_demo::replay_demo(),
+            "replay" => replay_demo::replay_demo(common::fast()),
             "dt" => e2e::dt_report(),
             "ep" => e2e::ep_report(),
-            "scale" => scale::scale(),
-            "sweep" => sweep_bench::sweep(),
-            "trace" => trace_bench::trace(),
             "ablations" => format!(
                 "{}\n{}\n{}",
                 ablations::segment_sweep(),

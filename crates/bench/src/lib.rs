@@ -23,9 +23,5 @@ pub mod fig_pingpong;
 pub mod fig_scatter;
 pub mod fig_schemes;
 pub mod fig_speed;
-pub mod gate;
 pub mod obs_demo;
 pub mod replay_demo;
-pub mod scale;
-pub mod sweep_bench;
-pub mod trace_bench;

@@ -25,8 +25,6 @@ use smpi_replay as replay;
 use smpi_workloads::{build_graph, dt_rank, ep_rank, DtClass, DtGraph, EpConfig};
 use surf_sim::TransferModel;
 
-use crate::common;
-
 struct Captured {
     name: &'static str,
     online_sim: f64,
@@ -63,10 +61,11 @@ fn capture_ep(cfg: EpConfig) -> Captured {
     }
 }
 
-/// Runs the demo and returns the human-readable summary. Artifacts land
-/// under `target/replay/`.
-pub fn replay_demo() -> String {
-    let (dt_class, ep_cfg) = if common::fast() {
+/// Runs the demo (`fast`: DT class S and a small EP instead of class A)
+/// and returns the human-readable summary. Artifacts land under
+/// `target/replay/`.
+pub fn replay_demo(fast: bool) -> String {
+    let (dt_class, ep_cfg) = if fast {
         (
             DtClass::S,
             EpConfig {
@@ -189,9 +188,7 @@ pub fn replay_demo() -> String {
 mod tests {
     #[test]
     fn demo_produces_all_artifacts() {
-        // The test environment always takes the fast path.
-        std::env::set_var("REPRO_FAST", "1");
-        let out = super::replay_demo();
+        let out = super::replay_demo(true);
         assert!(out.contains("speedup"));
         assert!(out.contains("on gdx"));
         for artifact in [

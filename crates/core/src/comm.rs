@@ -154,4 +154,19 @@ mod tests {
         assert_eq!(c.world_rank(2), 5);
         assert_eq!(c.local_rank(3), Some(1));
     }
+
+    #[test]
+    fn every_rank_shares_one_world_member_list() {
+        use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
+        let rp = RoutedPlatform::new(flat_cluster("t", 4, &ClusterConfig::default()));
+        let world = crate::World::smpi(std::sync::Arc::new(rp), surf_sim::TransferModel::ideal());
+        let comms = world.run(4, |ctx| ctx.world()).results;
+        for c in &comms {
+            assert_eq!(*c, Comm::world(4));
+            assert!(std::ptr::eq(
+                c.group().members(),
+                comms[0].group().members()
+            ));
+        }
+    }
 }

@@ -138,10 +138,12 @@ pub struct Ctx<'h> {
 }
 
 impl<'h> Ctx<'h> {
-    pub(crate) fn new(handle: &'h SxHandle, world_size: usize, shared: Arc<SharedState>) -> Self {
+    /// `world` is built once per run and shared: every rank's clone points
+    /// at the same member list.
+    pub(crate) fn new(handle: &'h SxHandle, world: Comm, shared: Arc<SharedState>) -> Self {
         Ctx {
             handle,
-            world: Comm::world(world_size),
+            world,
             shared,
             comm_seq: RefCell::new(HashMap::new()),
         }

@@ -308,35 +308,6 @@ pub struct Runtime {
     /// Memory high-water-mark probe for the telemetry tick (the World
     /// runner points it at the shared memory tracker).
     mem_probe: Option<Box<dyn Fn() -> u64 + Send>>,
-    /// Live progress emitter, when enabled.
-    progress: Option<Progress>,
-}
-
-/// ETA extrapolation for the progress emitter: wall seconds until `sim`
-/// reaches `total_hint` at the observed `sim_rate` (simulated seconds per
-/// wall second). Returns `None` — rendered as an explicit `"eta_s":null` —
-/// whenever the extrapolation is meaningless: no hint, a zero/negative
-/// hint, a rate that is zero, negative or NaN (a tier that finished inside
-/// the first progress interval advances no sim time), or a denormal rate
-/// whose quotient overflows to infinity.
-fn eta_seconds(total_hint: Option<f64>, sim: f64, sim_rate: f64) -> Option<f64> {
-    total_hint
-        .filter(|&total| total > 0.0 && sim_rate > 0.0)
-        .map(|total| (total - sim).max(0.0) / sim_rate)
-        .filter(|eta| eta.is_finite())
-}
-
-/// Wall-clock-periodic progress emitter state.
-struct Progress {
-    /// Minimum wall-clock seconds between emitted lines.
-    period: f64,
-    /// Expected total simulated seconds (for the ETA extrapolation),
-    /// typically a previously recorded makespan of the same workload.
-    total_hint: Option<f64>,
-    started: Instant,
-    last: Instant,
-    last_sim: f64,
-    last_simcalls: u64,
 }
 
 impl Runtime {
@@ -376,14 +347,13 @@ impl Runtime {
             timeseries: None,
             ts_util_buf: Vec::new(),
             mem_probe: None,
-            progress: None,
         }
     }
 
-    /// Enables the bounded-memory time-series sampler with the given bucket
-    /// budget (see [`smpi_obs::TimeSeries`]).
-    pub fn enable_timeseries(&mut self, budget: usize) {
-        self.timeseries = Some(TimeSeries::new(budget));
+    /// Enables the bounded-memory time-series sampler at its default
+    /// bucket budget (see [`smpi_obs::TimeSeries`]).
+    pub fn enable_timeseries(&mut self) {
+        self.timeseries = Some(TimeSeries::default());
     }
 
     /// Takes the recorded time series, if the sampler was enabled.
@@ -395,22 +365,6 @@ impl Runtime {
     /// tick (typically the shared memory tracker's peak).
     pub fn set_memory_probe(&mut self, probe: Box<dyn Fn() -> u64 + Send>) {
         self.mem_probe = Some(probe);
-    }
-
-    /// Enables wall-clock-periodic progress lines on stderr: one JSON
-    /// object per line with simulated time, simcall throughput, the
-    /// sim-time advance rate, and — when `total_hint` carries the
-    /// workload's expected makespan — an ETA.
-    pub fn enable_progress(&mut self, period_secs: f64, total_hint: Option<f64>) {
-        let now = Instant::now();
-        self.progress = Some(Progress {
-            period: period_secs.max(0.01),
-            total_hint,
-            started: now,
-            last: now,
-            last_sim: self.now(),
-            last_simcalls: self.n_simcalls,
-        });
     }
 
     /// Installs a metrics recorder on the maestro and (a clone of it) on the
@@ -570,9 +524,6 @@ impl Runtime {
         // so the steady-state hot loop allocates nothing.
         let mut events: Vec<ActorEvent<Simcall>> = Vec::new();
         loop {
-            if self.progress.is_some() {
-                self.progress_tick();
-            }
             let t0 = self.profiling.then(Instant::now);
             sx.run_ready_into(&mut events);
             if let Some(t0) = t0 {
@@ -668,42 +619,6 @@ impl Runtime {
             ts.record(inst, &buf);
         }
         self.ts_util_buf = buf;
-    }
-
-    /// Emits a progress line when the period elapsed (called once per
-    /// drive-loop iteration while enabled; one `Instant::now` otherwise
-    /// nothing).
-    fn progress_tick(&mut self) {
-        let sim = self.fabric.now().as_secs();
-        let n_simcalls = self.n_simcalls;
-        let Some(p) = &mut self.progress else { return };
-        let now = Instant::now();
-        let since = now.duration_since(p.last).as_secs_f64();
-        if since < p.period {
-            return;
-        }
-        let sim_rate = (sim - p.last_sim) / since;
-        let simcall_rate = (n_simcalls - p.last_simcalls) as f64 / since;
-        let eta = eta_seconds(p.total_hint, sim, sim_rate);
-        let wall = now.duration_since(p.started).as_secs_f64();
-        p.last = now;
-        p.last_sim = sim;
-        p.last_simcalls = n_simcalls;
-        let mut j = smpi_obs::json::JsonBuf::new();
-        j.begin_obj();
-        j.key("type").str_val("smpi-progress");
-        j.key("wall_s").num_val(wall);
-        j.key("sim_time").num_val(sim);
-        j.key("simcalls").uint_val(n_simcalls);
-        j.key("simcalls_per_s").num_val(simcall_rate);
-        j.key("sim_per_wall").num_val(sim_rate);
-        j.key("eta_s");
-        match eta {
-            Some(e) => j.num_val(e),
-            None => j.raw_val("null"),
-        };
-        j.end_obj();
-        eprintln!("{}", j.finish());
     }
 
     /// Snapshots the flight recorder and the matching stores for every
@@ -1557,25 +1472,6 @@ mod tests {
     use crate::matching::env_matches;
 
     use super::*;
-
-    #[test]
-    fn eta_is_null_unless_the_extrapolation_is_meaningful() {
-        // Healthy case: 10 simulated seconds to go at 2 sim-s per wall-s.
-        assert_eq!(eta_seconds(Some(30.0), 20.0, 2.0), Some(5.0));
-        // Already past the hint: clamped to zero, not negative.
-        assert_eq!(eta_seconds(Some(30.0), 40.0, 2.0), Some(0.0));
-        // No hint.
-        assert_eq!(eta_seconds(None, 20.0, 2.0), None);
-        // A zero hint must not claim "done now".
-        assert_eq!(eta_seconds(Some(0.0), 0.0, 2.0), None);
-        // A tier that finished inside the first interval advances no sim
-        // time: rate 0 (or NaN from 0/0 upstream) means no extrapolation.
-        assert_eq!(eta_seconds(Some(30.0), 0.0, 0.0), None);
-        assert_eq!(eta_seconds(Some(30.0), 0.0, f64::NAN), None);
-        assert_eq!(eta_seconds(Some(30.0), 0.0, -1.0), None);
-        // Denormal rate: the quotient overflows to +inf, which is not an ETA.
-        assert_eq!(eta_seconds(Some(1e300), 0.0, 1e-300), None);
-    }
 
     #[test]
     fn env_matching_rules() {

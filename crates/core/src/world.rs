@@ -13,11 +13,12 @@ use std::time::{Duration, Instant};
 use simix::{Scheduler, Scripts};
 
 use packetnet::PacketConfig;
-use smpi_obs::{ContentionReport, MetricsReport, Rec, SelfProfile, TimeSeries, DEFAULT_TS_BUDGET};
+use smpi_obs::{ContentionReport, MetricsReport, Rec, SelfProfile, TimeSeries};
 use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
 use surf_sim::{EngineConfig, TransferModel};
 
 use crate::capture::TiTrace;
+use crate::comm::Comm;
 use crate::ctx::Ctx;
 use crate::error::SimError;
 use crate::fabric::{Fabric, MpiProfile, PacketFabric, SurfFabric};
@@ -58,9 +59,6 @@ pub struct World {
     capture_budget: usize,
     stack_size: usize,
     timeseries: bool,
-    ts_budget: usize,
-    progress_every: Option<f64>,
-    progress_hint: Option<f64>,
     perturbation: Option<Arc<PlatformPerturbation>>,
 }
 
@@ -118,9 +116,6 @@ impl World {
             capture_budget: crate::capture_v2::DEFAULT_WRITER_BUDGET,
             stack_size: simix::DEFAULT_STACK_SIZE,
             timeseries: false,
-            ts_budget: DEFAULT_TS_BUDGET,
-            progress_every: None,
-            progress_hint: None,
             perturbation: None,
         }
     }
@@ -248,36 +243,6 @@ impl World {
         self
     }
 
-    /// Overrides the time-series sample budget (default
-    /// [`DEFAULT_TS_BUDGET`]). Memory is `O(budget × links)` regardless of
-    /// run length. Implies nothing about `timeseries` itself — enable that
-    /// separately.
-    pub fn timeseries_budget(mut self, budget: usize) -> Self {
-        assert!(budget >= 2, "time-series budget must be at least 2");
-        self.ts_budget = budget;
-        self
-    }
-
-    /// Emits a live JSON progress line to stderr every `period_secs` of
-    /// wall-clock time while the maestro drives: simulated time, simcall
-    /// rate, sim-time advance rate, and — when
-    /// [`progress_hint`](Self::progress_hint) supplied the workload's
-    /// expected total simulated time — an ETA.
-    pub fn progress_every(mut self, period_secs: f64) -> Self {
-        assert!(period_secs > 0.0 && period_secs.is_finite());
-        self.progress_every = Some(period_secs);
-        self
-    }
-
-    /// Supplies the workload's expected total simulated time (e.g. from a
-    /// previous run of the same configuration) so progress lines can
-    /// extrapolate an ETA.
-    pub fn progress_hint(mut self, total_sim_time: f64) -> Self {
-        assert!(total_sim_time > 0.0 && total_sim_time.is_finite());
-        self.progress_hint = Some(total_sim_time);
-        self
-    }
-
     /// Applies a stochastic perturbation overlay to the platform for every
     /// run of this world: multiplicative per-link bandwidth/latency and
     /// per-host speed factors, applied when the backend materializes the
@@ -348,12 +313,14 @@ impl World {
 
         let mut sx: Sx = Sx::with_stack_size(self.stack_size);
         let body = Arc::new(body);
+        let world = Comm::world(nranks);
         for rank in 0..nranks {
             let body = Arc::clone(&body);
+            let world = world.clone();
             let shared = Arc::clone(&shared);
             let results = Arc::clone(&results);
             sx.spawn(move |handle| {
-                let ctx = Ctx::new(handle, nranks, shared);
+                let ctx = Ctx::new(handle, world, shared);
                 let out = body(&ctx);
                 results.lock()[rank] = Some(out);
             });
@@ -425,12 +392,9 @@ impl World {
             runtime.enable_profiling();
         }
         if self.timeseries {
-            runtime.enable_timeseries(self.ts_budget);
+            runtime.enable_timeseries();
             let mem = Arc::clone(shared);
             runtime.set_memory_probe(Box::new(move || mem.memory.report().peak_bytes));
-        }
-        if let Some(period) = self.progress_every {
-            runtime.enable_progress(period, self.progress_hint);
         }
         let start = Instant::now();
         runtime.drive(&mut sx)?;

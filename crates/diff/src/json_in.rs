@@ -1,10 +1,9 @@
 //! Minimal JSON *reader* (the environment has no serde_json).
 //!
 //! The workspace's observability exports write JSON through
-//! `smpi_obs::json::JsonBuf`; this module is the matching input side, just
-//! big enough for the benchmark-trend gates: parse a `BENCH_*.json`
-//! document into a [`JsonValue`] tree and pull numbers out of it with a
-//! small selector language (see [`JsonValue::select`]).
+//! `smpi_obs::json::JsonBuf`; this module is the matching input side:
+//! parse a document into a [`JsonValue`] tree and walk it with
+//! [`JsonValue::get`] / [`JsonValue::as_f64`] and the public variants.
 
 use std::collections::BTreeMap;
 
@@ -56,51 +55,6 @@ impl JsonValue {
             JsonValue::Obj(m) => m.get(key),
             _ => None,
         }
-    }
-
-    /// Resolves a dotted selector path, e.g. `speedup`,
-    /// `runs[workers=1].scenarios_per_s` or `tiers[2].ranks`. Each
-    /// segment is an object key, optionally followed by one `[...]`
-    /// subscript: a plain integer indexes an array, `field=value` scans an
-    /// array of objects for the first element whose `field` equals the
-    /// numeric `value`.
-    pub fn select(&self, path: &str) -> Option<&JsonValue> {
-        let mut cur = self;
-        for seg in path.split('.') {
-            let (key, sub) = match seg.find('[') {
-                Some(i) => {
-                    let close = seg.rfind(']')?;
-                    (&seg[..i], Some(&seg[i + 1..close]))
-                }
-                None => (seg, None),
-            };
-            if !key.is_empty() {
-                cur = cur.get(key)?;
-            }
-            if let Some(sub) = sub {
-                let arr = match cur {
-                    JsonValue::Arr(a) => a,
-                    _ => return None,
-                };
-                cur = match sub.split_once('=') {
-                    Some((field, want)) => {
-                        let want: f64 = want.parse().ok()?;
-                        arr.iter()
-                            .find(|e| e.get(field).and_then(JsonValue::as_f64) == Some(want))?
-                    }
-                    None => {
-                        let idx: usize = sub.parse().ok()?;
-                        arr.get(idx)?
-                    }
-                };
-            }
-        }
-        Some(cur)
-    }
-
-    /// Shorthand: [`JsonValue::select`] then [`JsonValue::as_f64`].
-    pub fn select_f64(&self, path: &str) -> Option<f64> {
-        self.select(path).and_then(JsonValue::as_f64)
     }
 }
 
@@ -303,25 +257,46 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn num(v: &JsonValue, key: &str) -> Option<f64> {
+        v.get(key).and_then(JsonValue::as_f64)
+    }
+
     #[test]
     fn parses_scalars_and_nesting() {
         let v =
             JsonValue::parse(r#"{"a":1.5,"b":[true,null,"x\n"],"c":{"d":-2e3},"e":""}"#).unwrap();
-        assert_eq!(v.select_f64("a"), Some(1.5));
-        assert_eq!(v.select("b[0]"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.select("b[1]"), Some(&JsonValue::Null));
-        assert_eq!(v.select("b[2]"), Some(&JsonValue::Str("x\n".into())));
-        assert_eq!(v.select_f64("c.d"), Some(-2000.0));
-        assert_eq!(v.select("e"), Some(&JsonValue::Str(String::new())));
+        assert_eq!(num(&v, "a"), Some(1.5));
+        assert_eq!(
+            v.get("b"),
+            Some(&JsonValue::Arr(vec![
+                JsonValue::Bool(true),
+                JsonValue::Null,
+                JsonValue::Str("x\n".into()),
+            ]))
+        );
+        assert_eq!(v.get("c").and_then(|c| num(c, "d")), Some(-2000.0));
+        assert_eq!(v.get("e"), Some(&JsonValue::Str(String::new())));
+        // Lookups on the wrong shape answer `None`, they do not panic.
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(v.get("a").and_then(|a| a.get("x")), None);
+        assert_eq!(v.get("e").and_then(JsonValue::as_f64), None);
     }
 
     #[test]
     fn field_filter_selects_matching_array_element() {
+        // What `tiers[ranks=4096].rate` is without a selector language.
         let v = JsonValue::parse(r#"{"tiers":[{"ranks":1024,"rate":10},{"ranks":4096,"rate":7}]}"#)
             .unwrap();
-        assert_eq!(v.select_f64("tiers[ranks=4096].rate"), Some(7.0));
-        assert_eq!(v.select_f64("tiers[ranks=2048].rate"), None);
-        assert_eq!(v.select_f64("tiers[0].rate"), Some(10.0));
+        let Some(JsonValue::Arr(tiers)) = v.get("tiers") else {
+            panic!("tiers is an array");
+        };
+        let rate_at = |ranks: f64| {
+            let tier = tiers.iter().find(|t| num(t, "ranks") == Some(ranks))?;
+            num(tier, "rate")
+        };
+        assert_eq!(rate_at(4096.0), Some(7.0));
+        assert_eq!(rate_at(2048.0), None);
+        assert_eq!(num(&tiers[0], "rate"), Some(10.0));
     }
 
     #[test]
@@ -339,11 +314,17 @@ mod tests {
         j.end_obj();
         let v = JsonValue::parse(&j.finish()).unwrap();
         assert_eq!(
-            v.select("name"),
+            v.get("name"),
             Some(&JsonValue::Str("a \"quoted\" name".into()))
         );
-        assert_eq!(v.select("nan"), Some(&JsonValue::Null));
-        assert_eq!(v.select_f64("vals[1]"), Some(0.25));
+        assert_eq!(v.get("nan"), Some(&JsonValue::Null));
+        assert_eq!(
+            v.get("vals"),
+            Some(&JsonValue::Arr(vec![
+                JsonValue::Num(3.0),
+                JsonValue::Num(0.25)
+            ]))
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! match — each other, their replays, and calibrated reality. The
 //! workspace enforces that with byte-identical golden assertions, but a
 //! broken golden only says *that* two runs differ. This crate explains
-//! *where and why*, in three aligned layers:
+//! *where and why*, in two aligned layers:
 //!
 //! * [`trace_diff`] — streams two TITRACE v1/v2 captures with bounded
 //!   memory, aligns the per-rank op streams (exact-match fast path,
@@ -14,32 +14,24 @@
 //! * [`report_diff`] — deep structural comparison of two
 //!   [`smpi::RunReport`]s: metrics top movers, kernel counters, time
 //!   series re-bucketed to a common grid, per-link/per-rank contention
-//!   deltas, and which segments entered or left the critical path;
-//! * [`gate`] — declarative benchmark regression gates over the committed
-//!   `BENCH_*.json` documents plus an append-only
-//!   `target/bench_history.jsonl` trend log, consolidating the per-job CI
-//!   ratio checks into one `repro -- gate` invocation.
+//!   deltas, and which segments entered or left the critical path.
 //!
-//! Everything emits a deterministic JSON document (byte-identical across
+//! Both emit a deterministic JSON document (byte-identical across
 //! repeated invocations on the same inputs) and a human-readable
-//! rendering. [`golden::assert_golden`] wires the line aligner into the
-//! e2e golden tests, so a mismatch prints a first-divergence report and
-//! leaves a JSON artifact under `target/diff/` for CI to upload.
+//! rendering; [`JsonValue`] parses such documents back.
+//! [`golden::assert_golden`] wires the line aligner into the e2e golden
+//! tests, so a mismatch prints a first-divergence report and leaves a
+//! JSON artifact under `target/diff/` for CI to upload.
 
 #![forbid(unsafe_code)]
 
 pub mod align;
-pub mod gate;
 pub mod golden;
 pub mod json_in;
 pub mod report_diff;
 pub mod trace_diff;
 
 pub use align::{AlignConfig, Divergence, Edit, StreamDiff};
-pub use gate::{
-    append_history, git_reference, render_trends, run_gates, trends, GateOutcome, GateReport,
-    GateSpec, Trend,
-};
 pub use golden::{assert_golden, diff_golden, GoldenDiff};
 pub use json_in::JsonValue;
 pub use report_diff::{diff_reports, ContentionDiff, MetricsDiff, ReportDiff, TsDiff};

@@ -219,6 +219,84 @@ fn captured_trace_matches_v2_golden_file() {
     assert_eq!(report.sim_time, online.sim_time);
 }
 
+/// The hardware-independent `TITRACE2` promises, on NAS DT class S with
+/// regions on: the binary codec is lossless and at least 5x smaller than
+/// v1; a streamed capture with blocks small enough that every rank spans
+/// several of them is the same trace; replaying it materialized or
+/// streamed lands on the on-line simulation bit for bit; and the streamed
+/// replay holds less than the materialized trace.
+#[test]
+fn titrace2_promises_hold_on_dt_s() {
+    use smpi_suite::smpi::{decode_v2, encode_v2, TiOp, TiV2Reader};
+
+    let bits = |ts: &[f64]| ts.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+
+    let online = dt_online(
+        &griffon_world().capture(true).metrics(true),
+        DtClass::S,
+        DtGraph::Bh,
+    );
+    let trace = online.ti_trace.as_ref().expect("capture enabled");
+    let nranks = trace.num_ranks();
+    let ops = trace.summary().ops;
+
+    let v1_bytes = trace.encode().len();
+    let v2 = encode_v2(trace);
+    let ratio = v1_bytes as f64 / v2.len() as f64;
+    assert!(
+        ratio >= 5.0,
+        "TITRACE2 must stay >= 5x smaller than v1 on DT (got {ratio:.2}x)"
+    );
+    assert_eq!(&decode_v2(&v2).expect("decode own encoding"), trace);
+
+    let dir = std::env::temp_dir().join(format!("smpi_replay_titrace2_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("dt.tit2");
+    // DT has ~20-35 ops per rank, hence the tiny blocks.
+    let streamed = dt_online(
+        &griffon_world()
+            .capture_to(&path)
+            .capture_tuning(8, 16 * 1024)
+            .metrics(true),
+        DtClass::S,
+        DtGraph::Bh,
+    );
+    assert!(streamed.ti_trace.is_none(), "streamed ops live on disk");
+    assert_eq!(streamed.sim_time.to_bits(), online.sim_time.to_bits());
+    let codec = streamed.profile.codec.expect("codec stats");
+    assert_eq!(codec.ops, ops as u64);
+    assert!(
+        codec.blocks as usize > nranks,
+        "tuning must force multiple blocks per rank"
+    );
+
+    let reader = Arc::new(TiV2Reader::open(&path).expect("open streamed capture"));
+    assert_eq!(&reader.materialize().expect("materialize"), trace);
+
+    let from_mem = replay::replay(&griffon_world(), trace);
+    let from_disk = replay::replay_stream(&griffon_world(), Arc::clone(&reader));
+    for (label, replayed) in [("materialized", &from_mem), ("streamed", &from_disk)] {
+        assert_eq!(
+            replayed.sim_time.to_bits(),
+            online.sim_time.to_bits(),
+            "{label} replay drifted"
+        );
+        assert_eq!(
+            bits(&replayed.finish_times),
+            bits(&online.finish_times),
+            "{label} replay drifted"
+        );
+    }
+
+    // Conservative materialized footprint: op headers only, no payloads.
+    let resident = reader.stats().resident_peak_bytes as usize;
+    assert!(
+        resident < ops * std::mem::size_of::<TiOp>(),
+        "streamed replay held {resident} B for {ops} ops"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 /// The p2p + collective mix: compute, a rendezvous-sized ring exchange and
 /// an allreduce.
 fn mix_app(ctx: &Ctx) {
