@@ -1,4 +1,4 @@
-//! Ablation experiments beyond the paper's figures (DESIGN.md §7).
+//! Ablation experiments beyond the paper's figures (DESIGN.md §10).
 //!
 //! * segment count sweep — why the paper settles on 3 segments;
 //! * collective algorithm variants — binomial vs linear vs chain scatter

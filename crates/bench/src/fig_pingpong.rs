@@ -29,15 +29,6 @@ pub struct PingPongFigure {
 }
 
 impl PingPongFigure {
-    /// The accuracy summary of the piece-wise model.
-    pub fn piecewise_summary(&self) -> ErrorSummary {
-        self.models
-            .iter()
-            .find(|(n, _, _)| n == "piecewise")
-            .map(|(_, _, e)| *e)
-            .expect("piecewise model present")
-    }
-
     /// Renders the figure's data table plus the error summary block.
     pub fn render(&self) -> String {
         let mut t = Table::new(&[

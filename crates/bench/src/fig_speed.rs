@@ -35,14 +35,6 @@ pub struct Fig17 {
 }
 
 impl Fig17 {
-    /// Speedup of the folded simulation over (emulated) reality per row.
-    pub fn speedups(&self) -> Vec<f64> {
-        self.rows
-            .iter()
-            .map(|r| r.openmpi_sim / r.smpi_folded_wall)
-            .collect()
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut t = Table::new(&[

@@ -11,9 +11,12 @@
 //! Artifacts land under `target/replay/`:
 //!
 //! * `dt.tit`, `ep.tit` — the captured `TITRACE v1` files;
-//! * `replay_report.json` — full `RunReport` JSON of a replayed run
-//!   (same observability artifacts as an on-line run);
-//! * `BENCH_replay.json` — machine-readable speedup + validation record.
+//! * `replay_report.json`, `replay_trace.paje` — full `RunReport` JSON and
+//!   Paje timeline of a replayed run (same observability artifacts as an
+//!   on-line run).
+//!
+//! The speedup printed here is one unrepeated run; the measured number is
+//! `benchmark/`'s `replay.vs_online_ratio`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -89,12 +92,11 @@ pub fn replay_demo(fast: bool) -> String {
     std::fs::create_dir_all(dir).expect("create target/replay");
 
     let mut out = String::new();
-    let mut json_entries = Vec::new();
     let _ = writeln!(out, "# replay: capture -> replay -> cross-validate");
 
     for cap in [capture_dt(dt_class), capture_ep(ep_cfg)] {
         let path = dir.join(format!("{}.tit", cap.name));
-        replay::save_trace(&path, &cap.trace).expect("write trace");
+        std::fs::write(&path, cap.trace.encode()).expect("write trace");
         let s = cap.trace.summary();
 
         // Replay on the capture world: validates, and times the replay.
@@ -131,21 +133,6 @@ pub fn replay_demo(fast: bool) -> String {
             cap.name
         );
 
-        json_entries.push(format!(
-            "{{\"workload\":\"{}\",\"ranks\":{},\"ops\":{},\"online_sim_s\":{},\
-             \"replayed_sim_s\":{},\"rel_err\":{},\"online_wall_s\":{},\
-             \"replay_wall_s\":{},\"speedup\":{}}}",
-            cap.name,
-            cap.trace.num_ranks(),
-            s.ops,
-            cap.online_sim,
-            replayed.sim_time,
-            rel_err,
-            cap.online_wall,
-            replay_wall,
-            speedup,
-        ));
-
         // Model swap: the same trace predicts a different cluster.
         if cap.name == "dt" {
             let gdx_world = World::smpi(
@@ -175,11 +162,9 @@ pub fn replay_demo(fast: bool) -> String {
         }
     }
 
-    let bench_json = format!("[{}]\n", json_entries.join(","));
-    std::fs::write(dir.join("BENCH_replay.json"), &bench_json).expect("write BENCH_replay.json");
     let _ = writeln!(
         out,
-        "wrote target/replay/BENCH_replay.json, replay_report.json, replay_trace.paje"
+        "wrote target/replay/replay_report.json, replay_trace.paje"
     );
     out
 }
@@ -194,7 +179,6 @@ mod tests {
         for artifact in [
             "target/replay/dt.tit",
             "target/replay/ep.tit",
-            "target/replay/BENCH_replay.json",
             "target/replay/replay_report.json",
             "target/replay/replay_trace.paje",
         ] {
@@ -203,10 +187,5 @@ mod tests {
                 "missing {artifact}"
             );
         }
-        // The BENCH artifact parses as one record per workload.
-        let bench = std::fs::read_to_string("target/replay/BENCH_replay.json").unwrap();
-        assert!(bench.starts_with('[') && bench.trim_end().ends_with(']'));
-        assert!(bench.contains("\"workload\":\"dt\""));
-        assert!(bench.contains("\"workload\":\"ep\""));
     }
 }

@@ -83,7 +83,7 @@ pub fn pingpong(
 
 /// Rebuilds the world with ranks 0/1 pinned on the requested host pair.
 fn world_placed(world: &World, a: usize, b: usize) -> World {
-    world.clone_for_placement(vec![a, b])
+    world.clone().place(vec![a, b])
 }
 
 #[cfg(test)]

@@ -389,7 +389,7 @@ impl TiTrace {
 
 /// Unified error for streaming trace i/o: an underlying [`std::io::Error`],
 /// a `TITRACE v1` format error, or a `TITRACE2` format error. This is what
-/// `smpi-replay`'s `save_trace`/`load_trace` return — loaders get a typed
+/// [`crate::TraceSource::open`] and every trace cursor return — a typed
 /// error for short reads and corruption instead of a panic.
 #[derive(Debug)]
 pub enum TraceIoError {

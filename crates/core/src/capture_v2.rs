@@ -34,9 +34,9 @@
 //!   smaller.
 //!
 //! The container is versioned by magic: v1 files start with `TITRACE v1`,
-//! v2 files with `TITRACE2`. Loaders sniff the first bytes, so both
-//! formats stay readable forever behind one entry point
-//! (`smpi-replay::load_trace`). A footer (dictionary + block index +
+//! v2 files with `TITRACE2`. One entry point sniffs the first bytes
+//! ([`crate::TraceSource::open`]), so both formats stay readable forever.
+//! A footer (dictionary + block index +
 //! trailer magic) makes files seekable from the end without scanning.
 //!
 //! Layout (all integers are LEB128 varints unless noted):
@@ -1277,11 +1277,6 @@ impl TiV2Reader {
     /// Total ops across all ranks (from the footer, without decoding).
     pub fn total_ops(&self) -> u64 {
         self.total_ops
-    }
-
-    /// Number of sealed blocks in the container.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
     }
 
     /// Decode-side counters (cache behaviour, residency high-water mark).

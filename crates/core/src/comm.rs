@@ -8,10 +8,10 @@
 //! member the same id without extra communication.
 
 use std::collections::HashMap;
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::group::Group;
+use crate::state::lock;
 
 /// The context id of `MPI_COMM_WORLD`.
 pub const WORLD_CID: u32 = 0;
@@ -93,7 +93,7 @@ impl CommRegistry {
     /// `group`. The first member to ask allocates; later members (same
     /// `group`, same `seq`) observe the same id.
     pub fn cid_for(&self, group: &Group, seq: u64) -> u32 {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let key = (group.members().to_vec(), seq);
         if let Some(&cid) = inner.by_key.get(&key) {
             return cid;

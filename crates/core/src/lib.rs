@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod capture;
+pub mod capture_source;
 pub mod capture_v2;
 pub mod coll;
 pub mod comm;
@@ -52,6 +53,7 @@ pub mod trace;
 pub mod world;
 
 pub use capture::{TiDecodeError, TiOp, TiSummary, TiTrace, TraceIoError};
+pub use capture_source::{TraceCursor, TraceSource};
 pub use capture_v2::{
     decode_v2, encode_v2, ReaderStats, TiOpIter, TiV2Error, TiV2Reader, TiV2Writer,
     DEFAULT_BLOCK_OPS, DEFAULT_WRITER_BUDGET,

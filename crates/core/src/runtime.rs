@@ -30,8 +30,7 @@ use std::time::Instant;
 
 use simix::{ActorEvent, ActorId, Scheduler, Simix};
 use smpi_obs::{
-    ContentionReport, FlowAttribution, FlowRecord, Rec, Recorder, SelfProfile, TimeSeries,
-    TsInstant,
+    ContentionReport, FlowAttribution, FlowRecord, Rec, SelfProfile, TimeSeries, TsInstant,
 };
 use smpi_platform::HostIx;
 

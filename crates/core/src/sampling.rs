@@ -18,11 +18,11 @@
 //! or any stable site name.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::ctx::Ctx;
+use crate::state::lock;
 
 /// Aggregated timings for one sampling site.
 #[derive(Debug, Default, Clone, Copy)]
@@ -87,22 +87,20 @@ impl SampleStore {
 
     /// Statistics of a local site for one rank (None if never sampled).
     pub fn local_stats(&self, site: &str, rank: u32) -> Option<SampleStats> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .get(&Key::Local(site.to_string(), rank))
             .copied()
     }
 
     /// Statistics of a global site.
     pub fn global_stats(&self, site: &str) -> Option<SampleStats> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .get(&Key::Global(site.to_string()))
             .copied()
     }
 
     fn decide(&self, key: Key, n: u32) -> Decision {
-        let map = self.inner.lock();
+        let map = lock(&self.inner);
         match map.get(&key) {
             Some(stats) if stats.count >= n => Decision::Replay(stats.mean()),
             _ => Decision::Measure(key),
@@ -110,7 +108,7 @@ impl SampleStore {
     }
 
     fn record(&self, key: Key, duration: f64) {
-        let mut map = self.inner.lock();
+        let mut map = lock(&self.inner);
         let stats = map.entry(key).or_default();
         stats.count += 1;
         stats.total += duration;

@@ -14,12 +14,11 @@
 //! with/without-folding bars are produced from a single run.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::ctx::Ctx;
 use crate::datatype::Datatype;
+use crate::state::lock;
 
 /// Tracks simulated-application memory usage (bytes): current and peak, both
 /// actual (folded) and logical (unfolded).
@@ -64,7 +63,7 @@ impl MemoryTracker {
 
     /// Records an allocation.
     pub fn allocate(&self, actual: u64, logical: u64) {
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         m.current += actual;
         m.peak = m.peak.max(m.current);
         m.logical_current += logical;
@@ -73,14 +72,14 @@ impl MemoryTracker {
 
     /// Records a deallocation.
     pub fn release(&self, actual: u64, logical: u64) {
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         m.current = m.current.saturating_sub(actual);
         m.logical_current = m.logical_current.saturating_sub(logical);
     }
 
     /// Current + peak usage.
     pub fn report(&self) -> MemoryReport {
-        let m = self.inner.lock();
+        let m = lock(&self.inner);
         MemoryReport {
             peak_bytes: m.peak,
             logical_peak_bytes: m.logical_peak,
@@ -99,7 +98,7 @@ pub struct SharedHeap {
 
 impl std::fmt::Debug for SharedHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SharedHeap({} sites)", self.inner.lock().len())
+        write!(f, "SharedHeap({} sites)", lock(&self.inner).len())
     }
 }
 
@@ -110,14 +109,14 @@ impl SharedHeap {
     }
 
     fn get_or_insert<T: Datatype>(&self, site: &str, len: usize) -> (Arc<Mutex<Vec<T>>>, bool) {
-        let mut map = self.inner.lock();
+        let mut map = lock(&self.inner);
         if let Some(entry) = map.get(site) {
             let arc = entry
                 .clone()
                 .downcast::<Mutex<Vec<T>>>()
                 .expect("shared_malloc site reused with a different element type");
             assert_eq!(
-                arc.lock().len(),
+                lock(&arc).len(),
                 len,
                 "shared_malloc site {site:?} reused with a different length"
             );
@@ -148,12 +147,12 @@ struct TrackerRef {
 impl<T: Datatype> SharedSlice<T> {
     /// Locks the buffer for reading/writing.
     pub fn lock(&self) -> MutexGuard<'_, Vec<T>> {
-        self.data.lock()
+        lock(&self.data)
     }
 
     /// Buffer length in elements.
     pub fn len(&self) -> usize {
-        self.data.lock().len()
+        lock(&self.data).len()
     }
 
     /// `true` when empty.
@@ -246,8 +245,8 @@ mod tests {
         assert!(fresh_a);
         assert!(!fresh_b);
         assert!(Arc::ptr_eq(&a, &b));
-        a.lock()[0] = 42.0;
-        assert_eq!(b.lock()[0], 42.0);
+        lock(&a)[0] = 42.0;
+        assert_eq!(lock(&b)[0], 42.0);
     }
 
     #[test]

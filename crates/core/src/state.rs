@@ -7,11 +7,18 @@
 //! `SMPI_*` macros are safe under SimGrid's sequential scheduler.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::comm::CommRegistry;
 use crate::sampling::SampleStore;
 use crate::shared_mem::{MemoryTracker, SharedHeap};
+
+/// Locks `m`, ignoring poisoning: a panicking rank must not poison the
+/// maestro's view of shared state (ranks and maestro run strictly one at a
+/// time, so every update a panic interrupts was already complete).
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// The simulated clock, published by the maestro for rank-side reads.
 ///

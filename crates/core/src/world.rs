@@ -7,7 +7,7 @@
 //! simulated time, per-rank completion times (Figs. 7 and 11), wall-clock
 //! simulation time (Figs. 17 and 18) and the memory accounting (Fig. 16).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use simix::{Scheduler, Scripts};
@@ -24,7 +24,7 @@ use crate::error::SimError;
 use crate::fabric::{Fabric, MpiProfile, PacketFabric, SurfFabric};
 use crate::runtime::{Runtime, SimResp, Simcall, Sx};
 use crate::shared_mem::MemoryReport;
-use crate::state::{RunConfig, SharedState};
+use crate::state::{lock, RunConfig, SharedState};
 use crate::trace::TraceEvent;
 
 /// Which network substrate to simulate on.
@@ -169,13 +169,6 @@ impl World {
         self
     }
 
-    /// Clones this world with an explicit rank placement (see
-    /// [`place`](Self::place)); used by drivers that re-run the same world
-    /// between different host pairs.
-    pub fn clone_for_placement(&self, hosts: Vec<usize>) -> World {
-        self.clone().place(hosts)
-    }
-
     /// Enables communication tracing: the run report's `trace` carries a
     /// timestamped event per protocol transition (see [`crate::trace`]).
     pub fn tracing(mut self, enabled: bool) -> Self {
@@ -308,8 +301,8 @@ impl World {
         F: Fn(&Ctx) -> R + Send + Sync + 'static,
     {
         let shared = Arc::new(SharedState::new(self.run_config.clone()));
-        let results: Arc<parking_lot::Mutex<Vec<Option<R>>>> =
-            Arc::new(parking_lot::Mutex::new((0..nranks).map(|_| None).collect()));
+        let results: Arc<Mutex<Vec<Option<R>>>> =
+            Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
 
         let mut sx: Sx = Sx::with_stack_size(self.stack_size);
         let body = Arc::new(body);
@@ -322,13 +315,14 @@ impl World {
             sx.spawn(move |handle| {
                 let ctx = Ctx::new(handle, world, shared);
                 let out = body(&ctx);
-                results.lock()[rank] = Some(out);
+                lock(&results)[rank] = Some(out);
             });
         }
         self.drive_to_report(nranks, &shared, sx, move || {
             Arc::try_unwrap(results)
                 .unwrap_or_else(|_| panic!("rank bodies leaked the result store"))
                 .into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .into_iter()
                 .map(|r| r.expect("every rank stores a result"))
                 .collect()

@@ -6,8 +6,9 @@
 //! broken golden only says *that* two runs differ. This crate explains
 //! *where and why*, in two aligned layers:
 //!
-//! * [`trace_diff`] — streams two TITRACE v1/v2 captures with bounded
-//!   memory, aligns the per-rank op streams (exact-match fast path,
+//! * [`trace_diff`] — streams two captures ([`smpi::TraceSource`]s:
+//!   TITRACE v1 or v2, in memory or on disk) with bounded memory, aligns
+//!   the per-rank op streams (exact-match fast path,
 //!   windowed resync across insertions/deletions), and reports the first
 //!   divergent op per rank with context in TITRACE op syntax plus a
 //!   whole-run edit summary by op kind;
@@ -36,5 +37,5 @@ pub use golden::{assert_golden, diff_golden, GoldenDiff};
 pub use json_in::JsonValue;
 pub use report_diff::{diff_reports, ContentionDiff, MetricsDiff, ReportDiff, TsDiff};
 pub use trace_diff::{
-    diff_sources, diff_trace_files, diff_traces, FirstDivergence, RankDiff, TraceDiff, TraceInput,
+    diff_sources, diff_trace_files, diff_traces, FirstDivergence, RankDiff, TraceDiff,
 };

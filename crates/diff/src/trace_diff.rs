@@ -5,18 +5,17 @@
 //! [`crate::align`] and reports *where* they part ways: the first
 //! divergent op per rank with surrounding context rendered in TITRACE op
 //! syntax (via [`TiOp::line`], the format's single source of truth), plus
-//! a whole-run edit summary broken down by op kind. TITRACE2 inputs are
-//! streamed through [`TiV2Reader`] block cursors, so diffing two
-//! multi-gigabyte captures holds only `O(window)` ops per rank pair in
-//! memory.
+//! a whole-run edit summary broken down by op kind. Both sides are
+//! [`TraceSource`]s, so `TITRACE2` inputs are streamed through block
+//! cursors: diffing two multi-gigabyte captures holds only `O(window)` ops
+//! per rank pair in memory, and a block found corrupt mid-stream is a
+//! typed error.
 
+use std::cell::RefCell;
 use std::path::Path;
-use std::sync::Arc;
 
-use smpi::capture_v2::TIT2_MAGIC;
-use smpi::{TiOp, TiTrace, TiV2Reader, TraceIoError};
+use smpi::{TiOp, TiTrace, TraceIoError, TraceSource};
 use smpi_obs::json::JsonBuf;
-use smpi_replay::OpSource;
 
 use crate::align::{align_streams, AlignConfig, DivergeKind, Edit};
 
@@ -327,36 +326,24 @@ where
     }
 }
 
-/// Unwraps a replay cursor for diffing. A source that fails mid-stream
-/// panics, as [`smpi::TiOpIter`] does when iterated.
-fn infallible(ops: smpi_replay::OpCursor) -> Box<dyn Iterator<Item = TiOp> + Send> {
-    Box::new(ops.map(|op| op.unwrap_or_else(|e| panic!("trace stream failed mid-diff: {e}"))))
-}
-
-/// Diffs two op sources rank by rank. A rank present in only one source is
-/// aligned against an empty stream (pure additions/removals).
-pub fn diff_sources<A: OpSource, B: OpSource>(
-    a: &Arc<A>,
-    b: &Arc<B>,
+/// The one rank loop: aligns `ops_a(rank)` with `ops_b(rank)` for every
+/// rank of either side. A rank present on one side only meets an empty
+/// stream (pure additions/removals).
+fn diff_ranks<A, B>(
+    ranks_a: usize,
+    ranks_b: usize,
+    mut ops_a: impl FnMut(usize) -> A,
+    mut ops_b: impl FnMut(usize) -> B,
     cfg: &AlignConfig,
-) -> TraceDiff {
-    let ranks_a = a.num_ranks();
-    let ranks_b = b.num_ranks();
+) -> TraceDiff
+where
+    A: Iterator<Item = TiOp>,
+    B: Iterator<Item = TiOp>,
+{
     let mut by_kind = std::collections::BTreeMap::new();
-    let mut ranks = Vec::with_capacity(ranks_a.max(ranks_b));
-    for rank in 0..ranks_a.max(ranks_b) {
-        let ia: Box<dyn Iterator<Item = TiOp> + Send> = if rank < ranks_a {
-            infallible(Arc::clone(a).rank_ops(rank))
-        } else {
-            Box::new(std::iter::empty())
-        };
-        let ib: Box<dyn Iterator<Item = TiOp> + Send> = if rank < ranks_b {
-            infallible(Arc::clone(b).rank_ops(rank))
-        } else {
-            Box::new(std::iter::empty())
-        };
-        ranks.push(diff_rank(rank, ia, ib, cfg, &mut by_kind));
-    }
+    let ranks = (0..ranks_a.max(ranks_b))
+        .map(|rank| diff_rank(rank, ops_a(rank), ops_b(rank), cfg, &mut by_kind))
+        .collect();
     TraceDiff {
         ranks_a,
         ranks_b,
@@ -365,65 +352,56 @@ pub fn diff_sources<A: OpSource, B: OpSource>(
     }
 }
 
-/// Diffs two materialized v1 traces without cloning them into `Arc`s.
+/// Diffs two traces, wherever they live, rank by rank. Stops at the first
+/// op a source fails to deliver (a `TITRACE2` block found corrupt
+/// mid-stream) and returns that error.
+pub fn diff_sources(
+    a: &TraceSource,
+    b: &TraceSource,
+    cfg: &AlignConfig,
+) -> Result<TraceDiff, TraceIoError> {
+    // The aligner pulls plain ops: the first cursor to fail parks its error
+    // here, and from then on every stream is at its end.
+    let failed = RefCell::new(None);
+    let ops = |source: &TraceSource, rank: usize| {
+        let mut cursor = (rank < source.num_ranks()).then(|| source.rank_ops(rank));
+        let failed = &failed;
+        std::iter::from_fn(move || {
+            if failed.borrow().is_some() {
+                return None;
+            }
+            cursor.as_mut()?.try_next().unwrap_or_else(|e| {
+                *failed.borrow_mut() = Some(e);
+                None
+            })
+        })
+    };
+    let diff = diff_ranks(
+        a.num_ranks(),
+        b.num_ranks(),
+        |r| ops(a, r),
+        |r| ops(b, r),
+        cfg,
+    );
+    failed.into_inner().map_or(Ok(diff), Err)
+}
+
+/// Diffs two materialized traces in place (no copy into a [`TraceSource`]).
 pub fn diff_traces(a: &TiTrace, b: &TiTrace, cfg: &AlignConfig) -> TraceDiff {
-    let ranks_a = a.num_ranks();
-    let ranks_b = b.num_ranks();
-    let mut by_kind = std::collections::BTreeMap::new();
-    let empty: Vec<TiOp> = Vec::new();
-    let mut ranks = Vec::with_capacity(ranks_a.max(ranks_b));
-    for rank in 0..ranks_a.max(ranks_b) {
-        let ia = a.ranks.get(rank).unwrap_or(&empty).iter().cloned();
-        let ib = b.ranks.get(rank).unwrap_or(&empty).iter().cloned();
-        ranks.push(diff_rank(rank, ia, ib, cfg, &mut by_kind));
+    fn ops(t: &TiTrace, rank: usize) -> impl Iterator<Item = TiOp> + '_ {
+        t.ranks
+            .get(rank)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .cloned()
     }
-    TraceDiff {
-        ranks_a,
-        ranks_b,
-        ranks,
-        by_kind: by_kind.into_iter().collect(),
-    }
-}
-
-/// A trace opened for diffing: v1 is materialized (the text format cannot
-/// be skipped rank-wise), v2 stays on disk behind a streaming block
-/// cursor.
-pub enum TraceInput {
-    /// Materialized TITRACE v1 trace.
-    V1(Arc<TiTrace>),
-    /// Streaming TITRACE2 reader.
-    V2(Arc<TiV2Reader>),
-}
-
-impl TraceInput {
-    /// Opens a trace file, sniffing the format from its magic bytes.
-    pub fn open(path: impl AsRef<Path>) -> Result<TraceInput, TraceIoError> {
-        use std::io::BufRead as _;
-        let path = path.as_ref();
-        let file = std::fs::File::open(path)?;
-        let mut r = std::io::BufReader::new(file);
-        let head = r.fill_buf()?;
-        if head.starts_with(TIT2_MAGIC) {
-            drop(r);
-            Ok(TraceInput::V2(Arc::new(TiV2Reader::open(path)?)))
-        } else {
-            Ok(TraceInput::V1(Arc::new(TiTrace::decode_from(r)?)))
-        }
-    }
-
-    fn num_ranks(&self) -> usize {
-        match self {
-            TraceInput::V1(t) => t.num_ranks(),
-            TraceInput::V2(r) => r.num_ranks(),
-        }
-    }
-
-    fn rank_ops(&self, rank: usize) -> Box<dyn Iterator<Item = TiOp> + Send> {
-        match self {
-            TraceInput::V1(t) => infallible(OpSource::rank_ops(Arc::clone(t), rank)),
-            TraceInput::V2(r) => Box::new(r.rank_iter(rank)),
-        }
-    }
+    diff_ranks(
+        a.num_ranks(),
+        b.num_ranks(),
+        |r| ops(a, r),
+        |r| ops(b, r),
+        cfg,
+    )
 }
 
 /// Diffs two trace files (TITRACE v1 or v2, in any combination).
@@ -432,31 +410,7 @@ pub fn diff_trace_files(
     b: impl AsRef<Path>,
     cfg: &AlignConfig,
 ) -> Result<TraceDiff, TraceIoError> {
-    let a = TraceInput::open(a)?;
-    let b = TraceInput::open(b)?;
-    let ranks_a = a.num_ranks();
-    let ranks_b = b.num_ranks();
-    let mut by_kind = std::collections::BTreeMap::new();
-    let mut ranks = Vec::with_capacity(ranks_a.max(ranks_b));
-    for rank in 0..ranks_a.max(ranks_b) {
-        let ia: Box<dyn Iterator<Item = TiOp> + Send> = if rank < ranks_a {
-            a.rank_ops(rank)
-        } else {
-            Box::new(std::iter::empty())
-        };
-        let ib: Box<dyn Iterator<Item = TiOp> + Send> = if rank < ranks_b {
-            b.rank_ops(rank)
-        } else {
-            Box::new(std::iter::empty())
-        };
-        ranks.push(diff_rank(rank, ia, ib, cfg, &mut by_kind));
-    }
-    Ok(TraceDiff {
-        ranks_a,
-        ranks_b,
-        ranks,
-        by_kind: by_kind.into_iter().collect(),
-    })
+    diff_sources(&TraceSource::open(a)?, &TraceSource::open(b)?, cfg)
 }
 
 #[cfg(test)]
@@ -570,6 +524,32 @@ mod tests {
         // v1 downgrades Coll ops; this trace has none, so the round trips
         // agree exactly.
         assert!(d.is_identical(), "{}", d.render());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_block_mid_stream_is_a_typed_error() {
+        // A `TITRACE2` file whose footer is intact (it opens) but whose
+        // second block carries an unknown compression tag.
+        let t = trace();
+        // Where rank 1's block starts: the end of the blocks of a file
+        // holding rank 0's alone (same header, same first block).
+        let mut w = smpi::TiV2Writer::new(Vec::new(), t.num_ranks());
+        w.write_block(0, &t.ranks[0]).unwrap();
+        let (one, _) = w.finish().unwrap();
+        let footer_len = u64::from_le_bytes(one[one.len() - 16..one.len() - 8].try_into().unwrap());
+        let second_block = one.len() - 16 - footer_len as usize;
+        let mut bytes = smpi::capture_v2::encode_v2_blocks(&t, t.ranks[0].len());
+        // Block header: varint(rank) varint(nops) u8(comp) ...
+        bytes[second_block + 2] ^= 0xff;
+        let dir = std::env::temp_dir().join(format!("smpi_diff_corrupt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.tit");
+        let flipped = dir.join("flipped.tit2");
+        std::fs::write(&good, t.encode()).unwrap();
+        std::fs::write(&flipped, &bytes).unwrap();
+        let err = diff_trace_files(&good, &flipped, &AlignConfig::default()).unwrap_err();
+        assert!(matches!(err, TraceIoError::V2(_)), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -39,9 +39,9 @@ mod timeseries;
 
 pub use attribution::{ContentionReport, FlowAttribution, FlowRecord, LinkRollup};
 pub use deterministic::Deterministic;
-pub use profile::{CodecStats, KernelHist, KernelProfile, SelfProfile};
-pub use recorder::{MemoryRecorder, NullRecorder, Rec, Recorder, StateEvent, StateOp};
-pub use report::{HistogramSnapshot, MetricsReport, TimelineSnapshot};
+pub use profile::{CodecStats, KernelProfile, SelfProfile};
+pub use recorder::{MemoryRecorder, Rec, StateEvent, StateOp};
+pub use report::{Histogram, MetricsReport, TimelineSnapshot};
 pub use sweep_stats::{SweepStats, WorkerStats};
 pub use timeseries::{TimeSeries, TsInstant, TsSample, DEFAULT_TS_BUDGET};
 

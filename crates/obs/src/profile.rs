@@ -2,77 +2,8 @@
 //! time, and how fast it processes simulation events.
 
 use crate::json_mod::JsonBuf;
+use crate::report::Histogram;
 use crate::Deterministic;
-
-/// Always-on log2 histogram accumulator for kernel introspection.
-///
-/// Same bucketing as the recorder's metric histograms — `buckets[i]` counts
-/// values whose magnitude rounds up to `2^(i-1)` units, bucket 0 holds
-/// zero/negative values — but it lives inline in the instrumented struct
-/// (one array increment per observation, no key lookup, no recorder), so
-/// the kernel can afford to fill it even with observability off.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct KernelHist {
-    /// Log2 bucket counts.
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl KernelHist {
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&mut self, value: f64) {
-        let ix = if value <= 0.0 {
-            0
-        } else {
-            64 - (value.ceil() as u64).leading_zeros() as usize
-        };
-        if self.buckets.len() <= ix {
-            self.buckets.resize(ix + 1, 0);
-        }
-        self.buckets[ix] += 1;
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-    }
-
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    fn to_json(&self, j: &mut JsonBuf) {
-        j.begin_obj();
-        j.key("count").uint_val(self.count);
-        j.key("sum").num_val(self.sum);
-        j.key("min").num_val(self.min);
-        j.key("max").num_val(self.max);
-        j.key("mean").num_val(self.mean());
-        j.key("log2_buckets").begin_arr();
-        for b in &self.buckets {
-            j.uint_val(*b);
-        }
-        j.end_arr();
-        j.end_obj();
-    }
-}
 
 /// Introspection snapshot of the flow kernel's solver machinery.
 ///
@@ -98,11 +29,11 @@ pub struct KernelProfile {
     /// frozen `benchmark/` reads it; the next benchmark PR drops the column.
     pub parallel_components: u64,
     /// Variables per max-min solve (the coupled component size).
-    pub component_vars: KernelHist,
+    pub component_vars: Histogram,
     /// Actions re-rated per incremental reshare (the dirty cascade).
-    pub cascade: KernelHist,
+    pub cascade: Histogram,
     /// Wall-clock nanoseconds per max-min solve.
-    pub solve_ns: KernelHist,
+    pub solve_ns: Histogram,
 }
 
 impl KernelProfile {
@@ -144,12 +75,9 @@ impl KernelProfile {
         j.key("classes_folded").uint_val(self.classes_folded);
         j.key("batched_completions")
             .uint_val(self.batched_completions);
-        j.key("component_vars");
-        self.component_vars.to_json(&mut j);
-        j.key("cascade");
-        self.cascade.to_json(&mut j);
-        j.key("solve_ns");
-        self.solve_ns.to_json(&mut j);
+        self.component_vars.write_json(j.key("component_vars"));
+        self.cascade.write_json(j.key("cascade"));
+        self.solve_ns.write_json(j.key("solve_ns"));
         j.end_obj();
         j.finish()
     }
@@ -375,7 +303,7 @@ impl Deterministic for SelfProfile {
             *secs = 0.0;
         }
         if let Some(k) = &mut self.kernel {
-            k.solve_ns = KernelHist::default();
+            k.solve_ns = Histogram::default();
         }
     }
 }
@@ -442,21 +370,25 @@ mod tests {
 
     #[test]
     fn kernel_hist_buckets_match_recorder_semantics() {
-        let mut h = KernelHist::default();
-        h.observe(0.0);
-        h.observe(1.0);
-        h.observe(3.0);
-        h.observe(1500.0);
+        // One histogram type, one JSON writer: the same observations render
+        // the same object in a metrics report and in a kernel profile.
+        let values = [0.0, 1.0, 3.0, 1500.0];
+        let rec = crate::Rec::enabled();
+        let mut k = KernelProfile::default();
+        for v in values {
+            rec.observe("h", v);
+            k.cascade.observe(v);
+        }
         // Bucket i counts values whose ceiling has bit-length i (bucket 0
         // holds ≤0): 1 → bucket 1, 3 → bucket 2, 1500 → bucket 11.
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[2], 1);
-        assert_eq!(h.buckets[11], 1);
-        assert_eq!(h.count, 4);
-        assert_eq!(h.min, 0.0);
-        assert_eq!(h.max, 1500.0);
-        assert!((h.mean() - 376.0).abs() < 1e-12);
+        let object = r#"{"count":4,"sum":1504,"min":0,"max":1500,"mean":376,"log2_buckets":[1,1,1,0,0,0,0,0,0,0,0,1]}"#;
+        let metrics = rec.snapshot().unwrap().to_json();
+        assert!(metrics.contains(&format!("\"h\":{object}")), "{metrics}");
+        let kernel = k.to_json();
+        assert!(
+            kernel.contains(&format!("\"cascade\":{object}")),
+            "{kernel}"
+        );
     }
 
     #[test]
@@ -502,7 +434,7 @@ mod tests {
         p.strip_nondeterminism();
         assert_eq!(p.wall_seconds, 0.0);
         assert!(p.phases.iter().all(|(_, s)| *s == 0.0));
-        assert_eq!(p.kernel.as_ref().unwrap().solve_ns, KernelHist::default());
+        assert_eq!(p.kernel.as_ref().unwrap().solve_ns, Histogram::default());
         // Simulation-derived fields survive.
         assert_eq!(p.simcalls, 800);
         assert_eq!(p.sim_time, 1.5);

@@ -1,55 +1,8 @@
 //! The recorder API every layer emits into.
 
-use crate::report::{HistogramSnapshot, MetricsReport, TimelineSnapshot};
+use crate::report::{Histogram, MetricsReport, TimelineSnapshot};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-
-/// Sink for metrics and timeline events.
-///
-/// Implemented by [`MemoryRecorder`] (accumulating) and [`NullRecorder`]
-/// (all no-ops). Instrumented code normally goes through [`Rec`], which
-/// skips the virtual dispatch entirely when observability is disabled.
-pub trait Recorder {
-    /// Adds `delta` to the integer counter `key`.
-    fn counter_add(&mut self, key: &str, delta: u64);
-
-    /// Adds `delta` to the floating-point counter `key` (e.g. byte
-    /// integrals accumulated as `rate * dt`).
-    fn fcounter_add(&mut self, key: &str, delta: f64);
-
-    /// Appends a `(time, value)` sample to the gauge timeline `key`.
-    fn gauge_set(&mut self, key: &str, time: f64, value: f64);
-
-    /// Raises the high-water mark `key` to at least `value`.
-    fn hwm(&mut self, key: &str, value: f64);
-
-    /// Records `value` into the log2-bucketed histogram `key`.
-    fn observe(&mut self, key: &str, value: f64);
-
-    /// Pushes a state onto the container `(kind, id)`'s state stack.
-    fn state_push(&mut self, kind: &'static str, id: u32, time: f64, state: &'static str);
-
-    /// Pops the top state of the container `(kind, id)`.
-    fn state_pop(&mut self, kind: &'static str, id: u32, time: f64);
-
-    /// Replaces the current state of the container `(kind, id)`.
-    fn state_set(&mut self, kind: &'static str, id: u32, time: f64, state: &'static str);
-}
-
-/// Recorder that drops everything; useful for generic code paths.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn counter_add(&mut self, _key: &str, _delta: u64) {}
-    fn fcounter_add(&mut self, _key: &str, _delta: f64) {}
-    fn gauge_set(&mut self, _key: &str, _time: f64, _value: f64) {}
-    fn hwm(&mut self, _key: &str, _value: f64) {}
-    fn observe(&mut self, _key: &str, _value: f64) {}
-    fn state_push(&mut self, _kind: &'static str, _id: u32, _time: f64, _state: &'static str) {}
-    fn state_pop(&mut self, _kind: &'static str, _id: u32, _time: f64) {}
-    fn state_set(&mut self, _kind: &'static str, _id: u32, _time: f64, _state: &'static str) {}
-}
 
 /// One event on a container's state timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,42 +22,6 @@ pub enum StateOp {
     Pop,
     /// Replace the current state.
     Set(&'static str),
-}
-
-/// Log2-bucketed histogram accumulator.
-#[derive(Debug, Clone, Default)]
-struct Histogram {
-    /// `buckets[i]` counts values whose magnitude rounds up to `2^(i-1)`
-    /// units; bucket 0 holds zero/negative values. Unit is the caller's
-    /// (the instrumentation uses nanoseconds for latencies).
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    fn observe(&mut self, value: f64) {
-        let ix = if value <= 0.0 {
-            0
-        } else {
-            64 - (value.ceil() as u64).leading_zeros() as usize
-        };
-        if self.buckets.len() <= ix {
-            self.buckets.resize(ix + 1, 0);
-        }
-        self.buckets[ix] += 1;
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-    }
 }
 
 /// Accumulating recorder; snapshot with [`MemoryRecorder::snapshot`].
@@ -142,18 +59,7 @@ impl MemoryRecorder {
             histograms: self
                 .histograms
                 .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistogramSnapshot {
-                            buckets: h.buckets.clone(),
-                            count: h.count,
-                            sum: h.sum,
-                            min: h.min,
-                            max: h.max,
-                        },
-                    )
-                })
+                .map(|(k, h)| (k.clone(), h.clone()))
                 .collect(),
             timelines: self
                 .timelines
@@ -166,10 +72,9 @@ impl MemoryRecorder {
                 .collect(),
         }
     }
-}
 
-impl Recorder for MemoryRecorder {
-    fn counter_add(&mut self, key: &str, delta: u64) {
+    /// Adds `delta` to the integer counter `key`.
+    pub fn counter_add(&mut self, key: &str, delta: u64) {
         if let Some(v) = self.counters.get_mut(key) {
             *v += delta;
         } else {
@@ -177,7 +82,9 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn fcounter_add(&mut self, key: &str, delta: f64) {
+    /// Adds `delta` to the floating-point counter `key` (e.g. byte
+    /// integrals accumulated as `rate * dt`).
+    pub fn fcounter_add(&mut self, key: &str, delta: f64) {
         if let Some(v) = self.fcounters.get_mut(key) {
             *v += delta;
         } else {
@@ -185,7 +92,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn gauge_set(&mut self, key: &str, time: f64, value: f64) {
+    /// Appends a `(time, value)` sample to the gauge timeline `key`.
+    pub fn gauge_set(&mut self, key: &str, time: f64, value: f64) {
         if let Some(series) = self.gauges.get_mut(key) {
             series.push((time, value));
         } else {
@@ -193,7 +101,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn hwm(&mut self, key: &str, value: f64) {
+    /// Raises the high-water mark `key` to at least `value`.
+    pub fn hwm(&mut self, key: &str, value: f64) {
         if let Some(v) = self.hwms.get_mut(key) {
             if value > *v {
                 *v = value;
@@ -203,7 +112,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn observe(&mut self, key: &str, value: f64) {
+    /// Records `value` into the log2-bucketed histogram `key`.
+    pub fn observe(&mut self, key: &str, value: f64) {
         if let Some(h) = self.histograms.get_mut(key) {
             h.observe(value);
         } else {
@@ -213,7 +123,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn state_push(&mut self, kind: &'static str, id: u32, time: f64, state: &'static str) {
+    /// Pushes a state onto the container `(kind, id)`'s state stack.
+    pub fn state_push(&mut self, kind: &'static str, id: u32, time: f64, state: &'static str) {
         self.timelines
             .entry((kind, id))
             .or_default()
@@ -223,7 +134,8 @@ impl Recorder for MemoryRecorder {
             });
     }
 
-    fn state_pop(&mut self, kind: &'static str, id: u32, time: f64) {
+    /// Pops the top state of the container `(kind, id)`.
+    pub fn state_pop(&mut self, kind: &'static str, id: u32, time: f64) {
         self.timelines
             .entry((kind, id))
             .or_default()
@@ -233,7 +145,8 @@ impl Recorder for MemoryRecorder {
             });
     }
 
-    fn state_set(&mut self, kind: &'static str, id: u32, time: f64, state: &'static str) {
+    /// Replaces the current state of the container `(kind, id)`.
+    pub fn state_set(&mut self, kind: &'static str, id: u32, time: f64, state: &'static str) {
         self.timelines
             .entry((kind, id))
             .or_default()

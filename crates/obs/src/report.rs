@@ -3,11 +3,15 @@
 use crate::json_mod::JsonBuf;
 use crate::recorder::{StateEvent, StateOp};
 
-/// Snapshot of one log2-bucketed histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
+/// Log2-bucketed histogram: the one accumulator behind the recorder's
+/// keyed metric histograms and the flow kernel's always-on inline ones
+/// (one array increment per observation, so the kernel can afford to fill
+/// it even with observability off).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Histogram {
     /// `buckets[i]` counts values in `(2^(i-2), 2^(i-1)]` (bucket 0 holds
-    /// zero/negative observations).
+    /// zero/negative observations). Unit is the caller's (the
+    /// instrumentation uses nanoseconds for latencies).
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -19,7 +23,30 @@ pub struct HistogramSnapshot {
     pub max: f64,
 }
 
-impl HistogramSnapshot {
+impl Histogram {
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&mut self, value: f64) {
+        let ix = if value <= 0.0 {
+            0
+        } else {
+            64 - (value.ceil() as u64).leading_zeros() as usize
+        };
+        if self.buckets.len() <= ix {
+            self.buckets.resize(ix + 1, 0);
+        }
+        self.buckets[ix] += 1;
+        if self.count == 0 {
+            self.min = value;
+            self.max = value;
+        } else {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+        self.count += 1;
+        self.sum += value;
+    }
+
     /// Mean observation, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -27,6 +54,22 @@ impl HistogramSnapshot {
         } else {
             self.sum / self.count as f64
         }
+    }
+
+    /// Appends the histogram as a JSON object value.
+    pub(crate) fn write_json(&self, j: &mut JsonBuf) {
+        j.begin_obj();
+        j.key("count").uint_val(self.count);
+        j.key("sum").num_val(self.sum);
+        j.key("min").num_val(self.min);
+        j.key("max").num_val(self.max);
+        j.key("mean").num_val(self.mean());
+        j.key("log2_buckets").begin_arr();
+        for b in &self.buckets {
+            j.uint_val(*b);
+        }
+        j.end_arr();
+        j.end_obj();
     }
 }
 
@@ -84,7 +127,7 @@ pub struct MetricsReport {
     /// High-water marks, sorted by key.
     pub hwms: Vec<(String, f64)>,
     /// Histograms, sorted by key.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    pub histograms: Vec<(String, Histogram)>,
     /// Per-container state timelines, sorted by `(kind, id)`.
     pub timelines: Vec<TimelineSnapshot>,
 }
@@ -123,7 +166,7 @@ impl MetricsReport {
     }
 
     /// Histogram for `key`, if observed.
-    pub fn histogram(&self, key: &str) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
         self.histograms
             .iter()
             .find(|(k, _)| k == key)
@@ -178,18 +221,7 @@ impl MetricsReport {
 
         j.key("histograms").begin_obj();
         for (k, h) in &self.histograms {
-            j.key(k).begin_obj();
-            j.key("count").uint_val(h.count);
-            j.key("sum").num_val(h.sum);
-            j.key("min").num_val(h.min);
-            j.key("max").num_val(h.max);
-            j.key("mean").num_val(h.mean());
-            j.key("log2_buckets").begin_arr();
-            for b in &h.buckets {
-                j.uint_val(*b);
-            }
-            j.end_arr();
-            j.end_obj();
+            h.write_json(j.key(k));
         }
         j.end_obj();
 

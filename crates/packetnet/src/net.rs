@@ -297,7 +297,6 @@ impl PacketNet {
         let id = PacketActionId { slot, gen };
 
         self.rec.with(|r| {
-            use smpi_obs::Recorder;
             r.counter_add("packetnet.messages", 1);
             r.counter_add("packetnet.frames.total", nframes);
         });
@@ -384,7 +383,6 @@ impl PacketNet {
         };
         if self.rec.is_enabled() {
             self.rec.with(|r| {
-                use smpi_obs::Recorder;
                 if was_busy {
                     r.counter_add("packetnet.frames.queued_behind", 1);
                 }
@@ -472,7 +470,6 @@ impl PacketNet {
             // per-flow share integrals sum to exactly this counter.
             let wire = self.config.wire_bytes(frame.payload) as f64;
             self.rec.with(|r| {
-                use smpi_obs::Recorder;
                 r.fcounter_add(&format!("packetnet.chan.{chan}.bytes"), wire);
             });
         }
@@ -527,7 +524,6 @@ impl PacketNet {
                         if self.rec.is_enabled() {
                             let hop_ns = (self.now.as_secs() - frame.queued_at.as_secs()) * 1e9;
                             self.rec.with(|r| {
-                                use smpi_obs::Recorder;
                                 r.observe("packetnet.hop_latency_ns", hop_ns);
                                 r.counter_add("packetnet.frames.hops", 1);
                             });

@@ -13,7 +13,7 @@
 //! *exactly* the same hardware, which is what makes accuracy comparisons
 //! meaningful.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Index of a node (host or switch) in a [`Platform`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,8 +141,8 @@ pub struct Platform {
     hosts: Vec<NodeIx>,
     names: HashMap<String, NodeIx>,
     link_names: HashMap<String, LinkIx>,
-    /// The edge each link realizes (a link belongs to at most one edge).
-    edge_of_link: HashMap<LinkIx, (NodeIx, NodeIx)>,
+    /// Links that realize an edge (a link belongs to at most one edge).
+    edge_links: HashSet<LinkIx>,
     /// Routes declared explicitly (e.g. from an XML file); they override the
     /// shortest-path routing for the given (src, dst) host pair.
     explicit_routes: HashMap<(HostIx, HostIx), Vec<Hop>>,
@@ -216,17 +216,11 @@ impl Platform {
         assert!((b.0 as usize) < self.nodes.len());
         assert!((link.0 as usize) < self.links.len());
         assert!(
-            self.edge_of_link.insert(link, (a, b)).is_none(),
+            self.edge_links.insert(link),
             "link {:?} already realizes an edge",
             self.link(link).name
         );
         self.edges.push(Edge { a, b, link });
-    }
-
-    /// The endpoints of the edge a link realizes, if it is part of the
-    /// topology (links used only in explicit routes have none).
-    pub fn edge_endpoints(&self, link: LinkIx) -> Option<(NodeIx, NodeIx)> {
-        self.edge_of_link.get(&link).copied()
     }
 
     /// Convenience: create a link and connect it in one call.

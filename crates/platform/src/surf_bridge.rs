@@ -139,11 +139,6 @@ impl PlatformImage {
         self.host_ids.len()
     }
 
-    /// Number of kernel links (split-duplex platform links count twice).
-    pub fn num_kernel_links(&self) -> usize {
-        self.kernel_links.len()
-    }
-
     /// Human names of the kernel links, indexed by kernel link id (the
     /// materialization creation order). `SplitDuplex` platform links
     /// materialize as two kernel links, named `<name>:up` and

@@ -32,23 +32,19 @@
 //!
 //! ## Trace sources
 //!
-//! The engine is generic over [`OpSource`]: anything that can hand each
-//! rank an op iterator. Two sources ship:
+//! Every entry point takes `impl Into<`[`TraceSource`]`>`: a `&TiTrace`
+//! or `Arc<TiTrace>` (a decoded trace: the `ti_trace` of a captured run
+//! report, or a v1 text file), an `Arc<`[`TiV2Reader`]`>` (a `TITRACE2`
+//! file behind its block-streaming reader: ops are decoded block by block
+//! as each rank's cursor advances, so replay memory is bounded by block
+//! size rather than trace length, and concurrent replays of the same file
+//! share decoded blocks — stream once, replay many), or whatever
+//! [`TraceSource::open`] found on disk. Replication sweeps share one
+//! source across workers: each call builds a private runtime and fabric.
 //!
-//! * [`TiTrace`] — a fully decoded in-memory trace (v1 text files, or the
-//!   `ti_trace` field of a captured run report).
-//! * [`smpi::TiV2Reader`] — a block-streaming `TITRACE2` reader
-//!   ([`replay_stream`]): ops are decoded block-by-block as each rank's
-//!   cursor advances, so replay memory is bounded by block size rather
-//!   than trace length, and concurrent replays of the same file share
-//!   decoded blocks (stream once, replay many).
-//!
-//! [`save_trace`]/[`load_trace`] stream through `BufWriter`/`BufRead` and
-//! return typed [`TraceIoError`]s; `load_trace` sniffs the leading magic,
-//! so v1 text and v2 binary files load through the same call forever.
-//! The `try_replay_*` entries return a typed [`ReplayError`] — a deadlock
-//! or stall with its postmortem, or a block found corrupt mid-stream —
-//! where the plain names panic.
+//! [`replay`] panics where [`try_replay_with`] returns a typed
+//! [`ReplayError`] — a deadlock or stall with its postmortem, or a block
+//! found corrupt mid-stream. [`save_trace`] writes a `TITRACE2` file.
 //!
 //! ## Semantics under model swap
 //!
@@ -86,49 +82,16 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use smpi::capture::intern_region;
-use smpi::capture_v2::{TiV2Reader, TiV2Writer, DEFAULT_BLOCK_OPS, TIT2_MAGIC};
-use smpi::{Ctx, ReqId, RunReport, SimError, SimResp, Simcall, TiOp, TiTrace, TraceIoError, World};
-
-/// One rank's op cursor. A streaming source can fail mid-stream (i/o,
-/// block corruption), hence the fallible items.
-pub type OpCursor = Box<dyn Iterator<Item = Result<TiOp, TraceIoError>> + Send>;
-
-/// A per-rank supplier of time-independent ops. Implemented by in-memory
-/// traces and by the streaming `TITRACE2` reader; the replay engine never
-/// needs the whole trace at once.
-pub trait OpSource: Send + Sync + 'static {
-    /// Number of ranks the source describes.
-    fn num_ranks(&self) -> usize;
-    /// An owning iterator over rank `rank`'s ops, in capture order.
-    fn rank_ops(self: Arc<Self>, rank: usize) -> OpCursor;
-}
-
-impl OpSource for TiTrace {
-    fn num_ranks(&self) -> usize {
-        TiTrace::num_ranks(self)
-    }
-
-    fn rank_ops(self: Arc<Self>, rank: usize) -> OpCursor {
-        Box::new((0..).map_while(move |ix| self.ranks[rank].get(ix).cloned().map(Ok)))
-    }
-}
-
-impl OpSource for TiV2Reader {
-    fn num_ranks(&self) -> usize {
-        TiV2Reader::num_ranks(self)
-    }
-
-    fn rank_ops(self: Arc<Self>, rank: usize) -> OpCursor {
-        let mut ops = self.rank_iter(rank);
-        Box::new(std::iter::from_fn(move || ops.try_next().transpose()))
-    }
-}
+use smpi::capture_v2::{TiV2Reader, TiV2Writer, DEFAULT_BLOCK_OPS};
+use smpi::{
+    Ctx, ReqId, RunReport, SimError, SimResp, Simcall, TiOp, TiTrace, TraceCursor, TraceIoError,
+    TraceSource, World,
+};
 
 /// One captured collective, as presented to a [`CollHook`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,7 +115,7 @@ pub struct CollSite<'a> {
 /// Returning `false` replays the captured traffic faithfully.
 pub type CollHook = dyn Fn(&Ctx, &CollSite<'_>) -> bool + Send + Sync;
 
-/// Knobs of [`replay_with`].
+/// Knobs of [`try_replay_with`].
 #[derive(Clone, Default)]
 pub struct ReplayOptions {
     /// Collective interceptor (see [`CollHook`]). `None` replays
@@ -186,62 +149,32 @@ impl std::error::Error for ReplayError {}
 /// timelines, self-profile — per the world's configuration).
 ///
 /// No application code executes: each rank is a trace cursor issuing the
-/// captured simcalls with data-less messages.
-pub fn replay(world: &World, trace: &TiTrace) -> RunReport<()> {
-    replay_shared(world, Arc::new(trace.clone()))
-}
-
-/// Like [`replay`], but over a shared `Arc`'d trace: no per-call deep copy
-/// of the op streams. The entry point for replication sweeps, where many
-/// workers replay the *same* trace concurrently on different worlds: each
-/// call builds a private runtime and fabric; the trace stays shared.
-pub fn replay_shared(world: &World, trace: Arc<TiTrace>) -> RunReport<()> {
-    replay_source(world, trace)
-}
-
-/// Replays a streaming `TITRACE2` file through its shared block decoder:
-/// each rank's cursor holds one decoded block at a time, and concurrent
-/// replays of the same reader share in-flight blocks. Peak decoded memory
-/// is bounded by block size, not trace length.
-pub fn replay_stream(world: &World, reader: Arc<TiV2Reader>) -> RunReport<()> {
-    replay_source(world, reader)
-}
-
-/// [`replay_stream`] with typed failures (see [`try_replay_with`]).
-pub fn try_replay_stream(
-    world: &World,
-    reader: Arc<TiV2Reader>,
-) -> Result<RunReport<()>, ReplayError> {
-    try_replay_with(world, reader, ReplayOptions::default())
-}
-
-/// Replays any [`OpSource`] with default options.
-pub fn replay_source<S: OpSource>(world: &World, source: Arc<S>) -> RunReport<()> {
-    replay_with(world, source, ReplayOptions::default())
-}
-
-/// Replays any [`OpSource`] with explicit [`ReplayOptions`]. Panics where
+/// captured simcalls with data-less messages. Panics where
 /// [`try_replay_with`] returns an error.
-pub fn replay_with<S: OpSource>(
-    world: &World,
-    source: Arc<S>,
-    opts: ReplayOptions,
-) -> RunReport<()> {
-    try_replay_with(world, source, opts).unwrap_or_else(|e| panic!("{e}"))
+pub fn replay(world: &World, source: impl Into<TraceSource>) -> RunReport<()> {
+    try_replay_with(world, source, ReplayOptions::default()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Replays any [`OpSource`], returning a typed [`ReplayError`] when the
-/// replayed ranks deadlock or stall, or when the source fails mid-stream.
+/// [`replay`] of a streaming `TITRACE2` reader, under the name the
+/// benchmark suite calls.
+pub fn replay_stream(world: &World, reader: Arc<TiV2Reader>) -> RunReport<()> {
+    replay(world, reader)
+}
+
+/// Replays a trace with explicit [`ReplayOptions`], returning a typed
+/// [`ReplayError`] when the replayed ranks deadlock or stall, or when the
+/// source fails mid-stream.
 ///
 /// Ranks are `RankScript`s stepped on the calling thread
 /// ([`World::try_run_scripts`]) — unless a [`ReplayOptions::coll_hook`]
 /// needs a stack: then they are fibers ([`World::try_run`]) driving the
 /// same script.
-pub fn try_replay_with<S: OpSource>(
+pub fn try_replay_with(
     world: &World,
-    source: Arc<S>,
+    source: impl Into<TraceSource>,
     opts: ReplayOptions,
 ) -> Result<RunReport<()>, ReplayError> {
+    let source = source.into();
     let nranks = source.num_ranks();
     assert!(nranks > 0, "cannot replay an empty trace");
     let (failed, failures) = channel();
@@ -253,7 +186,7 @@ pub fn try_replay_with<S: OpSource>(
     let obs = world.metrics_enabled();
     let script = move |rank| RankScript {
         rank,
-        ops: Arc::clone(&source).rank_ops(rank),
+        ops: source.rank_ops(rank),
         obs,
         n_posted: 0,
         live: HashMap::new(),
@@ -294,7 +227,7 @@ fn region(name: &str, enter: bool) -> Simcall {
 /// of captured [`TiOp`]s into [`Simcall`]s.
 struct RankScript {
     rank: usize,
-    ops: OpCursor,
+    ops: TraceCursor,
     /// Regions are only issued when the world records metrics.
     obs: bool,
     /// Requests are named by post index in the trace; `live` maps the index
@@ -326,7 +259,7 @@ impl RankScript {
             }
             _ => {}
         }
-        while let Some(op) = self.ops.next().transpose()? {
+        while let Some(op) = self.ops.try_next()? {
             let call = match op {
                 TiOp::Compute { flops } => Simcall::Exec { flops },
                 TiOp::Sleep { secs } => Simcall::Sleep { secs },
@@ -389,7 +322,7 @@ impl RankScript {
                         // their alignment, and those naming a skipped index
                         // find nothing live and are filtered.
                         for _ in 0..span {
-                            self.ops.next().transpose()?;
+                            self.ops.try_next()?;
                         }
                         self.n_posted += posts;
                         continue;
@@ -440,19 +373,11 @@ pub fn cross_validate<R>(world: &World, online: &RunReport<R>) -> CrossValidatio
     }
 }
 
-/// Writes a trace to `path` in the `TITRACE v1` text format, streaming
-/// line-by-line through a [`std::io::BufWriter`].
-pub fn save_trace(path: impl AsRef<Path>, trace: &TiTrace) -> Result<(), TraceIoError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    trace.encode_to(&mut w)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Writes a trace to `path` in the binary `TITRACE2` format, streaming
 /// block-by-block (the whole encoded document never exists in memory).
-pub fn save_trace_v2(path: impl AsRef<Path>, trace: &TiTrace) -> Result<(), TraceIoError> {
+/// [`TraceSource::open`] reads it back; for the `TITRACE v1` text format
+/// write [`TiTrace::encode`]'s string.
+pub fn save_trace(path: impl AsRef<Path>, trace: &TiTrace) -> Result<(), TraceIoError> {
     let file = std::fs::File::create(path)?;
     let mut w = TiV2Writer::new(std::io::BufWriter::new(file), trace.num_ranks());
     for (r, ops) in trace.ranks.iter().enumerate() {
@@ -462,26 +387,6 @@ pub fn save_trace_v2(path: impl AsRef<Path>, trace: &TiTrace) -> Result<(), Trac
     }
     w.finish()?;
     Ok(())
-}
-
-/// Reads a trace file into memory, sniffing the format from the leading
-/// magic: `TITRACE2` binary containers and `TITRACE v1` text documents
-/// both load here, forever. Short reads, truncation and corruption all
-/// surface as typed [`TraceIoError`]s — never a panic.
-///
-/// For block-streaming access to a v2 file (bounded memory, shared
-/// decoding), open it with [`smpi::TiV2Reader`] instead.
-pub fn load_trace(path: impl AsRef<Path>) -> Result<TiTrace, TraceIoError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)?;
-    let mut r = std::io::BufReader::new(file);
-    let head = r.fill_buf()?;
-    if head.starts_with(TIT2_MAGIC) {
-        drop(r);
-        TiV2Reader::open(path)?.materialize()
-    } else {
-        TiTrace::decode_from(r)
-    }
 }
 
 #[cfg(test)]
@@ -582,7 +487,7 @@ mod tests {
                 true
             })),
         };
-        let substituted = replay_with(&world, Arc::clone(&trace), opts);
+        let substituted = try_replay_with(&world, Arc::clone(&trace), opts).unwrap();
         assert_eq!(substituted.sim_time, online.sim_time);
 
         let seen = seen.lock().unwrap();
@@ -598,7 +503,7 @@ mod tests {
                 site.name == "allreduce"
             })),
         };
-        let elided = replay_with(&world, trace, opts);
+        let elided = try_replay_with(&world, trace, opts).unwrap();
         assert!(elided.sim_time < online.sim_time);
     }
 
@@ -694,35 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_roundtrip() {
-        let world = small_world().capture(true);
-        let trace = world.run(3, app).ti_trace.unwrap();
-        let dir = std::env::temp_dir().join("smpi_replay_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("app.tit");
-        save_trace(&path, &trace).unwrap();
-        assert_eq!(load_trace(&path).unwrap(), trace);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_and_load_roundtrip_v2() {
-        // The binary format keeps the Coll annotations a v1 text save
-        // degrades, so a metrics capture round-trips exactly.
-        let world = small_world().capture(true).metrics(true);
-        let trace = world.run(3, app).ti_trace.unwrap();
-        let dir = std::env::temp_dir().join("smpi_replay_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("app.tit2");
-        save_trace_v2(&path, &trace).unwrap();
-        assert_eq!(load_trace(&path).unwrap(), trace);
-        // And the streaming reader agrees with the materializing loader.
-        let reader = TiV2Reader::open(&path).unwrap();
-        assert_eq!(reader.materialize().unwrap(), trace);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn streamed_replay_matches_in_memory_replay() {
         let dir = std::env::temp_dir().join("smpi_replay_stream_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -746,21 +622,6 @@ mod tests {
         // The streamed ops equal an in-memory capture of the same run.
         let mem = small_world().capture(true).metrics(true).run(4, app);
         assert_eq!(reader.materialize().unwrap(), mem.ti_trace.unwrap());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("smpi_replay_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.tit");
-        std::fs::write(&path, "not a trace\n").unwrap();
-        let err = load_trace(&path).unwrap_err();
-        assert!(matches!(err, TraceIoError::Format(_)), "got {err:?}");
-        // A truncated v2 container is a typed v2 error, not a panic.
-        std::fs::write(&path, b"TITRACE2\x04").unwrap();
-        let err = load_trace(&path).unwrap_err();
-        assert!(matches!(err, TraceIoError::V2(_)), "got {err:?}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -999,7 +999,7 @@ impl Simulation {
     /// identical constraint sets are folded into a single class variable
     /// with their multiplicity; the uniformity precondition makes the
     /// folded solve bitwise-equal to the expanded one (see `lmm.rs` module
-    /// docs and DESIGN §16).
+    /// docs and DESIGN §5.3).
     fn build_component(&mut self, members: &[UserKey]) -> BuiltComponent {
         self.comp_epoch += 1;
         let epoch = self.comp_epoch;
@@ -1166,7 +1166,6 @@ impl Simulation {
         let now = self.now.as_secs();
         let last_util = &mut self.last_util;
         self.rec.with(|r| {
-            use smpi_obs::Recorder;
             r.counter_add("surf.reshares", 1);
             for (li, &util) in utils.iter().enumerate() {
                 if (util - last_util[li]).abs() > 1e-12 {
@@ -1188,7 +1187,6 @@ impl Simulation {
         let now = self.now;
         let actions = &mut self.actions;
         self.rec.with(|r| {
-            use smpi_obs::Recorder;
             for (_slot, _gen, a) in actions.iter_mut() {
                 let rate = a.rate;
                 let last_update = a.last_update;

@@ -45,7 +45,7 @@
 //! which makes the folded solve bitwise-equal to the expanded one whenever
 //! every variable of the (sub)problem shares a single weight and a single
 //! bound bit-pattern — the *uniform round* precondition the engine's class
-//! folding detector enforces (DESIGN §16).
+//! folding detector enforces (DESIGN §5.3).
 
 /// Handle to a constraint (a link, or a host's compute capacity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

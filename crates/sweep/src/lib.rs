@@ -37,7 +37,7 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use smpi::{Backend, Ctx, MpiProfile, RunReport, TiTrace, World};
+use smpi::{Backend, Ctx, MpiProfile, RunReport, TiTrace, TraceSource, World};
 use smpi_obs::json::JsonBuf;
 use smpi_obs::{SweepStats, WorkerStats};
 use smpi_platform::RoutedPlatform;
@@ -58,13 +58,12 @@ use pool::StealPool;
 #[derive(Clone)]
 pub enum Workload {
     /// Replay of a captured time-independent trace (no application code,
-    /// no payload memory — the sweep fast path).
-    Trace(Arc<TiTrace>),
-    /// Replay straight from a shared streaming `TITRACE2` decoder: workers
-    /// pull ops block-by-block, sharing in-flight decoded blocks, so the
-    /// trace is decoded (at most) once while N scenarios replay it and
-    /// per-worker memory stays bounded by block size.
-    Stream(Arc<smpi::TiV2Reader>),
+    /// no payload memory — the sweep fast path). Workers share the source:
+    /// an in-memory trace is never copied, and a `TITRACE2` file is pulled
+    /// block-by-block through its shared decoder, so the trace is decoded
+    /// (at most) once while N scenarios replay it and per-worker memory
+    /// stays bounded by block size.
+    Replay(TraceSource),
     /// Capture-on-the-fly: run a rank body on-line. Needed when the swept
     /// axis changes the simcall stream itself (e.g. collective algorithm
     /// variants), which a fixed trace cannot express.
@@ -90,7 +89,7 @@ impl Program {
     pub fn trace(name: impl Into<String>, trace: Arc<TiTrace>) -> Self {
         Program {
             name: name.into(),
-            workload: Workload::Trace(trace),
+            workload: Workload::Replay(trace.into()),
         }
     }
 
@@ -98,7 +97,7 @@ impl Program {
     pub fn stream(name: impl Into<String>, reader: Arc<smpi::TiV2Reader>) -> Self {
         Program {
             name: name.into(),
-            workload: Workload::Stream(reader),
+            workload: Workload::Replay(reader.into()),
         }
     }
 
@@ -507,8 +506,7 @@ fn run_scenario(cfg: &SweepConfig, sc: &ScenarioSpec) -> Outcome {
         world = world.perturbation(Arc::new(axis.model.sample(rp.platform(), &rng)));
     }
     let report: RunReport<()> = match &cfg.programs[sc.program].workload {
-        Workload::Trace(trace) => smpi_replay::replay_shared(&world, Arc::clone(trace)),
-        Workload::Stream(reader) => smpi_replay::replay_stream(&world, Arc::clone(reader)),
+        Workload::Replay(source) => smpi_replay::replay(&world, source.clone()),
         Workload::Online { ranks, body } => {
             let body = Arc::clone(body);
             world.run(*ranks, move |ctx| body(ctx))
@@ -782,7 +780,7 @@ mod tests {
         // change a single output byte relative to the in-memory trace path.
         let cfg = small_config();
         let trace = match &cfg.programs[0].workload {
-            Workload::Trace(t) => Arc::clone(t),
+            Workload::Replay(TraceSource::Mem(t)) => Arc::clone(t),
             _ => unreachable!("small_config is trace-fed"),
         };
         // Per-process path: concurrent test invocations must not race on
@@ -791,7 +789,7 @@ mod tests {
             std::env::temp_dir().join(format!("smpi_sweep_stream_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ring.tit2");
-        smpi_replay::save_trace_v2(&path, &trace).unwrap();
+        smpi_replay::save_trace(&path, &trace).unwrap();
         let reader = Arc::new(smpi::TiV2Reader::open(&path).unwrap());
 
         let mut stream_cfg = cfg.clone();

@@ -88,10 +88,10 @@ fn zero_amplitude_replay_is_byte_identical() {
     });
     let trace: Arc<TiTrace> = Arc::new(online.ti_trace.unwrap());
 
-    let plain = smpi_replay::replay_shared(&world.clone().capture(true), Arc::clone(&trace));
+    let plain = smpi_replay::replay(&world.clone().capture(true), Arc::clone(&trace));
     let identity = NoiseModel::none().sample(rp.platform(), &CbRng::new(99));
     let perturbed_world = world.capture(true).perturbation(Arc::new(identity));
-    let perturbed = smpi_replay::replay_shared(&perturbed_world, Arc::clone(&trace));
+    let perturbed = smpi_replay::replay(&perturbed_world, Arc::clone(&trace));
 
     assert_eq!(plain.sim_time.to_bits(), perturbed.sim_time.to_bits());
     assert_eq!(plain.finish_times, perturbed.finish_times);
@@ -113,9 +113,9 @@ fn nonzero_amplitude_changes_timing() {
     });
     let trace = Arc::new(online.ti_trace.unwrap());
 
-    let plain = smpi_replay::replay_shared(&world, Arc::clone(&trace));
+    let plain = smpi_replay::replay(&world, Arc::clone(&trace));
     let jitter = NoiseModel::uniform_jitter(0.3).sample(rp.platform(), &CbRng::new(7));
-    let perturbed = smpi_replay::replay_shared(
+    let perturbed = smpi_replay::replay(
         &world.clone().perturbation(Arc::new(jitter)),
         Arc::clone(&trace),
     );

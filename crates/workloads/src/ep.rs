@@ -90,17 +90,6 @@ pub struct EpConfig {
     pub sampling_ratio: f64,
 }
 
-impl EpConfig {
-    /// A scaled "class B" instance: 2^24 pairs in 64 blocks.
-    pub fn class_b_scaled() -> Self {
-        EpConfig {
-            total_pairs: 1 << 24,
-            blocks_per_rank: 64,
-            sampling_ratio: 1.0,
-        }
-    }
-}
-
 /// Result of an EP run on one rank (globally reduced, so identical on all
 /// ranks).
 #[derive(Debug, Clone, Copy, PartialEq)]

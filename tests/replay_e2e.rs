@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use smpi_suite::platform::{gdx, griffon, RoutedPlatform};
 use smpi_suite::replay;
-use smpi_suite::smpi::{AnyRequest, Ctx, TiTrace, World};
+use smpi_suite::smpi::{AnyRequest, Ctx, TiTrace, TraceSource, World};
 use smpi_suite::surf::TransferModel;
 use smpi_suite::workloads::{build_graph, dt_rank, ep_rank, DtClass, DtGraph, EpConfig};
 
@@ -367,12 +367,12 @@ fn artifacts(mut report: smpi_suite::smpi::RunReport<()>) -> [String; 5] {
 /// stackful oracle — a collective hook that claims nothing, which keeps one
 /// fiber per rank driving the same script — and demands identical
 /// artifacts. Returns the re-captured trace.
-fn assert_tiers_agree<S: replay::OpSource>(label: &str, world: &World, source: Arc<S>) -> String {
+fn assert_tiers_agree(label: &str, world: &World, source: TraceSource) -> String {
     let oracle = replay::ReplayOptions {
         coll_hook: Some(Arc::new(|_: &Ctx, _: &replay::CollSite<'_>| false)),
     };
-    let event = artifacts(replay::replay_source(world, Arc::clone(&source)));
-    let stackful = artifacts(replay::replay_with(world, source, oracle));
+    let event = artifacts(replay::replay(world, source.clone()));
+    let stackful = artifacts(replay::try_replay_with(world, source, oracle).unwrap());
     for (what, (e, t)) in ["report JSON", "paje", "contention", "re-capture", "events"]
         .iter()
         .zip(event.iter().zip(&stackful))
@@ -407,7 +407,7 @@ fn event_driven_replay_matches_the_stackful_oracle() {
     std::fs::create_dir_all(&dir).unwrap();
     for (name, trace) in traces {
         let path = dir.join(format!("{name}.tit2"));
-        replay::save_trace_v2(&path, &trace).unwrap();
+        replay::save_trace(&path, &trace).unwrap();
         let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&path).unwrap());
         let trace = Arc::new(trace);
         for (platform, base) in [("griffon", griffon_world()), ("gdx", gdx_world())] {
@@ -419,8 +419,8 @@ fn event_driven_replay_matches_the_stackful_oracle() {
                     .tracing(true)
                     .timeseries(true);
                 let label = format!("{name} on {platform}, metrics {metrics}");
-                let mem = assert_tiers_agree(&label, &world, Arc::clone(&trace));
-                let streamed = assert_tiers_agree(&label, &world, Arc::clone(&reader));
+                let mem = assert_tiers_agree(&label, &world, Arc::clone(&trace).into());
+                let streamed = assert_tiers_agree(&label, &world, Arc::clone(&reader).into());
                 assert_eq!(mem, streamed, "{label}: streamed source diverges");
                 if metrics && platform == "griffon" {
                     assert_eq!(mem, trace.encode(), "{label}: re-capture drifted");
@@ -485,7 +485,7 @@ fn corrupt_block_mid_stream_is_a_typed_error() {
     let path = dir.join("flipped.tit2");
     std::fs::write(&path, &bytes).unwrap();
     let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&path).expect("footer is intact"));
-    let err = replay::try_replay_stream(&griffon_world(), reader).unwrap_err();
+    let err = replay::try_replay_with(&griffon_world(), reader, Default::default()).unwrap_err();
     assert!(
         matches!(err, replay::ReplayError::Trace(TraceIoError::V2(_))),
         "got {err}"

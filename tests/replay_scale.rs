@@ -73,7 +73,7 @@ fn replays_65536_ranks_without_spawning_a_thread() {
 
     let before = process_threads();
     let start = std::time::Instant::now();
-    let report = replay::replay_shared(&world, trace);
+    let report = replay::replay(&world, trace);
     let wall = start.elapsed();
     assert_eq!(process_threads(), before, "replay must not spawn threads");
 
