@@ -13,8 +13,10 @@
 //! The format is captured at the simcall boundary, so it is exact by
 //! construction: whatever stream of events the maestro timed on-line is
 //! what the replay engine re-issues off-line. Requests are identified by
-//! their per-rank post index, which the replayer reproduces by re-posting
-//! in the same order.
+//! their per-rank post index — the runtime's own name for a request
+//! ([`crate::runtime::ReqId::post`]), so a wait arrives here already
+//! carrying the indices it is written with — which the replayer reproduces
+//! by re-posting in the same order.
 //!
 //! [`TiTrace::encode`]/[`TiTrace::decode`] implement a versioned,
 //! line-oriented text codec (`TITRACE v1`). Floating-point values are
@@ -588,10 +590,6 @@ pub(crate) struct Capture {
     /// Per-rank op sequences under construction (the whole trace when not
     /// streaming; a bounded staging window when streaming).
     pub(crate) ops: Vec<Vec<TiOp>>,
-    /// Next post index per rank (requests are named by post order).
-    next_post: Vec<u32>,
-    /// Global request id -> (owning rank's) post index.
-    req_post: std::collections::HashMap<crate::runtime::ReqId, u32>,
     /// Per-rank region nesting depth (for outermost-region detection).
     depth: Vec<u32>,
     /// Per-rank open outermost collective, if any.
@@ -604,8 +602,6 @@ impl Capture {
     pub(crate) fn new(nranks: usize) -> Self {
         Capture {
             ops: vec![Vec::new(); nranks],
-            next_post: vec![0; nranks],
-            req_post: std::collections::HashMap::new(),
             depth: vec![0; nranks],
             open: vec![None; nranks],
             stream: None,
@@ -633,24 +629,17 @@ impl Capture {
         cap
     }
 
-    /// Records a posted request (send or receive) and names it by its
-    /// per-rank post index.
-    pub(crate) fn on_post(&mut self, rank: u32, req: crate::runtime::ReqId, op: TiOp) {
-        let r = rank as usize;
-        let idx = self.next_post[r];
-        self.next_post[r] += 1;
-        self.req_post.insert(req, idx);
-        if let Some(open) = &mut self.open[r] {
-            open.posts += 1;
-        }
-        self.push(r, op);
-    }
-
-    /// Records a non-posting op, synthesizing logical collectives from
-    /// outermost region entries.
+    /// Records one op of `rank`, synthesizing logical collectives from
+    /// outermost region entries and counting the posts they cover.
     pub(crate) fn on_op(&mut self, rank: u32, op: TiOp) {
         let r = rank as usize;
         match op {
+            TiOp::Send { .. } | TiOp::Recv { .. } => {
+                if let Some(open) = &mut self.open[r] {
+                    open.posts += 1;
+                }
+                self.push(r, op);
+            }
             TiOp::Region { name, enter: true } => {
                 let depth = self.depth[r];
                 self.depth[r] += 1;
@@ -712,20 +701,6 @@ impl Capture {
             }
             other => self.push(r, other),
         }
-    }
-
-    /// Records a wait, translating global request ids to post indices.
-    pub(crate) fn on_wait(&mut self, rank: u32, reqs: &[crate::runtime::ReqId], mode: WaitMode) {
-        let reqs = reqs
-            .iter()
-            .map(|r| {
-                *self
-                    .req_post
-                    .get(r)
-                    .expect("waited request was captured at post")
-            })
-            .collect();
-        self.push(rank as usize, TiOp::Wait { reqs, mode });
     }
 
     fn push(&mut self, r: usize, op: TiOp) {

@@ -224,7 +224,8 @@ impl<'h> Ctx<'h> {
             dst: dst_world,
             cid: comm.cid(),
             tag,
-            payload,
+            bytes: payload.len() as u64,
+            payload: Some(payload),
         }) {
             SimResp::Req(id) => SendRequest(id),
             other => unreachable!("bad response {other:?}"),
@@ -429,11 +430,12 @@ impl<'h> Ctx<'h> {
     /// must use [`recv_sized`](Self::recv_sized)/[`irecv_sized`](Self::irecv_sized).
     pub fn isend_sized(&self, bytes: u64, dst: usize, tag: i32, comm: &Comm) -> SendRequest {
         let dst_world = comm.world_rank(dst);
-        match self.call(Simcall::IsendSized {
+        match self.call(Simcall::Isend {
             dst: dst_world,
             cid: comm.cid(),
             tag,
             bytes,
+            payload: None,
         }) {
             SimResp::Req(id) => SendRequest(id),
             other => unreachable!("bad response {other:?}"),
@@ -557,7 +559,8 @@ impl<'h> Ctx<'h> {
             dst: dst_world,
             cid: p.comm.cid(),
             tag: p.tag,
-            payload: p.payload.clone().into_boxed_slice(),
+            bytes: p.payload.len() as u64,
+            payload: Some(p.payload.clone().into_boxed_slice()),
         }) {
             SimResp::Req(id) => SendRequest(id),
             other => unreachable!("bad response {other:?}"),

@@ -3,9 +3,12 @@
 //! Every rank keeps a short ring of its most recent simcalls and request
 //! completions, encoded as the same [`TiOp`] lines the capture layer uses
 //! (`TITRACE v1` syntax — one vocabulary for traces and diagnostics). The
-//! ring is always on: its cost is one `VecDeque` push per simcall plus one
-//! bounded map insert per posted request, which is noise next to the
-//! maestro's matching and fabric work for the same simcall.
+//! ring is always on: its cost is one `VecDeque` push per simcall, which is
+//! noise next to the maestro's matching and fabric work for the same
+//! simcall. The recorder is a sink: the runtime hands it finished ops whose
+//! waits already carry per-rank post indices
+//! ([`crate::runtime::ReqId::post`]), so `[post N]` here, in a
+//! [`PendingReq`] and in a captured trace is one number.
 //!
 //! When the maestro detects that the simulation cannot make progress
 //! ([`crate::error::SimError`]), it snapshots the rings and the matching
@@ -15,12 +18,11 @@
 //! different tag, a posted receive naming a different source, …), which is
 //! usually the bug.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use smpi_obs::json::JsonBuf;
 
-use crate::capture::{mode_name, TiOp};
-use crate::runtime::{ReqId, WaitMode};
+use crate::capture::TiOp;
 
 /// Ring depth per rank: the acceptance bar is "last ≥ 8 ops"; 16 leaves
 /// room for the completions interleaved between them.
@@ -31,9 +33,9 @@ pub const FLIGHT_DEPTH: usize = 16;
 enum FlightEntry {
     /// A simcall, in `TITRACE v1` vocabulary.
     Op(TiOp),
-    /// A request of this rank completed (post index when still known).
+    /// A request of this rank completed.
     Done {
-        post: Option<u32>,
+        post: u32,
         kind: &'static str,
         peer: u32,
         tag: i32,
@@ -51,10 +53,7 @@ impl FlightEntry {
                 peer,
                 tag,
                 bytes,
-            } => {
-                let post = post.map_or_else(|| "?".to_string(), |p| p.to_string());
-                format!("done {kind} [post {post}] peer {peer} tag {tag} {bytes}")
-            }
+            } => format!("done {kind} [post {post}] peer {peer} tag {tag} {bytes}"),
         }
     }
 }
@@ -63,21 +62,12 @@ impl FlightEntry {
 #[derive(Debug)]
 pub(crate) struct FlightRecorder {
     rings: Vec<VecDeque<FlightEntry>>,
-    /// Next post index per rank (same numbering as the capture layer, so
-    /// postmortem post indices line up with a captured trace).
-    next_post: Vec<u32>,
-    /// Live request -> (rank, post index). Entries are removed when the
-    /// completion is reported, so the map is bounded by in-flight requests
-    /// (unlike the capture layer, which must keep them forever).
-    posts: HashMap<ReqId, (u32, u32)>,
 }
 
 impl FlightRecorder {
     pub(crate) fn new(nranks: usize) -> Self {
         FlightRecorder {
             rings: vec![VecDeque::with_capacity(FLIGHT_DEPTH); nranks],
-            next_post: vec![0; nranks],
-            posts: HashMap::new(),
         }
     }
 
@@ -89,40 +79,21 @@ impl FlightRecorder {
         ring.push_back(entry);
     }
 
-    /// Records a posted request (send or receive).
-    pub(crate) fn on_post(&mut self, rank: u32, req: ReqId, op: TiOp) {
-        let idx = self.next_post[rank as usize];
-        self.next_post[rank as usize] += 1;
-        self.posts.insert(req, (rank, idx));
-        self.push(rank, FlightEntry::Op(op));
-    }
-
-    /// Records a non-posting op (compute, sleep, region).
+    /// Records a simcall of `rank`.
     pub(crate) fn on_op(&mut self, rank: u32, op: TiOp) {
         self.push(rank, FlightEntry::Op(op));
     }
 
-    /// Records a wait, translating request ids to post indices (unknown
-    /// ids — never possible today — render as the rank's own history ends).
-    pub(crate) fn on_wait(&mut self, rank: u32, reqs: &[ReqId], mode: WaitMode) {
-        let reqs = reqs
-            .iter()
-            .filter_map(|r| self.posts.get(r).map(|&(_, idx)| idx))
-            .collect();
-        self.push(rank, FlightEntry::Op(TiOp::Wait { reqs, mode }));
-    }
-
-    /// Records a completion observed by `rank` for request `req`.
+    /// Records the completion of `rank`'s request number `post`.
     pub(crate) fn on_done(
         &mut self,
         rank: u32,
-        req: ReqId,
+        post: u32,
         kind: &'static str,
         peer: u32,
         tag: i32,
         bytes: u64,
     ) {
-        let post = self.posts.get(&req).map(|&(_, idx)| idx);
         self.push(
             rank,
             FlightEntry::Done {
@@ -133,16 +104,6 @@ impl FlightRecorder {
                 bytes,
             },
         );
-    }
-
-    /// Post index of a live request, if the recorder saw it posted.
-    pub(crate) fn post_of(&self, req: ReqId) -> Option<u32> {
-        self.posts.get(&req).map(|&(_, idx)| idx)
-    }
-
-    /// Forgets a reported request (keeps the `posts` map bounded).
-    pub(crate) fn forget(&mut self, req: ReqId) {
-        self.posts.remove(&req);
     }
 
     /// The rank's recent history, oldest first, rendered as text lines.
@@ -275,12 +236,6 @@ impl Postmortem {
     }
 }
 
-/// Formats a wait mode for postmortem text (re-exported vocabulary of the
-/// capture codec).
-pub(crate) fn wait_mode_name(mode: WaitMode) -> &'static str {
-    mode_name(mode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,46 +253,6 @@ mod tests {
             &format!("compute {}", FLIGHT_DEPTH + 4)
         );
         assert_eq!(ops.first().unwrap(), "compute 5");
-    }
-
-    #[test]
-    fn posts_map_is_bounded_by_forget() {
-        let mut f = FlightRecorder::new(1);
-        for i in 0..100u64 {
-            let r = ReqId(i);
-            f.on_post(
-                0,
-                r,
-                TiOp::Send {
-                    dst: 0,
-                    cid: 0,
-                    tag: 0,
-                    bytes: 1,
-                },
-            );
-            f.on_done(0, r, "send", 0, 0, 1);
-            f.forget(r);
-        }
-        assert!(f.posts.is_empty());
-        // Post indices keep counting even though the map drains.
-        assert_eq!(f.next_post[0], 100);
-    }
-
-    #[test]
-    fn wait_entries_use_post_indices() {
-        let mut f = FlightRecorder::new(1);
-        let (a, b) = (ReqId(7), ReqId(8));
-        let op = |dst| TiOp::Send {
-            dst,
-            cid: 0,
-            tag: 0,
-            bytes: 1,
-        };
-        f.on_post(0, a, op(1));
-        f.on_post(0, b, op(2));
-        f.on_wait(0, &[a, b], WaitMode::All);
-        assert_eq!(f.last_ops(0).last().unwrap(), "wait all 0 1");
-        assert_eq!(f.post_of(b), Some(1));
     }
 
     #[test]

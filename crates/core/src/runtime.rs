@@ -19,13 +19,18 @@
 //! * per-message software overheads and the receive-side copy penalty of the
 //!   active [`MpiProfile`].
 //!
-//! Progress is **O(completions)**: a reverse index from request to waiting
-//! actor means each fabric event re-examines only the waiters whose
-//! requests actually completed, never the whole blocked population. At
-//! 10k+ ranks this is the difference between a linear and a quadratic
-//! drive loop.
+//! Progress is **O(completions)**: each request record carries a flag saying
+//! its owner is blocked on it, so a fabric event re-examines only the
+//! waiters whose requests actually completed, never the whole blocked
+//! population. At 10k+ ranks this is the difference between a linear and a
+//! quadratic drive loop.
+//!
+//! A request has one name, [`ReqId`] = (posting rank, per-rank post index),
+//! allocated here and nowhere else. It is the index captured traces
+//! ([`TiOp::Wait`]), flight-recorder lines and postmortems print, so nothing
+//! downstream keeps a table to translate it.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 use simix::{ActorEvent, ActorId, Scheduler, Simix};
@@ -34,10 +39,10 @@ use smpi_obs::{
 };
 use smpi_platform::HostIx;
 
-use crate::capture::{Capture, TiOp, TiTrace};
+use crate::capture::{mode_name, Capture, TiOp, TiTrace};
 use crate::error::SimError;
 use crate::fabric::{Fabric, FabricToken, MpiProfile};
-use crate::flight::{wait_mode_name, FlightRecorder, PendingReq, Postmortem, RankPostmortem};
+use crate::flight::{FlightRecorder, PendingReq, Postmortem, RankPostmortem};
 use crate::matching::{MsgFifos, RecvFifos};
 use crate::state::SimClock;
 use crate::trace::{TraceEvent, TraceKind};
@@ -47,9 +52,28 @@ pub const ANY_SOURCE: i32 = crate::matching::ANY_SOURCE;
 /// Wildcard tag for receives (`MPI_ANY_TAG`).
 pub const ANY_TAG: i32 = crate::matching::ANY_TAG;
 
-/// Identifier of a pending communication request (`MPI_Request`).
+/// Identifier of a pending communication request (`MPI_Request`): the rank
+/// that posted it and its 0-based index among that rank's posts — the index
+/// a captured [`TiOp::Wait`], a flight-recorder line and a
+/// [`PendingReq::post`] all print.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ReqId(pub u64);
+pub struct ReqId {
+    rank: u32,
+    post: u32,
+}
+
+impl ReqId {
+    /// World rank that posted the request (and the only one that may wait
+    /// on it).
+    pub fn rank(self) -> u32 {
+        self.rank
+    }
+
+    /// 0-based index of the request among its rank's posts.
+    pub fn post(self) -> u32 {
+        self.post
+    }
+}
 
 /// How a wait-class simcall completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,21 +116,13 @@ pub enum Simcall {
         cid: u32,
         /// Message tag (>= 0).
         tag: i32,
-        /// Message payload.
-        payload: Box<[u8]>,
-    },
-    /// Post a data-less send of `bytes` (§3.2 technique #2: when CPU bursts
-    /// are bypassed, their arrays are unreferenced and need not move; only
-    /// the message *size* matters for timing).
-    IsendSized {
-        /// Destination world rank.
-        dst: u32,
-        /// Context id.
-        cid: u32,
-        /// Tag.
-        tag: i32,
         /// Simulated message size in bytes.
         bytes: u64,
+        /// The `bytes` of message data, or `None` for a data-less send
+        /// (§3.2 technique #2: when CPU bursts are bypassed, their arrays
+        /// are unreferenced and need not move; only the message *size*
+        /// matters for timing).
+        payload: Option<Box<[u8]>>,
     },
     /// Post a receive.
     Irecv {
@@ -218,6 +234,10 @@ struct Request {
     complete: bool,
     /// Filled when complete; taken when reported to the application.
     record: Option<CompletionRecord>,
+    /// The owner (actor `id.rank()`) is blocked in a wait that counts this
+    /// request: its completion must update that waiter. At most one waiter
+    /// per request — an actor waits on one set at a time.
+    waited: bool,
 }
 
 #[derive(Debug)]
@@ -236,7 +256,7 @@ enum TokenUse {
 struct Waiting {
     reqs: Vec<ReqId>,
     mode: WaitMode,
-    /// Distinct incomplete requests still registered in the reverse index.
+    /// Distinct incomplete requests of the set still flagged `waited`.
     remaining: usize,
     /// Already pushed on `ready_waiters` (guards double-queueing when a
     /// second request of an Any/Some waiter completes in the same pass).
@@ -250,8 +270,10 @@ pub struct Runtime {
     profile: MpiProfile,
     /// World rank -> host placement.
     placement: Vec<HostIx>,
-    next_req: u64,
+    /// Posts issued so far per rank: the next request's [`ReqId::post`].
+    next_post: Vec<u32>,
     next_msg: u64,
+    /// Live requests: posted, completion not yet reported.
     requests: HashMap<ReqId, Request>,
     messages: HashMap<MsgId, Message>,
     tokens: HashMap<FabricToken, TokenUse>,
@@ -259,15 +281,12 @@ pub struct Runtime {
     /// send-post order carried by the message id.
     pending_msgs: MsgFifos<MsgId>,
     /// Unmatched posted receives per (cid, dst), FIFO per (src, tag) spec;
-    /// post order carried by the request id.
+    /// post order carried by `id.post()` (every receive of a bucket is
+    /// posted by rank `dst`).
     posted_recvs: RecvFifos<ReqId>,
     /// Ranks blocked in a Wait.
     waiting: HashMap<ActorId, Waiting>,
-    /// Reverse index: incomplete request -> the actor waiting on it. At
-    /// most one waiter per request (requests belong to the actor that
-    /// posted them, and an actor waits on one set at a time).
-    req_waiter: HashMap<ReqId, ActorId>,
-    /// Waiters whose condition now holds, queued by [`Self::notify_completion`];
+    /// Waiters whose condition now holds, queued by [`Self::complete`];
     /// drained (in actor-id order) by the next resolution pass.
     ready_waiters: Vec<ActorId>,
     /// Actors whose Exec/Sleep finished, to be resolved on the next pass.
@@ -318,7 +337,7 @@ impl Runtime {
             fabric,
             profile,
             placement,
-            next_req: 0,
+            next_post: vec![0; n],
             next_msg: 0,
             requests: HashMap::new(),
             messages: HashMap::new(),
@@ -326,7 +345,6 @@ impl Runtime {
             pending_msgs: MsgFifos::new(),
             posted_recvs: RecvFifos::new(),
             waiting: HashMap::new(),
-            req_waiter: HashMap::new(),
             ready_waiters: Vec::new(),
             delayed_actors: Vec::new(),
             finish_times: vec![0.0; n],
@@ -637,7 +655,7 @@ impl Runtime {
                     .collect();
                 RankPostmortem {
                     rank: actor.0,
-                    wait_mode: Some(wait_mode_name(w.mode)),
+                    wait_mode: Some(mode_name(w.mode)),
                     pending,
                     last_ops: self.flight.last_ops(actor.0),
                 }
@@ -649,7 +667,7 @@ impl Runtime {
     /// Describes one incomplete request: its spec, and — for unmatched
     /// sends/receives — the nearest matching counterpart on the peer side.
     fn describe_pending(&self, r: ReqId) -> PendingReq {
-        let post = self.flight.post_of(r);
+        let post = Some(r.post());
         let req = &self.requests[&r];
         match &req.kind {
             ReqKind::Send => {
@@ -803,45 +821,19 @@ impl Runtime {
                 dst,
                 cid,
                 tag,
+                bytes,
                 payload,
             } => {
                 assert!(tag >= 0, "send tags must be non-negative");
-                let bytes = payload.len() as u64;
+                debug_assert!(payload.as_ref().is_none_or(|p| p.len() as u64 == bytes));
                 let op = TiOp::Send {
                     dst,
                     cid,
                     tag,
                     bytes,
                 };
-                // The flight entry must precede the post: an eager send can
-                // complete (and log its `done` line) inside `post_send`.
-                self.flight
-                    .on_post(actor.0, ReqId(self.next_req), op.clone());
-                let req = self.post_send(actor.0, dst, cid, tag, Some(payload), bytes)?;
-                if let Some(cap) = &mut self.capture {
-                    cap.on_post(actor.0, req, op);
-                }
-                sx.resolve(actor, SimResp::Req(req));
-            }
-            Simcall::IsendSized {
-                dst,
-                cid,
-                tag,
-                bytes,
-            } => {
-                assert!(tag >= 0, "send tags must be non-negative");
-                let op = TiOp::Send {
-                    dst,
-                    cid,
-                    tag,
-                    bytes,
-                };
-                self.flight
-                    .on_post(actor.0, ReqId(self.next_req), op.clone());
-                let req = self.post_send(actor.0, dst, cid, tag, None, bytes)?;
-                if let Some(cap) = &mut self.capture {
-                    cap.on_post(actor.0, req, op);
-                }
+                self.log(actor.0, op);
+                let req = self.post_send(actor.0, dst, cid, tag, payload, bytes)?;
                 sx.resolve(actor, SimResp::Req(req));
             }
             Simcall::Irecv {
@@ -856,57 +848,43 @@ impl Runtime {
                     tag,
                     max_bytes,
                 };
-                self.flight
-                    .on_post(actor.0, ReqId(self.next_req), op.clone());
+                self.log(actor.0, op);
                 let req = self.post_recv(actor.0, src, cid, tag, max_bytes)?;
-                if let Some(cap) = &mut self.capture {
-                    cap.on_post(actor.0, req, op);
-                }
                 sx.resolve(actor, SimResp::Req(req));
             }
             Simcall::Wait { reqs, mode } => {
-                if let Some(cap) = &mut self.capture {
-                    cap.on_wait(actor.0, &reqs, mode);
+                // Flag the incomplete requests as waited on; an
+                // already-satisfied waiter queues for the next resolution
+                // pass (Poll always does, and must not flag: the flags
+                // would outlive the resolution).
+                let mut remaining = 0;
+                let mut any_complete = false;
+                let mut on_recv = false;
+                for &r in &reqs {
+                    let owned = r.rank == actor.0;
+                    let Some(q) = self.requests.get_mut(&r).filter(|_| owned) else {
+                        return Err(self.stale_wait(actor.0, r));
+                    };
+                    on_recv |= matches!(q.kind, ReqKind::Recv { .. });
+                    if q.complete {
+                        any_complete = true;
+                    } else if mode != WaitMode::Poll && !q.waited {
+                        // A request listed twice flags (and counts) once.
+                        q.waited = true;
+                        remaining += 1;
+                    }
                 }
-                self.flight.on_wait(actor.0, &reqs, mode);
-                if mode != WaitMode::Poll && self.rec.is_enabled() {
+                let posts = reqs.iter().map(|r| r.post).collect();
+                self.log(actor.0, TiOp::Wait { reqs: posts, mode });
+                if mode != WaitMode::Poll {
                     // Blocked state: receives dominate the wait semantics,
-                    // so any incomplete receive in the set labels it.
-                    let blocked_on_recv = reqs.iter().any(|r| {
-                        matches!(
-                            self.requests.get(r).map(|q| &q.kind),
-                            Some(ReqKind::Recv { .. })
-                        )
-                    });
-                    let state = if blocked_on_recv {
+                    // so any receive in the set labels it.
+                    let state = if on_recv {
                         "blocked_in_recv"
                     } else {
                         "blocked_in_send"
                     };
                     self.rec.state_push("rank", actor.0, self.now(), state);
-                }
-                // Register incomplete requests in the reverse index; an
-                // already-satisfied waiter queues for the next resolution
-                // pass (Poll always does).
-                let mut remaining = 0;
-                let mut any_complete = false;
-                // Poll resolves unconditionally on the next pass and must
-                // not register: its entries would outlive the resolution.
-                if mode != WaitMode::Poll {
-                    for &r in &reqs {
-                        if self.requests[&r].complete {
-                            any_complete = true;
-                        } else {
-                            // `entry` dedupes: a request listed twice
-                            // registers (and counts) once.
-                            if let std::collections::hash_map::Entry::Vacant(e) =
-                                self.req_waiter.entry(r)
-                            {
-                                e.insert(actor);
-                                remaining += 1;
-                            }
-                        }
-                    }
                 }
                 let satisfied = match mode {
                     WaitMode::All => remaining == 0,
@@ -927,10 +905,7 @@ impl Runtime {
                 }
             }
             Simcall::Exec { flops } => {
-                if let Some(cap) = &mut self.capture {
-                    cap.on_op(actor.0, TiOp::Compute { flops });
-                }
-                self.flight.on_op(actor.0, TiOp::Compute { flops });
+                self.log(actor.0, TiOp::Compute { flops });
                 self.record(TraceKind::ExecStarted {
                     rank: actor.0,
                     flops,
@@ -942,10 +917,7 @@ impl Runtime {
                 self.tokens.insert(tok, TokenUse::ActorDelay(actor));
             }
             Simcall::Sleep { secs } => {
-                if let Some(cap) = &mut self.capture {
-                    cap.on_op(actor.0, TiOp::Sleep { secs });
-                }
-                self.flight.on_op(actor.0, TiOp::Sleep { secs });
+                self.log(actor.0, TiOp::Sleep { secs });
                 self.rec.state_push("rank", actor.0, self.now(), "sleeping");
                 let tok = self.fabric.start_sleep(secs);
                 self.tokens.insert(tok, TokenUse::ActorDelay(actor));
@@ -958,10 +930,7 @@ impl Runtime {
                     name: name.to_string(),
                     enter,
                 };
-                if let Some(cap) = &mut self.capture {
-                    cap.on_op(actor.0, op.clone());
-                }
-                self.flight.on_op(actor.0, op);
+                self.log(actor.0, op);
                 if self.rec.is_enabled() {
                     let t = self.now();
                     self.rec.with(|r| {
@@ -979,15 +948,44 @@ impl Runtime {
         Ok(())
     }
 
-    fn alloc_req(&mut self, kind: ReqKind) -> ReqId {
-        let id = ReqId(self.next_req);
-        self.next_req += 1;
+    /// Feeds one simcall, in trace vocabulary, to the always-on flight ring
+    /// and — when enabled — the capture. Called before the op takes effect,
+    /// so a completion it triggers (an eager send finishing inside
+    /// `post_send`) logs its `done` line after it.
+    fn log(&mut self, rank: u32, op: TiOp) {
+        if let Some(cap) = &mut self.capture {
+            cap.on_op(rank, op.clone());
+        }
+        self.flight.on_op(rank, op);
+    }
+
+    /// The error for a wait naming a request with no live record owned by
+    /// the waiting rank.
+    fn stale_wait(&self, rank: u32, r: ReqId) -> SimError {
+        let why = if r.rank != rank {
+            format!("belongs to rank {}", r.rank)
+        } else if r.post >= self.next_post[rank as usize] {
+            "was never posted".into()
+        } else {
+            "was already reported complete".into()
+        };
+        self.protocol(format!(
+            "rank {rank} waits on request [post {}], which {why}",
+            r.post
+        ))
+    }
+
+    fn alloc_req(&mut self, rank: u32, kind: ReqKind) -> ReqId {
+        let next = &mut self.next_post[rank as usize];
+        let id = ReqId { rank, post: *next };
+        *next += 1;
         self.requests.insert(
             id,
             Request {
                 kind,
                 complete: false,
                 record: None,
+                waited: false,
             },
         );
         id
@@ -1002,7 +1000,7 @@ impl Runtime {
         payload: Option<Box<[u8]>>,
         bytes: u64,
     ) -> Result<ReqId, SimError> {
-        let send_req = self.alloc_req(ReqKind::Send);
+        let send_req = self.alloc_req(src, ReqKind::Send);
         let eager = self.profile.is_eager(bytes);
         self.record(TraceKind::SendPosted {
             src,
@@ -1079,10 +1077,13 @@ impl Runtime {
         max_bytes: u64,
     ) -> Result<ReqId, SimError> {
         self.record(TraceKind::RecvPosted { dst, src, tag });
-        let req = self.alloc_req(ReqKind::Recv {
-            max_bytes,
-            msg: None,
-        });
+        let req = self.alloc_req(
+            dst,
+            ReqKind::Recv {
+                max_bytes,
+                msg: None,
+            },
+        );
         // Match the earliest compatible pending message (send-post order;
         // everything in the pending store is unbound by construction).
         if let Some(mid) = self.pending_msgs.pop_match(cid, dst, src, tag) {
@@ -1097,7 +1098,8 @@ impl Runtime {
                 self.begin_rendezvous(mid)?;
             }
         } else {
-            self.posted_recvs.push(cid, dst, src, tag, req.0, req);
+            self.posted_recvs
+                .push(cid, dst, src, tag, req.post as u64, req);
         }
         Ok(req)
     }
@@ -1125,7 +1127,10 @@ impl Runtime {
     /// Completion-path request lookup; same contract as [`Self::msg_mut`].
     fn req_mut(&mut self, req: ReqId, ctx: &str) -> Result<&mut Request, SimError> {
         if !self.requests.contains_key(&req) {
-            return Err(self.protocol(format!("{ctx} request {} that is not live", req.0)));
+            return Err(self.protocol(format!(
+                "{ctx} request [post {}] of rank {} that is not live",
+                req.post, req.rank
+            )));
         }
         Ok(self.requests.get_mut(&req).expect("presence just checked"))
     }
@@ -1314,17 +1319,32 @@ impl Runtime {
         Ok(())
     }
 
-    /// Marks a request complete and, if an actor is blocked on it, updates
-    /// that waiter's count — queueing the actor once its condition holds.
-    /// This is the O(completions) hook: nothing else ever re-examines
-    /// waiters.
-    fn notify_completion(&mut self, req: ReqId) {
-        if let Some(actor) = self.req_waiter.remove(&req) {
-            let w = self.waiting.get_mut(&actor).expect("indexed waiter exists");
+    /// Marks a request complete, logs its `done` line on the owner's ring
+    /// and, if the owner is blocked on it, updates that waiter's count —
+    /// queueing the actor once its condition holds. This is the
+    /// O(completions) hook: nothing else ever re-examines waiters.
+    fn complete(
+        &mut self,
+        req: ReqId,
+        kind: &'static str,
+        peer: u32,
+        record: CompletionRecord,
+    ) -> Result<(), SimError> {
+        let (tag, bytes) = (record.1, record.2);
+        let r = self.req_mut(req, "completing a")?;
+        debug_assert!(!r.complete, "{kind} completed twice");
+        r.complete = true;
+        r.record = Some(record);
+        let waited = std::mem::take(&mut r.waited);
+        self.flight
+            .on_done(req.rank, req.post, kind, peer, tag, bytes);
+        if waited {
+            let actor = ActorId(req.rank);
+            let w = self.waiting.get_mut(&actor).expect("flagged waiter exists");
             w.remaining -= 1;
             let satisfied = match w.mode {
                 WaitMode::All => w.remaining == 0,
-                // Any completion satisfies; Poll never registers.
+                // Any completion satisfies; Poll never flags.
                 WaitMode::Any | WaitMode::Some => true,
                 WaitMode::Poll => unreachable!("poll waiters queue immediately"),
             };
@@ -1333,6 +1353,7 @@ impl Runtime {
                 self.ready_waiters.push(actor);
             }
         }
+        Ok(())
     }
 
     fn complete_send(&mut self, mid: MsgId) -> Result<(), SimError> {
@@ -1340,33 +1361,22 @@ impl Runtime {
             .messages
             .get(&mid)
             .ok_or_else(|| self.protocol(format!("send completion for dead message {}", mid.0)))?;
-        let req = m.send_req;
-        let (src, dst, tag, bytes) = (m.src, m.dst, m.tag, m.bytes);
-        let r = self.req_mut(req, "completing a send on a")?;
-        debug_assert!(!r.complete, "send completed twice");
-        r.complete = true;
-        r.record = Some((src, tag, bytes, None));
-        self.flight.on_done(src, req, "send", dst, tag, bytes);
-        self.notify_completion(req);
+        let (req, dst, record) = (m.send_req, m.dst, (m.src, m.tag, m.bytes, None));
+        self.complete(req, "send", dst, record)?;
         self.gc_message(mid);
         Ok(())
     }
 
     fn complete_recv(&mut self, mid: MsgId) -> Result<(), SimError> {
-        let (recv_req, payload, src, dst, tag, bytes) = {
+        let (recv_req, record) = {
             let m = self.msg_mut(mid, "completing a receive on a")?;
             debug_assert_eq!(m.state, MsgState::Arrived);
-            (m.recv_req, m.payload.take(), m.src, m.dst, m.tag, m.bytes)
+            (m.recv_req, (m.src, m.tag, m.bytes, m.payload.take()))
         };
         let Some(req) = recv_req else {
             return Err(self.protocol(format!("receive completion for unbound message {}", mid.0)));
         };
-        let r = self.req_mut(req, "completing a receive on a")?;
-        debug_assert!(!r.complete, "recv completed twice");
-        r.complete = true;
-        r.record = Some((src, tag, bytes, payload));
-        self.flight.on_done(dst, req, "recv", src, tag, bytes);
-        self.notify_completion(req);
+        self.complete(req, "recv", record.0, record)?;
         self.gc_message(mid);
         Ok(())
     }
@@ -1407,7 +1417,7 @@ impl Runtime {
             sx.resolve(actor, SimResp::Unit);
             woken += 1;
         }
-        // Only waiters queued by notify_completion (or satisfied at Wait
+        // Only waiters queued by `complete` (or satisfied at Wait
         // post) are examined — never the whole blocked population. Sorting
         // by actor id reproduces the resolution order of a full sweep:
         // satisfaction is monotone within a pass, so the queued set equals
@@ -1416,12 +1426,14 @@ impl Runtime {
         ready.sort_unstable();
         for actor in ready.drain(..) {
             let w = self.waiting.remove(&actor).unwrap();
-            // An Any/Some waiter satisfied by its first completion still has
-            // reverse-index entries for its other requests; drop them so a
-            // later Wait on the same requests re-registers cleanly.
+            // An Any/Some waiter satisfied by its first completion leaves
+            // its other requests flagged; clear them so a later Wait on the
+            // same requests counts them afresh.
             if w.remaining > 0 {
                 for r in &w.reqs {
-                    self.req_waiter.remove(r);
+                    if let Some(q) = self.requests.get_mut(r) {
+                        q.waited = false;
+                    }
                 }
             }
             if w.mode != WaitMode::Poll {
@@ -1443,11 +1455,16 @@ impl Runtime {
     fn collect_completions(&mut self, w: &Waiting) -> Vec<Completion> {
         let mut out = Vec::new();
         for (index, &rid) in w.reqs.iter().enumerate() {
-            let r = self.requests.get_mut(&rid).unwrap();
-            if !r.complete {
+            // Vacant only for a request listed twice: the first mention
+            // already retired it.
+            let Entry::Occupied(e) = self.requests.entry(rid) else {
+                continue;
+            };
+            if !e.get().complete {
                 continue;
             }
-            let (source, tag, bytes, data) = r.record.take().expect("completed request has record");
+            let record = e.remove().record;
+            let (source, tag, bytes, data) = record.expect("completed request has record");
             out.push(Completion {
                 req: rid,
                 index,
@@ -1456,8 +1473,6 @@ impl Runtime {
                 bytes,
                 data,
             });
-            self.requests.remove(&rid);
-            self.flight.forget(rid);
             if w.mode == WaitMode::Any {
                 break; // exactly one for Waitany
             }

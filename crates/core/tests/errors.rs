@@ -234,3 +234,148 @@ fn tag_mismatch_postmortem_matches_golden_json() {
     let golden = std::fs::read_to_string(golden_path).expect("golden file (run with BLESS=1)");
     assert_eq!(json, golden, "postmortem JSON drifted from the golden file");
 }
+
+/// Both network substrates: request bookkeeping lives above the fabric, so
+/// misuse must be diagnosed identically on each.
+fn both_backends() -> [World; 2] {
+    [
+        World::smpi(platform(2), TransferModel::ideal()),
+        World::testbed(platform(2), smpi::MpiProfile::smpi()),
+    ]
+}
+
+/// Asserts a typed protocol error whose detail names `rank`, `[post N]` and
+/// `why`, and that it renders (postmortem included) without panicking.
+fn assert_stale_wait(err: &SimError, rank: u32, post: u32, why: &str) {
+    let SimError::Protocol { detail, .. } = err else {
+        panic!("expected a protocol error, got: {err}");
+    };
+    assert!(detail.contains(&format!("rank {rank} waits")), "{detail}");
+    assert!(detail.contains(&format!("[post {post}]")), "{detail}");
+    assert!(detail.contains(why), "{detail}");
+    assert!(err.to_string().contains(detail.as_str()));
+    let _ = err.postmortem().to_json();
+}
+
+/// A request is consumed by the wait that reports its completion
+/// (`MPI_REQUEST_NULL` afterwards). Naming it again — in any wait mode — is
+/// an application bug the maestro reports, not a map-index panic.
+#[test]
+fn waiting_twice_on_a_request_is_a_typed_error() {
+    type Misuse = fn(&smpi::Ctx, &[smpi::AnyRequest]);
+    let misuses: [(&str, Misuse); 3] = [
+        ("wait_all twice", |ctx, set| {
+            ctx.wait_all(set);
+            ctx.wait_all(set);
+        }),
+        ("wait_any then wait_all", |ctx, set| {
+            let first = ctx.wait_any(set);
+            // The eager send detaches at injection; the echo is a round
+            // trip away.
+            assert_eq!(first.index, 0);
+            ctx.wait_all(set);
+        }),
+        ("wait_all then test", |ctx, set| {
+            ctx.wait_all(set);
+            ctx.test(set);
+        }),
+    ];
+    for world in both_backends() {
+        for (what, misuse) in misuses {
+            let err = world
+                .try_run(2, move |ctx| {
+                    let comm = ctx.world();
+                    if ctx.rank() == 0 {
+                        // Post 0 is consumed properly, so the misused set is
+                        // posts 1 and 2: the error must print the post
+                        // index, not the position in the set.
+                        ctx.send(&[0u8; 8], 1, 0, &comm);
+                        let set = [
+                            ctx.isend(&[1u8; 8], 1, 1, &comm).into_any(),
+                            ctx.irecv::<u8>(1, 2, 8, &comm).into_any(),
+                        ];
+                        misuse(ctx, &set);
+                    } else {
+                        let _ = ctx.recv_vec::<u8>(0, 0, 8, &comm);
+                        let (echo, _) = ctx.recv_vec::<u8>(0, 1, 8, &comm);
+                        ctx.send(&echo, 0, 2, &comm);
+                    }
+                })
+                .expect_err(what);
+            assert_stale_wait(&err, 0, 1, "already reported");
+        }
+    }
+}
+
+/// A request belongs to the rank that posted it; another rank naming it is
+/// refused at the wait instead of stealing (or corrupting) its completion.
+#[test]
+fn waiting_on_another_ranks_request_is_a_typed_error() {
+    use std::sync::Mutex;
+    for world in both_backends() {
+        let slot: Arc<Mutex<Option<smpi::AnyRequest>>> = Arc::default();
+        let err = world
+            .try_run(2, move |ctx| {
+                let comm = ctx.world();
+                if ctx.rank() == 0 {
+                    let mine = ctx.irecv::<u8>(1, 5, 8, &comm).into_any();
+                    *slot.lock().unwrap() = Some(mine);
+                    // Orders rank 1's read of the slot after the store.
+                    ctx.send(&[0u8; 1], 1, 0, &comm);
+                    ctx.wait_all(&[mine]);
+                    ctx.send(&[0u8; 1], 1, 6, &comm);
+                } else {
+                    let _ = ctx.recv_vec::<u8>(0, 0, 1, &comm);
+                    let theirs = slot.lock().unwrap().expect("rank 0 stored it");
+                    // Completes rank 0's receive; tag 6 says rank 0 has
+                    // collected it...
+                    ctx.send(&[7u8; 8], 0, 5, &comm);
+                    let _ = ctx.recv_vec::<u8>(0, 6, 1, &comm);
+                    // ...and rank 1 then claims it as its own.
+                    ctx.wait_all(&[theirs]);
+                }
+            })
+            .expect_err("rank 1 waited on rank 0's request");
+        assert_stale_wait(&err, 1, 0, "belongs to rank 0");
+    }
+}
+
+/// The same refusal on the event-driven scheduler (what replay runs on):
+/// a script that waits twice on a request it posted.
+#[test]
+fn stale_wait_from_a_script_is_a_typed_error() {
+    use smpi::{SimResp, Simcall, WaitMode};
+    type Script = Box<dyn FnMut(Option<SimResp>) -> Option<Simcall>>;
+    let wait = |id| Simcall::Wait {
+        reqs: vec![id],
+        mode: WaitMode::All,
+    };
+    // Rank 0 sends itself 8 data-less bytes and waits on the send twice.
+    let mut step = 0;
+    let mut sent = None;
+    let script: Script = Box::new(move |resp| {
+        step += 1;
+        match (step, resp) {
+            (1, None) => Some(Simcall::Isend {
+                dst: 0,
+                cid: 0,
+                tag: 0,
+                bytes: 8,
+                payload: None,
+            }),
+            (2, Some(SimResp::Req(id))) => {
+                sent = Some(id);
+                Some(wait(id))
+            }
+            (3, Some(SimResp::Done(done))) => {
+                assert_eq!(done.len(), 1);
+                Some(wait(sent.expect("posted in step 1")))
+            }
+            other => panic!("unexpected step {other:?}"),
+        }
+    });
+    let err = World::smpi(platform(1), TransferModel::ideal())
+        .try_run_scripts(vec![script])
+        .expect_err("second wait on a reported request");
+    assert_stale_wait(&err, 0, 0, "already reported");
+}

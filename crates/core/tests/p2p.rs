@@ -354,3 +354,50 @@ fn unmatched_recv_deadlocks_loudly() {
         }
     });
 }
+
+/// A request's name is its rank's post index: the k-th request a rank posts
+/// is `(rank, k)`, and a captured trace writes its waits with exactly those
+/// indices — so `[post N]` in a postmortem, a `wait` line in a `.tit` file
+/// and the handle the application holds all say the same number.
+#[test]
+fn request_ids_are_the_post_indices_a_capture_records() {
+    use smpi::{AnyRequest, TiOp};
+    let report = smpi_world(2).capture(true).run(2, |ctx| {
+        let comm = ctx.world();
+        let peer = 1 - ctx.rank();
+        let mut posted = Vec::new();
+        for round in 0..3 {
+            let set = [
+                ctx.irecv::<u8>(peer as i32, round, 16, &comm).into_any(),
+                ctx.isend(&[round as u8; 16], peer, round, &comm).into_any(),
+            ];
+            // Any-then-all: the second wait names only what is still live.
+            let first = ctx.wait_any(&set).index;
+            ctx.wait_all(&[set[1 - first]]);
+            posted.push((set, first));
+        }
+        posted
+    });
+    let trace = report.ti_trace.as_ref().expect("capture was enabled");
+    for (rank, posted) in report.results.iter().enumerate() {
+        let mut expected_waits = Vec::new();
+        for (round, (set, first)) in posted.iter().enumerate() {
+            for (k, req) in set.iter().enumerate() {
+                let (AnyRequest::Send(id) | AnyRequest::Recv(id)) = req;
+                assert_eq!(id.rank(), rank as u32);
+                assert_eq!(id.post(), (2 * round + k) as u32);
+            }
+            let base = 2 * round as u32;
+            expected_waits.push(vec![base, base + 1]);
+            expected_waits.push(vec![base + 1 - *first as u32]);
+        }
+        let captured_waits: Vec<Vec<u32>> = trace.ranks[rank]
+            .iter()
+            .filter_map(|op| match op {
+                TiOp::Wait { reqs, .. } => Some(reqs.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(captured_waits, expected_waits, "rank {rank}");
+    }
+}

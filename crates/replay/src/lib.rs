@@ -268,11 +268,12 @@ impl RankScript {
                     cid,
                     tag,
                     bytes,
-                } => Simcall::IsendSized {
+                } => Simcall::Isend {
                     dst,
                     cid,
                     tag,
                     bytes,
+                    payload: None,
                 },
                 TiOp::Recv {
                     src,
