@@ -14,10 +14,12 @@ use crate::Deterministic;
 pub struct KernelProfile {
     /// Max-min reshares performed.
     pub reshares: u64,
-    /// Lazy-heap hygiene rebuilds.
+    /// Always 0: the completion heap is addressable, so it is never
+    /// rebuilt. Kept, like `parallel_components`, only because the frozen
+    /// `benchmark/` reads it.
     pub heap_rebuilds: u64,
-    /// Orphaned heap entries dropped on pop (stale generation or stale
-    /// prediction).
+    /// Always 0: a rate change re-keys its heap entry in place, so no stale
+    /// entry exists to be dropped. Kept for the frozen `benchmark/`.
     pub heap_orphans: u64,
     /// Flows folded away into uniform-round route-class representatives
     /// (each saved a solver variable).

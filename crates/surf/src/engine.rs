@@ -20,59 +20,60 @@
 //!
 //! The kernel is engineered so that the cost of one simulated event depends
 //! only on the *currently live* actions (and usually only on the affected
-//! ones), never on the total number of actions ever started:
+//! ones), never on the total number of actions ever started — and so that a
+//! steady-state event allocates nothing but the `Vec` of completions it
+//! returns (`tests/reshare_allocs.rs`):
 //!
 //! * actions live in a generation-tagged [`Slab`] whose
 //!   slots are recycled on completion, so iteration and memory stay
 //!   proportional to the peak concurrency;
-//! * the next completion is found through a lazily-invalidated binary heap
-//!   of predicted completion times instead of a linear scan — a heap entry
-//!   is trusted only if its generation matches the slot and its time matches
-//!   the slot's cached prediction, so rate changes simply publish a new
-//!   entry and orphan the old one;
-//! * the max-min problem is re-solved *incrementally*: each link and host
-//!   keeps a persistent, birth-ordered set of the actions it constrains, a
-//!   change marks its constraints dirty, and only the connected component of
-//!   the constraint↔action graph reachable from dirty constraints is
-//!   re-shared. Remaining work is folded in lazily, at an action's own rate
-//!   changes, rather than on every global step. Each dirty component is
-//!   built and solved inline, on the calling thread, in component-birth
-//!   order; a component whose members share one rate bound is folded to
-//!   one solver variable per route class. This is the only shipped
-//!   reshare path: the from-scratch rebuild it must match exists solely as
-//!   a `#[cfg(test)]` oracle for the differential tests in
-//!   `engine/oracle_tests.rs`.
+//! * the next completion is the top of an addressable heap (`heap.rs`)
+//!   keyed `(prediction, birth seq)`: a rate change re-keys the action's
+//!   entry in place, a completion removes it, nothing stale is ever stored;
+//! * the max-min system is *live*. A sharing action belongs to a route
+//!   class (`classes.rs`: same deduplicated route — or host — and same
+//!   rate-bound bit pattern), a class keeps its members in birth order, and
+//!   a link or host lists the classes constraining on it. A change marks
+//!   the constraints it touched dirty; the reshare walks link → class →
+//!   link from them, so finding a dirty component and writing its problem
+//!   cost O(classes), and only installing the new rates visits members.
+//!   The problem goes into the one `lmm::Workspace` the simulation owns and is
+//!   solved in place. A component whose classes share one bound is written
+//!   one variable per class with its member count; a mixed-bound component
+//!   one variable per member. Remaining work is folded in lazily, at an
+//!   action's own rate changes, rather than on every global step.
+//!
+//! This is the only shipped reshare path: the from-scratch rebuild it must
+//! match exists solely as a `#[cfg(test)]` oracle for the differential
+//! tests in `engine/oracle_tests.rs`.
+
+mod classes;
+mod heap;
 
 use crate::ids::{ActionId, HostId, LinkId};
-use crate::lmm::{CnstId, MaxMinProblem};
+use crate::lmm::Workspace;
 use crate::model::TransferModel;
 use crate::slab::Slab;
 use crate::time::SimTime;
+use classes::{ClassTable, UserKey, DETACHED};
+use heap::EventHeap;
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Relative tolerance when deciding that an action's remaining work is done.
 const COMPLETION_EPS: f64 = 1e-9;
 
-/// One dirty component's max-min problem plus the bookkeeping needed to
-/// apply its solution back to engine actions.
-struct BuiltComponent {
-    problem: MaxMinProblem,
-    /// Constraint index → kernel link (None for host constraints).
-    cnst_link: Vec<Option<u32>>,
-    /// Member index → solver variable index (identity when unfolded; the
-    /// route-class representative when folded).
-    var_of: Vec<u32>,
+/// A constraint-bearing resource.
+#[derive(Debug, Clone, Copy)]
+enum Res {
+    Link(u32),
+    Host(u32),
 }
 
-/// Birth-ordered key of an action inside constraint user sets: the start
-/// sequence number first, so iteration replays creation order.
-type UserKey = (u64, u32);
-
 /// A network link: one direction of a cable, or a switch backplane.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Link {
     /// Nominal bandwidth in bytes/s (the max-min capacity).
     bandwidth: f64,
@@ -81,27 +82,29 @@ struct Link {
     /// When `false`, flows crossing this link are not subject to its
     /// capacity constraint (the "no contention" scenario of Figs. 7 and 11).
     contended: bool,
-    /// Transfer-phase flows currently constrained by this link, in birth
-    /// order. Only maintained while the link participates in contention.
-    users: BTreeSet<UserKey>,
+    /// Route classes with sharing members that this link constrains, in no
+    /// particular order (each class knows its position).
+    classes: Vec<u32>,
 }
 
 /// A compute host with a speed in flop/s.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Host {
     speed: f64,
-    /// Executions currently sharing this host, in birth order.
-    users: BTreeSet<UserKey>,
+    /// The host's execution class while it has running executions.
+    classes: Vec<u32>,
 }
 
 #[derive(Debug, Clone)]
 enum ActionKind {
-    /// Network transfer across `route`.
+    /// Network transfer along the route of `class`.
     Transfer {
-        /// The route with duplicate links removed (first occurrence kept):
-        /// a link crossed twice still constrains — and accounts — the flow
-        /// once, mirroring the solver's own membership deduplication.
-        route: Vec<LinkId>,
+        class: u32,
+        /// The route as the caller gave it, for the oracle alone: it
+        /// rebuilds the problem from the action table without trusting the
+        /// class table.
+        #[cfg(test)]
+        oracle_route: Vec<LinkId>,
         /// Remaining seconds of the latency phase.
         latency_left: f64,
         /// Remaining bytes once in the transfer phase.
@@ -109,8 +112,14 @@ enum ActionKind {
         /// Individual rate bound from the transfer model segment.
         bound: f64,
     },
-    /// CPU execution on a host.
-    Exec { host: HostId, flops_left: f64 },
+    /// CPU execution on a host, a member of the host's `class`.
+    Exec {
+        class: u32,
+        /// The host, for the oracle alone.
+        #[cfg(test)]
+        oracle_host: HostId,
+        flops_left: f64,
+    },
     /// Pure delay (used by `sample_*` replay and `MPI_Wtime`-style waits).
     Sleep { ends_at: SimTime },
 }
@@ -136,15 +145,22 @@ struct Action {
     rate: f64,
     /// Birth sequence number; total order over all actions ever started.
     seq: u64,
-    /// Cached predicted completion instant; `INFINITY` when the action can
-    /// make no progress (then it has no heap entry).
-    pred: SimTime,
     /// Instant up to which `*_left` has been charged. Work is folded in
     /// lazily, when the rate changes, not on every global step.
     last_update: SimTime,
     /// Contention attribution; only allocated for transfers started while
     /// recording.
     attr: Option<Box<AttrAcc>>,
+}
+
+impl Action {
+    /// The class this action names, if it is a transfer or an execution.
+    fn class(&self) -> Option<u32> {
+        match self.kind {
+            ActionKind::Transfer { class, .. } | ActionKind::Exec { class, .. } => Some(class),
+            ActionKind::Sleep { .. } => None,
+        }
+    }
 }
 
 /// Engine configuration knobs.
@@ -231,17 +247,74 @@ impl std::fmt::Display for StallError {
 
 impl std::error::Error for StallError {}
 
-/// Heap entry: `(predicted completion, birth seq, slot, generation)`. The
-/// entry is trusted only if the generation still matches the slot *and* the
-/// time still matches the slot's cached prediction; anything else is an
-/// orphan from an earlier rate and is dropped when popped.
-type HeapEntry = Reverse<(SimTime, u64, u32, u32)>;
-
 /// What happened to a completion candidate at the event instant.
 enum Verdict {
     Done,
     EnterBandwidth,
     Repush,
+}
+
+/// The recorder keys of one link, formatted once.
+#[derive(Debug)]
+struct LinkKeys {
+    bytes: String,
+    util: String,
+}
+
+impl LinkKeys {
+    fn new(link: usize) -> Self {
+        LinkKeys {
+            bytes: format!("surf.link.{link}.bytes"),
+            util: format!("surf.link.{link}.util"),
+        }
+    }
+}
+
+/// Buffers a reshare works in. Cleared, never freed; taken out of the
+/// simulation for the duration of a reshare so the phases can read them
+/// beside `&mut self`.
+#[derive(Debug, Default)]
+struct ReshareScratch {
+    /// Epoch-stamped visit marks, indexed by class slot / link / host. A
+    /// mark is set iff its entry equals `epoch`, so clearing between uses
+    /// is a counter bump instead of a memset.
+    epoch: u64,
+    class_stamp: Vec<u64>,
+    link_stamp: Vec<u64>,
+    host_stamp: Vec<u64>,
+    /// Link / host → `(epoch, constraint index)` in the component being
+    /// written. Same stamping scheme and the same `epoch` counter (each use
+    /// bumps it first, so the phases can never read each other's marks).
+    cnst_of_link: Vec<(u64, u32)>,
+    cnst_of_host: Vec<(u64, u32)>,
+    /// Constraint index → kernel link (`NOT_A_LINK` for host constraints)
+    /// of the component being written.
+    cnst_link: Vec<u32>,
+    stack: Vec<Res>,
+    /// The classes of every dirty component as `(oldest member's seq,
+    /// class)`: one contiguous, sorted run per component.
+    comp_classes: Vec<(u64, u32)>,
+    /// The runs, in component-birth order.
+    comps: Vec<(u32, u32)>,
+    /// A mixed-bound component's members, `(seq, slot, class)` in birth
+    /// order.
+    members: Vec<(u64, u32, u32)>,
+}
+
+/// `cnst_link` entry of a host constraint.
+const NOT_A_LINK: u32 = u32::MAX;
+
+impl ReshareScratch {
+    /// Marks `r` visited; `false` when it already was.
+    fn visit(&mut self, r: Res) -> bool {
+        let mark = match r {
+            Res::Link(i) => &mut self.link_stamp[i as usize],
+            Res::Host(i) => &mut self.host_stamp[i as usize],
+        };
+        let fresh = *mark != self.epoch;
+        *mark = self.epoch;
+        fresh
+    }
 }
 
 /// The sequential simulation kernel.
@@ -251,21 +324,26 @@ pub struct Simulation {
     links: Vec<Link>,
     hosts: Vec<Host>,
     actions: Slab<Action>,
-    heap: BinaryHeap<HeapEntry>,
+    /// Route classes of the live actions.
+    classes: ClassTable,
+    /// Predicted completions.
+    events: EventHeap,
     /// Next birth sequence number.
     next_seq: u64,
-    /// Links / hosts whose user set changed since the last re-share.
-    dirty_links: BTreeSet<u32>,
-    dirty_hosts: BTreeSet<u32>,
-    /// Differential-test oracle: re-share through
-    /// [`reshare_full`](Self::reshare_full) instead of the shipped path.
+    /// Links / hosts whose sharing changed since the last re-share
+    /// (duplicates allowed; the component walk visits each once).
+    dirty: Vec<Res>,
+    /// Differential-test oracle: re-share through `reshare_full`
+    /// (`engine/oracle_tests.rs`) instead of the shipped path.
     #[cfg(test)]
     full_rebuild_oracle: bool,
     config: EngineConfig,
     /// Observability sink; disabled by default (every emit is one branch).
     rec: Rec,
-    /// Last emitted utilization per link, to suppress duplicate gauge
-    /// samples across reshares. Only maintained while `rec` is enabled.
+    /// Per-link recorder keys and the last emitted utilization (to suppress
+    /// duplicate gauge samples across reshares). Only maintained while
+    /// `rec` is enabled.
+    link_keys: Vec<LinkKeys>,
     last_util: Vec<f64>,
     /// Attribution of completed transfers, keyed by `ActionId::raw()`,
     /// awaiting pickup via [`take_attribution`](Self::take_attribution).
@@ -274,21 +352,13 @@ pub struct Simulation {
     /// Always-on solver introspection (plain counters + inline histograms;
     /// see `KernelProfile` for why this is not gated on `rec`).
     kstats: KernelProfile,
-    /// Epoch-stamped visit marks for [`collect_dirty_components`]
-    /// (Self::collect_dirty_components), indexed by action slot / link /
-    /// host. A mark is set iff its entry equals `comp_epoch`, so clearing
-    /// between reshares is a single counter bump instead of a memset.
-    comp_stamp: Vec<u64>,
-    link_stamp: Vec<u64>,
-    host_stamp: Vec<u64>,
-    comp_epoch: u64,
-    /// Epoch-stamped scratch for [`build_component`](Self::build_component):
-    /// maps a link / host to its constraint's insertion index in the
-    /// component currently being built. Same stamping scheme as
-    /// `comp_stamp`, sharing `comp_epoch` (each user bumps the epoch before
-    /// use, so the phases can never read each other's marks).
-    cnst_scratch_links: Vec<(u64, u32)>,
-    cnst_scratch_hosts: Vec<(u64, u32)>,
+    /// The max-min problem of the component being re-shared, and the
+    /// solver's state.
+    ws: Workspace,
+    scratch: ReshareScratch,
+    /// `(seq, slot)` of the completion candidates of the event being
+    /// processed; reused across events.
+    candidates: Vec<UserKey>,
 }
 
 impl Default for Simulation {
@@ -310,23 +380,21 @@ impl Simulation {
             links: Vec::new(),
             hosts: Vec::new(),
             actions: Slab::new(),
-            heap: BinaryHeap::new(),
+            classes: ClassTable::default(),
+            events: EventHeap::default(),
             next_seq: 0,
-            dirty_links: BTreeSet::new(),
-            dirty_hosts: BTreeSet::new(),
+            dirty: Vec::new(),
             #[cfg(test)]
             full_rebuild_oracle: false,
             config,
             rec: Rec::disabled(),
+            link_keys: Vec::new(),
             last_util: Vec::new(),
             done_attr: HashMap::new(),
             kstats: KernelProfile::default(),
-            comp_stamp: Vec::new(),
-            link_stamp: Vec::new(),
-            host_stamp: Vec::new(),
-            comp_epoch: 0,
-            cnst_scratch_links: Vec::new(),
-            cnst_scratch_hosts: Vec::new(),
+            ws: Workspace::default(),
+            scratch: ReshareScratch::default(),
+            candidates: Vec::new(),
         }
     }
 
@@ -339,6 +407,11 @@ impl Simulation {
     pub fn set_recorder(&mut self, rec: Rec) {
         self.rec = rec;
         self.last_util = vec![0.0; self.links.len()];
+        self.link_keys.clear();
+        if self.rec.is_enabled() {
+            self.link_keys
+                .extend((0..self.links.len()).map(LinkKeys::new));
+        }
     }
 
     /// Takes the contention attribution of a *completed* transfer: its
@@ -371,13 +444,13 @@ impl Simulation {
         out.resize(self.links.len(), 0.0);
         for (_slot, _gen, a) in self.actions.iter() {
             if let ActionKind::Transfer {
-                route,
+                class,
                 latency_left,
                 ..
-            } = &a.kind
+            } = a.kind
             {
-                if *latency_left <= 0.0 {
-                    for l in route {
+                if latency_left <= 0.0 {
+                    for l in self.classes[class].links() {
                         out[l.index()] += a.rate;
                     }
                 }
@@ -402,46 +475,41 @@ impl Simulation {
     pub fn add_link(&mut self, bandwidth: f64, latency: f64) -> LinkId {
         assert!(bandwidth > 0.0 && bandwidth.is_finite());
         assert!(latency >= 0.0 && latency.is_finite());
+        if self.rec.is_enabled() {
+            self.link_keys.push(LinkKeys::new(self.links.len()));
+        }
         self.links.push(Link {
             bandwidth,
             latency,
             contended: true,
-            users: BTreeSet::new(),
+            classes: Vec::new(),
         });
         LinkId::from_index(self.links.len() - 1)
     }
 
     /// Marks a link as contention-free (infinite multiplexing capacity) or
     /// contended again. Transfer-phase flows already crossing the link gain
-    /// or lose its constraint from this instant: they leave the user sets
-    /// they are in and re-enter the transfer phase under the new flag, so
-    /// the next event query re-shares exactly the components they touch.
+    /// or lose its constraint from this instant: their classes leave the
+    /// links they are listed on and re-attach under the new flag, so the
+    /// next event query re-shares exactly the components they touch.
     pub fn set_link_contended(&mut self, link: LinkId, contended: bool) {
         let was = std::mem::replace(&mut self.links[link.index()].contended, contended);
         if was == contended || !self.config.contention {
             return;
         }
-        let crossing: Vec<UserKey> = self
-            .actions
-            .iter()
-            .filter(|(_, _, a)| {
-                matches!(&a.kind, ActionKind::Transfer { route, latency_left, .. }
-                    if *latency_left <= 0.0 && route.contains(&link))
-            })
-            .map(|(slot, _, a)| (a.seq, slot))
-            .collect();
-        for key in &crossing {
-            if let ActionKind::Transfer { route, .. } = &self.actions.get(key.1).expect("live").kind
-            {
-                for l in route {
-                    if self.links[l.index()].users.remove(key) {
-                        self.dirty_links.insert(l.index() as u32);
-                    }
+        for k in 0..self.classes.capacity_slots() as u32 {
+            let class = &self.classes[k];
+            if class.members.is_empty() || !class.links().any(|l| l == link) {
+                continue;
+            }
+            self.detach(k);
+            if self.attach(k) {
+                self.mark_dirty(k);
+            } else {
+                for i in 0..self.classes[k].members.len() {
+                    self.run_at_bound(self.classes[k].members[i].1);
                 }
             }
-        }
-        for &(_seq, slot) in &crossing {
-            self.enter_bandwidth(slot);
         }
     }
 
@@ -460,7 +528,7 @@ impl Simulation {
         assert!(speed > 0.0 && speed.is_finite());
         self.hosts.push(Host {
             speed,
-            users: BTreeSet::new(),
+            classes: Vec::new(),
         });
         HostId::from_index(self.hosts.len() - 1)
     }
@@ -505,17 +573,11 @@ impl Simulation {
                 bound = bound.min(window / (2.0 * latency));
             }
         }
-        // Keep the first occurrence of each link: crossing a link twice does
-        // not double its constraint (the solver deduplicates memberships),
-        // and must not double its utilization/byte accounting either.
-        let mut dedup: Vec<LinkId> = Vec::with_capacity(route.len());
-        for &l in route {
-            if !dedup.contains(&l) {
-                dedup.push(l);
-            }
-        }
+        let class = self.classes.intern_route(route, bound);
         self.push_action(ActionKind::Transfer {
-            route: dedup,
+            class,
+            #[cfg(test)]
+            oracle_route: route.to_vec(),
             latency_left: latency,
             bytes_left: bytes,
             bound,
@@ -526,8 +588,11 @@ impl Simulation {
     /// the same host share its speed max-min fairly.
     pub fn start_exec(&mut self, host: HostId, flops: f64) -> ActionId {
         assert!(flops >= 0.0 && flops.is_finite());
+        let class = self.classes.intern_host(host);
         self.push_action(ActionKind::Exec {
-            host,
+            class,
+            #[cfg(test)]
+            oracle_host: host,
             flops_left: flops,
         })
     }
@@ -544,71 +609,109 @@ impl Simulation {
         let seq = self.next_seq;
         self.next_seq += 1;
         let attr = match &kind {
-            ActionKind::Transfer { route, .. } if self.rec.is_enabled() => {
+            ActionKind::Transfer { class, .. } if self.rec.is_enabled() => {
+                let route = self.classes[*class].links();
                 Some(Box::new(AttrAcc {
                     bottleneck: None,
-                    acc: FlowAttribution::new(route.iter().map(|l| l.index() as u32).collect()),
+                    acc: FlowAttribution::new(route.map(|l| l.index() as u32).collect()),
                 }))
             }
             _ => None,
         };
-        let action = Action {
+        // When the first event of the new action is due without a reshare.
+        let timer = match &kind {
+            ActionKind::Transfer { latency_left, .. } if *latency_left > 0.0 => {
+                Some(self.now + *latency_left)
+            }
+            ActionKind::Sleep { ends_at } => Some(*ends_at),
+            ActionKind::Transfer { .. } | ActionKind::Exec { .. } => None,
+        };
+        let (slot, gen) = self.actions.insert(Action {
             kind,
             rate: 0.0,
             seq,
-            pred: SimTime::INFINITY,
             last_update: self.now,
             attr,
-        };
-        let (slot, gen) = self.actions.insert(action);
-        let id = ActionId::new(slot, gen);
-        enum Disp {
-            At(SimTime),
-            Bandwidth,
-            ExecOn(usize),
+        });
+        match timer {
+            Some(at) => self.events.set(slot, at, seq),
+            None => self.start_sharing(slot),
         }
-        let disp = match &self.actions.get(slot).expect("just inserted").kind {
-            ActionKind::Transfer { latency_left, .. } if *latency_left > 0.0 => {
-                Disp::At(self.now + *latency_left)
-            }
-            ActionKind::Transfer { .. } => Disp::Bandwidth,
-            ActionKind::Exec { host, .. } => Disp::ExecOn(host.index()),
-            ActionKind::Sleep { ends_at } => Disp::At(*ends_at),
-        };
-        match disp {
-            Disp::At(pred) => self.set_pred(slot, pred),
-            Disp::Bandwidth => self.enter_bandwidth(slot),
-            Disp::ExecOn(hi) => {
-                self.hosts[hi].users.insert((seq, slot));
-                self.dirty_hosts.insert(hi as u32);
-            }
-        }
-        id
+        ActionId::new(slot, gen)
     }
 
-    /// A transfer's latency phase ended (or was absent): register it on its
-    /// contended links, or — if no capacity constraint applies — freeze it
-    /// at its model bound directly, exactly as the solver would.
-    fn enter_bandwidth(&mut self, slot: u32) {
-        let (seq, route) = {
-            let a = self.actions.get(slot).expect("live transfer");
-            match &a.kind {
-                ActionKind::Transfer { route, .. } => (a.seq, route.clone()),
-                _ => unreachable!("enter_bandwidth on a non-transfer"),
-            }
-        };
-        let mut constrained = false;
-        if self.config.contention {
-            for l in &route {
-                let li = l.index();
-                if self.links[li].contended {
-                    self.links[li].users.insert((seq, slot));
-                    self.dirty_links.insert(li as u32);
-                    constrained = true;
-                }
+    /// Lists class `k` on every link of its route that constrains it now
+    /// (or on its host). `false` when nothing does: no capacity constraint
+    /// applies to the class's members.
+    fn attach(&mut self, k: u32) -> bool {
+        let class = &mut self.classes[k];
+        debug_assert!(!class.attached && !class.members.is_empty());
+        if let Some(h) = class.host {
+            self.hosts[h.index()].classes.push(k);
+            class.attached = true;
+        }
+        for hop in &mut class.route {
+            let link = &mut self.links[hop.link.index()];
+            if self.config.contention && link.contended {
+                hop.at = link.classes.len() as u32;
+                link.classes.push(k);
+                class.attached = true;
             }
         }
-        if !constrained {
+        class.attached
+    }
+
+    /// Unlists class `k` from wherever it is listed, marking those
+    /// constraints dirty: what it coupled may now fall apart.
+    fn detach(&mut self, k: u32) {
+        if !std::mem::take(&mut self.classes[k].attached) {
+            return;
+        }
+        if let Some(h) = self.classes[k].host {
+            self.hosts[h.index()].classes.clear();
+            self.dirty.push(Res::Host(h.0));
+            return;
+        }
+        for j in 0..self.classes[k].route.len() {
+            let hop = &mut self.classes[k].route[j];
+            let (l, at) = (hop.link, std::mem::replace(&mut hop.at, DETACHED));
+            if at == DETACHED {
+                continue;
+            }
+            let listed = &mut self.links[l.index()].classes;
+            listed.swap_remove(at as usize);
+            if let Some(&moved) = listed.get(at as usize) {
+                let mut hops = self.classes[moved].route.iter_mut();
+                let hop = hops.find(|hop| hop.link == l);
+                hop.expect("a listed class crosses the link").at = at;
+            }
+            self.dirty.push(Res::Link(l.0));
+        }
+    }
+
+    /// Marks dirty every constraint class `k` is listed on: its member
+    /// count changed.
+    fn mark_dirty(&mut self, k: u32) {
+        let class = &self.classes[k];
+        if let Some(h) = class.host {
+            self.dirty.push(Res::Host(h.0));
+        }
+        self.dirty.extend(class.listed_on().map(|l| Res::Link(l.0)));
+    }
+
+    /// The action in `slot` starts consuming its resources — a transfer's
+    /// latency phase ended (or was absent), an execution started: it joins
+    /// its class, which attaches if this is its first sharing member. A
+    /// transfer no capacity constraint applies to is frozen at its model
+    /// bound directly, exactly as the solver would.
+    fn start_sharing(&mut self, slot: u32) {
+        let a = self.actions.get(slot).expect("live action");
+        let k = a.class().expect("sleeps share nothing");
+        let class = &mut self.classes[k];
+        class.join((a.seq, slot));
+        if class.attached || (class.members.len() == 1 && self.attach(k)) {
+            self.mark_dirty(k);
+        } else {
             self.run_at_bound(slot);
         }
     }
@@ -626,17 +729,6 @@ impl Simulation {
             attr.bottleneck = None;
         }
         self.apply_rate(slot, bound);
-    }
-
-    /// Publishes a new predicted completion for `slot` (and a heap entry,
-    /// unless the action can make no progress).
-    fn set_pred(&mut self, slot: u32, pred: SimTime) {
-        let gen = self.actions.generation(slot);
-        let a = self.actions.get_mut(slot).expect("live action");
-        a.pred = pred;
-        if !pred.is_infinite() {
-            self.heap.push(Reverse((pred, a.seq, slot, gen)));
-        }
     }
 
     /// The completion instant implied by the action's current rate and
@@ -728,426 +820,224 @@ impl Simulation {
 
     /// Re-solves whatever part of the max-min problem is out of date.
     fn flush_reshare(&mut self) {
-        if self.dirty_links.is_empty() && self.dirty_hosts.is_empty() {
+        if self.dirty.is_empty() {
             return;
         }
         #[cfg(test)]
         if self.full_rebuild_oracle {
-            self.reshare_full();
-            self.compact_heap();
-            return;
+            return self.reshare_full();
         }
-        self.reshare_incremental();
-        self.compact_heap();
+        self.reshare();
     }
 
-    /// Lazy-heap hygiene: orphaned entries accumulate with every re-share;
-    /// once they dominate, rebuild the heap from the live predictions so
-    /// memory stays proportional to the active set.
-    fn compact_heap(&mut self) {
-        if self.heap.len() <= 64 || self.heap.len() <= 2 * self.actions.len() {
-            return;
+    /// Walks link → class → link from the dirty constraints and leaves, in
+    /// `sc.comps` / `sc.comp_classes`, the classes of every connected
+    /// component of the constraint↔class graph reachable from them. Within
+    /// a component classes are ordered by their oldest member, and the
+    /// components by theirs (*component-birth order*) — the orders a birth-
+    /// ordered walk over the members themselves would produce.
+    fn collect_dirty_components(&self, sc: &mut ReshareScratch) {
+        sc.epoch += 1;
+        let epoch = sc.epoch;
+        if sc.class_stamp.len() < self.classes.capacity_slots() {
+            sc.class_stamp.resize(self.classes.capacity_slots(), 0);
         }
-        self.kstats.heap_rebuilds += 1;
-        self.heap.clear();
-        for (slot, gen, a) in self.actions.iter() {
-            if !a.pred.is_infinite() {
-                self.heap.push(Reverse((a.pred, a.seq, slot, gen)));
+        if sc.link_stamp.len() < self.links.len() {
+            sc.link_stamp.resize(self.links.len(), 0);
+        }
+        if sc.host_stamp.len() < self.hosts.len() {
+            sc.host_stamp.resize(self.hosts.len(), 0);
+        }
+        sc.comp_classes.clear();
+        sc.comps.clear();
+        for &seed in &self.dirty {
+            if !sc.visit(seed) {
+                continue; // a duplicate, or swallowed by an earlier component
             }
-        }
-    }
-
-    /// Rebuilds constraint user sets and re-solves the whole problem in one
-    /// global, never-folded solve. The executable specification of a
-    /// reshare: the shipped path must match it (`engine/oracle_tests.rs`).
-    #[cfg(test)]
-    fn reshare_full(&mut self) {
-        self.kstats.reshares += 1;
-        let now = self.now;
-        for l in &mut self.links {
-            l.users.clear();
-        }
-        for h in &mut self.hosts {
-            h.users.clear();
-        }
-        let mut order: Vec<UserKey> = self.actions.iter().map(|(s, _g, a)| (a.seq, s)).collect();
-        order.sort_unstable();
-
-        let mut problem = MaxMinProblem::new();
-        let mut link_cnst: Vec<Option<CnstId>> = vec![None; self.links.len()];
-        let mut host_cnst: Vec<Option<CnstId>> = vec![None; self.hosts.len()];
-        // Reverse map: constraint insertion index → kernel link (`None`
-        // for host constraints), to translate solver bottlenecks.
-        let mut cnst_link: Vec<Option<u32>> = Vec::new();
-        let mut sharing: Vec<u32> = Vec::new();
-        let mut unconstrained: Vec<u32> = Vec::new();
-        {
-            let actions = &mut self.actions;
-            let links = &mut self.links;
-            let hosts = &mut self.hosts;
-            let contention = self.config.contention;
-            for &(seq, slot) in &order {
-                let a = actions.get_mut(slot).expect("live action");
-                Self::fold(a, now);
-                match &a.kind {
-                    ActionKind::Transfer {
-                        route,
-                        latency_left,
-                        bound,
-                        ..
-                    } => {
-                        if *latency_left > 0.0 {
-                            continue; // not consuming bandwidth yet
-                        }
-                        let mut cnsts = Vec::with_capacity(route.len());
-                        if contention {
-                            for l in route {
-                                let li = l.index();
-                                if !links[li].contended {
-                                    continue;
-                                }
-                                links[li].users.insert((seq, slot));
-                                let c = match link_cnst[li] {
-                                    Some(c) => c,
-                                    None => {
-                                        let c = problem.add_constraint(links[li].bandwidth);
-                                        debug_assert_eq!(c.index(), cnst_link.len());
-                                        cnst_link.push(Some(li as u32));
-                                        link_cnst[li] = Some(c);
-                                        c
-                                    }
-                                };
-                                cnsts.push(c);
-                            }
-                        }
-                        if cnsts.is_empty() {
-                            // No capacity constraint: the solver would freeze
-                            // the flow at its own bound; do it directly.
-                            unconstrained.push(slot);
-                        } else {
-                            problem.add_variable(*bound, &cnsts);
-                            sharing.push(slot);
-                        }
-                    }
-                    ActionKind::Exec { host, .. } => {
-                        let hi = host.index();
-                        hosts[hi].users.insert((seq, slot));
-                        let c = match host_cnst[hi] {
-                            Some(c) => c,
-                            None => {
-                                let c = problem.add_constraint(hosts[hi].speed);
-                                debug_assert_eq!(c.index(), cnst_link.len());
-                                cnst_link.push(None);
-                                host_cnst[hi] = Some(c);
-                                c
-                            }
-                        };
-                        problem.add_variable(f64::INFINITY, &[c]);
-                        sharing.push(slot);
-                    }
-                    ActionKind::Sleep { .. } => {}
-                }
-            }
-        }
-        let (rates, bottlenecks) = self.solve_timed(&problem);
-        for (k, &slot) in sharing.iter().enumerate() {
-            self.set_bottleneck(slot, k, &bottlenecks, &cnst_link);
-            self.apply_rate(slot, rates[k]);
-        }
-        for &slot in &unconstrained {
-            let a = self.actions.get_mut(slot).expect("live");
-            let bound = match &a.kind {
-                ActionKind::Transfer { bound, .. } => *bound,
-                _ => unreachable!(),
-            };
-            if let Some(attr) = a.attr.as_deref_mut() {
-                attr.bottleneck = None;
-            }
-            self.apply_rate(slot, bound);
-        }
-        self.dirty_links.clear();
-        self.dirty_hosts.clear();
-        self.record_reshare();
-    }
-
-    /// Solves `problem`, always timing the solve and recording the coupled
-    /// component size; per-variable bottlenecks are computed only while
-    /// recording (attribution is meaningless — and not free — otherwise).
-    fn solve_timed(&mut self, problem: &MaxMinProblem) -> (Vec<f64>, Option<Vec<Option<CnstId>>>) {
-        let t0 = Instant::now();
-        let out = if self.rec.is_enabled() {
-            let (rates, bottlenecks) = problem.solve_with_bottlenecks();
-            (rates, Some(bottlenecks))
-        } else {
-            (problem.solve(), None)
-        };
-        self.kstats.solve_ns.observe(t0.elapsed().as_nanos() as f64);
-        self.kstats
-            .component_vars
-            .observe(problem.num_variables() as f64);
-        out
-    }
-
-    /// Publishes variable `k`'s solved bottleneck into the attribution
-    /// accumulator of the action in `slot`, translated to a kernel link.
-    fn set_bottleneck(
-        &mut self,
-        slot: u32,
-        k: usize,
-        bottlenecks: &Option<Vec<Option<CnstId>>>,
-        cnst_link: &[Option<u32>],
-    ) {
-        let Some(b) = bottlenecks else { return };
-        if let Some(attr) = self
-            .actions
-            .get_mut(slot)
-            .expect("live action")
-            .attr
-            .as_deref_mut()
-        {
-            attr.bottleneck = b[k].and_then(|c| cnst_link[c.index()]);
-        }
-    }
-
-    /// Collects the connected components of the constraint↔action graph
-    /// reachable from the dirty constraints, one BFS per unvisited seed.
-    /// Visited marks are epoch stamps in per-slot/link/host scratch vectors
-    /// (O(1) membership, reset by bumping `comp_epoch`), members are
-    /// deduplicated by action slot and sorted into birth order per
-    /// component, and the component list is sorted by its oldest member
-    /// (*component-birth order*).
-    fn collect_dirty_components(&mut self) -> Vec<Vec<UserKey>> {
-        self.comp_epoch += 1;
-        let epoch = self.comp_epoch;
-        if self.comp_stamp.len() < self.actions.capacity_slots() {
-            self.comp_stamp.resize(self.actions.capacity_slots(), 0);
-        }
-        if self.link_stamp.len() < self.links.len() {
-            self.link_stamp.resize(self.links.len(), 0);
-        }
-        if self.host_stamp.len() < self.hosts.len() {
-            self.host_stamp.resize(self.hosts.len(), 0);
-        }
-        let seeds: Vec<(bool, u32)> = self
-            .dirty_links
-            .iter()
-            .map(|&l| (true, l))
-            .chain(self.dirty_hosts.iter().map(|&h| (false, h)))
-            .collect();
-        let mut comps: Vec<Vec<UserKey>> = Vec::new();
-        let mut stack: Vec<(bool, u32)> = Vec::new();
-        for (seed_is_link, seed) in seeds {
-            let mark = if seed_is_link {
-                &mut self.link_stamp[seed as usize]
-            } else {
-                &mut self.host_stamp[seed as usize]
-            };
-            if *mark == epoch {
-                continue; // already swallowed by an earlier component
-            }
-            *mark = epoch;
-            stack.push((seed_is_link, seed));
-            let mut affected: Vec<UserKey> = Vec::new();
-            while let Some((is_link, ix)) = stack.pop() {
-                let users = if is_link {
-                    &self.links[ix as usize].users
-                } else {
-                    &self.hosts[ix as usize].users
+            sc.stack.push(seed);
+            let start = sc.comp_classes.len();
+            while let Some(r) = sc.stack.pop() {
+                let listed = match r {
+                    Res::Link(i) => &self.links[i as usize].classes,
+                    Res::Host(i) => &self.hosts[i as usize].classes,
                 };
-                for &key in users {
-                    let (_seq, slot) = key;
-                    if self.comp_stamp[slot as usize] == epoch {
+                for &k in listed {
+                    if sc.class_stamp[k as usize] == epoch {
                         continue;
                     }
-                    self.comp_stamp[slot as usize] = epoch;
-                    affected.push(key);
-                    match &self.actions.get(slot).expect("user of a constraint").kind {
-                        ActionKind::Transfer { route, .. } => {
-                            for l in route {
-                                let li = l.index();
-                                if self.links[li].contended && self.link_stamp[li] != epoch {
-                                    self.link_stamp[li] = epoch;
-                                    stack.push((true, li as u32));
-                                }
-                            }
+                    sc.class_stamp[k as usize] = epoch;
+                    let class = &self.classes[k];
+                    sc.comp_classes.push((class.members[0].0, k));
+                    for l in class.listed_on() {
+                        if sc.visit(Res::Link(l.0)) {
+                            sc.stack.push(Res::Link(l.0));
                         }
-                        ActionKind::Exec { host, .. } => {
-                            let hi = host.index();
-                            if self.host_stamp[hi] != epoch {
-                                self.host_stamp[hi] = epoch;
-                                stack.push((false, hi as u32));
-                            }
-                        }
-                        ActionKind::Sleep { .. } => unreachable!("sleeps have no constraints"),
                     }
+                    // A host lists only its own class: nothing to follow.
                 }
             }
-            if !affected.is_empty() {
-                affected.sort_unstable();
-                comps.push(affected);
+            let end = sc.comp_classes.len();
+            if end > start {
+                sc.comp_classes[start..].sort_unstable();
+                sc.comps.push((start as u32, end as u32));
             }
         }
-        comps.sort_by_key(|m| m[0]);
-        comps
+        let comp_classes = &sc.comp_classes;
+        sc.comps
+            .sort_unstable_by_key(|&(start, _)| comp_classes[start as usize].0);
     }
 
-    /// Builds one component's max-min problem. Constraints are added in
-    /// first-use order and variables in birth order — the same relative
-    /// order a full rebuild would use, so per-component arithmetic is
-    /// identical. When the component is *uniform* (every member shares one
-    /// bound bit pattern; engine variables all have weight 1), members with
-    /// identical constraint sets are folded into a single class variable
-    /// with their multiplicity; the uniformity precondition makes the
-    /// folded solve bitwise-equal to the expanded one (see `lmm.rs` module
-    /// docs and DESIGN §5.3).
-    fn build_component(&mut self, members: &[UserKey]) -> BuiltComponent {
-        self.comp_epoch += 1;
-        let epoch = self.comp_epoch;
-        if self.cnst_scratch_links.len() < self.links.len() {
-            self.cnst_scratch_links.resize(self.links.len(), (0, 0));
+    /// Writes one component's max-min problem into the workspace and
+    /// returns whether it is *uniform* (every class shares one bound bit
+    /// pattern; engine variables all have weight 1).
+    ///
+    /// A uniform component is written one variable per class, with its live
+    /// member count as multiplicity, in order of each class's oldest
+    /// member; a mixed one expands to one variable per member in birth
+    /// order. Constraints are numbered by first use. Both numberings equal
+    /// what a birth-ordered walk over every member would assign — a class's
+    /// oldest member is the first user of every constraint the class is
+    /// first to touch — and under the uniformity precondition the folded
+    /// solve is bitwise-equal to the expanded one (see `lmm.rs` module docs
+    /// and DESIGN §5.3), so per-component arithmetic is that of a full
+    /// rebuild.
+    fn build_component(&mut self, sc: &mut ReshareScratch, span: Range<usize>) -> bool {
+        sc.epoch += 1;
+        if sc.cnst_of_link.len() < self.links.len() {
+            sc.cnst_of_link.resize(self.links.len(), (0, 0));
         }
-        if self.cnst_scratch_hosts.len() < self.hosts.len() {
-            self.cnst_scratch_hosts.resize(self.hosts.len(), (0, 0));
+        if sc.cnst_of_host.len() < self.hosts.len() {
+            sc.cnst_of_host.resize(self.hosts.len(), (0, 0));
         }
-        let mut problem = MaxMinProblem::new();
-        // Component constraints in insertion order; entry `k` is the id with
-        // `index() == k`, so the epoch scratch can store bare indices.
-        let mut cnst_ids: Vec<CnstId> = Vec::new();
-        let mut cnst_link: Vec<Option<u32>> = Vec::new();
-        let mut member_cnsts: Vec<Vec<CnstId>> = Vec::with_capacity(members.len());
-        let mut member_bound: Vec<f64> = Vec::with_capacity(members.len());
-        let mut uniform_bits: Option<u64> = None;
-        let mut uniform = true;
-        for &(_seq, slot) in members {
-            let (cnsts, bound) = match &self.actions.get(slot).expect("live action").kind {
-                ActionKind::Transfer { route, bound, .. } => {
-                    let mut cnsts = Vec::with_capacity(route.len());
-                    for l in route {
-                        let li = l.index();
-                        if !self.links[li].contended {
-                            continue;
-                        }
-                        let (stamp, k) = self.cnst_scratch_links[li];
-                        let c = if stamp == epoch {
-                            cnst_ids[k as usize]
-                        } else {
-                            let c = problem.add_constraint(self.links[li].bandwidth);
-                            debug_assert_eq!(c.index(), cnst_link.len());
-                            self.cnst_scratch_links[li] = (epoch, cnst_ids.len() as u32);
-                            cnst_ids.push(c);
-                            cnst_link.push(Some(li as u32));
-                            c
-                        };
-                        cnsts.push(c);
-                    }
-                    (cnsts, *bound)
-                }
-                ActionKind::Exec { host, .. } => {
-                    let hi = host.index();
-                    let (stamp, k) = self.cnst_scratch_hosts[hi];
-                    let c = if stamp == epoch {
-                        cnst_ids[k as usize]
-                    } else {
-                        let c = problem.add_constraint(self.hosts[hi].speed);
-                        debug_assert_eq!(c.index(), cnst_link.len());
-                        self.cnst_scratch_hosts[hi] = (epoch, cnst_ids.len() as u32);
-                        cnst_ids.push(c);
-                        cnst_link.push(None);
-                        c
-                    };
-                    (vec![c], f64::INFINITY)
-                }
-                ActionKind::Sleep { .. } => unreachable!(),
-            };
-            uniform &= *uniform_bits.get_or_insert(bound.to_bits()) == bound.to_bits();
-            member_cnsts.push(cnsts);
-            member_bound.push(bound);
-        }
-
-        let mut var_of: Vec<u32> = Vec::with_capacity(members.len());
-        if uniform && members.len() >= 2 {
-            // One solver variable per route-equivalence class, in order of
-            // each class's oldest member. Keys borrow the members' constraint
-            // lists as-is (no per-member allocation or sort): constraints are
-            // numbered in first-use order over deduplicated stored routes, so
-            // equal routes produce equal lists. Two orderings of the same
-            // constraint set would land in separate classes, which costs a
-            // fold but never exactness — folding is exact for *any* partition
-            // of same-bound unit-weight members into identical-set classes.
-            let mut class_of: HashMap<&[CnstId], u32> = HashMap::new();
-            let mut class_rep: Vec<u32> = Vec::new();
-            let mut class_count: Vec<u32> = Vec::new();
-            for (i, cnsts) in member_cnsts.iter().enumerate() {
-                match class_of.entry(cnsts.as_slice()) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let k = *e.get();
-                        class_count[k as usize] += 1;
-                        var_of.push(k);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let k = class_rep.len() as u32;
-                        e.insert(k);
-                        class_rep.push(i as u32);
-                        class_count.push(1);
-                        var_of.push(k);
-                    }
-                }
+        self.ws.clear();
+        sc.cnst_link.clear();
+        let bits = self.classes[sc.comp_classes[span.start].1].bound.to_bits();
+        let uniform = sc.comp_classes[span.clone()]
+            .iter()
+            .all(|&(_, k)| self.classes[k].bound.to_bits() == bits);
+        if uniform {
+            let mut members = 0;
+            for i in span.clone() {
+                let k = sc.comp_classes[i].1;
+                let count = self.classes[k].members.len();
+                members += count;
+                self.write_variable(sc, k, count as u32);
             }
-            let bound = member_bound[0];
-            for (&rep, &count) in class_rep.iter().zip(&class_count) {
-                problem.add_variable_class(bound, count, &member_cnsts[rep as usize]);
-            }
-            self.kstats.classes_folded += (member_cnsts.len() - class_rep.len()) as u64;
+            self.kstats.classes_folded += (members - span.len()) as u64;
         } else {
-            for (i, cnsts) in member_cnsts.iter().enumerate() {
-                problem.add_variable(member_bound[i], cnsts);
-                var_of.push(i as u32);
+            sc.members.clear();
+            for &(_, k) in &sc.comp_classes[span] {
+                let members = &self.classes[k].members;
+                sc.members
+                    .extend(members.iter().map(|&(seq, slot)| (seq, slot, k)));
+            }
+            sc.members.sort_unstable();
+            for i in 0..sc.members.len() {
+                let k = sc.members[i].2;
+                self.write_variable(sc, k, 1);
             }
         }
-        BuiltComponent {
-            problem,
-            cnst_link,
-            var_of,
+        uniform
+    }
+
+    /// Appends a variable standing for `count` members of class `k` to the
+    /// workspace, numbering the constraints it is first to cross.
+    fn write_variable(&mut self, sc: &mut ReshareScratch, k: u32, count: u32) {
+        let class = &self.classes[k];
+        self.ws.add_class(class.bound, count);
+        if let Some(h) = class.host {
+            let (stamp, c) = &mut sc.cnst_of_host[h.index()];
+            if *stamp != sc.epoch {
+                *stamp = sc.epoch;
+                *c = self.ws.add_constraint(self.hosts[h.index()].speed);
+                sc.cnst_link.push(NOT_A_LINK);
+            }
+            self.ws.cross(*c);
+        }
+        for l in class.listed_on() {
+            let (stamp, c) = &mut sc.cnst_of_link[l.index()];
+            if *stamp != sc.epoch {
+                *stamp = sc.epoch;
+                *c = self.ws.add_constraint(self.links[l.index()].bandwidth);
+                sc.cnst_link.push(l.0);
+            }
+            self.ws.cross(*c);
         }
     }
 
-    /// Re-solves only the connected components of the constraint↔action
+    /// Re-solves only the connected components of the constraint↔class
     /// graph reachable from dirty constraints. Components are independent
     /// sub-problems (their constraint λ arithmetic never interacts), so each
-    /// is built, solved and applied on its own, in component-birth order.
-    fn reshare_incremental(&mut self) {
-        let now = self.now;
-        let comps = self.collect_dirty_components();
+    /// is written, solved and applied on its own, in component-birth order.
+    fn reshare(&mut self) {
+        let mut sc = std::mem::take(&mut self.scratch);
+        self.collect_dirty_components(&mut sc);
         self.kstats.reshares += 1;
-        self.kstats
-            .cascade
-            .observe(comps.iter().map(|m| m.len()).sum::<usize>() as f64);
-        for members in &comps {
-            let b = self.build_component(members);
-            let (rates, bottlenecks) = self.solve_timed(&b.problem);
-            for (&(_seq, slot), &k) in members.iter().zip(&b.var_of) {
-                let k = k as usize;
-                let a = self.actions.get_mut(slot).expect("live action");
-                Self::fold(a, now);
-                self.set_bottleneck(slot, k, &bottlenecks, &b.cnst_link);
-                self.apply_rate(slot, rates[k]);
+        let cascade: usize = sc
+            .comp_classes
+            .iter()
+            .map(|&(_, k)| self.classes[k].members.len())
+            .sum();
+        self.kstats.cascade.observe(cascade as f64);
+        // Per-variable bottlenecks are computed only while recording
+        // (attribution is meaningless — and not free — otherwise).
+        let attribute = self.rec.is_enabled();
+        for c in 0..sc.comps.len() {
+            let span = sc.comps[c].0 as usize..sc.comps[c].1 as usize;
+            let uniform = self.build_component(&mut sc, span.clone());
+            let t0 = Instant::now();
+            self.ws.solve(attribute);
+            self.kstats.solve_ns.observe(t0.elapsed().as_nanos() as f64);
+            self.kstats
+                .component_vars
+                .observe(self.ws.num_variables() as f64);
+            // The solved bottleneck of variable `v` as a kernel link.
+            let bottleneck = |ws: &Workspace, v: usize| {
+                attribute.then(|| {
+                    ws.bottleneck(v)
+                        .map(|c| sc.cnst_link[c as usize])
+                        .filter(|&l| l != NOT_A_LINK)
+                })
+            };
+            if uniform {
+                for (v, &(_, k)) in sc.comp_classes[span].iter().enumerate() {
+                    let (rate, link) = (self.ws.rate(v), bottleneck(&self.ws, v));
+                    for i in 0..self.classes[k].members.len() {
+                        self.rerate(self.classes[k].members[i].1, rate, link);
+                    }
+                }
+            } else {
+                for (v, &(_, slot, _)) in sc.members.iter().enumerate() {
+                    self.rerate(slot, self.ws.rate(v), bottleneck(&self.ws, v));
+                }
             }
         }
-        self.dirty_links.clear();
-        self.dirty_hosts.clear();
+        self.dirty.clear();
+        self.scratch = sc;
         self.record_reshare();
     }
 
-    /// Installs a freshly solved rate and publishes the new prediction.
-    /// Expects remaining work to already be folded up to `self.now`.
-    fn apply_rate(&mut self, slot: u32, rate: f64) {
+    /// Charges the action in `slot` for the work done at its old rate,
+    /// installs the freshly solved one and, while recording, the link that
+    /// bottlenecks it now.
+    fn rerate(&mut self, slot: u32, rate: f64, bottleneck: Option<Option<u32>>) {
         let now = self.now;
-        let pred = {
-            let a = self.actions.get_mut(slot).expect("live action");
-            a.rate = rate;
-            Self::predict(a, now)
-        };
-        self.set_pred(slot, pred);
+        let a = self.actions.get_mut(slot).expect("live action");
+        Self::fold(a, now);
+        if let (Some(link), Some(attr)) = (bottleneck, a.attr.as_deref_mut()) {
+            attr.bottleneck = link;
+        }
+        self.apply_rate(slot, rate);
+    }
+
+    /// Installs a rate and re-keys the action's predicted completion (an
+    /// action that can make no progress has none). Expects remaining work
+    /// to already be folded up to `self.now`.
+    fn apply_rate(&mut self, slot: u32, rate: f64) {
+        let a = self.actions.get_mut(slot).expect("live action");
+        a.rate = rate;
+        let (pred, seq) = (Self::predict(a, self.now), a.seq);
+        self.events.set(slot, pred, seq);
     }
 
     /// Emits the reshare counters and per-link utilization gauges. Called
@@ -1165,11 +1055,12 @@ impl Simulation {
         self.link_utilizations(&mut utils);
         let now = self.now.as_secs();
         let last_util = &mut self.last_util;
+        let keys = &self.link_keys;
         self.rec.with(|r| {
             r.counter_add("surf.reshares", 1);
             for (li, &util) in utils.iter().enumerate() {
                 if (util - last_util[li]).abs() > 1e-12 {
-                    r.gauge_set(&format!("surf.link.{li}.util"), now, util);
+                    r.gauge_set(&keys[li].util, now, util);
                     last_util[li] = util;
                 }
             }
@@ -1186,27 +1077,29 @@ impl Simulation {
     fn integrate_bytes(&mut self, dt: f64) {
         let now = self.now;
         let actions = &mut self.actions;
+        let classes = &self.classes;
+        let keys = &self.link_keys;
         self.rec.with(|r| {
             for (_slot, _gen, a) in actions.iter_mut() {
                 let rate = a.rate;
                 let last_update = a.last_update;
                 if let ActionKind::Transfer {
-                    route,
+                    class,
                     latency_left,
                     bytes_left,
                     ..
-                } = &a.kind
+                } = a.kind
                 {
-                    if *latency_left > 0.0 {
+                    if latency_left > 0.0 {
                         continue; // latency phase: no bandwidth, no residency
                     }
                     let delta = if rate > 0.0 {
                         // Remaining bytes as of `now` (work since the last
                         // fold has not been charged to `bytes_left` yet).
-                        let eff = (*bytes_left - rate * now.duration_since(last_update)).max(0.0);
+                        let eff = (bytes_left - rate * now.duration_since(last_update)).max(0.0);
                         let delta = (rate * dt).min(eff);
-                        for l in route {
-                            r.fcounter_add(&format!("surf.link.{}.bytes", l.index()), delta);
+                        for l in classes[class].links() {
+                            r.fcounter_add(&keys[l.index()].bytes, delta);
                         }
                         delta
                     } else {
@@ -1222,13 +1115,6 @@ impl Simulation {
                 }
             }
         });
-    }
-
-    /// `true` when the heap entry still describes the live action in `slot`.
-    fn entry_valid(&self, t: SimTime, slot: u32, gen: u32) -> bool {
-        self.actions
-            .get_tagged(slot, gen)
-            .is_some_and(|a| a.pred == t)
     }
 
     /// Latest prediction that should be examined together with an event at
@@ -1256,61 +1142,36 @@ impl Simulation {
     /// running but none can progress (the stall condition).
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.flush_reshare();
-        loop {
-            match self.heap.peek() {
-                None => {
-                    return if self.actions.is_empty() {
-                        None
-                    } else {
-                        Some(SimTime::INFINITY)
-                    };
-                }
-                Some(&Reverse((t, _seq, slot, gen))) => {
-                    if self.entry_valid(t, slot, gen) {
-                        return Some(t);
-                    }
-                    self.kstats.heap_orphans += 1;
-                    self.heap.pop();
-                }
-            }
+        match self.events.peek() {
+            Some((t, _seq, _slot)) => Some(t),
+            None if self.actions.is_empty() => None,
+            None => Some(SimTime::INFINITY),
         }
     }
 
-    /// Removes a completed action from the slab and from every constraint
-    /// user set it occupied, marking those constraints dirty.
+    /// Removes a completed action (its calendar entry is already popped)
+    /// from the slab and from its class, which leaves the constraints it
+    /// was listed on dirty — and unlisted, if this was its last sharing
+    /// member.
     fn complete(&mut self, slot: u32) {
         // Generation *before* removal: it identifies the handle callers
         // hold (removal bumps it for the next tenant).
         let gen = self.actions.generation(slot);
         let a = self.actions.remove(slot);
+        let class = a.class();
         if let Some(attr) = a.attr {
             self.done_attr
                 .insert(ActionId::new(slot, gen).raw(), attr.acc);
         }
-        let key = (a.seq, slot);
-        match &a.kind {
-            ActionKind::Transfer {
-                route,
-                latency_left,
-                ..
-            } => {
-                if *latency_left <= 0.0 {
-                    for l in route {
-                        let li = l.index();
-                        if self.links[li].users.remove(&key) {
-                            self.dirty_links.insert(li as u32);
-                        }
-                    }
-                }
+        let Some(k) = class else { return };
+        if self.classes[k].leave((a.seq, slot)) {
+            if self.classes[k].members.is_empty() {
+                self.detach(k);
+            } else {
+                self.mark_dirty(k);
             }
-            ActionKind::Exec { host, .. } => {
-                let hi = host.index();
-                if self.hosts[hi].users.remove(&key) {
-                    self.dirty_hosts.insert(hi as u32);
-                }
-            }
-            ActionKind::Sleep { .. } => {}
         }
+        self.classes.release(k);
     }
 
     fn stall_error(&self) -> StallError {
@@ -1320,7 +1181,7 @@ impl Simulation {
             .map(|(slot, gen, a)| {
                 let (kind, remaining, route) = match &a.kind {
                     ActionKind::Transfer {
-                        route,
+                        class,
                         latency_left,
                         bytes_left,
                         ..
@@ -1330,7 +1191,7 @@ impl Simulation {
                         } else {
                             *bytes_left
                         };
-                        ("transfer", rem, route.clone())
+                        ("transfer", rem, self.classes[*class].links().collect())
                     }
                     ActionKind::Exec { flops_left, .. } => ("exec", *flops_left, Vec::new()),
                     ActionKind::Sleep { .. } => ("sleep", 0.0, Vec::new()),
@@ -1366,19 +1227,11 @@ impl Simulation {
     pub fn try_advance_to_next(&mut self) -> Result<Option<(SimTime, Vec<ActionId>)>, StallError> {
         loop {
             self.flush_reshare();
-            // Next valid event (drop orphaned heap entries on the way).
-            let target = loop {
-                let Some(&Reverse((t, _seq, slot, gen))) = self.heap.peek() else {
-                    if self.actions.is_empty() {
-                        return Ok(None);
-                    }
-                    return Err(self.stall_error());
-                };
-                if self.entry_valid(t, slot, gen) {
-                    break t;
+            let Some((target, _seq, _slot)) = self.events.peek() else {
+                if self.actions.is_empty() {
+                    return Ok(None);
                 }
-                self.kstats.heap_orphans += 1;
-                self.heap.pop();
+                return Err(self.stall_error());
             };
 
             let dt = target.duration_since(self.now);
@@ -1390,30 +1243,19 @@ impl Simulation {
             // Drain every event whose prediction falls within the completion
             // tolerance of `target`, so simultaneous completions are
             // observed in one batch as the pre-slab kernel did.
-            let mut candidates: Vec<(u64, u32, u32)> = Vec::new();
-            while let Some(&Reverse((t, seq, slot, gen))) = self.heap.peek() {
-                if !self.entry_valid(t, slot, gen) {
-                    self.kstats.heap_orphans += 1;
-                    self.heap.pop();
-                    continue;
-                }
+            let mut candidates = std::mem::take(&mut self.candidates);
+            candidates.clear();
+            while let Some((t, seq, slot)) = self.events.peek() {
                 if t > self.candidate_horizon(slot, target) {
                     break;
                 }
-                self.heap.pop();
-                candidates.push((seq, slot, gen));
+                self.events.pop();
+                candidates.push((seq, slot));
             }
             candidates.sort_unstable(); // completions in birth order
-            candidates.dedup();
 
             let mut done: Vec<ActionId> = Vec::new();
-            for &(_seq, slot, gen) in &candidates {
-                // Identical predictions can be published more than once
-                // (e.g. a re-share that did not change the rate); a later
-                // duplicate of an action completed this batch is stale.
-                if !self.actions.contains(slot, gen) {
-                    continue;
-                }
+            for &(_seq, slot) in &candidates {
                 let verdict = {
                     let a = self.actions.get_mut(slot).expect("live candidate");
                     let was_latency = matches!(
@@ -1458,19 +1300,18 @@ impl Simulation {
                 };
                 match verdict {
                     Verdict::Done => {
+                        done.push(ActionId::new(slot, self.actions.generation(slot)));
                         self.complete(slot);
-                        done.push(ActionId::new(slot, gen));
                     }
-                    Verdict::EnterBandwidth => self.enter_bandwidth(slot),
+                    Verdict::EnterBandwidth => self.start_sharing(slot),
                     Verdict::Repush => {
-                        let pred = {
-                            let a = self.actions.get(slot).expect("live candidate");
-                            Self::predict(a, target)
-                        };
-                        self.set_pred(slot, pred);
+                        let a = self.actions.get(slot).expect("live candidate");
+                        let (pred, seq) = (Self::predict(a, target), a.seq);
+                        self.events.set(slot, pred, seq);
                     }
                 }
             }
+            self.candidates = candidates;
             if !done.is_empty() {
                 // Every completion past the first in this batch would have
                 // cost its own reshare/solve in a one-event-per-step kernel.
@@ -1494,9 +1335,21 @@ impl Simulation {
 }
 
 #[cfg(test)]
+impl Simulation {
+    /// Nothing is running, so nothing may be left behind: no class, no
+    /// link or host listing one, no calendar entry.
+    fn assert_drained(&self) {
+        assert_eq!(self.running_actions(), 0);
+        assert_eq!(self.classes.len(), 0, "leaked classes");
+        assert!(self.links.iter().all(|l| l.classes.is_empty()));
+        assert!(self.hosts.iter().all(|h| h.classes.is_empty()));
+        assert_eq!(self.events.len(), 0, "leaked calendar entries");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TransferModel;
 
     fn approx(a: f64, b: f64) {
         assert!(
@@ -1860,6 +1713,70 @@ mod tests {
         let l = sim.add_link(100.0, 0.5);
         sim.start_transfer(&[l], 1000.0, &TransferModel::ideal());
         let _ = sim.advance_to_next();
+    }
+
+    #[test]
+    fn a_full_drain_leaves_no_class_route_or_heap_entry() {
+        let stepped = TransferModel::new(vec![
+            crate::model::Segment {
+                upper: 1e3,
+                lat_factor: 1.0,
+                bw_factor: 0.5,
+            },
+            crate::model::Segment {
+                upper: f64::INFINITY,
+                lat_factor: 1.0,
+                bw_factor: 1.0,
+            },
+        ]);
+        let mut sim = Simulation::new();
+        let l = sim.add_link(100.0, 0.01);
+        let m = sim.add_link(50.0, 0.0);
+        let free = sim.add_link(10.0, 0.0);
+        sim.set_link_contended(free, false);
+        let h = sim.add_host(10.0);
+        for round in 0..3 {
+            // Shared and distinct routes, both segments, a loopback route,
+            // a flow no link constrains, one that completes straight out of
+            // its latency phase, executions and sleeps.
+            for size in [200.0, 500.0, 2e3, 4e3] {
+                sim.start_transfer(&[l], size, &stepped);
+                sim.start_transfer(&[l, m], size, &stepped);
+                sim.start_transfer(&[m, l, m], size, &TransferModel::ideal());
+            }
+            sim.start_transfer(&[free], 100.0, &TransferModel::ideal());
+            sim.start_transfer(&[l], 0.0, &TransferModel::ideal());
+            sim.start_exec(h, 50.0);
+            sim.start_exec(h, 20.0);
+            sim.start_sleep(1.0);
+            assert!(sim.classes.len() >= 7, "classes: {}", sim.classes.len());
+            if round == 1 {
+                // Toggle mid-flight, and leave it for the next round.
+                sim.advance_to_next().unwrap();
+                sim.set_link_contended(m, false);
+            }
+            while sim.advance_to_next().is_some() {}
+            sim.assert_drained();
+        }
+        // Freed classes are recycled: three rounds of one shape never need
+        // more slots than one round's worth.
+        assert!(sim.classes.capacity_slots() <= 10);
+    }
+
+    #[test]
+    fn equal_predictions_complete_in_birth_order() {
+        let mut sim = Simulation::new();
+        let a = sim.start_sleep(1.0);
+        let b = sim.start_sleep(3.0);
+        assert_eq!(sim.advance_to_next().unwrap().1, vec![a]);
+        // `c` takes `a`'s recycled slot, below `b`'s, but is younger.
+        let c = sim.start_sleep(2.0);
+        assert!(c.slot() < b.slot());
+        let d = sim.start_sleep(2.0);
+        let (t, done) = sim.advance_to_next().unwrap();
+        approx(t.as_secs(), 3.0);
+        assert_eq!(done, vec![b, c, d]);
+        sim.assert_drained();
     }
 
     #[test]

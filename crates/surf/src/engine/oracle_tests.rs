@@ -1,10 +1,88 @@
-//! Differential tests of the shipped reshare path against the
-//! `#[cfg(test)]` full-rebuild oracle (`Simulation::reshare_full`): the same
-//! script is driven once on each and the observations compared.
+//! The full-rebuild oracle (`Simulation::reshare_full`) and the differential
+//! tests of the shipped reshare path against it: the same script is driven
+//! once on each and the observations compared.
 
 use super::*;
-use crate::model::TransferModel;
+use crate::lmm::{CnstId, MaxMinProblem};
 use proptest::prelude::*;
+
+impl Simulation {
+    /// Re-solves the whole problem in one global, never-folded solve built
+    /// from the action table alone. The executable specification of a
+    /// reshare: the shipped path must match it (the tests below), so it
+    /// reads neither the class table nor the links' class lists — and
+    /// leaves both as the event handlers keep them.
+    pub(super) fn reshare_full(&mut self) {
+        self.kstats.reshares += 1;
+        let now = self.now;
+        let mut order: Vec<UserKey> = self.actions.iter().map(|(s, _g, a)| (a.seq, s)).collect();
+        order.sort_unstable();
+
+        let mut problem = MaxMinProblem::new();
+        let mut link_cnst: Vec<Option<CnstId>> = vec![None; self.links.len()];
+        let mut host_cnst: Vec<Option<CnstId>> = vec![None; self.hosts.len()];
+        // Reverse map: constraint insertion index → kernel link (`None`
+        // for host constraints), to translate solver bottlenecks.
+        let mut cnst_link: Vec<Option<u32>> = Vec::new();
+        let mut sharing: Vec<u32> = Vec::new();
+        let mut unconstrained: Vec<u32> = Vec::new();
+        for &(_seq, slot) in &order {
+            let a = self.actions.get_mut(slot).expect("live action");
+            Self::fold(a, now);
+            match &a.kind {
+                ActionKind::Transfer {
+                    oracle_route,
+                    latency_left,
+                    bound,
+                    ..
+                } => {
+                    if *latency_left > 0.0 {
+                        continue; // not consuming bandwidth yet
+                    }
+                    let mut cnsts = Vec::new();
+                    for l in oracle_route {
+                        let li = l.index();
+                        if !self.config.contention || !self.links[li].contended {
+                            continue;
+                        }
+                        cnsts.push(*link_cnst[li].get_or_insert_with(|| {
+                            cnst_link.push(Some(li as u32));
+                            problem.add_constraint(self.links[li].bandwidth)
+                        }));
+                    }
+                    if cnsts.is_empty() {
+                        // No capacity constraint: the solver would freeze
+                        // the flow at its own bound; do it directly.
+                        unconstrained.push(slot);
+                    } else {
+                        problem.add_variable(*bound, &cnsts);
+                        sharing.push(slot);
+                    }
+                }
+                ActionKind::Exec { oracle_host, .. } => {
+                    let hi = oracle_host.index();
+                    let c = *host_cnst[hi].get_or_insert_with(|| {
+                        cnst_link.push(None);
+                        problem.add_constraint(self.hosts[hi].speed)
+                    });
+                    problem.add_variable(f64::INFINITY, &[c]);
+                    sharing.push(slot);
+                }
+                ActionKind::Sleep { .. } => {}
+            }
+        }
+        let (rates, bottlenecks) = problem.solve_with_bottlenecks();
+        for (k, &slot) in sharing.iter().enumerate() {
+            let link = bottlenecks[k].and_then(|c| cnst_link[c.index()]);
+            self.rerate(slot, rates[k], Some(link));
+        }
+        for &slot in &unconstrained {
+            self.run_at_bound(slot);
+        }
+        self.dirty.clear();
+        self.record_reshare();
+    }
+}
 
 #[test]
 fn full_rebuild_oracle_matches_incremental() {
@@ -79,18 +157,30 @@ proptest! {
     /// Differential test of the incremental reshare against the
     /// full-rebuild oracle: an arbitrary churn of transfers, execs,
     /// sleeps and advances must produce the same completion schedule
-    /// and the same intermediate rates on both.
+    /// and the same intermediate rates on both. The script alphabet aims
+    /// at what the live class structures must get right: contention
+    /// toggles while classes that differ only in the toggled link are
+    /// live, slots recycled into a different class within one tick, and
+    /// same-route transfers whose sizes fall in different model segments
+    /// (same route, different bound: two classes, a mixed component).
     #[test]
     fn incremental_reshare_matches_full_rebuild(
         raw_ops in proptest::collection::vec(
-            (0u8..4, 0usize..8, 1e2f64..1e6), 1..50),
+            (0u8..8, 0usize..8, 1e2f64..1e6), 1..50),
         bws in proptest::collection::vec(1e5f64..1e9, 1..4),
         lat in 0.0f64..1e-3,
     ) {
+        // Three segments across the size range, each with its own bound.
+        let stepped = TransferModel::new(vec![
+            crate::model::Segment { upper: 1e4, lat_factor: 1.0, bw_factor: 0.5 },
+            crate::model::Segment { upper: 1e5, lat_factor: 1.5, bw_factor: 0.8 },
+            crate::model::Segment { upper: f64::INFINITY, lat_factor: 2.0, bw_factor: 0.95 },
+        ]);
         let run = |oracle: bool| {
             let mut sim = Simulation::new();
             sim.full_rebuild_oracle = oracle;
             let links: Vec<_> = bws.iter().map(|&bw| sim.add_link(bw, lat)).collect();
+            let mut contended = vec![true; links.len()];
             let h = sim.add_host(1e9);
             let mut started = Vec::new();
             let mut trace: Vec<ChurnEvent> = Vec::new();
@@ -98,7 +188,7 @@ proptest! {
                            started: &[ActionId],
                            trace: &mut Vec<ChurnEvent>,
                            t: f64,
-                           done: Vec<ActionId>| {
+                           done: &[ActionId]| {
                 let mut done: Vec<u64> = done.iter().map(|a| a.raw()).collect();
                 done.sort_unstable();
                 let mut rates: Vec<(u64, f64)> = started
@@ -109,26 +199,53 @@ proptest! {
                 rates.sort_unstable_by_key(|r| r.0);
                 trace.push((t, done, rates));
             };
+            let route_of = |sel: usize| -> Vec<LinkId> {
+                let hops = sel % links.len() + 1;
+                (0..hops).map(|k| links[(sel + k) % links.len()]).collect()
+            };
             for &(kind, sel, x) in &raw_ops {
                 match kind {
-                    0 => {
-                        let hops = sel % links.len() + 1;
-                        let route: Vec<_> =
-                            (0..hops).map(|k| links[(sel + k) % links.len()]).collect();
-                        started.push(sim.start_transfer(&route, x, &TransferModel::ideal()));
-                    }
+                    0 => started.push(sim.start_transfer(&route_of(sel), x, &TransferModel::ideal())),
                     1 => started.push(sim.start_exec(h, x * 1e3)),
                     2 => started.push(sim.start_sleep(x * 1e-6)),
-                    _ => {
+                    3 => {
                         if let Some((t, done)) = sim.advance_to_next() {
-                            observe(&sim, &started, &mut trace, t.as_secs(), done);
+                            observe(&sim, &started, &mut trace, t.as_secs(), &done);
                         }
                     }
+                    4 => {
+                        let l = sel % links.len();
+                        contended[l] = !contended[l];
+                        sim.set_link_contended(links[l], contended[l]);
+                    }
+                    5 => {
+                        // Two routes that differ only in link `l`.
+                        let l = links[sel % links.len()];
+                        let other = links[(sel + 1) % links.len()];
+                        started.push(sim.start_transfer(&[other], x, &TransferModel::ideal()));
+                        started.push(sim.start_transfer(&[other, l], x, &TransferModel::ideal()));
+                    }
+                    6 => {
+                        // Whatever completes is replaced at once: the freed
+                        // slots are re-used this tick, by other classes.
+                        if let Some((t, done)) = sim.advance_to_next() {
+                            for j in 0..done.len() {
+                                started.push(if j % 2 == 0 {
+                                    sim.start_transfer(&route_of(sel + j + 1), x, &stepped)
+                                } else {
+                                    sim.start_exec(h, x * 1e3)
+                                });
+                            }
+                            observe(&sim, &started, &mut trace, t.as_secs(), &done);
+                        }
+                    }
+                    _ => started.push(sim.start_transfer(&route_of(sel), x, &stepped)),
                 }
             }
             while let Some((t, done)) = sim.advance_to_next() {
-                observe(&sim, &started, &mut trace, t.as_secs(), done);
+                observe(&sim, &started, &mut trace, t.as_secs(), &done);
             }
+            sim.assert_drained();
             trace
         };
         let inc = run(false);
@@ -221,6 +338,7 @@ proptest! {
             while let Some((t, done)) = sim.advance_to_next() {
                 observe(&sim, &started, t.as_secs(), done);
             }
+            sim.assert_drained();
             events
         };
         prop_assert_eq!(run(false), run(true));

@@ -18,23 +18,46 @@
 //! constraints saturates. The algorithm terminates after at most `V`
 //! freezes and yields the unique max-min fair allocation.
 //!
-//! Two implementations share that freeze schedule:
+//! # One core, two front doors
 //!
-//! * [`solve`](MaxMinProblem::solve) — the production path. The per-round
-//!   argmin over constraints uses a lazily-invalidated min-heap of
-//!   `(λ bits, constraint)` and the argmin over individually-bounded
-//!   variables a pre-sorted cursor, so a solve costs
-//!   `O((V + C) log + Σ degree log C)` instead of the naive
-//!   `O(rounds · (V + C))` — the difference between milliseconds and
-//!   minutes when an allreduce round couples 16k flows into one component.
-//!   Both argmins reproduce the naive scan's selection (smallest λ, ties to
-//!   the lowest index, constraints before bounds) *exactly*, so the freeze
-//!   sequence — and therefore every rate — is bitwise-identical to the
-//!   reference.
-//! * [`solve_reference`](MaxMinProblem::solve_reference) — the original
-//!   quadratic scan, kept as the executable specification. The
-//!   `tests/lmm_props.rs` differential proptest pins `solve` against it
-//!   bitwise on randomized problems.
+//! There is one progressive-filling loop, `solve_core`. It reads the
+//! problem as borrowed flat arrays (`Flat`: capacities, bounds, weights,
+//! multiplicities and the variable → constraint memberships in CSR form)
+//! and keeps every piece of per-solve state (the transposed constraint →
+//! variable lists, `rate` / `frozen` / `frozen_usage` / weight sums, the λ
+//! heap and the bound cursor) in a `Scratch` that is cleared, never freed.
+//! Two owners wrap it:
+//!
+//! * [`MaxMinProblem`] — the owned front door: build with `add_*`, call
+//!   [`solve`](MaxMinProblem::solve), get a `Vec` back. Each solve brings
+//!   its own scratch. Used by tests, the engine's `#[cfg(test)]` oracle and
+//!   anything that solves a problem once.
+//! * `Workspace` — the engine's: one instance lives in the `Simulation`,
+//!   a reshare clears it, writes its dirty component into it class by
+//!   class and solves in place, so a steady-state reshare allocates
+//!   nothing.
+//!
+//! Each round of the loop needs the constraint and the bounded variable
+//! with the smallest saturation level. The core finds them one of two ways,
+//! chosen by problem size (`SCAN_SOLVER_MAX_VARS`, measured in EXPERIMENTS
+//! "PR 21 on the ruler"):
+//!
+//! * **scan** — a linear pass over constraints and unfrozen bounded
+//!   variables, `O(rounds · (V + C))`. It is also the executable
+//!   specification: [`solve_reference`](MaxMinProblem::solve_reference)
+//!   forces it at any size and `tests/lmm_props.rs` pins everything else
+//!   against it bitwise.
+//! * **heap/cursor** — constraints in a lazily-invalidated min-heap of
+//!   `(λ bits, constraint)`, bounded variables pre-sorted behind a cursor:
+//!   `O((V + C) log + Σ degree log C)`, the difference between
+//!   milliseconds and minutes when an allreduce round couples 16k flows
+//!   into one component.
+//!
+//! Both reproduce the same selection (smallest λ, ties to the lowest index,
+//! constraints before bounds) and share the freeze step, so the freeze
+//! sequence — and therefore every rate — is bitwise-identical.
+//!
+//! # Folded classes
 //!
 //! Variables can carry a *multiplicity*
 //! ([`add_variable_class`](MaxMinProblem::add_variable_class)): `k`
@@ -44,17 +67,19 @@
 //! usage are accumulated by repeated addition, one step per folded member),
 //! which makes the folded solve bitwise-equal to the expanded one whenever
 //! every variable of the (sub)problem shares a single weight and a single
-//! bound bit-pattern — the *uniform round* precondition the engine's class
-//! folding detector enforces (DESIGN §5.3).
+//! bound bit-pattern — the *uniform component* precondition the engine
+//! checks over its live route classes (DESIGN §5.3).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Handle to a constraint (a link, or a host's compute capacity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CnstId(usize);
 
 impl CnstId {
-    /// The constraint's insertion index within its problem. Lets callers
-    /// that build problems from their own arenas (the engine's per-reshare
-    /// component builds) map a reported bottleneck back to a resource.
+    /// The constraint's insertion index within its problem.
     pub fn index(self) -> usize {
         self.0
     }
@@ -64,24 +89,406 @@ impl CnstId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(usize);
 
-/// A weighted max-min fairness problem instance.
-///
-/// Build with [`add_constraint`](Self::add_constraint) /
-/// [`add_variable`](Self::add_variable), then call [`solve`](Self::solve).
-/// The engine builds one instance per *dirty component* of the
-/// constraint↔action graph on each re-share.
+/// "No constraint" in the solver's `u32` bottleneck array.
+const NO_CNST: u32 = u32::MAX;
+
+/// Variable-count cutoff up to which a solve scans for each round's argmin
+/// instead of keeping the λ heap and bound cursor. The two follow the
+/// identical freeze schedule bitwise (`tests/lmm_props.rs` pins them), so
+/// the cutoff is purely a performance constant; see the module docs for
+/// where it was measured.
+const SCAN_SOLVER_MAX_VARS: usize = 176;
+
+/// How a round finds the smallest saturation level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Argmin {
+    Scan,
+    Heap,
+}
+
+impl Argmin {
+    fn for_size(vars: usize) -> Self {
+        if vars <= SCAN_SOLVER_MAX_VARS {
+            Argmin::Scan
+        } else {
+            Argmin::Heap
+        }
+    }
+}
+
+/// A problem as the flat arrays `solve_core` reads.
 #[derive(Debug, Default, Clone)]
-pub struct MaxMinProblem {
+struct Flat {
     capacities: Vec<f64>,
     bounds: Vec<f64>,
     weights: Vec<f64>,
     /// Multiplicity per variable: how many interchangeable unit flows this
     /// solver variable stands for (1 for ordinary variables).
     mults: Vec<u32>,
-    /// For each variable, the constraints it crosses (deduplicated).
-    memberships: Vec<Vec<usize>>,
-    /// For each constraint, the variables crossing it.
-    users: Vec<Vec<usize>>,
+    /// CSR memberships: variable `v` crosses the (distinct) constraints
+    /// `var_cnsts[var_end[v - 1]..var_end[v]]`, the first span starting at 0.
+    var_end: Vec<u32>,
+    var_cnsts: Vec<u32>,
+}
+
+impl Flat {
+    fn clear(&mut self) {
+        self.capacities.clear();
+        self.bounds.clear();
+        self.weights.clear();
+        self.mults.clear();
+        self.var_end.clear();
+        self.var_cnsts.clear();
+    }
+
+    fn add_constraint(&mut self, capacity: f64) -> usize {
+        assert!(
+            capacity.is_finite() && capacity >= 0.0,
+            "invalid constraint capacity {capacity}"
+        );
+        self.capacities.push(capacity);
+        self.capacities.len() - 1
+    }
+
+    /// Starts a variable with no memberships yet; they are appended to
+    /// `var_cnsts` and the span closed by the caller.
+    fn begin_variable(&mut self, bound: f64, weight: f64, mult: u32) -> usize {
+        assert!(!bound.is_nan() && bound >= 0.0, "invalid bound {bound}");
+        assert!(
+            weight.is_finite() && weight > 0.0,
+            "invalid weight {weight}"
+        );
+        assert!(mult >= 1, "class must have at least one member");
+        self.bounds.push(bound);
+        self.weights.push(weight);
+        self.mults.push(mult);
+        self.var_end.push(self.var_cnsts.len() as u32);
+        self.bounds.len() - 1
+    }
+
+    #[inline]
+    fn span(&self, v: usize) -> Range<usize> {
+        let start = if v == 0 { 0 } else { self.var_end[v - 1] };
+        start as usize..self.var_end[v] as usize
+    }
+}
+
+/// Everything a solve computes or needs room for. Buffers are cleared and
+/// refilled by every solve and keep their capacity in between.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The memberships transposed: constraint `c` is crossed by
+    /// `cnst_vars[cnst_end[c - 1]..cnst_end[c]]`, in variable order.
+    cnst_end: Vec<u32>,
+    cnst_vars: Vec<u32>,
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Per-constraint bookkeeping under the rising water level λ:
+    /// `usage(c) = frozen_usage[c] + λ · wsum[c]`.
+    frozen_usage: Vec<f64>,
+    wsum: Vec<f64>,
+    /// The weight sums before anything froze: `freeze` snaps tiny residual
+    /// sums (floating-point dust left by repeated subtraction) to exactly
+    /// zero, and the cutoff must be *relative* to this scale. An absolute
+    /// cutoff would zero out constraints whose legitimate weights are
+    /// themselves tiny (e.g. 1e-15), handing the remaining variables an
+    /// infinite λ and therefore an unbounded rate.
+    wsum_init: Vec<f64>,
+    /// Per variable, the constraint that froze it (`NO_CNST`: its own
+    /// bound). Filled only when a solve asks for bottlenecks.
+    bottleneck: Vec<u32>,
+    /// Heap path: each live constraint's current λ bit pattern (`DEAD` once
+    /// its weight sum hit 0), the lazily-invalidated min-heap over them,
+    /// the bounded variables sorted by `(bound / weight).to_bits()`, and
+    /// the constraints whose λ inputs changed in the current round.
+    cur_lam: Vec<u64>,
+    lam_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    border: Vec<(u64, u32)>,
+    touched: Vec<u32>,
+}
+
+/// Sentinel for "constraint left the λ search" (weight sum hit 0); larger
+/// than any real λ bit pattern, so stale heap entries can never match it.
+const DEAD: u64 = u64::MAX;
+
+impl Scratch {
+    #[inline]
+    fn users(&self, c: usize) -> Range<usize> {
+        let start = if c == 0 { 0 } else { self.cnst_end[c - 1] };
+        start as usize..self.cnst_end[c] as usize
+    }
+
+    /// Sizes every buffer for `p`, transposes its memberships and builds
+    /// the initial weight sums — accumulated by repeated addition, one step
+    /// per folded member, so folded and expanded problems build
+    /// bitwise-identical sums.
+    fn reset(&mut self, p: &Flat, bottlenecks: bool) {
+        let nv = p.bounds.len();
+        let nc = p.capacities.len();
+        self.rate.clear();
+        self.rate.resize(nv, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(nv, false);
+        self.frozen_usage.clear();
+        self.frozen_usage.resize(nc, 0.0);
+        self.bottleneck.clear();
+        if bottlenecks {
+            self.bottleneck.resize(nv, NO_CNST);
+        }
+
+        self.cnst_end.clear();
+        self.cnst_end.resize(nc, 0);
+        for &c in &p.var_cnsts {
+            self.cnst_end[c as usize] += 1;
+        }
+        let mut start = 0u32;
+        for e in &mut self.cnst_end {
+            let count = *e;
+            *e = start; // the write cursor; ends as the span's end
+            start += count;
+        }
+        self.cnst_vars.clear();
+        self.cnst_vars.resize(p.var_cnsts.len(), 0);
+        self.wsum.clear();
+        self.wsum.resize(nc, 0.0);
+        for v in 0..nv {
+            debug_assert!(
+                !p.span(v).is_empty() || p.bounds[v].is_finite(),
+                "variable {v} is unconstrained and unbounded"
+            );
+            for &c in &p.var_cnsts[p.span(v)] {
+                let c = c as usize;
+                self.cnst_vars[self.cnst_end[c] as usize] = v as u32;
+                self.cnst_end[c] += 1;
+                for _ in 0..p.mults[v] {
+                    self.wsum[c] += p.weights[v];
+                }
+            }
+        }
+        self.wsum_init.clear();
+        self.wsum_init.extend_from_slice(&self.wsum);
+    }
+
+    #[inline]
+    fn lam_of(&self, p: &Flat, c: usize) -> f64 {
+        (p.capacities[c] - self.frozen_usage[c]).max(0.0) / self.wsum[c]
+    }
+
+    /// Heap-path set-up: key every live constraint and sort the bounded
+    /// variables.
+    fn init_heap(&mut self, p: &Flat) {
+        self.cur_lam.clear();
+        self.cur_lam.resize(p.capacities.len(), DEAD);
+        self.lam_heap.clear();
+        for c in 0..p.capacities.len() {
+            if self.wsum[c] > 0.0 {
+                let bits = self.lam_of(p, c).to_bits();
+                self.cur_lam[c] = bits;
+                self.lam_heap.push(Reverse((bits, c as u32)));
+            }
+        }
+        self.border.clear();
+        self.border.extend(
+            (0..p.bounds.len())
+                .filter(|&v| p.bounds[v].is_finite())
+                .map(|v| ((p.bounds[v] / p.weights[v]).to_bits(), v as u32)),
+        );
+        self.border.sort_unstable();
+    }
+
+    /// Smallest saturation level by linear scan: constraints first, a
+    /// bound wins only with strictly smaller λ, ties to the lowest index.
+    fn scan_argmin(&self, p: &Flat) -> (f64, Pick) {
+        let mut best = f64::INFINITY;
+        let mut pick = Pick::Nothing;
+        for c in 0..p.capacities.len() {
+            if self.wsum[c] > 0.0 {
+                let lam = self.lam_of(p, c);
+                if lam < best {
+                    best = lam;
+                    pick = Pick::Cnst(c);
+                }
+            }
+        }
+        for (v, &b) in p.bounds.iter().enumerate() {
+            if !self.frozen[v] && b.is_finite() {
+                let lam = b / p.weights[v];
+                if lam < best {
+                    best = lam;
+                    pick = Pick::Var(v);
+                }
+            }
+        }
+        (best, pick)
+    }
+
+    /// The same selection from the λ heap and the bound cursor.
+    /// Non-negative IEEE doubles order like their bit patterns and λ is
+    /// never NaN here, so comparing bits compares levels; a heap entry is
+    /// trusted only if it matches the constraint's current λ, and the
+    /// cursor skips variables a constraint froze meanwhile.
+    fn heap_argmin(&mut self, bcur: &mut usize) -> (f64, Pick) {
+        let cbest = loop {
+            match self.lam_heap.peek() {
+                None => break None,
+                Some(&Reverse((bits, c))) => {
+                    if self.cur_lam[c as usize] == bits {
+                        break Some((bits, c as usize));
+                    }
+                    self.lam_heap.pop();
+                }
+            }
+        };
+        while *bcur < self.border.len() && self.frozen[self.border[*bcur].1 as usize] {
+            *bcur += 1;
+        }
+        let vbest = self.border.get(*bcur).map(|&(b, v)| (b, v as usize));
+        let (bits, pick) = match (cbest, vbest) {
+            (None, None) => (f64::INFINITY.to_bits(), Pick::Nothing),
+            (Some((cb, c)), None) => (cb, Pick::Cnst(c)),
+            (None, Some((vb, v))) => (vb, Pick::Var(v)),
+            (Some((cb, c)), Some((vb, v))) => {
+                if vb < cb {
+                    (vb, Pick::Var(v))
+                } else {
+                    (cb, Pick::Cnst(c))
+                }
+            }
+        };
+        (f64::from_bits(bits), pick)
+    }
+
+    /// Freezes `v` at rate `r` and charges it to its constraints.
+    fn freeze(&mut self, p: &Flat, v: usize, r: f64, note_touched: bool) {
+        debug_assert!(!self.frozen[v]);
+        self.rate[v] = r;
+        self.frozen[v] = true;
+        for &c in &p.var_cnsts[p.span(v)] {
+            let c = c as usize;
+            // One accumulation step per folded member, mirroring the
+            // expanded problem's repeated addition exactly (including the
+            // snap-to-zero check after every subtraction).
+            for _ in 0..p.mults[v] {
+                self.frozen_usage[c] += r;
+                self.wsum[c] -= p.weights[v];
+                // Snap accumulated subtraction dust to zero, with a tolerance
+                // relative to the constraint's initial weight sum so that
+                // constraints built from legitimately tiny weights survive.
+                if self.wsum[c] < self.wsum_init[c] * 1e-12 {
+                    self.wsum[c] = 0.0;
+                }
+            }
+            if note_touched {
+                self.touched.push(c as u32);
+            }
+        }
+    }
+
+    /// Re-keys the constraints the round touched. λ depends only on the
+    /// constraint's own usage and weight sum, so the values computed here
+    /// are the ones a scan would recompute next round.
+    fn rekey_touched(&mut self, p: &Flat) {
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for i in 0..self.touched.len() {
+            let c = self.touched[i] as usize;
+            if self.wsum[c] > 0.0 {
+                let bits = self.lam_of(p, c).to_bits();
+                if self.cur_lam[c] != bits {
+                    self.cur_lam[c] = bits;
+                    self.lam_heap.push(Reverse((bits, c as u32)));
+                }
+            } else {
+                self.cur_lam[c] = DEAD;
+            }
+        }
+    }
+}
+
+/// What saturates next.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    Cnst(usize),
+    Var(usize),
+    Nothing,
+}
+
+/// Progressive filling of `p` into `s.rate` (and `s.bottleneck` when
+/// asked). Every caller — either [`MaxMinProblem`] entry point, the
+/// engine's `Workspace` — runs this loop; `argmin` only changes how a
+/// round's minimum is *found*, never which one it is.
+fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
+    s.reset(p, bottlenecks);
+    let heap = argmin == Argmin::Heap;
+    let mut bcur = 0usize;
+    if heap {
+        s.init_heap(p);
+    }
+    let mut level = 0.0_f64;
+    let mut remaining = p.bounds.len();
+    while remaining > 0 {
+        let (best, pick) = if heap {
+            s.heap_argmin(&mut bcur)
+        } else {
+            s.scan_argmin(p)
+        };
+        if best.is_infinite() {
+            // Only unbounded variables on capacity-free constraints remain
+            // (cannot happen with finite capacities, but guard anyway).
+            for v in 0..p.bounds.len() {
+                if !s.frozen[v] {
+                    s.rate[v] = p.bounds[v];
+                    s.frozen[v] = true;
+                }
+            }
+            break;
+        }
+        level = level.max(best);
+        s.touched.clear();
+        match pick {
+            Pick::Var(v) => {
+                s.freeze(p, v, p.bounds[v], heap);
+                remaining -= 1;
+            }
+            Pick::Cnst(c) => {
+                // Freeze every unfrozen variable crossing the saturated
+                // constraint at the current level.
+                for i in s.users(c) {
+                    let v = s.cnst_vars[i] as usize;
+                    if s.frozen[v] {
+                        continue;
+                    }
+                    let share = p.weights[v] * level;
+                    if bottlenecks {
+                        // A tie between the constraint's saturation level
+                        // and the variable's own bound attributes to the
+                        // bound only when the bound is the strictly
+                        // smaller cap.
+                        s.bottleneck[v] = if p.bounds[v] < share {
+                            NO_CNST
+                        } else {
+                            c as u32
+                        };
+                    }
+                    s.freeze(p, v, share.min(p.bounds[v]), heap);
+                    remaining -= 1;
+                }
+            }
+            Pick::Nothing => unreachable!("a finite level always has a pick"),
+        }
+        if heap {
+            s.rekey_touched(p);
+        }
+    }
+}
+
+/// A weighted max-min fairness problem instance, owned.
+///
+/// Build with [`add_constraint`](Self::add_constraint) /
+/// [`add_variable`](Self::add_variable), then call [`solve`](Self::solve).
+#[derive(Debug, Default, Clone)]
+pub struct MaxMinProblem {
+    flat: Flat,
 }
 
 impl MaxMinProblem {
@@ -93,13 +500,7 @@ impl MaxMinProblem {
     /// Adds a constraint with the given capacity (e.g. link bandwidth in
     /// bytes/s). Capacity must be finite and non-negative.
     pub fn add_constraint(&mut self, capacity: f64) -> CnstId {
-        assert!(
-            capacity.is_finite() && capacity >= 0.0,
-            "invalid constraint capacity {capacity}"
-        );
-        self.capacities.push(capacity);
-        self.users.push(Vec::new());
-        CnstId(self.capacities.len() - 1)
+        CnstId(self.flat.add_constraint(capacity))
     }
 
     /// Adds a variable with weight 1 crossing `constraints`, with an optional
@@ -126,9 +527,9 @@ impl MaxMinProblem {
     /// that on each constraint.
     ///
     /// The fold is bitwise-exact versus adding `members` separate variables
-    /// only under the uniform-round precondition (every variable of the
-    /// problem has weight 1 and the same bound bit-pattern); see the module
-    /// docs. Callers that cannot guarantee it must fall back to unfolded
+    /// only under the uniform precondition (every variable of the problem
+    /// has weight 1 and the same bound bit-pattern); see the module docs.
+    /// Callers that cannot guarantee it must fall back to unfolded
     /// variables.
     pub fn add_variable_class(
         &mut self,
@@ -136,7 +537,6 @@ impl MaxMinProblem {
         members: u32,
         constraints: &[CnstId],
     ) -> VarId {
-        assert!(members >= 1, "class must have at least one member");
         self.add_variable_impl(bound, 1.0, members, constraints)
     }
 
@@ -147,44 +547,42 @@ impl MaxMinProblem {
         mult: u32,
         constraints: &[CnstId],
     ) -> VarId {
-        assert!(!bound.is_nan() && bound >= 0.0, "invalid bound {bound}");
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "invalid weight {weight}"
-        );
-        let vid = self.bounds.len();
-        self.bounds.push(bound);
-        self.weights.push(weight);
-        self.mults.push(mult);
-        let mut member: Vec<usize> = constraints.iter().map(|c| c.0).collect();
-        member.sort_unstable();
-        member.dedup();
-        for &c in &member {
-            assert!(c < self.capacities.len(), "unknown constraint");
-            self.users[c].push(vid);
+        let f = &mut self.flat;
+        let v = f.begin_variable(bound, weight, mult);
+        let start = f.var_cnsts.len();
+        for c in constraints {
+            assert!(c.0 < f.capacities.len(), "unknown constraint");
+            f.var_cnsts.push(c.0 as u32);
         }
-        self.memberships.push(member);
-        VarId(vid)
+        // A constraint listed twice still constrains the variable once.
+        f.var_cnsts[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..f.var_cnsts.len() {
+            if i == start || f.var_cnsts[i] != f.var_cnsts[kept - 1] {
+                f.var_cnsts[kept] = f.var_cnsts[i];
+                kept += 1;
+            }
+        }
+        f.var_cnsts.truncate(kept);
+        f.var_end[v] = kept as u32;
+        VarId(v)
     }
 
     /// Number of variables.
     pub fn num_variables(&self) -> usize {
-        self.bounds.len()
+        self.flat.bounds.len()
     }
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.capacities.len()
+        self.flat.capacities.len()
     }
 
-    /// Variable-count cutoff below which [`solve`](Self::solve) runs the
-    /// linear-scan loop instead of the heap/cursor path. The two follow the
-    /// identical freeze schedule bitwise (`tests/lmm_props.rs` pins them),
-    /// so the cutoff is purely a performance knob: small problems are
-    /// dominated by the heap path's setup allocations, while past a few
-    /// hundred coupled variables the scan's O(rounds · (V + C)) argmin
-    /// re-scans take over.
-    const SCAN_SOLVER_MAX_VARS: usize = 512;
+    fn solve_by(&self, argmin: Argmin) -> Vec<f64> {
+        let mut s = Scratch::default();
+        solve_core(&self.flat, &mut s, argmin, false);
+        s.rate
+    }
 
     /// Solves the problem, returning the rate of each variable, indexed by
     /// [`VarId`] insertion order.
@@ -193,20 +591,25 @@ impl MaxMinProblem {
     /// infinite rate; this is rejected in debug builds because it always
     /// indicates a modelling error upstream.
     pub fn solve(&self) -> Vec<f64> {
-        if self.bounds.len() <= Self::SCAN_SOLVER_MAX_VARS {
-            self.solve_scan_impl(None)
-        } else {
-            self.solve_impl(None)
-        }
+        self.solve_by(Argmin::for_size(self.num_variables()))
     }
 
-    /// The heap/cursor path unconditionally, bypassing the size dispatch of
-    /// [`solve`](Self::solve). Exists so the differential property tests can
-    /// pin the heap path against [`solve_reference`](Self::solve_reference)
-    /// on problems of any size.
+    /// The heap/cursor argmin unconditionally, bypassing the size dispatch
+    /// of [`solve`](Self::solve). Exists so the differential property tests
+    /// can pin it against [`solve_reference`](Self::solve_reference) on
+    /// problems of any size.
     #[doc(hidden)]
     pub fn solve_heap(&self) -> Vec<f64> {
-        self.solve_impl(None)
+        self.solve_by(Argmin::Heap)
+    }
+
+    /// The linear-scan argmin unconditionally: the original
+    /// O(rounds · (V + C)) progressive filling, kept as the executable
+    /// specification of the freeze schedule. `solve` must match it bitwise
+    /// on any input (`tests/lmm_props.rs`).
+    #[doc(hidden)]
+    pub fn solve_reference(&self) -> Vec<f64> {
+        self.solve_by(Argmin::Scan)
     }
 
     /// Solves like [`solve`](Self::solve) and additionally reports, per
@@ -218,357 +621,78 @@ impl MaxMinProblem {
     /// returned rates are bitwise-identical to a plain solve of the same
     /// problem; only the extra bookkeeping differs.
     pub fn solve_with_bottlenecks(&self) -> (Vec<f64>, Vec<Option<CnstId>>) {
-        let mut bottlenecks = vec![None; self.bounds.len()];
-        let rates = if self.bounds.len() <= Self::SCAN_SOLVER_MAX_VARS {
-            self.solve_scan_impl(Some(&mut bottlenecks))
-        } else {
-            self.solve_impl(Some(&mut bottlenecks))
-        };
-        (rates, bottlenecks)
-    }
-
-    /// Shared set-up for both solver implementations: weight sums per
-    /// constraint, accumulated by repeated addition — one step per folded
-    /// member — so folded and expanded problems build bitwise-identical
-    /// sums.
-    fn init_wsums(&self) -> (Vec<f64>, Vec<f64>) {
-        let nc = self.capacities.len();
-        let mut wsum_unfrozen = vec![0.0_f64; nc];
-        for v in 0..self.bounds.len() {
-            debug_assert!(
-                !self.memberships[v].is_empty() || self.bounds[v].is_finite(),
-                "variable {v} is unconstrained and unbounded"
-            );
-            for &c in &self.memberships[v] {
-                for _ in 0..self.mults[v] {
-                    wsum_unfrozen[c] += self.weights[v];
-                }
-            }
-        }
-        // Snapshot of the initial weight sums: `freeze_var` snaps tiny
-        // residual sums (floating-point dust left by repeated subtraction)
-        // to exactly zero, and the cutoff must be *relative* to this scale.
-        // An absolute cutoff would zero out constraints whose legitimate
-        // weights are themselves tiny (e.g. 1e-15), handing the remaining
-        // variables an infinite λ and therefore an unbounded rate.
-        let wsum_init = wsum_unfrozen.clone();
-        (wsum_unfrozen, wsum_init)
-    }
-
-    #[inline]
-    fn lam_of(&self, c: usize, frozen_usage: &[f64], wsum_unfrozen: &[f64]) -> f64 {
-        (self.capacities[c] - frozen_usage[c]).max(0.0) / wsum_unfrozen[c]
-    }
-
-    /// Fast progressive filling. Replicates [`solve_reference`]
-    /// (Self::solve_reference)'s freeze schedule exactly — same rounds, same
-    /// selections, same arithmetic on the same values — while replacing its
-    /// two per-round linear argmin scans:
-    ///
-    /// * constraints live in a lazily-invalidated min-heap keyed by
-    ///   `(λ.to_bits(), index)` (non-negative IEEE doubles order like their
-    ///   bit patterns, and λ is never NaN here); an entry is trusted only if
-    ///   it matches the constraint's current λ, so stale entries from
-    ///   earlier freezes are dropped on peek;
-    /// * bounded variables are pre-sorted by `(bound/weight).to_bits()` and
-    ///   consumed through a cursor that skips already-frozen entries.
-    ///
-    /// Ties resolve as the reference scan does: lowest index wins within a
-    /// kind, and a constraint beats a bound at equal λ (the reference scans
-    /// constraints first and requires strictly smaller λ to switch).
-    fn solve_impl(&self, mut bottlenecks: Option<&mut Vec<Option<CnstId>>>) -> Vec<f64> {
-        let nv = self.bounds.len();
-        let nc = self.capacities.len();
-        let mut rate = vec![0.0_f64; nv];
-        let mut frozen = vec![false; nv];
-        let mut frozen_usage = vec![0.0_f64; nc];
-        let (mut wsum_unfrozen, wsum_init) = self.init_wsums();
-
-        const INF_BITS: u64 = 0x7FF0_0000_0000_0000; // f64::INFINITY.to_bits()
-        /// Sentinel for "constraint left the λ search" (weight sum hit 0);
-        /// larger than any real λ bit pattern, so stale heap entries can
-        /// never match it.
-        const DEAD: u64 = u64::MAX;
-
-        let mut cur_lam: Vec<u64> = vec![DEAD; nc];
-        let mut cheap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-            std::collections::BinaryHeap::with_capacity(nc);
-        for (c, lam) in cur_lam.iter_mut().enumerate() {
-            if wsum_unfrozen[c] > 0.0 {
-                let bits = self.lam_of(c, &frozen_usage, &wsum_unfrozen).to_bits();
-                *lam = bits;
-                cheap.push(std::cmp::Reverse((bits, c)));
-            }
-        }
-        let mut border: Vec<(u64, u32)> = (0..nv)
-            .filter(|&v| self.bounds[v].is_finite())
-            .map(|v| ((self.bounds[v] / self.weights[v]).to_bits(), v as u32))
+        let mut s = Scratch::default();
+        let argmin = Argmin::for_size(self.num_variables());
+        solve_core(&self.flat, &mut s, argmin, true);
+        let bottlenecks = s
+            .bottleneck
+            .iter()
+            .map(|&c| (c != NO_CNST).then_some(CnstId(c as usize)))
             .collect();
-        border.sort_unstable();
-        let mut bcur = 0usize;
+        (s.rate, bottlenecks)
+    }
+}
 
-        let mut level = 0.0_f64;
-        let mut remaining = nv;
-        // Constraints whose λ inputs changed in the current round.
-        let mut touched: Vec<usize> = Vec::new();
-        while remaining > 0 {
-            let cbest = loop {
-                match cheap.peek() {
-                    None => break None,
-                    Some(&std::cmp::Reverse((bits, c))) => {
-                        if cur_lam[c] == bits {
-                            break Some((bits, c));
-                        }
-                        cheap.pop();
-                    }
-                }
-            };
-            while bcur < border.len() && frozen[border[bcur].1 as usize] {
-                bcur += 1;
-            }
-            let vbest = border.get(bcur).copied();
+/// The engine's reusable problem + solver state: cleared, refilled with one
+/// dirty component and solved in place on every reshare. All variables
+/// have weight 1; a variable is a route class with its live member count.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    flat: Flat,
+    scratch: Scratch,
+}
 
-            // Reference selection order: constraints first, a bound wins
-            // only with strictly smaller λ.
-            let (best_bits, pick) = match (cbest, vbest) {
-                (None, None) => (INF_BITS, None),
-                (Some((cb, c)), None) => (cb, Some((false, c))),
-                (None, Some((vb, v))) => (vb, Some((true, v as usize))),
-                (Some((cb, c)), Some((vb, v))) => {
-                    if vb < cb {
-                        (vb, Some((true, v as usize)))
-                    } else {
-                        (cb, Some((false, c)))
-                    }
-                }
-            };
-            if best_bits >= INF_BITS {
-                // Only unbounded variables on capacity-free constraints remain
-                // (cannot happen with finite capacities, but guard anyway).
-                for v in 0..nv {
-                    if !frozen[v] {
-                        rate[v] = self.bounds[v];
-                        frozen[v] = true;
-                    }
-                }
-                break;
-            }
-
-            level = level.max(f64::from_bits(best_bits));
-            touched.clear();
-            match pick {
-                Some((true, v)) => {
-                    self.freeze_var(
-                        v,
-                        self.bounds[v],
-                        &mut rate,
-                        &mut frozen,
-                        &mut frozen_usage,
-                        &mut wsum_unfrozen,
-                        &wsum_init,
-                        &mut remaining,
-                        Some(&mut touched),
-                    );
-                }
-                Some((false, c)) => {
-                    // Freeze every unfrozen variable crossing the saturated
-                    // constraint at the current level.
-                    let users: Vec<usize> = self.users[c]
-                        .iter()
-                        .copied()
-                        .filter(|&v| !frozen[v])
-                        .collect();
-                    for v in users {
-                        let r = (self.weights[v] * level).min(self.bounds[v]);
-                        if let Some(b) = bottlenecks.as_deref_mut() {
-                            // A tie between the constraint's saturation level
-                            // and the variable's own bound attributes to the
-                            // bound only when the bound is the strictly
-                            // smaller cap.
-                            b[v] = if self.bounds[v] < self.weights[v] * level {
-                                None
-                            } else {
-                                Some(CnstId(c))
-                            };
-                        }
-                        self.freeze_var(
-                            v,
-                            r,
-                            &mut rate,
-                            &mut frozen,
-                            &mut frozen_usage,
-                            &mut wsum_unfrozen,
-                            &wsum_init,
-                            &mut remaining,
-                            Some(&mut touched),
-                        );
-                    }
-                }
-                None => unreachable!("finite best always has a pick"),
-            }
-            // Re-key the touched constraints. λ depends only on the
-            // constraint's own usage and weight sum, so values computed here
-            // are the same the reference would recompute next round.
-            touched.sort_unstable();
-            touched.dedup();
-            for &c in &touched {
-                if wsum_unfrozen[c] > 0.0 {
-                    let bits = self.lam_of(c, &frozen_usage, &wsum_unfrozen).to_bits();
-                    if cur_lam[c] != bits {
-                        cur_lam[c] = bits;
-                        cheap.push(std::cmp::Reverse((bits, c)));
-                    }
-                } else {
-                    cur_lam[c] = DEAD;
-                }
-            }
-        }
-        rate
+impl Workspace {
+    /// Forgets the previous component; keeps every buffer.
+    pub(crate) fn clear(&mut self) {
+        self.flat.clear();
     }
 
-    /// The original O(rounds · (V + C)) progressive-filling loop, kept as
-    /// the executable specification of the freeze schedule. `solve` must
-    /// match it bitwise on any input (`tests/lmm_props.rs`); it is also the
-    /// naive side of the engine-level folding ablation.
-    #[doc(hidden)]
-    pub fn solve_reference(&self) -> Vec<f64> {
-        self.solve_scan_impl(None)
+    /// Adds a constraint, returning its index.
+    pub(crate) fn add_constraint(&mut self, capacity: f64) -> u32 {
+        self.flat.add_constraint(capacity) as u32
     }
 
-    /// The linear-scan progressive-filling loop, optionally recording each
-    /// variable's freezing constraint with the same attribution rule as
-    /// [`solve_impl`]: a bound freeze (or the unconstrained guard) leaves
-    /// `None`, a constraint freeze records the constraint unless the
-    /// variable's own bound is the strictly smaller cap.
-    fn solve_scan_impl(&self, mut bottlenecks: Option<&mut Vec<Option<CnstId>>>) -> Vec<f64> {
-        let nv = self.bounds.len();
-        let nc = self.capacities.len();
-        let mut rate = vec![0.0_f64; nv];
-        let mut frozen = vec![false; nv];
-
-        // Per-constraint bookkeeping under the rising water level λ:
-        // usage(l) = frozen_usage[l] + λ * wsum_unfrozen[l].
-        let mut frozen_usage = vec![0.0_f64; nc];
-        let (mut wsum_unfrozen, wsum_init) = self.init_wsums();
-
-        let mut level = 0.0_f64;
-        let mut remaining = nv;
-        while remaining > 0 {
-            // Find the smallest level at which something freezes.
-            let mut best = f64::INFINITY;
-            let mut best_cnst: Option<usize> = None;
-            let mut best_var: Option<usize> = None;
-            for c in 0..nc {
-                if wsum_unfrozen[c] > 0.0 {
-                    let lam = self.lam_of(c, &frozen_usage, &wsum_unfrozen);
-                    if lam < best {
-                        best = lam;
-                        best_cnst = Some(c);
-                        best_var = None;
-                    }
-                }
-            }
-            for (v, &b) in self.bounds.iter().enumerate() {
-                if !frozen[v] && b.is_finite() {
-                    let lam = b / self.weights[v];
-                    if lam < best {
-                        best = lam;
-                        best_cnst = None;
-                        best_var = Some(v);
-                    }
-                }
-            }
-
-            if best.is_infinite() {
-                for v in 0..nv {
-                    if !frozen[v] {
-                        rate[v] = self.bounds[v];
-                        frozen[v] = true;
-                    }
-                }
-                break;
-            }
-
-            level = level.max(best);
-            if let Some(v) = best_var {
-                self.freeze_var(
-                    v,
-                    self.bounds[v],
-                    &mut rate,
-                    &mut frozen,
-                    &mut frozen_usage,
-                    &mut wsum_unfrozen,
-                    &wsum_init,
-                    &mut remaining,
-                    None,
-                );
-            } else if let Some(c) = best_cnst {
-                let users: Vec<usize> = self.users[c]
-                    .iter()
-                    .copied()
-                    .filter(|&v| !frozen[v])
-                    .collect();
-                for v in users {
-                    let r = (self.weights[v] * level).min(self.bounds[v]);
-                    if let Some(b) = bottlenecks.as_deref_mut() {
-                        b[v] = if self.bounds[v] < self.weights[v] * level {
-                            None
-                        } else {
-                            Some(CnstId(c))
-                        };
-                    }
-                    self.freeze_var(
-                        v,
-                        r,
-                        &mut rate,
-                        &mut frozen,
-                        &mut frozen_usage,
-                        &mut wsum_unfrozen,
-                        &wsum_init,
-                        &mut remaining,
-                        None,
-                    );
-                }
-            }
-        }
-        rate
+    /// Starts a unit-weight variable standing for `members` interchangeable
+    /// flows; [`cross`](Self::cross) then lists its constraints.
+    pub(crate) fn add_class(&mut self, bound: f64, members: u32) {
+        self.flat.begin_variable(bound, 1.0, members);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn freeze_var(
-        &self,
-        v: usize,
-        r: f64,
-        rate: &mut [f64],
-        frozen: &mut [bool],
-        frozen_usage: &mut [f64],
-        wsum_unfrozen: &mut [f64],
-        wsum_init: &[f64],
-        remaining: &mut usize,
-        mut touched: Option<&mut Vec<usize>>,
-    ) {
-        debug_assert!(!frozen[v]);
-        rate[v] = r;
-        frozen[v] = true;
-        *remaining -= 1;
-        for &c in &self.memberships[v] {
-            // One accumulation step per folded member, mirroring the
-            // expanded problem's repeated addition exactly (including the
-            // snap-to-zero check after every subtraction).
-            for _ in 0..self.mults[v] {
-                frozen_usage[c] += r;
-                wsum_unfrozen[c] -= self.weights[v];
-                // Snap accumulated subtraction dust to zero, with a tolerance
-                // relative to the constraint's initial weight sum so that
-                // constraints built from legitimately tiny weights survive.
-                if wsum_unfrozen[c] < wsum_init[c] * 1e-12 {
-                    wsum_unfrozen[c] = 0.0;
-                }
-            }
-            if let Some(t) = touched.as_deref_mut() {
-                t.push(c);
-            }
-        }
+    /// The variable started last crosses `cnst`. The caller lists each
+    /// constraint once per variable (engine routes are stored deduplicated).
+    pub(crate) fn cross(&mut self, cnst: u32) {
+        debug_assert!((cnst as usize) < self.flat.capacities.len());
+        self.flat.var_cnsts.push(cnst);
+        *self
+            .flat
+            .var_end
+            .last_mut()
+            .expect("a variable was started") += 1;
+    }
+
+    /// Number of variables written since the last `clear`.
+    pub(crate) fn num_variables(&self) -> usize {
+        self.flat.bounds.len()
+    }
+
+    /// Solves in place; rates (and bottlenecks, when asked) are then read
+    /// per variable.
+    pub(crate) fn solve(&mut self, bottlenecks: bool) {
+        let argmin = Argmin::for_size(self.num_variables());
+        solve_core(&self.flat, &mut self.scratch, argmin, bottlenecks);
+    }
+
+    /// Rate of variable `v` after [`solve`](Self::solve).
+    pub(crate) fn rate(&self, v: usize) -> f64 {
+        self.scratch.rate[v]
+    }
+
+    /// Constraint that froze variable `v` in a solve that tracked
+    /// bottlenecks; `None` when its own bound did.
+    pub(crate) fn bottleneck(&self, v: usize) -> Option<u32> {
+        let c = self.scratch.bottleneck[v];
+        (c != NO_CNST).then_some(c)
     }
 }
 
@@ -733,6 +857,56 @@ mod tests {
         assert!((rates[a.0] - 50.0).abs() < EPS);
         assert!((rates[b.0] - 50.0).abs() < EPS);
         assert_eq!(bn[b.0], Some(l));
+    }
+
+    /// The measurement behind `SCAN_SOLVER_MAX_VARS`: both argmins on the
+    /// benchmark probe's problem shape (every variable crosses four of
+    /// `vars / 4` constraints, all bounded), in one reused scratch — the
+    /// way the engine's workspace runs them. Prints the table EXPERIMENTS
+    /// "PR 21 on the ruler" records:
+    /// `cargo test --release -p surf-sim --lib cutoff -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn scan_vs_heap_cutoff_table() {
+        let mut x = 11u64;
+        let mut below = move |n: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) as usize) % n
+        };
+        println!(
+            "{:>6} {:>12} {:>12} {:>7}",
+            "vars", "scan_us", "heap_us", "ratio"
+        );
+        for vars in [8usize, 32, 64, 128, 256, 512, 1024, 4096] {
+            let mut p = MaxMinProblem::new();
+            let cnsts: Vec<_> = (0..(vars / 4).max(1))
+                .map(|_| p.add_constraint(1e8 + below(1_000_000_000) as f64))
+                .collect();
+            for _ in 0..vars {
+                let crossed: Vec<_> = (0..4).map(|_| cnsts[below(cnsts.len())]).collect();
+                p.add_variable(1e6 + below(100_000_000) as f64, &crossed);
+            }
+            let mut s = Scratch::default();
+            let mut time = |argmin: Argmin| {
+                let reps = (200_000 / vars).max(20);
+                let mut samples: Vec<f64> = (0..9)
+                    .map(|_| {
+                        let t = std::time::Instant::now();
+                        for _ in 0..reps {
+                            solve_core(std::hint::black_box(&p.flat), &mut s, argmin, false);
+                            std::hint::black_box(&s.rate);
+                        }
+                        t.elapsed().as_secs_f64() * 1e6 / reps as f64
+                    })
+                    .collect();
+                samples.sort_by(f64::total_cmp);
+                samples[samples.len() / 2]
+            };
+            let (scan, heap) = (time(Argmin::Scan), time(Argmin::Heap));
+            println!("{vars:>6} {scan:>12.2} {heap:>12.2} {:>7.2}", scan / heap);
+        }
     }
 
     #[test]
