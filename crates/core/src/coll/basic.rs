@@ -3,7 +3,7 @@
 use super::{tree, TAG_BARRIER, TAG_BCAST};
 use crate::comm::Comm;
 use crate::ctx::Ctx;
-use crate::datatype::Datatype;
+use crate::datatype::{Datatype, Payload};
 
 impl Ctx<'_> {
     /// `MPI_Barrier`: dissemination algorithm — ⌈log₂ p⌉ rounds of
@@ -33,6 +33,7 @@ impl Ctx<'_> {
 
     /// `MPI_Bcast` over a binomial tree: `buf` holds the payload on `root`
     /// and receives it everywhere else (all callers pass the same length).
+    /// The root packs `buf` once; every rank forwards the body it received.
     pub fn bcast<T: Datatype>(&self, buf: &mut [T], root: usize, comm: &Comm) {
         let _region = self.coll_region("bcast");
         let p = comm.size();
@@ -41,14 +42,19 @@ impl Ctx<'_> {
         }
         let r = self.comm_rank(comm);
         let v = (r + p - root) % p; // relative rank
-        if v != 0 {
+        let body = if v == 0 {
+            Payload::pack(buf)
+        } else {
             let parent = (tree::parent(v) + root) % p;
-            let status = self.recv(buf, parent as i32, TAG_BCAST, comm);
+            let req = self.irecv::<T>(parent as i32, TAG_BCAST, buf.len(), comm);
+            let (body, status) = self.wait_recv_packed(req, comm);
             debug_assert_eq!(status.count::<T>(), buf.len());
-        }
+            body.unpack_into(buf);
+            body
+        };
         for c in tree::children(v, p) {
             let child = (c + root) % p;
-            self.send(buf, child, TAG_BCAST, comm);
+            self.send_packed(&body, child, TAG_BCAST, comm);
         }
     }
 }

@@ -5,6 +5,8 @@
 //! `allgather` uses recursive doubling on power-of-two communicators and a
 //! ring otherwise.
 
+use std::ops::Range;
+
 use super::{tree, TAG_ALLGATHER, TAG_GATHER, TAG_SCATTER};
 use crate::comm::Comm;
 use crate::ctx::Ctx;
@@ -191,9 +193,9 @@ impl Ctx<'_> {
                 }
             }
             for (i, req) in reqs {
-                let (data, _) = self.wait_recv(req, comm);
-                assert_eq!(data.len(), counts[i]);
-                out[offsets[i]..offsets[i] + counts[i]].copy_from_slice(&data);
+                let block = &mut out[offsets[i]..offsets[i] + counts[i]];
+                let status = self.wait_recv_into(req, block, comm);
+                assert_eq!(status.count::<T>(), counts[i]);
             }
             Some(out)
         } else {
@@ -230,18 +232,14 @@ impl Ctx<'_> {
             let partner = r ^ k;
             let my_base = r & !(k - 1);
             let partner_base = partner & !(k - 1);
-            let outgoing = out[my_base * chunk..(my_base + k) * chunk].to_vec();
-            let mut incoming = vec![T::default(); k * chunk];
-            self.sendrecv(
-                &outgoing,
+            self.exchange_within(
+                &mut out,
+                my_base * chunk..(my_base + k) * chunk,
                 partner,
-                TAG_ALLGATHER,
-                &mut incoming,
-                partner as i32,
-                TAG_ALLGATHER,
+                partner_base * chunk..(partner_base + k) * chunk,
+                partner,
                 comm,
             );
-            out[partner_base * chunk..(partner_base + k) * chunk].copy_from_slice(&incoming);
             k <<= 1;
         }
         out
@@ -261,20 +259,34 @@ impl Ctx<'_> {
         for s in 0..p.saturating_sub(1) {
             let send_block = (r + p - s) % p;
             let recv_block = (r + p - s - 1) % p;
-            let outgoing = out[send_block * chunk..(send_block + 1) * chunk].to_vec();
-            let mut incoming = vec![T::default(); chunk];
-            self.sendrecv(
-                &outgoing,
+            self.exchange_within(
+                &mut out,
+                send_block * chunk..(send_block + 1) * chunk,
                 right,
-                TAG_ALLGATHER,
-                &mut incoming,
-                left as i32,
-                TAG_ALLGATHER,
+                recv_block * chunk..(recv_block + 1) * chunk,
+                left,
                 comm,
             );
-            out[recv_block * chunk..(recv_block + 1) * chunk].copy_from_slice(&incoming);
         }
         out
+    }
+
+    /// One allgather round, an `MPI_Sendrecv` whose two buffers are blocks
+    /// of the same `out`: the outgoing block is packed straight from it and
+    /// the incoming one unpacked straight into it.
+    fn exchange_within<T: Datatype>(
+        &self,
+        out: &mut [T],
+        outgoing: Range<usize>,
+        dst: usize,
+        incoming: Range<usize>,
+        src: usize,
+        comm: &Comm,
+    ) {
+        let rr = self.irecv::<T>(src as i32, TAG_ALLGATHER, incoming.len(), comm);
+        let sr = self.isend(&out[outgoing], dst, TAG_ALLGATHER, comm);
+        self.wait_recv_into(rr, &mut out[incoming], comm);
+        self.wait_send(sr);
     }
 
     /// `MPI_Allgatherv` (ring): contributions of varying sizes; `counts[i]`
@@ -301,20 +313,14 @@ impl Ctx<'_> {
         for s in 0..p.saturating_sub(1) {
             let send_block = (r + p - s) % p;
             let recv_block = (r + p - s - 1) % p;
-            let outgoing =
-                out[offsets[send_block]..offsets[send_block] + counts[send_block]].to_vec();
-            let mut incoming = vec![T::default(); counts[recv_block]];
-            self.sendrecv(
-                &outgoing,
+            self.exchange_within(
+                &mut out,
+                offsets[send_block]..offsets[send_block] + counts[send_block],
                 right,
-                TAG_ALLGATHER,
-                &mut incoming,
-                left as i32,
-                TAG_ALLGATHER,
+                offsets[recv_block]..offsets[recv_block] + counts[recv_block],
+                left,
                 comm,
             );
-            out[offsets[recv_block]..offsets[recv_block] + counts[recv_block]]
-                .copy_from_slice(&incoming);
         }
         out
     }

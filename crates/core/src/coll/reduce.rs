@@ -150,13 +150,12 @@ impl Ctx<'_> {
         let mut incoming = vec![T::default(); send.len()];
         let mut k = 1usize;
         while k < p {
-            let outgoing = acc.clone();
             let send_to = r + k;
             let recv_from = r.checked_sub(k);
             match (send_to < p, recv_from) {
                 (true, Some(from)) => {
                     self.sendrecv(
-                        &outgoing,
+                        &acc,
                         send_to,
                         TAG_SCAN,
                         &mut incoming,
@@ -170,7 +169,7 @@ impl Ctx<'_> {
                     op.fold_into(&mut merged, &acc);
                     acc = merged;
                 }
-                (true, None) => self.send(&outgoing, send_to, TAG_SCAN, comm),
+                (true, None) => self.send(&acc, send_to, TAG_SCAN, comm),
                 (false, Some(from)) => {
                     let status = self.recv(&mut incoming, from as i32, TAG_SCAN, comm);
                     debug_assert_eq!(status.count::<T>(), incoming.len());

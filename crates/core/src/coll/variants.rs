@@ -9,7 +9,7 @@
 use super::{TAG_BCAST, TAG_SCATTER};
 use crate::comm::Comm;
 use crate::ctx::Ctx;
-use crate::datatype::Datatype;
+use crate::datatype::{Datatype, Payload};
 
 impl Ctx<'_> {
     /// Flat-tree (linear) scatter: the root sends every rank its chunk
@@ -46,12 +46,11 @@ impl Ctx<'_> {
         let p = comm.size();
         let r = self.comm_rank(comm);
         if r == root {
-            let mut reqs = Vec::new();
-            for i in 0..p {
-                if i != root {
-                    reqs.push(self.isend(buf, i, TAG_BCAST, comm));
-                }
-            }
+            let body = Payload::pack(buf);
+            let reqs = (0..p)
+                .filter(|&i| i != root)
+                .map(|i| self.isend_packed(&body, i, TAG_BCAST, comm))
+                .collect();
             self.wait_all_sends(reqs);
         } else {
             self.recv(buf, root as i32, TAG_BCAST, comm);

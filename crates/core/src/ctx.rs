@@ -5,10 +5,20 @@
 //! Isend, Irecv, Sendrecv, Send_init/Recv_init/Start/Startall, Test(any),
 //! Wait(any/all/some), plus the collectives of [`crate::coll`].
 //!
-//! Buffers are typed slices; receives return owned `Vec<T>`s (the Rust
-//! equivalent of receiving into a caller buffer, without borrowing across
-//! the blocking call). Message *data is real*: this is on-line simulation,
-//! so reductions, scans and application logic all compute true values.
+//! Message *data is real*: this is on-line simulation, so reductions, scans
+//! and application logic all compute true values. Buffers are typed slices
+//! and a message body is a [`Payload`]: every send packs its buffer once
+//! ([`Payload::pack`], one `memcpy` into a shared immutable block), the
+//! maestro hands the block to the matching receive, and every receive
+//! unpacks it once — [`recv`](Ctx::recv) / [`wait_recv_into`](Ctx::wait_recv_into)
+//! into the caller's buffer, [`wait_recv`](Ctx::wait_recv) into a fresh
+//! `Vec<T>`. The typed calls are pack / unpack around three calls that take
+//! and return the body itself — [`isend_packed`](Ctx::isend_packed),
+//! [`send_packed`](Ctx::send_packed), [`wait_recv_packed`](Ctx::wait_recv_packed) —
+//! which an application uses directly to send one body to many peers, or
+//! to pack out of a [`crate::SharedSlice`] and drop its guard *before* the
+//! call: ranks share one thread, so a guard held across an MPI call stays
+//! held while every other rank runs.
 //!
 //! Calls split into two tiers. **Maestro simcalls** (sends, receives,
 //! waits, compute, sleep) describe simulated work, so they switch to the
@@ -26,7 +36,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, Datatype};
+use crate::datatype::{Datatype, Payload};
 use crate::group::Group;
 use crate::runtime::{Completion, ReqId, SimResp, Simcall, SxHandle, WaitMode, ANY_SOURCE};
 use crate::state::SharedState;
@@ -71,8 +81,8 @@ impl SendRequest {
 }
 
 impl<T: Datatype> RecvRequest<T> {
-    /// Type-erases the request for the heterogeneous wait family (payloads
-    /// are then returned raw; decode with [`crate::datatype::from_bytes`]).
+    /// Type-erases the request for the heterogeneous wait family (bodies
+    /// are then returned packed; decode with [`Payload::unpack_into`]).
     pub fn into_any(self) -> AnyRequest {
         AnyRequest::Recv(self.id)
     }
@@ -103,18 +113,18 @@ pub struct RawCompletion {
     pub tag: i32,
     /// Message size in bytes.
     pub bytes: u64,
-    /// Payload for receives; `None` for sends.
-    pub data: Option<Box<[u8]>>,
+    /// Body for receives; `None` for sends.
+    pub data: Option<Payload>,
 }
 
-/// A persistent send (`MPI_Send_init`): the envelope and a payload snapshot,
-/// restartable with [`Ctx::start_send`].
+/// A persistent send (`MPI_Send_init`): the envelope and a snapshot of the
+/// body, restartable with [`Ctx::start_send`] (every start shares it).
 #[derive(Debug)]
 pub struct PersistentSend {
     dst: usize,
     tag: i32,
     comm: Comm,
-    payload: Vec<u8>,
+    payload: Payload,
 }
 
 /// A persistent receive (`MPI_Recv_init`), restartable with
@@ -216,16 +226,23 @@ impl<'h> Ctx<'h> {
 
     // ----- point-to-point ------------------------------------------------
 
-    /// Nonblocking send of a typed buffer (`MPI_Isend`).
+    /// Nonblocking send of a typed buffer (`MPI_Isend`): packs `buf`.
     pub fn isend<T: Datatype>(&self, buf: &[T], dst: usize, tag: i32, comm: &Comm) -> SendRequest {
-        let payload = to_bytes(buf).into_boxed_slice();
-        let dst_world = comm.world_rank(dst);
+        self.post_send(Payload::pack(buf), dst, tag, comm)
+    }
+
+    /// Nonblocking send of an already packed body; the message shares it.
+    pub fn isend_packed(&self, body: &Payload, dst: usize, tag: i32, comm: &Comm) -> SendRequest {
+        self.post_send(body.clone(), dst, tag, comm)
+    }
+
+    fn post_send(&self, body: Payload, dst: usize, tag: i32, comm: &Comm) -> SendRequest {
         match self.call(Simcall::Isend {
-            dst: dst_world,
+            dst: comm.world_rank(dst),
             cid: comm.cid(),
             tag,
-            bytes: payload.len() as u64,
-            payload: Some(payload),
+            bytes: body.len() as u64,
+            payload: Some(body),
         }) {
             SimResp::Req(id) => SendRequest(id),
             other => unreachable!("bad response {other:?}"),
@@ -274,12 +291,23 @@ impl<'h> Ctx<'h> {
         debug_assert_eq!(done.len(), 1);
     }
 
-    /// Waits for a receive and returns its data (`MPI_Wait`).
-    pub fn wait_recv<T: Datatype>(&self, req: RecvRequest<T>, comm: &Comm) -> (Vec<T>, Status) {
+    /// Waits for a receive and returns its body as the sender packed it
+    /// (`MPI_Wait` without the unpack).
+    pub fn wait_recv_packed<T: Datatype>(
+        &self,
+        req: RecvRequest<T>,
+        comm: &Comm,
+    ) -> (Payload, Status) {
         let mut done = self.wait_ids(vec![req.id], WaitMode::All);
         debug_assert_eq!(done.len(), 1);
-        let c = done.pop().unwrap();
-        completion_to_typed(c, comm)
+        received(done.pop().unwrap(), comm)
+    }
+
+    /// Waits for a receive and returns its data in a fresh vector
+    /// (`MPI_Wait`).
+    pub fn wait_recv<T: Datatype>(&self, req: RecvRequest<T>, comm: &Comm) -> (Vec<T>, Status) {
+        let (body, status) = self.wait_recv_packed(req, comm);
+        (body.to_vec(), status)
     }
 
     /// Waits for all listed sends (`MPI_Waitall` on sends).
@@ -309,7 +337,10 @@ impl<'h> Ctx<'h> {
         debug_assert_eq!(done.len(), n);
         done.sort_by_key(|c| c.index);
         done.into_iter()
-            .map(|c| completion_to_typed(c, comm))
+            .map(|c| {
+                let (body, status) = received(c, comm);
+                (body.to_vec(), status)
+            })
             .collect()
     }
 
@@ -357,16 +388,22 @@ impl<'h> Ctx<'h> {
         self.wait_send(r);
     }
 
+    /// Blocking standard-mode send of an already packed body.
+    pub fn send_packed(&self, body: &Payload, dst: usize, tag: i32, comm: &Comm) {
+        let r = self.isend_packed(body, dst, tag, comm);
+        self.wait_send(r);
+    }
+
     /// Blocking receive into a caller buffer (`MPI_Recv`); returns the
     /// status. Elements beyond the message length are left untouched.
-    /// Decodes the payload directly into `buf` (no intermediate vector) —
+    /// Unpacks the body directly into `buf` (no intermediate vector) —
     /// this is the hot path of every collective.
     pub fn recv<T: Datatype>(&self, buf: &mut [T], src: i32, tag: i32, comm: &Comm) -> Status {
         let r = self.irecv::<T>(src, tag, buf.len(), comm);
         self.wait_recv_into(r, buf, comm)
     }
 
-    /// Waits for a receive, decoding the payload directly into `buf`
+    /// Waits for a receive, unpacking the body directly into `buf`
     /// (`MPI_Wait` + unpack, allocation-free on the receive side).
     pub fn wait_recv_into<T: Datatype>(
         &self,
@@ -374,19 +411,8 @@ impl<'h> Ctx<'h> {
         buf: &mut [T],
         comm: &Comm,
     ) -> Status {
-        let mut done = self.wait_ids(vec![req.id], WaitMode::All);
-        debug_assert_eq!(done.len(), 1);
-        let c = done.pop().unwrap();
-        let status = Status {
-            source: comm
-                .local_rank(c.source)
-                .expect("message source is in the communicator"),
-            tag: c.tag,
-            bytes: c.bytes,
-        };
-        let bytes = c.data.expect("receive completion carries data");
-        let n = bytes.len() / T::SIZE;
-        from_bytes(&bytes, &mut buf[..n]);
+        let (body, status) = self.wait_recv_packed(req, comm);
+        body.unpack_into(buf);
         status
     }
 
@@ -470,14 +496,7 @@ impl<'h> Ctx<'h> {
     pub fn wait_recv_sized(&self, req: SizedRecvRequest, comm: &Comm) -> Status {
         let mut done = self.wait_ids(vec![req.0], WaitMode::All);
         debug_assert_eq!(done.len(), 1);
-        let c = done.pop().unwrap();
-        Status {
-            source: comm
-                .local_rank(c.source)
-                .expect("message source is in the communicator"),
-            tag: c.tag,
-            bytes: c.bytes,
-        }
+        status_of(&done.pop().unwrap(), comm)
     }
 
     /// Blocking data-less receive.
@@ -519,7 +538,7 @@ impl<'h> Ctx<'h> {
 
     // ----- persistent requests -------------------------------------------
 
-    /// `MPI_Send_init`: captures the envelope and a snapshot of the payload.
+    /// `MPI_Send_init`: captures the envelope and packs a snapshot of `buf`.
     pub fn send_init<T: Datatype>(
         &self,
         buf: &[T],
@@ -531,7 +550,7 @@ impl<'h> Ctx<'h> {
             dst,
             tag,
             comm: comm.clone(),
-            payload: to_bytes(buf),
+            payload: Payload::pack(buf),
         }
     }
 
@@ -554,17 +573,7 @@ impl<'h> Ctx<'h> {
 
     /// `MPI_Start` on a persistent send.
     pub fn start_send(&self, p: &PersistentSend) -> SendRequest {
-        let dst_world = p.comm.world_rank(p.dst);
-        match self.call(Simcall::Isend {
-            dst: dst_world,
-            cid: p.comm.cid(),
-            tag: p.tag,
-            bytes: p.payload.len() as u64,
-            payload: Some(p.payload.clone().into_boxed_slice()),
-        }) {
-            SimResp::Req(id) => SendRequest(id),
-            other => unreachable!("bad response {other:?}"),
-        }
+        self.isend_packed(&p.payload, p.dst, p.tag, &p.comm)
     }
 
     /// `MPI_Start` on a persistent receive.
@@ -634,21 +643,18 @@ fn raw(c: Completion) -> RawCompletion {
     }
 }
 
-fn completion_to_typed<T: Datatype>(c: Completion, comm: &Comm) -> (Vec<T>, Status) {
-    let bytes = c.data.expect("receive completion carries data");
-    assert_eq!(
-        bytes.len() % T::SIZE,
-        0,
-        "message is not a whole number of {} elements",
-        T::NAME
-    );
-    let out: Vec<T> = bytes.chunks_exact(T::SIZE).map(T::from_bytes).collect();
-    let status = Status {
+fn status_of(c: &Completion, comm: &Comm) -> Status {
+    Status {
         source: comm
             .local_rank(c.source)
             .expect("message source is in the communicator"),
         tag: c.tag,
         bytes: c.bytes,
-    };
-    (out, status)
+    }
+}
+
+/// Body and status of a completed data-carrying receive.
+fn received(c: Completion, comm: &Comm) -> (Payload, Status) {
+    let status = status_of(&c, comm);
+    (c.data.expect("receive completion carries data"), status)
 }

@@ -62,7 +62,7 @@ pub use coll::alltoall::pairwise_peers;
 pub use coll::tree;
 pub use comm::Comm;
 pub use ctx::{AnyRequest, Ctx, RecvRequest, SendRequest, SizedRecvRequest, Status};
-pub use datatype::Datatype;
+pub use datatype::{Datatype, Payload};
 pub use error::SimError;
 pub use ext::UNDEFINED_COLOR;
 pub use fabric::{Fabric, MpiProfile, PacketFabric, SurfFabric};

@@ -40,6 +40,7 @@ use smpi_obs::{
 use smpi_platform::HostIx;
 
 use crate::capture::{mode_name, Capture, TiOp, TiTrace};
+use crate::datatype::Payload;
 use crate::error::SimError;
 use crate::fabric::{Fabric, FabricToken, MpiProfile};
 use crate::flight::{FlightRecorder, PendingReq, Postmortem, RankPostmortem};
@@ -102,7 +103,7 @@ pub struct Completion {
     /// Message size in bytes.
     pub bytes: u64,
     /// Received payload (receives only).
-    pub data: Option<Box<[u8]>>,
+    pub data: Option<Payload>,
 }
 
 /// A request from a rank to the maestro.
@@ -122,7 +123,7 @@ pub enum Simcall {
         /// (§3.2 technique #2: when CPU bursts are bypassed, their arrays
         /// are unreferenced and need not move; only the message *size*
         /// matters for timing).
-        payload: Option<Box<[u8]>>,
+        payload: Option<Payload>,
     },
     /// Post a receive.
     Irecv {
@@ -206,7 +207,7 @@ struct Message {
     src: u32,
     dst: u32,
     bytes: u64,
-    payload: Option<Box<[u8]>>,
+    payload: Option<Payload>,
     state: MsgState,
     eager: bool,
     send_req: ReqId,
@@ -226,7 +227,7 @@ enum ReqKind {
 }
 
 /// What a completed request reports back: (source, tag, bytes, payload).
-type CompletionRecord = (u32, i32, u64, Option<Box<[u8]>>);
+type CompletionRecord = (u32, i32, u64, Option<Payload>);
 
 #[derive(Debug)]
 struct Request {
@@ -997,7 +998,7 @@ impl Runtime {
         dst: u32,
         cid: u32,
         tag: i32,
-        payload: Option<Box<[u8]>>,
+        payload: Option<Payload>,
         bytes: u64,
     ) -> Result<ReqId, SimError> {
         let send_req = self.alloc_req(src, ReqKind::Send);

@@ -14,7 +14,7 @@
 //! with/without-folding bars are produced from a single run.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use crate::ctx::Ctx;
 use crate::datatype::Datatype;
@@ -116,7 +116,7 @@ impl SharedHeap {
                 .downcast::<Mutex<Vec<T>>>()
                 .expect("shared_malloc site reused with a different element type");
             assert_eq!(
-                lock(&arc).len(),
+                lock_buffer(&arc, site).len(),
                 len,
                 "shared_malloc site {site:?} reused with a different length"
             );
@@ -129,11 +129,30 @@ impl SharedHeap {
     }
 }
 
+/// Locks an application buffer, or panics naming `site` if a guard is alive:
+/// blocking would hang the one thread every rank runs on. Poisoning is
+/// ignored as in [`lock`].
+fn lock_buffer<'a, T>(data: &'a Mutex<Vec<T>>, site: &str) -> MutexGuard<'a, Vec<T>> {
+    match data.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => panic!(
+            "shared buffer `{site}` is locked by a rank suspended in an MPI call; \
+             drop the guard before calling MPI"
+        ),
+    }
+}
+
 /// A buffer returned by [`Ctx::shared_malloc`]. With folding on, all ranks
 /// using the same site observe (and clobber) the same storage. Access goes
-/// through a lock; it is never contended because ranks run one at a time.
+/// through a lock. Ranks run one at a time on one thread, so the lock is
+/// free exactly when no rank is suspended holding it: a guard must be
+/// dropped before the next MPI call. One held across a call cannot be
+/// waited for — the holder only resumes once this rank yields — so
+/// [`lock`](Self::lock) panics in the rank that finds it taken.
 pub struct SharedSlice<T: Datatype> {
     data: Arc<Mutex<Vec<T>>>,
+    site: Box<str>,
     tracker: Arc<TrackerRef>,
     actual: u64,
     logical: u64,
@@ -145,14 +164,15 @@ struct TrackerRef {
 }
 
 impl<T: Datatype> SharedSlice<T> {
-    /// Locks the buffer for reading/writing.
+    /// Locks the buffer for reading/writing. Drop the guard before the
+    /// next MPI call; panics if another guard of the buffer is alive.
     pub fn lock(&self) -> MutexGuard<'_, Vec<T>> {
-        lock(&self.data)
+        lock_buffer(&self.data, &self.site)
     }
 
     /// Buffer length in elements.
     pub fn len(&self) -> usize {
-        lock(&self.data).len()
+        self.lock().len()
     }
 
     /// `true` when empty.
@@ -189,6 +209,7 @@ impl Ctx<'_> {
         self.shared.memory.allocate(actual, bytes);
         SharedSlice {
             data,
+            site: site.into(),
             tracker: Arc::new(TrackerRef {
                 shared: Arc::clone(&self.shared),
             }),
@@ -204,6 +225,7 @@ impl Ctx<'_> {
         self.shared.memory.allocate(bytes, bytes);
         SharedSlice {
             data: Arc::new(Mutex::new(vec![T::default(); len])),
+            site: "tracked_vec".into(),
             tracker: Arc::new(TrackerRef {
                 shared: Arc::clone(&self.shared),
             }),

@@ -136,6 +136,38 @@ fn no_folding_gives_private_buffers() {
     assert_eq!(report.memory.logical_peak_bytes, 64000);
 }
 
+/// Rank 0 keeps its guard over the barrier; rank 1 locks the same site.
+fn guard_held_across_barrier(folding: bool) {
+    world(2).ram_folding(folding).run(2, |ctx| {
+        let buf = ctx.shared_malloc::<f64>("data", 16);
+        if ctx.rank() == 0 {
+            let mut guard = buf.lock();
+            ctx.barrier(&ctx.world());
+            guard[0] = 1.0;
+        } else {
+            buf.lock()[0] = 2.0;
+            ctx.barrier(&ctx.world());
+        }
+    });
+}
+
+#[test]
+#[should_panic(
+    expected = "shared buffer `data` is locked by a rank suspended in an MPI call; \
+                drop the guard before calling MPI"
+)]
+fn guard_held_across_an_mpi_call_is_diagnosed_not_a_hang() {
+    // Folded, both ranks lock one mutex on one thread: blocking on it would
+    // hang the maestro. The second rank panics instead, and the panic
+    // reaches `run`'s caller.
+    guard_held_across_barrier(true);
+}
+
+#[test]
+fn guard_held_across_an_mpi_call_is_harmless_on_private_buffers() {
+    guard_held_across_barrier(false);
+}
+
 #[test]
 fn tracked_vec_counts_per_rank_both_ways() {
     for folding in [true, false] {

@@ -202,7 +202,7 @@ fn test_poll_is_nonblocking() {
                 assert!(early.is_empty(), "poll must not block or lie");
                 let done = ctx.wait_all(&set);
                 assert_eq!(done.len(), 1);
-                assert_eq!(done[0].data.as_ref().unwrap()[0], 9);
+                assert_eq!(done[0].data.as_ref().unwrap().to_vec::<u8>(), [9]);
             }
         });
     }
@@ -399,5 +399,174 @@ fn request_ids_are_the_post_indices_a_capture_records() {
             })
             .collect();
         assert_eq!(captured_waits, expected_waits, "rank {rank}");
+    }
+}
+
+// ----- the message body: `Payload` ---------------------------------------
+
+mod payload {
+    use proptest::prelude::*;
+    use smpi::{encode_v2, Datatype, Payload};
+
+    use super::{smpi_world, testbed_world};
+
+    /// Element counts around one page and around the 64 KiB eager switch.
+    const LENS: [usize; 9] = [0, 1, 7, 8_191, 8_192, 8_193, 65_535, 65_536, 65_537];
+
+    /// `elems` as the bytes a receive of `MPI_BYTE` sees: compares floats
+    /// by bit pattern, NaNs included.
+    fn bits<T: Datatype>(elems: &[T]) -> Vec<u8> {
+        Payload::pack(elems).to_vec()
+    }
+
+    /// Packs `len` elements of arbitrary bit patterns and checks that both
+    /// decodes return them bit for bit, and that a longer receive buffer
+    /// gets a prefix.
+    fn round_trip<T: Datatype>(len: usize, seed: u64) {
+        let mut state = seed | 1;
+        let raw: Vec<u8> = (0..len * T::SIZE)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        let data: Vec<T> = raw.chunks_exact(T::SIZE).map(T::from_bytes).collect();
+        let body = Payload::pack(&data);
+        assert_eq!((body.len(), body.is_empty()), (raw.len(), len == 0));
+        assert_eq!(bits(&data), raw, "{} x {len}: pack", T::NAME);
+        assert_eq!(
+            bits(&body.to_vec::<T>()),
+            raw,
+            "{} x {len}: to_vec",
+            T::NAME
+        );
+
+        let untouched = T::from_bytes(&[0xA5; 8][..T::SIZE]);
+        let mut buf = vec![untouched; len + 3];
+        assert_eq!(body.unpack_into(&mut buf), len);
+        assert_eq!(bits(&buf[..len]), raw, "{} x {len}: unpack_into", T::NAME);
+        assert_eq!(bits(&buf[len..]), bits(&[untouched; 3]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        #[test]
+        fn every_datatype_round_trips_bit_exactly(seed in 0u64..u64::MAX) {
+            for len in LENS {
+                round_trip::<u8>(len, seed);
+                round_trip::<i8>(len, seed);
+                round_trip::<u16>(len, seed);
+                round_trip::<i16>(len, seed);
+                round_trip::<u32>(len, seed);
+                round_trip::<i32>(len, seed);
+                round_trip::<u64>(len, seed);
+                round_trip::<i64>(len, seed);
+                round_trip::<f32>(len, seed);
+                round_trip::<f64>(len, seed);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "message of 3 bytes is not a whole number of MPI_UNSIGNED elements")]
+    fn misaligned_unpack_keeps_its_message() {
+        Payload::pack(&[1u8, 2, 3]).unpack_into(&mut [0u32; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "message is not a whole number of MPI_UNSIGNED elements")]
+    fn misaligned_to_vec_keeps_its_message() {
+        Payload::pack(&[1u8, 2, 3]).to_vec::<u32>();
+    }
+
+    #[test]
+    #[should_panic(expected = "message of 3 elements overflows receive buffer of 2")]
+    fn overflowing_unpack_keeps_its_message() {
+        Payload::pack(&[1.0f64, 2.0, 3.0]).unpack_into(&mut [0.0f64; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MPI_ERR_TRUNCATE")]
+    fn truncation_of_a_packed_send_is_an_error() {
+        smpi_world(2).run(2, |ctx| {
+            let comm = ctx.world();
+            if ctx.rank() == 0 {
+                ctx.send_packed(&Payload::pack(&[0u8; 64]), 1, 0, &comm);
+            } else {
+                let req = ctx.irecv::<u8>(0, 0, 16, &comm);
+                let _ = ctx.wait_recv_packed(req, &comm);
+            }
+        });
+    }
+
+    /// Message sizes in `f64`s: eager, the last eager size, the first
+    /// rendezvous size, and a large one.
+    const SIZES: [usize; 4] = [3, 8_192, 8_193, 50_000];
+
+    fn message(round: usize, n: usize) -> Vec<f64> {
+        (0..n).map(|i| (round * n + i) as f64 * 0.5).collect()
+    }
+
+    /// A two-rank exchange written with the typed calls …
+    fn typed(ctx: &smpi::Ctx) -> Vec<f64> {
+        let comm = ctx.world();
+        let mut got = Vec::new();
+        for (round, n) in SIZES.into_iter().enumerate() {
+            if ctx.rank() == 0 {
+                ctx.send(&message(round, n), 1, round as i32, &comm);
+                let mut echo = vec![0.0; n + 1];
+                ctx.recv(&mut echo, 1, round as i32, &comm);
+                got.extend(echo);
+            } else {
+                let mut buf = vec![0.0; n];
+                ctx.recv(&mut buf, 0, round as i32, &comm);
+                ctx.send(&buf[..n / 2], 0, round as i32, &comm);
+                got.extend(buf);
+            }
+        }
+        got
+    }
+
+    /// … and with the packed ones: the same simcalls in the same order.
+    fn packed(ctx: &smpi::Ctx) -> Vec<f64> {
+        let comm = ctx.world();
+        let mut got = Vec::new();
+        for (round, n) in SIZES.into_iter().enumerate() {
+            if ctx.rank() == 0 {
+                let body = Payload::pack(&message(round, n));
+                ctx.send_packed(&body, 1, round as i32, &comm);
+                let mut echo = vec![0.0; n + 1];
+                let req = ctx.irecv::<f64>(1, round as i32, echo.len(), &comm);
+                let (body, status) = ctx.wait_recv_packed(req, &comm);
+                assert_eq!(status.count::<f64>(), n / 2);
+                assert_eq!(body.unpack_into(&mut echo), n / 2);
+                got.extend(echo);
+            } else {
+                let req = ctx.irecv::<f64>(0, round as i32, n, &comm);
+                let (body, _) = ctx.wait_recv_packed(req, &comm);
+                let buf = body.to_vec::<f64>();
+                ctx.send_packed(&Payload::pack(&buf[..n / 2]), 0, round as i32, &comm);
+                got.extend(buf);
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn packed_calls_are_the_typed_calls() {
+        for world in [smpi_world(2), testbed_world(2)] {
+            let world = world.capture(true);
+            let a = world.run(2, typed);
+            let b = world.run(2, packed);
+            assert_eq!(a.results, b.results, "same data");
+            assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
+            let (ta, tb) = (a.ti_trace.unwrap(), b.ti_trace.unwrap());
+            assert_eq!(ta.encode(), tb.encode(), "TITRACE v1");
+            assert_eq!(encode_v2(&ta), encode_v2(&tb), "TITRACE v2");
+            assert_eq!(ta.downgraded().encode(), tb.downgraded().encode());
+        }
     }
 }

@@ -1,0 +1,207 @@
+//! A message body is packed once, shared, and unpacked once: the large
+//! blocks a run allocates are the application's own buffers plus one body
+//! per *distinct* message — not one per destination, per start, or per hop
+//! of staging.
+//!
+//! Own test binary because it installs a counting global allocator (the
+//! library crates stay `forbid(unsafe_code)`). Every run here has folding
+//! off, so each rank's buffers are its own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use smpi::{Ctx, Payload, World};
+use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
+use smpi_workloads::dt::unfolded_bytes;
+use smpi_workloads::{build_graph, dt_rank, DtClass, DtGraph};
+use surf_sim::TransferModel;
+
+struct Counting;
+
+thread_local! {
+    /// Blocks at least this large count (the harness's other threads, and
+    /// everything outside [`large_blocks`], count nothing).
+    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    if size >= THRESHOLD.with(Cell::get) {
+        BLOCKS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + size));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller upholds; the only addition is a bump of
+// const-initialised, destructor-free thread-locals, which neither allocates
+// nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: see the impl comment.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: see the impl comment.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: see the impl comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: see the impl comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `body` on `ranks` ranks (they are fibers on this thread) and
+/// returns the (count, bytes) of the blocks of at least `threshold` bytes
+/// allocated while the run was live.
+fn large_blocks(
+    ranks: usize,
+    threshold: usize,
+    body: impl Fn(&Ctx) + Send + Sync + 'static,
+) -> (usize, usize) {
+    let rp = Arc::new(RoutedPlatform::new(flat_cluster(
+        "t",
+        ranks,
+        &ClusterConfig::default(),
+    )));
+    let world = World::smpi(rp, TransferModel::ideal()).ram_folding(false);
+    BLOCKS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
+    THRESHOLD.with(|t| t.set(threshold));
+    world.run(ranks, body);
+    THRESHOLD.with(|t| t.set(usize::MAX));
+    (BLOCKS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+const MIB: usize = 1 << 20;
+
+#[test]
+fn a_message_costs_one_body() {
+    // The two caller buffers and the body between them.
+    let (blocks, _) = large_blocks(2, MIB, |ctx| {
+        let comm = ctx.world();
+        let mut buf = vec![ctx.rank() as f64; MIB / 8];
+        if ctx.rank() == 0 {
+            ctx.send(&buf, 1, 0, &comm);
+        } else {
+            ctx.recv(&mut buf, 0, 0, &comm);
+        }
+    });
+    assert_eq!(blocks, 3, "send + recv into a caller buffer");
+
+    // `wait_recv` trades the caller's receive buffer for the vector it
+    // returns: still one block per side and one body.
+    let (blocks, _) = large_blocks(2, MIB, |ctx| {
+        let comm = ctx.world();
+        if ctx.rank() == 0 {
+            ctx.send(&vec![1.0f64; MIB / 8], 1, 0, &comm);
+        } else {
+            let (data, _) = ctx.recv_vec::<f64>(0, 0, MIB / 8, &comm);
+            assert_eq!(data.len(), MIB / 8);
+        }
+    });
+    assert_eq!(blocks, 3, "send + wait_recv");
+}
+
+#[test]
+fn a_broadcast_costs_one_body() {
+    let (linear, _) = large_blocks(16, MIB, |ctx| {
+        let mut buf = vec![ctx.rank() as f64; MIB / 8];
+        ctx.bcast_linear(&mut buf, 0, &ctx.world());
+        assert_eq!(buf[MIB / 8 - 1], 0.0);
+    });
+    assert_eq!(linear, 16 + 1, "the root packs once for its 15 peers");
+
+    let (binomial, _) = large_blocks(16, MIB, |ctx| {
+        let mut buf = vec![ctx.rank() as f64; MIB / 8];
+        ctx.bcast(&mut buf, 3, &ctx.world());
+        assert_eq!(buf[MIB / 8 - 1], 3.0);
+    });
+    assert_eq!(binomial, 16 + 1, "interior ranks forward the body they got");
+}
+
+#[test]
+fn a_persistent_send_shares_its_snapshot_across_starts() {
+    const LEN: usize = 256 << 10;
+    let (blocks, _) = large_blocks(2, LEN, |ctx| {
+        let comm = ctx.world();
+        let mut buf = vec![7u8; LEN];
+        if ctx.rank() == 0 {
+            let send = ctx.send_init(&buf, 1, 0, &comm);
+            for _ in 0..10 {
+                let req = ctx.start_send(&send);
+                ctx.wait_send(req);
+            }
+        } else {
+            for _ in 0..10 {
+                ctx.recv(&mut buf, 0, 0, &comm);
+            }
+        }
+    });
+    assert_eq!(blocks, 2 + 1, "two caller buffers, one body for ten starts");
+}
+
+#[test]
+fn a_body_sent_to_many_is_still_one_block() {
+    let (blocks, _) = large_blocks(5, MIB, |ctx| {
+        let comm = ctx.world();
+        let mut buf = vec![ctx.rank() as u8; MIB];
+        if ctx.rank() == 0 {
+            let body = Payload::pack(&buf);
+            for dst in 1..5 {
+                ctx.send_packed(&body, dst, 0, &comm);
+            }
+        } else {
+            let req = ctx.irecv::<u8>(0, 0, MIB, &comm);
+            let (body, _) = ctx.wait_recv_packed(req, &comm);
+            body.unpack_into(&mut buf);
+            assert_eq!(buf[MIB - 1], 0);
+        }
+    });
+    assert_eq!(blocks, 5 + 1);
+}
+
+#[test]
+fn dt_stages_one_body_per_forwarding_node() {
+    // Besides its node buffers (`unfolded_bytes`), DT allocates what its
+    // non-sink nodes forward and nothing else: one body each on BH and WH,
+    // whose successors share it, one per successor on SH, which splits.
+    let class = DtClass::W;
+    for shape in [DtGraph::Bh, DtGraph::Wh, DtGraph::Sh] {
+        let graph = Arc::new(build_graph(class, shape));
+        let nodes = graph.num_nodes();
+        let buffers = unfolded_bytes(&graph, class) as usize;
+        // The smallest message: half a source array (SH), else a whole one.
+        let smallest = class.num_samples() * 8 / 2;
+        let g = Arc::clone(&graph);
+        let (blocks, bytes) = large_blocks(nodes, smallest, move |ctx| {
+            dt_rank(ctx, &g, class);
+        });
+        let bodies: usize = graph
+            .succ
+            .iter()
+            .map(|succs| match shape {
+                DtGraph::Bh | DtGraph::Wh => succs.len().min(1),
+                DtGraph::Sh => succs.len(),
+            })
+            .sum();
+        assert_eq!(blocks, nodes + bodies, "{shape:?}");
+        let staged = bytes - buffers;
+        assert!(
+            staged * 10 <= buffers * 11,
+            "{shape:?}: {staged} B staged beside {buffers} B of node buffers"
+        );
+    }
+}

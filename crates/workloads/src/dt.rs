@@ -19,9 +19,8 @@
 //! successor, so traffic stays spread across the fabric. SH conserves
 //! volume by splitting.
 
-use std::collections::HashMap;
-
 use smpi::ctx::Ctx;
+use smpi::Payload;
 
 /// Problem classes. Leaf width doubles per class; the paper uses A, B, C
 /// (S and W are the usual smaller NPB instances, extrapolated downward).
@@ -237,17 +236,23 @@ const DT_TAG: i32 = 17;
 /// (sinks return the verification sum; other ranks 0). Buffers are
 /// allocated through `shared_malloc` keyed by (layer-role) so RAM folding
 /// (§3.2) applies when enabled on the `World`.
+///
+/// Every element is copied twice per hop and staged once: a node unpacks
+/// each incoming body into its buffer at the predecessor's offset and drops
+/// the body, then packs what it forwards under the buffer's lock — once for
+/// BH and WH, whose successors share the body; once per half for SH — and
+/// sends with the guard released. No guard is alive across an MPI call.
 pub fn dt_rank(ctx: &Ctx, graph: &TaskGraph, class: DtClass) -> f64 {
     let r = ctx.rank();
     assert_eq!(ctx.size(), graph.num_nodes(), "world size != graph size");
     let comm = ctx.world();
     let preds = &graph.pred[r];
     let succs = &graph.succ[r];
+    let total = produced_len(graph, class, r);
 
     let data: smpi::SharedSlice<f64> = if preds.is_empty() {
         // Source: generate the feature array.
-        let n = class.num_samples();
-        let buf = ctx.shared_malloc::<f64>("dt:source", n);
+        let buf = ctx.shared_malloc::<f64>("dt:source", total);
         {
             let mut b = buf.lock();
             // Deterministic pseudo-features (NPB-style LCG).
@@ -257,73 +262,61 @@ pub fn dt_rank(ctx: &Ctx, graph: &TaskGraph, class: DtClass) -> f64 {
                 *x = (seed >> 11) as f64 / (1u64 << 53) as f64;
             }
         }
-        ctx.compute(n as f64 * FLOPS_PER_ELEMENT);
         buf
     } else {
-        // Interior/sink: receive from every predecessor.
-        let mut parts: HashMap<usize, Vec<f64>> = HashMap::new();
-        let mut reqs = Vec::new();
-        for &p in preds {
-            // Sizes are deterministic: compute what p will send us.
-            let len = incoming_len(graph, class, p, r);
-            reqs.push((p, ctx.irecv::<f64>(p as i32, DT_TAG, len, &comm)));
-        }
-        for (p, req) in reqs {
-            let (data, _) = ctx.wait_recv(req, &comm);
-            parts.insert(p, data);
-        }
-        let total: usize = preds.iter().map(|p| parts[p].len()).sum();
+        // Interior/sink: receive from every predecessor, concatenating in
+        // predecessor order. Sizes are deterministic: compute what each
+        // will send us.
+        let reqs: Vec<_> = preds
+            .iter()
+            .map(|&p| {
+                let len = incoming_len(graph, class, p, r);
+                (len, ctx.irecv::<f64>(p as i32, DT_TAG, len, &comm))
+            })
+            .collect();
         let buf = ctx.shared_malloc::<f64>(&node_site(graph, class, r), total);
-        {
-            let mut b = buf.lock();
-            let mut off = 0;
-            for &p in preds {
-                let part = &parts[&p];
-                b[off..off + part.len()].copy_from_slice(part);
-                off += part.len();
-            }
+        let mut off = 0;
+        for (len, req) in reqs {
+            let (body, _) = ctx.wait_recv_packed(req, &comm);
+            body.unpack_into(&mut buf.lock()[off..off + len]);
+            off += len;
         }
-        ctx.compute(total as f64 * FLOPS_PER_ELEMENT);
         buf
     };
+    ctx.compute(total as f64 * FLOPS_PER_ELEMENT);
 
-    // Forward according to the shape's semantics.
-    let payload = data.lock().clone();
-    match graph.shape {
-        DtGraph::Bh | DtGraph::Wh => {
-            // Concatenation (BH) or replica (WH): whole buffer to each
-            // successor.
-            for &s in succs {
-                ctx.send(&payload, s, DT_TAG, &comm);
+    let checksum = if succs.is_empty() {
+        // Sink: verify in place.
+        data.lock().iter().sum()
+    } else {
+        // Forward according to the shape's semantics.
+        match graph.shape {
+            DtGraph::Bh | DtGraph::Wh => {
+                // Concatenation (BH) or replica (WH): the whole buffer to
+                // each successor.
+                let body = Payload::pack(&data.lock());
+                for &s in succs {
+                    ctx.send_packed(&body, s, DT_TAG, &comm);
+                }
             }
-        }
-        DtGraph::Sh => {
-            // Split evenly among successors.
-            if !succs.is_empty() {
+            DtGraph::Sh => {
+                // Split evenly among successors; the last takes the
+                // remainder.
                 let k = succs.len();
-                let chunk = payload.len() / k;
+                let chunk = total / k;
                 for (j, &s) in succs.iter().enumerate() {
                     let lo = j * chunk;
-                    let hi = if j == k - 1 {
-                        payload.len()
-                    } else {
-                        lo + chunk
-                    };
-                    ctx.send(&payload[lo..hi], s, DT_TAG, &comm);
+                    let hi = if j == k - 1 { total } else { lo + chunk };
+                    let body = Payload::pack(&data.lock()[lo..hi]);
+                    ctx.send_packed(&body, s, DT_TAG, &comm);
                 }
             }
         }
-    }
-
-    let checksum = if succs.is_empty() {
-        payload.iter().sum()
-    } else {
         0.0
     };
     // Hold the buffer until every rank is done: the paper's Fig. 16 metric
     // is maximum *resident set size*, which never shrinks during a run —
     // buffers of early-finishing processes still count.
-    drop(payload);
     ctx.barrier(&comm);
     drop(data);
     checksum

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use smpi_suite::platform::{flat_cluster, ClusterConfig, RoutedPlatform};
 use smpi_suite::smpi::{MpiProfile, World};
 use smpi_suite::surf::TransferModel;
-use smpi_suite::workloads::{build_graph, dt_rank, ep_rank, DtClass, DtGraph, EpConfig};
+use smpi_suite::workloads::{build_graph, dt_rank, ep_rank, DtClass, DtGraph, EpConfig, TaskGraph};
 
 fn platform(n: usize) -> Arc<RoutedPlatform> {
     Arc::new(RoutedPlatform::new(flat_cluster(
@@ -36,6 +36,102 @@ fn dt_class_s_checksums_agree_across_backends() {
         assert!(c1.is_finite() && c1 != 0.0);
         assert_eq!(c1, c2, "{shape:?}: data must be backend-independent");
         assert!(t1 > 0.0 && t2 > 0.0);
+    }
+}
+
+/// The feature array source rank `r` generates (the LCG of `dt_rank`).
+fn source_array(class: DtClass, r: usize) -> Vec<f64> {
+    let mut seed = 271_828_183u64.wrapping_add(r as u64);
+    (0..class.num_samples())
+        .map(|_| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        })
+        .collect()
+}
+
+/// What node `r` holds after its combine step, worked out on the graph
+/// alone: the concatenation, in predecessor order, of what each predecessor
+/// forwards — its whole buffer (BH, WH) or `r`'s share of it (SH).
+fn node_buffer(graph: &TaskGraph, r: usize, source: &dyn Fn(usize) -> Vec<f64>) -> Vec<f64> {
+    if graph.pred[r].is_empty() {
+        return source(r);
+    }
+    let mut buf = Vec::new();
+    for &p in &graph.pred[r] {
+        let from = node_buffer(graph, p, source);
+        let succs = &graph.succ[p];
+        let share = match graph.shape {
+            DtGraph::Bh | DtGraph::Wh => 0..from.len(),
+            DtGraph::Sh => {
+                let chunk = from.len() / succs.len();
+                let j = succs.iter().position(|&s| s == r).expect("edge");
+                let hi = if j == succs.len() - 1 {
+                    from.len()
+                } else {
+                    (j + 1) * chunk
+                };
+                j * chunk..hi
+            }
+        };
+        buf.extend_from_slice(&from[share]);
+    }
+    buf
+}
+
+#[test]
+fn dt_sink_checksums_are_the_sums_of_the_source_arrays() {
+    // No MPI on the right-hand side: each sink sums, in buffer order, the
+    // source arrays the graph routes to it — all of them for BH, its share
+    // of each for SH, one copy of the single source per sink for WH. Exact
+    // to the bit on both backends.
+    for class in [DtClass::S, DtClass::W] {
+        for shape in [DtGraph::Bh, DtGraph::Wh, DtGraph::Sh] {
+            let graph = build_graph(class, shape);
+            let n = graph.num_nodes();
+            let last_source = *graph.sources().last().unwrap();
+            for folding in [false, true] {
+                // Folded, the sources share one array and every one of them
+                // fills it before any resumes from its compute: all forward
+                // what the last wrote. SH then also folds its interior
+                // layers, whose nodes hold different halves: which half a
+                // node forwards depends on who ran last, so there only the
+                // unfolded run has a closed form and the folded one a bound.
+                let exact = !(folding && shape == DtGraph::Sh);
+                let source = |r: usize| source_array(class, if folding { last_source } else { r });
+                let expected: Vec<f64> = (0..n)
+                    .map(|r| {
+                        if graph.succ[r].is_empty() {
+                            node_buffer(&graph, r, &source).iter().sum()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                for world in [
+                    World::smpi(platform(n), TransferModel::ideal()),
+                    World::testbed(platform(n), MpiProfile::openmpi_like()),
+                ] {
+                    let g = graph.clone();
+                    let report = world
+                        .ram_folding(folding)
+                        .run(n, move |ctx| dt_rank(ctx, &g, class));
+                    if exact {
+                        assert_eq!(
+                            report.results, expected,
+                            "{class:?} {shape:?} folding={folding}"
+                        );
+                    } else {
+                        // Every element is some element of the one array.
+                        let len = class.num_samples() as f64;
+                        for (got, unfolded) in report.results.iter().zip(&expected) {
+                            assert_eq!(*got == 0.0, *unfolded == 0.0);
+                            assert!((0.0..len).contains(got), "{class:?} SH folded: {got}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
