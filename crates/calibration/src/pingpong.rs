@@ -41,6 +41,10 @@ pub fn default_sizes() -> Vec<u64> {
 /// Runs a ping-pong between `host_a` and `host_b` on `world` for every size
 /// in `sizes`, with `reps` round trips per size (the first is a warm-up when
 /// `reps > 1`). Returns one-way times.
+///
+/// The messages carry no data: a transfer's timing depends on its byte
+/// count alone, so the ranks exchange sizes (`send_sized` / `recv_sized`)
+/// rather than buffers nobody reads.
 pub fn pingpong(
     world: &World,
     host_a: usize,
@@ -57,16 +61,14 @@ pub fn pingpong(
         let comm = ctx.world();
         let mut times = Vec::with_capacity(sizes_for_run.len());
         for &bytes in sizes_for_run.iter() {
-            let buf = vec![0u8; bytes as usize];
-            let mut echo = vec![0u8; bytes as usize];
             let t0 = ctx.wtime();
             for _ in 0..reps {
                 if ctx.rank() == 0 {
-                    ctx.send(&buf, 1, 0, &comm);
-                    ctx.recv(&mut echo, 1, 0, &comm);
+                    ctx.send_sized(bytes, 1, 0, &comm);
+                    ctx.recv_sized(1, 0, bytes, &comm);
                 } else {
-                    ctx.recv(&mut echo, 0, 0, &comm);
-                    ctx.send(&buf, 0, 0, &comm);
+                    ctx.recv_sized(0, 0, bytes, &comm);
+                    ctx.send_sized(bytes, 0, 0, &comm);
                 }
             }
             let rtt = (ctx.wtime() - t0) / reps as f64;

@@ -57,17 +57,18 @@ impl PacketActionId {
 /// One directional transmission channel (a link direction).
 #[derive(Debug, Default)]
 struct Channel {
-    /// Per-flow frame queues (flow = transfer action index).
-    queues: HashMap<u32, VecDeque<Frame>>,
-    /// Round-robin service order of flows with queued frames.
-    rr: VecDeque<u32>,
+    /// Round-robin service order of the flows with queued frames. A flow is
+    /// a (transfer slot, hop) pair: a route crosses a channel at most once,
+    /// so a transfer is at most one flow here, and its frames wait in the
+    /// transfer's own queue for that hop.
+    rr: VecDeque<(u32, u16)>,
     /// Whether a frame is currently being serialized.
     busy: bool,
     /// Frames currently queued (excluding the one being serialized).
     depth: u32,
 }
 
-/// A frame in flight or queued.
+/// A frame in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Frame {
     /// The transfer this frame belongs to.
@@ -81,16 +82,75 @@ struct Frame {
     queued_at: SimTime,
 }
 
+impl Frame {
+    fn new(transfer: u32, payload: u32, hop: u16, queued_at: SimTime) -> Self {
+        Frame {
+            transfer,
+            payload,
+            hop,
+            queued_at,
+        }
+    }
+}
+
+/// A message in flight.
+#[derive(Debug)]
+struct Transfer {
+    route_channels: Vec<u32>,
+    /// Hop 0's queue is a counter: the frames not yet serialized onto the
+    /// first channel, their payload bytes, and the instant they were all
+    /// queued there (the start). Frames leave it in order, full ones first;
+    /// on a FatPipe first channel, all of them at the start.
+    unsent: u64,
+    unsent_bytes: u64,
+    started: SimTime,
+    /// `(payload, queued_at)` of the frames waiting at each later hop; slot
+    /// 0 stays empty. A queue keeps its capacity while the message lives.
+    queues: Vec<VecDeque<(u32, SimTime)>>,
+    frames_remaining: u64,
+    /// Contention attribution (per-channel queue waits + the share
+    /// integral); allocated only for messages started while recording.
+    attr: Option<Box<FlowAttribution>>,
+}
+
+impl Transfer {
+    /// Takes the next frame off hop 0's counter; returns its payload.
+    fn take_unsent(&mut self, mtu_payload: u32) -> u32 {
+        let payload = self.unsent_bytes.min(u64::from(mtu_payload)) as u32;
+        self.unsent_bytes -= u64::from(payload);
+        self.unsent -= 1;
+        payload
+    }
+}
+
 #[derive(Debug)]
 enum Pending {
-    Transfer {
-        route_channels: Vec<u32>,
-        frames_remaining: u64,
-        /// Contention attribution (per-channel queue waits + the share
-        /// integral); allocated only for messages started while recording.
-        attr: Option<Box<FlowAttribution>>,
-    },
+    Transfer(Transfer),
     Delay,
+}
+
+/// The live transfer in `slot` (frames only ever name one).
+fn transfer_mut(actions: &mut Slab<Pending>, slot: u32) -> &mut Transfer {
+    match actions.get_mut(slot) {
+        Some(Pending::Transfer(t)) => t,
+        _ => unreachable!("frame belongs to a live transfer"),
+    }
+}
+
+/// The recorder keys of one channel, formatted once.
+#[derive(Debug)]
+struct ChanKeys {
+    queue_depth: String,
+    bytes: String,
+}
+
+impl ChanKeys {
+    fn new(chan: usize) -> Self {
+        ChanKeys {
+            queue_depth: format!("packetnet.chan.{chan}.queue_depth"),
+            bytes: format!("packetnet.chan.{chan}.bytes"),
+        }
+    }
 }
 
 /// Heap events carry their payload inline (ordered by `(time, seq)` in the
@@ -129,9 +189,11 @@ pub struct PacketNet {
     /// Number of host compute speeds, for exec durations.
     host_speeds: Vec<f64>,
     /// Routes are translated to channel sequences lazily and memoized.
-    route_cache: HashMap<(HostIx, HostIx), (Vec<u32>, Vec<f64>)>,
+    route_cache: HashMap<(HostIx, HostIx), Vec<u32>>,
     /// Observability sink; disabled by default (every emit is one branch).
     rec: Rec,
+    /// Per-channel recorder keys; only built while `rec` is enabled.
+    chan_keys: Vec<ChanKeys>,
     /// Attribution of completed transfers keyed by `PacketActionId::raw()`,
     /// awaiting pickup via [`take_attribution`](Self::take_attribution).
     done_attr: HashMap<u64, FlowAttribution>,
@@ -197,6 +259,7 @@ impl PacketNet {
             host_speeds,
             route_cache: HashMap::new(),
             rec: Rec::disabled(),
+            chan_keys: Vec::new(),
             done_attr: HashMap::new(),
         }
     }
@@ -211,6 +274,11 @@ impl PacketNet {
     /// [`take_attribution`](Self::take_attribution)).
     pub fn set_recorder(&mut self, rec: Rec) {
         self.rec = rec;
+        self.chan_keys.clear();
+        if self.rec.is_enabled() {
+            self.chan_keys
+                .extend((0..self.channels.len()).map(ChanKeys::new));
+        }
     }
 
     /// Takes the contention attribution of a *completed* message: its wire
@@ -249,12 +317,7 @@ impl PacketNet {
         self.seq += 1;
     }
 
-    fn route_channels(
-        &mut self,
-        rp: &RoutedPlatform,
-        src: HostIx,
-        dst: HostIx,
-    ) -> (Vec<u32>, Vec<f64>) {
+    fn route_channels(&mut self, rp: &RoutedPlatform, src: HostIx, dst: HostIx) -> Vec<u32> {
         if let Some(cached) = self.route_cache.get(&(src, dst)) {
             return cached.clone();
         }
@@ -267,10 +330,17 @@ impl PacketNet {
             .iter()
             .map(|h| self.channel_of(h.link.0, h.dir))
             .collect();
-        let lats: Vec<f64> = chans.iter().map(|&c| self.chan_lat[c as usize]).collect();
-        self.route_cache
-            .insert((src, dst), (chans.clone(), lats.clone()));
-        (chans, lats)
+        // A channel keys a transfer's frames by hop: a route crossing one
+        // twice would mix two hops' frames in one round-robin turn.
+        debug_assert!(
+            chans
+                .iter()
+                .enumerate()
+                .all(|(i, c)| !chans[..i].contains(c)),
+            "route {src:?} -> {dst:?} crosses a channel twice: {chans:?}"
+        );
+        self.route_cache.insert((src, dst), chans.clone());
+        chans
     }
 
     /// Starts a message of `bytes` from `src` to `dst`. Frames are enqueued
@@ -282,18 +352,24 @@ impl PacketNet {
         dst: HostIx,
         bytes: u64,
     ) -> PacketActionId {
-        let (route_channels, _route_latencies) = self.route_channels(rp, src, dst);
+        let route_channels = self.route_channels(rp, src, dst);
         let nframes = self.config.frame_count(bytes);
         let attr = if self.rec.is_enabled() {
             Some(Box::new(FlowAttribution::new(route_channels.clone())))
         } else {
             None
         };
-        let (slot, gen) = self.actions.insert(Pending::Transfer {
-            route_channels: route_channels.clone(),
+        let first = route_channels[0];
+        let queues = vec![VecDeque::new(); route_channels.len()];
+        let (slot, gen) = self.actions.insert(Pending::Transfer(Transfer {
+            route_channels,
+            unsent: nframes,
+            unsent_bytes: bytes,
+            started: self.now,
+            queues,
             frames_remaining: nframes,
             attr,
-        });
+        }));
         let id = PacketActionId { slot, gen };
 
         self.rec.with(|r| {
@@ -301,22 +377,35 @@ impl PacketNet {
             r.counter_add("packetnet.frames.total", nframes);
         });
 
-        // Enqueue all frames at the first channel.
-        let full = self.config.mtu_payload as u64;
-        let first = route_channels[0];
-        let mut left = bytes;
-        for _ in 0..nframes {
-            let payload = left.min(full) as u32;
-            left = left.saturating_sub(full);
-            self.enqueue_frame(
-                first,
-                Frame {
-                    transfer: id.slot,
-                    payload,
-                    hop: 0,
-                    queued_at: SimTime::ZERO,
-                },
-            );
+        if self.chan_fat[first as usize] {
+            // No queue to hold them: every frame leaves now.
+            for _ in 0..nframes {
+                let payload =
+                    transfer_mut(&mut self.actions, slot).take_unsent(self.config.mtu_payload);
+                self.send_fat(first, Frame::new(slot, payload, 0, self.now));
+            }
+            return id;
+        }
+        let c = &mut self.channels[first as usize];
+        let was_busy = c.busy;
+        c.rr.push_back((slot, 0));
+        c.depth += u32::try_from(nframes).expect("a message fits in 2^32 frames");
+        if !was_busy {
+            self.transmit_next(first);
+        }
+        if self.rec.is_enabled() {
+            // As if queued one by one: on an idle channel the first frame
+            // was queued alone (depth 1), went straight onto the wire, and
+            // the others queued behind it.
+            let behind = nframes - u64::from(!was_busy);
+            let depth = self.channels[first as usize].depth.max(1);
+            let key = &self.chan_keys[first as usize].queue_depth;
+            self.rec.with(|r| {
+                if behind > 0 {
+                    r.counter_add("packetnet.frames.queued_behind", behind);
+                }
+                r.hwm(key, f64::from(depth));
+            });
         }
         id
     }
@@ -361,32 +450,36 @@ impl PacketNet {
         out.extend(self.channels.iter().map(|c| if c.busy { 1.0 } else { 0.0 }));
     }
 
-    fn enqueue_frame(&mut self, chan: u32, mut frame: Frame) {
-        frame.queued_at = self.now;
+    /// FatPipe: serialize without queuing (infinite parallel lanes).
+    fn send_fat(&mut self, chan: u32, frame: Frame) {
+        let ser = self.config.wire_bytes(frame.payload) as f64 / self.chan_bw[chan as usize];
+        let at = self.now + ser + self.chan_lat[chan as usize];
+        self.schedule(at, Event::Arrive(frame));
+    }
+
+    /// Queues a frame that just arrived at the node before `frame.hop`.
+    fn enqueue_frame(&mut self, chan: u32, frame: Frame) {
+        debug_assert!(frame.hop > 0, "hop 0 is queued as a counter");
         if self.chan_fat[chan as usize] {
-            // FatPipe: serialize without queuing (infinite parallel lanes).
-            let ser = self.config.wire_bytes(frame.payload) as f64 / self.chan_bw[chan as usize];
-            let at = self.now + ser + self.chan_lat[chan as usize];
-            self.schedule(at, Event::Arrive(frame));
+            self.send_fat(chan, frame);
             return;
         }
-        let (was_busy, depth) = {
-            let c = &mut self.channels[chan as usize];
-            let was_busy = c.busy;
-            let q = c.queues.entry(frame.transfer).or_default();
-            if q.is_empty() {
-                c.rr.push_back(frame.transfer);
-            }
-            q.push_back(frame);
-            c.depth += 1;
-            (was_busy, c.depth)
-        };
+        let c = &mut self.channels[chan as usize];
+        let was_busy = c.busy;
+        let q = &mut transfer_mut(&mut self.actions, frame.transfer).queues[frame.hop as usize];
+        if q.is_empty() {
+            c.rr.push_back((frame.transfer, frame.hop));
+        }
+        q.push_back((frame.payload, frame.queued_at));
+        c.depth += 1;
+        let depth = c.depth;
         if self.rec.is_enabled() {
+            let key = &self.chan_keys[chan as usize].queue_depth;
             self.rec.with(|r| {
                 if was_busy {
                     r.counter_add("packetnet.frames.queued_behind", 1);
                 }
-                r.hwm(&format!("packetnet.chan.{chan}.queue_depth"), depth as f64);
+                r.hwm(key, f64::from(depth));
             });
         }
         if !was_busy {
@@ -397,26 +490,27 @@ impl PacketNet {
     /// Pops the next frame (round-robin across flows) and serializes it.
     fn transmit_next(&mut self, chan: u32) {
         let cix = chan as usize;
-        let (frame, now_busy) = {
-            let c = &mut self.channels[cix];
-            debug_assert!(!c.busy);
-            let flow = match c.rr.pop_front() {
-                Some(f) => f,
-                None => return,
-            };
-            let q = c.queues.get_mut(&flow).expect("flow queue exists");
-            let frame = q.pop_front().expect("queued flow has frames");
-            if q.is_empty() {
-                c.queues.remove(&flow);
-            } else {
-                c.rr.push_back(flow);
-            }
-            c.busy = true;
-            c.depth -= 1;
-            (frame, true)
+        let c = &mut self.channels[cix];
+        debug_assert!(!c.busy);
+        let Some((slot, hop)) = c.rr.pop_front() else {
+            return;
         };
-        debug_assert!(now_busy);
-        let ser = self.config.wire_bytes(frame.payload) as f64 / self.chan_bw[cix];
+        let t = transfer_mut(&mut self.actions, slot);
+        let (payload, queued_at, more) = if hop == 0 {
+            let payload = t.take_unsent(self.config.mtu_payload);
+            (payload, t.started, t.unsent > 0)
+        } else {
+            let q = &mut t.queues[hop as usize];
+            let (payload, queued_at) = q.pop_front().expect("queued flow has frames");
+            (payload, queued_at, !q.is_empty())
+        };
+        if more {
+            c.rr.push_back((slot, hop));
+        }
+        c.busy = true;
+        c.depth -= 1;
+        let frame = Frame::new(slot, payload, hop, queued_at);
+        let ser = self.config.wire_bytes(payload) as f64 / self.chan_bw[cix];
         self.schedule(self.now + ser, Event::ChannelIdle(chan));
         self.schedule(self.now + ser + self.chan_lat[cix], Event::Arrive(frame));
     }
@@ -424,18 +518,12 @@ impl PacketNet {
     fn on_arrive(&mut self, frame: Frame) -> Option<PacketActionId> {
         let now = self.now;
         let (chan, next_chan, finished) = {
-            let pending = self
-                .actions
-                .get_mut(frame.transfer)
-                .expect("frame belongs to a live action");
-            let Pending::Transfer {
+            let Transfer {
                 route_channels,
                 frames_remaining,
                 attr,
-            } = pending
-            else {
-                unreachable!("frame belongs to a non-transfer action");
-            };
+                ..
+            } = transfer_mut(&mut self.actions, frame.transfer);
             let chan = route_channels[frame.hop as usize];
             if let Some(a) = attr.as_deref_mut() {
                 let wire = self.config.wire_bytes(frame.payload) as f64;
@@ -469,18 +557,12 @@ impl PacketNet {
             // flow kernel's `surf.link.<i>.bytes`; per channel, the
             // per-flow share integrals sum to exactly this counter.
             let wire = self.config.wire_bytes(frame.payload) as f64;
-            self.rec.with(|r| {
-                r.fcounter_add(&format!("packetnet.chan.{chan}.bytes"), wire);
-            });
+            let key = &self.chan_keys[chan as usize].bytes;
+            self.rec.with(|r| r.fcounter_add(key, wire));
         }
         if let Some(chan) = next_chan {
-            self.enqueue_frame(
-                chan,
-                Frame {
-                    hop: frame.hop + 1,
-                    ..frame
-                },
-            );
+            let next = Frame::new(frame.transfer, frame.payload, frame.hop + 1, now);
+            self.enqueue_frame(chan, next);
             None
         } else if finished {
             // Every frame has fully arrived, so nothing in the heap can
@@ -491,9 +573,9 @@ impl PacketNet {
                 slot: frame.transfer,
                 gen,
             };
-            if let Pending::Transfer {
+            if let Pending::Transfer(Transfer {
                 attr: Some(attr), ..
-            } = done
+            }) = done
             {
                 self.done_attr.insert(id.raw(), *attr);
             }
@@ -822,3 +904,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;

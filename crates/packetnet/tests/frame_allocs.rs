@@ -1,0 +1,106 @@
+//! The frame loop allocates per message and per hop, never per frame: a
+//! warm message over an idle route costs the same handful of blocks at
+//! 64 KiB as at 4 MiB.
+//!
+//! Own test binary because it installs a counting global allocator (the
+//! library crates stay `forbid(unsafe_code)`).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use packetnet::{PacketConfig, PacketNet};
+use smpi_platform::{HostIx, Platform, RoutedPlatform, SharingPolicy};
+
+struct Counting;
+
+thread_local! {
+    /// Only the thread inside [`allocations`] counts, and only while
+    /// `COUNTING` is set (the harness's other threads count nothing).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        BLOCKS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller upholds; the only addition is a bump of
+// const-initialised, destructor-free thread-locals, which neither allocates
+// nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: see the impl comment.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: see the impl comment.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: see the impl comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: see the impl comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Blocks allocated (or grown) while `f` runs on this thread.
+fn allocations(f: impl FnOnce()) -> usize {
+    BLOCKS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    BLOCKS.with(Cell::get)
+}
+
+/// Two hosts four equal links apart: host link, two switch-to-switch
+/// links, host link, mixing both queueing policies.
+fn four_hop_line() -> RoutedPlatform {
+    let mut p = Platform::new();
+    let a = p.add_host("a", 1e9);
+    let b = p.add_host("b", 1e9);
+    let (na, nb) = (p.host_node(a), p.host_node(b));
+    let s0 = p.add_switch("s0");
+    let s1 = p.add_switch("s1");
+    let s2 = p.add_switch("s2");
+    p.link_between(na, s0, "l0", 125e6, 10e-6, SharingPolicy::Shared);
+    p.link_between(s0, s1, "l1", 125e6, 10e-6, SharingPolicy::SplitDuplex);
+    p.link_between(s1, s2, "l2", 125e6, 10e-6, SharingPolicy::SplitDuplex);
+    p.link_between(s2, nb, "l3", 125e6, 10e-6, SharingPolicy::Shared);
+    RoutedPlatform::new(p)
+}
+
+#[test]
+fn a_warm_message_allocates_per_hop_not_per_frame() {
+    const HOPS: usize = 4;
+    let rp = four_hop_line();
+    assert_eq!(rp.route(HostIx(0), HostIx(1)).len(), HOPS);
+    let mut net = PacketNet::new(&rp, PacketConfig::default());
+    let mut message = |bytes: u64| {
+        allocations(|| {
+            net.start_message(&rp, HostIx(0), HostIx(1), bytes);
+            net.run_to_completion();
+        })
+    };
+    // Warm: the route cache, the action slab and the event heap.
+    message(4 << 20);
+    let mib = message(1 << 20);
+    let small = message(64 << 10);
+    let large = message(4 << 20);
+    // The route, the per-hop queue table, one queue per later hop, and
+    // the completion list. 725 frames × 4 hops is what a per-frame
+    // allocation would cost.
+    assert!(mib <= 2 * HOPS, "1 MiB over {HOPS} hops: {mib} blocks");
+    assert_eq!((small, large), (mib, mib), "64 KiB / 1 MiB / 4 MiB");
+}

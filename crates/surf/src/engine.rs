@@ -375,6 +375,11 @@ impl Simulation {
 
     /// Creates an empty simulation with the given configuration.
     pub fn with_config(config: EngineConfig) -> Self {
+        // `solve_ns` observes wall-clock time, so a solve slowed by the host
+        // can open a new log2 bucket at any event: reserve all 65 up front,
+        // or that event allocates.
+        let mut kstats = KernelProfile::default();
+        kstats.solve_ns.buckets.reserve(65);
         Simulation {
             now: SimTime::ZERO,
             links: Vec::new(),
@@ -391,7 +396,7 @@ impl Simulation {
             link_keys: Vec::new(),
             last_util: Vec::new(),
             done_attr: HashMap::new(),
-            kstats: KernelProfile::default(),
+            kstats,
             ws: Workspace::default(),
             scratch: ReshareScratch::default(),
             candidates: Vec::new(),
