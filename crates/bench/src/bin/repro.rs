@@ -1,12 +1,12 @@
 //! Regenerates every table/figure of the paper's evaluation.
 //!
-//! Usage: `repro [fig3 fig4 ... | all]`. `REPRO_FAST=1` trims sweeps.
+//! Usage: `repro [fig3 ... fig18 | ablations | dt | ep | all]`; `all` (the
+//! default) is every figure plus the ablations. `REPRO_FAST=1` trims sweeps.
 
 #![forbid(unsafe_code)]
 
 use smpi_bench::{
-    ablations, common, contention_demo, diff_demo, e2e, fig_alltoall, fig_dt, fig_pingpong,
-    fig_scatter, fig_schemes, fig_speed, obs_demo, replay_demo,
+    ablations, e2e, fig_alltoall, fig_dt, fig_pingpong, fig_scatter, fig_schemes, fig_speed,
 };
 
 fn main() {
@@ -30,9 +30,6 @@ fn main() {
             "fig17",
             "fig18",
             "ablations",
-            "obs",
-            "contention",
-            "replay",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -56,10 +53,6 @@ fn main() {
             "fig16" => fig_dt::fig16().render(),
             "fig17" => fig_speed::fig17().render(),
             "fig18" => fig_speed::fig18().render(),
-            "obs" => obs_demo::obs(),
-            "contention" => contention_demo::contention(),
-            "diff" => diff_demo::diff(),
-            "replay" => replay_demo::replay_demo(common::fast()),
             "dt" => e2e::dt_report(),
             "ep" => e2e::ep_report(),
             "ablations" => format!(

@@ -1,7 +1,10 @@
 //! # smpi-bench — the figure-regeneration harness
 //!
 //! One module per paper figure (see DESIGN.md's experiment index) plus
-//! ablations. The `repro` binary drives them:
+//! ablations and the `dt` / `ep` end-to-end reports; nothing else. What the
+//! observability, replay and diff layers show is asserted by their tests
+//! (`crates/core/tests/obs.rs`, `tests/replay_e2e.rs`,
+//! `crates/diff/tests/fleet.rs`). The `repro` binary drives the figures:
 //!
 //! ```text
 //! cargo run --release -p smpi-bench --bin repro -- all
@@ -14,8 +17,6 @@
 
 pub mod ablations;
 pub mod common;
-pub mod contention_demo;
-pub mod diff_demo;
 pub mod e2e;
 pub mod fig_alltoall;
 pub mod fig_dt;
@@ -23,5 +24,3 @@ pub mod fig_pingpong;
 pub mod fig_scatter;
 pub mod fig_schemes;
 pub mod fig_speed;
-pub mod obs_demo;
-pub mod replay_demo;

@@ -190,7 +190,7 @@ mod tests {
         assert!(r.contains("first divergence at golden line 2 / actual line 2"));
         assert!(r.contains("want > b"));
         assert!(r.contains("got > X"));
-        crate::json_in::JsonValue::parse(&d.to_json()).expect("valid JSON");
+        crate::JsonValue::parse(&d.to_json()).expect("valid JSON");
     }
 
     #[test]

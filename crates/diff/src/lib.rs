@@ -19,7 +19,8 @@
 //!
 //! Both emit a deterministic JSON document (byte-identical across
 //! repeated invocations on the same inputs) and a human-readable
-//! rendering; [`JsonValue`] parses such documents back.
+//! rendering; [`JsonValue`] (re-exported from `smpi_obs::json`, the
+//! format's one home) parses such documents back.
 //! [`golden::assert_golden`] wires the line aligner into the e2e golden
 //! tests, so a mismatch prints a first-divergence report and leaves a
 //! JSON artifact under `target/diff/` for CI to upload.
@@ -28,14 +29,13 @@
 
 pub mod align;
 pub mod golden;
-pub mod json_in;
 pub mod report_diff;
 pub mod trace_diff;
 
 pub use align::{AlignConfig, Divergence, Edit, StreamDiff};
 pub use golden::{assert_golden, diff_golden, GoldenDiff};
-pub use json_in::JsonValue;
 pub use report_diff::{diff_reports, ContentionDiff, MetricsDiff, ReportDiff, TsDiff};
+pub use smpi_obs::json::JsonValue;
 pub use trace_diff::{
     diff_sources, diff_trace_files, diff_traces, FirstDivergence, RankDiff, TraceDiff,
 };

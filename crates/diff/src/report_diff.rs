@@ -706,7 +706,7 @@ mod tests {
         assert_eq!(d.finish_changed, 2);
         assert_eq!(d.finish_peak.0, 1);
         assert!((d.finish_peak.1 - 0.4).abs() < 1e-12);
-        crate::json_in::JsonValue::parse(&d.to_json()).expect("valid JSON");
+        crate::JsonValue::parse(&d.to_json()).expect("valid JSON");
     }
 
     #[test]

@@ -507,8 +507,8 @@ mod tests {
         let d2 = diff_traces(&a, &b, &AlignConfig::default());
         assert_eq!(d1.to_json(), d2.to_json());
         assert!(d1.to_json().contains("\"added\":1"));
-        // Valid JSON by the crate's own parser.
-        crate::json_in::JsonValue::parse(&d1.to_json()).expect("valid JSON");
+        // Valid JSON by the workspace's parser.
+        crate::JsonValue::parse(&d1.to_json()).expect("valid JSON");
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Minimal JSON *reader* (the environment has no serde_json).
 //!
-//! The workspace's observability exports write JSON through
-//! `smpi_obs::json::JsonBuf`; this module is the matching input side:
-//! parse a document into a [`JsonValue`] tree and walk it with
-//! [`JsonValue::get`] / [`JsonValue::as_f64`] and the public variants.
+//! The input side of [`JsonBuf`](crate::json::JsonBuf): parse a
+//! document into a [`JsonValue`] tree and walk it with [`JsonValue::get`] /
+//! [`JsonValue::as_f64`] and the public variants. Parsing is linear in the
+//! input and its recursion is bounded by `MAX_DEPTH`, so a file read from
+//! disk can make it fail but not abort.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The workspace
+/// writes a handful of levels; the bound keeps a hostile document from
+/// overflowing the parsing thread's stack.
+const MAX_DEPTH: usize = 256;
 
 /// A parsed JSON value. Objects use a sorted map so traversal order (and
 /// any re-rendering) is deterministic regardless of input order.
@@ -29,13 +35,14 @@ impl JsonValue {
     /// Parses a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing garbage at byte {}", p.pos));
         }
         Ok(v)
@@ -59,13 +66,15 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&c) = self.bytes.get(self.pos) {
+        while let Some(c) = self.peek() {
             if c == b' ' || c == b'\t' || c == b'\n' || c == b'\r' {
                 self.pos += 1;
             } else {
@@ -75,7 +84,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, c: u8) -> Result<(), String> {
@@ -93,7 +102,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -103,8 +112,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -116,6 +125,23 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -185,52 +211,38 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            // Surrogate pairs are not produced by the
-                            // workspace writer; map them to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = text.chars().next().ok_or("unterminated string")?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one slice:
+            // both are ASCII, so the cut lands on a char boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            s.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(s);
             }
+            match self.peek() {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'b') => s.push('\u{8}'),
+                Some(b'f') => s.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                    // Surrogate pairs are not produced by the workspace
+                    // writer; map them to U+FFFD.
+                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {:?}", other.map(|b| b as char))),
+            }
+            self.pos += 1;
         }
     }
 
@@ -246,7 +258,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -301,7 +313,7 @@ mod tests {
 
     #[test]
     fn roundtrips_workspace_writer_output() {
-        use smpi_obs::json::JsonBuf;
+        use crate::json_mod::JsonBuf;
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.key("name").str_val("a \"quoted\" name");
@@ -332,5 +344,23 @@ mod tests {
         assert!(JsonValue::parse("{").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{} x").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let value = "ñ€😀 \"\\".repeat(1 << 17);
+        assert!(value.len() >= 1 << 20);
+        let doc = format!("\"{}\"", crate::json_mod::escape(&value));
+        let t0 = std::time::Instant::now();
+        assert_eq!(JsonValue::parse(&doc), Ok(JsonValue::Str(value)));
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "took {:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = JsonValue::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 256"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&deepest).is_ok());
     }
 }

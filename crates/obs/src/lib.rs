@@ -20,7 +20,8 @@
 //! * [`TimeSeries`] — bounded-memory time-resolved telemetry (per-link
 //!   utilization, active actions, simcall rate, …) sampled by the maestro,
 //!   with resolution halving so any run length fits a fixed budget;
-//! * [`json`] — a tiny dependency-free JSON writer used by the exports;
+//! * [`json`] — the workspace's one JSON format: the dependency-free
+//!   writer the exports use and the parser that reads them back;
 //! * [`Deterministic`] — the byte-stability discipline as a trait: one
 //!   call strips every host-dependent field from a report tree, leaving
 //!   only exactly-reproducible simulated quantities.
@@ -29,6 +30,7 @@
 
 mod attribution;
 mod deterministic;
+mod json_in;
 mod json_mod;
 mod paje_mod;
 mod profile;
@@ -46,7 +48,9 @@ pub use sweep_stats::{SweepStats, WorkerStats};
 pub use timeseries::{TimeSeries, TsInstant, TsSample, DEFAULT_TS_BUDGET};
 
 pub mod json {
-    //! Minimal JSON construction helpers (no external deps).
+    //! Minimal JSON writer ([`JsonBuf`], [`escape`], [`num`]) and parser
+    //! ([`JsonValue`]), no external deps.
+    pub use crate::json_in::*;
     pub use crate::json_mod::*;
 }
 
