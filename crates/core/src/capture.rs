@@ -540,8 +540,6 @@ pub(crate) struct StreamSink {
     staged_bytes: usize,
     /// High-water mark of `staged_bytes`.
     peak_staged_bytes: usize,
-    /// Staged bytes per rank.
-    rank_bytes: Vec<usize>,
     /// First write error, if any (sticky; surfaced by `finish`).
     err: Option<std::io::Error>,
 }
@@ -623,7 +621,6 @@ impl Capture {
             budget_bytes,
             staged_bytes: 0,
             peak_staged_bytes: 0,
-            rank_bytes: vec![0; nranks],
             err: None,
         });
         cap
@@ -672,7 +669,6 @@ impl Capture {
                                     algo.push_str(&name);
                                     if let Some(s) = &mut self.stream {
                                         s.staged_bytes += name.len();
-                                        s.rank_bytes[r] += name.len();
                                     }
                                 }
                             }
@@ -707,7 +703,6 @@ impl Capture {
         if let Some(s) = &mut self.stream {
             let cost = op_cost(&op);
             s.staged_bytes += cost;
-            s.rank_bytes[r] += cost;
             s.peak_staged_bytes = s.peak_staged_bytes.max(s.staged_bytes);
         }
         self.ops[r].push(op);
@@ -721,7 +716,8 @@ impl Capture {
     }
 
     /// Flushes full blocks of rank `r`, then — if the global budget is
-    /// still exceeded — force-flushes partial blocks, largest rank first.
+    /// still exceeded — force-flushes every rank's flushable tail, partial
+    /// blocks included, in rank order.
     fn maybe_flush(&mut self, r: usize) {
         let Some(s) = &self.stream else { return };
         let (block_ops, budget) = (s.block_ops, s.budget_bytes);
@@ -748,7 +744,6 @@ impl Capture {
         let drained: Vec<TiOp> = self.ops[r].drain(..n).collect();
         let freed: usize = drained.iter().map(op_cost).sum();
         s.staged_bytes -= freed.min(s.staged_bytes);
-        s.rank_bytes[r] -= freed.min(s.rank_bytes[r]);
         if let Some(open) = &mut self.open[r] {
             debug_assert!(open.ix >= n, "flush crossed an open collective");
             open.ix -= n;

@@ -10,7 +10,9 @@
 //! recorder: each blocked rank's last ops, its pending request specs, and
 //! the nearest matching counterpart — so `Display` prints an actionable
 //! diagnosis ("rank 1 is waiting on tag 9 but rank 0 sent tag 7") instead
-//! of a bare rank count.
+//! of a bare rank count. A streaming capture that cannot create or write
+//! its file is a [`SimError::Capture`] too, with an empty postmortem: no
+//! rank is to blame.
 
 use std::fmt;
 
@@ -55,7 +57,19 @@ pub enum SimError {
         /// Flight-recorder snapshot at the point of failure.
         postmortem: Box<Postmortem>,
     },
+    /// A streaming capture ([`World::capture_to`](crate::World::capture_to))
+    /// could not create or write its `TITRACE2` file.
+    Capture {
+        /// What failed: `cannot create capture file <path>` or
+        /// `streaming capture write failed`.
+        context: String,
+        /// The I/O error behind it.
+        error: std::io::Error,
+    },
 }
+
+/// The postmortem of a failure no rank is blocked in.
+static NO_POSTMORTEM: Postmortem = Postmortem { ranks: Vec::new() };
 
 impl SimError {
     /// The flight-recorder snapshot attached to the failure.
@@ -64,6 +78,7 @@ impl SimError {
             SimError::Stall { postmortem, .. }
             | SimError::Deadlock { postmortem, .. }
             | SimError::Protocol { postmortem, .. } => postmortem,
+            SimError::Capture { .. } => &NO_POSTMORTEM,
         }
     }
 }
@@ -103,6 +118,7 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::Capture { context, error } => write!(f, "{context}: {error}"),
         }
     }
 }
@@ -111,6 +127,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Stall { error, .. } => Some(error),
+            SimError::Capture { error, .. } => Some(error),
             SimError::Deadlock { .. } | SimError::Protocol { .. } => None,
         }
     }

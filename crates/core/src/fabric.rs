@@ -9,11 +9,16 @@
 //! Everything above this trait (matching, collectives, sampling, folding) is
 //! identical for both, which is what makes accuracy experiments meaningful:
 //! the *only* difference between "SMPI" and "real world" numbers is the
-//! network model, exactly as in the paper.
+//! network model, exactly as in the paper. Below it too, both read one
+//! translation of the platform into network resources
+//! ([`PlatformImage`](smpi_platform::PlatformImage)): the same resource ids,
+//! names, routes, perturbed parameters and nominal control latency.
+
+use std::sync::Arc;
 
 use packetnet::{PacketConfig, PacketNet};
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
-use smpi_platform::{HostIx, Materialized, PlatformPerturbation, RoutedPlatform};
+use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
 use surf_sim::{EngineConfig, SimTime, Simulation, TransferModel};
 
 use crate::error::SimError;
@@ -61,8 +66,8 @@ pub trait Fabric {
     }
 
     /// Human names for the link/channel indices that appear in flow
-    /// attributions, in that backend's own numbering. Empty when the
-    /// backend has no named links.
+    /// attributions: the platform image's resource names, one table for
+    /// both backends. Empty when the backend has no named links.
     fn link_names(&self) -> Vec<String> {
         Vec::new()
     }
@@ -95,46 +100,26 @@ pub trait Fabric {
 
 /// The flow-level backend (SMPI's own model).
 pub struct SurfFabric {
-    rp: std::sync::Arc<RoutedPlatform>,
+    rp: Arc<RoutedPlatform>,
     sim: Simulation,
-    mat: Materialized,
     model: TransferModel,
 }
 
 impl SurfFabric {
     /// Builds the backend over a routed platform with the given transfer
-    /// model (typically produced by calibration) and engine configuration.
+    /// model (typically produced by calibration) and engine configuration,
+    /// instantiating the platform's image with an optional
+    /// [`PlatformPerturbation`] overlay. `None` — or the identity overlay —
+    /// is bit-exact with the nominal platform.
     pub fn new(
-        rp: std::sync::Arc<RoutedPlatform>,
-        model: TransferModel,
-        engine: EngineConfig,
-    ) -> Self {
-        SurfFabric::with_perturbation(rp, model, engine, None)
-    }
-
-    /// Like [`new`](Self::new), but instantiates the platform's shared
-    /// kernel image with a [`PlatformPerturbation`] overlay (per-link
-    /// bandwidth/latency and per-host speed factors). `None` — or the
-    /// identity overlay — is bit-exact with the unperturbed constructor.
-    pub fn with_perturbation(
-        rp: std::sync::Arc<RoutedPlatform>,
+        rp: Arc<RoutedPlatform>,
         model: TransferModel,
         engine: EngineConfig,
         perturb: Option<&PlatformPerturbation>,
     ) -> Self {
         let mut sim = Simulation::with_config(engine);
-        let mat = Materialized::instantiate(std::sync::Arc::clone(rp.image()), &mut sim, perturb);
-        SurfFabric {
-            rp,
-            sim,
-            mat,
-            model,
-        }
-    }
-
-    /// The transfer model in use.
-    pub fn model(&self) -> &TransferModel {
-        &self.model
+        rp.image().instantiate(&mut sim, perturb);
+        SurfFabric { rp, sim, model }
     }
 }
 
@@ -145,13 +130,13 @@ impl Fabric for SurfFabric {
 
     fn start_transfer(&mut self, src: HostIx, dst: HostIx, bytes: u64) -> FabricToken {
         assert_ne!(src, dst, "self-transfers are handled by the runtime");
-        let route = self.mat.route(&self.rp, src, dst);
+        let route = self.rp.image().route(&self.rp, src, dst);
         let action = self.sim.start_transfer(&route, bytes as f64, &self.model);
         FabricToken(action.raw())
     }
 
     fn start_exec(&mut self, host: HostIx, flops: f64) -> FabricToken {
-        let h = self.mat.host(host);
+        let h = self.rp.image().host(host);
         FabricToken(self.sim.start_exec(h, flops).raw())
     }
 
@@ -165,7 +150,7 @@ impl Fabric for SurfFabric {
     }
 
     fn control_latency(&self, src: HostIx, dst: HostIx) -> f64 {
-        self.rp.latency(src, dst)
+        self.rp.image().control_latency(&self.rp, src, dst, 0.0)
     }
 
     fn set_recorder(&mut self, rec: Rec) {
@@ -178,7 +163,7 @@ impl Fabric for SurfFabric {
     }
 
     fn link_names(&self) -> Vec<String> {
-        self.mat.kernel_link_names(&self.rp)
+        self.rp.image().resource_names().to_vec()
     }
 
     fn kernel_profile(&self) -> Option<KernelProfile> {
@@ -200,20 +185,16 @@ impl Fabric for SurfFabric {
 
 /// The packet-level backend (ground truth).
 pub struct PacketFabric {
-    rp: std::sync::Arc<RoutedPlatform>,
+    rp: Arc<RoutedPlatform>,
     net: PacketNet,
 }
 
 impl PacketFabric {
-    /// Builds the backend over a routed platform.
-    pub fn new(rp: std::sync::Arc<RoutedPlatform>, config: PacketConfig) -> Self {
-        PacketFabric::with_perturbation(rp, config, None)
-    }
-
-    /// Like [`new`](Self::new), but with a [`PlatformPerturbation`] overlay
-    /// scaling channel bandwidth/latency and host speeds.
-    pub fn with_perturbation(
-        rp: std::sync::Arc<RoutedPlatform>,
+    /// Builds the backend over a routed platform, with an optional
+    /// [`PlatformPerturbation`] overlay scaling channel bandwidth/latency
+    /// and host speeds.
+    pub fn new(
+        rp: Arc<RoutedPlatform>,
         config: PacketConfig,
         perturb: Option<&PlatformPerturbation>,
     ) -> Self {
@@ -230,41 +211,28 @@ impl Fabric for PacketFabric {
     fn start_transfer(&mut self, src: HostIx, dst: HostIx, bytes: u64) -> FabricToken {
         assert_ne!(src, dst, "self-transfers are handled by the runtime");
         let id = self.net.start_message(&self.rp, src, dst, bytes);
-        FabricToken(token_of_packet(id))
+        FabricToken(id.raw())
     }
 
     fn start_exec(&mut self, host: HostIx, flops: f64) -> FabricToken {
-        FabricToken(token_of_packet(self.net.start_exec(host, flops)))
+        FabricToken(self.net.start_exec(host, flops).raw())
     }
 
     fn start_sleep(&mut self, seconds: f64) -> FabricToken {
-        FabricToken(token_of_packet(self.net.start_sleep(seconds)))
+        FabricToken(self.net.start_sleep(seconds).raw())
     }
 
     fn advance(&mut self) -> Result<Option<(SimTime, Vec<FabricToken>)>, SimError> {
-        Ok(self.net.advance_to_next().map(|(t, done)| {
-            (
-                t,
-                done.into_iter()
-                    .map(|a| FabricToken(token_of_packet(a)))
-                    .collect(),
-            )
-        }))
+        Ok(self
+            .net
+            .advance_to_next()
+            .map(|(t, done)| (t, done.into_iter().map(|a| FabricToken(a.raw())).collect())))
     }
 
     fn control_latency(&self, src: HostIx, dst: HostIx) -> f64 {
-        // One minimal frame end-to-end: route latency plus per-hop
-        // serialization of a header-only frame.
-        let route = self.rp.route(src, dst);
-        let p = self.rp.platform();
+        // One header-only frame, serialized on every hop.
         let header = self.net.config().wire_bytes(0) as f64;
-        route
-            .iter()
-            .map(|h| {
-                let l = p.link(h.link);
-                l.latency + header / l.bandwidth
-            })
-            .sum()
+        self.rp.image().control_latency(&self.rp, src, dst, header)
     }
 
     fn set_recorder(&mut self, rec: Rec) {
@@ -277,16 +245,7 @@ impl Fabric for PacketFabric {
     }
 
     fn link_names(&self) -> Vec<String> {
-        // Channel `c` serves platform link `c / 2`; the odd channel is the
-        // reverse direction (only distinct for split-duplex links, but the
-        // slot always exists — see `PacketNet::new`).
-        let p = self.rp.platform();
-        let mut names = Vec::with_capacity(p.num_links() * 2);
-        for l in p.links() {
-            names.push(l.name.clone());
-            names.push(format!("{}:rev", l.name));
-        }
-        names
+        self.rp.image().resource_names().to_vec()
     }
 
     fn active_actions(&self) -> usize {
@@ -296,10 +255,6 @@ impl Fabric for PacketFabric {
     fn link_utilizations(&self, out: &mut Vec<f64>) {
         self.net.channel_utilizations(out);
     }
-}
-
-fn token_of_packet(id: packetnet::PacketActionId) -> u64 {
-    id.raw()
 }
 
 /// MPI implementation personality: the protocol constants layered on top of
@@ -410,7 +365,7 @@ mod tests {
 
     #[test]
     fn surf_fabric_transfer_completes() {
-        let mut f = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default());
+        let mut f = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default(), None);
         let tok = f.start_transfer(HostIx(0), HostIx(1), 125_000_000);
         let (t, done) = f.advance().unwrap().unwrap();
         assert_eq!(done, vec![tok]);
@@ -419,7 +374,7 @@ mod tests {
 
     #[test]
     fn packet_fabric_transfer_completes() {
-        let mut f = PacketFabric::new(rp(), PacketConfig::default());
+        let mut f = PacketFabric::new(rp(), PacketConfig::default(), None);
         let tok = f.start_transfer(HostIx(0), HostIx(1), 1448);
         let (_, done) = f.advance().unwrap().unwrap();
         assert_eq!(done, vec![tok]);
@@ -427,22 +382,40 @@ mod tests {
 
     #[test]
     fn fabrics_agree_on_idle_state() {
-        let mut s = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default());
-        let mut p = PacketFabric::new(rp(), PacketConfig::default());
+        let mut s = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default(), None);
+        let mut p = PacketFabric::new(rp(), PacketConfig::default(), None);
         assert!(s.advance().unwrap().is_none());
         assert!(p.advance().unwrap().is_none());
     }
 
     #[test]
     fn control_latency_positive_and_ordered() {
-        let s = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default());
-        let p = PacketFabric::new(rp(), PacketConfig::default());
+        let s = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default(), None);
+        let p = PacketFabric::new(rp(), PacketConfig::default(), None);
         let cs = s.control_latency(HostIx(0), HostIx(1));
         let cp = p.control_latency(HostIx(0), HostIx(1));
         assert!(cs > 0.0);
         // Packet control latency includes header serialization, so it is
         // strictly larger than the raw route latency.
         assert!(cp > cs);
+    }
+
+    #[test]
+    fn both_backends_read_one_shared_route() {
+        let rp = rp();
+        let (a, b) = (HostIx(0), HostIx(2));
+        let model = TransferModel::ideal();
+        let mut s = SurfFabric::new(Arc::clone(&rp), model, EngineConfig::default(), None);
+        let mut p = PacketFabric::new(Arc::clone(&rp), PacketConfig::default(), None);
+        s.start_transfer(a, b, 1000);
+        p.start_transfer(a, b, 100_000);
+        let route = rp.image().route(&rp, a, b);
+        assert!(Arc::ptr_eq(&route, &rp.image().route(&rp, a, b)));
+        // The image's cache, this handle, and the packet message in flight:
+        // the message holds the shared route, not a copy.
+        assert_eq!(Arc::strong_count(&route), 3);
+        while p.advance().unwrap().is_some() {}
+        assert_eq!(Arc::strong_count(&route), 2);
     }
 
     #[test]
@@ -454,7 +427,7 @@ mod tests {
 
     #[test]
     fn sleep_tokens_complete_in_order() {
-        let mut f = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default());
+        let mut f = SurfFabric::new(rp(), TransferModel::ideal(), EngineConfig::default(), None);
         let a = f.start_sleep(2.0);
         let b = f.start_sleep(1.0);
         let (t1, d1) = f.advance().unwrap().unwrap();

@@ -265,25 +265,24 @@ impl World {
     fn build_fabric(&self) -> Box<dyn Fabric> {
         let perturb = self.perturbation.as_deref();
         match &self.backend {
-            Backend::Surf { model, engine } => Box::new(SurfFabric::with_perturbation(
+            Backend::Surf { model, engine } => Box::new(SurfFabric::new(
                 Arc::clone(&self.rp),
                 model.clone(),
                 engine.clone(),
                 perturb,
             )),
-            Backend::Packet { config } => Box::new(PacketFabric::with_perturbation(
-                Arc::clone(&self.rp),
-                *config,
-                perturb,
-            )),
+            Backend::Packet { config } => {
+                Box::new(PacketFabric::new(Arc::clone(&self.rp), *config, perturb))
+            }
         }
     }
 
     /// Runs `body` on `nranks` MPI ranks (placed round-robin over the
     /// platform's hosts) and returns the run report with each rank's result.
     ///
-    /// Panics on a kernel stall or an MPI-level deadlock; use
-    /// [`try_run`](Self::try_run) to handle those as typed errors.
+    /// Panics on a kernel stall, an MPI-level deadlock or a streaming-capture
+    /// I/O failure; use [`try_run`](Self::try_run) to handle those as typed
+    /// errors.
     pub fn run<R, F>(&self, nranks: usize, body: F) -> RunReport<R>
     where
         R: Send + 'static,
@@ -293,8 +292,8 @@ impl World {
     }
 
     /// Like [`run`](Self::run), but surfaces no-progress conditions (kernel
-    /// stalls, unmatched send/recv deadlocks) as a [`SimError`] instead of
-    /// panicking.
+    /// stalls, unmatched send/recv deadlocks) and streaming-capture I/O
+    /// failures as a [`SimError`] instead of panicking.
     pub fn try_run<R, F>(&self, nranks: usize, body: F) -> Result<RunReport<R>, SimError>
     where
         R: Send + 'static,
@@ -371,8 +370,10 @@ impl World {
             runtime.enable_tracing();
         }
         if let Some(path) = &self.capture_path {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create capture file {}: {e}", path.display()));
+            let file = std::fs::File::create(path).map_err(|error| SimError::Capture {
+                context: format!("cannot create capture file {}", path.display()),
+                error,
+            })?;
             runtime.enable_capture_stream(
                 Box::new(std::io::BufWriter::new(file)),
                 self.capture_block_ops,
@@ -398,8 +399,10 @@ impl World {
         profile.wall_seconds = wall.as_secs_f64();
         profile.local_simcalls = shared.local_calls();
         if let Some(stats) = runtime.take_capture_stats() {
-            profile.codec =
-                Some(stats.unwrap_or_else(|e| panic!("streaming capture write failed: {e}")));
+            profile.codec = Some(stats.map_err(|error| SimError::Capture {
+                context: "streaming capture write failed".into(),
+                error,
+            })?);
         }
 
         Ok(RunReport {

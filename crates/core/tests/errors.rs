@@ -114,6 +114,72 @@ fn deadlock_inside_a_collective_region_is_torn_down() {
     }
 }
 
+/// Rank 0 sends rank 1 a few bytes.
+fn exchange(ctx: &smpi::Ctx) {
+    let comm = ctx.world();
+    if ctx.rank() == 0 {
+        ctx.send(&[7u8; 64], 1, 0, &comm);
+    } else {
+        let _ = ctx.recv_vec::<u8>(0, 0, 64, &comm);
+    }
+}
+
+/// `world`'s `run` panics, with `err`'s text.
+fn run_panics_with(world: &World, err: &SimError) {
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| world.run(2, exchange)))
+        .expect_err("run panics where try_run errs");
+    let text = panic.downcast_ref::<String>().expect("a formatted panic");
+    assert_eq!(text, &err.to_string());
+}
+
+#[test]
+fn capture_file_that_cannot_be_created_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("smpi-no-such-dir-{}", std::process::id()));
+    let world = World::smpi(platform(2), TransferModel::ideal()).capture_to(dir.join("run.tit2"));
+    let err = world
+        .try_run(2, exchange)
+        .expect_err("a capture path under a missing directory");
+    match &err {
+        SimError::Capture { context, error } => {
+            assert!(
+                context.starts_with("cannot create capture file "),
+                "{context}"
+            );
+            assert!(context.ends_with("run.tit2"), "{context}");
+            assert_eq!(error.kind(), std::io::ErrorKind::NotFound);
+        }
+        other => panic!("expected a capture error, got: {other}"),
+    }
+    assert!(err.postmortem().ranks.is_empty());
+    assert!(std::error::Error::source(&err).is_some());
+    run_panics_with(&world, &err);
+}
+
+#[test]
+fn capture_write_failure_is_a_typed_error() {
+    // Opening /dev/full succeeds; the write fails when the run's capture is
+    // flushed at the end.
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let world = World::smpi(platform(2), TransferModel::ideal()).capture_to(full);
+    let err = world
+        .try_run(2, exchange)
+        .expect_err("a capture to a full device");
+    match &err {
+        SimError::Capture { context, error } => {
+            assert_eq!(context, "streaming capture write failed");
+            assert_eq!(error.kind(), std::io::ErrorKind::StorageFull);
+        }
+        other => panic!("expected a capture error, got: {other}"),
+    }
+    assert!(err
+        .to_string()
+        .starts_with("streaming capture write failed: "));
+    run_panics_with(&world, &err);
+}
+
 /// The crafted tag-mismatch scenario: after four warm-up exchange rounds
 /// (so both flight rings hold at least [`FLIGHT_DEPTH`]/2 real entries),
 /// rank 0 sends 128 KiB with tag 7 while rank 1 receives tag 9. The send

@@ -8,9 +8,9 @@
 //! a [`ContentionReport`]: per-(flow,link) integrals, per-link "time as
 //! bottleneck" rollups, and per-rank "time blocked on link L" rollups.
 //!
-//! Link indices are backend-local (the flow kernel's link table or the
-//! packet simulator's channel table); `link_names` translates them for
-//! humans. Flows appear in delivery order, which is deterministic, so two
+//! Link indices are the resource ids of the platform's network image,
+//! which both backends share (the flow kernel's links are the packet
+//! simulator's channels); `link_names` translates them for humans. Flows appear in delivery order, which is deterministic, so two
 //! identical runs — or an online run and its replay — serialize to
 //! byte-identical JSON.
 
@@ -122,7 +122,7 @@ pub struct LinkRollup {
 /// Aggregated contention attribution for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContentionReport {
-    /// Backend link-index → human name (kernel links or packet channels).
+    /// Resource id → human name (the same table on both backends).
     pub link_names: Vec<String>,
     /// Every delivered message, in delivery order.
     pub flows: Vec<FlowRecord>,

@@ -16,6 +16,11 @@
 //!   ports (what the "SMPI with contention" bars of Figs. 7/11 track);
 //! * full-duplex channels on `SplitDuplex` links → bidirectional exchange
 //!   patterns (pairwise all-to-all) run at full rate each way.
+//!
+//! The channels, their parameters under a perturbation overlay, their names
+//! and the routes across them all come from the platform's one translation
+//! into network resources, `smpi_platform::PlatformImage`, which the flow
+//! kernel reads too.
 
 #![forbid(unsafe_code)]
 

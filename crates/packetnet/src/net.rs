@@ -8,9 +8,14 @@
 //! (`wire_bytes / bandwidth`), propagates (`latency`), must completely arrive
 //! at the next node, and only then competes for the next channel.
 //!
-//! Each link direction is a **channel** with round-robin fair queuing across
-//! flows — the packet-granularity analogue of TCP bandwidth sharing, and the
-//! mechanism that produces real contention behaviour at switch ports.
+//! There is one **channel** per resource of the platform's
+//! [`PlatformImage`](smpi_platform::PlatformImage), with round-robin fair
+//! queuing across flows — the packet-granularity analogue of TCP bandwidth
+//! sharing, and the mechanism that produces real contention behaviour at
+//! switch ports. A `Shared` link is one channel both directions contend on,
+//! a `SplitDuplex` link one channel per direction, and a `FatPipe` link one
+//! channel that never queues. Channel `k` is the flow kernel's link `k`: the
+//! two backends share resource ids, names, routes and perturbed parameters.
 //!
 //! The engine also offers `exec`/`sleep` actions so entire MPI applications
 //! can be timed against it; on the simulated "real" cluster every rank has a
@@ -18,11 +23,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use smpi_obs::{FlowAttribution, Rec};
-use smpi_platform::spec::Dir;
-use smpi_platform::{HostIx, RoutedPlatform, SharingPolicy};
-use surf_sim::{SimTime, Slab};
+use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
+use surf_sim::{LinkId, SimTime, Slab};
 
 use crate::config::PacketConfig;
 
@@ -54,7 +59,7 @@ impl PacketActionId {
     }
 }
 
-/// One directional transmission channel (a link direction).
+/// One transmission channel (one resource of the platform image).
 #[derive(Debug, Default)]
 struct Channel {
     /// Round-robin service order of the flows with queued frames. A flow is
@@ -96,7 +101,8 @@ impl Frame {
 /// A message in flight.
 #[derive(Debug)]
 struct Transfer {
-    route_channels: Vec<u32>,
+    /// The channels crossed, shared with the platform image's route cache.
+    route: Arc<[LinkId]>,
     /// Hop 0's queue is a counter: the frames not yet serialized onto the
     /// first channel, their payload bytes, and the instant they were all
     /// queued there (the start). Frames leave it in order, full ones first;
@@ -171,25 +177,21 @@ enum Event {
 pub struct PacketNet {
     config: PacketConfig,
     now: SimTime,
-    /// Channel state; indexing derives from the platform links (two slots per
-    /// link: forward then reverse; `Shared` links alias both to forward).
+    /// Channel state, indexed by resource id of the platform image.
     channels: Vec<Channel>,
     /// Per-channel (bandwidth, latency).
     chan_bw: Vec<f64>,
     chan_lat: Vec<f64>,
     /// `true` when the channel never queues (FatPipe).
     chan_fat: Vec<bool>,
-    shared_dirs: Vec<bool>,
     /// Live actions; slots are recycled on completion, so memory stays
     /// proportional to the number of *concurrent* actions, not the total
     /// ever started.
     actions: Slab<Pending>,
     heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     seq: u64,
-    /// Number of host compute speeds, for exec durations.
+    /// Host compute speeds, for exec durations.
     host_speeds: Vec<f64>,
-    /// Routes are translated to channel sequences lazily and memoized.
-    route_cache: HashMap<(HostIx, HostIx), Vec<u32>>,
     /// Observability sink; disabled by default (every emit is one branch).
     rec: Rec,
     /// Per-channel recorder keys; only built while `rec` is enabled.
@@ -205,59 +207,35 @@ impl PacketNet {
         PacketNet::new_perturbed(rp, config, None)
     }
 
-    /// Like [`new`](Self::new), but scales the platform's nominal
-    /// parameters by a [`PlatformPerturbation`](smpi_platform::PlatformPerturbation)
-    /// overlay: both direction
-    /// channels of a platform link share its bandwidth/latency factors
-    /// (jitter models the physical link, not a direction), and host speeds
-    /// scale per host. `None` — or the identity overlay — is bit-exact
-    /// with the unperturbed constructor.
+    /// Like [`new`](Self::new), but with the channel bandwidths/latencies
+    /// and host speeds the platform image gives under a
+    /// [`PlatformPerturbation`] overlay. `None` — or the identity overlay —
+    /// is bit-exact with the unperturbed constructor.
     pub fn new_perturbed(
         rp: &RoutedPlatform,
         config: PacketConfig,
-        perturb: Option<&smpi_platform::PlatformPerturbation>,
+        perturb: Option<&PlatformPerturbation>,
     ) -> Self {
-        let p = rp.platform();
-        let nlinks = p.num_links();
-        let mut channels = Vec::with_capacity(nlinks * 2);
-        let mut chan_bw = Vec::with_capacity(nlinks * 2);
-        let mut chan_lat = Vec::with_capacity(nlinks * 2);
-        let mut chan_fat = Vec::with_capacity(nlinks * 2);
-        let mut shared_dirs = Vec::with_capacity(nlinks);
-        for (ix, link) in p.links().iter().enumerate() {
-            let (fb, fl) = perturb.map_or((1.0, 1.0), |o| {
-                (o.bandwidth_factor(ix), o.latency_factor(ix))
-            });
-            // Two slots per link; Shared aliases both directions to slot 0.
-            for _ in 0..2 {
-                channels.push(Channel::default());
-                chan_bw.push(link.bandwidth * fb);
-                chan_lat.push(link.latency * fl);
-                chan_fat.push(link.policy == SharingPolicy::FatPipe);
-            }
-            shared_dirs.push(matches!(
-                link.policy,
-                SharingPolicy::Shared | SharingPolicy::FatPipe
-            ));
-        }
-        let host_speeds = p
-            .host_indices()
-            .enumerate()
-            .map(|(i, h)| p.host_speed(h) * perturb.map_or(1.0, |o| o.host_factor(i)))
+        let image = rp.image();
+        let resources = 0..image.num_resources();
+        let (chan_bw, chan_lat) = resources
+            .clone()
+            .map(|k| image.resource(k, perturb))
+            .unzip();
+        let host_speeds = (0..image.num_hosts())
+            .map(|h| image.host_speed(HostIx(h as u32), perturb))
             .collect();
         PacketNet {
             config,
             now: SimTime::ZERO,
-            channels,
+            channels: resources.clone().map(|_| Channel::default()).collect(),
             chan_bw,
             chan_lat,
-            chan_fat,
-            shared_dirs,
+            chan_fat: resources.map(|k| !image.is_contended(k)).collect(),
             actions: Slab::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             host_speeds,
-            route_cache: HashMap::new(),
             rec: Rec::disabled(),
             chan_keys: Vec::new(),
             done_attr: HashMap::new(),
@@ -300,47 +278,9 @@ impl PacketNet {
         &self.config
     }
 
-    fn channel_of(&self, link: u32, dir: Dir) -> u32 {
-        let base = link * 2;
-        if self.shared_dirs[link as usize] {
-            base
-        } else {
-            match dir {
-                Dir::Forward => base,
-                Dir::Reverse => base + 1,
-            }
-        }
-    }
-
     fn schedule(&mut self, at: SimTime, event: Event) {
         self.heap.push(Reverse((at, self.seq, event)));
         self.seq += 1;
-    }
-
-    fn route_channels(&mut self, rp: &RoutedPlatform, src: HostIx, dst: HostIx) -> Vec<u32> {
-        if let Some(cached) = self.route_cache.get(&(src, dst)) {
-            return cached.clone();
-        }
-        let hops = rp.route(src, dst);
-        assert!(
-            !hops.is_empty(),
-            "packet-net transfers require distinct hosts"
-        );
-        let chans: Vec<u32> = hops
-            .iter()
-            .map(|h| self.channel_of(h.link.0, h.dir))
-            .collect();
-        // A channel keys a transfer's frames by hop: a route crossing one
-        // twice would mix two hops' frames in one round-robin turn.
-        debug_assert!(
-            chans
-                .iter()
-                .enumerate()
-                .all(|(i, c)| !chans[..i].contains(c)),
-            "route {src:?} -> {dst:?} crosses a channel twice: {chans:?}"
-        );
-        self.route_cache.insert((src, dst), chans.clone());
-        chans
     }
 
     /// Starts a message of `bytes` from `src` to `dst`. Frames are enqueued
@@ -352,17 +292,30 @@ impl PacketNet {
         dst: HostIx,
         bytes: u64,
     ) -> PacketActionId {
-        let route_channels = self.route_channels(rp, src, dst);
+        let route = rp.image().route(rp, src, dst);
+        assert!(
+            !route.is_empty(),
+            "packet-net transfers require distinct hosts"
+        );
+        // A channel keys a transfer's frames by hop: a route crossing one
+        // twice would mix two hops' frames in one round-robin turn.
+        debug_assert!(
+            route
+                .iter()
+                .enumerate()
+                .all(|(i, c)| !route[..i].contains(c)),
+            "route {src:?} -> {dst:?} crosses a channel twice: {route:?}"
+        );
         let nframes = self.config.frame_count(bytes);
-        let attr = if self.rec.is_enabled() {
-            Some(Box::new(FlowAttribution::new(route_channels.clone())))
-        } else {
-            None
-        };
-        let first = route_channels[0];
-        let queues = vec![VecDeque::new(); route_channels.len()];
+        let attr = self.rec.is_enabled().then(|| {
+            Box::new(FlowAttribution::new(
+                route.iter().map(|l| l.index() as u32).collect(),
+            ))
+        });
+        let first = route[0].index() as u32;
+        let queues = vec![VecDeque::new(); route.len()];
         let (slot, gen) = self.actions.insert(Pending::Transfer(Transfer {
-            route_channels,
+            route,
             unsent: nframes,
             unsent_bytes: bytes,
             started: self.now,
@@ -519,12 +472,12 @@ impl PacketNet {
         let now = self.now;
         let (chan, next_chan, finished) = {
             let Transfer {
-                route_channels,
+                route,
                 frames_remaining,
                 attr,
                 ..
             } = transfer_mut(&mut self.actions, frame.transfer);
-            let chan = route_channels[frame.hop as usize];
+            let chan = route[frame.hop as usize].index() as u32;
             if let Some(a) = attr.as_deref_mut() {
                 let wire = self.config.wire_bytes(frame.payload) as f64;
                 if frame.hop == 0 {
@@ -545,8 +498,8 @@ impl PacketNet {
                 }
             }
             let next_hop = frame.hop as usize + 1;
-            if next_hop < route_channels.len() {
-                (chan, Some(route_channels[next_hop]), false)
+            if next_hop < route.len() {
+                (chan, Some(route[next_hop].index() as u32), false)
             } else {
                 *frames_remaining -= 1;
                 (chan, None, *frames_remaining == 0)

@@ -34,8 +34,8 @@ enum OraclePending {
 }
 
 /// The reference engine. Static tables (framing, channel bandwidths and
-/// latencies, route translation, host speeds) come from an idle
-/// [`PacketNet`]; everything that moves is the oracle's own.
+/// latencies, host speeds) come from an idle [`PacketNet`], routes from the
+/// platform image; everything that moves is the oracle's own.
 struct Oracle {
     tables: PacketNet,
     now: SimTime,
@@ -77,7 +77,8 @@ impl Oracle {
         dst: HostIx,
         bytes: u64,
     ) -> PacketActionId {
-        let route_channels = self.tables.route_channels(rp, src, dst);
+        let route = rp.image().route(rp, src, dst);
+        let route_channels: Vec<u32> = route.iter().map(|l| l.index() as u32).collect();
         let nframes = self.tables.config.frame_count(bytes);
         let attr = if self.rec.is_enabled() {
             Some(Box::new(FlowAttribution::new(route_channels.clone())))

@@ -1,6 +1,6 @@
 //! The frame loop allocates per message and per hop, never per frame: a
 //! warm message over an idle route costs the same handful of blocks at
-//! 64 KiB as at 4 MiB.
+//! 64 KiB as at 4 MiB, and none of them is a copy of its route.
 //!
 //! Own test binary because it installs a counting global allocator (the
 //! library crates stay `forbid(unsafe_code)`).
@@ -93,14 +93,19 @@ fn a_warm_message_allocates_per_hop_not_per_frame() {
             net.run_to_completion();
         })
     };
-    // Warm: the route cache, the action slab and the event heap.
+    // Warm: the platform image's route cache, the action slab and the
+    // event heap.
     message(4 << 20);
     let mib = message(1 << 20);
     let small = message(64 << 10);
     let large = message(4 << 20);
-    // The route, the per-hop queue table, one queue per later hop, and
-    // the completion list. 725 frames × 4 hops is what a per-frame
-    // allocation would cost.
-    assert!(mib <= 2 * HOPS, "1 MiB over {HOPS} hops: {mib} blocks");
+    // The per-hop queue table, one queue per later hop, and the completion
+    // list; the route is the image's shared `Arc`, not a copy. 725 frames ×
+    // 4 hops is what a per-frame allocation would cost.
+    assert_eq!(
+        mib,
+        1 + (HOPS - 1) + 1,
+        "1 MiB over {HOPS} hops: {mib} blocks"
+    );
     assert_eq!((small, large), (mib, mib), "64 KiB / 1 MiB / 4 MiB");
 }

@@ -3,8 +3,9 @@
 //! Implements §6 of the SMPI paper: hosts, switches, links, routes, cluster
 //! builders for the paper's griffon and gdx testbeds, and a SimGrid-style
 //! XML platform format. The same description feeds both the flow-level SURF
-//! kernel (via [`surf_bridge`]) and the packet-level ground-truth simulator,
-//! so accuracy comparisons always run on identical hardware models.
+//! kernel and the packet-level ground-truth simulator through one translation
+//! into network resources ([`PlatformImage`], in [`surf_bridge`]), so accuracy
+//! comparisons always run on identical hardware models.
 
 #![forbid(unsafe_code)]
 
@@ -20,5 +21,5 @@ pub use cluster::{flat_cluster, gdx, griffon, hierarchical_cluster, ClusterConfi
 pub use perturb::PlatformPerturbation;
 pub use routing::{RoutedPlatform, Routes};
 pub use spec::{Edge, HostIx, Link, LinkIx, Node, NodeIx, NodeKind, Platform, SharingPolicy};
-pub use surf_bridge::{Materialized, PlatformImage};
+pub use surf_bridge::PlatformImage;
 pub use xml::{from_xml, to_xml, XmlError};

@@ -3,10 +3,12 @@
 //! A [`PlatformPerturbation`] is a set of multiplicative factors applied to
 //! a platform's nominal parameters — per-host compute speed, per-link
 //! bandwidth and latency — when a simulation backend materializes the
-//! platform for one run. The platform description itself stays untouched
-//! and shared: many concurrent runs over one [`crate::RoutedPlatform`] can
-//! each carry a different overlay, which is what makes variability sweeps
-//! ("does the predicted makespan survive ±5% link jitter?") cheap.
+//! platform for one run. The factors are applied in one place,
+//! [`crate::PlatformImage`], for both backends. The platform description
+//! itself stays untouched and shared: many concurrent runs over one
+//! [`crate::RoutedPlatform`] can each carry a different overlay, which is
+//! what makes variability sweeps ("does the predicted makespan survive ±5%
+//! link jitter?") cheap.
 //!
 //! Factors are *multiplicative* so the identity overlay (all `1.0`) is
 //! bit-exact: `x * 1.0 == x` for every finite IEEE-754 `x`, which the

@@ -122,8 +122,9 @@ impl Routes {
 pub struct RoutedPlatform {
     platform: Platform,
     routes: Routes,
-    /// Lazily built shared kernel image (see [`PlatformImage`]): one plan
-    /// and one route-translation cache for every run over this platform.
+    /// Lazily built network-resource image (see [`PlatformImage`]): one
+    /// plan and one route-translation cache for every run of either
+    /// backend over this platform.
     /// Cloning the `RoutedPlatform` shares the already-built image.
     image: OnceLock<Arc<PlatformImage>>,
 }
@@ -139,11 +140,12 @@ impl RoutedPlatform {
         }
     }
 
-    /// The shared, immutable kernel-side image of this platform, built on
-    /// first use. Every simulation run instantiates its private kernel
-    /// state *from* this image and resolves routes *through* its shared
-    /// memoization cache, so concurrent runs (sweep workers, service
-    /// requests) pay the translation cost once per platform, not per run.
+    /// The shared, immutable translation of this platform into network
+    /// resources, built on first use. Every run of either backend builds
+    /// its private network state *from* this image and resolves routes
+    /// *through* its shared memoization cache, so concurrent runs (sweep
+    /// workers, service requests) pay the translation cost once per
+    /// platform, not per run.
     pub fn image(&self) -> &Arc<PlatformImage> {
         self.image
             .get_or_init(|| Arc::new(PlatformImage::build(self)))

@@ -2,10 +2,10 @@
 //!
 //! A [`Platform`] is a pure description: hosts and switches (nodes), links
 //! with nominal bandwidth/latency, and the topology connecting them. It is
-//! consumed by two very different engines:
+//! consumed by two very different engines, both through one translation
+//! into network resources ([`crate::PlatformImage`]):
 //!
-//! * the flow-level SURF kernel (via [`crate::surf_bridge`]) for SMPI
-//!   simulations, and
+//! * the flow-level SURF kernel for SMPI simulations, and
 //! * the packet-level `packetnet` simulator that plays the role of the
 //!   real-world clusters in the reproduction.
 //!

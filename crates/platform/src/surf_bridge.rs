@@ -1,30 +1,30 @@
-//! Materializing a platform into the flow-level SURF kernel.
+//! Translating a platform into network resources, once for both backends.
 //!
-//! Split into two layers so that many concurrent runs can share one parsed
-//! platform (the unlock for parallel replication sweeps and a persistent
-//! simulation service):
+//! [`PlatformImage`] is the immutable, shareable plan of a platform that
+//! both network backends read: the flow kernel registers its resources as
+//! kernel links ([`PlatformImage::instantiate`]), and the packet network
+//! makes one channel per resource. It owns every decision the two used to
+//! make separately:
 //!
-//! * [`PlatformImage`] — the *immutable, shareable* kernel-side plan of a
-//!   platform: host speeds, per-kernel-link parameters, the platform-link →
-//!   kernel-link mapping, kernel link names, and a thread-safe memoized
-//!   route-translation cache. Built once per platform (see
-//!   [`crate::RoutedPlatform::image`]) and shared by every run, worker
-//!   thread and scenario via `Arc`.
-//! * [`Materialized`] — the *per-run* handle: instantiates the image's
-//!   hosts and links inside one private [`Simulation`], optionally applying
-//!   a [`PlatformPerturbation`] overlay (multiplicative bandwidth/latency/
-//!   speed factors), and resolves routes through the shared image cache.
+//! * which resources a platform link becomes, and their names;
+//! * host speeds and resource bandwidth/latency under an optional
+//!   [`PlatformPerturbation`] — the only place its factors are applied;
+//! * the resources a host-pair route crosses, memoized as one
+//!   `Arc<[LinkId]>` shared by every run of either backend.
 //!
-//! Kernel ids are allocated deterministically (creation order), so ids
-//! precomputed in the image are valid in every freshly instantiated
-//! simulation — asserted at instantiation time.
+//! Built once per platform (see [`crate::RoutedPlatform::image`]) and
+//! shared by every run, worker thread and scenario via `Arc`.
 //!
 //! Sharing policies map as follows:
 //!
-//! * `Shared` — one kernel link, used by both directions (they contend);
-//! * `SplitDuplex` — two kernel links (up/down), each with the link's full
-//!   capacity, selected by the hop's traversal direction;
-//! * `FatPipe` — one kernel link marked un-contended.
+//! * `Shared` — one resource `l`, used by both directions (they contend);
+//! * `SplitDuplex` — two resources `l:up` / `l:down`, each with the link's
+//!   full capacity, selected by the hop's traversal direction;
+//! * `FatPipe` — one resource `l`, un-contended.
+//!
+//! Resource `k` is `LinkId::from_index(k)` and host `h` is
+//! `HostId::from_index(h)`: a fresh [`Simulation`] allocates ids in
+//! creation order, which [`PlatformImage::instantiate`] asserts.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -35,62 +35,53 @@ use crate::perturb::PlatformPerturbation;
 use crate::routing::RoutedPlatform;
 use crate::spec::{Dir, HostIx, SharingPolicy};
 
-/// Per-platform-link kernel image.
+/// Per-platform-link resources.
 #[derive(Debug, Clone, Copy)]
 enum LinkImage {
-    /// One kernel link for both directions.
+    /// One resource for both directions.
     Single(LinkId),
-    /// Forward and reverse kernel links.
+    /// Forward (`up`) and reverse (`down`) resources.
     Duplex(LinkId, LinkId),
 }
 
-/// Nominal parameters of one kernel link, in kernel-id order.
+/// Nominal parameters of one resource, in resource-id order.
 #[derive(Debug, Clone, Copy)]
-struct KernelLink {
+struct Resource {
     /// Nominal bandwidth, bytes/s.
     bandwidth: f64,
     /// Nominal latency, seconds.
     latency: f64,
     /// `false` for fat pipes (un-contended).
     contended: bool,
-    /// The platform link this kernel link serves (perturbation factors are
+    /// The platform link this resource serves (perturbation factors are
     /// indexed by platform link).
-    platform_link: u32,
+    platform_link: usize,
 }
 
-/// The immutable, shareable kernel-side plan of a platform.
+/// The immutable, shareable translation of a platform into network
+/// resources.
 ///
 /// `Send + Sync`: the only mutable state is the memoized route cache, which
 /// is behind a mutex and shared by design — a route translated by one
 /// worker is free for every other worker of a sweep.
 #[derive(Debug)]
 pub struct PlatformImage {
-    host_ids: Vec<HostId>,
     host_speeds: Vec<f64>,
-    kernel_links: Vec<KernelLink>,
+    resources: Vec<Resource>,
     links: Vec<LinkImage>,
     names: Vec<String>,
     route_cache: RouteCache,
 }
 
-/// Memoized host-pair → kernel-link-id route translations, shared across
-/// every simulation materialized from the same image.
+/// Memoized host-pair → resource-id route translations, shared across
+/// every run over the same image.
 type RouteCache = Mutex<HashMap<(HostIx, HostIx), Arc<[LinkId]>>>;
 
 impl PlatformImage {
-    /// Computes the kernel plan of `rp`: deterministic host/link kernel ids
-    /// (derived from a throwaway simulation so the allocation rule lives in
-    /// one place — the kernel itself), parameters, and names.
+    /// Computes the resources of `rp`, their parameters and names.
     pub fn build(rp: &RoutedPlatform) -> Self {
         let p = rp.platform();
-        let mut probe = Simulation::new();
-        let host_ids: Vec<HostId> = p
-            .host_indices()
-            .map(|h| probe.add_host(p.host_speed(h)))
-            .collect();
-        let host_speeds = p.host_indices().map(|h| p.host_speed(h)).collect();
-
-        let mut kernel_links = Vec::new();
+        let mut resources = Vec::new();
         let mut names = Vec::new();
         let links = p
             .links()
@@ -98,13 +89,12 @@ impl PlatformImage {
             .enumerate()
             .map(|(ix, l)| {
                 let mut add = |suffix: Option<&str>, contended: bool| {
-                    let id = probe.add_link(l.bandwidth, l.latency);
-                    debug_assert_eq!(id.index(), kernel_links.len());
-                    kernel_links.push(KernelLink {
+                    let id = LinkId::from_index(resources.len());
+                    resources.push(Resource {
                         bandwidth: l.bandwidth,
                         latency: l.latency,
                         contended,
-                        platform_link: ix as u32,
+                        platform_link: ix,
                     });
                     names.push(match suffix {
                         Some(s) => format!("{}:{}", l.name, s),
@@ -115,9 +105,7 @@ impl PlatformImage {
                 match l.policy {
                     SharingPolicy::Shared => LinkImage::Single(add(None, true)),
                     SharingPolicy::SplitDuplex => {
-                        let up = add(Some("up"), true);
-                        let down = add(Some("down"), true);
-                        LinkImage::Duplex(up, down)
+                        LinkImage::Duplex(add(Some("up"), true), add(Some("down"), true))
                     }
                     SharingPolicy::FatPipe => LinkImage::Single(add(None, false)),
                 }
@@ -125,9 +113,8 @@ impl PlatformImage {
             .collect();
 
         PlatformImage {
-            host_ids,
-            host_speeds,
-            kernel_links,
+            host_speeds: p.host_indices().map(|h| p.host_speed(h)).collect(),
+            resources,
             links,
             names,
             route_cache: Mutex::new(HashMap::new()),
@@ -136,29 +123,59 @@ impl PlatformImage {
 
     /// Number of hosts.
     pub fn num_hosts(&self) -> usize {
-        self.host_ids.len()
+        self.host_speeds.len()
     }
 
-    /// Human names of the kernel links, indexed by kernel link id (the
-    /// materialization creation order). `SplitDuplex` platform links
-    /// materialize as two kernel links, named `<name>:up` and
-    /// `<name>:down`; everything else keeps the platform link's name.
-    /// Used to label contention attribution, which is recorded against
-    /// kernel link indices.
-    pub fn kernel_link_names(&self) -> &[String] {
+    /// Number of resources (ids `0..num_resources()`).
+    pub fn num_resources(&self) -> usize {
+        self.resources.len()
+    }
+
+    /// Kernel host id of platform host `h`.
+    pub fn host(&self, h: HostIx) -> HostId {
+        HostId::from_index(h.0 as usize)
+    }
+
+    /// Compute speed of host `h`, flop/s, scaled by `perturb`'s factor when
+    /// given.
+    pub fn host_speed(&self, h: HostIx, perturb: Option<&PlatformPerturbation>) -> f64 {
+        let h = h.0 as usize;
+        self.host_speeds[h] * perturb.map_or(1.0, |p| p.host_factor(h))
+    }
+
+    /// `(bandwidth, latency)` of resource `k` in bytes/s and seconds, scaled
+    /// by `perturb`'s factors for its platform link when given. Both
+    /// resources of a `SplitDuplex` link share the link's factors: jitter
+    /// models the physical link, not a direction.
+    pub fn resource(&self, k: usize, perturb: Option<&PlatformPerturbation>) -> (f64, f64) {
+        let r = &self.resources[k];
+        let (fb, fl) = perturb.map_or((1.0, 1.0), |p| {
+            (
+                p.bandwidth_factor(r.platform_link),
+                p.latency_factor(r.platform_link),
+            )
+        });
+        (r.bandwidth * fb, r.latency * fl)
+    }
+
+    /// `false` when resource `k` is a fat pipe (never contended).
+    pub fn is_contended(&self, k: usize) -> bool {
+        self.resources[k].contended
+    }
+
+    /// Human names of the resources, indexed by resource id: a
+    /// `SplitDuplex` link `l` is `l:up` and `l:down`, every other link keeps
+    /// its name. Both backends label contention attribution with these.
+    pub fn resource_names(&self) -> &[String] {
         &self.names
     }
 
-    /// Kernel link ids along the route from `src` to `dst`, memoized in the
+    /// Resource ids along the route from `src` to `dst`, memoized in the
     /// shared thread-safe cache (route translation is on the per-message
     /// hot path and host pairs repeat constantly).
     pub fn route(&self, rp: &RoutedPlatform, src: HostIx, dst: HostIx) -> Arc<[LinkId]> {
-        if let Some(r) = self
-            .route_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(src, dst))
-        {
+        let cache = || self.route_cache.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(r) = cache().get(&(src, dst)) {
             return Arc::clone(r);
         }
         let route: Arc<[LinkId]> = rp
@@ -172,82 +189,48 @@ impl PlatformImage {
                 },
             })
             .collect();
-        self.route_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((src, dst), Arc::clone(&route));
+        cache().insert((src, dst), Arc::clone(&route));
         route
     }
-}
 
-/// The per-run kernel-side handle of a platform: one instantiation of a
-/// shared [`PlatformImage`] inside one private [`Simulation`].
-#[derive(Debug)]
-pub struct Materialized {
-    image: Arc<PlatformImage>,
-}
-
-impl Materialized {
-    /// Creates every host and link of `rp` inside `sim` at nominal
-    /// parameters (no perturbation).
-    pub fn build(rp: &RoutedPlatform, sim: &mut Simulation) -> Self {
-        Materialized::instantiate(Arc::clone(rp.image()), sim, None)
+    /// One-way latency of a control message of `header_bytes` from `src` to
+    /// `dst`: each resource's latency plus the header's serialization on
+    /// it. Always nominal — perturbation models data-plane variability.
+    pub fn control_latency(
+        &self,
+        rp: &RoutedPlatform,
+        src: HostIx,
+        dst: HostIx,
+        header_bytes: f64,
+    ) -> f64 {
+        let route = self.route(rp, src, dst);
+        route
+            .iter()
+            .map(|k| {
+                let r = &self.resources[k.index()];
+                r.latency + header_bytes / r.bandwidth
+            })
+            .sum()
     }
 
-    /// Creates every host and link of the image inside `sim`, scaling the
-    /// nominal parameters by `perturb`'s factors when given. The overlay
-    /// must already be validated against the platform (see
+    /// Creates every host and resource of the image inside the fresh
+    /// simulation `sim`, scaled by `perturb` when given. The overlay must
+    /// already be validated against the platform (see
     /// [`PlatformPerturbation::validate`]).
-    pub fn instantiate(
-        image: Arc<PlatformImage>,
-        sim: &mut Simulation,
-        perturb: Option<&PlatformPerturbation>,
-    ) -> Self {
-        for (h, &speed) in image.host_speeds.iter().enumerate() {
-            let f = perturb.map_or(1.0, |p| p.host_factor(h));
-            let id = sim.add_host(speed * f);
-            debug_assert_eq!(id, image.host_ids[h], "non-deterministic host ids");
+    pub fn instantiate(&self, sim: &mut Simulation, perturb: Option<&PlatformPerturbation>) {
+        for h in 0..self.num_hosts() {
+            let h = HostIx(h as u32);
+            let id = sim.add_host(self.host_speed(h, perturb));
+            debug_assert_eq!(id, self.host(h), "instantiated into a used simulation");
         }
-        for (k, l) in image.kernel_links.iter().enumerate() {
-            let (fb, fl) = perturb.map_or((1.0, 1.0), |p| {
-                (
-                    p.bandwidth_factor(l.platform_link as usize),
-                    p.latency_factor(l.platform_link as usize),
-                )
-            });
-            let id = sim.add_link(l.bandwidth * fb, l.latency * fl);
-            debug_assert_eq!(id.index(), k, "non-deterministic link ids");
-            if !l.contended {
+        for k in 0..self.num_resources() {
+            let (bandwidth, latency) = self.resource(k, perturb);
+            let id = sim.add_link(bandwidth, latency);
+            debug_assert_eq!(id.index(), k, "instantiated into a used simulation");
+            if !self.is_contended(k) {
                 sim.set_link_contended(id, false);
             }
         }
-        Materialized { image }
-    }
-
-    /// The shared image this materialization instantiates.
-    pub fn image(&self) -> &Arc<PlatformImage> {
-        &self.image
-    }
-
-    /// Kernel host id of platform host `h`.
-    pub fn host(&self, h: HostIx) -> HostId {
-        self.image.host_ids[h.0 as usize]
-    }
-
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.image.num_hosts()
-    }
-
-    /// Kernel link names (see [`PlatformImage::kernel_link_names`]).
-    pub fn kernel_link_names(&self, _rp: &RoutedPlatform) -> Vec<String> {
-        self.image.kernel_link_names().to_vec()
-    }
-
-    /// Kernel link ids along the route from `src` to `dst` (memoized in the
-    /// platform-wide shared cache).
-    pub fn route(&self, rp: &RoutedPlatform, src: HostIx, dst: HostIx) -> Arc<[LinkId]> {
-        self.image.route(rp, src, dst)
     }
 }
 
@@ -258,13 +241,19 @@ mod tests {
     use crate::spec::Platform;
     use surf_sim::TransferModel;
 
+    /// A fresh simulation holding `rp`'s nominal resources.
+    fn instantiated(rp: &RoutedPlatform) -> Simulation {
+        let mut sim = Simulation::new();
+        rp.image().instantiate(&mut sim, None);
+        sim
+    }
+
     #[test]
     fn materialized_cluster_simulates_a_transfer() {
         let rp = RoutedPlatform::new(flat_cluster("c", 2, &ClusterConfig::default()));
-        let mut sim = Simulation::new();
-        let m = Materialized::build(&rp, &mut sim);
-        assert_eq!(m.num_hosts(), 2);
-        let route = m.route(&rp, HostIx(0), HostIx(1));
+        let mut sim = instantiated(&rp);
+        assert_eq!(rp.image().num_hosts(), 2);
+        let route = rp.image().route(&rp, HostIx(0), HostIx(1));
         assert_eq!(route.len(), 2);
         sim.start_transfer(&route, 125e6, &TransferModel::ideal());
         let (t, _) = sim.advance_to_next().unwrap();
@@ -275,27 +264,27 @@ mod tests {
     #[test]
     fn route_cache_returns_identical_routes() {
         let rp = RoutedPlatform::new(flat_cluster("c", 3, &ClusterConfig::default()));
-        let mut sim = Simulation::new();
-        let m = Materialized::build(&rp, &mut sim);
-        let r1 = m.route(&rp, HostIx(0), HostIx(2));
-        let r2 = m.route(&rp, HostIx(0), HostIx(2));
-        assert_eq!(r1, r2);
+        let r1 = rp.image().route(&rp, HostIx(0), HostIx(2));
+        let r2 = rp.image().route(&rp, HostIx(0), HostIx(2));
+        assert!(Arc::ptr_eq(&r1, &r2));
     }
 
     #[test]
     fn image_is_shared_across_materializations() {
         let rp = RoutedPlatform::new(flat_cluster("c", 3, &ClusterConfig::default()));
-        let mut sim_a = Simulation::new();
-        let mut sim_b = Simulation::new();
-        let a = Materialized::build(&rp, &mut sim_a);
-        let b = Materialized::build(&rp, &mut sim_b);
+        let image = Arc::clone(rp.image());
         // Same Arc: one plan, one route cache, many runs.
-        assert!(Arc::ptr_eq(a.image(), b.image()));
+        assert!(Arc::ptr_eq(&image, rp.clone().image()));
         // Ids agree across simulations (deterministic allocation).
-        assert_eq!(a.host(HostIx(1)), b.host(HostIx(1)));
+        let (mut a, mut b) = (Simulation::new(), Simulation::new());
+        image.instantiate(&mut a, None);
+        image.instantiate(&mut b, None);
+        let route = image.route(&rp, HostIx(0), HostIx(1));
+        a.start_transfer(&route, 1e6, &TransferModel::ideal());
+        b.start_transfer(&route, 1e6, &TransferModel::ideal());
         assert_eq!(
-            a.route(&rp, HostIx(0), HostIx(1)),
-            b.route(&rp, HostIx(0), HostIx(1))
+            a.advance_to_next().unwrap().0,
+            b.advance_to_next().unwrap().0
         );
     }
 
@@ -313,9 +302,12 @@ mod tests {
 
         let mut perturb = PlatformPerturbation::identity(rp.platform());
         perturb.link_bandwidth[0] = 0.5;
+        perturb.host_speed[1] = 2.0;
+        assert_eq!(rp.image().resource(0, Some(&perturb)), (50.0, 0.0));
+        assert_eq!(rp.image().host_speed(HostIx(1), Some(&perturb)), 2e9);
         let mut sim = Simulation::new();
-        let m = Materialized::instantiate(Arc::clone(rp.image()), &mut sim, Some(&perturb));
-        let route = m.route(&rp, HostIx(0), HostIx(1));
+        rp.image().instantiate(&mut sim, Some(&perturb));
+        let route = rp.image().route(&rp, HostIx(0), HostIx(1));
         sim.start_transfer(&route, 1000.0, &TransferModel::ideal());
         let (t, _) = sim.advance_to_next().unwrap();
         assert!((t.as_secs() - 20.0).abs() < 1e-9);
@@ -325,18 +317,29 @@ mod tests {
     fn identity_perturbation_is_bit_exact() {
         let rp = RoutedPlatform::new(flat_cluster("c", 4, &ClusterConfig::default()));
         let ident = PlatformPerturbation::identity(rp.platform());
-        let mut sim_a = Simulation::new();
+        let mut sim_a = instantiated(&rp);
         let mut sim_b = Simulation::new();
-        let a = Materialized::build(&rp, &mut sim_a);
-        let b = Materialized::instantiate(Arc::clone(rp.image()), &mut sim_b, Some(&ident));
-        let route_a = a.route(&rp, HostIx(0), HostIx(3));
-        let route_b = b.route(&rp, HostIx(0), HostIx(3));
-        assert_eq!(route_a, route_b);
-        sim_a.start_transfer(&route_a, 12345.0, &TransferModel::default_affine());
-        sim_b.start_transfer(&route_b, 12345.0, &TransferModel::default_affine());
+        rp.image().instantiate(&mut sim_b, Some(&ident));
+        let route = rp.image().route(&rp, HostIx(0), HostIx(3));
+        sim_a.start_transfer(&route, 12345.0, &TransferModel::default_affine());
+        sim_b.start_transfer(&route, 12345.0, &TransferModel::default_affine());
         let (ta, _) = sim_a.advance_to_next().unwrap();
         let (tb, _) = sim_b.advance_to_next().unwrap();
         assert_eq!(ta.as_secs().to_bits(), tb.as_secs().to_bits());
+    }
+
+    #[test]
+    fn control_latency_is_nominal_and_charges_the_header_per_hop() {
+        let rp = RoutedPlatform::new(flat_cluster("c", 2, &ClusterConfig::default()));
+        let image = rp.image();
+        let (a, b) = (HostIx(0), HostIx(1));
+        assert_eq!(
+            image.control_latency(&rp, a, b, 0.0).to_bits(),
+            rp.latency(a, b).to_bits()
+        );
+        // Two 125 MB/s hops: 1250 header bytes cost 10 µs each.
+        let with_header = image.control_latency(&rp, a, b, 1250.0);
+        assert!((with_header - rp.latency(a, b) - 20e-6).abs() < 1e-15);
     }
 
     #[test]
@@ -350,11 +353,10 @@ mod tests {
         let n1 = p.host_node(h1);
         p.link_between(n0, n1, "wire", 100.0, 0.0, SharingPolicy::SplitDuplex);
         let rp = RoutedPlatform::new(p);
-        let mut sim = Simulation::new();
-        let m = Materialized::build(&rp, &mut sim);
-        let fwd = m.route(&rp, HostIx(0), HostIx(1));
-        let rev = m.route(&rp, HostIx(1), HostIx(0));
-        assert_ne!(fwd, rev, "directions must map to distinct kernel links");
+        let mut sim = instantiated(&rp);
+        let fwd = rp.image().route(&rp, HostIx(0), HostIx(1));
+        let rev = rp.image().route(&rp, HostIx(1), HostIx(0));
+        assert_ne!(fwd, rev, "directions must map to distinct resources");
         sim.start_transfer(&fwd, 1000.0, &TransferModel::ideal());
         sim.start_transfer(&rev, 1000.0, &TransferModel::ideal());
         let (t, done) = sim.advance_to_next().unwrap();
@@ -375,10 +377,9 @@ mod tests {
                 ..ClusterConfig::default()
             },
         ));
-        let mut sim = Simulation::new();
-        let m = Materialized::build(&rp, &mut sim);
-        let r1 = m.route(&rp, HostIx(1), HostIx(0));
-        let r2 = m.route(&rp, HostIx(2), HostIx(0));
+        let mut sim = instantiated(&rp);
+        let r1 = rp.image().route(&rp, HostIx(1), HostIx(0));
+        let r2 = rp.image().route(&rp, HostIx(2), HostIx(0));
         sim.start_transfer(&r1, 1000.0, &TransferModel::ideal());
         sim.start_transfer(&r2, 1000.0, &TransferModel::ideal());
         let (t, done) = sim.advance_to_next().unwrap();
@@ -398,12 +399,15 @@ mod tests {
         p.link_between(n0, n1, "duplex", 100.0, 0.0, SharingPolicy::SplitDuplex);
         p.link_between(n0, n1, "fat", 100.0, 0.0, SharingPolicy::FatPipe);
         let rp = RoutedPlatform::new(p);
-        let mut sim = Simulation::new();
-        let m = Materialized::build(&rp, &mut sim);
+        let image = rp.image();
         assert_eq!(
-            m.kernel_link_names(&rp),
-            vec!["shared", "duplex:up", "duplex:down", "fat"]
+            image.resource_names(),
+            ["shared", "duplex:up", "duplex:down", "fat"]
         );
+        let contended: Vec<bool> = (0..image.num_resources())
+            .map(|k| image.is_contended(k))
+            .collect();
+        assert_eq!(contended, [true, true, true, false]);
     }
 
     #[test]
@@ -415,9 +419,8 @@ mod tests {
         let n1 = p.host_node(h1);
         p.link_between(n0, n1, "fat", 100.0, 0.0, SharingPolicy::FatPipe);
         let rp = RoutedPlatform::new(p);
-        let mut sim = Simulation::new();
-        let m = Materialized::build(&rp, &mut sim);
-        let route = m.route(&rp, HostIx(0), HostIx(1));
+        let mut sim = instantiated(&rp);
+        let route = rp.image().route(&rp, HostIx(0), HostIx(1));
         sim.start_transfer(&route, 1000.0, &TransferModel::ideal());
         sim.start_transfer(&route, 1000.0, &TransferModel::ideal());
         let (t, done) = sim.advance_to_next().unwrap();
