@@ -19,15 +19,39 @@ use std::sync::Arc;
 use packetnet::{PacketConfig, PacketNet};
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
 use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
-use surf_sim::{EngineConfig, SimTime, Simulation, TransferModel};
+use surf_sim::hash::FastMap;
+use surf_sim::{EngineConfig, LinkId, SimTime, Simulation, TransferModel};
 
 use crate::error::SimError;
 
-/// Opaque completion token handed back by a fabric.
+/// Completion token handed back by a fabric: `generation << 32 | slot` (see
+/// the [`Fabric`] token contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FabricToken(pub u64);
 
+impl FabricToken {
+    /// The token's slot: its low 32 bits.
+    pub fn slot(self) -> u32 {
+        self.0 as u32
+    }
+}
+
 /// A network + compute substrate that the MPI runtime schedules work onto.
+///
+/// # Token contract
+///
+/// Every `start_*` returns a [`FabricToken`] packing `generation << 32 |
+/// slot`: `slot` indexes the fabric's table of live actions and may be
+/// reused as soon as [`advance`](Fabric::advance) has returned the action's
+/// token, `generation` changes on each reuse. So no two tokens in flight
+/// share a slot, the slots in use stay as few as the fabric's concurrent
+/// actions, and a token of a completed action never equals a newer one.
+/// The runtime relies on all three: it indexes its pending-token table by
+/// [`FabricToken::slot`], compares the whole token on lookup, and claims
+/// every token of an `advance` batch before dispatching any (dispatch
+/// starts actions, which may reuse a slot the batch just freed). Both
+/// backends hand out their slab handles' raw packing
+/// (`surf_sim::ActionId::raw`, `packetnet::PacketActionId::raw`).
 pub trait Fabric {
     /// Current simulated time.
     fn now(&self) -> SimTime;
@@ -103,6 +127,10 @@ pub struct SurfFabric {
     rp: Arc<RoutedPlatform>,
     sim: Simulation,
     model: TransferModel,
+    /// The image's routes this run has used, by `src << 32 | dst`: filled
+    /// on first use, so a run pays for the pairs it talks over (never
+    /// hosts²) and each route stays the image's shared `Arc`.
+    routes: FastMap<u64, Arc<[LinkId]>>,
 }
 
 impl SurfFabric {
@@ -119,7 +147,12 @@ impl SurfFabric {
     ) -> Self {
         let mut sim = Simulation::with_config(engine);
         rp.image().instantiate(&mut sim, perturb);
-        SurfFabric { rp, sim, model }
+        SurfFabric {
+            rp,
+            sim,
+            model,
+            routes: FastMap::default(),
+        }
     }
 }
 
@@ -130,8 +163,13 @@ impl Fabric for SurfFabric {
 
     fn start_transfer(&mut self, src: HostIx, dst: HostIx, bytes: u64) -> FabricToken {
         assert_ne!(src, dst, "self-transfers are handled by the runtime");
-        let route = self.rp.image().route(&self.rp, src, dst);
-        let action = self.sim.start_transfer(&route, bytes as f64, &self.model);
+        let rp = &self.rp;
+        let key = u64::from(src.0) << 32 | u64::from(dst.0);
+        let route = self
+            .routes
+            .entry(key)
+            .or_insert_with(|| rp.image().route(rp, src, dst));
+        let action = self.sim.start_transfer(route, bytes as f64, &self.model);
         FabricToken(action.raw())
     }
 
@@ -411,10 +449,13 @@ mod tests {
         p.start_transfer(a, b, 100_000);
         let route = rp.image().route(&rp, a, b);
         assert!(Arc::ptr_eq(&route, &rp.image().route(&rp, a, b)));
-        // The image's cache, this handle, and the packet message in flight:
-        // the message holds the shared route, not a copy.
-        assert_eq!(Arc::strong_count(&route), 3);
+        // The image's cache, the surf fabric's per-run table, this handle,
+        // and the packet message in flight: the table and the message hold
+        // the shared route, not a copy.
+        assert_eq!(Arc::strong_count(&route), 4);
         while p.advance().unwrap().is_some() {}
+        assert_eq!(Arc::strong_count(&route), 3);
+        drop(s);
         assert_eq!(Arc::strong_count(&route), 2);
     }
 

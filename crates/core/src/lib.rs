@@ -50,6 +50,7 @@ pub mod sampling;
 pub mod shared_mem;
 pub mod state;
 pub mod trace;
+pub mod window;
 pub mod world;
 
 pub use capture::{TiDecodeError, TiOp, TiSummary, TiTrace, TraceIoError};
@@ -73,4 +74,5 @@ pub use op::Op;
 pub use runtime::{Completion, ReqId, SimResp, Simcall, WaitMode, ANY_SOURCE, ANY_TAG};
 pub use shared_mem::{MemoryReport, SharedSlice};
 pub use trace::{TraceEvent, TraceKind};
+pub use window::PostWindow;
 pub use world::{Backend, RunReport, World};

@@ -24,10 +24,21 @@
 //! sequence among candidate fronts. Each bucket is itself a FIFO, so the
 //! front always carries the bucket's minimum — the scan never looks deeper.
 //!
+//! The `(cid, dst)` level hashes nothing: destinations are world ranks, a
+//! dense table, and each lists the communicators it has entries queued on
+//! (a handful). The buckets below are keyed by envelope fields the
+//! application chooses (any tag), so they stay a map, on the simulator's
+//! [`FastHasher`](surf_sim::hash::FastHasher). Emptied buckets and channels
+//! leave the tables — they hold live entries only — but their storage is
+//! kept for the next one, so steady-state matching allocates nothing.
+//!
 //! The structures are generic over the stored id so the differential tests
 //! can drive them directly against a reference implementation.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::Hash;
+
+use surf_sim::hash::FastMap;
 
 /// Wildcard source (`MPI_ANY_SOURCE`); mirrors [`crate::runtime::ANY_SOURCE`].
 pub const ANY_SOURCE: i32 = -1;
@@ -41,20 +52,126 @@ pub fn env_matches(want_src: i32, want_tag: i32, msg_src: u32, msg_tag: i32) -> 
         && (want_tag == ANY_TAG || want_tag == msg_tag)
 }
 
-/// Per-channel buckets: second-level key -> FIFO of (seq, id).
-type Buckets<K, T> = HashMap<K, VecDeque<(u64, T)>>;
+/// A FIFO of `(seq, id)`.
+type Fifo<T> = VecDeque<(u64, T)>;
+
+/// One channel's buckets: second-level key -> FIFO.
+type Buckets<K, T> = FastMap<K, Fifo<T>>;
+
+/// Emptied FIFOs and bucket maps kept for reuse, at most this many each.
+const SPARES: usize = 64;
+
+/// The storage both stores share: channel `(cid, dst)` is found by indexing
+/// `by_dst[dst]` and scanning its communicator list; every listed channel
+/// and every bucket in it is non-empty.
+#[derive(Debug)]
+struct Channels<K, T> {
+    by_dst: Vec<Vec<(u32, Buckets<K, T>)>>,
+    spare_fifos: Vec<Fifo<T>>,
+    spare_maps: Vec<Buckets<K, T>>,
+}
+
+impl<K, T> Default for Channels<K, T> {
+    fn default() -> Self {
+        Channels {
+            by_dst: Vec::new(),
+            spare_fifos: Vec::new(),
+            spare_maps: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, T: Copy> Channels<K, T> {
+    fn get(&self, cid: u32, dst: u32) -> Option<&Buckets<K, T>> {
+        let chans = self.by_dst.get(dst as usize)?;
+        chans.iter().find(|c| c.0 == cid).map(|c| &c.1)
+    }
+
+    fn push(&mut self, cid: u32, dst: u32, key: K, seq: u64, id: T) {
+        let dst = dst as usize;
+        if dst >= self.by_dst.len() {
+            self.by_dst.resize_with(dst + 1, Vec::new);
+        }
+        let chans = &mut self.by_dst[dst];
+        let at = match chans.iter().position(|c| c.0 == cid) {
+            Some(at) => at,
+            None => {
+                chans.push((cid, self.spare_maps.pop().unwrap_or_default()));
+                chans.len() - 1
+            }
+        };
+        let spare = &mut self.spare_fifos;
+        let fifo = chans[at]
+            .1
+            .entry(key)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        fifo.push_back((seq, id));
+    }
+
+    /// Pops the front of bucket `key` of channel `(cid, dst)`, which the
+    /// caller found non-empty; an emptied bucket or channel leaves its
+    /// table and its storage is kept for reuse.
+    fn pop(&mut self, cid: u32, dst: u32, key: K) -> T {
+        let chans = &mut self.by_dst[dst as usize];
+        let at = chans.iter().position(|c| c.0 == cid).expect("live channel");
+        let buckets = &mut chans[at].1;
+        let fifo = buckets.get_mut(&key).expect("live bucket");
+        let (_, id) = fifo.pop_front().expect("empty bucket not removed");
+        if fifo.is_empty() {
+            let fifo = buckets.remove(&key).expect("live bucket");
+            if self.spare_fifos.len() < SPARES {
+                self.spare_fifos.push(fifo);
+            }
+            if buckets.is_empty() {
+                let (_, map) = chans.swap_remove(at);
+                if self.spare_maps.len() < SPARES {
+                    self.spare_maps.push(map);
+                }
+            }
+        }
+        id
+    }
+
+    /// Every entry of channel `(cid, dst)` as `(key, seq, id)`, in push
+    /// order. Diagnostics only.
+    fn entries(&self, cid: u32, dst: u32) -> Vec<(K, u64, T)> {
+        let mut out = Vec::new();
+        for (&key, fifo) in self.get(cid, dst).into_iter().flatten() {
+            out.extend(fifo.iter().map(|&(seq, id)| (key, seq, id)));
+        }
+        out.sort_by_key(|&(_, seq, _)| seq);
+        out
+    }
+
+    /// The channel and key holding `id`. Diagnostics only — a full scan.
+    fn find(&self, id: T) -> Option<(u32, u32, K)>
+    where
+        T: PartialEq,
+    {
+        for (dst, chans) in self.by_dst.iter().enumerate() {
+            for (cid, buckets) in chans {
+                for (&key, fifo) in buckets {
+                    if fifo.iter().any(|&(_, i)| i == id) {
+                        return Some((*cid, dst as u32, key));
+                    }
+                }
+            }
+        }
+        None
+    }
+}
 
 /// Unmatched (unexpected) messages awaiting a receive, bucketed by
 /// `(cid, dst)` and then by concrete envelope `(src, tag)`.
 #[derive(Debug)]
 pub struct MsgFifos<T> {
-    queues: HashMap<(u32, u32), Buckets<(u32, i32), T>>,
+    chans: Channels<(u32, i32), T>,
 }
 
 impl<T> Default for MsgFifos<T> {
     fn default() -> Self {
         MsgFifos {
-            queues: HashMap::new(),
+            chans: Channels::default(),
         }
     }
 }
@@ -67,21 +184,17 @@ impl<T: Copy> MsgFifos<T> {
 
     /// Enqueues a message with envelope `(src, tag)`. `seq` must be
     /// strictly increasing across *all* pushes into one `(cid, dst)` bucket
-    /// (post order); the caller's monotonically allocated message id serves.
+    /// (post order); the caller's monotonically allocated message sequence
+    /// number serves.
     pub fn push(&mut self, cid: u32, dst: u32, src: u32, tag: i32, seq: u64, id: T) {
-        self.queues
-            .entry((cid, dst))
-            .or_default()
-            .entry((src, tag))
-            .or_default()
-            .push_back((seq, id));
+        self.chans.push(cid, dst, (src, tag), seq, id);
     }
 
     /// Removes and returns the earliest message (by push order) matching a
     /// receive specification, or `None`. A concrete spec probes one bucket;
     /// a wildcard spec scans bucket fronts only.
     pub fn pop_match(&mut self, cid: u32, dst: u32, want_src: i32, want_tag: i32) -> Option<T> {
-        let envs = self.queues.get_mut(&(cid, dst))?;
+        let envs = self.chans.get(cid, dst)?;
         let key = if want_src != ANY_SOURCE && want_tag != ANY_TAG {
             // Fully concrete: single bucket.
             let k = (want_src as u32, want_tag);
@@ -93,29 +206,17 @@ impl<T: Copy> MsgFifos<T> {
                 .min_by_key(|(_, q)| q.front().expect("empty bucket not removed").0)
                 .map(|(&k, _)| k)?
         };
-        let q = envs.get_mut(&key).unwrap();
-        let (_, id) = q.pop_front().expect("empty bucket not removed");
-        if q.is_empty() {
-            envs.remove(&key);
-            if envs.is_empty() {
-                self.queues.remove(&(cid, dst));
-            }
-        }
-        Some(id)
+        Some(self.chans.pop(cid, dst, key))
     }
 
     /// Every unmatched message queued for `(cid, dst)` as
     /// `(src, tag, seq, id)`, in push (send-post) order. Diagnostics only —
     /// this walks every bucket.
     pub fn envelopes(&self, cid: u32, dst: u32) -> Vec<(u32, i32, u64, T)> {
-        let mut out = Vec::new();
-        if let Some(envs) = self.queues.get(&(cid, dst)) {
-            for (&(src, tag), q) in envs {
-                out.extend(q.iter().map(|&(seq, id)| (src, tag, seq, id)));
-            }
-        }
-        out.sort_by_key(|&(_, _, seq, _)| seq);
-        out
+        let entries = self.chans.entries(cid, dst).into_iter();
+        entries
+            .map(|((src, tag), seq, id)| (src, tag, seq, id))
+            .collect()
     }
 
     /// Locates a queued message by id, returning its
@@ -124,14 +225,8 @@ impl<T: Copy> MsgFifos<T> {
     where
         T: PartialEq,
     {
-        for (&(cid, dst), envs) in &self.queues {
-            for (&(src, tag), q) in envs {
-                if q.iter().any(|&(_, i)| i == id) {
-                    return Some((cid, dst, src, tag));
-                }
-            }
-        }
-        None
+        let (cid, dst, (src, tag)) = self.chans.find(id)?;
+        Some((cid, dst, src, tag))
     }
 }
 
@@ -139,13 +234,13 @@ impl<T: Copy> MsgFifos<T> {
 /// specification `(src-or-any, tag-or-any)`.
 #[derive(Debug)]
 pub struct RecvFifos<T> {
-    queues: HashMap<(u32, u32), Buckets<(i32, i32), T>>,
+    chans: Channels<(i32, i32), T>,
 }
 
 impl<T> Default for RecvFifos<T> {
     fn default() -> Self {
         RecvFifos {
-            queues: HashMap::new(),
+            chans: Channels::default(),
         }
     }
 }
@@ -160,19 +255,14 @@ impl<T: Copy> RecvFifos<T> {
     /// wildcard). `seq` must be strictly increasing across all pushes into
     /// one `(cid, dst)` bucket (post order).
     pub fn push(&mut self, cid: u32, dst: u32, src: i32, tag: i32, seq: u64, id: T) {
-        self.queues
-            .entry((cid, dst))
-            .or_default()
-            .entry((src, tag))
-            .or_default()
-            .push_back((seq, id));
+        self.chans.push(cid, dst, (src, tag), seq, id);
     }
 
     /// Removes and returns the earliest receive (by push order) whose
     /// specification matches an incoming message's concrete envelope, or
     /// `None`. At most four buckets are probed.
     pub fn pop_match(&mut self, cid: u32, dst: u32, msg_src: u32, msg_tag: i32) -> Option<T> {
-        let specs = self.queues.get_mut(&(cid, dst))?;
+        let specs = self.chans.get(cid, dst)?;
         let candidates = [
             (msg_src as i32, msg_tag),
             (ANY_SOURCE, msg_tag),
@@ -188,29 +278,17 @@ impl<T: Copy> RecvFifos<T> {
             })
             .min()
             .map(|(_, k)| k)?;
-        let q = specs.get_mut(&key).unwrap();
-        let (_, id) = q.pop_front().expect("empty bucket not removed");
-        if q.is_empty() {
-            specs.remove(&key);
-            if specs.is_empty() {
-                self.queues.remove(&(cid, dst));
-            }
-        }
-        Some(id)
+        Some(self.chans.pop(cid, dst, key))
     }
 
     /// Every unmatched receive posted on `(cid, dst)` as
     /// `(src, tag, seq, id)` (wildcards included), in push (post) order.
     /// Diagnostics only — this walks every bucket.
     pub fn specs(&self, cid: u32, dst: u32) -> Vec<(i32, i32, u64, T)> {
-        let mut out = Vec::new();
-        if let Some(specs) = self.queues.get(&(cid, dst)) {
-            for (&(src, tag), q) in specs {
-                out.extend(q.iter().map(|&(seq, id)| (src, tag, seq, id)));
-            }
-        }
-        out.sort_by_key(|&(_, _, seq, _)| seq);
-        out
+        let entries = self.chans.entries(cid, dst).into_iter();
+        entries
+            .map(|((src, tag), seq, id)| (src, tag, seq, id))
+            .collect()
     }
 
     /// Locates a posted receive by id, returning its
@@ -219,14 +297,8 @@ impl<T: Copy> RecvFifos<T> {
     where
         T: PartialEq,
     {
-        for (&(cid, dst), specs) in &self.queues {
-            for (&(src, tag), q) in specs {
-                if q.iter().any(|&(_, i)| i == id) {
-                    return Some((cid, dst, src, tag));
-                }
-            }
-        }
-        None
+        let (cid, dst, (src, tag)) = self.chans.find(id)?;
+        Some((cid, dst, src, tag))
     }
 }
 

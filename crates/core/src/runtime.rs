@@ -29,8 +29,14 @@
 //! allocated here and nowhere else. It is the index captured traces
 //! ([`TiOp::Wait`]), flight-recorder lines and postmortems print, so nothing
 //! downstream keeps a table to translate it.
+//!
+//! Every table the maestro keeps is keyed by an id the loop issues itself,
+//! so every table is dense and nothing on the per-event path hashes: live
+//! requests sit in a per-rank [`PostWindow`] indexed by post, messages in a
+//! slab whose slot is the message id, fabric tokens in a table indexed by
+//! the token's slot (the [`Fabric`] token contract), and blocked ranks in a
+//! vector indexed by rank.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 use simix::{ActorEvent, ActorId, Scheduler, Simix};
@@ -47,6 +53,7 @@ use crate::flight::{FlightRecorder, PendingReq, Postmortem, RankPostmortem};
 use crate::matching::{MsgFifos, RecvFifos};
 use crate::state::SimClock;
 use crate::trace::{TraceEvent, TraceKind};
+use crate::window::PostWindow;
 
 /// Wildcard source for receives (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: i32 = crate::matching::ANY_SOURCE;
@@ -184,8 +191,14 @@ pub type Sx = Simix<Simcall, SimResp>;
 /// Actor-side handle specialized to the SMPI protocol.
 pub type SxHandle = simix::ActorHandle<Simcall, SimResp>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MsgId(u64);
+/// A live message: its slab slot, and its sequence number (the send-post
+/// order the matching store keeps), which the slot must still hold for the
+/// id to be live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MsgId {
+    slot: u32,
+    seq: u64,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MsgState {
@@ -203,6 +216,8 @@ enum MsgState {
 
 #[derive(Debug)]
 struct Message {
+    /// The [`MsgId::seq`] of this message.
+    seq: u64,
     tag: i32,
     src: u32,
     dst: u32,
@@ -273,11 +288,19 @@ pub struct Runtime {
     placement: Vec<HostIx>,
     /// Posts issued so far per rank: the next request's [`ReqId::post`].
     next_post: Vec<u32>,
+    /// The next message's [`MsgId::seq`].
     next_msg: u64,
-    /// Live requests: posted, completion not yet reported.
-    requests: HashMap<ReqId, Request>,
-    messages: HashMap<MsgId, Message>,
-    tokens: HashMap<FabricToken, TokenUse>,
+    /// Live requests (posted, completion not yet reported) per rank, by
+    /// post index.
+    requests: Vec<PostWindow<Request>>,
+    /// Live messages by [`MsgId::slot`], and the vacant slots.
+    messages: Vec<Option<Message>>,
+    free_msgs: Vec<u32>,
+    /// Pending fabric tokens by slot (the token's low 32 bits), each with
+    /// its full token so a stale generation is refused.
+    tokens: Vec<Option<(FabricToken, TokenUse)>>,
+    /// The tokens of the fabric event being dispatched, claimed; reused.
+    token_batch: Vec<(FabricToken, TokenUse)>,
     /// Unmatched messages per (cid, dst), FIFO per concrete (src, tag);
     /// send-post order carried by the message id.
     pending_msgs: MsgFifos<MsgId>,
@@ -285,8 +308,8 @@ pub struct Runtime {
     /// post order carried by `id.post()` (every receive of a bucket is
     /// posted by rank `dst`).
     posted_recvs: RecvFifos<ReqId>,
-    /// Ranks blocked in a Wait.
-    waiting: HashMap<ActorId, Waiting>,
+    /// Ranks blocked in a Wait, by rank (actor id = world rank).
+    waiting: Vec<Option<Waiting>>,
     /// Waiters whose condition now holds, queued by [`Self::complete`];
     /// drained (in actor-id order) by the next resolution pass.
     ready_waiters: Vec<ActorId>,
@@ -340,12 +363,14 @@ impl Runtime {
             placement,
             next_post: vec![0; n],
             next_msg: 0,
-            requests: HashMap::new(),
-            messages: HashMap::new(),
-            tokens: HashMap::new(),
+            requests: (0..n).map(|_| PostWindow::new()).collect(),
+            messages: Vec::new(),
+            free_msgs: Vec::new(),
+            tokens: Vec::new(),
+            token_batch: Vec::new(),
             pending_msgs: MsgFifos::new(),
             posted_recvs: RecvFifos::new(),
-            waiting: HashMap::new(),
+            waiting: (0..n).map(|_| None).collect(),
             ready_waiters: Vec::new(),
             delayed_actors: Vec::new(),
             finish_times: vec![0.0; n],
@@ -583,9 +608,17 @@ impl Runtime {
             match advanced {
                 Ok(Some((t, tokens))) => {
                     self.clock.publish(t.as_secs());
+                    // Claim the whole batch before dispatching any of it:
+                    // an action the dispatch starts may reuse the slot of a
+                    // token later in the batch.
+                    let mut batch = std::mem::take(&mut self.token_batch);
                     for tok in tokens {
-                        self.on_token(tok)?;
+                        batch.push((tok, self.claim_token(tok)?));
                     }
+                    for (tok, usage) in batch.drain(..) {
+                        self.on_token(tok, usage)?;
+                    }
+                    self.token_batch = batch;
                     let woken = self.resolve_waiters(sx);
                     if self.timeseries.is_some() {
                         self.timeseries_tick(woken);
@@ -593,8 +626,7 @@ impl Runtime {
                 }
                 Ok(None) => {
                     let postmortem = Box::new(self.build_postmortem());
-                    let mut blocked: Vec<u32> = self.waiting.keys().map(|a| a.0).collect();
-                    blocked.sort_unstable();
+                    let blocked = self.blocked().map(|a| a.0).collect();
                     return Err(SimError::Deadlock {
                         blocked,
                         postmortem,
@@ -642,16 +674,16 @@ impl Runtime {
     /// Snapshots the flight recorder and the matching stores for every
     /// blocked rank (see [`crate::flight`]).
     pub(crate) fn build_postmortem(&self) -> Postmortem {
-        let mut blocked: Vec<ActorId> = self.waiting.keys().copied().collect();
-        blocked.sort_unstable();
-        let ranks = blocked
-            .iter()
-            .map(|&actor| {
-                let w = &self.waiting[&actor];
+        let ranks = self
+            .blocked()
+            .map(|actor| {
+                let w = self.waiting[actor.0 as usize]
+                    .as_ref()
+                    .expect("blocked ranks wait");
                 let pending = w
                     .reqs
                     .iter()
-                    .filter(|r| self.requests.get(r).is_some_and(|q| !q.complete))
+                    .filter(|&&r| self.request(r).is_some_and(|q| !q.complete))
                     .map(|&r| self.describe_pending(r))
                     .collect();
                 RankPostmortem {
@@ -665,14 +697,39 @@ impl Runtime {
         Postmortem { ranks }
     }
 
+    /// The ranks blocked in a Wait, in rank order.
+    fn blocked(&self) -> impl Iterator<Item = ActorId> + '_ {
+        let waiting = self.waiting.iter().enumerate();
+        waiting.filter_map(|(rank, w)| w.as_ref().map(|_| ActorId(rank as u32)))
+    }
+
+    /// The live request `r`, if any.
+    fn request(&self, r: ReqId) -> Option<&Request> {
+        self.requests.get(r.rank as usize)?.get(r.post)
+    }
+
+    /// The live message `mid`, if any.
+    fn message(&self, mid: MsgId) -> Option<&Message> {
+        let m = self.messages.get(mid.slot as usize)?.as_ref()?;
+        (m.seq == mid.seq).then_some(m)
+    }
+
     /// Describes one incomplete request: its spec, and — for unmatched
     /// sends/receives — the nearest matching counterpart on the peer side.
     fn describe_pending(&self, r: ReqId) -> PendingReq {
         let post = Some(r.post());
-        let req = &self.requests[&r];
+        let req = self.request(r).expect("pending requests are live");
         match &req.kind {
             ReqKind::Send => {
-                let Some((mid, m)) = self.messages.iter().find(|(_, m)| m.send_req == r) else {
+                let found = self.messages.iter().enumerate().find_map(|(slot, m)| {
+                    let m = m.as_ref().filter(|m| m.send_req == r)?;
+                    let mid = MsgId {
+                        slot: slot as u32,
+                        seq: m.seq,
+                    };
+                    Some((mid, m))
+                });
+                let Some((mid, m)) = found else {
                     return PendingReq {
                         post,
                         spec: "send (message already collected)".into(),
@@ -680,7 +737,7 @@ impl Runtime {
                     };
                 };
                 let proto = if m.eager { "eager" } else { "rendezvous" };
-                if let Some((cid, dst, src, tag)) = self.pending_msgs.find(*mid) {
+                if let Some((cid, dst, src, tag)) = self.pending_msgs.find(mid) {
                     PendingReq {
                         post,
                         spec: format!(
@@ -709,7 +766,9 @@ impl Runtime {
             }
             ReqKind::Recv { max_bytes, msg } => match msg {
                 Some(mid) => {
-                    let m = &self.messages[mid];
+                    let m = self
+                        .message(*mid)
+                        .expect("a bound receive's message is live");
                     let state = match m.state {
                         MsgState::Posted => "matched, not started",
                         MsgState::PreDelay => "in pre-transfer delay",
@@ -863,7 +922,8 @@ impl Runtime {
                 let mut on_recv = false;
                 for &r in &reqs {
                     let owned = r.rank == actor.0;
-                    let Some(q) = self.requests.get_mut(&r).filter(|_| owned) else {
+                    let live = self.requests[actor.0 as usize].get_mut(r.post);
+                    let Some(q) = live.filter(|_| owned) else {
                         return Err(self.stale_wait(actor.0, r));
                     };
                     on_recv |= matches!(q.kind, ReqKind::Recv { .. });
@@ -892,15 +952,12 @@ impl Runtime {
                     WaitMode::Any | WaitMode::Some => any_complete,
                     WaitMode::Poll => true,
                 };
-                self.waiting.insert(
-                    actor,
-                    Waiting {
-                        reqs,
-                        mode,
-                        remaining,
-                        queued: satisfied,
-                    },
-                );
+                self.waiting[actor.0 as usize] = Some(Waiting {
+                    reqs,
+                    mode,
+                    remaining,
+                    queued: satisfied,
+                });
                 if satisfied {
                     self.ready_waiters.push(actor);
                 }
@@ -915,13 +972,13 @@ impl Runtime {
                     .state_push("rank", actor.0, self.now(), "computing");
                 let host = self.placement[actor.0 as usize];
                 let tok = self.fabric.start_exec(host, flops);
-                self.tokens.insert(tok, TokenUse::ActorDelay(actor));
+                self.await_token(tok, TokenUse::ActorDelay(actor));
             }
             Simcall::Sleep { secs } => {
                 self.log(actor.0, TiOp::Sleep { secs });
                 self.rec.state_push("rank", actor.0, self.now(), "sleeping");
                 let tok = self.fabric.start_sleep(secs);
-                self.tokens.insert(tok, TokenUse::ActorDelay(actor));
+                self.await_token(tok, TokenUse::ActorDelay(actor));
             }
             Simcall::Now => {
                 sx.resolve(actor, SimResp::Now(self.now()));
@@ -980,8 +1037,8 @@ impl Runtime {
         let next = &mut self.next_post[rank as usize];
         let id = ReqId { rank, post: *next };
         *next += 1;
-        self.requests.insert(
-            id,
+        self.requests[rank as usize].insert(
+            id.post,
             Request {
                 kind,
                 complete: false,
@@ -990,6 +1047,34 @@ impl Runtime {
             },
         );
         id
+    }
+
+    /// Stores a new message in a vacant slab slot.
+    fn alloc_msg(&mut self, m: Message) -> MsgId {
+        let seq = m.seq;
+        let slot = match self.free_msgs.pop() {
+            Some(slot) => {
+                self.messages[slot as usize] = Some(m);
+                slot
+            }
+            None => {
+                self.messages.push(Some(m));
+                u32::try_from(self.messages.len() - 1).expect("message slab overflow")
+            }
+        };
+        MsgId { slot, seq }
+    }
+
+    /// Records what a pending fabric token completes. Tokens pack
+    /// `generation << 32 | slot` (the [`Fabric`] contract), so the table is
+    /// indexed by slot and sized by the fabric's live actions.
+    fn await_token(&mut self, tok: FabricToken, usage: TokenUse) {
+        let slot = tok.slot() as usize;
+        if slot >= self.tokens.len() {
+            self.tokens.resize_with(slot + 1, || None);
+        }
+        debug_assert!(self.tokens[slot].is_none(), "fabric reused a live slot");
+        self.tokens[slot] = Some((tok, usage));
     }
 
     fn post_send(
@@ -1021,29 +1106,27 @@ impl Runtime {
             );
             r.fcounter_add("core.bytes.posted", bytes as f64);
         });
-        let mid = MsgId(self.next_msg);
+        let seq = self.next_msg;
         self.next_msg += 1;
-        self.messages.insert(
-            mid,
-            Message {
-                tag,
-                src,
-                dst,
-                bytes,
-                payload,
-                state: MsgState::Posted,
-                eager,
-                send_req,
-                recv_req: None,
-                attr: None,
-            },
-        );
+        let mid = self.alloc_msg(Message {
+            seq,
+            tag,
+            src,
+            dst,
+            bytes,
+            payload,
+            state: MsgState::Posted,
+            eager,
+            send_req,
+            recv_req: None,
+            attr: None,
+        });
 
         // Try to match the earliest compatible already-posted receive.
         if let Some(req) = self.posted_recvs.pop_match(cid, dst, src, tag) {
             self.bind(mid, req)?;
         } else {
-            self.pending_msgs.push(cid, dst, src, tag, mid.0, mid);
+            self.pending_msgs.push(cid, dst, src, tag, mid.seq, mid);
         }
 
         if eager {
@@ -1058,11 +1141,11 @@ impl Runtime {
             };
             if pre + inj > 0.0 {
                 let tok = self.fabric.start_sleep(pre + inj);
-                self.tokens.insert(tok, TokenUse::SenderDone(mid));
+                self.await_token(tok, TokenUse::SenderDone(mid));
             } else {
                 self.complete_send(mid)?;
             }
-        } else if self.messages[&mid].recv_req.is_some() {
+        } else if self.msg_mut(mid, "matching a")?.recv_req.is_some() {
             // Rendezvous already matched: begin the handshake.
             self.begin_rendezvous(mid)?;
         }
@@ -1089,7 +1172,7 @@ impl Runtime {
         // everything in the pending store is unbound by construction).
         if let Some(mid) = self.pending_msgs.pop_match(cid, dst, src, tag) {
             self.bind(mid, req)?;
-            let m = &self.messages[&mid];
+            let m = self.msg_mut(mid, "receiving a")?;
             if m.eager {
                 if m.state == MsgState::Arrived {
                     self.complete_recv(mid)?;
@@ -1119,21 +1202,23 @@ impl Runtime {
     /// violated the protocol state machine (e.g. a truncated `.tit` trace),
     /// which is a diagnosable [`SimError::Protocol`], not a panic.
     fn msg_mut(&mut self, mid: MsgId, ctx: &str) -> Result<&mut Message, SimError> {
-        if !self.messages.contains_key(&mid) {
-            return Err(self.protocol(format!("{ctx} message {} that is not live", mid.0)));
+        if self.message(mid).is_none() {
+            return Err(self.protocol(format!("{ctx} message {} that is not live", mid.seq)));
         }
-        Ok(self.messages.get_mut(&mid).expect("presence just checked"))
+        let slot = self.messages[mid.slot as usize].as_mut();
+        Ok(slot.expect("presence just checked"))
     }
 
     /// Completion-path request lookup; same contract as [`Self::msg_mut`].
     fn req_mut(&mut self, req: ReqId, ctx: &str) -> Result<&mut Request, SimError> {
-        if !self.requests.contains_key(&req) {
+        if self.request(req).is_none() {
             return Err(self.protocol(format!(
                 "{ctx} request [post {}] of rank {} that is not live",
                 req.post, req.rank
             )));
         }
-        Ok(self.requests.get_mut(&req).expect("presence just checked"))
+        let window = &mut self.requests[req.rank as usize];
+        Ok(window.get_mut(req.post).expect("presence just checked"))
     }
 
     /// Binds a message to a receive request (both directions).
@@ -1149,7 +1234,7 @@ impl Runtime {
             bound = Some(*max_bytes);
         }
         let Some(max) = bound else {
-            return Err(self.protocol(format!("message {} matched a send request", mid.0)));
+            return Err(self.protocol(format!("message {} matched a send request", mid.seq)));
         };
         assert!(
             bytes <= max,
@@ -1169,13 +1254,13 @@ impl Runtime {
             let d = pre + m.bytes as f64 / self_rate + recv_overhead;
             m.state = MsgState::PostDelay;
             let tok = self.fabric.start_sleep(d);
-            self.tokens.insert(tok, TokenUse::MsgPost(mid));
+            self.await_token(tok, TokenUse::MsgPost(mid));
             return Ok(());
         }
         if pre > 0.0 {
             m.state = MsgState::PreDelay;
             let tok = self.fabric.start_sleep(pre);
-            self.tokens.insert(tok, TokenUse::MsgPre(mid));
+            self.await_token(tok, TokenUse::MsgPre(mid));
             Ok(())
         } else {
             self.start_transfer_now(mid)
@@ -1204,7 +1289,7 @@ impl Runtime {
         if delay > 0.0 {
             self.msg_mut(mid, "starting a rendezvous for a")?.state = MsgState::PreDelay;
             let tok = self.fabric.start_sleep(delay);
-            self.tokens.insert(tok, TokenUse::MsgPre(mid));
+            self.await_token(tok, TokenUse::MsgPre(mid));
             Ok(())
         } else {
             self.start_transfer_now(mid)
@@ -1223,7 +1308,7 @@ impl Runtime {
         // bytes / efficiency effective volume (MpiProfile docs).
         let bytes = (mbytes as f64 / self.profile.wire_efficiency).ceil() as u64;
         let tok = self.fabric.start_transfer(src, dst, bytes);
-        self.tokens.insert(tok, TokenUse::MsgWire(mid));
+        self.await_token(tok, TokenUse::MsgWire(mid));
         self.record(TraceKind::TransferStarted {
             src: msrc,
             dst: mdst,
@@ -1232,11 +1317,19 @@ impl Runtime {
         Ok(())
     }
 
-    fn on_token(&mut self, tok: FabricToken) -> Result<(), SimError> {
-        let Some(usage) = self.tokens.remove(&tok) else {
+    /// Takes what a completed token was awaited for out of the table; a
+    /// token the table does not hold — a slot never used, or a stale
+    /// generation — is a protocol error, not a panic.
+    fn claim_token(&mut self, tok: FabricToken) -> Result<TokenUse, SimError> {
+        let entry = self.tokens.get_mut(tok.slot() as usize);
+        let Some((_, usage)) = entry.and_then(|e| e.take_if(|(t, _)| *t == tok)) else {
             return Err(self.protocol(format!("fabric completion for unknown token {}", tok.0)));
         };
         self.n_tokens += 1;
+        Ok(usage)
+    }
+
+    fn on_token(&mut self, tok: FabricToken, usage: TokenUse) -> Result<(), SimError> {
         match usage {
             TokenUse::MsgPre(mid) => self.start_transfer_now(mid),
             TokenUse::MsgWire(mid) => {
@@ -1256,7 +1349,7 @@ impl Runtime {
                 if post > 0.0 {
                     self.msg_mut(mid, "delivering a")?.state = MsgState::PostDelay;
                     let t = self.fabric.start_sleep(post);
-                    self.tokens.insert(t, TokenUse::MsgPost(mid));
+                    self.await_token(t, TokenUse::MsgPost(mid));
                     Ok(())
                 } else {
                     self.arrive(mid)
@@ -1341,7 +1434,9 @@ impl Runtime {
             .on_done(req.rank, req.post, kind, peer, tag, bytes);
         if waited {
             let actor = ActorId(req.rank);
-            let w = self.waiting.get_mut(&actor).expect("flagged waiter exists");
+            let w = self.waiting[actor.0 as usize]
+                .as_mut()
+                .expect("flagged waiter exists");
             w.remaining -= 1;
             let satisfied = match w.mode {
                 WaitMode::All => w.remaining == 0,
@@ -1358,10 +1453,9 @@ impl Runtime {
     }
 
     fn complete_send(&mut self, mid: MsgId) -> Result<(), SimError> {
-        let m = self
-            .messages
-            .get(&mid)
-            .ok_or_else(|| self.protocol(format!("send completion for dead message {}", mid.0)))?;
+        let m = self.message(mid).ok_or_else(|| {
+            self.protocol(format!("send completion for dead message {}", mid.seq))
+        })?;
         let (req, dst, record) = (m.send_req, m.dst, (m.src, m.tag, m.bytes, None));
         self.complete(req, "send", dst, record)?;
         self.gc_message(mid);
@@ -1375,7 +1469,10 @@ impl Runtime {
             (m.recv_req, (m.src, m.tag, m.bytes, m.payload.take()))
         };
         let Some(req) = recv_req else {
-            return Err(self.protocol(format!("receive completion for unbound message {}", mid.0)));
+            return Err(self.protocol(format!(
+                "receive completion for unbound message {}",
+                mid.seq
+            )));
         };
         self.complete(req, "recv", record.0, record)?;
         self.gc_message(mid);
@@ -1386,15 +1483,15 @@ impl Runtime {
     /// the table once their completion has been reported, so a missing
     /// request counts as complete (and a dead message is already gone).
     fn gc_message(&mut self, mid: MsgId) {
-        let Some(m) = self.messages.get(&mid) else {
+        let Some(m) = self.message(mid) else {
             return;
         };
-        let done =
-            |req: ReqId| -> bool { self.requests.get(&req).map(|r| r.complete).unwrap_or(true) };
+        let done = |req: ReqId| -> bool { self.request(req).map(|r| r.complete).unwrap_or(true) };
         let send_done = done(m.send_req);
         let recv_done = m.recv_req.map(done).unwrap_or(false);
         if send_done && recv_done {
-            self.messages.remove(&mid);
+            self.messages[mid.slot as usize] = None;
+            self.free_msgs.push(mid.slot);
         }
     }
 
@@ -1426,13 +1523,17 @@ impl Runtime {
         let mut ready = std::mem::take(&mut self.ready_waiters);
         ready.sort_unstable();
         for actor in ready.drain(..) {
-            let w = self.waiting.remove(&actor).unwrap();
+            let w = self.waiting[actor.0 as usize]
+                .take()
+                .expect("a queued waiter waits");
             // An Any/Some waiter satisfied by its first completion leaves
             // its other requests flagged; clear them so a later Wait on the
-            // same requests counts them afresh.
+            // same requests counts them afresh (every one is the waiter's
+            // own: the Wait refused any other).
             if w.remaining > 0 {
+                let window = &mut self.requests[actor.0 as usize];
                 for r in &w.reqs {
-                    if let Some(q) = self.requests.get_mut(r) {
+                    if let Some(q) = window.get_mut(r.post) {
                         q.waited = false;
                     }
                 }
@@ -1441,7 +1542,7 @@ impl Runtime {
                 // Pops the blocked_in_* state pushed at the Wait simcall.
                 self.rec.state_pop("rank", actor.0, self.now());
             }
-            let completions = self.collect_completions(&w);
+            let completions = self.collect_completions(actor, &w);
             sx.resolve(actor, SimResp::Done(completions));
             woken += 1;
         }
@@ -1453,18 +1554,16 @@ impl Runtime {
         woken
     }
 
-    fn collect_completions(&mut self, w: &Waiting) -> Vec<Completion> {
+    fn collect_completions(&mut self, actor: ActorId, w: &Waiting) -> Vec<Completion> {
         let mut out = Vec::new();
+        let window = &mut self.requests[actor.0 as usize];
         for (index, &rid) in w.reqs.iter().enumerate() {
             // Vacant only for a request listed twice: the first mention
             // already retired it.
-            let Entry::Occupied(e) = self.requests.entry(rid) else {
-                continue;
-            };
-            if !e.get().complete {
+            if !window.get(rid.post).is_some_and(|q| q.complete) {
                 continue;
             }
-            let record = e.remove().record;
+            let record = window.remove(rid.post).expect("just found").record;
             let (source, tag, bytes, data) = record.expect("completed request has record");
             out.push(Completion {
                 req: rid,
@@ -1484,9 +1583,120 @@ impl Runtime {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use simix::Scripts;
+    use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
+    use surf_sim::{EngineConfig, TransferModel};
+
+    use crate::fabric::SurfFabric;
     use crate::matching::env_matches;
 
     use super::*;
+
+    fn runtime(nranks: u32) -> Runtime {
+        let rp = Arc::new(RoutedPlatform::new(flat_cluster(
+            "t",
+            nranks as usize,
+            &ClusterConfig::default(),
+        )));
+        let fabric = SurfFabric::new(rp, TransferModel::ideal(), EngineConfig::default(), None);
+        let placement = (0..nranks).map(HostIx).collect();
+        Runtime::new(Box::new(fabric), MpiProfile::smpi(), placement)
+    }
+
+    /// One step of a test script: post, or wait on the first or the latest
+    /// request posted so far.
+    enum Step {
+        Send { dst: u32, tag: i32 },
+        Recv { src: i32, tag: i32 },
+        WaitLatest,
+        WaitFirst,
+    }
+
+    type Script = Box<dyn FnMut(Option<SimResp>) -> Option<Simcall>>;
+
+    /// Rendezvous-sized, data-less: a send completes with its transfer.
+    const BYTES: u64 = 1 << 20;
+
+    fn script(mut steps: impl Iterator<Item = Step> + 'static) -> Script {
+        let (mut first, mut latest) = (None, None);
+        let wait = |req: Option<ReqId>| Simcall::Wait {
+            reqs: vec![req.expect("posted before waited")],
+            mode: WaitMode::All,
+        };
+        Box::new(move |resp| {
+            if let Some(SimResp::Req(id)) = resp {
+                first.get_or_insert(id);
+                latest = Some(id);
+            }
+            Some(match steps.next()? {
+                Step::Send { dst, tag } => Simcall::Isend {
+                    dst,
+                    cid: 0,
+                    tag,
+                    bytes: BYTES,
+                    payload: None,
+                },
+                Step::Recv { src, tag } => Simcall::Irecv {
+                    src,
+                    cid: 0,
+                    tag,
+                    max_bytes: BYTES,
+                },
+                Step::WaitLatest => wait(latest),
+                Step::WaitFirst => wait(first),
+            })
+        })
+    }
+
+    /// The tables are dense but sized by what is live: 100 000 posts
+    /// while rank 0's first receive stays pending leave every table a few
+    /// dozen slots long, not one slot per post.
+    #[test]
+    fn tables_hold_live_entries_not_posts() {
+        const ROUNDS: u32 = 50_000;
+        let early = [Step::Recv { src: 1, tag: 99 }];
+        let sends = (0..ROUNDS).flat_map(|_| [Step::Send { dst: 1, tag: 1 }, Step::WaitLatest]);
+        let rank0 = early.into_iter().chain(sends).chain([Step::WaitFirst]);
+        let recvs = (0..ROUNDS).flat_map(|_| [Step::Recv { src: 0, tag: 1 }, Step::WaitLatest]);
+        let rank1 = recvs.chain([Step::Send { dst: 0, tag: 99 }, Step::WaitLatest]);
+        let mut rt = runtime(2);
+        let mut sx = Scripts::new([script(rank0), script(rank1)]);
+        rt.drive(&mut sx).expect("the exchange completes");
+        assert_eq!(rt.next_post, [ROUNDS + 1; 2], "every post was issued");
+        let posts = 2 * (ROUNDS as usize + 1);
+        let request_slots: usize = rt.requests.iter().map(PostWindow::slots).sum();
+        for (table, slots) in [
+            ("request", request_slots),
+            ("message", rt.messages.len()),
+            ("token", rt.tokens.len()),
+            ("waiting", rt.waiting.len()),
+        ] {
+            assert!(
+                slots <= 256,
+                "{table} table: {slots} slots for {posts} posts"
+            );
+        }
+    }
+
+    /// A completion the token table does not hold — a slot never used, or
+    /// a live slot under a stale generation — is a protocol error.
+    #[test]
+    fn unknown_tokens_are_protocol_errors() {
+        let mut rt = runtime(2);
+        let tok = rt.fabric.start_sleep(1.0);
+        rt.await_token(tok, TokenUse::ActorDelay(ActorId(0)));
+        let stale = FabricToken(tok.0 + (1 << 32));
+        for bad in [FabricToken(42), stale] {
+            let Err(SimError::Protocol { detail, .. }) = rt.claim_token(bad) else {
+                panic!("token {} was accepted", bad.0);
+            };
+            assert!(detail.contains("unknown token"), "{detail}");
+        }
+        assert!(matches!(rt.claim_token(tok), Ok(TokenUse::ActorDelay(_))));
+        assert!(rt.claim_token(tok).is_err(), "a token completes once");
+    }
 
     #[test]
     fn env_matching_rules() {

@@ -81,7 +81,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -89,8 +88,8 @@ use std::sync::Arc;
 use smpi::capture::intern_region;
 use smpi::capture_v2::{TiV2Reader, TiV2Writer, DEFAULT_BLOCK_OPS};
 use smpi::{
-    Ctx, ReqId, RunReport, SimError, SimResp, Simcall, TiOp, TiTrace, TraceCursor, TraceIoError,
-    TraceSource, World,
+    Ctx, PostWindow, ReqId, RunReport, SimError, SimResp, Simcall, TiOp, TiTrace, TraceCursor,
+    TraceIoError, TraceSource, World,
 };
 
 /// One captured collective, as presented to a [`CollHook`].
@@ -189,7 +188,7 @@ pub fn try_replay_with(
         ops: source.rank_ops(rank),
         obs,
         n_posted: 0,
-        live: HashMap::new(),
+        live: PostWindow::new(),
         waited: Vec::new(),
     };
     let result = match opts.coll_hook {
@@ -231,9 +230,10 @@ struct RankScript {
     /// Regions are only issued when the world records metrics.
     obs: bool,
     /// Requests are named by post index in the trace; `live` maps the index
-    /// of each not-yet-consumed request to its id in this replay.
+    /// of each not-yet-consumed request to its id in this replay (a dense
+    /// window: indices only grow).
     n_posted: u32,
-    live: HashMap<u32, ReqId>,
+    live: PostWindow<ReqId>,
     /// Trace indices of the requests in the wait being answered, by position.
     waited: Vec<u32>,
 }
@@ -254,7 +254,7 @@ impl RankScript {
             }
             Some(SimResp::Done(done)) => {
                 for c in done {
-                    self.live.remove(&self.waited[c.index]);
+                    self.live.remove(self.waited[c.index]);
                 }
             }
             _ => {}
@@ -292,7 +292,7 @@ impl RankScript {
                     self.waited.clear();
                     let mut live = Vec::with_capacity(reqs.len());
                     for ix in reqs {
-                        if let Some(&req) = self.live.get(&ix) {
+                        if let Some(&req) = self.live.get(ix) {
                             self.waited.push(ix);
                             live.push(req);
                         }

@@ -1,0 +1,124 @@
+//! What a replayed op costs in heap blocks, once the run is warm.
+//!
+//! The maestro's tables are dense (requests by post, messages and fabric
+//! tokens by slot, matching channels by rank) and keep their storage, so
+//! the blocks a replay allocates per op are the few its simcall vocabulary
+//! carries by value — a wait's request list, its completions, the trace op
+//! the cursor hands out and the one the flight ring keeps — plus the
+//! kernel's per-event completion `Vec`. This test pins that count on a ring
+//! exchange, so a table that starts allocating per op again shows up.
+//!
+//! Own test binary because it installs a counting global allocator (the
+//! library crates stay `forbid(unsafe_code)`).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use smpi::{TiOp, TiTrace, WaitMode, World};
+use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
+use surf_sim::TransferModel;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations made by this thread (the harness's own threads must not
+    /// leak into the count).
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller upholds; the only addition is a bump of a
+// const-initialised, destructor-free thread-local, which neither allocates
+// nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: see the impl comment.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: see the impl comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: see the impl comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const RANKS: u32 = 16;
+
+/// Blocks allocated per replayed op on the warm ring, at most.
+const BLOCKS_PER_OP: f64 = 1.75;
+
+/// `rounds` of a ring exchange: every rank receives from its left
+/// neighbour, sends to its right one and waits on both, 3 ops a round.
+fn ring(rounds: u32) -> TiTrace {
+    let ranks = (0..RANKS)
+        .map(|r| {
+            let (left, right) = ((r + RANKS - 1) % RANKS, (r + 1) % RANKS);
+            (0..rounds)
+                .flat_map(|i| {
+                    [
+                        TiOp::Recv {
+                            src: left as i32,
+                            cid: 0,
+                            tag: 0,
+                            max_bytes: 4096,
+                        },
+                        TiOp::Send {
+                            dst: right,
+                            cid: 0,
+                            tag: 0,
+                            bytes: 4096,
+                        },
+                        TiOp::Wait {
+                            reqs: vec![2 * i, 2 * i + 1],
+                            mode: WaitMode::All,
+                        },
+                    ]
+                })
+                .collect()
+        })
+        .collect();
+    TiTrace { ranks }
+}
+
+/// Blocks allocated by one replay of `trace` on `world`.
+fn blocks(world: &World, trace: &Arc<TiTrace>) -> usize {
+    let before = ALLOCS.with(Cell::get);
+    let report = smpi_replay::replay(world, Arc::clone(trace));
+    assert!(report.sim_time > 0.0);
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_warm_replayed_op_allocates_a_pinned_number_of_blocks() {
+    let rp = Arc::new(RoutedPlatform::new(flat_cluster(
+        "ring",
+        RANKS as usize,
+        &ClusterConfig::default(),
+    )));
+    let world = World::smpi(rp, TransferModel::default_affine());
+    let (short, long) = (Arc::new(ring(100)), Arc::new(ring(1100)));
+    // Warm: first-use set-up (interned region names, lazily built route
+    // caches) is paid here, not below.
+    blocks(&world, &short);
+    // Set-up costs the same for both lengths; the difference is the ops.
+    let per_op = (blocks(&world, &long) as f64 - blocks(&world, &short) as f64)
+        / (3.0 * 1000.0 * RANKS as f64);
+    println!("{per_op:.3} blocks per replayed op");
+    assert!(
+        per_op <= BLOCKS_PER_OP,
+        "{per_op:.3} blocks per replayed op, more than the pinned {BLOCKS_PER_OP}"
+    );
+}

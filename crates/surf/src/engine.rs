@@ -50,6 +50,7 @@
 mod classes;
 mod heap;
 
+use crate::hash::FastMap;
 use crate::ids::{ActionId, HostId, LinkId};
 use crate::lmm::Workspace;
 use crate::model::TransferModel;
@@ -58,7 +59,6 @@ use crate::time::SimTime;
 use classes::{ClassTable, UserKey, DETACHED};
 use heap::EventHeap;
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -345,10 +345,12 @@ pub struct Simulation {
     /// `rec` is enabled.
     link_keys: Vec<LinkKeys>,
     last_util: Vec<f64>,
+    /// Reused per-link utilization buffer of `record_reshare`.
+    util_buf: Vec<f64>,
     /// Attribution of completed transfers, keyed by `ActionId::raw()`,
     /// awaiting pickup via [`take_attribution`](Self::take_attribution).
     /// Only populated for transfers that carried an accumulator.
-    done_attr: HashMap<u64, FlowAttribution>,
+    done_attr: FastMap<u64, FlowAttribution>,
     /// Always-on solver introspection (plain counters + inline histograms;
     /// see `KernelProfile` for why this is not gated on `rec`).
     kstats: KernelProfile,
@@ -395,7 +397,8 @@ impl Simulation {
             rec: Rec::disabled(),
             link_keys: Vec::new(),
             last_util: Vec::new(),
-            done_attr: HashMap::new(),
+            util_buf: Vec::new(),
+            done_attr: FastMap::default(),
             kstats,
             ws: Workspace::default(),
             scratch: ReshareScratch::default(),
@@ -1056,7 +1059,7 @@ impl Simulation {
         if self.last_util.len() < self.links.len() {
             self.last_util.resize(self.links.len(), 0.0);
         }
-        let mut utils = Vec::new();
+        let mut utils = std::mem::take(&mut self.util_buf);
         self.link_utilizations(&mut utils);
         let now = self.now.as_secs();
         let last_util = &mut self.last_util;
@@ -1070,6 +1073,7 @@ impl Simulation {
                 }
             }
         });
+        self.util_buf = utils;
     }
 
     /// Integrates delivered bytes per link over the step `[now, now + dt]`,

@@ -12,8 +12,8 @@
 //! running executions) in birth order; links and hosts list the classes
 //! that constrain on them, never individual actions.
 
+use crate::hash::FastMap;
 use crate::ids::{HostId, LinkId};
-use std::collections::HashMap;
 use std::ops::{Index, IndexMut};
 
 /// Birth-ordered key of an action inside a class: the start sequence
@@ -99,7 +99,7 @@ pub(super) struct ClassTable {
     /// Key words → slot. A transfer class's key is its deduplicated route's
     /// link indices followed by the two halves of the bound's bit pattern
     /// (≥ 3 words); an execution class's is `[HOST_KEY, host]`.
-    by_key: HashMap<Box<[u32]>, u32>,
+    by_key: FastMap<Box<[u32]>, u32>,
     /// The key being looked up; reused across calls.
     key: Vec<u32>,
 }

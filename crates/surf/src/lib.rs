@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+pub mod hash;
 pub mod ids;
 pub mod lmm;
 pub mod model;

@@ -24,9 +24,9 @@
 //! problem as borrowed flat arrays (`Flat`: capacities, bounds, weights,
 //! multiplicities and the variable → constraint memberships in CSR form)
 //! and keeps every piece of per-solve state (the transposed constraint →
-//! variable lists, `rate` / `frozen` / `frozen_usage` / weight sums, the λ
-//! heap and the bound cursor) in a `Scratch` that is cleared, never freed.
-//! Two owners wrap it:
+//! variable lists, `rate` / `frozen` / `frozen_usage` / weight sums, each
+//! constraint's cached λ, the λ heap and the bound cursor) in a `Scratch`
+//! that is cleared, never freed. Two owners wrap it:
 //!
 //! * [`MaxMinProblem`] — the owned front door: build with `add_*`, call
 //!   [`solve`](MaxMinProblem::solve), get a `Vec` back. Each solve brings
@@ -38,24 +38,29 @@
 //!   nothing.
 //!
 //! Each round of the loop needs the constraint and the bounded variable
-//! with the smallest saturation level. The core finds them one of two ways,
-//! chosen by problem size (`SCAN_SOLVER_MAX_VARS`, measured in EXPERIMENTS
-//! "PR 21 on the ruler"):
+//! with the smallest saturation level. A constraint's λ depends only on its
+//! own usage and weight sum, so both production finders keep it cached in
+//! `cur_lam` and recompute it only for the constraints the round's freezes
+//! touched; the bounded variables sit pre-sorted behind a cursor that skips
+//! the frozen ones. They differ in how they take the minimum over `cur_lam`,
+//! chosen by problem size (`SCAN_SOLVER_MAX_VARS`, set from the table
+//! `scan_vs_heap_cutoff_table` prints; EXPERIMENTS records it):
 //!
-//! * **scan** — a linear pass over constraints and unfrozen bounded
-//!   variables, `O(rounds · (V + C))`. It is also the executable
-//!   specification: [`solve_reference`](MaxMinProblem::solve_reference)
-//!   forces it at any size and `tests/lmm_props.rs` pins everything else
-//!   against it bitwise.
-//! * **heap/cursor** — constraints in a lazily-invalidated min-heap of
-//!   `(λ bits, constraint)`, bounded variables pre-sorted behind a cursor:
-//!   `O((V + C) log + Σ degree log C)`, the difference between
-//!   milliseconds and minutes when an allreduce round couples 16k flows
-//!   into one component.
+//! * **scan** — a linear min over the cached λ bit patterns, `O(rounds · C)`
+//!   compares and no division outside the touched constraints.
+//! * **heap** — the cached λs also feed a lazily-invalidated min-heap of
+//!   `(λ bits, constraint)`: `O((V + C) log + Σ degree log C)`, the
+//!   difference between milliseconds and minutes when an allreduce round
+//!   couples 16k flows into one component.
 //!
 //! Both reproduce the same selection (smallest λ, ties to the lowest index,
 //! constraints before bounds) and share the freeze step, so the freeze
-//! sequence — and therefore every rate — is bitwise-identical.
+//! sequence — and therefore every rate — is bitwise-identical. The oracle
+//! they are pinned against is the original from-scratch scan, which divides
+//! every live constraint and every unfrozen bounded variable every round:
+//! [`solve_reference`](MaxMinProblem::solve_reference) runs it, nothing
+//! else does, and `tests/lmm_props.rs` forces each production finder at any
+//! size and compares it with the oracle bitwise.
 //!
 //! # Folded classes
 //!
@@ -92,17 +97,21 @@ pub struct VarId(usize);
 /// "No constraint" in the solver's `u32` bottleneck array.
 const NO_CNST: u32 = u32::MAX;
 
-/// Variable-count cutoff up to which a solve scans for each round's argmin
-/// instead of keeping the λ heap and bound cursor. The two follow the
+/// Variable-count cutoff up to which a solve scans the cached λs for each
+/// round's argmin instead of keeping them in a heap. The two follow the
 /// identical freeze schedule bitwise (`tests/lmm_props.rs` pins them), so
 /// the cutoff is purely a performance constant; see the module docs for
 /// where it was measured.
-const SCAN_SOLVER_MAX_VARS: usize = 176;
+const SCAN_SOLVER_MAX_VARS: usize = 512;
 
 /// How a round finds the smallest saturation level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Argmin {
+    /// The oracle: recompute every λ from scratch each round.
+    Reference,
+    /// Linear min over the cached λs.
     Scan,
+    /// Lazily-invalidated heap over the cached λs.
     Heap,
 }
 
@@ -197,14 +206,16 @@ struct Scratch {
     /// Per variable, the constraint that froze it (`NO_CNST`: its own
     /// bound). Filled only when a solve asks for bottlenecks.
     bottleneck: Vec<u32>,
-    /// Heap path: each live constraint's current λ bit pattern (`DEAD` once
-    /// its weight sum hit 0), the lazily-invalidated min-heap over them,
-    /// the bounded variables sorted by `(bound / weight).to_bits()`, and
-    /// the constraints whose λ inputs changed in the current round.
+    /// Production finders: each constraint's current λ bit pattern (`DEAD`
+    /// once its weight sum hit 0), the bounded variables sorted by
+    /// `(bound / weight).to_bits()`, and the constraints whose λ inputs
+    /// changed in the current round, each listed once (`stale` marks them).
     cur_lam: Vec<u64>,
-    lam_heap: BinaryHeap<Reverse<(u64, u32)>>,
     border: Vec<(u64, u32)>,
     touched: Vec<u32>,
+    stale: Vec<bool>,
+    /// Heap finder: the lazily-invalidated min-heap over `cur_lam`.
+    lam_heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 /// Sentinel for "constraint left the λ search" (weight sum hit 0); larger
@@ -274,17 +285,23 @@ impl Scratch {
         (p.capacities[c] - self.frozen_usage[c]).max(0.0) / self.wsum[c]
     }
 
-    /// Heap-path set-up: key every live constraint and sort the bounded
-    /// variables.
-    fn init_heap(&mut self, p: &Flat) {
+    /// Production set-up: cache every live constraint's λ (and key it in
+    /// the heap when `heap`), sort the bounded variables.
+    fn init_cache(&mut self, p: &Flat, heap: bool) {
+        let nc = p.capacities.len();
         self.cur_lam.clear();
-        self.cur_lam.resize(p.capacities.len(), DEAD);
+        self.cur_lam.resize(nc, DEAD);
+        self.stale.clear();
+        self.stale.resize(nc, false);
+        self.touched.clear();
         self.lam_heap.clear();
-        for c in 0..p.capacities.len() {
+        for c in 0..nc {
             if self.wsum[c] > 0.0 {
                 let bits = self.lam_of(p, c).to_bits();
                 self.cur_lam[c] = bits;
-                self.lam_heap.push(Reverse((bits, c as u32)));
+                if heap {
+                    self.lam_heap.push(Reverse((bits, c as u32)));
+                }
             }
         }
         self.border.clear();
@@ -296,9 +313,11 @@ impl Scratch {
         self.border.sort_unstable();
     }
 
-    /// Smallest saturation level by linear scan: constraints first, a
-    /// bound wins only with strictly smaller λ, ties to the lowest index.
-    fn scan_argmin(&self, p: &Flat) -> (f64, Pick) {
+    /// The oracle's selection, recomputed from scratch: every live
+    /// constraint's λ and every unfrozen bounded variable's, constraints
+    /// first, a bound wins only with strictly smaller λ, ties to the lowest
+    /// index.
+    fn reference_argmin(&self, p: &Flat) -> (f64, Pick) {
         let mut best = f64::INFINITY;
         let mut pick = Pick::Nothing;
         for c in 0..p.capacities.len() {
@@ -322,11 +341,24 @@ impl Scratch {
         (best, pick)
     }
 
-    /// The same selection from the λ heap and the bound cursor.
-    /// Non-negative IEEE doubles order like their bit patterns and λ is
-    /// never NaN here, so comparing bits compares levels; a heap entry is
-    /// trusted only if it matches the constraint's current λ, and the
-    /// cursor skips variables a constraint froze meanwhile.
+    /// The same selection by a linear min over the cached λs. Non-negative
+    /// IEEE doubles order like their bit patterns and λ is never NaN here,
+    /// so comparing bits compares levels; `DEAD` never wins, and neither
+    /// does an infinite λ (the oracle's strict `<` against `INFINITY`).
+    fn scan_argmin(&mut self, bcur: &mut usize) -> (f64, Pick) {
+        let mut best = f64::INFINITY.to_bits();
+        let mut cbest = None;
+        for (c, &bits) in self.cur_lam.iter().enumerate() {
+            if bits < best {
+                best = bits;
+                cbest = Some(c);
+            }
+        }
+        self.pick(cbest.map(|c| (best, c)), bcur)
+    }
+
+    /// The same selection from the λ heap: an entry is trusted only if it
+    /// matches the constraint's current λ.
     fn heap_argmin(&mut self, bcur: &mut usize) -> (f64, Pick) {
         let cbest = loop {
             match self.lam_heap.peek() {
@@ -339,6 +371,12 @@ impl Scratch {
                 }
             }
         };
+        self.pick(cbest, bcur)
+    }
+
+    /// Settles the constraint candidate `cbest` against the bound cursor,
+    /// which first skips the variables a constraint froze meanwhile.
+    fn pick(&self, cbest: Option<(u64, usize)>, bcur: &mut usize) -> (f64, Pick) {
         while *bcur < self.border.len() && self.frozen[self.border[*bcur].1 as usize] {
             *bcur += 1;
         }
@@ -378,30 +416,34 @@ impl Scratch {
                     self.wsum[c] = 0.0;
                 }
             }
-            if note_touched {
+            if note_touched && !self.stale[c] {
+                self.stale[c] = true;
                 self.touched.push(c as u32);
             }
         }
     }
 
-    /// Re-keys the constraints the round touched. λ depends only on the
+    /// Recomputes the cached λ of the constraints the round touched (and
+    /// re-keys them in the heap when `heap`). λ depends only on the
     /// constraint's own usage and weight sum, so the values computed here
-    /// are the ones a scan would recompute next round.
-    fn rekey_touched(&mut self, p: &Flat) {
-        self.touched.sort_unstable();
-        self.touched.dedup();
+    /// are the ones the oracle would recompute next round.
+    fn rekey_touched(&mut self, p: &Flat, heap: bool) {
         for i in 0..self.touched.len() {
             let c = self.touched[i] as usize;
-            if self.wsum[c] > 0.0 {
-                let bits = self.lam_of(p, c).to_bits();
-                if self.cur_lam[c] != bits {
-                    self.cur_lam[c] = bits;
+            self.stale[c] = false;
+            let bits = if self.wsum[c] > 0.0 {
+                self.lam_of(p, c).to_bits()
+            } else {
+                DEAD
+            };
+            if self.cur_lam[c] != bits {
+                self.cur_lam[c] = bits;
+                if heap && bits != DEAD {
                     self.lam_heap.push(Reverse((bits, c as u32)));
                 }
-            } else {
-                self.cur_lam[c] = DEAD;
             }
         }
+        self.touched.clear();
     }
 }
 
@@ -419,18 +461,19 @@ enum Pick {
 /// round's minimum is *found*, never which one it is.
 fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
     s.reset(p, bottlenecks);
+    let cached = argmin != Argmin::Reference;
     let heap = argmin == Argmin::Heap;
     let mut bcur = 0usize;
-    if heap {
-        s.init_heap(p);
+    if cached {
+        s.init_cache(p, heap);
     }
     let mut level = 0.0_f64;
     let mut remaining = p.bounds.len();
     while remaining > 0 {
-        let (best, pick) = if heap {
-            s.heap_argmin(&mut bcur)
-        } else {
-            s.scan_argmin(p)
+        let (best, pick) = match argmin {
+            Argmin::Reference => s.reference_argmin(p),
+            Argmin::Scan => s.scan_argmin(&mut bcur),
+            Argmin::Heap => s.heap_argmin(&mut bcur),
         };
         if best.is_infinite() {
             // Only unbounded variables on capacity-free constraints remain
@@ -444,10 +487,9 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
             break;
         }
         level = level.max(best);
-        s.touched.clear();
         match pick {
             Pick::Var(v) => {
-                s.freeze(p, v, p.bounds[v], heap);
+                s.freeze(p, v, p.bounds[v], cached);
                 remaining -= 1;
             }
             Pick::Cnst(c) => {
@@ -470,14 +512,14 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
                             c as u32
                         };
                     }
-                    s.freeze(p, v, share.min(p.bounds[v]), heap);
+                    s.freeze(p, v, share.min(p.bounds[v]), cached);
                     remaining -= 1;
                 }
             }
             Pick::Nothing => unreachable!("a finite level always has a pick"),
         }
-        if heap {
-            s.rekey_touched(p);
+        if cached {
+            s.rekey_touched(p, heap);
         }
     }
 }
@@ -594,8 +636,8 @@ impl MaxMinProblem {
         self.solve_by(Argmin::for_size(self.num_variables()))
     }
 
-    /// The heap/cursor argmin unconditionally, bypassing the size dispatch
-    /// of [`solve`](Self::solve). Exists so the differential property tests
+    /// The heap finder unconditionally, bypassing the size dispatch of
+    /// [`solve`](Self::solve). Exists so the differential property tests
     /// can pin it against [`solve_reference`](Self::solve_reference) on
     /// problems of any size.
     #[doc(hidden)]
@@ -603,13 +645,19 @@ impl MaxMinProblem {
         self.solve_by(Argmin::Heap)
     }
 
-    /// The linear-scan argmin unconditionally: the original
-    /// O(rounds · (V + C)) progressive filling, kept as the executable
-    /// specification of the freeze schedule. `solve` must match it bitwise
-    /// on any input (`tests/lmm_props.rs`).
+    /// The cached-λ scan finder unconditionally; the counterpart of
+    /// [`solve_heap`](Self::solve_heap).
+    #[doc(hidden)]
+    pub fn solve_scan(&self) -> Vec<f64> {
+        self.solve_by(Argmin::Scan)
+    }
+
+    /// The oracle: the original O(rounds · (V + C)) progressive filling,
+    /// recomputing every λ every round. Only tests call it; `solve` must
+    /// match it bitwise on any input (`tests/lmm_props.rs`).
     #[doc(hidden)]
     pub fn solve_reference(&self) -> Vec<f64> {
-        self.solve_by(Argmin::Scan)
+        self.solve_by(Argmin::Reference)
     }
 
     /// Solves like [`solve`](Self::solve) and additionally reports, per
@@ -859,11 +907,15 @@ mod tests {
         assert_eq!(bn[b.0], Some(l));
     }
 
-    /// The measurement behind `SCAN_SOLVER_MAX_VARS`: both argmins on the
-    /// benchmark probe's problem shape (every variable crosses four of
-    /// `vars / 4` constraints, all bounded), in one reused scratch — the
-    /// way the engine's workspace runs them. Prints the table EXPERIMENTS
-    /// "PR 21 on the ruler" records:
+    /// The measurement behind `SCAN_SOLVER_MAX_VARS`: every finder on two
+    /// problem shapes, in one reused scratch — the way the engine's
+    /// workspace runs them. `probe` is the benchmark probe's (every
+    /// variable crosses four of `vars / 4` constraints, random bounds);
+    /// `route` is a coupled collective round as the engine writes it (one
+    /// variable per flow over its two private links and the uplinks of its
+    /// two groups of a 32-host-per-uplink tree, one shared bound), which
+    /// has four times the probe's constraints per variable. Prints the
+    /// table EXPERIMENTS records (`ref_us` is the oracle, for scale):
     /// `cargo test --release -p surf-sim --lib cutoff -- --ignored --nocapture`.
     #[test]
     #[ignore = "a measurement, not a check"]
@@ -876,36 +928,59 @@ mod tests {
             ((x >> 33) as usize) % n
         };
         println!(
-            "{:>6} {:>12} {:>12} {:>7}",
-            "vars", "scan_us", "heap_us", "ratio"
+            "{:>6} {:>6} {:>12} {:>12} {:>12} {:>7}",
+            "shape", "vars", "ref_us", "scan_us", "heap_us", "ratio"
         );
-        for vars in [8usize, 32, 64, 128, 256, 512, 1024, 4096] {
-            let mut p = MaxMinProblem::new();
-            let cnsts: Vec<_> = (0..(vars / 4).max(1))
-                .map(|_| p.add_constraint(1e8 + below(1_000_000_000) as f64))
-                .collect();
-            for _ in 0..vars {
-                let crossed: Vec<_> = (0..4).map(|_| cnsts[below(cnsts.len())]).collect();
-                p.add_variable(1e6 + below(100_000_000) as f64, &crossed);
+        for shape in ["probe", "route"] {
+            for vars in [64usize, 128, 256, 512, 1024, 2048, 4096] {
+                let mut p = MaxMinProblem::new();
+                if shape == "probe" {
+                    let cnsts: Vec<_> = (0..(vars / 4).max(1))
+                        .map(|_| p.add_constraint(1e8 + below(1_000_000_000) as f64))
+                        .collect();
+                    for _ in 0..vars {
+                        let crossed: Vec<_> = (0..4).map(|_| cnsts[below(cnsts.len())]).collect();
+                        p.add_variable(1e6 + below(100_000_000) as f64, &crossed);
+                    }
+                } else {
+                    let private: Vec<_> = (0..vars).map(|_| p.add_constraint(1.25e8)).collect();
+                    let uplinks: Vec<_> = (0..vars.div_ceil(32))
+                        .map(|_| p.add_constraint(1.25e9))
+                        .collect();
+                    for src in 0..vars {
+                        let dst = (src + vars / 2 + 16) % vars;
+                        let route = [
+                            private[src],
+                            uplinks[src / 32],
+                            uplinks[dst / 32],
+                            private[dst],
+                        ];
+                        p.add_variable(1.1e8, &route);
+                    }
+                }
+                let mut s = Scratch::default();
+                let mut time = |argmin: Argmin| {
+                    let reps = (200_000 / vars).max(20);
+                    let mut samples: Vec<f64> = (0..9)
+                        .map(|_| {
+                            let t = std::time::Instant::now();
+                            for _ in 0..reps {
+                                solve_core(std::hint::black_box(&p.flat), &mut s, argmin, false);
+                                std::hint::black_box(&s.rate);
+                            }
+                            t.elapsed().as_secs_f64() * 1e6 / reps as f64
+                        })
+                        .collect();
+                    samples.sort_by(f64::total_cmp);
+                    samples[samples.len() / 2]
+                };
+                let reference = time(Argmin::Reference);
+                let (scan, heap) = (time(Argmin::Scan), time(Argmin::Heap));
+                println!(
+                    "{shape:>6} {vars:>6} {reference:>12.2} {scan:>12.2} {heap:>12.2} {:>7.2}",
+                    scan / heap
+                );
             }
-            let mut s = Scratch::default();
-            let mut time = |argmin: Argmin| {
-                let reps = (200_000 / vars).max(20);
-                let mut samples: Vec<f64> = (0..9)
-                    .map(|_| {
-                        let t = std::time::Instant::now();
-                        for _ in 0..reps {
-                            solve_core(std::hint::black_box(&p.flat), &mut s, argmin, false);
-                            std::hint::black_box(&s.rate);
-                        }
-                        t.elapsed().as_secs_f64() * 1e6 / reps as f64
-                    })
-                    .collect();
-                samples.sort_by(f64::total_cmp);
-                samples[samples.len() / 2]
-            };
-            let (scan, heap) = (time(Argmin::Scan), time(Argmin::Heap));
-            println!("{vars:>6} {scan:>12.2} {heap:>12.2} {:>7.2}", scan / heap);
         }
     }
 

@@ -7,9 +7,14 @@
 //!    saturated constraint (otherwise the allocation would not be max-min).
 //! 4. Non-negativity of all rates.
 //!
-//! Plus two *bitwise* differential pins (see the `lmm` module docs): the
-//! heap/cursor production solver against the quadratic progressive-filling
-//! reference, and folded class variables against their expanded members
+//! Plus *bitwise* differential pins (see the `lmm` module docs): each
+//! production argmin finder — the cached-λ scan and the heap — forced at
+//! every problem size against the from-scratch oracle
+//! ([`MaxMinProblem::solve_reference`]), on random problems and on
+//! generators aimed at the corners where a cache could drift (equal-λ ties
+//! between constraints and bounds, zero-capacity constraints, weights small
+//! enough to trip the relative snap-to-zero, folded classes with finite
+//! bounds); and folded class variables against their expanded members
 //! under the uniform-round precondition. Bitwise is deliberate — the
 //! engine's incremental reshare, the class-folding fast path and the e2e
 //! goldens all rely on the solver being a pure function of the problem, not
@@ -17,6 +22,116 @@
 
 use proptest::prelude::*;
 use surf_sim::{CnstId, MaxMinProblem};
+
+/// How a generated variable is added.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// `add_variable`: weight 1.
+    Unit,
+    /// `add_weighted_variable` with this weight.
+    Weighted(f64),
+    /// `add_variable_class` with this many members.
+    Class(u32),
+}
+
+/// A problem from [`corner_problem`].
+#[derive(Debug, Clone)]
+struct CornerProblem {
+    capacities: Vec<f64>,
+    vars: Vec<(f64, Kind, Vec<usize>)>,
+}
+
+impl CornerProblem {
+    fn build(&self) -> MaxMinProblem {
+        let mut p = MaxMinProblem::new();
+        let cs: Vec<CnstId> = self
+            .capacities
+            .iter()
+            .map(|&c| p.add_constraint(c))
+            .collect();
+        for (bound, kind, members) in &self.vars {
+            let crossed: Vec<CnstId> = members.iter().map(|&i| cs[i]).collect();
+            match *kind {
+                Kind::Unit => p.add_variable(*bound, &crossed),
+                Kind::Weighted(w) => p.add_weighted_variable(*bound, w, &crossed),
+                Kind::Class(m) => p.add_variable_class(*bound, m, &crossed),
+            };
+        }
+        p
+    }
+}
+
+/// Problems of 1 to 400 variables (either side of the scan/heap cutoff)
+/// drawn from small value sets, so they hit the corners: capacities of 0
+/// and round values whose fair shares equal the round bounds (a constraint
+/// and a bound saturating at the same λ), weights of 1e-13 beside unit
+/// weights (freezing the unit users leaves subtraction dust the relative
+/// snap must zero) or all around 1e-15 (where it must not), and folded
+/// classes with finite bounds.
+fn corner_problem() -> impl Strategy<Value = CornerProblem> {
+    (1usize..16, 1usize..400)
+        .prop_flat_map(|(nc, nv)| {
+            let cap = (0u8..7, 1.0f64..1e6).prop_map(|(k, any)| match k {
+                0 => 0.0,
+                1 => 60.0,
+                2 => 100.0,
+                3 => 120.0,
+                4 => 300.0,
+                _ => any,
+            });
+            let bound = (0u8..10, 0.1f64..1e3).prop_map(|(k, any)| match k {
+                0 | 1 => f64::INFINITY,
+                2 => 10.0,
+                3 => 20.0,
+                4 => 25.0,
+                5 => 30.0,
+                6 => 50.0,
+                7 => 60.0,
+                8 => 100.0,
+                _ => any,
+            });
+            let kind = (0u8..12, 2u32..5).prop_map(|(k, members)| match k {
+                5 => Kind::Weighted(1e-13),
+                6 => Kind::Weighted(1e-15),
+                7 => Kind::Weighted(3e-15),
+                8 => Kind::Weighted(0.5),
+                9 => Kind::Weighted(2.0),
+                10 | 11 => Kind::Class(members),
+                _ => Kind::Unit,
+            });
+            let var = (bound, kind, proptest::collection::vec(0..nc, 1..=nc.min(4)));
+            (
+                proptest::collection::vec(cap, nc),
+                proptest::collection::vec(var, nv),
+            )
+        })
+        .prop_map(|(capacities, vars)| CornerProblem { capacities, vars })
+}
+
+/// Asserts that the cached scan, the heap and the size-dispatched `solve`
+/// each reproduce the oracle's rates bit for bit.
+fn assert_finders_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
+    let oracle = p.solve_reference();
+    for (name, rates) in [
+        ("scan", p.solve_scan()),
+        ("heap", p.solve_heap()),
+        ("solve", p.solve()),
+        ("bottlenecks", p.solve_with_bottlenecks().0),
+    ] {
+        prop_assert_eq!(rates.len(), oracle.len());
+        for (v, (r, o)) in rates.iter().zip(&oracle).enumerate() {
+            prop_assert!(
+                r.to_bits() == o.to_bits(),
+                "{} diverged at var {}: {:e} vs oracle {:e}",
+                name,
+                v,
+                r,
+                o
+            );
+        }
+    }
+    Ok(())
+}
 
 const EPS: f64 = 1e-6;
 
@@ -151,27 +266,16 @@ proptest! {
             };
             p.add_weighted_variable(bound, w8 as f64 * 0.5, &subset(&cs, mask, i));
         }
-        // `solve_heap` bypasses the size dispatch: these instances are small
-        // enough that `solve` would route them to the scan loop, and the
-        // point here is pinning the heap path itself.
-        let fast = p.solve_heap();
-        let reference = p.solve_reference();
-        prop_assert_eq!(fast.len(), reference.len());
-        for (v, (f, r)) in fast.iter().zip(reference.iter()).enumerate() {
-            prop_assert!(
-                f.to_bits() == r.to_bits(),
-                "var {} diverged: fast {:e} vs reference {:e}", v, f, r
-            );
-        }
-        // The public entry point must agree with both, whichever side of the
-        // size dispatch it lands on.
-        let dispatched = p.solve();
-        for (v, (d, r)) in dispatched.iter().zip(reference.iter()).enumerate() {
-            prop_assert!(
-                d.to_bits() == r.to_bits(),
-                "var {} diverged through dispatch: {:e} vs {:e}", v, d, r
-            );
-        }
+        // `solve_scan` / `solve_heap` bypass the size dispatch, so each
+        // production finder is pinned on these small instances itself.
+        assert_finders_match_oracle(&p)?;
+    }
+
+    /// The same pin on the corner generator, at every size from one
+    /// variable to well past the scan/heap cutoff.
+    #[test]
+    fn finders_match_the_oracle_on_corner_problems(cp in corner_problem()) {
+        assert_finders_match_oracle(&cp.build())?;
     }
 
     /// Folding interchangeable members into one class variable is exact
@@ -214,17 +318,54 @@ proptest! {
                 member, class, re[member], rf[class]
             );
         }
-        // The folded problem is also an ordinary problem: both solver paths
-        // must still track the reference on it.
-        let rr = folded.solve_reference();
-        let rh = folded.solve_heap();
-        for (c, ((f, r), h)) in rf.iter().zip(rr.iter()).zip(rh.iter()).enumerate() {
-            prop_assert!(
-                f.to_bits() == r.to_bits() && h.to_bits() == r.to_bits(),
-                "class {} diverged from reference: {:e} / {:e} vs {:e}", c, f, h, r
-            );
-        }
+        // The folded problem is also an ordinary problem: every finder
+        // must still track the oracle on it.
+        assert_finders_match_oracle(&folded)?;
     }
+}
+
+/// One hand-built instance per corner the generator aims at, so each is
+/// exercised on every run whatever the random draws: the expected rates
+/// are the oracle's, and every finder must reproduce them bitwise.
+#[test]
+fn each_corner_is_covered() {
+    let check = |p: &MaxMinProblem, want: &[f64]| {
+        let oracle = p.solve_reference();
+        assert_eq!(oracle, want, "oracle");
+        assert_finders_match_oracle(p).unwrap();
+    };
+
+    // Equal λ: two unit flows share a 100-capacity link (λ = 50) and one of
+    // them is bounded at exactly 50. The constraint wins the tie.
+    let mut p = MaxMinProblem::new();
+    let l = p.add_constraint(100.0);
+    p.add_variable(50.0, &[l]);
+    p.add_variable(f64::INFINITY, &[l]);
+    check(&p, &[50.0, 50.0]);
+
+    // Zero capacity: the link saturates at λ = 0 before anything else.
+    let mut p = MaxMinProblem::new();
+    let (z, l) = (p.add_constraint(0.0), p.add_constraint(100.0));
+    p.add_variable(10.0, &[z, l]);
+    p.add_variable(f64::INFINITY, &[l]);
+    check(&p, &[0.0, 100.0]);
+
+    // Snap: freezing the unit-weight user leaves 1e-13 of weight (plus
+    // dust) on the link, under 1e-12 of its initial sum, so it leaves the
+    // λ search; the tiny user keeps its own bound.
+    let mut p = MaxMinProblem::new();
+    let (a, b) = (p.add_constraint(100.0), p.add_constraint(40.0));
+    p.add_variable(f64::INFINITY, &[a, b]);
+    p.add_weighted_variable(7.0, 1e-13, &[a]);
+    check(&p, &[40.0, 7.0]);
+
+    // Folded classes with a finite bound: three members capped at 25 on a
+    // 300-capacity link, two more sharing what is left.
+    let mut p = MaxMinProblem::new();
+    let l = p.add_constraint(300.0);
+    p.add_variable_class(25.0, 3, &[l]);
+    p.add_variable_class(f64::INFINITY, 2, &[l]);
+    check(&p, &[25.0, 112.5]);
 }
 
 /// Picks a non-empty constraint subset from `mask` (falling back to one
