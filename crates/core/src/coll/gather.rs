@@ -10,11 +10,16 @@ use std::ops::Range;
 use super::{tree, TAG_ALLGATHER, TAG_GATHER, TAG_SCATTER};
 use crate::comm::Comm;
 use crate::ctx::Ctx;
-use crate::datatype::Datatype;
+use crate::datatype::{Datatype, Payload};
 
 impl Ctx<'_> {
     /// `MPI_Scatter` (binomial tree): `send` on the root holds `p * chunk`
     /// elements ordered by destination rank; every rank gets its `chunk`.
+    ///
+    /// One body carries the data down the tree: the root packs everything
+    /// but its own chunk once, and every rank forwards each child a slice of
+    /// the body it holds ([`Payload::slice`], no copy). A rank copies out
+    /// only its own chunk.
     pub fn scatter<T: Datatype>(
         &self,
         send: Option<&[T]>,
@@ -27,56 +32,48 @@ impl Ctx<'_> {
         let r = self.comm_rank(comm);
         let v = (r + p - root) % p;
 
-        // Working buffer holds this node's whole subtree in *relative* rank
-        // order.
-        let mut block: Vec<T>;
-        if r == root {
+        // `body` holds the chunks of relative ranks `first..v + span`, in
+        // relative rank order.
+        let (body, first, own) = if r == root {
             let data = send.expect("root must supply the scatter buffer");
             assert_eq!(data.len(), p * chunk, "scatter buffer size mismatch");
-            if root == 0 {
-                // Rotation is the identity: send slices of `data` directly
-                // (avoids duplicating a potentially huge root buffer).
-                for c in tree::children(0, p) {
-                    let child_span = tree::subtree_span(c, p);
-                    self.send(
-                        &data[c * chunk..(c + child_span) * chunk],
-                        c,
-                        TAG_SCATTER,
-                        comm,
-                    );
+            let own = data[root * chunk..(root + 1) * chunk].to_vec();
+            let body = if root == 0 {
+                // Rotation is the identity: pack the peers' chunks as they lie.
+                Payload::pack(&data[chunk..])
+            } else {
+                // Rotate into relative order, then adopt the rotated copy.
+                let mut rotated = Vec::with_capacity((p - 1) * chunk);
+                for rel in 1..p {
+                    let abs = (root + rel) % p;
+                    rotated.extend_from_slice(&data[abs * chunk..(abs + 1) * chunk]);
                 }
-                return data[..chunk].to_vec();
-            }
-            // Rotate into relative order so block[v*chunk..] belongs to
-            // relative rank v.
-            block = Vec::with_capacity(p * chunk);
-            for rel in 0..p {
-                let abs = (root + rel) % p;
-                block.extend_from_slice(&data[abs * chunk..(abs + 1) * chunk]);
-            }
+                Payload::from_vec(rotated)
+            };
+            (body, 1, Some(own))
         } else {
             let span = tree::subtree_span(v, p);
-            block = vec![T::default(); span * chunk];
             let parent = (tree::parent(v) + root) % p;
-            let status = self.recv(&mut block, parent as i32, TAG_SCATTER, comm);
-            debug_assert_eq!(status.count::<T>(), block.len());
-        }
+            let req = self.irecv::<T>(parent as i32, TAG_SCATTER, span * chunk, comm);
+            let (body, status) = self.wait_recv_packed(req, comm);
+            debug_assert_eq!(status.count::<T>(), span * chunk);
+            (body, v, None)
+        };
 
         // Forward each child its subtree slice (largest subtree first, as
         // the root does in the paper's Fig. 6 description).
         for c in tree::children(v, p) {
             let child_span = tree::subtree_span(c, p);
-            let off = (c - v) * chunk;
+            let off = (c - first) * chunk;
             let child = (c + root) % p;
-            self.send(
-                &block[off..off + child_span * chunk],
+            self.send_packed(
+                &body.slice(off..off + child_span * chunk),
                 child,
                 TAG_SCATTER,
                 comm,
             );
         }
-        block.truncate(chunk);
-        block
+        own.unwrap_or_else(|| body.slice(..chunk).to_vec())
     }
 
     /// `MPI_Gather` (binomial tree, the reverse of [`Ctx::scatter`]): every rank
@@ -139,16 +136,18 @@ impl Ctx<'_> {
             assert_eq!(counts.len(), p);
             assert_eq!(data.len(), counts.iter().sum::<usize>());
             assert_eq!(my_count, counts[root]);
+            // One body for every peer; each gets a slice of it.
+            let body = Payload::pack(data);
             let mut offset = 0usize;
             let mut own = Vec::new();
             let mut pending = Vec::new();
             for (i, &c) in counts.iter().enumerate() {
-                let piece = &data[offset..offset + c];
+                let piece = offset..offset + c;
                 offset += c;
                 if i == r {
-                    own = piece.to_vec();
+                    own = data[piece].to_vec();
                 } else {
-                    pending.push(self.isend(piece, i, TAG_SCATTER, comm));
+                    pending.push(self.isend_packed(&body.slice(piece), i, TAG_SCATTER, comm));
                 }
             }
             self.wait_all_sends(pending);

@@ -15,10 +15,12 @@
 //! `Vec<T>`. The typed calls are pack / unpack around three calls that take
 //! and return the body itself — [`isend_packed`](Ctx::isend_packed),
 //! [`send_packed`](Ctx::send_packed), [`wait_recv_packed`](Ctx::wait_recv_packed) —
-//! which an application uses directly to send one body to many peers, or
-//! to pack out of a [`crate::SharedSlice`] and drop its guard *before* the
-//! call: ranks share one thread, so a guard held across an MPI call stays
-//! held while every other rank runs.
+//! which an application uses directly to send one body to many peers, to
+//! forward parts of a body it received ([`Payload::slice`]), or to send a
+//! [`crate::SharedSlice`] without copying it
+//! ([`share`](crate::SharedSlice::share), copy-on-write). No guard of the
+//! buffer is alive across the call: ranks share one thread, so a guard held
+//! across an MPI call stays held while every other rank runs.
 //!
 //! Calls split into two tiers. **Maestro simcalls** (sends, receives,
 //! waits, compute, sleep) describe simulated work, so they switch to the

@@ -4,17 +4,23 @@
 //! the ten plain-old-data element types that play the role of the
 //! predefined MPI datatypes (`MPI_INT`, `MPI_DOUBLE`, …).
 //!
-//! A message body is a [`Payload`]: the sender's elements copied once, by
-//! one `memcpy`, into an immutable reference-counted block that keeps its
-//! element type. The maestro moves the handle, never the bytes; sending one
-//! body to many peers (a broadcast, a restarted persistent send) bumps a
-//! count. The receiver copies the elements out once — into its own buffer
-//! ([`Payload::unpack_into`], no allocation) or into a fresh vector
+//! A message body is a [`Payload`]: a view — an element range — of an
+//! immutable reference-counted block that keeps its element type. The block
+//! is either the sender's elements copied once, by one `memcpy`
+//! ([`Payload::pack`]), or a rank's own buffer, shared without a copy
+//! ([`crate::SharedSlice::share`]; the buffer copies itself on its next
+//! write if the body is still alive, so a body is always a snapshot). The
+//! maestro moves the handle, never the bytes; sending one body to many
+//! peers (a broadcast, a restarted persistent send) bumps a count, and
+//! [`Payload::slice`] forwards part of a body (a scatter's subtree) in
+//! O(1). The receiver copies the viewed elements out once — into its own
+//! buffer ([`Payload::unpack_into`], no allocation) or into a fresh vector
 //! ([`Payload::to_vec`], one allocation). Only a receive that names a
 //! *different* element type than the send (an `MPI_BYTE` view of doubles)
-//! goes through bytes: the elements' little-endian representation,
+//! goes through bytes: the viewed elements' little-endian representation,
 //! re-encoded one at a time. All of it is safe code.
 
+use std::ops::{Bound, Range, RangeBounds};
 use std::sync::Arc;
 
 /// A plain-old-data element type usable in MPI messages.
@@ -33,27 +39,32 @@ pub trait Datatype: Copy + Default + Send + Sync + 'static {
     /// Deserializes one element from `input` (exactly `SIZE` bytes).
     fn from_bytes(input: &[u8]) -> Self;
 
-    /// Wraps a block of elements as a message body.
+    /// Wraps `block[view]` as a message body.
     #[doc(hidden)]
-    fn wrap(body: Arc<[Self]>) -> Payload;
-    /// The elements of a body packed from this type; `None` for a body of
+    fn wrap(block: Arc<Vec<Self>>, view: Range<usize>) -> Payload;
+    /// The viewed elements of a body of this type; `None` for a body of
     /// another type.
     #[doc(hidden)]
     fn peek(body: &Payload) -> Option<&[Self]>;
 }
 
-/// An immutable, reference-counted message body: what [`Payload::pack`]
-/// copied out of the sender's buffer. Cloning shares the block. A zero-byte
-/// body owns no allocation.
-#[derive(Clone, PartialEq)]
-pub struct Payload(Body);
+/// An immutable, reference-counted message body: a range of elements of a
+/// shared block. Cloning and [`slice`](Self::slice) share the block; length,
+/// unpacking and equality read only the viewed elements. A zero-byte body
+/// owns no block.
+#[derive(Clone)]
+pub struct Payload {
+    block: Block,
+    /// The viewed elements of `block`, in elements of its type.
+    view: Range<usize>,
+}
 
 macro_rules! datatypes {
     ($($t:ty => $variant:ident, $name:expr;)*) => {
-        #[derive(Clone, PartialEq)]
-        enum Body {
+        #[derive(Clone)]
+        enum Block {
             Empty,
-            $($variant(Arc<[$t]>),)*
+            $($variant(Arc<Vec<$t>>),)*
         }
 
         $(impl Datatype for $t {
@@ -68,14 +79,18 @@ macro_rules! datatypes {
                 <$t>::from_le_bytes(input.try_into().expect("element size"))
             }
 
-            fn wrap(body: Arc<[Self]>) -> Payload {
-                Payload(Body::$variant(body))
+            fn wrap(block: Arc<Vec<Self>>, view: Range<usize>) -> Payload {
+                if view.is_empty() {
+                    Payload::EMPTY
+                } else {
+                    Payload { block: Block::$variant(block), view }
+                }
             }
 
             fn peek(body: &Payload) -> Option<&[Self]> {
-                match &body.0 {
-                    Body::Empty => Some(&[]),
-                    Body::$variant(elems) => Some(elems),
+                match &body.block {
+                    Block::Empty => Some(&[]),
+                    Block::$variant(elems) => Some(&elems[body.view.clone()]),
                     _ => None,
                 }
             }
@@ -84,25 +99,41 @@ macro_rules! datatypes {
         impl Payload {
             /// Size of the body in bytes.
             pub fn len(&self) -> usize {
-                match &self.0 {
-                    Body::Empty => 0,
-                    $(Body::$variant(elems) => elems.len() * <$t>::SIZE,)*
-                }
+                self.view.len()
+                    * match &self.block {
+                        Block::Empty => 0,
+                        $(Block::$variant(_) => <$t>::SIZE,)*
+                    }
             }
 
             /// MPI-style name of the element type the body was packed from.
             fn type_name(&self) -> &'static str {
-                match &self.0 {
-                    Body::Empty => "empty",
-                    $(Body::$variant(_) => <$t>::NAME,)*
+                match &self.block {
+                    Block::Empty => "empty",
+                    $(Block::$variant(_) => <$t>::NAME,)*
                 }
             }
 
-            /// The body as bytes, for a receive of another element type.
+            /// The viewed elements as bytes, for a receive of another
+            /// element type.
             fn bytes(&self) -> Vec<u8> {
-                match &self.0 {
-                    Body::Empty => Vec::new(),
-                    $(Body::$variant(elems) => to_bytes(elems),)*
+                match &self.block {
+                    Block::Empty => Vec::new(),
+                    $(Block::$variant(elems) => to_bytes(&elems[self.view.clone()]),)*
+                }
+            }
+        }
+
+        /// Equal element types and equal viewed elements, whatever blocks
+        /// they view.
+        impl PartialEq for Payload {
+            fn eq(&self, other: &Payload) -> bool {
+                match (&self.block, &other.block) {
+                    (Block::Empty, Block::Empty) => true,
+                    $((Block::$variant(_), Block::$variant(_)) => {
+                        <$t>::peek(self) == <$t>::peek(other)
+                    })*
+                    _ => false,
                 }
             }
         }
@@ -123,12 +154,54 @@ datatypes! {
 }
 
 impl Payload {
+    /// The zero-byte body.
+    const EMPTY: Payload = Payload {
+        block: Block::Empty,
+        view: 0..0,
+    };
+
     /// Copies `data` into a fresh body: the one encode of the message path.
     pub fn pack<T: Datatype>(data: &[T]) -> Payload {
-        if data.is_empty() {
-            Payload(Body::Empty)
+        Payload::from_vec(data.to_vec())
+    }
+
+    /// Adopts `elems` as the block of a fresh body, without a copy.
+    pub(crate) fn from_vec<T: Datatype>(elems: Vec<T>) -> Payload {
+        if elems.is_empty() {
+            Payload::EMPTY
         } else {
-            T::wrap(Arc::from(data))
+            let n = elems.len();
+            T::wrap(Arc::new(elems), 0..n)
+        }
+    }
+
+    /// The elements `range` of this body, in elements of the type it was
+    /// packed from, as a body that shares the block: O(1), no copy. An
+    /// empty range gives the zero-byte body. Panics if `range` reaches
+    /// past the end of this body.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Payload {
+        let n = self.view.len();
+        let start = match range.start_bound() {
+            Bound::Included(&s) => s,
+            Bound::Excluded(&s) => s + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&e) => e + 1,
+            Bound::Excluded(&e) => e,
+            Bound::Unbounded => n,
+        };
+        assert!(
+            start <= end && end <= n,
+            "range {start}..{end} out of bounds of a body of {n} elements"
+        );
+        if start == end {
+            return Payload::EMPTY;
+        }
+        let base = self.view.start;
+        Payload {
+            block: self.block.clone(),
+            view: base + start..base + end,
         }
     }
 
@@ -267,19 +340,85 @@ mod tests {
         from_bytes(&bytes, &mut out);
     }
 
+    /// The block a body views, or `None` for the zero-byte body.
+    fn block_of(body: &Payload) -> Option<&Arc<Vec<f64>>> {
+        match &body.block {
+            Block::F64(elems) => Some(elems),
+            Block::Empty => None,
+            _ => panic!("a body of doubles"),
+        }
+    }
+
     #[test]
     fn body_keeps_its_type_and_shares_on_clone() {
         let body = Payload::pack(&[1.5f64, -2.0]);
         assert_eq!((body.len(), body.type_name()), (16, "MPI_DOUBLE"));
         assert_eq!(format!("{body:?}"), "Payload(16 B of MPI_DOUBLE)");
-        let Body::F64(a) = &body.0 else {
-            panic!("typed body")
-        };
-        let Body::F64(b) = &body.clone().0 else {
-            panic!("typed body")
-        };
+        let clone = body.clone();
+        let (a, b) = (block_of(&body).unwrap(), block_of(&clone).unwrap());
         assert!(Arc::ptr_eq(a, b), "a clone shares the block");
-        assert!(matches!(Payload::pack::<i16>(&[]).0, Body::Empty));
+        assert!(matches!(Payload::pack::<i16>(&[]).block, Block::Empty));
+    }
+
+    #[test]
+    fn nested_slices_view_the_same_block() {
+        let data: Vec<f64> = (0..10).map(f64::from).collect();
+        let body = Payload::pack(&data);
+        let mid = body.slice(2..8);
+        let inner = mid.slice(1..=2);
+        assert_eq!((mid.len(), inner.len()), (48, 16));
+        assert_eq!(mid.to_vec::<f64>(), &data[2..8]);
+        assert_eq!(inner.to_vec::<f64>(), [3.0, 4.0]);
+        assert_eq!(mid.slice(4..).to_vec::<f64>(), [6.0, 7.0]);
+        assert_eq!(body.slice(..), body);
+        let mut out = [-1.0; 3];
+        assert_eq!(inner.unpack_into(&mut out), 2);
+        assert_eq!(out, [3.0, 4.0, -1.0]);
+        let block = block_of(&body).unwrap();
+        assert!(Arc::ptr_eq(block, block_of(&inner).unwrap()));
+        assert_eq!(Arc::strong_count(block), 3, "slicing copies no element");
+    }
+
+    #[test]
+    #[should_panic(expected = "range 2..11 out of bounds of a body of 10 elements")]
+    fn a_slice_past_the_end_panics() {
+        let _ = Payload::pack(&[0u32; 10]).slice(2..11);
+    }
+
+    #[test]
+    #[should_panic(expected = "range 0..7 out of bounds of a body of 6 elements")]
+    fn a_nested_slice_is_bounded_by_its_view_not_its_block() {
+        let _ = Payload::pack(&[0u32; 10]).slice(2..8).slice(..7);
+    }
+
+    #[test]
+    fn an_empty_view_owns_no_block() {
+        let body = Payload::pack(&[1.0f64, 2.0, 3.0]);
+        let empty = body.slice(1..1);
+        assert!(empty.is_empty());
+        assert!(block_of(&empty).is_none());
+        assert_eq!(Arc::strong_count(block_of(&body).unwrap()), 1);
+        assert_eq!(empty, Payload::pack::<u8>(&[]));
+        assert_eq!(empty.to_vec::<f64>(), []);
+    }
+
+    #[test]
+    fn a_byte_receive_of_a_view_reads_only_the_view() {
+        let view = Payload::pack(&[1.0f64, 2.0, 3.0]).slice(1..2);
+        assert_eq!(view.to_vec::<u8>(), 2.0f64.to_le_bytes());
+        let mut bytes = [0xA5u8; 12];
+        assert_eq!(view.unpack_into(&mut bytes), 8);
+        assert_eq!(bytes[..8], 2.0f64.to_le_bytes());
+        assert_eq!(bytes[8..], [0xA5; 4]);
+    }
+
+    #[test]
+    fn equality_compares_viewed_elements_not_blocks() {
+        let a = Payload::pack(&[1u32, 2, 3, 4]).slice(1..3);
+        let b = Payload::pack(&[9u32, 2, 3]).slice(1..);
+        assert_eq!(a, b);
+        assert_ne!(a, Payload::pack(&[2u32, 4]));
+        assert_ne!(Payload::pack(&[1u32]), Payload::pack(&[1i32]));
     }
 
     #[test]

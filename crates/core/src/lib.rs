@@ -72,7 +72,7 @@ pub use group::Group;
 pub use obs_export::CriticalPath;
 pub use op::Op;
 pub use runtime::{Completion, ReqId, SimResp, Simcall, WaitMode, ANY_SOURCE, ANY_TAG};
-pub use shared_mem::{MemoryReport, SharedSlice};
+pub use shared_mem::{MemoryReport, SharedGuard, SharedSlice};
 pub use trace::{TraceEvent, TraceKind};
 pub use window::PostWindow;
 pub use world::{Backend, RunReport, World};

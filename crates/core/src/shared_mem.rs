@@ -8,16 +8,26 @@
 //! application then computes with corrupted data — acceptable for
 //! non-data-dependent codes, exactly the paper's trade-off.
 //!
+//! A [`SharedSlice`]'s storage is one reference-counted block, the same
+//! type a [`Payload`] views, so [`SharedSlice::share`] makes a message body
+//! of the buffer without copying it. The buffer is copy-on-write: the first
+//! mutable access through a [`SharedGuard`] copies the block if a body still
+//! shares it, so the body keeps the elements it was shared with — a
+//! snapshot, exactly what [`Payload::pack`] would have copied — and the
+//! writer (every rank of a folded site) moves on to the copy. A buffer that
+//! is not written while its bodies are in flight is never copied.
+//!
 //! The [`MemoryTracker`] accounts both the **actual** footprint (what this
 //! simulation really allocated) and the **logical** footprint (what an
 //! unfolded simulation would have needed), which is how Fig. 16's
 //! with/without-folding bars are produced from a single run.
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 use crate::ctx::Ctx;
-use crate::datatype::Datatype;
+use crate::datatype::{Datatype, Payload};
 use crate::state::lock;
 
 /// Tracks simulated-application memory usage (bytes): current and peak, both
@@ -90,6 +100,16 @@ impl MemoryTracker {
 /// Type-erased entry of the folded heap.
 type HeapEntry = Arc<dyn std::any::Any + Send + Sync>;
 
+/// An application buffer: the lock every rank of a folded site goes
+/// through, around the block that bodies shared from the buffer also hold.
+type Buffer<T> = Mutex<Arc<Vec<T>>>;
+
+/// A zero-filled buffer of `len` elements (calloc'd: pages are faulted in
+/// by their first write, not here).
+fn new_buffer<T: Datatype>(len: usize) -> Arc<Buffer<T>> {
+    Arc::new(Mutex::new(Arc::new(vec![T::default(); len])))
+}
+
 /// The folded allocation table, keyed by allocation site.
 #[derive(Default)]
 pub struct SharedHeap {
@@ -108,12 +128,12 @@ impl SharedHeap {
         Self::default()
     }
 
-    fn get_or_insert<T: Datatype>(&self, site: &str, len: usize) -> (Arc<Mutex<Vec<T>>>, bool) {
+    fn get_or_insert<T: Datatype>(&self, site: &str, len: usize) -> (Arc<Buffer<T>>, bool) {
         let mut map = lock(&self.inner);
         if let Some(entry) = map.get(site) {
             let arc = entry
                 .clone()
-                .downcast::<Mutex<Vec<T>>>()
+                .downcast::<Buffer<T>>()
                 .expect("shared_malloc site reused with a different element type");
             assert_eq!(
                 lock_buffer(&arc, site).len(),
@@ -122,7 +142,7 @@ impl SharedHeap {
             );
             (arc, false)
         } else {
-            let arc = Arc::new(Mutex::new(vec![T::default(); len]));
+            let arc = new_buffer(len);
             map.insert(site.to_string(), arc.clone() as HeapEntry);
             (arc, true)
         }
@@ -132,7 +152,7 @@ impl SharedHeap {
 /// Locks an application buffer, or panics naming `site` if a guard is alive:
 /// blocking would hang the one thread every rank runs on. Poisoning is
 /// ignored as in [`lock`].
-fn lock_buffer<'a, T>(data: &'a Mutex<Vec<T>>, site: &str) -> MutexGuard<'a, Vec<T>> {
+fn lock_buffer<'a, T>(data: &'a Buffer<T>, site: &str) -> MutexGuard<'a, Arc<Vec<T>>> {
     match data.try_lock() {
         Ok(guard) => guard,
         Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
@@ -150,8 +170,14 @@ fn lock_buffer<'a, T>(data: &'a Mutex<Vec<T>>, site: &str) -> MutexGuard<'a, Vec
 /// dropped before the next MPI call. One held across a call cannot be
 /// waited for — the holder only resumes once this rank yields — so
 /// [`lock`](Self::lock) panics in the rank that finds it taken.
+///
+/// [`share`](Self::share) sends the buffer without copying it: the body
+/// and the buffer hold one block until the next write through a guard
+/// copies it (see the module docs).
 pub struct SharedSlice<T: Datatype> {
-    data: Arc<Mutex<Vec<T>>>,
+    data: Arc<Buffer<T>>,
+    /// Fixed at allocation, so reading it takes no lock.
+    len: usize,
     site: Box<str>,
     tracker: Arc<TrackerRef>,
     actual: u64,
@@ -166,18 +192,49 @@ struct TrackerRef {
 impl<T: Datatype> SharedSlice<T> {
     /// Locks the buffer for reading/writing. Drop the guard before the
     /// next MPI call; panics if another guard of the buffer is alive.
-    pub fn lock(&self) -> MutexGuard<'_, Vec<T>> {
-        lock_buffer(&self.data, &self.site)
+    pub fn lock(&self) -> SharedGuard<'_, T> {
+        SharedGuard(lock_buffer(&self.data, &self.site))
     }
 
-    /// Buffer length in elements.
+    /// The whole buffer as a message body, without a copy: the body shares
+    /// the buffer's block, and the buffer copies it on its next write while
+    /// the body is alive. [`Payload::slice`] narrows it to the elements to
+    /// send. Panics, like [`lock`](Self::lock), if a guard is alive.
+    pub fn share(&self) -> Payload {
+        T::wrap(
+            Arc::clone(&lock_buffer(&self.data, &self.site)),
+            0..self.len,
+        )
+    }
+
+    /// Buffer length in elements. Takes no lock.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.len
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A locked [`SharedSlice`], from [`SharedSlice::lock`]: dereferences to
+/// the buffer's elements. Reading shares the block with any body in
+/// flight; the first mutable access copies the block if a body still holds
+/// it (`Arc::make_mut`), so bodies keep what they were shared with.
+pub struct SharedGuard<'a, T: Datatype>(MutexGuard<'a, Arc<Vec<T>>>);
+
+impl<T: Datatype> Deref for SharedGuard<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T: Datatype> DerefMut for SharedGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        Arc::make_mut(&mut *self.0).as_mut_slice()
     }
 }
 
@@ -204,11 +261,12 @@ impl Ctx<'_> {
             let (arc, fresh) = self.shared.heap.get_or_insert::<T>(site, len);
             (arc, if fresh { bytes } else { 0 })
         } else {
-            (Arc::new(Mutex::new(vec![T::default(); len])), bytes)
+            (new_buffer(len), bytes)
         };
         self.shared.memory.allocate(actual, bytes);
         SharedSlice {
             data,
+            len,
             site: site.into(),
             tracker: Arc::new(TrackerRef {
                 shared: Arc::clone(&self.shared),
@@ -224,7 +282,8 @@ impl Ctx<'_> {
         let bytes = (len * T::SIZE) as u64;
         self.shared.memory.allocate(bytes, bytes);
         SharedSlice {
-            data: Arc::new(Mutex::new(vec![T::default(); len])),
+            data: new_buffer(len),
+            len,
             site: "tracked_vec".into(),
             tracker: Arc::new(TrackerRef {
                 shared: Arc::clone(&self.shared),
@@ -267,7 +326,7 @@ mod tests {
         assert!(fresh_a);
         assert!(!fresh_b);
         assert!(Arc::ptr_eq(&a, &b));
-        lock(&a)[0] = 42.0;
+        Arc::make_mut(&mut lock(&a))[0] = 42.0;
         assert_eq!(lock(&b)[0], 42.0);
     }
 

@@ -169,6 +169,19 @@ fn guard_held_across_an_mpi_call_is_harmless_on_private_buffers() {
 }
 
 #[test]
+fn length_reads_take_no_lock() {
+    // The length is fixed at allocation: a rank holding its own guard can
+    // still ask for it.
+    world(1).run(1, |ctx| {
+        let buf = ctx.shared_malloc::<f64>("data", 16);
+        let mut guard = buf.lock();
+        guard[0] = buf.len() as f64;
+        assert!(!buf.is_empty());
+        assert_eq!(guard[0], 16.0);
+    });
+}
+
+#[test]
 fn tracked_vec_counts_per_rank_both_ways() {
     for folding in [true, false] {
         let report = world(4).ram_folding(folding).run(4, |ctx| {

@@ -1,7 +1,9 @@
 //! A message body is packed once, shared, and unpacked once: the large
 //! blocks a run allocates are the application's own buffers plus one body
 //! per *distinct* message — not one per destination, per start, or per hop
-//! of staging.
+//! of staging. A body that forwards part of another (a scatter subtree) is
+//! a view of it, and a body shared out of a rank's buffer is no block at
+//! all until the rank writes the buffer while the body is in flight.
 //!
 //! Own test binary because it installs a counting global allocator (the
 //! library crates stay `forbid(unsafe_code)`). Every run here has folding
@@ -175,9 +177,10 @@ fn a_body_sent_to_many_is_still_one_block() {
 
 #[test]
 fn dt_stages_one_body_per_forwarding_node() {
-    // Besides its node buffers (`unfolded_bytes`), DT allocates what its
-    // non-sink nodes forward and nothing else: one body each on BH and WH,
-    // whose successors share it, one per successor on SH, which splits.
+    // DT allocates its node buffers (`unfolded_bytes`) and nothing else: a
+    // node sends its buffer itself (whole on BH and WH, one slice per
+    // successor on SH), and nothing writes a buffer while its bodies are in
+    // flight.
     let class = DtClass::W;
     for shape in [DtGraph::Bh, DtGraph::Wh, DtGraph::Sh] {
         let graph = Arc::new(build_graph(class, shape));
@@ -189,19 +192,66 @@ fn dt_stages_one_body_per_forwarding_node() {
         let (blocks, bytes) = large_blocks(nodes, smallest, move |ctx| {
             dt_rank(ctx, &g, class);
         });
-        let bodies: usize = graph
-            .succ
-            .iter()
-            .map(|succs| match shape {
-                DtGraph::Bh | DtGraph::Wh => succs.len().min(1),
-                DtGraph::Sh => succs.len(),
-            })
-            .sum();
-        assert_eq!(blocks, nodes + bodies, "{shape:?}");
-        let staged = bytes - buffers;
-        assert!(
-            staged * 10 <= buffers * 11,
-            "{shape:?}: {staged} B staged beside {buffers} B of node buffers"
+        assert_eq!(blocks, nodes, "{shape:?}");
+        assert_eq!(
+            bytes, buffers,
+            "{shape:?}: bytes staged beside the node buffers"
         );
+    }
+}
+
+#[test]
+fn a_scatter_costs_one_body_and_one_chunk_per_rank() {
+    // The root's send buffer, the one body the root packs (every chunk but
+    // its own) and the chunk each rank returns. Interior ranks forward
+    // slices of the body they received and stage no subtree.
+    const P: usize = 8;
+    const CHUNK: usize = MIB / 8;
+    for root in [0, 3] {
+        let (blocks, bytes) = large_blocks(P, CHUNK * 8, move |ctx| {
+            let comm = ctx.world();
+            let data: Option<Vec<f64>> =
+                (ctx.rank() == root).then(|| (0..P * CHUNK).map(|i| i as f64).collect());
+            let mine = ctx.scatter(data.as_deref(), CHUNK, root, &comm);
+            assert_eq!(mine[CHUNK - 1], ((ctx.rank() + 1) * CHUNK - 1) as f64);
+        });
+        assert_eq!(blocks, 1 + 1 + P, "root {root}");
+        assert_eq!(bytes, (P + (P - 1) + P) * CHUNK * 8, "root {root}");
+    }
+}
+
+#[test]
+fn a_write_while_a_shared_body_is_in_flight_copies_the_buffer_once() {
+    const LEN: usize = MIB / 8;
+    for write_in_flight in [true, false] {
+        let (blocks, _) = large_blocks(2, MIB, move |ctx| {
+            let comm = ctx.world();
+            let buf = ctx.tracked_vec::<f64>(LEN);
+            if ctx.rank() == 0 {
+                buf.lock().fill(1.0);
+                let req = ctx.isend_packed(&buf.share(), 1, 0, &comm);
+                if write_in_flight {
+                    buf.lock()[0] = 2.0;
+                }
+                ctx.wait_send(req);
+                ctx.barrier(&comm);
+                if !write_in_flight {
+                    buf.lock()[0] = 2.0;
+                }
+                assert_eq!(buf.lock()[..2], [2.0, 1.0], "the writer sees its write");
+            } else {
+                let req = ctx.irecv::<f64>(0, 0, LEN, &comm);
+                let (body, _) = ctx.wait_recv_packed(req, &comm);
+                body.unpack_into(&mut buf.lock());
+                drop(body);
+                assert!(
+                    buf.lock().iter().all(|&x| x == 1.0),
+                    "the receiver gets the snapshot taken at the send"
+                );
+                ctx.barrier(&comm);
+            }
+        });
+        let copies = usize::from(write_in_flight);
+        assert_eq!(blocks, 2 + copies, "write in flight: {write_in_flight}");
     }
 }

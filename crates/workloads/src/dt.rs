@@ -20,7 +20,6 @@
 //! volume by splitting.
 
 use smpi::ctx::Ctx;
-use smpi::Payload;
 
 /// Problem classes. Leaf width doubles per class; the paper uses A, B, C
 /// (S and W are the usual smaller NPB instances, extrapolated downward).
@@ -237,11 +236,15 @@ const DT_TAG: i32 = 17;
 /// allocated through `shared_malloc` keyed by (layer-role) so RAM folding
 /// (§3.2) applies when enabled on the `World`.
 ///
-/// Every element is copied twice per hop and staged once: a node unpacks
+/// Every element is copied once per hop and staged nowhere: a node unpacks
 /// each incoming body into its buffer at the predecessor's offset and drops
-/// the body, then packs what it forwards under the buffer's lock — once for
-/// BH and WH, whose successors share the body; once per half for SH — and
-/// sends with the guard released. No guard is alive across an MPI call.
+/// the body, then sends its buffer itself — [`smpi::SharedSlice::share`],
+/// whole to each successor on BH and WH, one slice per successor on SH.
+/// The bodies share the buffer's block. A rank never writes its buffer
+/// after sending it; with folding on, another rank of the layer may write
+/// the folded buffer while the bodies are in flight, which copies it once
+/// and leaves the bodies their snapshot. No guard is alive across an MPI
+/// call.
 pub fn dt_rank(ctx: &Ctx, graph: &TaskGraph, class: DtClass) -> f64 {
     let r = ctx.rank();
     assert_eq!(ctx.size(), graph.num_nodes(), "world size != graph size");
@@ -294,7 +297,7 @@ pub fn dt_rank(ctx: &Ctx, graph: &TaskGraph, class: DtClass) -> f64 {
             DtGraph::Bh | DtGraph::Wh => {
                 // Concatenation (BH) or replica (WH): the whole buffer to
                 // each successor.
-                let body = Payload::pack(&data.lock());
+                let body = data.share();
                 for &s in succs {
                     ctx.send_packed(&body, s, DT_TAG, &comm);
                 }
@@ -304,11 +307,11 @@ pub fn dt_rank(ctx: &Ctx, graph: &TaskGraph, class: DtClass) -> f64 {
                 // remainder.
                 let k = succs.len();
                 let chunk = total / k;
+                let body = data.share();
                 for (j, &s) in succs.iter().enumerate() {
                     let lo = j * chunk;
                     let hi = if j == k - 1 { total } else { lo + chunk };
-                    let body = Payload::pack(&data.lock()[lo..hi]);
-                    ctx.send_packed(&body, s, DT_TAG, &comm);
+                    ctx.send_packed(&body.slice(lo..hi), s, DT_TAG, &comm);
                 }
             }
         }

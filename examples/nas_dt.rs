@@ -8,9 +8,9 @@
 //!
 //! Prints the makespan, the number of processes, and the memory accounting
 //! with RAM folding on (the paper's §3.2 techniques). `dt_rank` moves real
-//! data: each node unpacks what it receives into its `shared_malloc` buffer,
-//! packs once what it forwards and sends that one body to every successor,
-//! never holding the buffer's guard across an MPI call.
+//! data: each node unpacks what it receives into its `shared_malloc` buffer
+//! and sends that buffer itself (`SharedSlice::share`, no copy) to every
+//! successor, never holding the buffer's guard across an MPI call.
 
 use std::sync::Arc;
 
