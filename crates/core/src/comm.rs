@@ -7,11 +7,10 @@
 //! shared registry keyed by `(group, per-group sequence number)` hands every
 //! member the same id without extra communication.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use crate::group::Group;
-use crate::state::lock;
 
 /// The context id of `MPI_COMM_WORLD`.
 pub const WORLD_CID: u32 = 0;
@@ -65,7 +64,7 @@ impl Comm {
 /// Deterministic context-id allocation shared by all ranks.
 #[derive(Debug, Default)]
 pub struct CommRegistry {
-    inner: Mutex<RegistryInner>,
+    inner: RefCell<RegistryInner>,
 }
 
 #[derive(Debug)]
@@ -93,7 +92,7 @@ impl CommRegistry {
     /// `group`. The first member to ask allocates; later members (same
     /// `group`, same `seq`) observe the same id.
     pub fn cid_for(&self, group: &Group, seq: u64) -> u32 {
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.borrow_mut();
         let key = (group.members().to_vec(), seq);
         if let Some(&cid) = inner.by_key.get(&key) {
             return cid;

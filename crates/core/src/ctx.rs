@@ -35,7 +35,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::comm::Comm;
 use crate::datatype::{Datatype, Payload};
@@ -144,7 +144,7 @@ pub struct PersistentRecv<T: Datatype> {
 pub struct Ctx<'h> {
     handle: &'h SxHandle,
     world: Comm,
-    pub(crate) shared: Arc<SharedState>,
+    pub(crate) shared: Rc<SharedState>,
     /// Per-(group) counters for deterministic context-id agreement.
     comm_seq: RefCell<HashMap<Vec<u32>, u64>>,
 }
@@ -152,7 +152,7 @@ pub struct Ctx<'h> {
 impl<'h> Ctx<'h> {
     /// `world` is built once per run and shared: every rank's clone points
     /// at the same member list.
-    pub(crate) fn new(handle: &'h SxHandle, world: Comm, shared: Arc<SharedState>) -> Self {
+    pub(crate) fn new(handle: &'h SxHandle, world: Comm, shared: Rc<SharedState>) -> Self {
         Ctx {
             handle,
             world,

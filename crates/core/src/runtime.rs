@@ -37,6 +37,7 @@
 //! the token's slot (the [`Fabric`] token contract), and blocked ranks in a
 //! vector indexed by rank.
 
+use std::rc::Rc;
 use std::time::Instant;
 
 use simix::{ActorEvent, ActorId, Scheduler, Simix};
@@ -326,7 +327,7 @@ pub struct Runtime {
     /// attribution otherwise).
     flow_records: Vec<FlowRecord>,
     /// Published simulated clock, read locally by ranks (`MPI_Wtime`).
-    clock: std::sync::Arc<SimClock>,
+    clock: Rc<SimClock>,
     /// Metrics recorder (disabled by default: every emit is one branch).
     rec: Rec,
     /// Whether the drive loop takes wall-clock phase timings.
@@ -349,7 +350,7 @@ pub struct Runtime {
     ts_util_buf: Vec<f64>,
     /// Memory high-water-mark probe for the telemetry tick (the World
     /// runner points it at the shared memory tracker).
-    mem_probe: Option<Box<dyn Fn() -> u64 + Send>>,
+    mem_probe: Option<Box<dyn Fn() -> u64>>,
 }
 
 impl Runtime {
@@ -377,7 +378,7 @@ impl Runtime {
             trace: None,
             capture: None,
             flow_records: Vec::new(),
-            clock: std::sync::Arc::new(SimClock::new()),
+            clock: Rc::new(SimClock::new()),
             rec: Rec::disabled(),
             profiling: false,
             n_simcalls: 0,
@@ -406,7 +407,7 @@ impl Runtime {
 
     /// Installs the memory high-water-mark probe sampled by the telemetry
     /// tick (typically the shared memory tracker's peak).
-    pub fn set_memory_probe(&mut self, probe: Box<dyn Fn() -> u64 + Send>) {
+    pub fn set_memory_probe(&mut self, probe: Box<dyn Fn() -> u64>) {
         self.mem_probe = Some(probe);
     }
 
@@ -426,7 +427,7 @@ impl Runtime {
     /// Installs the clock the maestro publishes simulated time to. Ranks
     /// holding a clone answer `MPI_Wtime` locally, without switching to the
     /// maestro (the local simcall tier; see [`crate::state::SimClock`]).
-    pub fn set_clock(&mut self, clock: std::sync::Arc<SimClock>) {
+    pub fn set_clock(&mut self, clock: Rc<SimClock>) {
         clock.publish(self.now());
         self.clock = clock;
     }

@@ -17,12 +17,11 @@
 //! name and line number": pass something like `concat!(file!(), ":", line!())`
 //! or any stable site name.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::ctx::Ctx;
-use crate::state::lock;
 
 /// Aggregated timings for one sampling site.
 #[derive(Debug, Default, Clone, Copy)]
@@ -76,7 +75,7 @@ enum Key {
 /// The shared sampling table.
 #[derive(Debug, Default)]
 pub struct SampleStore {
-    inner: Mutex<HashMap<Key, SampleStats>>,
+    inner: RefCell<HashMap<Key, SampleStats>>,
 }
 
 impl SampleStore {
@@ -87,28 +86,29 @@ impl SampleStore {
 
     /// Statistics of a local site for one rank (None if never sampled).
     pub fn local_stats(&self, site: &str, rank: u32) -> Option<SampleStats> {
-        lock(&self.inner)
+        self.inner
+            .borrow()
             .get(&Key::Local(site.to_string(), rank))
             .copied()
     }
 
     /// Statistics of a global site.
     pub fn global_stats(&self, site: &str) -> Option<SampleStats> {
-        lock(&self.inner)
+        self.inner
+            .borrow()
             .get(&Key::Global(site.to_string()))
             .copied()
     }
 
     fn decide(&self, key: Key, n: u32) -> Decision {
-        let map = lock(&self.inner);
-        match map.get(&key) {
+        match self.inner.borrow().get(&key) {
             Some(stats) if stats.count >= n => Decision::Replay(stats.mean()),
             _ => Decision::Measure(key),
         }
     }
 
     fn record(&self, key: Key, duration: f64) {
-        let mut map = lock(&self.inner);
+        let mut map = self.inner.borrow_mut();
         let stats = map.entry(key).or_default();
         stats.count += 1;
         stats.total += duration;

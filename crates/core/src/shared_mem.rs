@@ -22,19 +22,22 @@
 //! unfolded simulation would have needed), which is how Fig. 16's
 //! with/without-folding bars are produced from a single run.
 
+use std::any::Any;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ctx::Ctx;
 use crate::datatype::{Datatype, Payload};
-use crate::state::lock;
+use crate::state::SharedState;
 
 /// Tracks simulated-application memory usage (bytes): current and peak, both
 /// actual (folded) and logical (unfolded).
 #[derive(Debug, Default)]
 pub struct MemoryTracker {
-    inner: Mutex<MemInner>,
+    inner: RefCell<MemInner>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -73,7 +76,7 @@ impl MemoryTracker {
 
     /// Records an allocation.
     pub fn allocate(&self, actual: u64, logical: u64) {
-        let mut m = lock(&self.inner);
+        let mut m = self.inner.borrow_mut();
         m.current += actual;
         m.peak = m.peak.max(m.current);
         m.logical_current += logical;
@@ -82,14 +85,14 @@ impl MemoryTracker {
 
     /// Records a deallocation.
     pub fn release(&self, actual: u64, logical: u64) {
-        let mut m = lock(&self.inner);
+        let mut m = self.inner.borrow_mut();
         m.current = m.current.saturating_sub(actual);
         m.logical_current = m.logical_current.saturating_sub(logical);
     }
 
     /// Current + peak usage.
     pub fn report(&self) -> MemoryReport {
-        let m = lock(&self.inner);
+        let m = self.inner.borrow();
         MemoryReport {
             peak_bytes: m.peak,
             logical_peak_bytes: m.logical_peak,
@@ -97,28 +100,29 @@ impl MemoryTracker {
     }
 }
 
-/// Type-erased entry of the folded heap.
-type HeapEntry = Arc<dyn std::any::Any + Send + Sync>;
+/// Type-erased buffer of the folded heap.
+type HeapEntry = Rc<dyn Any>;
 
-/// An application buffer: the lock every rank of a folded site goes
+/// An application buffer: the cell every rank of a folded site borrows
 /// through, around the block that bodies shared from the buffer also hold.
-type Buffer<T> = Mutex<Arc<Vec<T>>>;
+type Buffer<T> = RefCell<Arc<Vec<T>>>;
 
 /// A zero-filled buffer of `len` elements (calloc'd: pages are faulted in
 /// by their first write, not here).
-fn new_buffer<T: Datatype>(len: usize) -> Arc<Buffer<T>> {
-    Arc::new(Mutex::new(Arc::new(vec![T::default(); len])))
+fn new_buffer<T: Datatype>(len: usize) -> Rc<Buffer<T>> {
+    Rc::new(RefCell::new(Arc::new(vec![T::default(); len])))
 }
 
-/// The folded allocation table, keyed by allocation site.
+/// The folded allocation table, keyed by allocation site: each site's
+/// buffer and its length in elements.
 #[derive(Default)]
 pub struct SharedHeap {
-    inner: Mutex<HashMap<String, HeapEntry>>,
+    inner: RefCell<HashMap<String, (HeapEntry, usize)>>,
 }
 
 impl std::fmt::Debug for SharedHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SharedHeap({} sites)", lock(&self.inner).len())
+        write!(f, "SharedHeap({} sites)", self.inner.borrow().len())
     }
 }
 
@@ -128,65 +132,60 @@ impl SharedHeap {
         Self::default()
     }
 
-    fn get_or_insert<T: Datatype>(&self, site: &str, len: usize) -> (Arc<Buffer<T>>, bool) {
-        let mut map = lock(&self.inner);
-        if let Some(entry) = map.get(site) {
-            let arc = entry
-                .clone()
+    /// The site's buffer, and whether this call allocated it. The length
+    /// check reads the recorded length, not the buffer, so it holds while a
+    /// rank has the buffer locked.
+    fn get_or_insert<T: Datatype>(&self, site: &str, len: usize) -> (Rc<Buffer<T>>, bool) {
+        let mut map = self.inner.borrow_mut();
+        if let Some((entry, site_len)) = map.get(site) {
+            let buf = Rc::clone(entry)
                 .downcast::<Buffer<T>>()
                 .expect("shared_malloc site reused with a different element type");
             assert_eq!(
-                lock_buffer(&arc, site).len(),
-                len,
+                *site_len, len,
                 "shared_malloc site {site:?} reused with a different length"
             );
-            (arc, false)
+            (buf, false)
         } else {
-            let arc = new_buffer(len);
-            map.insert(site.to_string(), arc.clone() as HeapEntry);
-            (arc, true)
+            let buf = new_buffer(len);
+            map.insert(site.to_string(), (Rc::clone(&buf) as HeapEntry, len));
+            (buf, true)
         }
     }
 }
 
-/// Locks an application buffer, or panics naming `site` if a guard is alive:
-/// blocking would hang the one thread every rank runs on. Poisoning is
-/// ignored as in [`lock`].
-fn lock_buffer<'a, T>(data: &'a Buffer<T>, site: &str) -> MutexGuard<'a, Arc<Vec<T>>> {
-    match data.try_lock() {
-        Ok(guard) => guard,
-        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-        Err(TryLockError::WouldBlock) => panic!(
+/// Borrows an application buffer, or panics naming `site` if a guard is
+/// alive: waiting would hang the one thread every rank runs on.
+fn lock_buffer<'a, T>(data: &'a Buffer<T>, site: &str) -> RefMut<'a, Arc<Vec<T>>> {
+    data.try_borrow_mut().unwrap_or_else(|_| {
+        panic!(
             "shared buffer `{site}` is locked by a rank suspended in an MPI call; \
              drop the guard before calling MPI"
-        ),
-    }
+        )
+    })
 }
 
 /// A buffer returned by [`Ctx::shared_malloc`]. With folding on, all ranks
-/// using the same site observe (and clobber) the same storage. Access goes
-/// through a lock. Ranks run one at a time on one thread, so the lock is
-/// free exactly when no rank is suspended holding it: a guard must be
-/// dropped before the next MPI call. One held across a call cannot be
-/// waited for — the holder only resumes once this rank yields — so
-/// [`lock`](Self::lock) panics in the rank that finds it taken.
+/// using the same site observe (and clobber) the same storage. Access is a
+/// `RefCell` borrow, held by a [`SharedGuard`]. Ranks run one at a time on
+/// one thread, so the buffer is free exactly when no rank is suspended
+/// holding a guard: a guard must be dropped before the next MPI call. One
+/// held across a call cannot be waited for — the holder only resumes once
+/// this rank yields — so [`lock`](Self::lock) panics in the rank that finds
+/// it taken.
 ///
 /// [`share`](Self::share) sends the buffer without copying it: the body
 /// and the buffer hold one block until the next write through a guard
 /// copies it (see the module docs).
 pub struct SharedSlice<T: Datatype> {
-    data: Arc<Buffer<T>>,
-    /// Fixed at allocation, so reading it takes no lock.
+    data: Rc<Buffer<T>>,
+    /// Fixed at allocation, so reading it takes no borrow.
     len: usize,
     site: Box<str>,
-    tracker: Arc<TrackerRef>,
+    /// Keeps the memory tracker alive, so dropping releases into it.
+    shared: Rc<SharedState>,
     actual: u64,
     logical: u64,
-}
-
-/// Keeps the tracker alive and lets `SharedSlice` release on drop.
-struct TrackerRef {
-    shared: Arc<crate::state::SharedState>,
 }
 
 impl<T: Datatype> SharedSlice<T> {
@@ -207,7 +206,7 @@ impl<T: Datatype> SharedSlice<T> {
         )
     }
 
-    /// Buffer length in elements. Takes no lock.
+    /// Buffer length in elements. Takes no borrow, so it works under a guard.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -222,7 +221,7 @@ impl<T: Datatype> SharedSlice<T> {
 /// the buffer's elements. Reading shares the block with any body in
 /// flight; the first mutable access copies the block if a body still holds
 /// it (`Arc::make_mut`), so bodies keep what they were shared with.
-pub struct SharedGuard<'a, T: Datatype>(MutexGuard<'a, Arc<Vec<T>>>);
+pub struct SharedGuard<'a, T: Datatype>(RefMut<'a, Arc<Vec<T>>>);
 
 impl<T: Datatype> Deref for SharedGuard<'_, T> {
     type Target = [T];
@@ -240,10 +239,7 @@ impl<T: Datatype> DerefMut for SharedGuard<'_, T> {
 
 impl<T: Datatype> Drop for SharedSlice<T> {
     fn drop(&mut self) {
-        self.tracker
-            .shared
-            .memory
-            .release(self.actual, self.logical);
+        self.shared.memory.release(self.actual, self.logical);
     }
 }
 
@@ -268,9 +264,7 @@ impl Ctx<'_> {
             data,
             len,
             site: site.into(),
-            tracker: Arc::new(TrackerRef {
-                shared: Arc::clone(&self.shared),
-            }),
+            shared: Rc::clone(&self.shared),
             actual,
             logical: bytes,
         }
@@ -285,9 +279,7 @@ impl Ctx<'_> {
             data: new_buffer(len),
             len,
             site: "tracked_vec".into(),
-            tracker: Arc::new(TrackerRef {
-                shared: Arc::clone(&self.shared),
-            }),
+            shared: Rc::clone(&self.shared),
             actual: bytes,
             logical: bytes,
         }
@@ -325,9 +317,9 @@ mod tests {
         let (b, fresh_b) = h.get_or_insert::<f64>("s", 8);
         assert!(fresh_a);
         assert!(!fresh_b);
-        assert!(Arc::ptr_eq(&a, &b));
-        Arc::make_mut(&mut lock(&a))[0] = 42.0;
-        assert_eq!(lock(&b)[0], 42.0);
+        assert!(Rc::ptr_eq(&a, &b));
+        Arc::make_mut(&mut a.borrow_mut())[0] = 42.0;
+        assert_eq!(b.borrow()[0], 42.0);
     }
 
     #[test]
@@ -335,7 +327,7 @@ mod tests {
         let h = SharedHeap::new();
         let (a, _) = h.get_or_insert::<u32>("a", 4);
         let (b, _) = h.get_or_insert::<u32>("b", 4);
-        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!Rc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -1,24 +1,20 @@
 //! State shared by all ranks of one simulation.
 //!
-//! Because ranks execute strictly one at a time (see `simix`), these
-//! structures see no contention at all; the mutexes and atomics exist to
-//! satisfy Rust's aliasing rules for state reachable from every rank body
-//! (`Fn + Send + Sync`), exactly as the paper's hash-tables behind the
-//! `SMPI_*` macros are safe under SimGrid's sequential scheduler.
+//! One run lives on one thread: the ranks are fibers that the maestro
+//! switches to on its own thread (see `simix`), built and dropped inside one
+//! `World::try_run`, and they execute strictly one at a time. So this state
+//! is plain `Cell`s and `RefCell`s behind an `Rc`, exactly as the paper's
+//! hash-tables behind the `SMPI_*` macros are safe under SimGrid's
+//! sequential scheduler. The types say so: none of it is `Send`, so none of
+//! it can leak into another thread (the sweep runs one whole simulation per
+//! worker thread).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::comm::CommRegistry;
 use crate::sampling::SampleStore;
 use crate::shared_mem::{MemoryTracker, SharedHeap};
-
-/// Locks `m`, ignoring poisoning: a panicking rank must not poison the
-/// maestro's view of shared state (ranks and maestro run strictly one at a
-/// time, so every update a panic interrupts was already complete).
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// The simulated clock, published by the maestro for rank-side reads.
 ///
@@ -28,9 +24,9 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// actor reads the clock from shared state with no possibility of a race,
 /// and `MPI_Wtime` costs a load instead of two context switches. Ranks and
 /// maestro share one thread, so program order is the only ordering there
-/// is; the atomic is there for the type system, not for synchronization.
+/// is, and a `Cell` is all the clock needs.
 #[derive(Debug, Default)]
-pub struct SimClock(AtomicU64);
+pub struct SimClock(Cell<f64>);
 
 impl SimClock {
     /// A clock at t = 0.
@@ -40,12 +36,12 @@ impl SimClock {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
+        self.0.get()
     }
 
     /// Publishes a new simulated time (maestro only).
     pub fn publish(&self, t: f64) {
-        self.0.store(t.to_bits(), Ordering::Release);
+        self.0.set(t);
     }
 }
 
@@ -90,11 +86,11 @@ pub struct SharedState {
     /// Logical/actual memory accounting for Fig. 16.
     pub memory: MemoryTracker,
     /// Simulated clock published by the maestro (local `MPI_Wtime` reads).
-    pub clock: Arc<SimClock>,
+    pub clock: Rc<SimClock>,
     /// Simcalls answered inside the rank without switching to the maestro
     /// (wtime reads, sampling decisions, shared-malloc lookups). Feeds the
     /// run report's self-profile.
-    pub local_calls: AtomicU64,
+    pub local_calls: Cell<u64>,
     /// Run configuration.
     pub config: RunConfig,
 }
@@ -107,19 +103,19 @@ impl SharedState {
             sampling: SampleStore::new(),
             heap: SharedHeap::new(),
             memory: MemoryTracker::new(),
-            clock: Arc::new(SimClock::new()),
-            local_calls: AtomicU64::new(0),
+            clock: Rc::new(SimClock::new()),
+            local_calls: Cell::new(0),
             config,
         }
     }
 
     /// Counts one local-tier simcall (answered without leaving the rank).
     pub fn count_local_call(&self) {
-        self.local_calls.fetch_add(1, Ordering::Relaxed);
+        self.local_calls.set(self.local_calls.get() + 1);
     }
 
     /// Total local-tier simcalls so far.
     pub fn local_calls(&self) -> u64 {
-        self.local_calls.load(Ordering::Relaxed)
+        self.local_calls.get()
     }
 }

@@ -7,7 +7,9 @@
 //! simulated time, per-rank completion times (Figs. 7 and 11), wall-clock
 //! simulation time (Figs. 17 and 18) and the memory accounting (Fig. 16).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simix::{Scheduler, Scripts};
@@ -24,7 +26,7 @@ use crate::error::SimError;
 use crate::fabric::{Fabric, MpiProfile, PacketFabric, SurfFabric};
 use crate::runtime::{Runtime, SimResp, Simcall, Sx};
 use crate::shared_mem::MemoryReport;
-use crate::state::{lock, RunConfig, SharedState};
+use crate::state::{RunConfig, SharedState};
 use crate::trace::TraceEvent;
 
 /// Which network substrate to simulate on.
@@ -280,48 +282,52 @@ impl World {
     /// Runs `body` on `nranks` MPI ranks (placed round-robin over the
     /// platform's hosts) and returns the run report with each rank's result.
     ///
+    /// The ranks run one at a time on the calling thread, so neither `body`
+    /// nor `R` need be `Send` or `Sync`: a body may capture `Rc`/`Cell`
+    /// state and share it across ranks.
+    ///
     /// Panics on a kernel stall, an MPI-level deadlock or a streaming-capture
     /// I/O failure; use [`try_run`](Self::try_run) to handle those as typed
-    /// errors.
+    /// errors. A rank's own panic reaches the caller with its payload.
     pub fn run<R, F>(&self, nranks: usize, body: F) -> RunReport<R>
     where
-        R: Send + 'static,
-        F: Fn(&Ctx) -> R + Send + Sync + 'static,
+        R: 'static,
+        F: Fn(&Ctx) -> R + 'static,
     {
         self.try_run(nranks, body).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`run`](Self::run), but surfaces no-progress conditions (kernel
     /// stalls, unmatched send/recv deadlocks) and streaming-capture I/O
-    /// failures as a [`SimError`] instead of panicking.
+    /// failures as a [`SimError`] instead of panicking. Same bounds as
+    /// [`run`](Self::run): the body runs on the calling thread only.
     pub fn try_run<R, F>(&self, nranks: usize, body: F) -> Result<RunReport<R>, SimError>
     where
-        R: Send + 'static,
-        F: Fn(&Ctx) -> R + Send + Sync + 'static,
+        R: 'static,
+        F: Fn(&Ctx) -> R + 'static,
     {
-        let shared = Arc::new(SharedState::new(self.run_config.clone()));
-        let results: Arc<Mutex<Vec<Option<R>>>> =
-            Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
+        let shared = Rc::new(SharedState::new(self.run_config.clone()));
+        let results: Rc<RefCell<Vec<Option<R>>>> =
+            Rc::new(RefCell::new((0..nranks).map(|_| None).collect()));
 
         let mut sx: Sx = Sx::with_stack_size(self.stack_size);
-        let body = Arc::new(body);
+        let body = Rc::new(body);
         let world = Comm::world(nranks);
         for rank in 0..nranks {
-            let body = Arc::clone(&body);
+            let body = Rc::clone(&body);
             let world = world.clone();
-            let shared = Arc::clone(&shared);
-            let results = Arc::clone(&results);
+            let shared = Rc::clone(&shared);
+            let results = Rc::clone(&results);
             sx.spawn(move |handle| {
                 let ctx = Ctx::new(handle, world, shared);
                 let out = body(&ctx);
-                lock(&results)[rank] = Some(out);
+                results.borrow_mut()[rank] = Some(out);
             });
         }
         self.drive_to_report(nranks, &shared, sx, move || {
-            Arc::try_unwrap(results)
+            Rc::try_unwrap(results)
                 .unwrap_or_else(|_| panic!("rank bodies leaked the result store"))
                 .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .into_iter()
                 .map(|r| r.expect("every rank stores a result"))
                 .collect()
@@ -339,7 +345,7 @@ impl World {
         F: FnMut(Option<SimResp>) -> Option<Simcall>,
     {
         let nranks = scripts.len();
-        let shared = Arc::new(SharedState::new(self.run_config.clone()));
+        let shared = Rc::new(SharedState::new(self.run_config.clone()));
         self.drive_to_report(nranks, &shared, Scripts::new(scripts), || vec![(); nranks])
     }
 
@@ -349,7 +355,7 @@ impl World {
     fn drive_to_report<S: Scheduler<Simcall, SimResp>, R>(
         &self,
         nranks: usize,
-        shared: &Arc<SharedState>,
+        shared: &Rc<SharedState>,
         mut sx: S,
         results: impl FnOnce() -> Vec<R>,
     ) -> Result<RunReport<R>, SimError> {
@@ -365,7 +371,7 @@ impl World {
         };
 
         let mut runtime = Runtime::new(self.build_fabric(), self.profile.clone(), placement);
-        runtime.set_clock(Arc::clone(&shared.clock));
+        runtime.set_clock(Rc::clone(&shared.clock));
         if self.tracing {
             runtime.enable_tracing();
         }
@@ -388,7 +394,7 @@ impl World {
         }
         if self.timeseries {
             runtime.enable_timeseries();
-            let mem = Arc::clone(shared);
+            let mem = Rc::clone(shared);
             runtime.set_memory_probe(Box::new(move || mem.memory.report().peak_bytes));
         }
         let start = Instant::now();

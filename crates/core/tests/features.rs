@@ -1,5 +1,8 @@
 //! CPU sampling (§3.1) and RAM folding (§3.2) behaviour, end-to-end.
 
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -179,6 +182,84 @@ fn length_reads_take_no_lock() {
         assert!(!buf.is_empty());
         assert_eq!(guard[0], 16.0);
     });
+}
+
+#[test]
+fn allocating_a_site_again_under_its_guard_is_not_an_mpi_call() {
+    // The folded heap checks a site's length from its table, not through
+    // the buffer, so the rank holding the guard may look the site up again.
+    world(1).run(1, |ctx| {
+        let a = ctx.shared_malloc::<f64>("x", 4);
+        let mut g = a.lock();
+        let b = ctx.shared_malloc::<f64>("x", 4);
+        g[0] = 7.0;
+        drop(g);
+        assert_eq!(b.lock()[0], 7.0);
+    });
+}
+
+#[test]
+#[should_panic(expected = "shared_malloc site \"x\" reused with a different length")]
+fn a_length_mismatch_under_a_guard_names_the_length() {
+    world(1).run(1, |ctx| {
+        let a = ctx.shared_malloc::<f64>("x", 4);
+        let _g = a.lock();
+        ctx.shared_malloc::<f64>("x", 8);
+    });
+}
+
+#[test]
+fn rank_bodies_may_share_rc_state() {
+    // Ranks run one at a time on the calling thread, so a body need not be
+    // `Send` or `Sync`: an `Rc<Cell>` is enough to count across ranks.
+    let visits = Rc::new(Cell::new(0u64));
+    let seen = Rc::clone(&visits);
+    let report = world(4).run(4, move |ctx| {
+        seen.set(seen.get() + 1);
+        ctx.barrier(&ctx.world());
+        seen.get()
+    });
+    assert_eq!(report.results, vec![4; 4]);
+    assert_eq!(visits.get(), 4);
+}
+
+#[test]
+fn a_rank_panic_under_a_guard_and_a_sample_leaves_the_world_reusable() {
+    // Rank 1 panics while it holds a folded buffer's guard, inside a
+    // sampled burst. The panic reaches the caller as it was raised, and the
+    // next run on the same world starts from fresh shared state: nothing of
+    // the failed run (guard, sample table, heap) is left to hide or poison.
+    let w = world(2);
+    let body = |fail: bool| {
+        move |ctx: &smpi::Ctx| {
+            let buf = ctx.shared_malloc::<f64>("data", 8);
+            ctx.barrier(&ctx.world());
+            let mut ran = false;
+            if ctx.rank() == 1 {
+                ran = ctx.sample_local("burst", 1, || {
+                    let mut guard = buf.lock();
+                    guard[0] = 1.0;
+                    if fail {
+                        panic!("rank 1 failed inside its burst");
+                    }
+                });
+            }
+            ctx.barrier(&ctx.world());
+            ran
+        }
+    };
+    let payload = catch_unwind(AssertUnwindSafe(|| w.run(2, body(true))))
+        .expect_err("the rank's panic reaches the caller");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"rank 1 failed inside its burst")
+    );
+    let report = w.run(2, body(false));
+    assert_eq!(
+        report.results,
+        vec![false, true],
+        "the burst is measured anew"
+    );
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The recorder API every layer emits into.
 
 use crate::report::{Histogram, MetricsReport, TimelineSnapshot};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// One event on a container's state timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,11 +161,15 @@ impl MemoryRecorder {
 /// Cheap cloneable recorder handle threaded through every layer.
 ///
 /// Disabled (`Rec::disabled()`, the default): contains `None`, so every
-/// emit method is one branch and returns — no locking, no formatting, no
+/// emit method is one branch and returns — no borrowing, no formatting, no
 /// allocation. Key formatting happens inside closures passed to
 /// [`Rec::with`], so disabled runs never even build the key strings.
+///
+/// One run's layers (runtime, fabric, kernel) share one recorder, and one
+/// run lives on one thread, so the handle is an `Rc<RefCell>`: it is not
+/// `Send`, and a recorder never crosses threads.
 #[derive(Debug, Clone, Default)]
-pub struct Rec(Option<Arc<Mutex<MemoryRecorder>>>);
+pub struct Rec(Option<Rc<RefCell<MemoryRecorder>>>);
 
 impl Rec {
     /// A handle that records nothing.
@@ -174,7 +179,7 @@ impl Rec {
 
     /// A handle backed by a fresh shared [`MemoryRecorder`].
     pub fn enabled() -> Self {
-        Rec(Some(Arc::new(Mutex::new(MemoryRecorder::new()))))
+        Rec(Some(Rc::new(RefCell::new(MemoryRecorder::new()))))
     }
 
     /// Whether emits are being recorded.
@@ -184,12 +189,12 @@ impl Rec {
     }
 
     /// Runs `f` against the recorder if enabled. This is the one emission
-    /// primitive; use it to batch several emits under a single lock and to
-    /// keep key formatting off the disabled path.
+    /// primitive; use it to batch several emits under a single borrow and
+    /// to keep key formatting off the disabled path.
     #[inline]
     pub fn with<F: FnOnce(&mut MemoryRecorder)>(&self, f: F) {
         if let Some(rec) = &self.0 {
-            f(&mut rec.lock().unwrap_or_else(|p| p.into_inner()));
+            f(&mut rec.borrow_mut());
         }
     }
 
@@ -243,9 +248,7 @@ impl Rec {
 
     /// Snapshots the accumulated metrics, or `None` when disabled.
     pub fn snapshot(&self) -> Option<MetricsReport> {
-        self.0
-            .as_ref()
-            .map(|rec| rec.lock().unwrap_or_else(|p| p.into_inner()).snapshot())
+        self.0.as_ref().map(|rec| rec.borrow().snapshot())
     }
 }
 

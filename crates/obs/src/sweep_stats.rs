@@ -2,14 +2,14 @@
 //!
 //! A sweep engine runs thousands of independent re-simulations across a
 //! worker pool; this module is the observability rollup for that layer —
-//! one [`WorkerStats`] per pool worker (scenarios executed, jobs stolen
-//! from other workers' deques, busy wall-clock), aggregated into a
-//! [`SweepStats`] that lands in the sweep-level report.
+//! one [`WorkerStats`] per pool worker (scenarios executed, busy
+//! wall-clock), aggregated into a [`SweepStats`] that lands in the
+//! sweep-level report.
 //!
-//! `busy_s` is host wall-clock, and which worker ran or stole which
-//! scenario is a race between threads: all three counters are
-//! schedule-dependent, and the [`crate::Deterministic`] projection of a
-//! [`SweepStats`] keeps only the number of workers.
+//! `busy_s` is host wall-clock, and which worker claims which scenario is a
+//! race between threads: both counters are schedule-dependent, and the
+//! [`crate::Deterministic`] projection of a [`SweepStats`] keeps only the
+//! number of workers.
 
 use crate::json_mod::JsonBuf;
 use crate::Deterministic;
@@ -19,8 +19,6 @@ use crate::Deterministic;
 pub struct WorkerStats {
     /// Scenarios this worker completed.
     pub scenarios: u64,
-    /// Of those, how many it stole from another worker's deque.
-    pub stolen: u64,
     /// Wall-clock seconds spent executing scenarios (host-dependent).
     pub busy_s: f64,
 }
@@ -38,10 +36,11 @@ impl SweepStats {
         self.workers.iter().map(|w| w.scenarios).sum()
     }
 
-    /// Total stolen jobs across the pool (a measure of how much the
-    /// work-stealing deques actually rebalanced).
+    /// Always 0: workers claim scenarios from one shared cursor, so no job
+    /// is ever stolen. Kept only because the benchmark suite still reports
+    /// it; ROADMAP item 1 deletes it together with that column.
     pub fn total_stolen(&self) -> u64 {
-        self.workers.iter().map(|w| w.stolen).sum()
+        0
     }
 
     /// Appends this rollup as a JSON array value to `j`.
@@ -51,7 +50,6 @@ impl SweepStats {
             j.begin_obj();
             j.key("worker").uint_val(i as u64);
             j.key("scenarios").uint_val(w.scenarios);
-            j.key("stolen").uint_val(w.stolen);
             j.key("busy_s").num_val(w.busy_s);
             j.end_obj();
         }
@@ -62,13 +60,13 @@ impl SweepStats {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:>7} {:>10} {:>8} {:>10}\n",
-            "worker", "scenarios", "stolen", "busy_s"
+            "{:>7} {:>10} {:>10}\n",
+            "worker", "scenarios", "busy_s"
         ));
         for (i, w) in self.workers.iter().enumerate() {
             out.push_str(&format!(
-                "{:>7} {:>10} {:>8} {:>10.3}\n",
-                i, w.scenarios, w.stolen, w.busy_s
+                "{:>7} {:>10} {:>10.3}\n",
+                i, w.scenarios, w.busy_s
             ));
         }
         out
@@ -76,8 +74,8 @@ impl SweepStats {
 }
 
 impl Deterministic for SweepStats {
-    /// Which worker ran or stole which scenario, and for how long, is a
-    /// race between threads: only the number of workers survives.
+    /// Which worker ran which scenario, and for how long, is a race
+    /// between threads: only the number of workers survives.
     fn strip_nondeterminism(&mut self) {
         self.workers.fill(WorkerStats::default());
     }
@@ -92,12 +90,10 @@ mod tests {
             workers: vec![
                 WorkerStats {
                     scenarios: 10,
-                    stolen: 2,
                     busy_s: 1.5,
                 },
                 WorkerStats {
                     scenarios: 6,
-                    stolen: 6,
                     busy_s: 0.9,
                 },
             ],
@@ -108,7 +104,7 @@ mod tests {
     fn totals_sum_over_workers() {
         let s = stats();
         assert_eq!(s.total_scenarios(), 16);
-        assert_eq!(s.total_stolen(), 8);
+        assert_eq!(s.total_stolen(), 0);
     }
 
     #[test]
@@ -124,8 +120,8 @@ mod tests {
         stats().append_json(&mut j);
         assert_eq!(
             j.finish(),
-            "[{\"worker\":0,\"scenarios\":10,\"stolen\":2,\"busy_s\":1.5},\
-             {\"worker\":1,\"scenarios\":6,\"stolen\":6,\"busy_s\":0.9}]"
+            "[{\"worker\":0,\"scenarios\":10,\"busy_s\":1.5},\
+             {\"worker\":1,\"scenarios\":6,\"busy_s\":0.9}]"
         );
     }
 }

@@ -209,7 +209,7 @@ pub struct Simix<Req, Resp> {
     stack_size: usize,
 }
 
-impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
+impl<Req: 'static, Resp: 'static> Simix<Req, Resp> {
     /// Creates an empty runtime with [`DEFAULT_STACK_SIZE`] actor stacks.
     pub fn new() -> Self {
         Self::with_stack_size(DEFAULT_STACK_SIZE)
@@ -236,9 +236,13 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
     /// Spawns an actor. It becomes runnable and will execute during the next
     /// [`run_ready`](Self::run_ready) call. Spawn order defines actor ids.
     /// Panics if the kernel refuses to map the actor's stack.
+    ///
+    /// `body` need not be `Send`: it runs on this thread, and since a
+    /// `Simix` is `!Send` it can never run anywhere else, so actors may share
+    /// `Rc`/`RefCell` state with each other and with the maestro.
     pub fn spawn<F>(&mut self, body: F) -> ActorId
     where
-        F: FnOnce(&ActorHandle<Req, Resp>) + Send + 'static,
+        F: FnOnce(&ActorHandle<Req, Resp>) + 'static,
     {
         let id = self.work.add();
         let mail = Rc::new(Mailbox {
@@ -308,7 +312,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
     }
 }
 
-impl<Req: Send + 'static, Resp: Send + 'static> Scheduler<Req, Resp> for Simix<Req, Resp> {
+impl<Req: 'static, Resp: 'static> Scheduler<Req, Resp> for Simix<Req, Resp> {
     fn num_actors(&self) -> usize {
         self.actors.len()
     }
@@ -323,7 +327,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> Scheduler<Req, Resp> for Simix<R
     }
 }
 
-impl<Req: Send + 'static, Resp: Send + 'static> Default for Simix<Req, Resp> {
+impl<Req: 'static, Resp: 'static> Default for Simix<Req, Resp> {
     fn default() -> Self {
         Self::new()
     }
@@ -570,31 +574,27 @@ mod tests {
     }
 
     /// Counts its drops, so a test can see whose destructors ran.
-    struct Counted(Arc<AtomicUsize>);
+    struct Counted(Rc<Cell<usize>>);
     impl Drop for Counted {
         fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
+            self.0.set(self.0.get() + 1);
         }
     }
 
     #[test]
     fn never_started_actors_are_freed_without_running() {
-        let (ran, dropped) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (ran, dropped) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
         let mut sx = Simix::<(), ()>::new();
         for _ in 0..3 {
-            let (ran, captured) = (Arc::clone(&ran), Counted(Arc::clone(&dropped)));
+            let (ran, captured) = (Rc::clone(&ran), Counted(Rc::clone(&dropped)));
             sx.spawn(move |_| {
                 let _captured = captured;
-                ran.fetch_add(1, Ordering::Relaxed);
+                ran.set(ran.get() + 1);
             });
         }
         drop(sx);
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "a body ran");
-        assert_eq!(
-            dropped.load(Ordering::Relaxed),
-            3,
-            "a body's captures leaked"
-        );
+        assert_eq!(ran.get(), 0, "a body ran");
+        assert_eq!(dropped.get(), 3, "a body's captures leaked");
     }
 
     #[test]
@@ -603,8 +603,8 @@ mod tests {
         // resolve. The scheduler is dropped *while the maestro unwinds*
         // with actor 1's payload, and still has to unwind actor 0 — on the
         // same thread, without that becoming a panic inside a panic.
-        let dropped = Arc::new(AtomicUsize::new(0));
-        let local = Counted(Arc::clone(&dropped));
+        let dropped = Rc::new(Cell::new(0));
+        let local = Counted(Rc::clone(&dropped));
         let payload = catch_unwind(AssertUnwindSafe(move || {
             let mut sx = Simix::<u32, u32>::new();
             sx.spawn(move |h| {
@@ -621,11 +621,7 @@ mod tests {
             Some(&1234),
             "original payload"
         );
-        assert_eq!(
-            dropped.load(Ordering::Relaxed),
-            1,
-            "actor 0 was not unwound"
-        );
+        assert_eq!(dropped.get(), 1, "actor 0 was not unwound");
     }
 
     #[test]
@@ -647,10 +643,10 @@ mod tests {
                 seen.fetch_add(1, Ordering::Relaxed);
             }
         }));
-        let dropped = Arc::new(AtomicUsize::new(0));
+        let dropped = Rc::new(Cell::new(0));
         let mut sx = Simix::<(), ()>::new();
         for _ in 0..4 {
-            let local = Counted(Arc::clone(&dropped));
+            let local = Counted(Rc::clone(&dropped));
             sx.spawn(move |h| {
                 let _local = local;
                 h.simcall(());
@@ -660,7 +656,7 @@ mod tests {
         drop(sx);
         drop(std::panic::take_hook()); // the counting hook and its `chained`
         std::panic::set_hook(Arc::into_inner(previous).expect("sole owner again"));
-        assert_eq!(dropped.load(Ordering::Relaxed), 4, "blocked actors unwound");
+        assert_eq!(dropped.get(), 4, "blocked actors unwound");
         assert_eq!(
             hits.load(Ordering::Relaxed),
             0,
@@ -787,16 +783,16 @@ mod tests {
 
     #[test]
     fn sequential_execution_means_no_data_races() {
-        // 64 actors read-modify-write a shared counter across simcalls; the
-        // strict one-at-a-time alternation makes each increment atomic.
-        let counter = Arc::new(AtomicUsize::new(0));
+        // 64 actors read-modify-write a shared `Rc<Cell>` across simcalls:
+        // the bodies need not be `Send`, and the strict one-at-a-time
+        // alternation makes each increment atomic.
+        let counter = Rc::new(Cell::new(0));
         let mut sx = Simix::<(), ()>::new();
         for _ in 0..64 {
-            let c = Arc::clone(&counter);
+            let c = Rc::clone(&counter);
             sx.spawn(move |h| {
                 for _ in 0..10 {
-                    let v = c.load(Ordering::Relaxed);
-                    c.store(v + 1, Ordering::Relaxed);
+                    c.set(c.get() + 1);
                     h.simcall(());
                 }
             });
@@ -812,6 +808,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 640);
+        assert_eq!(counter.get(), 640);
     }
 }

@@ -7,7 +7,11 @@
 //! × platforms × network backends (the surf flow kernel or the packet-level
 //! substrate) × calibrated transfer models × injected noise — and
 //! [`run_sweep`] executes every cell's replications across a pool of worker
-//! threads with work-stealing deques ([`pool`]).
+//! threads, each running one whole simulation at a time. Workers claim
+//! scenario ids in increasing order from one shared atomic cursor; a
+//! scenario is milliseconds to seconds of work, so one `fetch_add` per claim
+//! is all the balancing there is to do, and low ids finish first, which
+//! keeps the ordered emitter's reorder buffer small.
 //!
 //! Three properties are load-bearing:
 //!
@@ -34,6 +38,7 @@
 #![forbid(unsafe_code)]
 
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -44,15 +49,12 @@ use smpi_platform::RoutedPlatform;
 use surf_sim::{EngineConfig, TransferModel};
 
 pub mod noise;
-pub mod pool;
 pub mod rng;
 pub mod table;
 
 pub use noise::NoiseModel;
 pub use rng::CbRng;
 pub use table::{Distribution, OrderedEmitter};
-
-use pool::StealPool;
 
 /// What a scenario executes.
 #[derive(Clone)]
@@ -579,7 +581,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
         .unwrap_or_else(|e| panic!("invalid sweep config: {e}"));
     let (scenarios, cells) = cfg.enumerate();
     let n = scenarios.len();
-    let pool = StealPool::new(cfg.workers, n);
+    let next = AtomicUsize::new(0);
     let shared = Mutex::new(SharedEmit {
         emitter: OrderedEmitter::new(sink),
         outcomes: vec![None; n],
@@ -589,27 +591,28 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
     let start = Instant::now();
     let joined: Vec<std::thread::Result<WorkerStats>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                let pool = &pool;
+            .map(|_| {
+                let next = &next;
                 let shared = &shared;
                 let scenarios = &scenarios;
                 let cells = &cells;
                 s.spawn(move || {
                     let mut stats = WorkerStats::default();
-                    while let Some(job) = pool.pop(w) {
-                        let sc = &scenarios[job.id];
+                    loop {
+                        let id = next.fetch_add(1, Ordering::Relaxed);
+                        if id >= n {
+                            break;
+                        }
+                        let sc = &scenarios[id];
                         let t0 = Instant::now();
                         let out = run_scenario(cfg, sc);
                         stats.busy_s += t0.elapsed().as_secs_f64();
                         stats.scenarios += 1;
-                        if job.stolen {
-                            stats.stolen += 1;
-                        }
-                        let line = render_line(cfg, cells, job.id, sc, &out);
+                        let line = render_line(cfg, cells, id, sc, &out);
                         let mut sh = shared.lock().unwrap();
-                        sh.outcomes[job.id] = Some(out);
+                        sh.outcomes[id] = Some(out);
                         if sh.io_err.is_none() {
-                            if let Err(e) = sh.emitter.push(job.id, line) {
+                            if let Err(e) = sh.emitter.push(id, line) {
                                 sh.io_err = Some(e);
                             }
                         }
