@@ -20,13 +20,33 @@
 //! The engine also offers `exec`/`sleep` actions so entire MPI applications
 //! can be timed against it; on the simulated "real" cluster every rank has a
 //! node of its own, so compute actions don't share.
+//!
+//! # The calendar
+//!
+//! Events run in `(time, seq)` order, `seq` counting every schedule — the
+//! order of one global heap of events (`net/oracle_tests.rs` keeps that
+//! heap as the reference). They are not stored one heap entry each:
+//!
+//! * a contended channel is one **stream**: its one pending `ChannelIdle`
+//!   (it serializes one frame at a time) and a FIFO of its frames' arrivals
+//!   at the next node. The FIFO is sorted by construction: the next frame
+//!   starts no earlier than the channel's idle instant `fl(s + ser)`, so
+//!   (rounding being monotone) it arrives no earlier than
+//!   `fl(fl(s + ser) + lat)`, and with a larger `seq`;
+//! * FatPipe arrivals (a short last frame overtakes a full one) and delays
+//!   wait in one small binary heap, `misc`;
+//! * the shared [`surf_sim::calendar::Calendar`] holds one entry per stream
+//!   — its earliest event — plus one for the top of `misc`. Popping its
+//!   minimum is the one way an event is taken, and the pop order is the
+//!   global `(time, seq)` order.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use smpi_obs::{FlowAttribution, Rec};
 use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
+use surf_sim::calendar::{Calendar, Key};
 use surf_sim::{LinkId, SimTime, Slab};
 
 use crate::config::PacketConfig;
@@ -67,14 +87,29 @@ struct Channel {
     /// so a transfer is at most one flow here, and its frames wait in the
     /// transfer's own queue for that hop.
     rr: VecDeque<(u32, u16)>,
-    /// Whether a frame is currently being serialized.
-    busy: bool,
+    /// The pending `ChannelIdle` while a frame is being serialized.
+    idle: Option<Key>,
     /// Frames currently queued (excluding the one being serialized).
     depth: u32,
+    /// The frames serialized onto this channel and not yet arrived at the
+    /// next node, in arrival order (see the module docs). Keeps its
+    /// capacity for the life of the simulator.
+    arrivals: VecDeque<(Key, Frame)>,
+}
+
+impl Channel {
+    /// The earliest pending event of this channel's stream.
+    fn next_key(&self) -> Option<Key> {
+        let arrival = self.arrivals.front().map(|&(key, _)| key);
+        match (self.idle, arrival) {
+            (Some(idle), Some(arrival)) => Some(idle.min(arrival)),
+            (idle, arrival) => idle.or(arrival),
+        }
+    }
 }
 
 /// A frame in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     /// The transfer this frame belongs to.
     transfer: u32,
@@ -159,10 +194,8 @@ impl ChanKeys {
     }
 }
 
-/// Heap events carry their payload inline (ordered by `(time, seq)` in the
-/// heap entry; the derived `Ord` on the payload is never reached because
-/// `seq` is unique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// An event, as taken off the calendar.
+#[derive(Debug, Clone, Copy)]
 enum Event {
     /// A channel finished serializing a frame and may start the next one.
     ChannelIdle(u32),
@@ -170,6 +203,31 @@ enum Event {
     Arrive(Frame),
     /// A delay action (exec or sleep) finished.
     DelayDone(PacketActionId),
+}
+
+/// An entry of the `misc` heap, ordered by its key alone and reversed, so
+/// that `BinaryHeap` pops the earliest.
+#[derive(Debug)]
+struct Timed(Key, Event);
+
+impl PartialEq for Timed {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Timed {}
+
+impl PartialOrd for Timed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Timed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.cmp(&self.0)
+    }
 }
 
 /// The packet-level simulator over a routed platform.
@@ -188,7 +246,12 @@ pub struct PacketNet {
     /// proportional to the number of *concurrent* actions, not the total
     /// ever started.
     actions: Slab<Pending>,
-    heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
+    /// One entry per contended channel with pending events (id = channel
+    /// index), plus the top of `misc` (id = `channels.len()`).
+    calendar: Calendar,
+    /// FatPipe arrivals and delay completions.
+    misc: BinaryHeap<Timed>,
+    /// Events scheduled so far: the tie-breaker of equal times.
     seq: u64,
     /// Host compute speeds, for exec durations.
     host_speeds: Vec<f64>,
@@ -233,7 +296,8 @@ impl PacketNet {
             chan_lat,
             chan_fat: resources.map(|k| !image.is_contended(k)).collect(),
             actions: Slab::new(),
-            heap: BinaryHeap::new(),
+            calendar: Calendar::default(),
+            misc: BinaryHeap::new(),
             seq: 0,
             host_speeds,
             rec: Rec::disabled(),
@@ -278,9 +342,46 @@ impl PacketNet {
         &self.config
     }
 
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        self.heap.push(Reverse((at, self.seq, event)));
+    /// Schedules a FatPipe arrival or a delay completion.
+    fn schedule_misc(&mut self, at: SimTime, event: Event) {
+        let key = Key::new(at, self.seq);
         self.seq += 1;
+        self.misc.push(Timed(key, event));
+        self.rekey(self.channels.len() as u32);
+    }
+
+    /// Publishes the earliest pending event of calendar id `id`: channel
+    /// `id`'s stream, or the top of `misc` for `id == channels.len()`.
+    fn rekey(&mut self, id: u32) {
+        let next = match self.channels.get(id as usize) {
+            Some(c) => c.next_key(),
+            None => self.misc.peek().map(|top| top.0),
+        };
+        match next {
+            Some(key) => self.calendar.set(id, key),
+            None => self.calendar.remove(id),
+        }
+    }
+
+    /// Takes event `key`, the earliest of calendar id `id`, out of its
+    /// stream. The caller re-keys `id` once the event is handled.
+    fn take(&mut self, key: Key, id: u32) -> Event {
+        match self.channels.get_mut(id as usize) {
+            Some(c) if c.idle == Some(key) => {
+                c.idle = None;
+                Event::ChannelIdle(id)
+            }
+            Some(c) => {
+                let (at, frame) = c.arrivals.pop_front().expect("a keyed stream has events");
+                debug_assert_eq!(at, key);
+                Event::Arrive(frame)
+            }
+            None => {
+                let Timed(at, event) = self.misc.pop().expect("a keyed heap has events");
+                debug_assert_eq!(at, key);
+                event
+            }
+        }
     }
 
     /// Starts a message of `bytes` from `src` to `dst`. Frames are enqueued
@@ -340,11 +441,12 @@ impl PacketNet {
             return id;
         }
         let c = &mut self.channels[first as usize];
-        let was_busy = c.busy;
+        let was_busy = c.idle.is_some();
         c.rr.push_back((slot, 0));
         c.depth += u32::try_from(nframes).expect("a message fits in 2^32 frames");
         if !was_busy {
             self.transmit_next(first);
+            self.rekey(first);
         }
         if self.rec.is_enabled() {
             // As if queued one by one: on an idle channel the first frame
@@ -375,7 +477,7 @@ impl PacketNet {
         assert!(seconds >= 0.0 && seconds.is_finite());
         let (slot, gen) = self.actions.insert(Pending::Delay);
         let id = PacketActionId { slot, gen };
-        self.schedule(self.now + seconds, Event::DelayDone(id));
+        self.schedule_misc(self.now + seconds, Event::DelayDone(id));
         id
     }
 
@@ -400,14 +502,18 @@ impl PacketNet {
     /// (0.0) — there is no fractional sharing at packet level.
     pub fn channel_utilizations(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.channels.iter().map(|c| if c.busy { 1.0 } else { 0.0 }));
+        out.extend(
+            self.channels
+                .iter()
+                .map(|c| if c.idle.is_some() { 1.0 } else { 0.0 }),
+        );
     }
 
     /// FatPipe: serialize without queuing (infinite parallel lanes).
     fn send_fat(&mut self, chan: u32, frame: Frame) {
         let ser = self.config.wire_bytes(frame.payload) as f64 / self.chan_bw[chan as usize];
         let at = self.now + ser + self.chan_lat[chan as usize];
-        self.schedule(at, Event::Arrive(frame));
+        self.schedule_misc(at, Event::Arrive(frame));
     }
 
     /// Queues a frame that just arrived at the node before `frame.hop`.
@@ -418,7 +524,7 @@ impl PacketNet {
             return;
         }
         let c = &mut self.channels[chan as usize];
-        let was_busy = c.busy;
+        let was_busy = c.idle.is_some();
         let q = &mut transfer_mut(&mut self.actions, frame.transfer).queues[frame.hop as usize];
         if q.is_empty() {
             c.rr.push_back((frame.transfer, frame.hop));
@@ -437,14 +543,17 @@ impl PacketNet {
         }
         if !was_busy {
             self.transmit_next(chan);
+            self.rekey(chan);
         }
     }
 
-    /// Pops the next frame (round-robin across flows) and serializes it.
+    /// Pops the next frame (round-robin across flows) and serializes it:
+    /// schedules the channel's idle instant and the frame's arrival. The
+    /// caller re-keys the channel.
     fn transmit_next(&mut self, chan: u32) {
         let cix = chan as usize;
         let c = &mut self.channels[cix];
-        debug_assert!(!c.busy);
+        debug_assert!(c.idle.is_none());
         let Some((slot, hop)) = c.rr.pop_front() else {
             return;
         };
@@ -460,12 +569,18 @@ impl PacketNet {
         if more {
             c.rr.push_back((slot, hop));
         }
-        c.busy = true;
         c.depth -= 1;
-        let frame = Frame::new(slot, payload, hop, queued_at);
         let ser = self.config.wire_bytes(payload) as f64 / self.chan_bw[cix];
-        self.schedule(self.now + ser, Event::ChannelIdle(chan));
-        self.schedule(self.now + ser + self.chan_lat[cix], Event::Arrive(frame));
+        let idle_at = self.now + ser;
+        let idle = Key::new(idle_at, self.seq);
+        let arrive = Key::new(idle_at + self.chan_lat[cix], self.seq + 1);
+        self.seq += 2;
+        c.idle = Some(idle);
+        // Arrivals come in FIFO order (module docs), so the stream stays
+        // sorted by appending.
+        debug_assert!(c.arrivals.back().is_none_or(|&(last, _)| last < arrive));
+        c.arrivals
+            .push_back((arrive, Frame::new(slot, payload, hop, queued_at)));
     }
 
     fn on_arrive(&mut self, frame: Frame) -> Option<PacketActionId> {
@@ -518,7 +633,7 @@ impl PacketNet {
             self.enqueue_frame(chan, next);
             None
         } else if finished {
-            // Every frame has fully arrived, so nothing in the heap can
+            // Every frame has fully arrived, so no pending event can
             // reference this slot any more: safe to recycle.
             let gen = self.actions.generation(frame.transfer);
             let done = self.actions.remove(frame.transfer);
@@ -542,19 +657,16 @@ impl PacketNet {
     /// returning the completed actions. Returns `None` when fully drained.
     pub fn advance_to_next(&mut self) -> Option<(SimTime, Vec<PacketActionId>)> {
         let mut completed = Vec::new();
-        while let Some(&Reverse((t, _, _))) = self.heap.peek() {
+        while let Some((key, _)) = self.calendar.peek() {
             // Drain every event at instant `t`.
+            let t = key.time();
             self.now = t;
-            while let Some(&Reverse((t2, _, ev))) = self.heap.peek() {
-                if t2 != t {
+            while let Some((key, id)) = self.calendar.peek() {
+                if key.time() != t {
                     break;
                 }
-                self.heap.pop();
-                match ev {
-                    Event::ChannelIdle(chan) => {
-                        self.channels[chan as usize].busy = false;
-                        self.transmit_next(chan);
-                    }
+                match self.take(key, id) {
+                    Event::ChannelIdle(chan) => self.transmit_next(chan),
                     Event::Arrive(frame) => {
                         if self.rec.is_enabled() {
                             let hop_ns = (self.now.as_secs() - frame.queued_at.as_secs()) * 1e9;
@@ -567,11 +679,12 @@ impl PacketNet {
                             completed.push(done);
                         }
                     }
-                    Event::DelayDone(id) => {
-                        self.actions.remove(id.slot);
-                        completed.push(id);
+                    Event::DelayDone(done) => {
+                        self.actions.remove(done.slot);
+                        completed.push(done);
                     }
                 }
+                self.rekey(id);
             }
             if !completed.is_empty() {
                 return Some((self.now, completed));

@@ -3,15 +3,36 @@
 //! each and the observations compared bit for bit.
 //!
 //! The oracle is the frame loop as first written: every channel keeps a
-//! `HashMap` of per-flow frame queues, and a message queues all its frames
-//! at the first channel the moment it starts. The shipped loop keeps a
-//! channel's flows as (transfer, hop) pairs, the frames in the transfer, and
-//! hop 0 as a counter; it must not move an event, a float, or a recorder
-//! entry.
+//! `HashMap` of per-flow frame queues, a message queues all its frames at
+//! the first channel the moment it starts, and every event is one entry of
+//! one global `(time, seq)` heap. The shipped loop keeps a channel's flows
+//! as (transfer, hop) pairs, the frames in the transfer, hop 0 as a
+//! counter, and a channel's events as one stream on the shared calendar; it
+//! must not move an event, a float, or a recorder entry.
 
 use super::*;
 use proptest::prelude::*;
 use smpi_platform::{Platform, SharingPolicy};
+use std::cmp::Reverse;
+
+/// A frame in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Frame {
+    transfer: u32,
+    payload: u32,
+    hop: u16,
+    queued_at: SimTime,
+}
+
+/// Heap events carry their payload inline (ordered by `(time, seq)` in the
+/// heap entry; the derived `Ord` on the payload is never reached because
+/// `seq` is unique).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    ChannelIdle(u32),
+    Arrive(Frame),
+    DelayDone(PacketActionId),
+}
 
 #[derive(Debug, Default)]
 struct OracleChannel {
@@ -102,7 +123,13 @@ impl Oracle {
         for _ in 0..nframes {
             let payload = left.min(full) as u32;
             left = left.saturating_sub(full);
-            self.enqueue_frame(first, Frame::new(id.slot, payload, 0, SimTime::ZERO));
+            let frame = Frame {
+                transfer: id.slot,
+                payload,
+                hop: 0,
+                queued_at: SimTime::ZERO,
+            };
+            self.enqueue_frame(first, frame);
         }
         id
     }
@@ -350,7 +377,11 @@ const HOSTS: u32 = 7;
 /// queues build at the last hop), a FatPipe host link (2: its messages
 /// start on a channel with no queue), SplitDuplex host links (3, 4, 5),
 /// and a core link between the switches with the given policy and speed.
-fn platform(core: SharingPolicy, core_bw: f64) -> RoutedPlatform {
+/// With `zero_latency`, no host or core link has latency: a frame's
+/// `ChannelIdle` and `Arrive` fall on one instant, and `seq` alone orders
+/// them.
+fn platform(core: SharingPolicy, core_bw: f64, zero_latency: bool) -> RoutedPlatform {
+    let lat = |secs: f64| if zero_latency { 0.0 } else { secs };
     let mut p = Platform::new();
     let s0 = p.add_switch("s0");
     let s1 = p.add_switch("s1");
@@ -363,12 +394,12 @@ fn platform(core: SharingPolicy, core_bw: f64) -> RoutedPlatform {
         (s1, 250e6, 10e-6, SharingPolicy::SplitDuplex),
         (s1, 40e6, 3e-6, SharingPolicy::Shared),
     ];
-    for (i, (switch, bw, lat, policy)) in hosts.into_iter().enumerate() {
+    for (i, (switch, bw, latency, policy)) in hosts.into_iter().enumerate() {
         let h = p.add_host(format!("h{i}"), 1e9 * (i + 1) as f64);
         let node = p.host_node(h);
-        p.link_between(node, switch, format!("l{i}"), bw, lat, policy);
+        p.link_between(node, switch, format!("l{i}"), bw, lat(latency), policy);
     }
-    p.link_between(s0, s1, "core", core_bw, 20e-6, core);
+    p.link_between(s0, s1, "core", core_bw, lat(20e-6), core);
     RoutedPlatform::new(p)
 }
 
@@ -442,15 +473,58 @@ proptest! {
 
     /// Same completions at the same time bits, same ids, with and without
     /// a recorder; with one, the same counters, high-water marks,
-    /// histograms, byte integrals and attributions.
+    /// histograms, byte integrals and attributions. Each script runs with
+    /// latency and without, where every frame's `ChannelIdle` and `Arrive`
+    /// tie and FatPipe arrivals tie with channel events.
     #[test]
     fn the_frame_loop_matches_the_per_channel_oracle(script in script(), core in core()) {
-        let rp = platform(core.0, core.1);
         let config = PacketConfig::default();
-        for record in [false, true] {
-            let shipped = run(&mut PacketNet::new(&rp, config), &rp, &script, record);
-            let oracle = run(&mut Oracle::new(&rp, config), &rp, &script, record);
-            prop_assert_eq!(&shipped, &oracle);
+        for zero_latency in [false, true] {
+            let rp = platform(core.0, core.1, zero_latency);
+            for record in [false, true] {
+                let shipped = run(&mut PacketNet::new(&rp, config), &rp, &script, record);
+                let oracle = run(&mut Oracle::new(&rp, config), &rp, &script, record);
+                prop_assert_eq!(&shipped, &oracle);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_symmetric_incast_at_one_instant_matches_the_oracle() {
+    // Equal messages from identical hosts, started at one instant: their
+    // frames reach the shared port at the same instants, frame after
+    // frame, so only `seq` orders them.
+    let bytes = 20 * 1448 + 100;
+    for zero_latency in [false, true] {
+        let star = RoutedPlatform::new(smpi_platform::flat_cluster(
+            "star",
+            5,
+            &smpi_platform::ClusterConfig {
+                link_latency: if zero_latency { 0.0 } else { 10e-6 },
+                ..smpi_platform::ClusterConfig::default()
+            },
+        ));
+        let into_star: Script = vec![((1..5).map(|src| Op::Message(src, 0, bytes)).collect(), 0)];
+        // Hosts 0 and 1 are identical: into the slow host 6, and across the
+        // core into host 3.
+        let mixed = platform(SharingPolicy::Shared, 125e6, zero_latency);
+        let into_mixed: Script = vec![(
+            vec![
+                Op::Message(0, 6, bytes),
+                Op::Message(1, 6, bytes),
+                Op::Message(0, 3, bytes),
+                Op::Message(1, 3, bytes),
+            ],
+            0,
+        )];
+        for (rp, script) in [(&star, &into_star), (&mixed, &into_mixed)] {
+            for record in [false, true] {
+                let config = PacketConfig::default();
+                let shipped = run(&mut PacketNet::new(rp, config), rp, script, record);
+                let oracle = run(&mut Oracle::new(rp, config), rp, script, record);
+                assert_eq!(shipped, oracle, "zero latency: {zero_latency}");
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The frame loop allocates per message and per hop, never per frame: a
-//! warm message over an idle route costs the same handful of blocks at
-//! 64 KiB as at 4 MiB, and none of them is a copy of its route.
+//! warm message over an idle route, or two warm messages queueing at a
+//! shared last hop, cost the same handful of blocks at 64 KiB as at 4 MiB,
+//! and none of them is a copy of its route.
 //!
 //! Own test binary because it installs a counting global allocator (the
 //! library crates stay `forbid(unsafe_code)`).
@@ -9,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use packetnet::{PacketConfig, PacketNet};
+use smpi_obs::Rec;
 use smpi_platform::{HostIx, Platform, RoutedPlatform, SharingPolicy};
 
 struct Counting;
@@ -106,6 +108,69 @@ fn a_warm_message_allocates_per_hop_not_per_frame() {
         mib,
         1 + (HOPS - 1) + 1,
         "1 MiB over {HOPS} hops: {mib} blocks"
+    );
+    assert_eq!((small, large), (mib, mib), "64 KiB / 1 MiB / 4 MiB");
+}
+
+/// Two senders on one switch, a core link to a second switch, and the
+/// sink's link there; the core and the sink's link carry both flows at
+/// twice a sender's bandwidth, so frames of the two flows collide and one
+/// waits, without a backlog that grows with the message.
+fn incast() -> RoutedPlatform {
+    let mut p = Platform::new();
+    let s0 = p.add_switch("s0");
+    let s1 = p.add_switch("s1");
+    for (i, switch, bw) in [(0, s0, 125e6), (1, s0, 125e6), (2, s1, 250e6)] {
+        let h = p.add_host(format!("h{i}"), 1e9);
+        let node = p.host_node(h);
+        p.link_between(
+            node,
+            switch,
+            format!("l{i}"),
+            bw,
+            10e-6,
+            SharingPolicy::Shared,
+        );
+    }
+    p.link_between(s0, s1, "core", 250e6, 10e-6, SharingPolicy::SplitDuplex);
+    RoutedPlatform::new(p)
+}
+
+#[test]
+fn a_warm_incast_allocates_per_hop_not_per_frame() {
+    const HOPS: usize = 3;
+    let rp = incast();
+    assert_eq!(rp.route(HostIx(0), HostIx(2)).len(), HOPS);
+    let both = |net: &mut PacketNet, bytes: u64| {
+        net.start_message(&rp, HostIx(0), HostIx(2), bytes);
+        net.start_message(&rp, HostIx(1), HostIx(2), bytes);
+        net.run_to_completion();
+    };
+    // The last hops do queue: frames wait behind the other flow's.
+    let rec = Rec::enabled();
+    let mut traced = PacketNet::new(&rp, PacketConfig::default());
+    traced.set_recorder(rec.clone());
+    both(&mut traced, 1 << 20);
+    let queued = rec
+        .snapshot()
+        .unwrap()
+        .counter("packetnet.frames.queued_behind");
+    assert!(queued > 700, "{queued} frames queued behind another");
+
+    let mut net = PacketNet::new(&rp, PacketConfig::default());
+    let mut incast = |bytes: u64| allocations(|| both(&mut net, bytes));
+    // Warm: the route cache, the action slab, the calendar, the misc heap
+    // and every channel's arrival stream.
+    incast(4 << 20);
+    let mib = incast(1 << 20);
+    let small = incast(64 << 10);
+    let large = incast(4 << 20);
+    // Per message: the per-hop queue table and one queue per later hop;
+    // then the completion lists.
+    assert_eq!(
+        mib,
+        2 * (1 + (HOPS - 1)) + 2,
+        "two 1 MiB messages over {HOPS} hops: {mib} blocks"
     );
     assert_eq!((small, large), (mib, mib), "64 KiB / 1 MiB / 4 MiB");
 }

@@ -27,9 +27,11 @@
 //! * actions live in a generation-tagged [`Slab`] whose
 //!   slots are recycled on completion, so iteration and memory stay
 //!   proportional to the peak concurrency;
-//! * the next completion is the top of an addressable heap (`heap.rs`)
-//!   keyed `(prediction, birth seq)`: a rate change re-keys the action's
-//!   entry in place, a completion removes it, nothing stale is ever stored;
+//! * the next completion is the top of the addressable calendar
+//!   ([`crate::calendar`], shared with the packet network) keyed
+//!   `(prediction, birth seq)` as one integer: a rate change re-keys the
+//!   action's entry in place, a completion removes it, nothing stale is
+//!   ever stored;
 //! * the max-min system is *live*. A sharing action belongs to a route
 //!   class (`classes.rs`: same deduplicated route — or host — and same
 //!   rate-bound bit pattern), a class keeps its members in birth order, and
@@ -48,8 +50,8 @@
 //! tests in `engine/oracle_tests.rs`.
 
 mod classes;
-mod heap;
 
+use crate::calendar::{Calendar, Key};
 use crate::hash::FastMap;
 use crate::ids::{ActionId, HostId, LinkId};
 use crate::lmm::Workspace;
@@ -57,7 +59,6 @@ use crate::model::TransferModel;
 use crate::slab::Slab;
 use crate::time::SimTime;
 use classes::{ClassTable, UserKey, DETACHED};
-use heap::EventHeap;
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
 use std::ops::Range;
 use std::time::Instant;
@@ -327,7 +328,7 @@ pub struct Simulation {
     /// Route classes of the live actions.
     classes: ClassTable,
     /// Predicted completions.
-    events: EventHeap,
+    events: Calendar,
     /// Next birth sequence number.
     next_seq: u64,
     /// Links / hosts whose sharing changed since the last re-share
@@ -388,7 +389,7 @@ impl Simulation {
             hosts: Vec::new(),
             actions: Slab::new(),
             classes: ClassTable::default(),
-            events: EventHeap::default(),
+            events: Calendar::default(),
             next_seq: 0,
             dirty: Vec::new(),
             #[cfg(test)]
@@ -642,7 +643,7 @@ impl Simulation {
             attr,
         });
         match timer {
-            Some(at) => self.events.set(slot, at, seq),
+            Some(at) => self.events.set(slot, Key::new(at, seq)),
             None => self.start_sharing(slot),
         }
         ActionId::new(slot, gen)
@@ -1045,7 +1046,7 @@ impl Simulation {
         let a = self.actions.get_mut(slot).expect("live action");
         a.rate = rate;
         let (pred, seq) = (Self::predict(a, self.now), a.seq);
-        self.events.set(slot, pred, seq);
+        self.events.set(slot, Key::new(pred, seq));
     }
 
     /// Emits the reshare counters and per-link utilization gauges. Called
@@ -1152,7 +1153,7 @@ impl Simulation {
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         self.flush_reshare();
         match self.events.peek() {
-            Some((t, _seq, _slot)) => Some(t),
+            Some((key, _slot)) => Some(key.time()),
             None if self.actions.is_empty() => None,
             None => Some(SimTime::INFINITY),
         }
@@ -1236,7 +1237,7 @@ impl Simulation {
     pub fn try_advance_to_next(&mut self) -> Result<Option<(SimTime, Vec<ActionId>)>, StallError> {
         loop {
             self.flush_reshare();
-            let Some((target, _seq, _slot)) = self.events.peek() else {
+            let Some(target) = self.events.peek().map(|(key, _slot)| key.time()) else {
                 if self.actions.is_empty() {
                     return Ok(None);
                 }
@@ -1254,12 +1255,12 @@ impl Simulation {
             // observed in one batch as the pre-slab kernel did.
             let mut candidates = std::mem::take(&mut self.candidates);
             candidates.clear();
-            while let Some((t, seq, slot)) = self.events.peek() {
-                if t > self.candidate_horizon(slot, target) {
+            while let Some((key, slot)) = self.events.peek() {
+                if key.time() > self.candidate_horizon(slot, target) {
                     break;
                 }
                 self.events.pop();
-                candidates.push((seq, slot));
+                candidates.push((key.seq(), slot));
             }
             candidates.sort_unstable(); // completions in birth order
 
@@ -1316,7 +1317,7 @@ impl Simulation {
                     Verdict::Repush => {
                         let a = self.actions.get(slot).expect("live candidate");
                         let (pred, seq) = (Self::predict(a, target), a.seq);
-                        self.events.set(slot, pred, seq);
+                        self.events.set(slot, Key::new(pred, seq));
                     }
                 }
             }

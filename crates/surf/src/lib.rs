@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod calendar;
 pub mod engine;
 pub mod hash;
 pub mod ids;

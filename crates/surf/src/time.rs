@@ -5,6 +5,11 @@
 //! time cannot be accidentally mixed with wall-clock durations (which matter
 //! separately when measuring *simulation speed*, cf. Fig. 17 of the paper),
 //! and so that a total order can be defined (`f64` alone is only `PartialOrd`).
+//!
+//! A `SimTime` is never `-0.0` (construction canonicalizes it to `+0.0`), so
+//! equality, the order and the raw bits all agree: for two times `a` and `b`,
+//! `a < b` exactly when `a.to_bits() < b.to_bits()`. The event calendar
+//! ([`crate::calendar`]) keys on those bits.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -21,15 +26,22 @@ impl SimTime {
     pub const INFINITY: SimTime = SimTime(f64::INFINITY);
 
     /// Creates a time from seconds. Panics on NaN or negative values: a NaN
-    /// clock would silently corrupt the event calendar's ordering.
+    /// clock would silently corrupt the event calendar's ordering. `-0.0`
+    /// is accepted and stored as `+0.0`.
     pub fn from_secs(secs: f64) -> Self {
         assert!(secs >= 0.0 && !secs.is_nan(), "invalid SimTime: {secs}");
-        SimTime(secs)
+        SimTime(secs + 0.0)
     }
 
     /// Seconds since the epoch.
     pub fn as_secs(self) -> f64 {
         self.0
+    }
+
+    /// The IEEE-754 bits of the seconds. Times are non-negative and never
+    /// `-0.0`, so these bits order exactly like the times themselves.
+    pub fn to_bits(self) -> u64 {
+        self.0.to_bits()
     }
 
     /// `true` for the unreachable infinite horizon.
@@ -97,6 +109,15 @@ mod tests {
         assert!(b > a);
         assert_eq!(a.max(b), b);
         assert!(a < SimTime::INFINITY);
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        let z = SimTime::from_secs(-0.0);
+        assert_eq!(z, SimTime::ZERO);
+        assert_eq!(z.cmp(&SimTime::ZERO), std::cmp::Ordering::Equal);
+        assert!(z < SimTime::from_secs(f64::from_bits(1)));
+        assert_eq!(z.to_bits(), SimTime::ZERO.to_bits());
     }
 
     #[test]
