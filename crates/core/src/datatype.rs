@@ -18,7 +18,10 @@
 //! ([`Payload::to_vec`], one allocation). Only a receive that names a
 //! *different* element type than the send (an `MPI_BYTE` view of doubles)
 //! goes through bytes: the viewed elements' little-endian representation,
-//! re-encoded one at a time. All of it is safe code.
+//! re-encoded one at a time. A fresh block — a packed body, a received
+//! vector — is advised huge pages before its one copy writes it
+//! ([`simix::advise_huge_pages`]), so a large one is faulted in 2 MiB at a
+//! time. All of it is safe code.
 
 use std::ops::{Bound, Range, RangeBounds};
 use std::sync::Arc;
@@ -162,7 +165,7 @@ impl Payload {
 
     /// Copies `data` into a fresh body: the one encode of the message path.
     pub fn pack<T: Datatype>(data: &[T]) -> Payload {
-        Payload::from_vec(data.to_vec())
+        Payload::from_vec(fresh_copy(data))
     }
 
     /// Adopts `elems` as the block of a fresh body, without a copy.
@@ -229,7 +232,7 @@ impl Payload {
     /// whole number of `T` elements.
     pub fn to_vec<T: Datatype>(&self) -> Vec<T> {
         match T::peek(self) {
-            Some(elems) => elems.to_vec(),
+            Some(elems) => fresh_copy(elems),
             None => {
                 let bytes = self.bytes();
                 assert_eq!(
@@ -238,7 +241,7 @@ impl Payload {
                     "message is not a whole number of {} elements",
                     T::NAME
                 );
-                let mut out = vec![T::default(); bytes.len() / T::SIZE];
+                let mut out = zeroed(bytes.len() / T::SIZE);
                 from_bytes(&bytes, &mut out);
                 out
             }
@@ -250,6 +253,24 @@ impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Payload({} B of {})", self.len(), self.type_name())
     }
+}
+
+/// A copy of `src` in one fresh block, advised huge pages before the copy
+/// writes it ([`simix::advise_huge_pages`]): one allocation, one `memcpy`.
+fn fresh_copy<T: Copy>(src: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(src.len());
+    simix::advise_huge_pages(out.spare_capacity_mut());
+    out.extend_from_slice(src);
+    out
+}
+
+/// `len` zero elements in one fresh calloc'd block, advised huge pages
+/// before anything writes it: calloc leaves a fresh mapping untouched, so
+/// the first write faults it in.
+pub(crate) fn zeroed<T: Datatype>(len: usize) -> Vec<T> {
+    let out = vec![T::default(); len];
+    simix::advise_huge_pages(&out);
+    out
 }
 
 fn check_fits(n: usize, capacity: usize) {

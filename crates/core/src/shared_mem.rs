@@ -15,7 +15,9 @@
 //! shares it, so the body keeps the elements it was shared with — a
 //! snapshot, exactly what [`Payload::pack`] would have copied — and the
 //! writer (every rank of a folded site) moves on to the copy. A buffer that
-//! is not written while its bodies are in flight is never copied.
+//! is not written while its bodies are in flight is never copied. A site's
+//! buffer lives as long as a handle to it: the heap holds it weakly, and
+//! its last handle — whichever rank allocated it — frees it.
 //!
 //! The [`MemoryTracker`] accounts both the **actual** footprint (what this
 //! simulation really allocated) and the **logical** footprint (what an
@@ -26,11 +28,11 @@ use std::any::Any;
 use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
 use crate::ctx::Ctx;
-use crate::datatype::{Datatype, Payload};
+use crate::datatype::{zeroed, Datatype, Payload};
 use crate::state::SharedState;
 
 /// Tracks simulated-application memory usage (bytes): current and peak, both
@@ -100,24 +102,63 @@ impl MemoryTracker {
     }
 }
 
-/// Type-erased buffer of the folded heap.
-type HeapEntry = Rc<dyn Any>;
+/// Type-erased buffer of the folded heap. Weak: a site's buffer lives as
+/// long as a handle to it does, not as long as the run.
+type HeapEntry = Weak<dyn Any>;
 
 /// An application buffer: the cell every rank of a folded site borrows
 /// through, around the block that bodies shared from the buffer also hold.
-type Buffer<T> = RefCell<Arc<Vec<T>>>;
-
-/// A zero-filled buffer of `len` elements (calloc'd: pages are faulted in
-/// by their first write, not here).
-fn new_buffer<T: Datatype>(len: usize) -> Rc<Buffer<T>> {
-    Rc::new(RefCell::new(Arc::new(vec![T::default(); len])))
+/// It accounts the bytes it really allocated, and releases them when its
+/// last handle drops.
+struct Buffer<T> {
+    block: RefCell<Arc<Vec<T>>>,
+    /// Fixed at allocation, so reading it takes no borrow.
+    len: usize,
+    site: Box<str>,
+    /// Keeps the memory tracker alive, so dropping releases into it.
+    shared: Rc<SharedState>,
+    bytes: u64,
 }
 
-/// The folded allocation table, keyed by allocation site: each site's
-/// buffer and its length in elements.
+impl<T: Datatype> Buffer<T> {
+    /// A zero-filled buffer of `len` elements for `site`, counted as
+    /// actually allocated (calloc'd and advised huge pages: its pages are
+    /// faulted in by their first write, not here).
+    fn new(shared: &Rc<SharedState>, site: &str, len: usize) -> Rc<Buffer<T>> {
+        let bytes = (len * T::SIZE) as u64;
+        shared.memory.allocate(bytes, 0);
+        Rc::new(Buffer {
+            block: RefCell::new(Arc::new(zeroed(len))),
+            len,
+            site: site.into(),
+            shared: Rc::clone(shared),
+            bytes,
+        })
+    }
+
+    /// Borrows the block, or panics naming the site if a guard is alive:
+    /// waiting would hang the one thread every rank runs on.
+    fn lock(&self) -> RefMut<'_, Arc<Vec<T>>> {
+        self.block.try_borrow_mut().unwrap_or_else(|_| {
+            panic!(
+                "shared buffer `{}` is locked by a rank suspended in an MPI call; \
+                 drop the guard before calling MPI",
+                self.site
+            )
+        })
+    }
+}
+
+impl<T> Drop for Buffer<T> {
+    fn drop(&mut self) {
+        self.shared.memory.release(self.bytes, 0);
+    }
+}
+
+/// The folded allocation table, keyed by allocation site.
 #[derive(Default)]
 pub struct SharedHeap {
-    inner: RefCell<HashMap<String, (HeapEntry, usize)>>,
+    inner: RefCell<HashMap<String, HeapEntry>>,
 }
 
 impl std::fmt::Debug for SharedHeap {
@@ -132,67 +173,62 @@ impl SharedHeap {
         Self::default()
     }
 
-    /// The site's buffer, and whether this call allocated it. The length
-    /// check reads the recorded length, not the buffer, so it holds while a
-    /// rank has the buffer locked.
-    fn get_or_insert<T: Datatype>(&self, site: &str, len: usize) -> (Rc<Buffer<T>>, bool) {
+    /// The site's live buffer, or a fresh one when no handle to the site
+    /// is left. The length check reads the buffer's fixed length, not the
+    /// block, so it holds while a rank has the buffer locked.
+    fn get_or_insert<T: Datatype>(
+        &self,
+        shared: &Rc<SharedState>,
+        site: &str,
+        len: usize,
+    ) -> Rc<Buffer<T>> {
         let mut map = self.inner.borrow_mut();
-        if let Some((entry, site_len)) = map.get(site) {
-            let buf = Rc::clone(entry)
+        if let Some(entry) = map.get(site).and_then(Weak::upgrade) {
+            let buf = entry
                 .downcast::<Buffer<T>>()
                 .expect("shared_malloc site reused with a different element type");
             assert_eq!(
-                *site_len, len,
+                buf.len, len,
                 "shared_malloc site {site:?} reused with a different length"
             );
-            (buf, false)
+            buf
         } else {
-            let buf = new_buffer(len);
-            map.insert(site.to_string(), (Rc::clone(&buf) as HeapEntry, len));
-            (buf, true)
+            let buf = Buffer::new(shared, site, len);
+            map.insert(site.to_string(), Rc::downgrade(&buf) as HeapEntry);
+            buf
         }
     }
 }
 
-/// Borrows an application buffer, or panics naming `site` if a guard is
-/// alive: waiting would hang the one thread every rank runs on.
-fn lock_buffer<'a, T>(data: &'a Buffer<T>, site: &str) -> RefMut<'a, Arc<Vec<T>>> {
-    data.try_borrow_mut().unwrap_or_else(|_| {
-        panic!(
-            "shared buffer `{site}` is locked by a rank suspended in an MPI call; \
-             drop the guard before calling MPI"
-        )
-    })
-}
-
 /// A buffer returned by [`Ctx::shared_malloc`]. With folding on, all ranks
-/// using the same site observe (and clobber) the same storage. Access is a
-/// `RefCell` borrow, held by a [`SharedGuard`]. Ranks run one at a time on
-/// one thread, so the buffer is free exactly when no rank is suspended
-/// holding a guard: a guard must be dropped before the next MPI call. One
-/// held across a call cannot be waited for — the holder only resumes once
-/// this rank yields — so [`lock`](Self::lock) panics in the rank that finds
-/// it taken.
+/// using the same site observe (and clobber) the same storage, which is
+/// freed — and released from the actual footprint — when the last of their
+/// handles drops. Access is a `RefCell` borrow, held by a [`SharedGuard`].
+/// Ranks run one at a time on one thread, so the buffer is free exactly
+/// when no rank is suspended holding a guard: a guard must be dropped
+/// before the next MPI call. One held across a call cannot be waited for —
+/// the holder only resumes once this rank yields — so [`lock`](Self::lock)
+/// panics in the rank that finds it taken.
 ///
 /// [`share`](Self::share) sends the buffer without copying it: the body
 /// and the buffer hold one block until the next write through a guard
 /// copies it (see the module docs).
 pub struct SharedSlice<T: Datatype> {
     data: Rc<Buffer<T>>,
-    /// Fixed at allocation, so reading it takes no borrow.
-    len: usize,
-    site: Box<str>,
-    /// Keeps the memory tracker alive, so dropping releases into it.
-    shared: Rc<SharedState>,
-    actual: u64,
-    logical: u64,
 }
 
 impl<T: Datatype> SharedSlice<T> {
+    /// A handle to `data`: one rank's allocation of it, as an unfolded run
+    /// would have made it.
+    fn new(data: Rc<Buffer<T>>) -> Self {
+        data.shared.memory.allocate(0, data.bytes);
+        SharedSlice { data }
+    }
+
     /// Locks the buffer for reading/writing. Drop the guard before the
     /// next MPI call; panics if another guard of the buffer is alive.
     pub fn lock(&self) -> SharedGuard<'_, T> {
-        SharedGuard(lock_buffer(&self.data, &self.site))
+        SharedGuard(self.data.lock())
     }
 
     /// The whole buffer as a message body, without a copy: the body shares
@@ -200,15 +236,12 @@ impl<T: Datatype> SharedSlice<T> {
     /// the body is alive. [`Payload::slice`] narrows it to the elements to
     /// send. Panics, like [`lock`](Self::lock), if a guard is alive.
     pub fn share(&self) -> Payload {
-        T::wrap(
-            Arc::clone(&lock_buffer(&self.data, &self.site)),
-            0..self.len,
-        )
+        T::wrap(Arc::clone(&self.data.lock()), 0..self.data.len)
     }
 
     /// Buffer length in elements. Takes no borrow, so it works under a guard.
     pub fn len(&self) -> usize {
-        self.len
+        self.data.len
     }
 
     /// `true` when empty.
@@ -239,50 +272,33 @@ impl<T: Datatype> DerefMut for SharedGuard<'_, T> {
 
 impl<T: Datatype> Drop for SharedSlice<T> {
     fn drop(&mut self) {
-        self.shared.memory.release(self.actual, self.logical);
+        self.data.shared.memory.release(0, self.data.bytes);
     }
 }
 
 impl Ctx<'_> {
     /// `SMPI_SHARED_MALLOC`: allocates `len` elements for allocation site
     /// `site`. With folding enabled, all ranks share one buffer per site
-    /// (`SMPI_FREE` is the handle's `Drop`). Without folding each rank gets
-    /// a private buffer, so the tracker exposes the true unfolded footprint.
+    /// while any of them holds it (`SMPI_FREE` is the handle's `Drop`; a
+    /// site allocated again after its last free is a fresh, zeroed
+    /// buffer). Without folding each rank gets a private buffer, so the
+    /// tracker exposes the true unfolded footprint.
     pub fn shared_malloc<T: Datatype>(&self, site: &str, len: usize) -> SharedSlice<T> {
         // Local simcall tier: the folded-heap lookup stays inside the rank;
         // allocation involves no switch to the maestro.
         self.shared.count_local_call();
-        let bytes = (len * T::SIZE) as u64;
-        let (data, actual) = if self.shared.config.ram_folding {
-            let (arc, fresh) = self.shared.heap.get_or_insert::<T>(site, len);
-            (arc, if fresh { bytes } else { 0 })
+        let data = if self.shared.config.ram_folding {
+            self.shared.heap.get_or_insert(&self.shared, site, len)
         } else {
-            (new_buffer(len), bytes)
+            Buffer::new(&self.shared, site, len)
         };
-        self.shared.memory.allocate(actual, bytes);
-        SharedSlice {
-            data,
-            len,
-            site: site.into(),
-            shared: Rc::clone(&self.shared),
-            actual,
-            logical: bytes,
-        }
+        SharedSlice::new(data)
     }
 
     /// A tracked private allocation (ordinary rank-local buffer that should
     /// count towards the footprint of Fig. 16).
     pub fn tracked_vec<T: Datatype>(&self, len: usize) -> SharedSlice<T> {
-        let bytes = (len * T::SIZE) as u64;
-        self.shared.memory.allocate(bytes, bytes);
-        SharedSlice {
-            data: new_buffer(len),
-            len,
-            site: "tracked_vec".into(),
-            shared: Rc::clone(&self.shared),
-            actual: bytes,
-            logical: bytes,
-        }
+        SharedSlice::new(Buffer::new(&self.shared, "tracked_vec", len))
     }
 }
 
@@ -310,31 +326,35 @@ mod tests {
         assert_eq!(t.report().peak_bytes, 0);
     }
 
+    fn state() -> Rc<SharedState> {
+        Rc::new(SharedState::new(crate::state::RunConfig::default()))
+    }
+
     #[test]
     fn heap_folds_same_site() {
-        let h = SharedHeap::new();
-        let (a, fresh_a) = h.get_or_insert::<f64>("s", 8);
-        let (b, fresh_b) = h.get_or_insert::<f64>("s", 8);
-        assert!(fresh_a);
-        assert!(!fresh_b);
+        let shared = state();
+        let a = shared.heap.get_or_insert::<f64>(&shared, "s", 8);
+        let b = shared.heap.get_or_insert::<f64>(&shared, "s", 8);
         assert!(Rc::ptr_eq(&a, &b));
-        Arc::make_mut(&mut a.borrow_mut())[0] = 42.0;
-        assert_eq!(b.borrow()[0], 42.0);
+        // One block is allocated and counted, by the first call.
+        assert_eq!(shared.memory.report().peak_bytes, 64);
+        Arc::make_mut(&mut a.lock())[0] = 42.0;
+        assert_eq!(b.lock()[0], 42.0);
     }
 
     #[test]
     fn heap_distinguishes_sites() {
-        let h = SharedHeap::new();
-        let (a, _) = h.get_or_insert::<u32>("a", 4);
-        let (b, _) = h.get_or_insert::<u32>("b", 4);
+        let shared = state();
+        let a = shared.heap.get_or_insert::<u32>(&shared, "a", 4);
+        let b = shared.heap.get_or_insert::<u32>(&shared, "b", 4);
         assert!(!Rc::ptr_eq(&a, &b));
     }
 
     #[test]
     #[should_panic]
     fn heap_rejects_len_mismatch() {
-        let h = SharedHeap::new();
-        let _ = h.get_or_insert::<u32>("a", 4);
-        let _ = h.get_or_insert::<u32>("a", 8);
+        let shared = state();
+        let _a = shared.heap.get_or_insert::<u32>(&shared, "a", 4);
+        let _ = shared.heap.get_or_insert::<u32>(&shared, "a", 8);
     }
 }

@@ -290,6 +290,48 @@ fn memory_is_released_on_drop() {
 }
 
 #[test]
+fn a_folded_site_freed_by_its_last_handle_is_allocated_afresh() {
+    // Nothing holds "x" between the two allocations, so the second is a
+    // new, zeroed block; "y" is allocated while it is resident.
+    let report = world(1).ram_folding(true).run(1, |ctx| {
+        let x = ctx.shared_malloc::<f64>("x", 1000);
+        x.lock()[0] = 5.0;
+        drop(x);
+        let x = ctx.shared_malloc::<f64>("x", 1000);
+        let _y = ctx.shared_malloc::<f64>("y", 1000);
+        let v = x.lock()[0];
+        v
+    });
+    assert_eq!(report.results, vec![0.0]);
+    assert_eq!(report.memory.peak_bytes, 16000);
+    assert_eq!(report.memory.logical_peak_bytes, 16000);
+}
+
+#[test]
+fn a_folded_block_is_counted_until_its_last_handle_drops() {
+    // Rank 0 allocates "x" (8 KB) and frees it first; rank 1 still holds
+    // it, so rank 0's "y" (4 KB) comes on top of it: 12 KB. Rank 1's free
+    // releases it, so its "z" (8 KB) comes in its place: 8 KB, not 16.
+    let report = world(2).ram_folding(true).run(2, |ctx| {
+        let comm = ctx.world();
+        let x = ctx.shared_malloc::<f64>("x", 1000);
+        ctx.barrier(&comm);
+        if ctx.rank() == 0 {
+            drop(x);
+            drop(ctx.shared_malloc::<f64>("y", 500));
+            ctx.barrier(&comm);
+        } else {
+            ctx.barrier(&comm);
+            drop(x);
+            drop(ctx.shared_malloc::<f64>("z", 1000));
+        }
+        ctx.barrier(&comm);
+    });
+    assert_eq!(report.memory.peak_bytes, 12000);
+    assert_eq!(report.memory.logical_peak_bytes, 16000);
+}
+
+#[test]
 fn wall_clock_is_reported() {
     let report = world(2).run(2, |ctx| {
         ctx.barrier(&ctx.world());

@@ -42,6 +42,13 @@
 //! **Porting.** Another target supplies `switch` (save the callee-saved
 //! registers, exchange the stack pointer through `*slot`, restore, return),
 //! the matching first frame in [`Fiber::new`], and `MAP_PRIVATE_ANON`.
+//!
+//! **Huge-page advice.** The module also declares `madvise`, for one safe
+//! wrapper that has nothing to do with fibers: [`advise_huge_pages`] marks
+//! the whole 2 MiB extents of a block the runtime has just allocated for
+//! application data `MADV_HUGEPAGE`, so its first write faults it in 2 MiB
+//! at a time. Fiber stacks are not advised: they are touched sparsely, and
+//! a huge page would make each one's resident size 2 MiB.
 
 #[cfg(not(all(target_arch = "x86_64", unix)))]
 compile_error!(
@@ -52,6 +59,7 @@ compile_error!(
 
 use std::any::Any;
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
 
@@ -63,6 +71,10 @@ const PROT_RW: i32 = 1 | 2;
 const MAP_PRIVATE_ANON: i32 = 0x02 | 0x20;
 #[cfg(not(any(target_os = "linux", target_os = "android")))]
 const MAP_PRIVATE_ANON: i32 = 0x02 | 0x1000; // the BSD family, macOS included
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const MADV_HUGEPAGE: i32 = 14;
+/// The x86-64 PMD size: the extent one transparent huge page maps.
+const HUGE_PAGE: usize = 2 << 20;
 
 // Declared here rather than through the `libc` crate: the build is offline,
 // and std already links the C library these come from.
@@ -70,6 +82,8 @@ extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
     fn munmap(addr: *mut u8, len: usize) -> i32;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
 }
 
 /// Exchanges the running stack with the one saved in `*slot`.
@@ -246,9 +260,98 @@ extern "sysv64" fn entry() -> ! {
     std::process::abort()
 }
 
+/// Advises `MADV_HUGEPAGE` on the whole 2 MiB extents of `block` — the
+/// initialised elements of a fresh block, or the spare capacity of a fresh
+/// `Vec` — so that the first write faults each extent in as one huge page,
+/// not 512 small ones. Call it before anything writes the block: a page
+/// already faulted in stays small until the kernel's background collapse
+/// gets to it. A block without one whole aligned extent (under 2 MiB, or
+/// straddling two) is left alone, and so are its unaligned head and tail.
+///
+/// It is a hint and nothing more. Advice never changes what memory holds,
+/// so any block may be passed; a refused call (transparent huge pages
+/// compiled out) is ignored, with THP `never` the advice has no effect, and
+/// with THP `always` it is what the kernel does anyway. A no-op off Linux.
+pub fn advise_huge_pages<T>(block: &[T]) {
+    let interior = huge_page_interior(block.as_ptr() as usize, std::mem::size_of_val(block));
+    if interior.is_empty() {
+        return;
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    // SAFETY: `MADV_HUGEPAGE` changes how the range's pages are backed,
+    // never their contents, and the range lies inside `block`, which the
+    // caller borrows: it is this process's memory, mapped. The result is
+    // ignored on purpose (see the docs).
+    unsafe {
+        madvise(interior.start as *mut u8, interior.len(), MADV_HUGEPAGE);
+    }
+}
+
+/// The 2 MiB-aligned interior of the `bytes` bytes at `addr`:
+/// `[align_up(addr), align_down(addr + bytes))`, empty when it holds no
+/// whole extent.
+pub(crate) fn huge_page_interior(addr: usize, bytes: usize) -> Range<usize> {
+    let start = addr.next_multiple_of(HUGE_PAGE);
+    let end = (addr + bytes) / HUGE_PAGE * HUGE_PAGE;
+    start..end.max(start)
+}
+
 fn map_failed(err: std::io::Error, call: &str, len: usize) -> ! {
     panic!(
         "{call} of a {len}-byte actor stack failed: {err}; every live actor holds 2 memory \
          mappings — check `sysctl vm.max_map_count` and `ulimit -v`"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{huge_page_interior, HUGE_PAGE};
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn a_block_without_a_whole_extent_has_no_interior() {
+        for (addr, bytes) in [
+            (0, 0),
+            (HUGE_PAGE, 0),
+            (HUGE_PAGE, HUGE_PAGE - 1),
+            (HUGE_PAGE + 16, HUGE_PAGE),
+            // 2 MiB straddling two extents covers neither whole.
+            (3 * MIB, 2 * MIB),
+            (3 * MIB, 3 * MIB - 1),
+            (16, 64 * 1024),
+        ] {
+            assert!(
+                huge_page_interior(addr, bytes).is_empty(),
+                "{addr:#x}+{bytes}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unaligned_block_keeps_its_whole_extents() {
+        let base = 7 * HUGE_PAGE;
+        // glibc's 16-byte chunk header in front of a fresh mapping.
+        assert_eq!(
+            huge_page_interior(base + 16, 8 * MIB),
+            base + HUGE_PAGE..base + 4 * HUGE_PAGE
+        );
+        assert_eq!(
+            huge_page_interior(base + HUGE_PAGE - 1, HUGE_PAGE + 1),
+            base + HUGE_PAGE..base + 2 * HUGE_PAGE
+        );
+        assert_eq!(
+            huge_page_interior(base + 3 * MIB, 128 * MIB),
+            base + 4 * MIB..base + 130 * MIB
+        );
+    }
+
+    #[test]
+    fn an_aligned_block_is_its_own_interior() {
+        let base = 5 * HUGE_PAGE;
+        assert_eq!(huge_page_interior(base, HUGE_PAGE), base..base + HUGE_PAGE);
+        assert_eq!(huge_page_interior(base, 128 * MIB), base..base + 128 * MIB);
+        // An aligned start with a ragged end drops only the tail.
+        assert_eq!(huge_page_interior(base, 3 * MIB), base..base + HUGE_PAGE);
+    }
 }

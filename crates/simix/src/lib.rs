@@ -33,6 +33,12 @@
 //! OS thread. All `unsafe` of the workspace — the context switch and the
 //! stack mappings, x86-64 unix only — is in the private `fiber` module.
 //!
+//! That module also declares `madvise` for the workspace's one other
+//! system call, behind the safe [`advise_huge_pages`]: the `smpi` runtime
+//! calls it on the large blocks it allocates for application data (shared
+//! buffers, message bodies, received vectors) before their first write, so
+//! they fault in 2 MiB at a time.
+//!
 //! ```
 //! // A tiny ping protocol: every simcall is answered with its value + 1.
 //! let mut sx = simix::Simix::<u32, u32>::new();
@@ -60,6 +66,7 @@ use std::rc::Rc;
 #[allow(unsafe_code)]
 mod fiber;
 
+pub use fiber::advise_huge_pages;
 use fiber::Fiber;
 
 /// Default actor stack size in bytes. MPI rank bodies keep their working
