@@ -5,23 +5,47 @@
 //! group algebra is implemented here and communicators wrap a group plus a
 //! context id in [`crate::comm`].
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An ordered set of distinct world ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality and hashing read the members alone; the inverse lookup is a
+/// function of them.
+#[derive(Debug, Clone)]
 pub struct Group {
     members: Arc<Vec<u32>>,
+    /// `(world rank, local rank)` of every member, sorted by world rank:
+    /// [`local_rank`](Self::local_rank) is a binary search.
+    by_world: Arc<[(u32, u32)]>,
+}
+
+impl PartialEq for Group {
+    fn eq(&self, other: &Self) -> bool {
+        self.members == other.members
+    }
+}
+
+impl Eq for Group {}
+
+impl Hash for Group {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.members.hash(state);
+    }
 }
 
 impl Group {
     /// Builds a group from world ranks. Ranks must be distinct.
     pub fn new(members: Vec<u32>) -> Self {
-        let mut seen = members.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), members.len(), "group members must be distinct");
+        let mut by_world: Vec<(u32, u32)> = (0u32..).zip(&members).map(|(r, &w)| (w, r)).collect();
+        by_world.sort_unstable();
+        assert!(
+            by_world.windows(2).all(|p| p[0].0 != p[1].0),
+            "group members must be distinct"
+        );
         Group {
             members: Arc::new(members),
+            by_world: by_world.into(),
         }
     }
 
@@ -46,8 +70,10 @@ impl Group {
     }
 
     /// Local rank of world rank `w` (`MPI_Group_rank`), if a member.
+    /// O(log size), no allocation.
     pub fn local_rank(&self, w: u32) -> Option<usize> {
-        self.members.iter().position(|&m| m == w)
+        let at = self.by_world.binary_search_by_key(&w, |&(m, _)| m).ok()?;
+        Some(self.by_world[at].1 as usize)
     }
 
     /// Members in local-rank order.
@@ -155,6 +181,41 @@ mod tests {
     #[should_panic]
     fn duplicates_rejected() {
         Group::new(vec![1, 1]);
+    }
+
+    #[test]
+    fn local_rank_matches_the_linear_scan() {
+        let scan = |g: &Group, w: u32| g.members().iter().position(|&m| m == w);
+        let world = Group::world(37);
+        // A permuted sub-group: every fifth rank, backwards.
+        let sub = world.incl(&(0..37).rev().step_by(5).collect::<Vec<_>>());
+        let scattered = Group::new(vec![90, 3, 41, 7, 1000, 0]);
+        for g in [&world, &sub, &scattered, &Group::new(vec![])] {
+            for w in 0..1100 {
+                assert_eq!(g.local_rank(w), scan(g, w), "world rank {w}");
+            }
+            assert_eq!(g.local_rank(u32::MAX), None);
+            for (r, &w) in g.members().iter().enumerate() {
+                assert_eq!(g.local_rank(w), Some(r));
+            }
+        }
+        assert_eq!(sub.local_rank(36), Some(0));
+        assert_eq!(sub.local_rank(35), None, "not a member");
+    }
+
+    #[test]
+    fn equality_and_hash_read_the_members() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |g: &Group| {
+            let mut h = DefaultHasher::new();
+            g.hash(&mut h);
+            h.finish()
+        };
+        let a = Group::world(6).incl(&[4, 2, 0]);
+        let b = Group::new(vec![4, 2, 0]);
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(a, Group::new(vec![0, 2, 4]), "order is part of a group");
     }
 
     #[test]

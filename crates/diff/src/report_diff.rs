@@ -598,6 +598,8 @@ pub fn diff_reports<RA, RB>(a: &RunReport<RA>, b: &RunReport<RB>, top_k: usize) 
                 ka.batched_completions,
                 kb.batched_completions,
             ),
+            ("fillings", ka.fillings, kb.fillings),
+            ("filling_rounds", ka.filling_rounds, kb.filling_rounds),
         ]
         .into_iter()
         .filter(|(_, x, y)| x != y)

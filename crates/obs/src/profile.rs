@@ -30,11 +30,23 @@ pub struct KernelProfile {
     /// Always 0: the kernel solves components inline. Kept only because the
     /// frozen `benchmark/` reads it; the next benchmark PR drops the column.
     pub parallel_components: u64,
-    /// Variables per max-min solve (the coupled component size).
+    /// Components that ran progressive filling. A one-class component is
+    /// rated in closed form and a component no constraint can saturate
+    /// gets its bounds (`surf_sim::lmm` module docs), so neither counts:
+    /// this is the components where contention decided the rates.
+    pub fillings: u64,
+    /// Filling rounds over those components: each round freezes the
+    /// variables of one saturated constraint, or one variable at its
+    /// bound.
+    pub filling_rounds: u64,
+    /// Variables per dirty component, one observation per component —
+    /// including the one-class components rated without a solve.
     pub component_vars: Histogram,
     /// Actions re-rated per incremental reshare (the dirty cascade).
     pub cascade: Histogram,
-    /// Wall-clock nanoseconds per max-min solve.
+    /// Wall-clock nanoseconds per max-min solve: one observation per
+    /// solver call, whether it filled or returned the bounds. One-class
+    /// components call no solver and are not timed.
     pub solve_ns: Histogram,
 }
 
@@ -49,6 +61,10 @@ impl KernelProfile {
         out.push_str(&format!(
             "  kernel fast path: {} classes folded, {} batched completions\n",
             self.classes_folded, self.batched_completions
+        ));
+        out.push_str(&format!(
+            "  kernel solver: {} fillings, {} filling rounds\n",
+            self.fillings, self.filling_rounds
         ));
         for (name, h) in [
             ("component size (vars/solve)", &self.component_vars),
@@ -77,6 +93,8 @@ impl KernelProfile {
         j.key("classes_folded").uint_val(self.classes_folded);
         j.key("batched_completions")
             .uint_val(self.batched_completions);
+        j.key("fillings").uint_val(self.fillings);
+        j.key("filling_rounds").uint_val(self.filling_rounds);
         self.component_vars.write_json(j.key("component_vars"));
         self.cascade.write_json(j.key("cascade"));
         self.solve_ns.write_json(j.key("solve_ns"));
@@ -335,6 +353,8 @@ mod tests {
             heap_orphans: 7,
             classes_folded: 30,
             batched_completions: 5,
+            fillings: 4,
+            filling_rounds: 9,
             ..KernelProfile::default()
         };
         for v in [1.0, 3.0, 8.0] {
@@ -404,6 +424,10 @@ mod tests {
             text.contains("30 classes folded, 5 batched completions\n"),
             "got: {text}"
         );
+        assert!(
+            text.contains("4 fillings, 9 filling rounds\n"),
+            "got: {text}"
+        );
         let json = k.to_json();
         for key in [
             "reshares",
@@ -411,6 +435,8 @@ mod tests {
             "heap_orphans",
             "classes_folded",
             "batched_completions",
+            "fillings",
+            "filling_rounds",
             "component_vars",
             "cascade",
             "solve_ns",

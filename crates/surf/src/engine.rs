@@ -42,8 +42,11 @@
 //!   The problem goes into the one `lmm::Workspace` the simulation owns and is
 //!   solved in place. A component whose classes share one bound is written
 //!   one variable per class with its member count; a mixed-bound component
-//!   one variable per member. Remaining work is folded in lazily, at an
-//!   action's own rate changes, rather than on every global step.
+//!   one variable per member. A component of one class (every host, every
+//!   route class alone on its links) is not written at all: `lmm::rate_alone`
+//!   rates its one variable as the solver would. Remaining work is folded
+//!   in lazily, at an action's own rate changes, rather than on every
+//!   global step.
 //!
 //! This is the only shipped reshare path: the from-scratch rebuild it must
 //! match exists solely as a `#[cfg(test)]` oracle for the differential
@@ -54,7 +57,7 @@ mod classes;
 use crate::calendar::{Calendar, Key};
 use crate::hash::FastMap;
 use crate::ids::{ActionId, HostId, LinkId};
-use crate::lmm::Workspace;
+use crate::lmm::{self, Workspace};
 use crate::model::TransferModel;
 use crate::slab::Slab;
 use crate::time::SimTime;
@@ -993,10 +996,18 @@ impl Simulation {
         let attribute = self.rec.is_enabled();
         for c in 0..sc.comps.len() {
             let span = sc.comps[c].0 as usize..sc.comps[c].1 as usize;
+            if span.len() == 1 {
+                self.reshare_alone(sc.comp_classes[span.start].1, attribute);
+                continue;
+            }
             let uniform = self.build_component(&mut sc, span.clone());
             let t0 = Instant::now();
-            self.ws.solve(attribute);
+            let rounds = self.ws.solve(attribute);
             self.kstats.solve_ns.observe(t0.elapsed().as_nanos() as f64);
+            if rounds > 0 {
+                self.kstats.fillings += 1;
+                self.kstats.filling_rounds += u64::from(rounds);
+            }
             self.kstats
                 .component_vars
                 .observe(self.ws.num_variables() as f64);
@@ -1024,6 +1035,30 @@ impl Simulation {
         self.dirty.clear();
         self.scratch = sc;
         self.record_reshare();
+    }
+
+    /// Re-rates a component of the one class `k`: a single variable, which
+    /// `lmm::rate_alone` rates as the solver would, without writing the
+    /// problem or timing a solve. Its constraints are numbered as
+    /// `write_variable` numbers them: the host, or the listing links in
+    /// route order. Counted as the written component would be.
+    fn reshare_alone(&mut self, k: u32, attribute: bool) {
+        let class = &self.classes[k];
+        let members = class.members.len();
+        self.kstats.classes_folded += (members - 1) as u64;
+        self.kstats.component_vars.observe(1.0);
+        let host = class.host.map(|h| self.hosts[h.index()].speed);
+        let links = class.listed_on().map(|l| self.links[l.index()].bandwidth);
+        let count = u32::try_from(members).expect("members are u32 slots");
+        let (rate, by) = lmm::rate_alone(class.bound, count, host.into_iter().chain(links));
+        // A host is never a bottleneck link; an execution class has no route.
+        let link = attribute.then(|| match class.host {
+            Some(_) => None,
+            None => by.and_then(|i| class.listed_on().nth(i)).map(|l| l.0),
+        });
+        for i in 0..members {
+            self.rerate(self.classes[k].members[i].1, rate, link);
+        }
     }
 
     /// Charges the action in `slot` for the work done at its old rate,
@@ -1647,6 +1682,25 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_class_names_its_first_narrowest_link() {
+        // A class alone on its route is rated without the solver, and is
+        // attributed as a solve would: of two equally narrow links the
+        // first in route order, which beats the bound it ties with.
+        let mut sim = Simulation::new();
+        sim.set_recorder(Rec::enabled());
+        let [a, b, c, d] = [100.0, 40.0, 40.0, 100.0].map(|bw| sim.add_link(bw, 0.0));
+        let f = sim.start_transfer(&[a, b, c, d], 400.0, &TransferModel::ideal());
+        let (t, done) = sim.advance_to_next().unwrap();
+        assert_eq!(done, vec![f]);
+        approx(t.as_secs(), 10.0);
+        let attr = sim.take_attribution(f).expect("attribution");
+        assert_eq!(attr.dominant_bottleneck(), Some(b.index() as u32));
+        approx(attr.bottlenecked_secs(), 10.0);
+        let k = sim.kernel_profile();
+        assert_eq!((k.component_vars.count, k.solve_ns.count), (1, 0));
+    }
+
+    #[test]
     fn bound_limited_flow_time_is_unattributed() {
         let rec = Rec::enabled();
         let mut sim = Simulation::new();
@@ -1673,21 +1727,32 @@ mod tests {
         while sim.advance_to_next().is_some() {}
         let k = sim.kernel_profile();
         assert!(k.reshares >= 2, "reshares: {}", k.reshares);
-        // One timed solve per dirty *component*; a reshare whose dirty
-        // constraints have no remaining users solves nothing.
-        assert_eq!(
-            k.solve_ns.count, k.component_vars.count,
-            "one timed solve per component"
-        );
-        assert!(k.solve_ns.count >= 1, "solves: {}", k.solve_ns.count);
         // The two flows couple into one component, but they share a bound
-        // and a route so class folding solves a single representative.
+        // and a route, so class folding makes it one variable: a one-class
+        // component, counted but rated in closed form, neither timed nor
+        // filled. A reshare whose dirty constraints have no remaining
+        // users counts nothing.
+        assert_eq!(k.component_vars.count, 2, "the pair, then the survivor");
         assert_eq!(k.component_vars.max, 1.0, "folded to one class variable");
-        assert!(k.classes_folded >= 1, "folds: {}", k.classes_folded);
+        assert_eq!(k.classes_folded, 1, "the pair folds once");
+        assert_eq!(k.solve_ns.count, 0, "a one-class component is not timed");
+        assert_eq!((k.fillings, k.filling_rounds), (0, 0));
         assert!(
             sim.take_attribution(a).is_none(),
             "no recorder, no attribution"
         );
+
+        // Two classes that contend for one link: one timed solve per
+        // multi-class component, and this one fills.
+        let mut sim = Simulation::new();
+        let (l, m) = (sim.add_link(100.0, 0.0), sim.add_link(100.0, 0.0));
+        sim.start_transfer(&[l], 1000.0, &TransferModel::ideal());
+        sim.start_transfer(&[l, m], 500.0, &TransferModel::ideal());
+        while sim.advance_to_next().is_some() {}
+        let k = sim.kernel_profile();
+        assert_eq!(k.component_vars.count, 2, "the pair, then the survivor");
+        assert_eq!(k.solve_ns.count, 1, "one timed solve, for the pair");
+        assert_eq!((k.fillings, k.filling_rounds), (1, 1));
     }
 
     #[test]

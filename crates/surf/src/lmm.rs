@@ -74,6 +74,49 @@
 //! every variable of the (sub)problem shares a single weight and a single
 //! bound bit-pattern — the *uniform component* precondition the engine
 //! checks over its live route classes (DESIGN §5.3).
+//!
+//! # What the solver is not asked
+//!
+//! Progressive filling is only needed where contention decides. Two kinds of
+//! problem have an answer the production finders would reach bitwise
+//! without filling, and get it directly (`Argmin::Reference`, the oracle,
+//! always fills):
+//!
+//! * **One variable of unit weight** — every host component, and every
+//!   route class alone on its links. `rate_alone` replays the filling's
+//!   arithmetic for it: the weight sum is the member count (repeated
+//!   additions of 1.0 are exact below 2⁵³), each constraint's λ is
+//!   `(cap - 0.0).max(0.0) / wsum`, the argmin takes the first smallest
+//!   λ, a bound wins only when strictly smaller, and the frozen rate is
+//!   `(1.0 * level).min(bound)`. `solve_core` calls it for any such
+//!   problem, and the engine calls it for a one-class component without
+//!   writing the problem at all.
+//! * **No saturable constraint** — when every weight is 1, no bound is
+//!   −0.0 and every crossed constraint `c` has
+//!   `cap_c > demand_c · (1 + δ_c)`, with `demand_c = Σ mult_v · bound_v`
+//!   over its variables and `δ_c = 4 (N_c + 2) u` (`N_c` its member count,
+//!   `u = 2⁻⁵³`, `N_c ≤ 2⁴⁰`), every variable freezes at its own bound:
+//!   the rates are the bounds and no constraint is a bottleneck.
+//!
+//! The δ argument. With unit weights a weight sum is the exact count `W` of
+//! a constraint's unfrozen members (integers, no rounding, so the
+//! snap-to-zero never fires early). At any round let `L` be the smallest
+//! unfrozen bound, the cursor's candidate; `L · W ≤ S_U`, the unfrozen
+//! members' bounds. The frozen usage is a recursive sum of at most `N`
+//! non-negative terms, so it is at most `S_F (1 + γ_N)` with
+//! `γ_n = n u / (1 - n u)`, and the computed
+//! `λ ≥ (cap - S_F (1 + γ_N)) (1 - u)² / W`. Hence `λ > L`, and the
+//! round picks a bound, whenever `cap > S_F (1 + γ_N) + S_U (1 + γ_2)`,
+//! which `cap > demand (1 + γ_{N+2})` implies. The check itself is
+//! computed: the demand is a sum of at most `N` rounded products, at least
+//! `demand (1 - γ_N)`, and forming `1 + δ` and the product costs two more
+//! roundings, so the computed test guarantees
+//! `cap > demand (1 - γ_{N+2}) (1 + δ)`. For `(N + 2) u ≤ 2⁻¹²`,
+//! `δ = 4 (N + 2) u ≥ 2 γ_{N+2} / (1 - γ_{N+2})`, which makes that at least
+//! `demand (1 + γ_{N+2})`. Every round therefore freezes a variable at
+//! its bound, in whatever order, so each rate is its bound bitwise.
+//! `tests/lmm_props.rs` holds both shortcuts bitwise to the oracle, with
+//! capacities a few ulps either side of the demand.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -216,7 +259,19 @@ struct Scratch {
     stale: Vec<bool>,
     /// Heap finder: the lazily-invalidated min-heap over `cur_lam`.
     lam_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per constraint, `Σ mult · bound` over its variables: what it would
+    /// carry if every variable ran at its bound.
+    demand: Vec<f64>,
 }
+
+/// `δ_c = (N_c + 2) · SLACK_PER_MEMBER`, i.e. `4 (N_c + 2) u`: the relative
+/// margin by which a constraint's capacity must exceed its demand for the
+/// bounds to be the answer (module docs).
+const SLACK_PER_MEMBER: f64 = 2.0 * f64::EPSILON;
+
+/// Member count up to which `SLACK_PER_MEMBER` is proven to cover the
+/// solver's rounding (`(N + 2) u ≤ 2⁻¹²`).
+const SLACK_MAX_MEMBERS: f64 = (1u64 << 40) as f64;
 
 /// Sentinel for "constraint left the λ search" (weight sum hit 0); larger
 /// than any real λ bit pattern, so stale heap entries can never match it.
@@ -232,8 +287,11 @@ impl Scratch {
     /// Sizes every buffer for `p`, transposes its memberships and builds
     /// the initial weight sums — accumulated by repeated addition, one step
     /// per folded member, so folded and expanded problems build
-    /// bitwise-identical sums.
-    fn reset(&mut self, p: &Flat, bottlenecks: bool) {
+    /// bitwise-identical sums — and each constraint's demand. Returns
+    /// whether every weight is 1 and no bound is −0.0 (whose bit pattern
+    /// sorts after every λ): the precondition of
+    /// [`unsaturable`](Self::unsaturable).
+    fn reset(&mut self, p: &Flat, bottlenecks: bool) -> bool {
         let nv = p.bounds.len();
         let nc = p.capacities.len();
         self.rate.clear();
@@ -262,11 +320,16 @@ impl Scratch {
         self.cnst_vars.resize(p.var_cnsts.len(), 0);
         self.wsum.clear();
         self.wsum.resize(nc, 0.0);
+        self.demand.clear();
+        self.demand.resize(nc, 0.0);
+        let mut unit = true;
         for v in 0..nv {
             debug_assert!(
                 !p.span(v).is_empty() || p.bounds[v].is_finite(),
                 "variable {v} is unconstrained and unbounded"
             );
+            unit &= p.weights[v] == 1.0 && p.bounds[v].is_sign_positive();
+            let demand = p.mults[v] as f64 * p.bounds[v];
             for &c in &p.var_cnsts[p.span(v)] {
                 let c = c as usize;
                 self.cnst_vars[self.cnst_end[c] as usize] = v as u32;
@@ -274,10 +337,26 @@ impl Scratch {
                 for _ in 0..p.mults[v] {
                     self.wsum[c] += p.weights[v];
                 }
+                self.demand[c] += demand;
             }
         }
         self.wsum_init.clear();
         self.wsum_init.extend_from_slice(&self.wsum);
+        unit
+    }
+
+    /// `true` when no constraint of a unit-weight problem can saturate
+    /// before every variable reaches its bound, with the margin the module
+    /// docs prove covers the filling's rounding. An infinite bound makes
+    /// its constraints' demand infinite, and so fails the test.
+    fn unsaturable(&self, p: &Flat) -> bool {
+        (0..p.capacities.len()).all(|c| {
+            let members = self.wsum[c];
+            members == 0.0
+                || (members <= SLACK_MAX_MEMBERS
+                    && p.capacities[c]
+                        > self.demand[c] * (1.0 + (members + 2.0) * SLACK_PER_MEMBER))
+        })
     }
 
     #[inline]
@@ -455,13 +534,73 @@ enum Pick {
     Nothing,
 }
 
-/// Progressive filling of `p` into `s.rate` (and `s.bottleneck` when
-/// asked). Every caller — either [`MaxMinProblem`] entry point, the
-/// engine's `Workspace` — runs this loop; `argmin` only changes how a
-/// round's minimum is *found*, never which one it is.
-fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
-    s.reset(p, bottlenecks);
+/// The rate progressive filling gives the only variable of a problem, of
+/// unit weight and standing for `members` flows, bounded at `bound` and
+/// crossing constraints of the given capacities in index order; and the
+/// position of the constraint that froze it (`None`: its own bound did, or
+/// it crosses nothing). The production finders' arithmetic for one
+/// variable, operation for operation (module docs).
+pub(crate) fn rate_alone(
+    bound: f64,
+    members: u32,
+    capacities: impl IntoIterator<Item = f64>,
+) -> (f64, Option<usize>) {
+    debug_assert!(!bound.is_nan() && bound >= 0.0, "invalid bound {bound}");
+    debug_assert!(members >= 1, "class must have at least one member");
+    // `members` additions of 1.0: exact, so the count itself.
+    let wsum = f64::from(members);
+    // `init_cache` + `scan_argmin`: the first smallest λ bit pattern.
+    let mut cbest: Option<(u64, usize)> = None;
+    for (i, cap) in capacities.into_iter().enumerate() {
+        debug_assert!(cap.is_finite() && cap >= 0.0, "invalid capacity {cap}");
+        let bits = ((cap - 0.0).max(0.0) / wsum).to_bits();
+        if cbest.is_none_or(|(best, _)| bits < best) {
+            cbest = Some((bits, i));
+        }
+    }
+    // `pick`: the bound (`bound / 1.0`, itself) wins only when strictly
+    // smaller; the constraint freezes the variable at `1.0 * level`.
+    debug_assert!(
+        cbest.is_some() || bound.is_finite(),
+        "variable 0 is unconstrained and unbounded"
+    );
+    let vbest = bound.is_finite().then(|| bound.to_bits());
+    match (cbest, vbest) {
+        (Some((cb, c)), vb) if vb.is_none_or(|vb| vb >= cb) => {
+            let share = 1.0 * 0.0_f64.max(f64::from_bits(cb));
+            let by = if bound < share { None } else { Some(c) };
+            (share.min(bound), by)
+        }
+        _ => (bound, None),
+    }
+}
+
+/// Solves `p` into `s.rate` (and `s.bottleneck` when asked) and returns the
+/// rounds of progressive filling it took — 0 when one of the module docs'
+/// shortcuts answered. Every caller — either [`MaxMinProblem`] entry point,
+/// the engine's `Workspace` — runs this function; `argmin` only changes how
+/// a round's minimum is *found*, never which one it is, and
+/// `Argmin::Reference` always fills.
+fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u32 {
     let cached = argmin != Argmin::Reference;
+    if cached && p.bounds.len() == 1 && p.weights[0] == 1.0 {
+        let span = &p.var_cnsts[p.span(0)];
+        debug_assert!(span.windows(2).all(|w| w[0] < w[1]), "index order");
+        let caps = span.iter().map(|&c| p.capacities[c as usize]);
+        let (rate, by) = rate_alone(p.bounds[0], p.mults[0], caps);
+        s.rate.clear();
+        s.rate.push(rate);
+        s.bottleneck.clear();
+        if bottlenecks {
+            s.bottleneck.push(by.map_or(NO_CNST, |i| span[i]));
+        }
+        return 0;
+    }
+    let unit = s.reset(p, bottlenecks);
+    if cached && unit && s.unsaturable(p) {
+        s.rate.copy_from_slice(&p.bounds);
+        return 0; // `reset` left every bottleneck at `NO_CNST`
+    }
     let heap = argmin == Argmin::Heap;
     let mut bcur = 0usize;
     if cached {
@@ -469,7 +608,9 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
     }
     let mut level = 0.0_f64;
     let mut remaining = p.bounds.len();
+    let mut rounds = 0;
     while remaining > 0 {
+        rounds += 1;
         let (best, pick) = match argmin {
             Argmin::Reference => s.reference_argmin(p),
             Argmin::Scan => s.scan_argmin(&mut bcur),
@@ -522,6 +663,7 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) {
             s.rekey_touched(p, heap);
         }
     }
+    rounds
 }
 
 /// A weighted max-min fairness problem instance, owned.
@@ -669,8 +811,19 @@ impl MaxMinProblem {
     /// returned rates are bitwise-identical to a plain solve of the same
     /// problem; only the extra bookkeeping differs.
     pub fn solve_with_bottlenecks(&self) -> (Vec<f64>, Vec<Option<CnstId>>) {
+        self.bottlenecks_by(Argmin::for_size(self.num_variables()))
+    }
+
+    /// [`solve_with_bottlenecks`](Self::solve_with_bottlenecks) by the
+    /// oracle, which always fills: what the differential tests pin the
+    /// shortcuts' bottlenecks against.
+    #[doc(hidden)]
+    pub fn solve_reference_with_bottlenecks(&self) -> (Vec<f64>, Vec<Option<CnstId>>) {
+        self.bottlenecks_by(Argmin::Reference)
+    }
+
+    fn bottlenecks_by(&self, argmin: Argmin) -> (Vec<f64>, Vec<Option<CnstId>>) {
         let mut s = Scratch::default();
-        let argmin = Argmin::for_size(self.num_variables());
         solve_core(&self.flat, &mut s, argmin, true);
         let bottlenecks = s
             .bottleneck
@@ -725,10 +878,11 @@ impl Workspace {
     }
 
     /// Solves in place; rates (and bottlenecks, when asked) are then read
-    /// per variable.
-    pub(crate) fn solve(&mut self, bottlenecks: bool) {
+    /// per variable. Returns the rounds of progressive filling, 0 when the
+    /// problem needed none (module docs).
+    pub(crate) fn solve(&mut self, bottlenecks: bool) -> u32 {
         let argmin = Argmin::for_size(self.num_variables());
-        solve_core(&self.flat, &mut self.scratch, argmin, bottlenecks);
+        solve_core(&self.flat, &mut self.scratch, argmin, bottlenecks)
     }
 
     /// Rate of variable `v` after [`solve`](Self::solve).

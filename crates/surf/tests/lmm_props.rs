@@ -19,6 +19,13 @@
 //! engine's incremental reshare, the class-folding fast path and the e2e
 //! goldens all rely on the solver being a pure function of the problem, not
 //! merely accurate to a tolerance.
+//!
+//! The solver's two shortcuts (a unit-weight problem of one variable is
+//! rated in closed form; a problem whose every constraint exceeds its
+//! demand by the proven margin returns the bounds) are pinned the same way,
+//! rates *and* bottlenecks, on generators aimed at their edges: λ ties with
+//! the bound, zero and equal capacities, infinite bounds, and capacities a
+//! few ulps either side of the demand and of the margin.
 
 use proptest::prelude::*;
 use surf_sim::{CnstId, MaxMinProblem};
@@ -131,6 +138,142 @@ fn assert_finders_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// [`assert_finders_match_oracle`], plus the bottlenecks: the production
+/// `solve_with_bottlenecks` names, per variable, the constraint the oracle
+/// names.
+fn assert_matches_oracle_with_bottlenecks(p: &MaxMinProblem) -> Result<(), TestCaseError> {
+    assert_finders_match_oracle(p)?;
+    let (rates, by) = p.solve_with_bottlenecks();
+    let (oracle, oracle_by) = p.solve_reference_with_bottlenecks();
+    for (v, (r, o)) in rates.iter().zip(&oracle).enumerate() {
+        prop_assert!(r.to_bits() == o.to_bits(), "var {}: {:e} vs {:e}", v, r, o);
+    }
+    prop_assert_eq!(by, oracle_by);
+    Ok(())
+}
+
+/// A capacity from a small set: zero, a value two constraints may share
+/// (equal λs), or any.
+fn pick_capacity(k: u8, any: f64) -> f64 {
+    match k {
+        0 => 0.0,
+        1 | 2 => 100.0,
+        _ => any,
+    }
+}
+
+/// A problem built to sit at the edge of the "no saturable constraint"
+/// shortcut: see `unsaturated_problems_match_the_filling`.
+#[derive(Debug, Clone)]
+struct MarginProblem {
+    /// `(bound, members, constraint mask)` per variable, all unit weight.
+    vars: Vec<(f64, u32, u8)>,
+    /// Per constraint, how its capacity is placed against its demand.
+    caps: Vec<(u8, u32, f64)>,
+}
+
+impl MarginProblem {
+    /// The problem, and whether every constraint has more than twice its demand
+    /// (so the bounds are certainly the answer).
+    fn build(&self) -> (MaxMinProblem, bool) {
+        let nc = self.caps.len();
+        // Demand and member count per constraint, summed in variable order
+        // as the solver sums them.
+        let mut demand = vec![0.0f64; nc];
+        let mut members = vec![0.0f64; nc];
+        let crossed = |mask: u8, v: usize| -> Vec<usize> {
+            let picked: Vec<usize> = (0..nc).filter(|&c| mask >> c & 1 == 1).collect();
+            if picked.is_empty() {
+                vec![v % nc]
+            } else {
+                picked
+            }
+        };
+        for (v, &(bound, mult, mask)) in self.vars.iter().enumerate() {
+            for c in crossed(mask, v) {
+                demand[c] += mult as f64 * bound;
+                members[c] += mult as f64;
+            }
+        }
+        let mut ample = true;
+        let mut p = MaxMinProblem::new();
+        let cs: Vec<CnstId> = self
+            .caps
+            .iter()
+            .enumerate()
+            .map(|(c, &(how, k, any))| {
+                let d = demand[c];
+                let cap = if !d.is_finite() {
+                    any * 1e6
+                } else {
+                    let ulps = |mut x: f64, up: bool| {
+                        for _ in 0..k {
+                            x = if up {
+                                x.next_up()
+                            } else {
+                                x.next_down().max(0.0)
+                            };
+                        }
+                        x
+                    };
+                    // The shortcut's margin δ = 4 (N + 2) u, in steps of δ/2.
+                    let delta = (members[c] + 2.0) * 2.0 * f64::EPSILON;
+                    match how {
+                        0 => d,
+                        1 => ulps(d, true),
+                        2 => ulps(d, false),
+                        3 => d * (1.0 + delta * k as f64 / 2.0),
+                        4 => ulps(d * (1.0 + delta), k % 2 == 0),
+                        5 => d * 2.0,
+                        _ => d * any / 1e6,
+                    }
+                };
+                ample &= cap > 2.0 * demand[c];
+                p.add_constraint(cap)
+            })
+            .collect();
+        for (v, &(bound, mult, mask)) in self.vars.iter().enumerate() {
+            let on: Vec<CnstId> = crossed(mask, v).into_iter().map(|c| cs[c]).collect();
+            if mult == 1 {
+                p.add_variable(bound, &on);
+            } else {
+                p.add_variable_class(bound, mult, &on);
+            }
+        }
+        (p, ample)
+    }
+}
+
+/// Unit-weight problems of 2 to 40 variables with classes of up to 4 096
+/// members, inexact and mixed bounds (now and then an infinite one), and
+/// each constraint's capacity placed at its demand, a few ulps either side
+/// of it, around the shortcut's margin, at twice it, or anywhere from half
+/// to one and a half times it.
+fn margin_problem() -> impl Strategy<Value = MarginProblem> {
+    (1usize..6, 2usize..40).prop_flat_map(|(nc, nv)| {
+        let bound = (0u8..12, 1e-3f64..1e6).prop_map(|(k, any)| match k {
+            0 => f64::INFINITY,
+            1 => 0.1,
+            2 => 1.0 / 3.0,
+            3 => 1e6 / 7.0,
+            4 => 0.0,
+            _ => any,
+        });
+        let mult = (0u8..4, 1u32..4097, 1u32..5).prop_map(|(k, big, small)| match k {
+            0 => 1,
+            1 => big,
+            _ => small,
+        });
+        let var = (bound, mult, 0u8..255);
+        let cap = (0u8..7, 1u32..5, 5e5f64..1.5e6);
+        (
+            proptest::collection::vec(var, nv),
+            proptest::collection::vec(cap, nc),
+        )
+            .prop_map(|(vars, caps)| MarginProblem { vars, caps })
+    })
 }
 
 const EPS: f64 = 1e-6;
@@ -276,6 +419,64 @@ proptest! {
     #[test]
     fn finders_match_the_oracle_on_corner_problems(cp in corner_problem()) {
         assert_finders_match_oracle(&cp.build())?;
+    }
+
+    /// A problem's only variable is rated in closed form, not filled: the
+    /// rate and bottleneck must be the filling's, bit for bit — over 0 to
+    /// 4 of 4 constraints (zero, equal and arbitrary capacities), classes
+    /// of 1 to 8 members, and bounds that are infinite, zero, arbitrary,
+    /// or exactly a constraint's λ or one ulp either side of it.
+    #[test]
+    fn one_variable_is_rated_as_the_filling(
+        caps in proptest::collection::vec((0u8..5, 1.0f64..1e9), 4),
+        mask in 0u8..16,
+        mult in 1u32..9,
+        bound_sel in (0u8..7, 0usize..4, 1.0f64..1e9),
+    ) {
+        let mut p = MaxMinProblem::new();
+        let cs: Vec<CnstId> = caps
+            .iter()
+            .map(|&(k, any)| p.add_constraint(pick_capacity(k, any)))
+            .collect();
+        let on: Vec<usize> = (0..4).filter(|&c| mask >> c & 1 == 1).collect();
+        let (sel, which, any) = bound_sel;
+        // The λ the filling computes for a crossed constraint.
+        let lam = on.get(which % on.len().max(1)).map(|&c| {
+            (pick_capacity(caps[c].0, caps[c].1) - 0.0).max(0.0) / mult as f64
+        });
+        let bound = match (sel, lam) {
+            (0, _) if !on.is_empty() => f64::INFINITY,
+            (1, _) => 0.0,
+            (2, Some(l)) => l,
+            (3, Some(l)) => l.next_up(),
+            (4, Some(l)) => l.next_down().max(0.0),
+            _ => any,
+        };
+        let crossed: Vec<CnstId> = on.iter().map(|&c| cs[c]).collect();
+        if mult == 1 {
+            p.add_variable(bound, &crossed);
+        } else {
+            p.add_variable_class(bound, mult, &crossed);
+        }
+        assert_matches_oracle_with_bottlenecks(&p)?;
+    }
+
+    /// Multi-variable unit-weight problems at the edge of the "no
+    /// saturable constraint" shortcut: whether the production solve
+    /// returns the bounds or fills, it must match the oracle's filling
+    /// bitwise, rates and bottlenecks. Where every constraint has twice its
+    /// demand, the answer is the bounds with no bottleneck.
+    #[test]
+    fn unsaturated_problems_match_the_filling(mp in margin_problem()) {
+        let (p, ample) = mp.build();
+        assert_matches_oracle_with_bottlenecks(&p)?;
+        if ample {
+            let (rates, by) = p.solve_with_bottlenecks();
+            for (r, &(bound, _, _)) in rates.iter().zip(&mp.vars) {
+                prop_assert!(r.to_bits() == bound.to_bits(), "{:e} vs bound {:e}", r, bound);
+            }
+            prop_assert!(by.iter().all(Option::is_none));
+        }
     }
 
     /// Folding interchangeable members into one class variable is exact
