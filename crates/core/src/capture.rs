@@ -86,9 +86,9 @@ pub enum TiOp {
     /// synthesizes one from each outermost collective region: the `span`
     /// ops that follow (through the matching region exit) are the traffic
     /// the on-line run's algorithm choice produced, and `algo` names that
-    /// choice. A replayer can either play the span faithfully or skip it
-    /// (`span` ops, `posts` post indices) and substitute its own traffic —
-    /// replay-time collective re-selection without re-capture.
+    /// choice. The replayer plays the span faithfully; `span` and `posts`
+    /// delimit it, so a trace records where each collective's traffic
+    /// starts and ends.
     Coll {
         /// Collective name (`allreduce`, `bcast`, ...).
         name: String,
@@ -97,8 +97,7 @@ pub enum TiOp {
         /// Number of following ops, up to and including the closing
         /// region exit, that implement this collective.
         span: u32,
-        /// Send/recv posts among those ops (post indices to skip over
-        /// when substituting).
+        /// Send/recv posts among those ops.
         posts: u32,
     },
 }

@@ -528,9 +528,9 @@ impl<'h> Ctx<'h> {
 
     // ----- raw replay interface --------------------------------------------
 
-    /// Issues one raw simcall and blocks for its answer. This is how the
-    /// `smpi-replay` script drives a rank that needs a stack (a replay with
-    /// a collective hook): captured ops become simcalls with no application
+    /// Issues one raw simcall and blocks for its answer. This is how
+    /// `smpi-replay`'s stackful oracle drives a replayed rank as a fiber:
+    /// captured ops become simcalls with no application
     /// data or communicator bookkeeping — context ids and *world* ranks come
     /// straight from the trace, messages are data-less, and the caller
     /// tracks requests positionally. Deliberately bypasses the typed API.

@@ -1,23 +1,11 @@
-//! Extensions beyond the paper's SMPI subset (its §5.3/§8 future work).
-//!
-//! * [`Ctx::comm_split`] — the one communicator operation the paper's
-//!   subset explicitly excluded ("and their operations (except
-//!   Comm_split)"). Implemented as a real collective: an allgather of
-//!   `(color, key)` pairs followed by deterministic group construction, so
-//!   every member derives identical sub-communicators.
-//! * [`Ctx::sample_auto`] — §8: "automate the sampling technique described
-//!   in Section 3.1 to run enough iterations to obtain accurate results
-//!   without resorting to a user-provided value (much like the SKaMPI tool
-//!   does)". Executes a burst until the measured mean stabilizes, then
-//!   replays it.
-//! * [`Ctx::bcast_tuned`] / [`Ctx::scatter_tuned`] — §5.3: "detect which
-//!   algorithm to use based on the message size and number of processes,
-//!   just as real implementations like OpenMPI and MPICH2 do". Thresholds
-//!   follow MPICH2's published heuristics.
+//! An extension beyond the paper's SMPI subset: [`Ctx::comm_split`], the
+//! one communicator operation the subset explicitly excluded ("and their
+//! operations (except Comm_split)"). Implemented as a real collective: an
+//! allgather of `(color, key)` pairs followed by deterministic group
+//! construction, so every member derives identical sub-communicators.
 
 use crate::comm::Comm;
 use crate::ctx::Ctx;
-use crate::datatype::Datatype;
 use crate::group::Group;
 
 /// Color value meaning "I do not join any sub-communicator"
@@ -47,80 +35,5 @@ impl Ctx<'_> {
         debug_assert!(members.iter().any(|&(_, i)| i == r));
         let group = Group::new(members.iter().map(|&(_, i)| comm.world_rank(i)).collect());
         Some(self.comm_create(comm, &group))
-    }
-
-    /// Adaptive sampling (§8): executes and times the burst until either
-    /// the coefficient of variation of the measurements drops below
-    /// `rel_tol` (with at least 3 measurements) or `max_n` executions have
-    /// been spent; afterwards the mean is replayed. Returns `true` when the
-    /// body actually ran.
-    pub fn sample_auto(&self, site: &str, rel_tol: f64, max_n: u32, body: impl FnOnce()) -> bool {
-        assert!(rel_tol > 0.0 && max_n >= 3);
-        let rank = self.rank() as u32;
-        let stats = self.shared.sampling.local_stats(site, rank);
-        let (count, stable) = match stats {
-            None => (0, false),
-            Some(s) => {
-                let stable = s.count >= 3 && s.cov() <= rel_tol;
-                (s.count, stable)
-            }
-        };
-        if stable || count >= max_n {
-            // Converged (or budget exhausted): replay the mean.
-            self.sample_local(site, count.max(1), body)
-        } else {
-            // Force one more measured execution by passing n = count + 1.
-            self.sample_local(site, count + 1, body)
-        }
-    }
-
-    /// Broadcast with MPICH2-style algorithm selection: binomial tree for
-    /// short messages or small communicators; scatter + ring-allgather
-    /// (van de Geijn) for long messages on larger communicators, which
-    /// bounds the root's egress to ~2× the payload instead of `log p ×`.
-    pub fn bcast_tuned<T: Datatype>(&self, buf: &mut [T], root: usize, comm: &Comm) {
-        const LONG_MSG: usize = 12 * 1024; // bytes, MPICH2's 12 KiB knee
-        let p = comm.size();
-        let bytes = buf.len() * T::SIZE;
-        if p < 8 || bytes < LONG_MSG || buf.len() < p {
-            return self.bcast(buf, root, comm);
-        }
-        // Scatter the buffer (binomial), then allgather the pieces (ring).
-        let r = self.comm_rank(comm);
-        let chunk = buf.len() / p;
-        let rem = buf.len() - chunk * p;
-        // Uneven tail: fold the remainder into the last rank's chunk via
-        // scatterv semantics.
-        let mut counts = vec![chunk; p];
-        counts[p - 1] += rem;
-        let send = (r == root).then(|| buf.to_vec());
-        let mine = self.scatterv(
-            send.as_deref(),
-            (r == root).then_some(&counts[..]),
-            counts[r],
-            root,
-            comm,
-        );
-        let gathered = self.allgatherv(&mine, &counts, comm);
-        buf.copy_from_slice(&gathered);
-    }
-
-    /// Scatter with algorithm selection: binomial tree in general, linear
-    /// for tiny messages on small communicators where the tree's extra
-    /// store-and-forward hops dominate.
-    pub fn scatter_tuned<T: Datatype>(
-        &self,
-        send: Option<&[T]>,
-        chunk: usize,
-        root: usize,
-        comm: &Comm,
-    ) -> Vec<T> {
-        const TINY_MSG: usize = 1024; // bytes
-        let bytes = chunk * T::SIZE;
-        if comm.size() <= 4 && bytes <= TINY_MSG {
-            self.scatter_linear(send, chunk, root, comm)
-        } else {
-            self.scatter(send, chunk, root, comm)
-        }
     }
 }

@@ -101,25 +101,6 @@ pub trait Fabric {
     fn kernel_profile(&self) -> Option<KernelProfile> {
         None
     }
-
-    /// Number of actions currently in flight (transfers + execs + sleeps).
-    /// Telemetry only; must be cheap enough to poll every event.
-    fn active_actions(&self) -> usize {
-        0
-    }
-
-    /// Cumulative wall-clock nanoseconds the backend has spent in its
-    /// solver (host-dependent; 0 for backends without a solver).
-    fn solver_wall_ns(&self) -> f64 {
-        0.0
-    }
-
-    /// Fills `out[i]` with the instantaneous utilization of link/channel
-    /// `i` in `[0, 1]`, in the same numbering as [`Fabric::link_names`].
-    /// Backends without per-link state leave `out` empty.
-    fn link_utilizations(&self, out: &mut Vec<f64>) {
-        out.clear();
-    }
 }
 
 /// The flow-level backend (SMPI's own model).
@@ -207,18 +188,6 @@ impl Fabric for SurfFabric {
     fn kernel_profile(&self) -> Option<KernelProfile> {
         Some(self.sim.kernel_profile())
     }
-
-    fn active_actions(&self) -> usize {
-        self.sim.running_actions()
-    }
-
-    fn solver_wall_ns(&self) -> f64 {
-        self.sim.solver_wall_ns()
-    }
-
-    fn link_utilizations(&self, out: &mut Vec<f64>) {
-        self.sim.link_utilizations(out);
-    }
 }
 
 /// The packet-level backend (ground truth).
@@ -284,14 +253,6 @@ impl Fabric for PacketFabric {
 
     fn link_names(&self) -> Vec<String> {
         self.rp.image().resource_names().to_vec()
-    }
-
-    fn active_actions(&self) -> usize {
-        self.net.running_actions()
-    }
-
-    fn link_utilizations(&self, out: &mut Vec<f64>) {
-        self.net.channel_utilizations(out);
     }
 }
 

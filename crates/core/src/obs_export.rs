@@ -11,15 +11,14 @@
 //!   the link containers of its route when contention attribution is
 //!   available;
 //! * [`RunReport::to_json`] — a single JSON object with the timings,
-//!   trace statistics, metrics, contention attribution, self-profile and
-//!   (when enabled) the run's time series; [`RunReport::write_json`] is
+//!   trace statistics, metrics, contention attribution and self-profile;
+//!   [`RunReport::write_json`] is
 //!   the streaming variant that writes the same bytes section by section
 //!   to any [`std::io::Write`] sink without building the whole report in
 //!   memory first;
 //! * [`RunReport::chrome_trace`] — a Chrome Trace Event Format export
 //!   (load in `chrome://tracing` or Perfetto): one complete ("X") event
-//!   per rank-state interval from the metrics timelines, plus counter
-//!   ("C") tracks sampled from the time series;
+//!   per rank-state interval from the metrics timelines;
 //!   [`RunReport::write_chrome_trace`] streams the same bytes to any
 //!   sink, so large runs never materialize the export in memory;
 //! * [`RunReport::critical_path`] — the longest dependency chain through
@@ -257,7 +256,7 @@ impl<R> RunReport<R> {
     }
 
     /// Serializes the whole report (timings, trace statistics, metrics,
-    /// self-profile, and the time series when enabled) as one JSON object.
+    /// contention, self-profile) as one JSON object.
     /// Rank results are not included — they are application data of
     /// arbitrary type. Delegates to [`write_json`](Self::write_json), so
     /// the two produce identical bytes by construction.
@@ -269,14 +268,10 @@ impl<R> RunReport<R> {
     }
 
     /// Streams the report JSON to `out` section by section: each top-level
-    /// section (trace stats, metrics, contention, profile, time series) is
-    /// rendered and written independently, so the peak allocation is one
-    /// section rather than the whole report. The bytes are identical to
+    /// section (trace stats, metrics, contention, profile) is rendered and
+    /// written independently, so the peak allocation is one section rather
+    /// than the whole report. The bytes are identical to
     /// [`to_json`](Self::to_json).
-    ///
-    /// The `timeseries` key is present only when the run collected one,
-    /// keeping reports from telemetry-free runs byte-identical to earlier
-    /// versions of this format.
     pub fn write_json<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
         write!(out, "{{\"sim_time\":{}", num(self.sim_time))?;
         write!(out, ",\"wall_seconds\":{}", num(self.wall.as_secs_f64()))?;
@@ -315,9 +310,6 @@ impl<R> RunReport<R> {
             None => out.write_all(b",\"contention\":null")?,
         }
         write!(out, ",\"profile\":{}", self.profile.to_json())?;
-        if let Some(ts) = &self.timeseries {
-            write!(out, ",\"timeseries\":{}", ts.to_json())?;
-        }
         out.write_all(b"}")
     }
 
@@ -325,11 +317,8 @@ impl<R> RunReport<R> {
     /// `chrome://tracing` or <https://ui.perfetto.dev>). Rank-state
     /// intervals from the metrics timelines (needs
     /// [`crate::world::World::metrics`]) become complete (`"X"`) events on
-    /// one thread row per rank; time-series buckets (needs
-    /// [`crate::world::World::timeseries`]) become counter (`"C"`) tracks
-    /// for simcall/woken activity, network utilization and memory
-    /// high-water mark. Timestamps are simulated microseconds. Either half
-    /// may be absent; the metadata header is always emitted.
+    /// one thread row per rank. Timestamps are simulated microseconds. The
+    /// metadata header is always emitted, with or without metrics.
     pub fn chrome_trace(&self) -> String {
         let mut buf = Vec::new();
         self.write_chrome_trace(&mut buf)
@@ -339,9 +328,8 @@ impl<R> RunReport<R> {
 
     /// Streaming variant of [`RunReport::chrome_trace`]: writes the same
     /// bytes event by event to any [`io::Write`] sink. A long run's
-    /// counter tracks (three events per time-series bucket) never have to
-    /// be materialized as one giant string — mirror of
-    /// [`RunReport::write_json`].
+    /// rank-state intervals never have to be materialized as one giant
+    /// string — mirror of [`RunReport::write_json`].
     pub fn write_chrome_trace<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
         use smpi_obs::json::escape;
         let us = |t: f64| t * 1e6;
@@ -394,41 +382,6 @@ impl<R> RunReport<R> {
                 while let Some((s, t0)) = stack.pop() {
                     emit(out, tl.id, s, t0, self.sim_time)?;
                 }
-            }
-        }
-        // Counter tracks from the time-series buckets.
-        if let Some(ts) = &self.timeseries {
-            let mut t = 0.0;
-            for s in &ts.samples {
-                let counter = |out: &mut W, name: &str, args: &[(&str, f64)]| {
-                    write!(
-                        out,
-                        ",{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"args\":{{",
-                        num(us(t))
-                    )?;
-                    for (i, &(k, v)) in args.iter().enumerate() {
-                        if i > 0 {
-                            write!(out, ",")?;
-                        }
-                        write!(out, "\"{k}\":{}", num(v))?;
-                    }
-                    write!(out, "}}}}")
-                };
-                counter(
-                    out,
-                    "activity",
-                    &[("simcalls", s.simcalls as f64), ("woken", s.woken as f64)],
-                )?;
-                counter(
-                    out,
-                    "network",
-                    &[
-                        ("active_max", s.active_max as f64),
-                        ("util_max", s.util_max),
-                    ],
-                )?;
-                counter(out, "memory", &[("mem_hwm", s.mem_hwm as f64)])?;
-                t += ts.interval;
             }
         }
         write!(out, "]}}")
@@ -546,13 +499,12 @@ impl<R> RunReport<R> {
 
 impl<R> smpi_obs::Deterministic for RunReport<R> {
     /// Strips every host-dependent field of the report tree: the
-    /// wall-clock duration, the self-profile's timing half and the time
-    /// series' solver timings. Two reports of identical simulated runs
-    /// compare — and serialize — byte-identically afterwards.
+    /// wall-clock duration and the self-profile's timing half. Two reports
+    /// of identical simulated runs compare — and serialize —
+    /// byte-identically afterwards.
     fn strip_nondeterminism(&mut self) {
         self.wall = std::time::Duration::ZERO;
         self.profile.strip_nondeterminism();
-        self.timeseries.strip_nondeterminism();
     }
 }
 
@@ -647,7 +599,6 @@ mod tests {
             trace,
             ti_trace: None,
             contention: None,
-            timeseries: None,
         };
         let cp = report.critical_path().unwrap();
         assert_eq!(cp.total, 5.0);
@@ -677,7 +628,6 @@ mod tests {
             trace: vec![],
             ti_trace: None,
             contention: None,
-            timeseries: None,
         };
         assert!(report.critical_path().is_none());
         // The JSON export still works without metrics or trace.
@@ -688,22 +638,8 @@ mod tests {
     }
 
     #[test]
-    fn write_json_streams_the_same_bytes_and_splices_timeseries() {
-        use smpi_obs::{TimeSeries, TsInstant};
-        let mut ts = TimeSeries::new(4);
-        ts.record(
-            TsInstant {
-                t: 1e-6,
-                active: 1,
-                woken: 1,
-                simcalls: 3,
-                tokens: 3,
-                solver_ns: 0.0,
-                mem_hwm: 0,
-            },
-            &[0.5],
-        );
-        let mut report = RunReport::<()> {
+    fn write_json_streams_the_same_bytes() {
+        let report = RunReport::<()> {
             sim_time: 1e-6,
             wall: std::time::Duration::from_millis(1),
             finish_times: vec![1e-6],
@@ -714,33 +650,14 @@ mod tests {
             trace: vec![],
             ti_trace: None,
             contention: None,
-            timeseries: Some(ts),
         };
         let mut buf = Vec::new();
         report.write_json(&mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), report.to_json());
-        assert!(report.to_json().contains("\"timeseries\":{\"budget\":4,"));
-        // Telemetry-free reports keep the pre-timeseries byte format.
-        report.timeseries = None;
-        assert!(!report.to_json().contains("timeseries"));
     }
 
     #[test]
-    fn chrome_trace_has_metadata_and_counter_tracks() {
-        use smpi_obs::{TimeSeries, TsInstant};
-        let mut ts = TimeSeries::new(4);
-        ts.record(
-            TsInstant {
-                t: 1e-6,
-                active: 2,
-                woken: 1,
-                simcalls: 5,
-                tokens: 5,
-                solver_ns: 0.0,
-                mem_hwm: 128,
-            },
-            &[0.75],
-        );
+    fn chrome_trace_has_metadata() {
         let report = RunReport::<()> {
             sim_time: 1e-6,
             wall: std::time::Duration::from_millis(1),
@@ -752,25 +669,23 @@ mod tests {
             trace: vec![],
             ti_trace: None,
             contention: None,
-            timeseries: Some(ts),
         };
         let ct = report.chrome_trace();
-        assert!(ct.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(ct.contains("\"name\":\"rank 0\""));
-        assert!(ct.contains("\"name\":\"rank 1\""));
-        assert!(ct.contains("\"ph\":\"C\""));
-        assert!(ct.contains("\"name\":\"activity\""));
-        assert!(ct.contains("\"mem_hwm\":128"));
-        // The streaming export writes the same bytes, event for event —
-        // including the exact counter formatting the builder produced.
+        // Without metrics the trace is the metadata header alone: the
+        // process and one named thread per rank.
+        assert_eq!(
+            ct,
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\
+             \"args\":{\"name\":\"smpi simulation\"}},\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{\"name\":\"rank 0\"}},\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
+             \"args\":{\"name\":\"rank 1\"}}]}"
+        );
         let mut buf = Vec::new();
         report.write_chrome_trace(&mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), ct);
-        assert!(ct.contains(
-            "{\"name\":\"activity\",\"ph\":\"C\",\"ts\":1,\"pid\":0,\
-             \"args\":{\"simcalls\":5,\"woken\":1}}"
-        ));
-        assert!(ct.ends_with("]}"));
     }
 
     #[test]
@@ -802,7 +717,6 @@ mod tests {
             trace: vec![],
             ti_trace: None,
             contention: None,
-            timeseries: None,
         };
         let ct = report.chrome_trace();
         // Closed interval (compute, 0 -> 2 s) and the end-of-run
@@ -865,7 +779,6 @@ mod tests {
             trace,
             ti_trace: None,
             contention: Some(contention),
-            timeseries: None,
         };
         let cp = report.critical_path().unwrap();
         assert_eq!(cp.message_hops, 1);

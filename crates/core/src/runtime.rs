@@ -41,9 +41,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use simix::{ActorEvent, ActorId, Scheduler, Simix};
-use smpi_obs::{
-    ContentionReport, FlowAttribution, FlowRecord, Rec, SelfProfile, TimeSeries, TsInstant,
-};
+use smpi_obs::{ContentionReport, FlowAttribution, FlowRecord, Rec, SelfProfile};
 use smpi_platform::HostIx;
 
 use crate::capture::{mode_name, Capture, TiOp, TiTrace};
@@ -344,13 +342,6 @@ pub struct Runtime {
     /// Always-on per-rank ring of recent ops (see [`crate::flight`]); the
     /// source of the [`Postmortem`] attached to progress failures.
     flight: FlightRecorder,
-    /// Time-resolved telemetry, when enabled (see [`smpi_obs::TimeSeries`]).
-    timeseries: Option<TimeSeries>,
-    /// Reused per-link utilization buffer for the telemetry tick.
-    ts_util_buf: Vec<f64>,
-    /// Memory high-water-mark probe for the telemetry tick (the World
-    /// runner points it at the shared memory tracker).
-    mem_probe: Option<Box<dyn Fn() -> u64>>,
 }
 
 impl Runtime {
@@ -388,27 +379,7 @@ impl Runtime {
             phase_fabric: 0.0,
             phase_resolve: 0.0,
             flight: FlightRecorder::new(n),
-            timeseries: None,
-            ts_util_buf: Vec::new(),
-            mem_probe: None,
         }
-    }
-
-    /// Enables the bounded-memory time-series sampler at its default
-    /// bucket budget (see [`smpi_obs::TimeSeries`]).
-    pub fn enable_timeseries(&mut self) {
-        self.timeseries = Some(TimeSeries::default());
-    }
-
-    /// Takes the recorded time series, if the sampler was enabled.
-    pub fn take_timeseries(&mut self) -> Option<TimeSeries> {
-        self.timeseries.take()
-    }
-
-    /// Installs the memory high-water-mark probe sampled by the telemetry
-    /// tick (typically the shared memory tracker's peak).
-    pub fn set_memory_probe(&mut self, probe: Box<dyn Fn() -> u64>) {
-        self.mem_probe = Some(probe);
     }
 
     /// Installs a metrics recorder on the maestro and (a clone of it) on the
@@ -620,10 +591,7 @@ impl Runtime {
                         self.on_token(tok, usage)?;
                     }
                     self.token_batch = batch;
-                    let woken = self.resolve_waiters(sx);
-                    if self.timeseries.is_some() {
-                        self.timeseries_tick(woken);
-                    }
+                    self.resolve_waiters(sx);
                 }
                 Ok(None) => {
                     let postmortem = Box::new(self.build_postmortem());
@@ -644,32 +612,7 @@ impl Runtime {
                 Err(e) => return Err(e),
             }
         }
-        if self.timeseries.is_some() {
-            // Close the step integration at the final simulated time.
-            self.timeseries_tick(0);
-        }
         Ok(())
-    }
-
-    /// One telemetry reading, folded into the time series (called after
-    /// every fabric event while the sampler is enabled, and once at the end
-    /// of the run).
-    fn timeseries_tick(&mut self, woken: usize) {
-        let mut buf = std::mem::take(&mut self.ts_util_buf);
-        self.fabric.link_utilizations(&mut buf);
-        let inst = TsInstant {
-            t: self.now(),
-            active: self.fabric.active_actions() as u64,
-            woken: woken as u64,
-            simcalls: self.n_simcalls,
-            tokens: self.n_tokens,
-            solver_ns: self.fabric.solver_wall_ns(),
-            mem_hwm: self.mem_probe.as_ref().map_or(0, |probe| probe()),
-        };
-        if let Some(ts) = &mut self.timeseries {
-            ts.record(inst, &buf);
-        }
-        self.ts_util_buf = buf;
     }
 
     /// Snapshots the flight recorder and the matching stores for every
@@ -1496,12 +1439,10 @@ impl Runtime {
         }
     }
 
-    /// Resolves every waiting actor whose condition now holds; returns how
-    /// many actors were made runnable (the telemetry tick's "woken" count).
-    fn resolve_waiters<S: Scheduler<Simcall, SimResp>>(&mut self, sx: &mut S) -> usize {
+    /// Resolves every waiting actor whose condition now holds.
+    fn resolve_waiters<S: Scheduler<Simcall, SimResp>>(&mut self, sx: &mut S) {
         let t0 = self.profiling.then(Instant::now);
         // Exec/Sleep completions first.
-        let mut woken = 0;
         let delayed = std::mem::take(&mut self.delayed_actors);
         if !delayed.is_empty() && self.rec.is_enabled() {
             // Pops the "computing"/"sleeping" state pushed at the simcall.
@@ -1514,7 +1455,6 @@ impl Runtime {
         }
         for actor in delayed {
             sx.resolve(actor, SimResp::Unit);
-            woken += 1;
         }
         // Only waiters queued by `complete` (or satisfied at Wait
         // post) are examined — never the whole blocked population. Sorting
@@ -1545,14 +1485,12 @@ impl Runtime {
             }
             let completions = self.collect_completions(actor, &w);
             sx.resolve(actor, SimResp::Done(completions));
-            woken += 1;
         }
         // Hand the (empty) buffer back to keep its capacity.
         self.ready_waiters = ready;
         if let Some(t0) = t0 {
             self.phase_resolve += t0.elapsed().as_secs_f64();
         }
-        woken
     }
 
     fn collect_completions(&mut self, actor: ActorId, w: &Waiting) -> Vec<Completion> {

@@ -30,8 +30,6 @@ pub struct SampleStats {
     pub count: u32,
     /// Sum of simulated durations of the measured executions.
     pub total: f64,
-    /// Sum of squared durations (for the adaptive-sampling extension).
-    pub total_sq: f64,
 }
 
 impl SampleStats {
@@ -41,27 +39,6 @@ impl SampleStats {
             0.0
         } else {
             self.total / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation of the measurements (0 for < 2 samples).
-    pub fn std(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let var = (self.total_sq - self.total * self.total / n) / (n - 1.0);
-        var.max(0.0).sqrt()
-    }
-
-    /// Coefficient of variation (std / mean); infinite for a zero mean so
-    /// the adaptive sampler keeps measuring degenerate bursts.
-    pub fn cov(&self) -> f64 {
-        let m = self.mean();
-        if m <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.std() / m
         }
     }
 }
@@ -112,7 +89,6 @@ impl SampleStore {
         let stats = map.entry(key).or_default();
         stats.count += 1;
         stats.total += duration;
-        stats.total_sq += duration * duration;
     }
 }
 

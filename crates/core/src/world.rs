@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use simix::{Scheduler, Scripts};
 
 use packetnet::PacketConfig;
-use smpi_obs::{ContentionReport, MetricsReport, Rec, SelfProfile, TimeSeries};
+use smpi_obs::{ContentionReport, MetricsReport, Rec, SelfProfile};
 use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
 use surf_sim::{EngineConfig, TransferModel};
 
@@ -60,7 +60,6 @@ pub struct World {
     capture_block_ops: usize,
     capture_budget: usize,
     stack_size: usize,
-    timeseries: bool,
     perturbation: Option<Arc<PlatformPerturbation>>,
 }
 
@@ -93,13 +92,6 @@ pub struct RunReport<R> {
     /// enabled): per delivered message, which links carried it and which
     /// bottlenecked it, with per-link and per-rank rollups.
     pub contention: Option<ContentionReport>,
-    /// Bounded-memory time series of the run (`None` unless
-    /// [`World::timeseries`] was enabled): per-interval simcall/token
-    /// counts, active flows, woken actors, link utilization, solver
-    /// wall-clock and memory high-water mark. The sampler halves its
-    /// resolution whenever the buffer fills, so memory stays fixed no
-    /// matter how long the run simulates.
-    pub timeseries: Option<TimeSeries>,
 }
 
 impl World {
@@ -117,7 +109,6 @@ impl World {
             capture_block_ops: crate::capture_v2::DEFAULT_BLOCK_OPS,
             capture_budget: crate::capture_v2::DEFAULT_WRITER_BUDGET,
             stack_size: simix::DEFAULT_STACK_SIZE,
-            timeseries: false,
             perturbation: None,
         }
     }
@@ -225,17 +216,6 @@ impl World {
     /// simcalls (collective regions) entirely when it is off.
     pub fn metrics_enabled(&self) -> bool {
         self.run_config.obs
-    }
-
-    /// Enables the time-series sampler: the run report's `timeseries`
-    /// carries fixed-budget ring buffers of per-interval activity (simcall
-    /// rate, active flows, link utilization, …). Deterministic: two
-    /// identical runs produce byte-identical series once
-    /// [`Deterministic::strip_nondeterminism`](smpi_obs::Deterministic::strip_nondeterminism)
-    /// removes the host-dependent solver timings.
-    pub fn timeseries(mut self, enabled: bool) -> Self {
-        self.timeseries = enabled;
-        self
     }
 
     /// Applies a stochastic perturbation overlay to the platform for every
@@ -392,11 +372,6 @@ impl World {
             runtime.set_recorder(Rec::enabled());
             runtime.enable_profiling();
         }
-        if self.timeseries {
-            runtime.enable_timeseries();
-            let mem = Rc::clone(shared);
-            runtime.set_memory_probe(Box::new(move || mem.memory.report().peak_bytes));
-        }
         let start = Instant::now();
         runtime.drive(&mut sx)?;
         let wall = start.elapsed();
@@ -422,7 +397,6 @@ impl World {
             trace: runtime.take_trace(),
             ti_trace: runtime.take_capture(),
             contention: runtime.take_contention(),
-            timeseries: runtime.take_timeseries(),
         })
     }
 }

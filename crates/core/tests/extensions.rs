@@ -1,7 +1,5 @@
-//! Tests of the future-work extensions (§5.3, §8): comm_split, adaptive
-//! sampling, tuned collectives.
+//! Tests of the extension beyond the paper's SMPI subset: comm_split.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use smpi::{op, MpiProfile, World, UNDEFINED_COLOR};
@@ -72,88 +70,6 @@ fn comm_split_undefined_returns_none() {
             }
         });
         assert_eq!(report.results, vec![2, 2, -1, -1]);
-    }
-}
-
-#[test]
-fn sample_auto_stops_after_convergence() {
-    let executions = Arc::new(AtomicUsize::new(0));
-    let ex = Arc::clone(&executions);
-    let [world, _] = worlds(1);
-    world.run(1, move |ctx| {
-        for _ in 0..100 {
-            ctx.sample_auto("steady", 0.5, 50, || {
-                // A steady, measurable burst: converges quickly.
-                std::hint::black_box((0..20_000u64).sum::<u64>());
-                ex.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-    let n = executions.load(Ordering::Relaxed);
-    assert!(n >= 3, "needs at least 3 measurements, got {n}");
-    assert!(n < 100, "never converged: {n} executions");
-}
-
-#[test]
-fn sample_auto_respects_max_budget() {
-    let executions = Arc::new(AtomicUsize::new(0));
-    let ex = Arc::clone(&executions);
-    let [world, _] = worlds(1);
-    world.run(1, move |ctx| {
-        for i in 0..50 {
-            ctx.sample_auto("noisy", 1e-12, 10, || {
-                // Extremely tight tolerance: budget must cap executions.
-                std::hint::black_box((0..(i + 1) * 1000).sum::<usize>());
-                ex.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-    assert!(executions.load(Ordering::Relaxed) <= 11);
-}
-
-#[test]
-fn bcast_tuned_matches_bcast() {
-    for world in worlds(8) {
-        world.run(8, |ctx| {
-            let comm = ctx.world();
-            // Long message: triggers the scatter+allgather path.
-            let mut a: Vec<f64> = vec![0.0; 4096];
-            let mut b = a.clone();
-            if ctx.rank() == 2 {
-                for (i, x) in a.iter_mut().enumerate() {
-                    *x = i as f64;
-                }
-                b = a.clone();
-            }
-            ctx.bcast(&mut a, 2, &comm);
-            ctx.bcast_tuned(&mut b, 2, &comm);
-            assert_eq!(a, b);
-            // Short message: binomial path.
-            let mut c = [0u8; 16];
-            let mut d = [0u8; 16];
-            if ctx.rank() == 0 {
-                c = [7; 16];
-                d = [7; 16];
-            }
-            ctx.bcast(&mut c, 0, &comm);
-            ctx.bcast_tuned(&mut d, 0, &comm);
-            assert_eq!(c, d);
-        });
-    }
-}
-
-#[test]
-fn scatter_tuned_matches_scatter() {
-    for world in worlds(4) {
-        world.run(4, |ctx| {
-            let comm = ctx.world();
-            let chunk = 16; // 128 B: the linear path on 4 ranks
-            let data: Option<Vec<f64>> =
-                (ctx.rank() == 0).then(|| (0..4 * chunk).map(|i| i as f64).collect());
-            let a = ctx.scatter(data.as_deref(), chunk, 0, &comm);
-            let b = ctx.scatter_tuned(data.as_deref(), chunk, 0, &comm);
-            assert_eq!(a, b);
-        });
     }
 }
 

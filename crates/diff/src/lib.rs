@@ -34,7 +34,7 @@ pub mod trace_diff;
 
 pub use align::{AlignConfig, Divergence, Edit, StreamDiff};
 pub use golden::{assert_golden, diff_golden, GoldenDiff};
-pub use report_diff::{diff_reports, ContentionDiff, MetricsDiff, ReportDiff, TsDiff};
+pub use report_diff::{diff_reports, ContentionDiff, MetricsDiff, ReportDiff};
 pub use smpi_obs::json::JsonValue;
 pub use trace_diff::{
     diff_sources, diff_trace_files, diff_traces, FirstDivergence, RankDiff, TraceDiff,

@@ -3,15 +3,14 @@
 //! Where the trace diff explains how two runs' *op streams* differ, this
 //! layer explains how their *observations* differ: makespan and per-rank
 //! finish times, metrics counters (top-k movers), self-profile phases,
-//! kernel counters, time series re-bucketed onto a common grid,
-//! per-link/per-rank contention attribution, and the critical path. Only
-//! simulated (deterministic) quantities are compared — wall-clock fields
-//! are deliberately excluded so the diff JSON is byte-identical across
-//! repeated invocations on the same pair of runs.
+//! kernel counters, per-link/per-rank contention attribution, and the
+//! critical path. Only simulated (deterministic) quantities are compared —
+//! wall-clock fields are deliberately excluded so the diff JSON is
+//! byte-identical across repeated invocations on the same pair of runs.
 
 use smpi::RunReport;
 use smpi_obs::json::{num, JsonBuf};
-use smpi_obs::{ContentionReport, MetricsReport, TimeSeries};
+use smpi_obs::{ContentionReport, MetricsReport};
 
 /// One metric key whose value moved between the runs.
 #[derive(Debug, Clone)]
@@ -44,24 +43,6 @@ pub struct MetricsDiff {
     pub only_b: u64,
     /// Total distinct keys across both runs.
     pub total: u64,
-}
-
-/// Time-series diff on a common grid.
-#[derive(Debug, Clone)]
-pub struct TsDiff {
-    /// Common bucket width (the coarser of the two intervals; intervals
-    /// are `1e-6 · 2^h`, so re-bucketing folds exactly).
-    pub interval: f64,
-    /// Buckets on the common grid.
-    pub buckets: usize,
-    /// Bucket with the largest absolute simcall-count change.
-    pub peak_bucket: usize,
-    /// That bucket's simcall counts in A and B.
-    pub peak: (u64, u64),
-    /// Total simcalls in A and B.
-    pub simcalls: (u64, u64),
-    /// Total busy (active) link-seconds in A and B.
-    pub active_time: (f64, f64),
 }
 
 /// Per-link contention change.
@@ -130,8 +111,6 @@ pub struct ReportDiff {
     pub kernel: Vec<(&'static str, u64, u64)>,
     /// Metrics diff (`None` unless both runs carried metrics).
     pub metrics: Option<MetricsDiff>,
-    /// Time-series diff (`None` unless both runs carried a time series).
-    pub timeseries: Option<TsDiff>,
     /// Contention diff (`None` unless both runs carried attribution).
     pub contention: Option<ContentionDiff>,
     /// Critical-path diff (`None` unless both runs were traced).
@@ -149,10 +128,6 @@ impl ReportDiff {
                 .metrics
                 .as_ref()
                 .is_none_or(|m| m.changed == 0 && m.only_a == 0 && m.only_b == 0)
-            && self
-                .timeseries
-                .as_ref()
-                .is_none_or(|t| t.simcalls.0 == t.simcalls.1 && t.peak.0 == t.peak.1)
             && self
                 .contention
                 .as_ref()
@@ -211,20 +186,6 @@ impl ReportDiff {
                 j.end_obj();
             }
             j.end_arr();
-            j.end_obj();
-        }
-        if let Some(t) = &self.timeseries {
-            j.key("timeseries").begin_obj();
-            j.key("interval").num_val(t.interval);
-            j.key("buckets").uint_val(t.buckets as u64);
-            j.key("peak_bucket").uint_val(t.peak_bucket as u64);
-            j.key("peak_simcalls").begin_arr();
-            j.uint_val(t.peak.0).uint_val(t.peak.1);
-            j.end_arr();
-            j.key("simcalls").begin_arr();
-            j.uint_val(t.simcalls.0).uint_val(t.simcalls.1);
-            j.end_arr();
-            pair(&mut j, "active_time", t.active_time.0, t.active_time.1);
             j.end_obj();
         }
         if let Some(c) = &self.contention {
@@ -321,20 +282,6 @@ impl ReportDiff {
                     mv.delta()
                 );
             }
-        }
-        if let Some(t) = &self.timeseries {
-            let _ = writeln!(
-                out,
-                "timeseries: {} buckets @ {}s, peak shift at bucket {} \
-                 ({} -> {} simcalls); busy link-secs {} -> {}",
-                t.buckets,
-                num(t.interval),
-                t.peak_bucket,
-                t.peak.0,
-                t.peak.1,
-                num(t.active_time.0),
-                num(t.active_time.1)
-            );
         }
         if let Some(c) = &self.contention {
             if let Some(top) = c.top_mover() {
@@ -461,44 +408,6 @@ fn diff_metrics(a: &MetricsReport, b: &MetricsReport, top_k: usize) -> MetricsDi
         only_a,
         only_b,
         total,
-    }
-}
-
-/// Folds a time series onto a coarser grid (`factor` native buckets per
-/// common bucket), keeping the extensive fields this diff compares.
-fn fold_ts(ts: &TimeSeries, factor: usize) -> Vec<(u64, f64)> {
-    let mut out = Vec::with_capacity(ts.samples.len().div_ceil(factor));
-    for chunk in ts.samples.chunks(factor) {
-        let simcalls = chunk.iter().map(|s| s.simcalls).sum();
-        let active = chunk.iter().map(|s| s.active_time).sum();
-        out.push((simcalls, active));
-    }
-    out
-}
-
-fn diff_timeseries(a: &TimeSeries, b: &TimeSeries) -> TsDiff {
-    let interval = a.interval.max(b.interval);
-    let fa = fold_ts(a, (interval / a.interval).round().max(1.0) as usize);
-    let fb = fold_ts(b, (interval / b.interval).round().max(1.0) as usize);
-    let buckets = fa.len().max(fb.len());
-    let (mut peak_bucket, mut peak, mut best) = (0usize, (0u64, 0u64), -1.0f64);
-    for i in 0..buckets {
-        let x = fa.get(i).map_or(0, |s| s.0);
-        let y = fb.get(i).map_or(0, |s| s.0);
-        let d = (y as f64 - x as f64).abs();
-        if d > best {
-            best = d;
-            peak_bucket = i;
-            peak = (x, y);
-        }
-    }
-    TsDiff {
-        interval,
-        buckets,
-        peak_bucket,
-        peak,
-        simcalls: (a.total_simcalls(), b.total_simcalls()),
-        active_time: (a.total_active_time(), b.total_active_time()),
     }
 }
 
@@ -655,10 +564,6 @@ pub fn diff_reports<RA, RB>(a: &RunReport<RA>, b: &RunReport<RB>, top_k: usize) 
             (Some(ma), Some(mb)) => Some(diff_metrics(ma, mb, top_k)),
             _ => None,
         },
-        timeseries: match (&a.timeseries, &b.timeseries) {
-            (Some(ta), Some(tb)) => Some(diff_timeseries(ta, tb)),
-            _ => None,
-        },
         contention: match (&a.contention, &b.contention) {
             (Some(ca), Some(cb)) => Some(diff_contention(ca, cb, top_k)),
             _ => None,
@@ -684,7 +589,6 @@ mod tests {
             profile: SelfProfile::default(),
             ti_trace: None,
             contention: None,
-            timeseries: None,
             finish_times: finish,
         }
     }

@@ -17,9 +17,6 @@
 //! * [`FlowAttribution`] / [`ContentionReport`] — per-flow contention
 //!   attribution (which link bottlenecked which flow, for how long),
 //!   filled by the network backends and aggregated by the runtime;
-//! * [`TimeSeries`] — bounded-memory time-resolved telemetry (per-link
-//!   utilization, active actions, simcall rate, …) sampled by the maestro,
-//!   with resolution halving so any run length fits a fixed budget;
 //! * [`json`] — the workspace's one JSON format: the dependency-free
 //!   writer the exports use and the parser that reads them back;
 //! * [`Deterministic`] — the byte-stability discipline as a trait: one
@@ -37,7 +34,6 @@ mod profile;
 mod recorder;
 mod report;
 mod sweep_stats;
-mod timeseries;
 
 pub use attribution::{ContentionReport, FlowAttribution, FlowRecord, LinkRollup};
 pub use deterministic::Deterministic;
@@ -45,7 +41,6 @@ pub use profile::{CodecStats, KernelProfile, SelfProfile};
 pub use recorder::{MemoryRecorder, Rec, StateEvent, StateOp};
 pub use report::{Histogram, MetricsReport, TimelineSnapshot};
 pub use sweep_stats::{SweepStats, WorkerStats};
-pub use timeseries::{TimeSeries, TsInstant, TsSample, DEFAULT_TS_BUDGET};
 
 pub mod json {
     //! Minimal JSON writer ([`JsonBuf`], [`escape`], [`num`]) and parser

@@ -497,18 +497,6 @@ impl PacketNet {
         self.actions.peak()
     }
 
-    /// Fills `out[i]` with channel `i`'s instantaneous utilization: a
-    /// store-and-forward port is either serializing a frame (1.0) or idle
-    /// (0.0) — there is no fractional sharing at packet level.
-    pub fn channel_utilizations(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.channels
-                .iter()
-                .map(|c| if c.idle.is_some() { 1.0 } else { 0.0 }),
-        );
-    }
-
     /// FatPipe: serialize without queuing (infinite parallel lanes).
     fn send_fat(&mut self, chan: u32, frame: Frame) {
         let ser = self.config.wire_bytes(frame.payload) as f64 / self.chan_bw[chan as usize];

@@ -42,9 +42,10 @@
 //! [`TraceSource::open`] found on disk. Replication sweeps share one
 //! source across workers: each call builds a private runtime and fabric.
 //!
-//! [`replay`] panics where [`try_replay_with`] returns a typed
-//! [`ReplayError`] — a deadlock or stall with its postmortem, or a block
-//! found corrupt mid-stream. [`save_trace`] writes a `TITRACE2` file.
+//! [`replay`] panics where [`try_replay`] returns a typed [`ReplayError`]
+//! — a deadlock or stall with its postmortem, a block found corrupt
+//! mid-stream, or a trace with no ranks. [`save_trace`] writes a
+//! `TITRACE2` file.
 //!
 //! ## Semantics under model swap
 //!
@@ -60,19 +61,11 @@
 //! replay, skipping waits that become empty. On the capture platform
 //! nothing is ever filtered and the replay is bit-identical.
 //!
-//! ## Collective re-selection
-//!
 //! Captures record each collective as a logical [`TiOp::Coll`] annotated
 //! with the algorithm variant the on-line run chose, followed by the
-//! point-to-point traffic that variant produced. By default the replayer
-//! plays that traffic faithfully. A [`ReplayOptions::coll_hook`] may
-//! instead claim a collective: the hook issues whatever substitute traffic
-//! it wants through the [`Ctx`] (e.g. calls a different algorithm), the
-//! engine skips the captured span, and later waits stay aligned because
-//! the skipped post indices are accounted for. Algorithm sweeps therefore
-//! no longer require re-capturing the application. The hook calls blocking
-//! collectives, which need a stack: a hooked replay is the one case that
-//! runs its ranks as fibers (`simix::Simix`, as an on-line run does).
+//! point-to-point traffic that variant produced. The replayer plays that
+//! traffic faithfully; the annotation becomes a region when the target
+//! world records metrics.
 //!
 //! Replay is faithful only for applications whose communication structure
 //! does not depend on message *values* or wall-clock races (the standard
@@ -81,46 +74,17 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::path::Path;
-use std::sync::mpsc::channel;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use smpi::capture::intern_region;
 use smpi::capture_v2::{TiV2Reader, TiV2Writer, DEFAULT_BLOCK_OPS};
 use smpi::{
-    Ctx, PostWindow, ReqId, RunReport, SimError, SimResp, Simcall, TiOp, TiTrace, TraceCursor,
-    TraceIoError, TraceSource, World,
+    PostWindow, ReqId, RunReport, SimError, SimResp, Simcall, TiDecodeError, TiOp, TiTrace,
+    TraceCursor, TraceIoError, TraceSource, World,
 };
-
-/// One captured collective, as presented to a [`CollHook`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollSite<'a> {
-    /// Replaying rank.
-    pub rank: usize,
-    /// Collective name (`allreduce`, `bcast`, ...).
-    pub name: &'a str,
-    /// Algorithm variant the on-line run dispatched to (empty when the
-    /// collective had no nested variant region).
-    pub algo: &'a str,
-    /// Captured ops implementing this collective (skipped if claimed).
-    pub span: u32,
-    /// Send/recv posts among those ops.
-    pub posts: u32,
-}
-
-/// Replay-time collective interceptor. Returning `true` claims the
-/// collective: the hook has issued substitute traffic through the [`Ctx`]
-/// (or chosen to elide it) and the engine skips the captured span.
-/// Returning `false` replays the captured traffic faithfully.
-pub type CollHook = dyn Fn(&Ctx, &CollSite<'_>) -> bool + Send + Sync;
-
-/// Knobs of [`try_replay_with`].
-#[derive(Clone, Default)]
-pub struct ReplayOptions {
-    /// Collective interceptor (see [`CollHook`]). `None` replays
-    /// everything faithfully.
-    pub coll_hook: Option<Arc<CollHook>>,
-}
 
 /// Why a replay did not produce a report.
 #[derive(Debug)]
@@ -148,10 +112,10 @@ impl std::error::Error for ReplayError {}
 /// timelines, self-profile — per the world's configuration).
 ///
 /// No application code executes: each rank is a trace cursor issuing the
-/// captured simcalls with data-less messages. Panics where
-/// [`try_replay_with`] returns an error.
+/// captured simcalls with data-less messages. Panics where [`try_replay`]
+/// returns an error.
 pub fn replay(world: &World, source: impl Into<TraceSource>) -> RunReport<()> {
-    try_replay_with(world, source, ReplayOptions::default()).unwrap_or_else(|e| panic!("{e}"))
+    try_replay(world, source).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`replay`] of a streaming `TITRACE2` reader, under the name the
@@ -160,60 +124,98 @@ pub fn replay_stream(world: &World, reader: Arc<TiV2Reader>) -> RunReport<()> {
     replay(world, reader)
 }
 
-/// Replays a trace with explicit [`ReplayOptions`], returning a typed
-/// [`ReplayError`] when the replayed ranks deadlock or stall, or when the
-/// source fails mid-stream.
+/// Replays a trace, returning a typed [`ReplayError`] when the replayed
+/// ranks deadlock or stall, when the source fails mid-stream, or when the
+/// trace has no ranks.
 ///
 /// Ranks are `RankScript`s stepped on the calling thread
-/// ([`World::try_run_scripts`]) — unless a [`ReplayOptions::coll_hook`]
-/// needs a stack: then they are fibers ([`World::try_run`]) driving the
-/// same script.
-pub fn try_replay_with(
+/// ([`World::try_run_scripts`]).
+pub fn try_replay(
     world: &World,
     source: impl Into<TraceSource>,
-    opts: ReplayOptions,
 ) -> Result<RunReport<()>, ReplayError> {
-    let source = source.into();
-    let nranks = source.num_ranks();
-    assert!(nranks > 0, "cannot replay an empty trace");
-    let (failed, failures) = channel();
-    // A rank whose source fails ends there; the failure is picked up below.
-    let give_up = move |e: TraceIoError| -> Option<Simcall> {
-        let _ = failed.send(e);
-        None
-    };
-    let obs = world.metrics_enabled();
-    let script = move |rank| RankScript {
-        rank,
-        ops: source.rank_ops(rank),
-        obs,
-        n_posted: 0,
-        live: PostWindow::new(),
-        waited: Vec::new(),
-    };
-    let result = match opts.coll_hook {
-        Some(hook) => world.try_run(nranks, move |ctx| {
-            let mut script = script(ctx.rank());
-            let mut step = |resp| script.step(resp, |site| hook(ctx, site));
-            let mut resp = None;
-            while let Some(call) = step(resp).unwrap_or_else(&give_up) {
-                resp = Some(ctx.simcall(call));
-            }
-        }),
-        None => world.try_run_scripts(
-            (0..nranks)
-                .map(|rank| {
-                    let (mut script, give_up) = (script(rank), give_up.clone());
-                    move |resp| script.step(resp, |_| false).unwrap_or_else(&give_up)
-                })
-                .collect(),
-        ),
-    };
-    // The peers of a rank that ended early usually deadlock: the source
-    // failure is the cause and takes precedence.
-    match failures.try_recv() {
-        Ok(e) => Err(ReplayError::Trace(e)),
-        Err(_) => result.map_err(ReplayError::Sim),
+    let replay = Replay::new(world, source.into())?;
+    let scripts = (0..replay.nranks).map(|rank| replay.script(rank));
+    let run = world.try_run_scripts(scripts.collect());
+    replay.finish(run)
+}
+
+/// The stackful replay: the same `RankScript`s, each driven by one fiber
+/// per rank through [`World::try_run`], as an on-line run drives its
+/// bodies. The oracle [`try_replay`] is tested against, not a production
+/// path.
+#[doc(hidden)]
+pub fn replay_on_fibers(
+    world: &World,
+    source: impl Into<TraceSource>,
+) -> Result<RunReport<()>, ReplayError> {
+    let replay = Replay::new(world, source.into())?;
+    let fibers = replay.clone();
+    let run = world.try_run(replay.nranks, move |ctx| {
+        let mut step = fibers.script(ctx.rank());
+        let mut resp = None;
+        while let Some(call) = step(resp) {
+            resp = Some(ctx.simcall(call));
+        }
+    });
+    replay.finish(run)
+}
+
+/// What both replay tiers share: one source's rank scripts, and the first
+/// failure any of them met.
+#[derive(Clone)]
+struct Replay {
+    source: TraceSource,
+    nranks: usize,
+    /// Regions are only issued when the world records metrics.
+    obs: bool,
+    failure: Rc<RefCell<Option<TraceIoError>>>,
+}
+
+impl Replay {
+    /// Refuses a trace with no ranks: there is nothing to replay.
+    fn new(world: &World, source: TraceSource) -> Result<Replay, ReplayError> {
+        let nranks = source.num_ranks();
+        if nranks == 0 {
+            return Err(ReplayError::Trace(TraceIoError::Format(TiDecodeError {
+                line: 0,
+                message: "the trace has no ranks: nothing to replay".into(),
+            })));
+        }
+        Ok(Replay {
+            source,
+            nranks,
+            obs: world.metrics_enabled(),
+            failure: Rc::default(),
+        })
+    }
+
+    /// Rank `rank`'s script. A rank whose source fails ends there; the
+    /// first failure is kept for [`Replay::finish`].
+    fn script(&self, rank: usize) -> impl FnMut(Option<SimResp>) -> Option<Simcall> {
+        let mut script = RankScript {
+            ops: self.source.rank_ops(rank),
+            obs: self.obs,
+            n_posted: 0,
+            live: PostWindow::new(),
+            waited: Vec::new(),
+        };
+        let failure = Rc::clone(&self.failure);
+        move |resp| {
+            script.step(resp).unwrap_or_else(|e| {
+                failure.borrow_mut().get_or_insert(e);
+                None
+            })
+        }
+    }
+
+    /// The peers of a rank that ended early usually deadlock: the source
+    /// failure is the cause and takes precedence.
+    fn finish(&self, run: Result<RunReport<()>, SimError>) -> Result<RunReport<()>, ReplayError> {
+        match self.failure.take() {
+            Some(e) => Err(ReplayError::Trace(e)),
+            None => run.map_err(ReplayError::Sim),
+        }
     }
 }
 
@@ -225,7 +227,6 @@ fn region(name: &str, enter: bool) -> Simcall {
 /// One replayed rank as a resumable state machine: the single translation
 /// of captured [`TiOp`]s into [`Simcall`]s.
 struct RankScript {
-    rank: usize,
     ops: TraceCursor,
     /// Regions are only issued when the world records metrics.
     obs: bool,
@@ -241,12 +242,8 @@ struct RankScript {
 impl RankScript {
     /// Absorbs the answer to the previous simcall (`None` to start) and
     /// returns the next one, or `None` when the rank is done; fails when the
-    /// op source does. `claim` decides each captured collective ([`CollHook`]).
-    fn step(
-        &mut self,
-        resp: Option<SimResp>,
-        mut claim: impl FnMut(&CollSite<'_>) -> bool,
-    ) -> Result<Option<Simcall>, TraceIoError> {
+    /// op source does.
+    fn step(&mut self, resp: Option<SimResp>) -> Result<Option<Simcall>, TraceIoError> {
         match resp {
             Some(SimResp::Req(id)) => {
                 self.live.insert(self.n_posted, id);
@@ -303,36 +300,8 @@ impl RankScript {
                     Simcall::Wait { reqs: live, mode }
                 }
                 TiOp::Region { name, enter } if self.obs => region(&name, enter),
-                TiOp::Region { .. } => continue,
-                TiOp::Coll {
-                    name,
-                    algo,
-                    span,
-                    posts,
-                } => {
-                    let site = CollSite {
-                        rank: self.rank,
-                        name: &name,
-                        algo: &algo,
-                        span,
-                        posts,
-                    };
-                    if claim(&site) {
-                        // Skip the captured implementation (through the closing
-                        // region exit) and its post indices: later waits keep
-                        // their alignment, and those naming a skipped index
-                        // find nothing live and are filtered.
-                        for _ in 0..span {
-                            self.ops.try_next()?;
-                        }
-                        self.n_posted += posts;
-                        continue;
-                    }
-                    if !self.obs {
-                        continue;
-                    }
-                    region(&name, true)
-                }
+                TiOp::Coll { name, .. } if self.obs => region(&name, true),
+                TiOp::Region { .. } | TiOp::Coll { .. } => continue,
             };
             return Ok(Some(call));
         }
@@ -347,7 +316,8 @@ pub struct CrossValidation {
     pub online: f64,
     /// Replayed simulated makespan (seconds).
     pub replayed: f64,
-    /// `|replayed - online| / online`.
+    /// `|replayed - online| / online`, and 0 when the two are equal (a
+    /// zero makespan replayed exactly included).
     pub rel_err: f64,
 }
 
@@ -366,11 +336,16 @@ pub fn cross_validate<R>(world: &World, online: &RunReport<R>) -> CrossValidatio
         .ti_trace
         .as_ref()
         .expect("cross_validate needs a captured trace (World::capture)");
-    let replayed = replay(world, trace);
+    let (online, replayed) = (online.sim_time, replay(world, trace).sim_time);
+    let rel_err = if replayed == online {
+        0.0
+    } else {
+        (replayed - online).abs() / online
+    };
     CrossValidation {
-        online: online.sim_time,
-        replayed: replayed.sim_time,
-        rel_err: (replayed.sim_time - online.sim_time).abs() / online.sim_time,
+        online,
+        replayed,
+        rel_err,
     }
 }
 
@@ -393,7 +368,7 @@ pub fn save_trace(path: impl AsRef<Path>, trace: &TiTrace) -> Result<(), TraceIo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smpi::WaitMode;
+    use smpi::{Ctx, WaitMode};
     use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
     use surf_sim::TransferModel;
 
@@ -434,6 +409,16 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_makespan_replayed_exactly_has_no_error() {
+        let world = small_world().capture(true);
+        let online = world.run(2, |_| ());
+        assert_eq!(online.sim_time, 0.0);
+        let cv = cross_validate(&world, &online);
+        assert_eq!((cv.online, cv.replayed, cv.rel_err), (0.0, 0.0, 0.0));
+        assert!(cv.within(0.0));
+    }
+
+    #[test]
     fn recapturing_a_replay_reproduces_the_trace() {
         // Capturing a replay must yield the original trace: the replayer
         // issues exactly the captured simcall stream.
@@ -461,51 +446,6 @@ mod tests {
         let replayed = replay(&world, &trace);
         assert_eq!(replayed.sim_time, online.sim_time);
         assert_eq!(replayed.ti_trace.unwrap(), trace);
-    }
-
-    #[test]
-    fn coll_hook_substitutes_collectives() {
-        let world = small_world().capture(true).metrics(true);
-        let online = world.run(4, app);
-        let trace = Arc::new(online.ti_trace.clone().unwrap());
-
-        // Claim every allreduce and substitute the *same* collective via
-        // the normal API: on the same platform the makespan must come out
-        // identical (the hook re-runs what the capture recorded).
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let opts = ReplayOptions {
-            coll_hook: Some(Arc::new(move |ctx: &Ctx, site: &CollSite<'_>| {
-                if site.name != "allreduce" {
-                    return false;
-                }
-                seen2
-                    .lock()
-                    .unwrap()
-                    .push((site.algo.to_string(), site.span, site.posts));
-                let x = [0.0f64];
-                ctx.allreduce(&x, &smpi::op::sum::<f64>(), &ctx.world());
-                true
-            })),
-        };
-        let substituted = try_replay_with(&world, Arc::clone(&trace), opts).unwrap();
-        assert_eq!(substituted.sim_time, online.sim_time);
-
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 4, "one claimed allreduce per rank");
-        assert!(seen
-            .iter()
-            .all(|(algo, span, _)| !algo.is_empty() && *span > 0));
-
-        // Eliding the collective entirely must finish too (wait filtering
-        // absorbs the skipped posts) and finish strictly earlier.
-        let opts = ReplayOptions {
-            coll_hook: Some(Arc::new(|_: &Ctx, site: &CollSite<'_>| {
-                site.name == "allreduce"
-            })),
-        };
-        let elided = try_replay_with(&world, trace, opts).unwrap();
-        assert!(elided.sim_time < online.sim_time);
     }
 
     #[test]

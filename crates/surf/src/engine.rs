@@ -439,19 +439,10 @@ impl Simulation {
         self.kstats.clone()
     }
 
-    /// Cumulative wall-clock nanoseconds spent in max-min solves
-    /// (host-dependent: telemetry consumers strip it before byte-identity
-    /// comparisons).
-    pub fn solver_wall_ns(&self) -> f64 {
-        self.kstats.solve_ns.sum
-    }
-
     /// Fills `out[i]` with link `i`'s instantaneous utilization in
     /// `[0, 1]`: allocated transfer rate over nominal bandwidth, counting
-    /// only flows past their latency phase (same accounting as the
-    /// recorder's `surf.link.<i>.util` gauges, but allocation-free into a
-    /// caller-owned buffer so the maestro can poll it every event).
-    pub fn link_utilizations(&self, out: &mut Vec<f64>) {
+    /// only flows past their latency phase.
+    fn link_utilizations(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.links.len(), 0.0);
         for (_slot, _gen, a) in self.actions.iter() {

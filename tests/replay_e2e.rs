@@ -83,19 +83,15 @@ fn griffon_trace_replays_against_gdx() {
 
 /// Determinism: two identical online runs produce byte-identical captured
 /// traces and byte-identical `to_json()` reports. The host-dependent
-/// report fields — `wall`, the wall-clock half of the self-profile
-/// (`wall_seconds`, per-phase timings, kernel solve histogram), and the
-/// time series' solver timings — are removed in one call through the
-/// [`smpi_obs::Deterministic`] trait before comparing.
+/// report fields — `wall` and the wall-clock half of the self-profile
+/// (`wall_seconds`, per-phase timings, kernel solve histogram) — are
+/// removed in one call through the [`smpi_obs::Deterministic`] trait
+/// before comparing.
 #[test]
 fn identical_runs_are_byte_identical() {
     use smpi_obs::Deterministic as _;
     let run = || {
-        let world = griffon_world()
-            .capture(true)
-            .metrics(true)
-            .tracing(true)
-            .timeseries(true);
+        let world = griffon_world().capture(true).metrics(true).tracing(true);
         let mut report = dt_online(&world, DtClass::S, DtGraph::Bh);
         report.strip_nondeterminism();
         (
@@ -109,48 +105,6 @@ fn identical_runs_are_byte_identical() {
     assert_eq!(trace_a, trace_b, "captured traces differ between runs");
     assert_eq!(json_a, json_b, "to_json() differs between runs");
     assert_eq!(paje_a, paje_b, "paje() differs between runs");
-}
-
-/// Replay reproduces the on-line run's telemetry byte-identically: the
-/// replayed simcall stream equals the captured one on the same
-/// platform/model, so every time-series bucket must agree once the
-/// host-dependent solver timings are stripped. Uses a memory-free
-/// workload (sendrecv + allreduce + compute) because replay does not
-/// re-execute `shared_malloc`, so `mem_hwm` would legitimately differ
-/// for workloads that allocate.
-#[test]
-fn replay_reproduces_the_timeseries_byte_identically() {
-    let app = |ctx: &smpi_suite::smpi::Ctx| {
-        let comm = ctx.world();
-        let n = ctx.size();
-        ctx.compute(5e6 * (1.0 + ctx.rank() as f64 / n as f64));
-        let to = (ctx.rank() + 1) % n;
-        let from = ((ctx.rank() + n) - 1) % n;
-        let buf = vec![ctx.rank() as f64; 16 * 1024];
-        let mut got = vec![0.0f64; buf.len()];
-        ctx.sendrecv(&buf, to, 7, &mut got, from as i32, 7, &comm);
-        assert_eq!(got[0], from as f64);
-        let mine = [ctx.rank() as f64];
-        let _ = ctx.allreduce(&mine, &smpi_suite::smpi::op::sum::<f64>(), &comm);
-    };
-    let world = griffon_world().capture(true).timeseries(true);
-    let mut online = world.run(4, app);
-    let trace = online.ti_trace.take().unwrap();
-
-    let replay_world = griffon_world().timeseries(true);
-    let mut replayed = replay::replay(&replay_world, &trace);
-    assert_eq!(replayed.sim_time, online.sim_time);
-
-    use smpi_obs::Deterministic as _;
-    let mut ts_online = online.timeseries.take().unwrap();
-    let mut ts_replay = replayed.timeseries.take().unwrap();
-    ts_online.strip_nondeterminism();
-    ts_replay.strip_nondeterminism();
-    assert_eq!(
-        ts_online.to_json(),
-        ts_replay.to_json(),
-        "replayed time series diverged from the on-line one"
-    );
 }
 
 /// The checked-in golden trace: DT class S (BH graph, 5 ranks) captured
@@ -364,15 +318,11 @@ fn artifacts(mut report: smpi_suite::smpi::RunReport<()>) -> [String; 5] {
 }
 
 /// Replays `trace` event-driven (the production path) and through the
-/// stackful oracle — a collective hook that claims nothing, which keeps one
-/// fiber per rank driving the same script — and demands identical
-/// artifacts. Returns the re-captured trace.
+/// stackful oracle — one fiber per rank driving the same script — and
+/// demands identical artifacts. Returns the re-captured trace.
 fn assert_tiers_agree(label: &str, world: &World, source: TraceSource) -> String {
-    let oracle = replay::ReplayOptions {
-        coll_hook: Some(Arc::new(|_: &Ctx, _: &replay::CollSite<'_>| false)),
-    };
     let event = artifacts(replay::replay(world, source.clone()));
-    let stackful = artifacts(replay::try_replay_with(world, source, oracle).unwrap());
+    let stackful = artifacts(replay::replay_on_fibers(world, source).unwrap());
     for (what, (e, t)) in ["report JSON", "paje", "contention", "re-capture", "events"]
         .iter()
         .zip(event.iter().zip(&stackful))
@@ -384,9 +334,9 @@ fn assert_tiers_agree(label: &str, world: &World, source: TraceSource) -> String
 }
 
 /// The event-driven tier is byte-identical to the stackful oracle: same
-/// schedule, hence same reports, timelines, attribution, time series and
-/// re-captures — metrics off and on, in-memory and streamed sources, on the
-/// capture platform and on a different one.
+/// schedule, hence same reports, timelines, attribution and re-captures —
+/// metrics off and on, in-memory and streamed sources, on the capture
+/// platform and on a different one.
 #[test]
 fn event_driven_replay_matches_the_stackful_oracle() {
     let capture = griffon_world().capture(true).metrics(true);
@@ -412,12 +362,7 @@ fn event_driven_replay_matches_the_stackful_oracle() {
         let trace = Arc::new(trace);
         for (platform, base) in [("griffon", griffon_world()), ("gdx", gdx_world())] {
             for metrics in [false, true] {
-                let world = base
-                    .clone()
-                    .metrics(metrics)
-                    .capture(true)
-                    .tracing(true)
-                    .timeseries(true);
+                let world = base.clone().metrics(metrics).capture(true).tracing(true);
                 let label = format!("{name} on {platform}, metrics {metrics}");
                 let mem = assert_tiers_agree(&label, &world, Arc::clone(&trace).into());
                 let streamed = assert_tiers_agree(&label, &world, Arc::clone(&reader).into());
@@ -485,7 +430,7 @@ fn corrupt_block_mid_stream_is_a_typed_error() {
     let path = dir.join("flipped.tit2");
     std::fs::write(&path, &bytes).unwrap();
     let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&path).expect("footer is intact"));
-    let err = replay::try_replay_with(&griffon_world(), reader, Default::default()).unwrap_err();
+    let err = replay::try_replay(&griffon_world(), reader).unwrap_err();
     assert!(
         matches!(err, replay::ReplayError::Trace(TraceIoError::V2(_))),
         "got {err}"
@@ -515,8 +460,7 @@ fn unmatched_recv_is_a_typed_deadlock() {
             ],
         ],
     };
-    let err =
-        replay::try_replay_with(&griffon_world(), Arc::new(trace), Default::default()).unwrap_err();
+    let err = replay::try_replay(&griffon_world(), Arc::new(trace)).unwrap_err();
     match err {
         replay::ReplayError::Sim(SimError::Deadlock {
             blocked,
@@ -528,4 +472,45 @@ fn unmatched_recv_is_a_typed_deadlock() {
         }
         other => panic!("expected a deadlock, got {other}"),
     }
+}
+
+/// Replays the trace file at `path`, opened through the one door, and
+/// demands the typed "no ranks" error.
+fn assert_rankless_trace_is_refused(path: &std::path::Path) {
+    use smpi_suite::smpi::TraceIoError;
+    let source = TraceSource::open(path).expect("a rankless trace opens");
+    assert_eq!(source.num_ranks(), 0);
+    match replay::try_replay(&griffon_world(), source) {
+        Err(replay::ReplayError::Trace(TraceIoError::Format(e))) => {
+            assert!(e.message.contains("no ranks"), "got {e}");
+        }
+        Err(other) => panic!("expected a format error, got {other}"),
+        Ok(_) => panic!("a trace without ranks replayed"),
+    }
+    std::fs::remove_file(path).ok();
+}
+
+/// A `TITRACE v1` text trace that declares no ranks: a typed format
+/// error, not a panic.
+#[test]
+fn a_v1_trace_without_ranks_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("smpi_replay_rankless_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.tit");
+    std::fs::write(&path, "TITRACE v1\nranks 0\n").unwrap();
+    assert_rankless_trace_is_refused(&path);
+}
+
+/// A `TITRACE2` file written for zero ranks: the same typed format error.
+#[test]
+fn a_tit2_file_without_ranks_is_a_typed_error() {
+    use smpi_suite::smpi::TiV2Writer;
+    let dir = std::env::temp_dir().join(format!("smpi_replay_rankless_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.tit2");
+    let file = std::fs::File::create(&path).unwrap();
+    TiV2Writer::new(std::io::BufWriter::new(file), 0)
+        .finish()
+        .unwrap();
+    assert_rankless_trace_is_refused(&path);
 }
