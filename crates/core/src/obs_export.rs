@@ -24,13 +24,16 @@
 //! * [`RunReport::critical_path`] — the longest dependency chain through
 //!   the trace, attributing each segment to a rank or — when contention
 //!   attribution names a bottleneck — to a specific network link.
+//!
+//! The exports pair no events themselves: they read the cross-rank edges
+//! the runtime recorded in the trace (see [`crate::trace`]), so an arrow or
+//! a message edge is the runtime's own, overtaking messages included.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 
 use smpi_obs::json::{num, JsonBuf};
 use smpi_obs::paje::PajeWriter;
-use smpi_obs::FlowRecord;
 
 use crate::trace::{self, TraceKind};
 use crate::world::RunReport;
@@ -67,18 +70,6 @@ fn link_util_index(key: &str) -> Option<usize> {
         .strip_suffix(".util")?
         .parse()
         .ok()
-}
-
-/// FIFO queues of a run's flow records per (src, dst) rank pair. Flow
-/// records are appended in delivery order, so pairing them FIFO against the
-/// trace's `Delivered` events per pair reunites each record with its trace
-/// event (the wire preserves per-pair ordering).
-fn flow_queues(flows: &[FlowRecord]) -> HashMap<(u32, u32), VecDeque<&FlowRecord>> {
-    let mut q: HashMap<(u32, u32), VecDeque<&FlowRecord>> = HashMap::new();
-    for f in flows {
-        q.entry((f.src, f.dst)).or_default().push_back(f);
-    }
-    q
 }
 
 impl<R> RunReport<R> {
@@ -183,53 +174,44 @@ impl<R> RunReport<R> {
             }
         }
 
-        // Message arrows, paired FIFO per (src, dst) — the wire preserves
-        // per-pair ordering. With contention attribution each arrow is
-        // routed hop by hop through its route's link containers (the
-        // transfer window split evenly across the hops); without it, one
-        // rank-to-rank arrow per transfer.
-        let mut flow_q = self
-            .contention
-            .as_ref()
-            .map(|c| flow_queues(&c.flows))
-            .unwrap_or_default();
-        let mut in_flight: HashMap<(u32, u32), VecDeque<f64>> = HashMap::new();
+        // One arrow per delivery that crossed the wire, from its own
+        // transfer start. With contention attribution it is routed hop by
+        // hop through its flow's link containers (the transfer window split
+        // evenly across the hops); without it, one rank-to-rank arrow.
         let mut next_key = 0u64;
         for e in &self.trace {
-            match e.kind {
-                TraceKind::TransferStarted { src, dst, .. } => {
-                    in_flight.entry((src, dst)).or_default().push_back(e.time);
-                }
-                // Self-messages never hit the wire: no arrow.
-                TraceKind::Delivered { src, dst, .. } if src != dst => {
-                    let Some(start) = in_flight.entry((src, dst)).or_default().pop_front() else {
-                        continue;
-                    };
-                    let route: Vec<u32> = flow_q
-                        .get_mut(&(src, dst))
-                        .and_then(|q| q.pop_front())
-                        .map(|f| f.attr.route.clone())
-                        .unwrap_or_default();
-                    let mut stops = Vec::with_capacity(route.len() + 2);
-                    stops.push(format!("rank{src}"));
-                    stops.extend(route.iter().map(|l| format!("link{l}")));
-                    stops.push(format!("rank{dst}"));
-                    let dt = (e.time - start) / (stops.len() - 1) as f64;
-                    for (hop, pair) in stops.windows(2).enumerate() {
-                        let key = next_key;
-                        next_key += 1;
-                        let t0 = start + dt * hop as f64;
-                        // The last hop lands exactly on the delivery time.
-                        let t1 = if hop + 2 == stops.len() {
-                            e.time
-                        } else {
-                            start + dt * (hop + 1) as f64
-                        };
-                        push(&mut body, t0, PajeEvent::StartLink(pair[0].clone(), key));
-                        push(&mut body, t1, PajeEvent::EndLink(pair[1].clone(), key));
-                    }
-                }
-                _ => {}
+            let TraceKind::Delivered {
+                src,
+                dst,
+                wire: Some(wire),
+                flow,
+                ..
+            } = e.kind
+            else {
+                continue;
+            };
+            let start = self.trace[wire as usize].time;
+            let route: &[u32] = match (&self.contention, flow) {
+                (Some(c), Some(f)) => &c.flows[f as usize].attr.route,
+                _ => &[],
+            };
+            let mut stops = Vec::with_capacity(route.len() + 2);
+            stops.push(format!("rank{src}"));
+            stops.extend(route.iter().map(|l| format!("link{l}")));
+            stops.push(format!("rank{dst}"));
+            let dt = (e.time - start) / (stops.len() - 1) as f64;
+            for (hop, pair) in stops.windows(2).enumerate() {
+                let key = next_key;
+                next_key += 1;
+                let t0 = start + dt * hop as f64;
+                // The last hop lands exactly on the delivery time.
+                let t1 = if hop + 2 == stops.len() {
+                    e.time
+                } else {
+                    start + dt * (hop + 1) as f64
+                };
+                push(&mut body, t0, PajeEvent::StartLink(pair[0].clone(), key));
+                push(&mut body, t1, PajeEvent::EndLink(pair[1].clone(), key));
             }
         }
 
@@ -389,73 +371,48 @@ impl<R> RunReport<R> {
 
     /// Longest dependency chain through the event trace (`None` when
     /// tracing was off or the trace is empty). Local program order chains
-    /// events of the same rank; a delivery additionally depends on its
-    /// wire-transfer start on the sender. Each segment of the winning
-    /// chain is attributed to the rank that was waiting through it; a
-    /// cross-rank message edge goes to `link:<name>` — the dominant
-    /// bottleneck of that flow's contention attribution — when available,
-    /// and to the anonymous `network` bucket otherwise.
+    /// events of the same rank; a delivery additionally depends on its own
+    /// wire-transfer start, and a rendezvous transfer on the late receive
+    /// that released it. Each segment of the winning chain is attributed to
+    /// the rank that was waiting through it; a message edge goes to
+    /// `link:<name>` — the dominant bottleneck of that flow's contention
+    /// attribution — when available, and to the anonymous `network` bucket
+    /// otherwise, as does a release edge (the handshake). The time before
+    /// the chain's first event goes to that event's rank, so the segments
+    /// sum to `total`.
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        if self.trace.is_empty() {
-            return None;
-        }
-        let rank_of = |k: &TraceKind| -> u32 {
-            match *k {
+        let rank_of = |k: &TraceKind| -> usize {
+            (match *k {
                 TraceKind::SendPosted { src, .. } => src,
                 TraceKind::RecvPosted { dst, .. } => dst,
                 TraceKind::TransferStarted { src, .. } => src,
                 TraceKind::Delivered { dst, .. } => dst,
                 TraceKind::ExecStarted { rank, .. } => rank,
                 TraceKind::RankFinished { rank } => rank,
-            }
+            }) as usize
         };
 
-        // Predecessors: last event of the same rank, plus (for deliveries)
-        // the matching transfer start, FIFO per (src, dst). Deliveries are
-        // also FIFO-paired with the run's flow records so a message edge on
-        // the winning chain can name the link that bottlenecked it.
+        // Predecessor: the later of the rank's previous event and the
+        // cross-rank edge the runtime recorded on the event.
         let n = self.trace.len();
-        let mut pred: Vec<Option<(usize, bool)>> = vec![None; n]; // (index, is_message_edge)
-        let mut last_of_rank: HashMap<u32, usize> = HashMap::new();
-        let mut transfers: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
-        let mut flow_q = self
-            .contention
-            .as_ref()
-            .map(|c| flow_queues(&c.flows))
-            .unwrap_or_default();
-        let mut deliv_flow: HashMap<usize, &FlowRecord> = HashMap::new();
+        let mut pred: Vec<Option<usize>> = vec![None; n];
+        let mut last_of_rank: Vec<Option<usize>> = vec![None; self.finish_times.len()];
         for (i, e) in self.trace.iter().enumerate() {
             let r = rank_of(&e.kind);
-            let mut best: Option<(usize, bool)> = last_of_rank.get(&r).map(|&p| (p, false));
-            match e.kind {
-                TraceKind::TransferStarted { src, dst, .. } => {
-                    transfers.entry((src, dst)).or_default().push(i);
-                }
-                TraceKind::Delivered { src, dst, .. } if src != dst => {
-                    if let Some(f) = flow_q.get_mut(&(src, dst)).and_then(|q| q.pop_front()) {
-                        deliv_flow.insert(i, f);
-                    }
-                    if let Some(q) = transfers.get_mut(&(src, dst)) {
-                        if !q.is_empty() {
-                            let sender = q.remove(0);
-                            // The binding dependency is the later of the two.
-                            let take = match best {
-                                Some((p, _)) => self.trace[sender].time >= self.trace[p].time,
-                                None => true,
-                            };
-                            if take {
-                                best = Some((sender, true));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-            pred[i] = best;
-            last_of_rank.insert(r, i);
+            let cross = match e.kind {
+                TraceKind::TransferStarted { recv, .. } => recv.map(|q| q as usize),
+                TraceKind::Delivered { wire, .. } => wire.map(|w| w as usize),
+                _ => None,
+            };
+            pred[i] = match (last_of_rank[r], cross) {
+                (Some(p), Some(q)) if self.trace[p].time > self.trace[q].time => Some(p),
+                (p, q) => q.or(p),
+            };
+            last_of_rank[r] = Some(i);
         }
 
-        // Walk back from the last event (ties broken by trace order).
+        // Walk back from the last event (ties broken by trace order). A
+        // cross-rank predecessor is the event's own `wire` or `recv`.
         let mut cur = (0..n).max_by(|&a, &b| {
             self.trace[a]
                 .time
@@ -466,25 +423,29 @@ impl<R> RunReport<R> {
         let mut acc: HashMap<String, f64> = HashMap::new();
         let mut steps = 0usize;
         let mut message_hops = 0usize;
-        while let Some((p, is_msg)) = pred[cur] {
-            let dt = self.trace[cur].time - self.trace[p].time;
-            let who = if is_msg {
-                message_hops += 1;
-                match (
-                    &self.contention,
-                    deliv_flow
-                        .get(&cur)
-                        .and_then(|f| f.attr.dominant_bottleneck()),
-                ) {
-                    (Some(c), Some(l)) => format!("link:{}", c.link_name(l)),
-                    _ => "network".to_string(),
+        while let Some(p) = pred[cur] {
+            let edge = Some(p as u32);
+            let who = match self.trace[cur].kind {
+                TraceKind::Delivered { wire, flow, .. } if wire == edge => {
+                    message_hops += 1;
+                    let link = self.contention.as_ref().and_then(|c| {
+                        let l = c.flows[flow? as usize].attr.dominant_bottleneck()?;
+                        Some(format!("link:{}", c.link_name(l)))
+                    });
+                    link.unwrap_or_else(|| "network".to_string())
                 }
-            } else {
-                format!("rank{}", rank_of(&self.trace[cur].kind))
+                TraceKind::TransferStarted { recv, .. } if recv == edge => "network".to_string(),
+                ref k => format!("rank{}", rank_of(k)),
             };
-            *acc.entry(who).or_default() += dt;
+            *acc.entry(who).or_default() += self.trace[cur].time - self.trace[p].time;
             steps += 1;
             cur = p;
+        }
+        // Untraced time (a sleep) before the chain's first event.
+        let start = self.trace[cur].time;
+        if start > 0.0 {
+            *acc.entry(format!("rank{}", rank_of(&self.trace[cur].kind)))
+                .or_default() += start;
         }
         let mut segments: Vec<(String, f64)> = acc.into_iter().collect();
         segments.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -515,7 +476,8 @@ pub struct CriticalPath {
     pub total: f64,
     /// Seconds of the chain attributed per participant (`rank{r}`,
     /// `link:<name>` for message edges with a known bottleneck, or
-    /// `"network"` for anonymous ones), largest first.
+    /// `"network"` for anonymous ones and rendezvous releases), largest
+    /// first; they sum to `total`.
     pub segments: Vec<(String, f64)>,
     /// Number of edges on the chain.
     pub steps: usize,
@@ -572,6 +534,7 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 1000,
+                    recv: None,
                 },
             },
             TraceEvent {
@@ -581,6 +544,8 @@ mod tests {
                     dst: 1,
                     tag: 0,
                     bytes: 1000,
+                    wire: Some(1),
+                    flow: None,
                 },
             },
             TraceEvent {
@@ -744,6 +709,7 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 1000,
+                    recv: None,
                 },
             },
             TraceEvent {
@@ -753,6 +719,8 @@ mod tests {
                     dst: 1,
                     tag: 0,
                     bytes: 1000,
+                    wire: Some(0),
+                    flow: Some(0),
                 },
             },
         ];

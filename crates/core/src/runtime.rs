@@ -229,6 +229,10 @@ struct Message {
     /// Contention attribution of the wire transfer, fetched from the fabric
     /// when the wire completes and turned into a [`FlowRecord`] at arrival.
     attr: Option<FlowAttribution>,
+    /// Trace indices (tracing on) of the `RecvPosted` that released this
+    /// rendezvous late and of its `TransferStarted`, for the next event.
+    released_by: Option<u32>,
+    wire_event: Option<u32>,
 }
 
 #[derive(Debug)]
@@ -501,11 +505,12 @@ impl Runtime {
         }
     }
 
-    fn record(&mut self, kind: TraceKind) {
-        if let Some(trace) = &mut self.trace {
-            let time = self.fabric.now().as_secs();
-            trace.push(TraceEvent { time, kind });
-        }
+    /// Appends a trace event (when tracing is on) and returns its index.
+    fn record(&mut self, kind: TraceKind) -> Option<u32> {
+        let trace = self.trace.as_mut()?;
+        let time = self.fabric.now().as_secs();
+        trace.push(TraceEvent { time, kind });
+        Some(u32::try_from(trace.len() - 1).expect("trace index overflow"))
     }
 
     /// Current simulated time in seconds.
@@ -1064,6 +1069,8 @@ impl Runtime {
             send_req,
             recv_req: None,
             attr: None,
+            released_by: None,
+            wire_event: None,
         });
 
         // Try to match the earliest compatible already-posted receive.
@@ -1104,7 +1111,7 @@ impl Runtime {
         tag: i32,
         max_bytes: u64,
     ) -> Result<ReqId, SimError> {
-        self.record(TraceKind::RecvPosted { dst, src, tag });
+        let posted = self.record(TraceKind::RecvPosted { dst, src, tag });
         let req = self.alloc_req(
             dst,
             ReqKind::Recv {
@@ -1123,6 +1130,8 @@ impl Runtime {
                 }
                 // else: completes when the arrival chain finishes.
             } else {
+                // This receive, posted after the send, releases the transfer.
+                m.released_by = posted;
                 self.begin_rendezvous(mid)?;
             }
         } else {
@@ -1241,10 +1250,10 @@ impl Runtime {
     }
 
     fn start_transfer_now(&mut self, mid: MsgId) -> Result<(), SimError> {
-        let (msrc, mdst, mbytes) = {
+        let (msrc, mdst, mbytes, recv) = {
             let m = self.msg_mut(mid, "starting the transfer of a")?;
             m.state = MsgState::InFlight;
-            (m.src, m.dst, m.bytes)
+            (m.src, m.dst, m.bytes, m.released_by)
         };
         let src = self.placement[msrc as usize];
         let dst = self.placement[mdst as usize];
@@ -1253,11 +1262,15 @@ impl Runtime {
         let bytes = (mbytes as f64 / self.profile.wire_efficiency).ceil() as u64;
         let tok = self.fabric.start_transfer(src, dst, bytes);
         self.await_token(tok, TokenUse::MsgWire(mid));
-        self.record(TraceKind::TransferStarted {
+        let started = self.record(TraceKind::TransferStarted {
             src: msrc,
             dst: mdst,
             bytes,
+            recv,
         });
+        if started.is_some() {
+            self.msg_mut(mid, "starting the transfer of a")?.wire_event = started;
+        }
         Ok(())
     }
 
@@ -1311,7 +1324,7 @@ impl Runtime {
     }
 
     fn arrive(&mut self, mid: MsgId) -> Result<(), SimError> {
-        let (matched, eager, src, dst, tag, bytes, attr) = {
+        let (matched, eager, src, dst, tag, bytes, attr, wire) = {
             let m = self.msg_mut(mid, "recording the arrival of a")?;
             m.state = MsgState::Arrived;
             (
@@ -1322,23 +1335,25 @@ impl Runtime {
                 m.tag,
                 m.bytes,
                 m.attr.take(),
+                m.wire_event,
             )
         };
-        if let Some(attr) = attr {
-            // Delivery order: deterministic, and FIFO-pairable with the
-            // trace's Delivered events per (src, dst).
+        let flow = attr.map(|attr| {
             self.flow_records.push(FlowRecord {
                 src,
                 dst,
                 bytes,
                 attr,
             });
-        }
+            u32::try_from(self.flow_records.len() - 1).expect("flow index overflow")
+        });
         self.record(TraceKind::Delivered {
             src,
             dst,
             tag,
             bytes,
+            wire,
+            flow,
         });
         if !matched {
             // Eager message that beat its receive: it sits in an unexpected-

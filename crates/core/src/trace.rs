@@ -9,6 +9,12 @@
 //! Events deliberately mirror the off-line simulators' log format described
 //! in §2 of the paper ("time-stamp, source, destination, data size"), so a
 //! recorded trace could drive a trace-replay tool.
+//!
+//! The log is self-describing: the runtime records each message's
+//! cross-rank edges as they happen. `Delivered::{wire, flow}` name its
+//! `TransferStarted` and flow record, `TransferStarted::recv` the late
+//! `RecvPosted` that released it, as indices into the same report's `trace`
+//! and `contention.flows`; the exports only read them.
 
 /// One timestamped simulation event.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +58,9 @@ pub enum TraceKind {
         dst: u32,
         /// Bytes on the wire.
         bytes: u64,
+        /// Trace index of the `RecvPosted` that released this rendezvous, if
+        /// its receive was posted after the send.
+        recv: Option<u32>,
     },
     /// A message fully arrived at its receiver.
     Delivered {
@@ -63,6 +72,12 @@ pub enum TraceKind {
         tag: i32,
         /// Payload size in bytes.
         bytes: u64,
+        /// Trace index of the same message's `TransferStarted`; `None` for a
+        /// self-message, which never touches the wire.
+        wire: Option<u32>,
+        /// Index of its record in the report's `contention.flows`; `None`
+        /// without contention attribution or for a self-message.
+        flow: Option<u32>,
     },
     /// A rank started a compute burst.
     ExecStarted {
@@ -97,14 +112,15 @@ pub fn render(events: &[TraceEvent]) -> String {
             TraceKind::RecvPosted { dst, src, tag } => {
                 out.push_str(&format!("recv-post   {dst} <- {src}  tag={tag}"))
             }
-            TraceKind::TransferStarted { src, dst, bytes } => {
-                out.push_str(&format!("wire-start  {src} -> {dst}  bytes={bytes}"))
-            }
+            TraceKind::TransferStarted {
+                src, dst, bytes, ..
+            } => out.push_str(&format!("wire-start  {src} -> {dst}  bytes={bytes}")),
             TraceKind::Delivered {
                 src,
                 dst,
                 tag,
                 bytes,
+                ..
             } => out.push_str(&format!(
                 "delivered   {src} -> {dst}  tag={tag} bytes={bytes}"
             )),
@@ -206,6 +222,7 @@ mod tests {
                     src: 0,
                     dst: 1,
                     bytes: 104,
+                    recv: None,
                 },
             },
             TraceEvent {
@@ -222,6 +239,8 @@ mod tests {
                     dst: 1,
                     tag: 5,
                     bytes: 100,
+                    wire: Some(2),
+                    flow: None,
                 },
             },
             TraceEvent {

@@ -445,3 +445,146 @@ fn paje_export_is_structurally_valid() {
         last = t;
     }
 }
+
+/// Arrows that leave rank 0 and land on rank 1, in delivery order, as
+/// `(start, end)` times read back from the Paje text.
+fn paje_arrows(paje: &str) -> Vec<(f64, f64)> {
+    // (key, time) of every line with event code `code` at `container`.
+    let keyed = |code: &str, container: &str| -> Vec<(u64, f64)> {
+        let mut v: Vec<(u64, f64)> = paje
+            .lines()
+            .filter_map(|l| {
+                let f: Vec<&str> = l.split_whitespace().collect();
+                (f.len() == 7 && f[0] == code && f[5] == container)
+                    .then(|| (f[6].parse().unwrap(), f[1].parse().unwrap()))
+            })
+            .collect();
+        v.sort_by_key(|&(k, _)| k);
+        v
+    };
+    let starts = keyed("11", "rank0");
+    let ends = keyed("12", "rank1");
+    assert_eq!(starts.len(), ends.len());
+    starts.iter().zip(&ends).map(|(s, e)| (s.1, e.1)).collect()
+}
+
+/// Seconds the critical path charges to `who` (0 when it names none).
+fn segment(cp: &smpi::CriticalPath, who: &str) -> f64 {
+    cp.segments
+        .iter()
+        .find(|(w, _)| w == who)
+        .map_or(0.0, |(_, s)| *s)
+}
+
+/// Rank 0 sends 60 000 B, sleeps 100 µs, then sends 1 B to rank 1: both
+/// eager, and the 1 B message is delivered first.
+fn overtaking(ctx: &smpi::Ctx) {
+    let comm = ctx.world();
+    if ctx.rank() == 0 {
+        let big = ctx.isend_sized(60_000, 1, 1, &comm);
+        ctx.sleep(100e-6);
+        let small = ctx.isend_sized(1, 1, 2, &comm);
+        ctx.wait_send(big);
+        ctx.wait_send(small);
+    } else {
+        let big = ctx.irecv_sized(0, 1, 60_000, &comm);
+        let small = ctx.irecv_sized(0, 2, 1, &comm);
+        ctx.wait_recv_sized(big, &comm);
+        ctx.wait_recv_sized(small, &comm);
+    }
+}
+
+#[test]
+fn an_overtaking_message_keeps_its_own_transfer() {
+    let report = world(2).metrics(true).tracing(true).run(2, overtaking);
+    // Each arrow starts at its own message's transfer start: the 1 B
+    // message (delivered first) left at 100 µs, the 60 KB one at 0.
+    let arrows = paje_arrows(&report.paje());
+    assert_eq!(arrows.len(), 2);
+    assert!((arrows[0].0 - 100e-6).abs() < 1e-9, "{arrows:?}");
+    assert!((arrows[0].1 - 0.000200016).abs() < 1e-9, "{arrows:?}");
+    assert!(arrows[1].0.abs() < 1e-9, "{arrows:?}");
+    assert!((arrows[1].1 - 0.000580008).abs() < 1e-9, "{arrows:?}");
+    // The chain: rank 0's sleep, the 1 B message's own wire window, then
+    // rank 1 waiting for the 60 KB message.
+    let cp = report.critical_path().expect("tracing was on");
+    let text = cp.render();
+    assert!((cp.total - 0.000580008).abs() < 1e-12, "{text}");
+    assert!(
+        (segment(&cp, "link:t-link-0") - 0.000100016).abs() < 1e-12,
+        "{text}"
+    );
+    assert!((segment(&cp, "rank0") - 100e-6).abs() < 1e-12, "{text}");
+    assert!(
+        (segment(&cp, "rank1") - 0.000379992).abs() < 1e-12,
+        "{text}"
+    );
+    assert_eq!(cp.message_hops, 1, "{text}");
+}
+
+#[test]
+fn an_overtaking_frame_keeps_its_own_transfer_on_the_packet_network() {
+    let rp = Arc::new(RoutedPlatform::new(flat_cluster(
+        "p",
+        2,
+        &ClusterConfig::default(),
+    )));
+    let report = World::testbed(rp, MpiProfile::openmpi_like())
+        .metrics(true)
+        .tracing(true)
+        .run(2, overtaking);
+    // Transfers start big, small; deliveries land small, big.
+    let started: Vec<f64> = report
+        .trace
+        .iter()
+        .filter(|e| matches!(e.kind, trace::TraceKind::TransferStarted { .. }))
+        .map(|e| e.time)
+        .collect();
+    let delivered: Vec<u64> = report
+        .trace
+        .iter()
+        .filter_map(|e| match e.kind {
+            trace::TraceKind::Delivered { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(delivered, [1, 60_000], "the 1 B message overtakes");
+    let arrows = paje_arrows(&report.paje());
+    assert_eq!(arrows.len(), 2);
+    assert!(
+        (arrows[0].0 - started[1]).abs() < 1e-9,
+        "{arrows:?} {started:?}"
+    );
+    assert!(
+        (arrows[1].0 - started[0]).abs() < 1e-9,
+        "{arrows:?} {started:?}"
+    );
+    // rank 0's sleep is on the chain, behind the 1 B message.
+    let cp = report.critical_path().expect("tracing was on");
+    let sum: f64 = cp.segments.iter().map(|(_, s)| s).sum();
+    assert!((sum - cp.total).abs() < 1e-9, "{}", cp.render());
+    assert!(segment(&cp, "rank0") >= 100e-6, "{}", cp.render());
+}
+
+#[test]
+fn a_late_receive_is_charged_for_the_rendezvous_it_holds_back() {
+    // Rank 0's rendezvous send waits for rank 1's receive, posted after a
+    // 1 ms sleep: the sleep, not the sender, holds the transfer back.
+    let report = world(2).tracing(true).run(2, |ctx| {
+        let comm = ctx.world();
+        if ctx.rank() == 0 {
+            ctx.send_sized(100_000, 1, 0, &comm);
+        } else {
+            ctx.sleep(1e-3);
+            ctx.recv_sized(0, 0, 100_000, &comm);
+        }
+    });
+    let cp = report.critical_path().expect("tracing was on");
+    let text = cp.render();
+    assert!((segment(&cp, "rank1") - 1e-3).abs() < 1e-12, "{text}");
+    assert!((segment(&cp, "network") - 0.0009).abs() < 1e-9, "{text}");
+    assert_eq!(segment(&cp, "rank0"), 0.0, "{text}");
+    assert_eq!(cp.message_hops, 1, "{text}");
+    let sum: f64 = cp.segments.iter().map(|(_, s)| s).sum();
+    assert!((sum - cp.total).abs() < 1e-12, "{text}");
+}

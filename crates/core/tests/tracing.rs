@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use smpi::trace::{self, TraceKind};
-use smpi::World;
+use smpi::{MpiProfile, RunReport, World};
 use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
 use surf_sim::TransferModel;
 
@@ -133,4 +134,183 @@ fn trace_renders() {
     assert!(text.contains("send-post"));
     assert!(text.contains("delivered"));
     assert_eq!(text.lines().count(), report.trace.len());
+}
+
+/// One rank's step of a generated point-to-point program.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Send { dst: usize, tag: i32, bytes: u64 },
+    Recv { src: usize, tag: i32 },
+    Sleep(f64),
+}
+
+/// Message sizes on both sides of the 64 KiB eager threshold.
+const SIZES: [u64; 6] = [0, 1, 4096, 65_536, 65_537, 100_000];
+
+/// Per-rank programs: each message `(src, dst, tag, size, send_sleep,
+/// recv_sleep)` adds its send (after a sleep of `send_sleep` x 50 µs) to
+/// `src` and its receive (likewise) to `dst`, so receives land both before
+/// and after their sends.
+fn programs(nranks: usize, msgs: &[(usize, usize, i32, usize, u32, u32)]) -> Vec<Vec<Op>> {
+    let mut prog = vec![Vec::new(); nranks];
+    for &(src, dst, tag, size, send_sleep, recv_sleep) in msgs {
+        let (src, dst) = (src % nranks, dst % nranks);
+        for (rank, sleep, op) in [
+            (
+                src,
+                send_sleep,
+                Op::Send {
+                    dst,
+                    tag,
+                    bytes: SIZES[size],
+                },
+            ),
+            (dst, recv_sleep, Op::Recv { src, tag }),
+        ] {
+            if sleep > 0 {
+                prog[rank].push(Op::Sleep(sleep as f64 * 50e-6));
+            }
+            prog[rank].push(op);
+        }
+    }
+    prog
+}
+
+/// Runs the programs: every rank posts all its operations, then waits on
+/// them in post order (every send has a receive, so nothing deadlocks).
+fn run_programs(world: World, prog: Vec<Vec<Op>>) -> RunReport<()> {
+    enum Pending {
+        Send(smpi::SendRequest),
+        Recv(smpi::SizedRecvRequest),
+    }
+    let n = prog.len();
+    world.tracing(true).run(n, move |ctx| {
+        let comm = ctx.world();
+        let mut pending = Vec::new();
+        for &op in &prog[ctx.rank()] {
+            match op {
+                Op::Send { dst, tag, bytes } => {
+                    pending.push(Pending::Send(ctx.isend_sized(bytes, dst, tag, &comm)))
+                }
+                Op::Recv { src, tag } => pending.push(Pending::Recv(ctx.irecv_sized(
+                    src as i32,
+                    tag,
+                    SIZES[SIZES.len() - 1],
+                    &comm,
+                ))),
+                Op::Sleep(secs) => ctx.sleep(secs),
+            }
+        }
+        for p in pending {
+            match p {
+                Pending::Send(r) => ctx.wait_send(r),
+                Pending::Recv(r) => {
+                    ctx.wait_recv_sized(r, &comm);
+                }
+            }
+        }
+    })
+}
+
+/// The cross-rank edges the runtime recorded are the run's own: each names
+/// an earlier event (or flow record) of the same message, exactly once.
+fn check_edges(report: &RunReport<()>, contention: bool) -> Result<(), TestCaseError> {
+    let t = &report.trace;
+    let flows = report.contention.as_ref().map(|c| &c.flows[..]);
+    prop_assert_eq!(flows.is_some(), contention);
+    let mut wire_named = vec![0usize; t.len()];
+    let mut flow_named = vec![0usize; flows.map_or(0, <[_]>::len)];
+    for (i, e) in t.iter().enumerate() {
+        match e.kind {
+            TraceKind::TransferStarted {
+                dst, recv: Some(q), ..
+            } => {
+                let q = q as usize;
+                prop_assert!(
+                    q < i && matches!(t[q].kind, TraceKind::RecvPosted { dst: d, .. } if d == dst),
+                    "event {i}: recv names {:?}",
+                    t.get(q)
+                );
+            }
+            TraceKind::Delivered {
+                src,
+                dst,
+                bytes,
+                wire,
+                flow,
+                ..
+            } => {
+                if src == dst {
+                    prop_assert_eq!((wire, flow), (None, None));
+                    continue;
+                }
+                let Some(w) = wire.map(|w| w as usize) else {
+                    return Err(TestCaseError::fail(format!("event {i} names no wire")));
+                };
+                prop_assert!(
+                    w < i
+                        && matches!(t[w].kind, TraceKind::TransferStarted { src: s, dst: d, .. }
+                            if (s, d) == (src, dst)),
+                    "event {i}: wire names {:?}",
+                    t.get(w)
+                );
+                wire_named[w] += 1;
+                match (flows, flow) {
+                    (Some(fs), Some(f)) => {
+                        let r = &fs[f as usize];
+                        prop_assert_eq!((r.src, r.dst, r.bytes), (src, dst, bytes));
+                        flow_named[f as usize] += 1;
+                    }
+                    (None, None) => {}
+                    (fs, f) => {
+                        return Err(TestCaseError::fail(format!(
+                            "event {i}: flow {f:?} with contention {}",
+                            fs.is_some()
+                        )))
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    for (i, e) in t.iter().enumerate() {
+        if matches!(e.kind, TraceKind::TransferStarted { .. }) {
+            prop_assert!(
+                wire_named[i] == 1,
+                "transfer {i} named {} times",
+                wire_named[i]
+            );
+        }
+    }
+    prop_assert!(flow_named.iter().all(|&c| c == 1), "{flow_named:?}");
+    let cp = report.critical_path().expect("tracing was on");
+    let sum: f64 = cp.segments.iter().map(|(_, s)| s).sum();
+    prop_assert!((sum - cp.total).abs() < 1e-9, "{}", cp.render());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_delivery_names_its_own_transfer(
+        nranks in 2usize..=4,
+        msgs in proptest::collection::vec(
+            (0usize..4, 0usize..4, 0i32..3, 0usize..SIZES.len(), 0u32..4, 0u32..4),
+            1..10,
+        ),
+    ) {
+        let prog = programs(nranks, &msgs);
+        let rp = Arc::new(RoutedPlatform::new(flat_cluster(
+            "t",
+            4,
+            &ClusterConfig::default(),
+        )));
+        for metrics in [false, true] {
+            let surf = World::smpi(rp.clone(), TransferModel::ideal()).metrics(metrics);
+            check_edges(&run_programs(surf, prog.clone()), metrics)?;
+            let packet = World::testbed(rp.clone(), MpiProfile::openmpi_like()).metrics(metrics);
+            check_edges(&run_programs(packet, prog.clone()), metrics)?;
+        }
+    }
 }
