@@ -59,7 +59,6 @@ pub struct World {
     capture_path: Option<std::path::PathBuf>,
     capture_block_ops: usize,
     capture_budget: usize,
-    stack_size: usize,
     perturbation: Option<Arc<PlatformPerturbation>>,
 }
 
@@ -108,7 +107,6 @@ impl World {
             capture_path: None,
             capture_block_ops: crate::capture_v2::DEFAULT_BLOCK_OPS,
             capture_budget: crate::capture_v2::DEFAULT_WRITER_BUDGET,
-            stack_size: simix::DEFAULT_STACK_SIZE,
             perturbation: None,
         }
     }
@@ -146,19 +144,6 @@ impl World {
     /// Enables or disables RAM folding (§3.2). Default: enabled.
     pub fn ram_folding(mut self, enabled: bool) -> Self {
         self.run_config.ram_folding = enabled;
-        self
-    }
-
-    /// Sets the per-rank stack size in bytes (default
-    /// [`simix::DEFAULT_STACK_SIZE`], 256 KiB). The size is rounded up to
-    /// whole pages and one inaccessible guard page is mapped below each
-    /// stack, so an overflow is a `SIGSEGV`, never a scribble over another
-    /// rank. Pages are touched lazily: a rank costs the stack it uses, not
-    /// the stack it may use. Large-instance runs keep the default; raise it
-    /// for rank bodies with deep recursion or big stack buffers.
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "stack size must be non-zero");
-        self.stack_size = bytes;
         self
     }
 
@@ -290,7 +275,7 @@ impl World {
         let results: Rc<RefCell<Vec<Option<R>>>> =
             Rc::new(RefCell::new((0..nranks).map(|_| None).collect()));
 
-        let mut sx: Sx = Sx::with_stack_size(self.stack_size);
+        let mut sx: Sx = Sx::new();
         let body = Rc::new(body);
         let world = Comm::world(nranks);
         for rank in 0..nranks {

@@ -892,7 +892,7 @@ impl Simulation {
 
     /// Writes one component's max-min problem into the workspace and
     /// returns whether it is *uniform* (every class shares one bound bit
-    /// pattern; engine variables all have weight 1).
+    /// pattern).
     ///
     /// A uniform component is written one variable per class, with its live
     /// member count as multiplicity, in order of each class's oldest
@@ -1610,7 +1610,7 @@ mod tests {
     fn loopback_route_is_not_double_counted() {
         // A route that traverses the same link twice (loopback / hairpin
         // routing) must count the flow once per distinct link, both in the
-        // fair-sharing weights and in the observability accounting: the
+        // fair-sharing member counts and in the observability accounting: the
         // utilization gauge can never exceed 1 and delivered bytes are
         // integrated once.
         let rec = Rec::enabled();

@@ -6,7 +6,7 @@
 //!
 //! The kernel is a **sequential discrete-event simulator** whose network
 //! model is *flow-level* rather than packet-level: contention is resolved
-//! analytically by a weighted max-min fairness solver ([`lmm`]), and
+//! analytically by a max-min fairness solver ([`lmm`]), and
 //! point-to-point performance follows a **piece-wise linear** model
 //! ([`model::TransferModel`]) whose segments capture IP framing and the MPI
 //! eager/rendezvous protocol switch.

@@ -1,4 +1,4 @@
-//! Weighted max-min fairness solver ("LMM" in SimGrid terminology).
+//! Max-min fairness solver ("LMM" in SimGrid terminology).
 //!
 //! This is the analytical contention model at the heart of the paper (§4.2):
 //! instead of simulating individual packets, the bandwidth allocated to each
@@ -10,10 +10,11 @@
 //!   optional individual rate bound (e.g. the piece-wise model's per-segment
 //!   bandwidth β, or a TCP-window cap),
 //!
-//! what is the weighted max-min fair rate allocation?
+//! what is the max-min fair rate allocation? Every flow counts as one: a
+//! constraint is shared equally among the unfrozen flows crossing it.
 //!
 //! The implementation is classic *progressive filling*: a global water level
-//! λ rises from zero; every unfrozen variable `v` receives rate `w_v · λ`; a
+//! λ rises from zero; every unfrozen variable receives rate λ; a
 //! variable freezes when either its own bound is reached or one of its
 //! constraints saturates. The algorithm terminates after at most `V`
 //! freezes and yields the unique max-min fair allocation.
@@ -21,10 +22,10 @@
 //! # One core, two front doors
 //!
 //! There is one progressive-filling loop, `solve_core`. It reads the
-//! problem as borrowed flat arrays (`Flat`: capacities, bounds, weights,
+//! problem as borrowed flat arrays (`Flat`: capacities, bounds,
 //! multiplicities and the variable → constraint memberships in CSR form)
 //! and keeps every piece of per-solve state (the transposed constraint →
-//! variable lists, `rate` / `frozen` / `frozen_usage` / weight sums, each
+//! variable lists, `rate` / `frozen` / `frozen_usage` / member counts, each
 //! constraint's cached λ, the λ heap and the bound cursor) in a `Scratch`
 //! that is cleared, never freed. Two owners wrap it:
 //!
@@ -39,7 +40,7 @@
 //!
 //! Each round of the loop needs the constraint and the bounded variable
 //! with the smallest saturation level. A constraint's λ depends only on its
-//! own usage and weight sum, so both production finders keep it cached in
+//! own usage and member count, so both production finders keep it cached in
 //! `cur_lam` and recompute it only for the constraints the round's freezes
 //! touched; the bounded variables sit pre-sorted behind a cursor that skips
 //! the frozen ones. They differ in how they take the minimum over `cur_lam`,
@@ -56,8 +57,9 @@
 //! Both reproduce the same selection (smallest λ, ties to the lowest index,
 //! constraints before bounds) and share the freeze step, so the freeze
 //! sequence — and therefore every rate — is bitwise-identical. The oracle
-//! they are pinned against is the original from-scratch scan, which divides
-//! every live constraint and every unfrozen bounded variable every round:
+//! they are pinned against is the original from-scratch scan, which
+//! recomputes every live constraint's λ and compares every unfrozen bounded
+//! variable every round:
 //! [`solve_reference`](MaxMinProblem::solve_reference) runs it, nothing
 //! else does, and `tests/lmm_props.rs` forces each production finder at any
 //! size and compares it with the oracle bitwise.
@@ -66,14 +68,14 @@
 //!
 //! Variables can carry a *multiplicity*
 //! ([`add_variable_class`](MaxMinProblem::add_variable_class)): `k`
-//! interchangeable unit-weight
-//! flows folded into one solver variable. The solver mirrors the expanded
-//! problem's arithmetic operation-for-operation (weight sums and frozen
-//! usage are accumulated by repeated addition, one step per folded member),
-//! which makes the folded solve bitwise-equal to the expanded one whenever
-//! every variable of the (sub)problem shares a single weight and a single
-//! bound bit-pattern — the *uniform component* precondition the engine
-//! checks over its live route classes (DESIGN §5.3).
+//! interchangeable flows folded into one solver variable. A constraint's
+//! member count is an integer, exact whichever way it is summed; the one
+//! rounded sum, the frozen usage, is accumulated by repeated addition, one
+//! step per folded member, exactly as the expanded problem accumulates it.
+//! That makes the folded solve bitwise-equal to the expanded one whenever
+//! every variable of the (sub)problem shares a single bound bit-pattern —
+//! the *uniform component* precondition the engine checks over its live
+//! route classes (DESIGN §5.3).
 //!
 //! # What the solver is not asked
 //!
@@ -82,25 +84,21 @@
 //! without filling, and get it directly (`Argmin::Reference`, the oracle,
 //! always fills):
 //!
-//! * **One variable of unit weight** — every host component, and every
-//!   route class alone on its links. `rate_alone` replays the filling's
-//!   arithmetic for it: the weight sum is the member count (repeated
-//!   additions of 1.0 are exact below 2⁵³), each constraint's λ is
-//!   `(cap - 0.0).max(0.0) / wsum`, the argmin takes the first smallest
-//!   λ, a bound wins only when strictly smaller, and the frozen rate is
-//!   `(1.0 * level).min(bound)`. `solve_core` calls it for any such
-//!   problem, and the engine calls it for a one-class component without
-//!   writing the problem at all.
-//! * **No saturable constraint** — when every weight is 1, no bound is
-//!   −0.0 and every crossed constraint `c` has
+//! * **One variable** — every host component, and every route class alone
+//!   on its links. `rate_alone` replays the filling's arithmetic for it:
+//!   each constraint's λ is `(cap - 0.0).max(0.0) / members`, the argmin
+//!   takes the first smallest λ, a bound wins only when strictly smaller,
+//!   and the frozen rate is `level.min(bound)`. `solve_core` calls it for
+//!   any such problem, and the engine calls it for a one-class component
+//!   without writing the problem at all.
+//! * **No saturable constraint** — when every crossed constraint `c` has
 //!   `cap_c > demand_c · (1 + δ_c)`, with `demand_c = Σ mult_v · bound_v`
 //!   over its variables and `δ_c = 4 (N_c + 2) u` (`N_c` its member count,
 //!   `u = 2⁻⁵³`, `N_c ≤ 2⁴⁰`), every variable freezes at its own bound:
 //!   the rates are the bounds and no constraint is a bottleneck.
 //!
-//! The δ argument. With unit weights a weight sum is the exact count `W` of
-//! a constraint's unfrozen members (integers, no rounding, so the
-//! snap-to-zero never fires early). At any round let `L` be the smallest
+//! The δ argument. A constraint's member count is the exact count `W` of
+//! its unfrozen members. At any round let `L` be the smallest
 //! unfrozen bound, the cursor's candidate; `L · W ≤ S_U`, the unfrozen
 //! members' bounds. The frozen usage is a recursive sum of at most `N`
 //! non-negative terms, so it is at most `S_F (1 + γ_N)` with
@@ -173,8 +171,7 @@ impl Argmin {
 struct Flat {
     capacities: Vec<f64>,
     bounds: Vec<f64>,
-    weights: Vec<f64>,
-    /// Multiplicity per variable: how many interchangeable unit flows this
+    /// Multiplicity per variable: how many interchangeable flows this
     /// solver variable stands for (1 for ordinary variables).
     mults: Vec<u32>,
     /// CSR memberships: variable `v` crosses the (distinct) constraints
@@ -187,7 +184,6 @@ impl Flat {
     fn clear(&mut self) {
         self.capacities.clear();
         self.bounds.clear();
-        self.weights.clear();
         self.mults.clear();
         self.var_end.clear();
         self.var_cnsts.clear();
@@ -203,16 +199,13 @@ impl Flat {
     }
 
     /// Starts a variable with no memberships yet; they are appended to
-    /// `var_cnsts` and the span closed by the caller.
-    fn begin_variable(&mut self, bound: f64, weight: f64, mult: u32) -> usize {
+    /// `var_cnsts` and the span closed by the caller. A zero bound is
+    /// stored as +0.0: the cached finders order levels by bit pattern, where
+    /// −0.0 would sort after every λ.
+    fn begin_variable(&mut self, bound: f64, mult: u32) -> usize {
         assert!(!bound.is_nan() && bound >= 0.0, "invalid bound {bound}");
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "invalid weight {weight}"
-        );
         assert!(mult >= 1, "class must have at least one member");
-        self.bounds.push(bound);
-        self.weights.push(weight);
+        self.bounds.push(if bound == 0.0 { 0.0 } else { bound });
         self.mults.push(mult);
         self.var_end.push(self.var_cnsts.len() as u32);
         self.bounds.len() - 1
@@ -236,22 +229,16 @@ struct Scratch {
     rate: Vec<f64>,
     frozen: Vec<bool>,
     /// Per-constraint bookkeeping under the rising water level λ:
-    /// `usage(c) = frozen_usage[c] + λ · wsum[c]`.
+    /// `usage(c) = frozen_usage[c] + λ · members[c]`, with `members[c]` the
+    /// unfrozen flows crossing `c` (a class counts its multiplicity).
     frozen_usage: Vec<f64>,
-    wsum: Vec<f64>,
-    /// The weight sums before anything froze: `freeze` snaps tiny residual
-    /// sums (floating-point dust left by repeated subtraction) to exactly
-    /// zero, and the cutoff must be *relative* to this scale. An absolute
-    /// cutoff would zero out constraints whose legitimate weights are
-    /// themselves tiny (e.g. 1e-15), handing the remaining variables an
-    /// infinite λ and therefore an unbounded rate.
-    wsum_init: Vec<f64>,
+    members: Vec<u64>,
     /// Per variable, the constraint that froze it (`NO_CNST`: its own
     /// bound). Filled only when a solve asks for bottlenecks.
     bottleneck: Vec<u32>,
     /// Production finders: each constraint's current λ bit pattern (`DEAD`
-    /// once its weight sum hit 0), the bounded variables sorted by
-    /// `(bound / weight).to_bits()`, and the constraints whose λ inputs
+    /// once its member count hit 0), the bounded variables sorted by
+    /// `bound.to_bits()`, and the constraints whose λ inputs
     /// changed in the current round, each listed once (`stale` marks them).
     cur_lam: Vec<u64>,
     border: Vec<(u64, u32)>,
@@ -273,7 +260,7 @@ const SLACK_PER_MEMBER: f64 = 2.0 * f64::EPSILON;
 /// solver's rounding (`(N + 2) u ≤ 2⁻¹²`).
 const SLACK_MAX_MEMBERS: f64 = (1u64 << 40) as f64;
 
-/// Sentinel for "constraint left the λ search" (weight sum hit 0); larger
+/// Sentinel for "constraint left the λ search" (member count hit 0); larger
 /// than any real λ bit pattern, so stale heap entries can never match it.
 const DEAD: u64 = u64::MAX;
 
@@ -285,13 +272,8 @@ impl Scratch {
     }
 
     /// Sizes every buffer for `p`, transposes its memberships and builds
-    /// the initial weight sums — accumulated by repeated addition, one step
-    /// per folded member, so folded and expanded problems build
-    /// bitwise-identical sums — and each constraint's demand. Returns
-    /// whether every weight is 1 and no bound is −0.0 (whose bit pattern
-    /// sorts after every λ): the precondition of
-    /// [`unsaturable`](Self::unsaturable).
-    fn reset(&mut self, p: &Flat, bottlenecks: bool) -> bool {
+    /// each constraint's member count and demand.
+    fn reset(&mut self, p: &Flat, bottlenecks: bool) {
         let nv = p.bounds.len();
         let nc = p.capacities.len();
         self.rate.clear();
@@ -318,40 +300,33 @@ impl Scratch {
         }
         self.cnst_vars.clear();
         self.cnst_vars.resize(p.var_cnsts.len(), 0);
-        self.wsum.clear();
-        self.wsum.resize(nc, 0.0);
+        self.members.clear();
+        self.members.resize(nc, 0);
         self.demand.clear();
         self.demand.resize(nc, 0.0);
-        let mut unit = true;
         for v in 0..nv {
             debug_assert!(
                 !p.span(v).is_empty() || p.bounds[v].is_finite(),
                 "variable {v} is unconstrained and unbounded"
             );
-            unit &= p.weights[v] == 1.0 && p.bounds[v].is_sign_positive();
             let demand = p.mults[v] as f64 * p.bounds[v];
             for &c in &p.var_cnsts[p.span(v)] {
                 let c = c as usize;
                 self.cnst_vars[self.cnst_end[c] as usize] = v as u32;
                 self.cnst_end[c] += 1;
-                for _ in 0..p.mults[v] {
-                    self.wsum[c] += p.weights[v];
-                }
+                self.members[c] += u64::from(p.mults[v]);
                 self.demand[c] += demand;
             }
         }
-        self.wsum_init.clear();
-        self.wsum_init.extend_from_slice(&self.wsum);
-        unit
     }
 
-    /// `true` when no constraint of a unit-weight problem can saturate
-    /// before every variable reaches its bound, with the margin the module
-    /// docs prove covers the filling's rounding. An infinite bound makes
-    /// its constraints' demand infinite, and so fails the test.
+    /// `true` when no constraint can saturate before every variable reaches
+    /// its bound, with the margin the module docs prove covers the
+    /// filling's rounding. An infinite bound makes its constraints' demand
+    /// infinite, and so fails the test.
     fn unsaturable(&self, p: &Flat) -> bool {
         (0..p.capacities.len()).all(|c| {
-            let members = self.wsum[c];
+            let members = self.members[c] as f64;
             members == 0.0
                 || (members <= SLACK_MAX_MEMBERS
                     && p.capacities[c]
@@ -361,7 +336,7 @@ impl Scratch {
 
     #[inline]
     fn lam_of(&self, p: &Flat, c: usize) -> f64 {
-        (p.capacities[c] - self.frozen_usage[c]).max(0.0) / self.wsum[c]
+        (p.capacities[c] - self.frozen_usage[c]).max(0.0) / self.members[c] as f64
     }
 
     /// Production set-up: cache every live constraint's λ (and key it in
@@ -375,7 +350,7 @@ impl Scratch {
         self.touched.clear();
         self.lam_heap.clear();
         for c in 0..nc {
-            if self.wsum[c] > 0.0 {
+            if self.members[c] > 0 {
                 let bits = self.lam_of(p, c).to_bits();
                 self.cur_lam[c] = bits;
                 if heap {
@@ -387,7 +362,7 @@ impl Scratch {
         self.border.extend(
             (0..p.bounds.len())
                 .filter(|&v| p.bounds[v].is_finite())
-                .map(|v| ((p.bounds[v] / p.weights[v]).to_bits(), v as u32)),
+                .map(|v| (p.bounds[v].to_bits(), v as u32)),
         );
         self.border.sort_unstable();
     }
@@ -400,7 +375,7 @@ impl Scratch {
         let mut best = f64::INFINITY;
         let mut pick = Pick::Nothing;
         for c in 0..p.capacities.len() {
-            if self.wsum[c] > 0.0 {
+            if self.members[c] > 0 {
                 let lam = self.lam_of(p, c);
                 if lam < best {
                     best = lam;
@@ -409,12 +384,9 @@ impl Scratch {
             }
         }
         for (v, &b) in p.bounds.iter().enumerate() {
-            if !self.frozen[v] && b.is_finite() {
-                let lam = b / p.weights[v];
-                if lam < best {
-                    best = lam;
-                    pick = Pick::Var(v);
-                }
+            if !self.frozen[v] && b.is_finite() && b < best {
+                best = b;
+                pick = Pick::Var(v);
             }
         }
         (best, pick)
@@ -483,18 +455,11 @@ impl Scratch {
         for &c in &p.var_cnsts[p.span(v)] {
             let c = c as usize;
             // One accumulation step per folded member, mirroring the
-            // expanded problem's repeated addition exactly (including the
-            // snap-to-zero check after every subtraction).
+            // expanded problem's repeated addition exactly.
             for _ in 0..p.mults[v] {
                 self.frozen_usage[c] += r;
-                self.wsum[c] -= p.weights[v];
-                // Snap accumulated subtraction dust to zero, with a tolerance
-                // relative to the constraint's initial weight sum so that
-                // constraints built from legitimately tiny weights survive.
-                if self.wsum[c] < self.wsum_init[c] * 1e-12 {
-                    self.wsum[c] = 0.0;
-                }
             }
+            self.members[c] -= u64::from(p.mults[v]);
             if note_touched && !self.stale[c] {
                 self.stale[c] = true;
                 self.touched.push(c as u32);
@@ -504,13 +469,13 @@ impl Scratch {
 
     /// Recomputes the cached λ of the constraints the round touched (and
     /// re-keys them in the heap when `heap`). λ depends only on the
-    /// constraint's own usage and weight sum, so the values computed here
+    /// constraint's own usage and member count, so the values computed here
     /// are the ones the oracle would recompute next round.
     fn rekey_touched(&mut self, p: &Flat, heap: bool) {
         for i in 0..self.touched.len() {
             let c = self.touched[i] as usize;
             self.stale[c] = false;
-            let bits = if self.wsum[c] > 0.0 {
+            let bits = if self.members[c] > 0 {
                 self.lam_of(p, c).to_bits()
             } else {
                 DEAD
@@ -534,32 +499,35 @@ enum Pick {
     Nothing,
 }
 
-/// The rate progressive filling gives the only variable of a problem, of
-/// unit weight and standing for `members` flows, bounded at `bound` and
-/// crossing constraints of the given capacities in index order; and the
-/// position of the constraint that froze it (`None`: its own bound did, or
-/// it crosses nothing). The production finders' arithmetic for one
-/// variable, operation for operation (module docs).
+/// The rate progressive filling gives the only variable of a problem,
+/// standing for `members` flows, bounded at `bound` (a zero bound is +0.0,
+/// as `begin_variable` stores it) and crossing constraints of the given
+/// capacities in index order; and the position of the constraint that froze
+/// it (`None`: its own bound did, or it crosses nothing). The production
+/// finders' arithmetic for one variable, operation for operation (module
+/// docs).
 pub(crate) fn rate_alone(
     bound: f64,
     members: u32,
     capacities: impl IntoIterator<Item = f64>,
 ) -> (f64, Option<usize>) {
-    debug_assert!(!bound.is_nan() && bound >= 0.0, "invalid bound {bound}");
+    debug_assert!(
+        bound >= 0.0 && bound.is_sign_positive(),
+        "invalid bound {bound}"
+    );
     debug_assert!(members >= 1, "class must have at least one member");
-    // `members` additions of 1.0: exact, so the count itself.
-    let wsum = f64::from(members);
+    let members = f64::from(members);
     // `init_cache` + `scan_argmin`: the first smallest λ bit pattern.
     let mut cbest: Option<(u64, usize)> = None;
     for (i, cap) in capacities.into_iter().enumerate() {
         debug_assert!(cap.is_finite() && cap >= 0.0, "invalid capacity {cap}");
-        let bits = ((cap - 0.0).max(0.0) / wsum).to_bits();
+        let bits = ((cap - 0.0).max(0.0) / members).to_bits();
         if cbest.is_none_or(|(best, _)| bits < best) {
             cbest = Some((bits, i));
         }
     }
-    // `pick`: the bound (`bound / 1.0`, itself) wins only when strictly
-    // smaller; the constraint freezes the variable at `1.0 * level`.
+    // `pick`: the bound wins only when strictly smaller; the constraint
+    // freezes the variable at the level.
     debug_assert!(
         cbest.is_some() || bound.is_finite(),
         "variable 0 is unconstrained and unbounded"
@@ -567,7 +535,7 @@ pub(crate) fn rate_alone(
     let vbest = bound.is_finite().then(|| bound.to_bits());
     match (cbest, vbest) {
         (Some((cb, c)), vb) if vb.is_none_or(|vb| vb >= cb) => {
-            let share = 1.0 * 0.0_f64.max(f64::from_bits(cb));
+            let share = 0.0_f64.max(f64::from_bits(cb));
             let by = if bound < share { None } else { Some(c) };
             (share.min(bound), by)
         }
@@ -583,7 +551,7 @@ pub(crate) fn rate_alone(
 /// `Argmin::Reference` always fills.
 fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u32 {
     let cached = argmin != Argmin::Reference;
-    if cached && p.bounds.len() == 1 && p.weights[0] == 1.0 {
+    if cached && p.bounds.len() == 1 {
         let span = &p.var_cnsts[p.span(0)];
         debug_assert!(span.windows(2).all(|w| w[0] < w[1]), "index order");
         let caps = span.iter().map(|&c| p.capacities[c as usize]);
@@ -596,8 +564,8 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
         }
         return 0;
     }
-    let unit = s.reset(p, bottlenecks);
-    if cached && unit && s.unsaturable(p) {
+    s.reset(p, bottlenecks);
+    if cached && s.unsaturable(p) {
         s.rate.copy_from_slice(&p.bounds);
         return 0; // `reset` left every bottleneck at `NO_CNST`
     }
@@ -641,19 +609,18 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
                     if s.frozen[v] {
                         continue;
                     }
-                    let share = p.weights[v] * level;
                     if bottlenecks {
                         // A tie between the constraint's saturation level
                         // and the variable's own bound attributes to the
                         // bound only when the bound is the strictly
                         // smaller cap.
-                        s.bottleneck[v] = if p.bounds[v] < share {
+                        s.bottleneck[v] = if p.bounds[v] < level {
                             NO_CNST
                         } else {
                             c as u32
                         };
                     }
-                    s.freeze(p, v, share.min(p.bounds[v]), cached);
+                    s.freeze(p, v, level.min(p.bounds[v]), cached);
                     remaining -= 1;
                 }
             }
@@ -666,7 +633,7 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
     rounds
 }
 
-/// A weighted max-min fairness problem instance, owned.
+/// A max-min fairness problem instance, owned.
 ///
 /// Build with [`add_constraint`](Self::add_constraint) /
 /// [`add_variable`](Self::add_variable), then call [`solve`](Self::solve).
@@ -687,52 +654,29 @@ impl MaxMinProblem {
         CnstId(self.flat.add_constraint(capacity))
     }
 
-    /// Adds a variable with weight 1 crossing `constraints`, with an optional
+    /// Adds a variable (one flow) crossing `constraints`, with an optional
     /// rate bound (`f64::INFINITY` for unbounded).
     pub fn add_variable(&mut self, bound: f64, constraints: &[CnstId]) -> VarId {
-        self.add_weighted_variable(bound, 1.0, constraints)
+        self.add_variable_class(bound, 1, constraints)
     }
 
-    /// Adds a variable with an explicit weight. Higher weight receives a
-    /// proportionally larger share (used to model e.g. flows that aggregate
-    /// several streams).
-    pub fn add_weighted_variable(
-        &mut self,
-        bound: f64,
-        weight: f64,
-        constraints: &[CnstId],
-    ) -> VarId {
-        self.add_variable_impl(bound, weight, 1, constraints)
-    }
-
-    /// Adds a *folded class*: `members` interchangeable unit-weight flows
-    /// represented by a single solver variable. The returned variable's rate
-    /// is the per-member rate; the class together consumes `members` times
-    /// that on each constraint.
+    /// Adds a *folded class*: `members` interchangeable flows represented by
+    /// a single solver variable. The returned variable's rate is the
+    /// per-member rate; the class together consumes `members` times that on
+    /// each constraint.
     ///
     /// The fold is bitwise-exact versus adding `members` separate variables
     /// only under the uniform precondition (every variable of the problem
-    /// has weight 1 and the same bound bit-pattern); see the module docs.
-    /// Callers that cannot guarantee it must fall back to unfolded
-    /// variables.
+    /// has the same bound bit-pattern); see the module docs. Callers that
+    /// cannot guarantee it must fall back to unfolded variables.
     pub fn add_variable_class(
         &mut self,
         bound: f64,
         members: u32,
         constraints: &[CnstId],
     ) -> VarId {
-        self.add_variable_impl(bound, 1.0, members, constraints)
-    }
-
-    fn add_variable_impl(
-        &mut self,
-        bound: f64,
-        weight: f64,
-        mult: u32,
-        constraints: &[CnstId],
-    ) -> VarId {
         let f = &mut self.flat;
-        let v = f.begin_variable(bound, weight, mult);
+        let v = f.begin_variable(bound, members);
         let start = f.var_cnsts.len();
         for c in constraints {
             assert!(c.0 < f.capacities.len(), "unknown constraint");
@@ -835,8 +779,8 @@ impl MaxMinProblem {
 }
 
 /// The engine's reusable problem + solver state: cleared, refilled with one
-/// dirty component and solved in place on every reshare. All variables
-/// have weight 1; a variable is a route class with its live member count.
+/// dirty component and solved in place on every reshare. A variable is a
+/// route class with its live member count.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     flat: Flat,
@@ -854,10 +798,10 @@ impl Workspace {
         self.flat.add_constraint(capacity) as u32
     }
 
-    /// Starts a unit-weight variable standing for `members` interchangeable
-    /// flows; [`cross`](Self::cross) then lists its constraints.
+    /// Starts a variable standing for `members` interchangeable flows;
+    /// [`cross`](Self::cross) then lists its constraints.
     pub(crate) fn add_class(&mut self, bound: f64, members: u32) {
-        self.flat.begin_variable(bound, 1.0, members);
+        self.flat.begin_variable(bound, members);
     }
 
     /// The variable started last crosses `cnst`. The caller lists each
@@ -937,17 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_shares_are_proportional() {
-        let mut p = MaxMinProblem::new();
-        let l = p.add_constraint(90.0);
-        p.add_weighted_variable(f64::INFINITY, 1.0, &[l]);
-        p.add_weighted_variable(f64::INFINITY, 2.0, &[l]);
-        let rates = p.solve();
-        assert!((rates[0] - 30.0).abs() < EPS);
-        assert!((rates[1] - 60.0).abs() < EPS);
-    }
-
-    #[test]
     fn multi_hop_bottleneck() {
         // Flow A crosses l1(100) and l2(50); flow B crosses only l1.
         // A is capped at 50 by l2, then B picks up the remaining 50 on l1.
@@ -997,28 +930,6 @@ mod tests {
         p.add_variable(f64::INFINITY, &[l, l]);
         let rates = p.solve();
         assert!((rates[0] - 100.0).abs() < EPS);
-    }
-
-    #[test]
-    fn tiny_weights_do_not_zero_the_weight_sum() {
-        // Regression: with the old absolute 1e-12 snap-to-zero in
-        // `freeze_var`, freezing the first 1e-15-weight variable wiped the
-        // constraint's remaining weight sum, so the constraint dropped out
-        // of the λ search and the unbounded second variable was frozen at
-        // rate = +∞ by the `best.is_infinite()` guard. With the relative
-        // tolerance it correctly receives the leftover capacity.
-        let mut p = MaxMinProblem::new();
-        let l = p.add_constraint(100.0);
-        p.add_weighted_variable(10.0, 1e-15, &[l]);
-        let free = p.add_weighted_variable(f64::INFINITY, 1e-15, &[l]);
-        let rates = p.solve();
-        assert!((rates[0] - 10.0).abs() < EPS);
-        assert!(
-            rates[free.0].is_finite(),
-            "unbounded var escaped the constraint: rate {}",
-            rates[free.0]
-        );
-        assert!((rates[free.0] - 90.0).abs() < EPS);
     }
 
     #[test]

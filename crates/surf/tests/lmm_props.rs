@@ -12,15 +12,14 @@
 //! every problem size against the from-scratch oracle
 //! ([`MaxMinProblem::solve_reference`]), on random problems and on
 //! generators aimed at the corners where a cache could drift (equal-λ ties
-//! between constraints and bounds, zero-capacity constraints, weights small
-//! enough to trip the relative snap-to-zero, folded classes with finite
-//! bounds); and folded class variables against their expanded members
+//! between constraints and bounds, zero-capacity constraints, zero bounds
+//! of either sign, folded classes with finite bounds); and folded class variables against their expanded members
 //! under the uniform-round precondition. Bitwise is deliberate — the
 //! engine's incremental reshare, the class-folding fast path and the e2e
 //! goldens all rely on the solver being a pure function of the problem, not
 //! merely accurate to a tolerance.
 //!
-//! The solver's two shortcuts (a unit-weight problem of one variable is
+//! The solver's two shortcuts (a problem of one variable is
 //! rated in closed form; a problem whose every constraint exceeds its
 //! demand by the proven margin returns the bounds) are pinned the same way,
 //! rates *and* bottlenecks, on generators aimed at their edges: λ ties with
@@ -33,10 +32,8 @@ use surf_sim::{CnstId, MaxMinProblem};
 /// How a generated variable is added.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
-    /// `add_variable`: weight 1.
+    /// `add_variable`: one flow.
     Unit,
-    /// `add_weighted_variable` with this weight.
-    Weighted(f64),
     /// `add_variable_class` with this many members.
     Class(u32),
 }
@@ -60,7 +57,6 @@ impl CornerProblem {
             let crossed: Vec<CnstId> = members.iter().map(|&i| cs[i]).collect();
             match *kind {
                 Kind::Unit => p.add_variable(*bound, &crossed),
-                Kind::Weighted(w) => p.add_weighted_variable(*bound, w, &crossed),
                 Kind::Class(m) => p.add_variable_class(*bound, m, &crossed),
             };
         }
@@ -71,10 +67,8 @@ impl CornerProblem {
 /// Problems of 1 to 400 variables (either side of the scan/heap cutoff)
 /// drawn from small value sets, so they hit the corners: capacities of 0
 /// and round values whose fair shares equal the round bounds (a constraint
-/// and a bound saturating at the same λ), weights of 1e-13 beside unit
-/// weights (freezing the unit users leaves subtraction dust the relative
-/// snap must zero) or all around 1e-15 (where it must not), and folded
-/// classes with finite bounds.
+/// and a bound saturating at the same λ), bounds of −0.0 (whose bit pattern
+/// sorts after every λ) and folded classes with finite bounds.
 fn corner_problem() -> impl Strategy<Value = CornerProblem> {
     (1usize..16, 1usize..400)
         .prop_flat_map(|(nc, nv)| {
@@ -86,7 +80,7 @@ fn corner_problem() -> impl Strategy<Value = CornerProblem> {
                 4 => 300.0,
                 _ => any,
             });
-            let bound = (0u8..10, 0.1f64..1e3).prop_map(|(k, any)| match k {
+            let bound = (0u8..11, 0.1f64..1e3).prop_map(|(k, any)| match k {
                 0 | 1 => f64::INFINITY,
                 2 => 10.0,
                 3 => 20.0,
@@ -95,16 +89,12 @@ fn corner_problem() -> impl Strategy<Value = CornerProblem> {
                 6 => 50.0,
                 7 => 60.0,
                 8 => 100.0,
+                9 => -0.0,
                 _ => any,
             });
-            let kind = (0u8..12, 2u32..5).prop_map(|(k, members)| match k {
-                5 => Kind::Weighted(1e-13),
-                6 => Kind::Weighted(1e-15),
-                7 => Kind::Weighted(3e-15),
-                8 => Kind::Weighted(0.5),
-                9 => Kind::Weighted(2.0),
-                10 | 11 => Kind::Class(members),
-                _ => Kind::Unit,
+            let kind = (0u8..2, 2u32..5).prop_map(|(k, members)| match k {
+                0 => Kind::Unit,
+                _ => Kind::Class(members),
             });
             let var = (bound, kind, proptest::collection::vec(0..nc, 1..=nc.min(4)));
             (
@@ -168,7 +158,7 @@ fn pick_capacity(k: u8, any: f64) -> f64 {
 /// shortcut: see `unsaturated_problems_match_the_filling`.
 #[derive(Debug, Clone)]
 struct MarginProblem {
-    /// `(bound, members, constraint mask)` per variable, all unit weight.
+    /// `(bound, members, constraint mask)` per variable.
     vars: Vec<(f64, u32, u8)>,
     /// Per constraint, how its capacity is placed against its demand.
     caps: Vec<(u8, u32, f64)>,
@@ -246,7 +236,7 @@ impl MarginProblem {
     }
 }
 
-/// Unit-weight problems of 2 to 40 variables with classes of up to 4 096
+/// Problems of 2 to 40 variables with classes of up to 4 096
 /// members, inexact and mixed bounds (now and then an infinite one), and
 /// each constraint's capacity placed at its demand, a few ulps either side
 /// of it, around the shortcut's margin, at twice it, or anywhere from half
@@ -390,7 +380,7 @@ proptest! {
     /// The production solver (lazy min-heap + bound cursor) must follow the
     /// exact freeze schedule of the naive reference scan: every returned
     /// rate is bit-for-bit identical, including ties, unbounded variables
-    /// and weighted flows.
+    /// and folded classes.
     #[test]
     fn fast_solver_matches_reference_bitwise(
         caps in proptest::collection::vec(1e2f64..1e9, 1..6),
@@ -399,7 +389,7 @@ proptest! {
     ) {
         let mut p = MaxMinProblem::new();
         let cs: Vec<CnstId> = caps.iter().map(|&c| p.add_constraint(c)).collect();
-        for (i, &(kind, b, w8, mask)) in vars.iter().enumerate() {
+        for (i, &(kind, b, members, mask)) in vars.iter().enumerate() {
             // Mix small bounds (the bound freezes first), large bounds (a
             // constraint freezes first) and unbounded flows.
             let bound = match kind {
@@ -407,7 +397,7 @@ proptest! {
                 1 => b * 1e6,
                 _ => f64::INFINITY,
             };
-            p.add_weighted_variable(bound, w8 as f64 * 0.5, &subset(&cs, mask, i));
+            p.add_variable_class(bound, members.into(), &subset(&cs, mask, i));
         }
         // `solve_scan` / `solve_heap` bypass the size dispatch, so each
         // production finder is pinned on these small instances itself.
@@ -461,7 +451,7 @@ proptest! {
         assert_matches_oracle_with_bottlenecks(&p)?;
     }
 
-    /// Multi-variable unit-weight problems at the edge of the "no
+    /// Multi-variable problems at the edge of the "no
     /// saturable constraint" shortcut: whether the production solve
     /// returns the bounds or fills, it must match the oracle's filling
     /// bitwise, rates and bottlenecks. Where every constraint has twice its
@@ -480,8 +470,7 @@ proptest! {
     }
 
     /// Folding interchangeable members into one class variable is exact
-    /// under the uniform-round precondition (one weight, one bound
-    /// bit-pattern): every expanded member's rate equals its class
+    /// under the uniform-round precondition (one bound bit-pattern): every expanded member's rate equals its class
     /// representative's rate bitwise, and the folded problem still agrees
     /// with the reference solver.
     #[test]
@@ -551,14 +540,15 @@ fn each_corner_is_covered() {
     p.add_variable(f64::INFINITY, &[l]);
     check(&p, &[0.0, 100.0]);
 
-    // Snap: freezing the unit-weight user leaves 1e-13 of weight (plus
-    // dust) on the link, under 1e-12 of its initial sum, so it leaves the
-    // λ search; the tiny user keeps its own bound.
+    // A −0.0 bound freezes its flow at zero first, leaving the whole link
+    // to the other; it is stored as +0.0, because by bit pattern −0.0 would
+    // sort after every λ and the finders would split the link in two.
     let mut p = MaxMinProblem::new();
-    let (a, b) = (p.add_constraint(100.0), p.add_constraint(40.0));
-    p.add_variable(f64::INFINITY, &[a, b]);
-    p.add_weighted_variable(7.0, 1e-13, &[a]);
-    check(&p, &[40.0, 7.0]);
+    let l = p.add_constraint(10.0);
+    p.add_variable(-0.0, &[l]);
+    p.add_variable(f64::INFINITY, &[l]);
+    check(&p, &[0.0, 10.0]);
+    assert!(p.solve()[0].is_sign_positive());
 
     // Folded classes with a finite bound: three members capped at 25 on a
     // 300-capacity link, two more sharing what is left.
