@@ -39,8 +39,9 @@ pub fn default_sizes() -> Vec<u64> {
 }
 
 /// Runs a ping-pong between `host_a` and `host_b` on `world` for every size
-/// in `sizes`, with `reps` round trips per size (the first is a warm-up when
-/// `reps > 1`). Returns one-way times.
+/// in `sizes`, with `reps` round trips per size. Returns one-way times: each
+/// is half the mean of the size's `reps` round trips, every one of them
+/// counted (none is dropped as a warm-up).
 ///
 /// The messages carry no data: a transfer's timing depends on its byte
 /// count alone, so the ranks exchange sizes (`send_sized` / `recv_sized`)

@@ -2,7 +2,8 @@
 //! timing depends on its byte count alone, so it must measure bit for bit
 //! what the same ping-pong over real `u8` buffers measures — on the
 //! packet-level testbed and on the flow model, across routes and MPI
-//! personalities — and the model fitted from it must not move by a bit.
+//! personalities, with metrics off and on — and the model fitted from it
+//! must not move by a bit.
 
 use std::sync::Arc;
 
@@ -111,12 +112,26 @@ fn sized_pingpong_measures_what_buffers_measure() {
                     let what = format!("{name} testbed {}", profile.name);
                     let testbed = World::testbed(Arc::clone(rp), profile);
                     let (sized, typed) = both(&testbed, a, b, reps, &what);
+                    // A recorder keeps every message in the packet
+                    // network's event loop; alone on the network, a
+                    // message is otherwise played in one pass. Both must
+                    // measure the same bits.
+                    let traced_what = format!("{what} with metrics");
+                    let traced = testbed.clone().metrics(true);
+                    let (traced, _) = both(&traced, a, b, reps, &traced_what);
+                    assert_eq!(bits(&traced), bits(&sized), "{traced_what}");
 
                     // The model fitted from each, then the flow model
                     // simulating the same ping-pong with it.
                     let model = fit_piecewise(&sized, 3, route(rp, a, b));
                     let from_typed = fit_piecewise(&typed, 3, route(rp, a, b));
+                    let from_traced = fit_piecewise(&traced, 3, route(rp, a, b));
                     assert_eq!(format!("{model:?}"), format!("{from_typed:?}"), "{what}");
+                    assert_eq!(
+                        format!("{model:?}"),
+                        format!("{from_traced:?}"),
+                        "{traced_what}"
+                    );
                     let smpi = World::smpi(Arc::clone(rp), model);
                     both(&smpi, a, b, reps, &format!("{name} smpi"));
                 }

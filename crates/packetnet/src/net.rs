@@ -38,7 +38,23 @@
 //! * the shared [`surf_sim::calendar::Calendar`] holds one entry per stream
 //!   — its earliest event — plus one for the top of `misc`. Popping its
 //!   minimum is the one way an event is taken, and the pop order is the
-//!   global `(time, seq)` order.
+//!   global `(time, seq)` order;
+//! * **a lone transfer** skips the calendar. It applies when the network's
+//!   one live action is a transfer, no hop of its route is a FatPipe,
+//!   `misc` is empty and no recorder is attached. Callers start actions
+//!   only between [`advance_to_next`](PacketNet::advance_to_next) calls,
+//!   so nothing can interleave with its frames until it completes. Its
+//!   remaining frames are played in one pass, front frame first, each
+//!   carried through its remaining hops. One flow is served FIFO, so a
+//!   frame starts on a hop at `max(ready, free)`: when it reached the node,
+//!   or when the channel let go of the frame before it. On a tie the event
+//!   loop starts it at that same instant, whichever of the two events it
+//!   pops first. The pass uses the loop's float operations,
+//!   `idle = start + wire / bw` and `arrive = idle + lat`. It takes the
+//!   in-flight state as it stands: pending idle keys, arrival streams,
+//!   later-hop queues and the hop-0 counter. It adds to `seq` the two
+//!   schedules per frame-hop the loop would have made, and it leaves the
+//!   route's channels and calendar entries empty, as the loop would.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -262,6 +278,9 @@ pub struct PacketNet {
     /// Attribution of completed transfers keyed by `PacketActionId::raw()`,
     /// awaiting pickup via [`take_attribution`](Self::take_attribution).
     done_attr: HashMap<u64, FlowAttribution>,
+    /// Per hop of a lone transfer's route, the instant its channel is free
+    /// (module docs); keeps its capacity between passes.
+    lone_free: Vec<SimTime>,
 }
 
 impl PacketNet {
@@ -303,6 +322,7 @@ impl PacketNet {
             rec: Rec::disabled(),
             chan_keys: Vec::new(),
             done_attr: HashMap::new(),
+            lone_free: Vec::new(),
         }
     }
 
@@ -641,9 +661,111 @@ impl PacketNet {
         }
     }
 
+    /// The slot of the network's one live action, when it is a transfer the
+    /// lone pass may play (module docs).
+    fn lone_transfer(&self) -> Option<u32> {
+        if self.actions.len() != 1 || !self.misc.is_empty() || self.rec.is_enabled() {
+            return None;
+        }
+        // A keyed channel's stream holds an arrival: a frame's arrival
+        // stays queued until after its channel's idle event.
+        let (_, id) = self.calendar.peek()?;
+        let &(_, frame) = self.channels.get(id as usize)?.arrivals.front()?;
+        match self.actions.get(frame.transfer) {
+            Some(Pending::Transfer(t))
+                if t.attr.is_none() && t.route.iter().all(|l| !self.chan_fat[l.index()]) =>
+            {
+                Some(frame.transfer)
+            }
+            _ => None,
+        }
+    }
+
+    /// Carries a frame of `payload` bytes, ready at `ready` before hop
+    /// `from`, through the rest of `route` with the event loop's float
+    /// operations, and counts the loop's two schedules per hop into `seq`.
+    /// `free[h]` is when hop `h`'s channel is free; the frame holds it until
+    /// its own idle instant. Returns the frame's arrival at the destination.
+    fn carry(
+        &mut self,
+        route: &[LinkId],
+        free: &mut [SimTime],
+        from: usize,
+        payload: u32,
+        mut ready: SimTime,
+    ) -> SimTime {
+        let wire = self.config.wire_bytes(payload) as f64;
+        for (link, free) in route[from..].iter().zip(&mut free[from..]) {
+            let c = link.index();
+            let idle = ready.max(*free) + wire / self.chan_bw[c];
+            *free = idle;
+            ready = idle + self.chan_lat[c];
+        }
+        self.seq += 2 * (route.len() - from) as u64;
+        ready
+    }
+
+    /// Plays the lone transfer in `slot` to completion in one pass (module
+    /// docs), leaves its channels and calendar entries empty, and returns
+    /// its handle; `now` becomes its completion instant.
+    fn play_lone(&mut self, slot: u32) -> PacketActionId {
+        let id = PacketActionId {
+            slot,
+            gen: self.actions.generation(slot),
+        };
+        let Pending::Transfer(mut t) = self.actions.remove(slot) else {
+            unreachable!("the lone action is a transfer");
+        };
+        let mut free = std::mem::take(&mut self.lone_free);
+        free.clear();
+        free.extend(t.route.iter().map(|l| {
+            let idle = self.channels[l.index()].idle;
+            idle.map_or(self.now, Key::time)
+        }));
+        let mut done = self.now;
+        let mut frames = 0;
+        // Front frame first: those in flight on the last hop, those queued
+        // for it, those in flight on the hop before, and so on down to hop
+        // 0's counter.
+        for hop in (0..t.route.len()).rev() {
+            let chan = t.route[hop].index();
+            while let Some((key, frame)) = self.channels[chan].arrivals.pop_front() {
+                done = self.carry(&t.route, &mut free, hop + 1, frame.payload, key.time());
+                frames += 1;
+            }
+            if hop > 0 {
+                while let Some((payload, queued_at)) = t.queues[hop].pop_front() {
+                    done = self.carry(&t.route, &mut free, hop, payload, queued_at);
+                    frames += 1;
+                }
+            }
+        }
+        while t.unsent > 0 {
+            let payload = t.take_unsent(self.config.mtu_payload);
+            done = self.carry(&t.route, &mut free, 0, payload, t.started);
+            frames += 1;
+        }
+        debug_assert_eq!(frames, t.frames_remaining);
+        for link in t.route.iter() {
+            let c = &mut self.channels[link.index()];
+            debug_assert!(c.rr.iter().all(|&(s, _)| s == slot));
+            c.idle = None;
+            c.rr.clear();
+            c.depth = 0;
+            self.calendar.remove(link.index() as u32);
+        }
+        self.lone_free = free;
+        self.now = done;
+        id
+    }
+
     /// Advances to the next instant at which at least one action completes,
     /// returning the completed actions. Returns `None` when fully drained.
     pub fn advance_to_next(&mut self) -> Option<(SimTime, Vec<PacketActionId>)> {
+        if let Some(slot) = self.lone_transfer() {
+            let id = self.play_lone(slot);
+            return Some((self.now, vec![id]));
+        }
         let mut completed = Vec::new();
         while let Some((key, _)) = self.calendar.peek() {
             // Drain every event at instant `t`.

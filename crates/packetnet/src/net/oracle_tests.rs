@@ -304,6 +304,8 @@ trait Engine {
     fn sleep(&mut self, secs: f64) -> PacketActionId;
     fn advance(&mut self) -> Option<(SimTime, Vec<PacketActionId>)>;
     fn attribution(&mut self, id: PacketActionId) -> Option<FlowAttribution>;
+    /// Events scheduled so far.
+    fn seq(&self) -> u64;
 }
 
 impl Engine for PacketNet {
@@ -324,6 +326,9 @@ impl Engine for PacketNet {
     }
     fn attribution(&mut self, id: PacketActionId) -> Option<FlowAttribution> {
         self.take_attribution(id)
+    }
+    fn seq(&self) -> u64 {
+        self.seq
     }
 }
 
@@ -346,6 +351,9 @@ impl Engine for Oracle {
     fn attribution(&mut self, id: PacketActionId) -> Option<FlowAttribution> {
         self.done_attr.remove(&id.raw())
     }
+    fn seq(&self) -> u64 {
+        self.seq
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -362,11 +370,11 @@ enum Op {
 type Script = Vec<(Vec<Op>, usize)>;
 
 /// Everything a run can be observed by: each completion instant's time
-/// bits and completed ids, each started action's attribution, and the
-/// recorder snapshot.
+/// bits, completed ids and events scheduled so far, each started action's
+/// attribution, and the recorder snapshot.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    completions: Vec<(u64, Vec<u64>)>,
+    completions: Vec<(u64, Vec<u64>, u64)>,
     attributions: Vec<Option<FlowAttribution>>,
     snapshot: Option<String>,
 }
@@ -403,6 +411,14 @@ fn platform(core: SharingPolicy, core_bw: f64, zero_latency: bool) -> RoutedPlat
     RoutedPlatform::new(p)
 }
 
+fn start<E: Engine>(e: &mut E, rp: &RoutedPlatform, op: Op) -> PacketActionId {
+    match op {
+        Op::Message(src, dst, bytes) => e.message(rp, src, dst, bytes),
+        Op::Exec(host, flops) => e.exec(host, flops),
+        Op::Sleep(secs) => e.sleep(secs),
+    }
+}
+
 fn run<E: Engine>(e: &mut E, rp: &RoutedPlatform, script: &Script, record: bool) -> Observed {
     let rec = if record {
         Rec::enabled()
@@ -412,31 +428,38 @@ fn run<E: Engine>(e: &mut E, rp: &RoutedPlatform, script: &Script, record: bool)
     e.set_recorder(rec.clone());
     let mut started = Vec::new();
     let mut completions = Vec::new();
-    let mut observe = |step: Option<(SimTime, Vec<PacketActionId>)>| match step {
+    let mut advance = |e: &mut E| match e.advance() {
         Some((t, done)) => {
             let ids = done.iter().map(|id| id.raw()).collect();
-            completions.push((t.as_secs().to_bits(), ids));
+            completions.push((t.as_secs().to_bits(), ids, e.seq()));
             true
         }
         None => false,
     };
     for (starts, advances) in script {
         for &op in starts {
-            started.push(match op {
-                Op::Message(src, dst, bytes) => e.message(rp, src, dst, bytes),
-                Op::Exec(host, flops) => e.exec(host, flops),
-                Op::Sleep(secs) => e.sleep(secs),
-            });
+            started.push(start(e, rp, op));
         }
         for _ in 0..*advances {
-            observe(e.advance());
+            advance(e);
         }
     }
-    while observe(e.advance()) {}
+    while advance(e) {}
     Observed {
         completions,
         attributions: started.into_iter().map(|id| e.attribution(id)).collect(),
         snapshot: rec.snapshot().map(|s| format!("{s:?}")),
+    }
+}
+
+/// Runs `script` on both engines, recorder off and on, and asserts equal
+/// observations.
+fn assert_matches_oracle(rp: &RoutedPlatform, script: &Script, what: &str) {
+    for record in [false, true] {
+        let config = PacketConfig::default();
+        let shipped = run(&mut PacketNet::new(rp, config), rp, script, record);
+        let oracle = run(&mut Oracle::new(rp, config), rp, script, record);
+        assert_eq!(shipped, oracle, "{what}, recorder {record}");
     }
 }
 
@@ -519,12 +542,7 @@ fn a_symmetric_incast_at_one_instant_matches_the_oracle() {
             0,
         )];
         for (rp, script) in [(&star, &into_star), (&mixed, &into_mixed)] {
-            for record in [false, true] {
-                let config = PacketConfig::default();
-                let shipped = run(&mut PacketNet::new(rp, config), rp, script, record);
-                let oracle = run(&mut Oracle::new(rp, config), rp, script, record);
-                assert_eq!(shipped, oracle, "zero latency: {zero_latency}");
-            }
+            assert_matches_oracle(rp, script, &format!("zero latency: {zero_latency}"));
         }
     }
 }
@@ -547,10 +565,83 @@ fn griffon_cross_cabinet_traffic_matches_the_oracle() {
         (vec![Op::Message(0, 90, 0), Op::Sleep(1e-4)], 0),
         (vec![Op::Message(30, 90, 1 << 20), Op::Exec(30, 1e6)], 1),
     ];
-    for record in [false, true] {
-        let config = PacketConfig::default();
-        let shipped = run(&mut PacketNet::new(&rp, config), &rp, &script, record);
-        let oracle = run(&mut Oracle::new(&rp, config), &rp, &script, record);
-        assert_eq!(shipped, oracle);
+    assert_matches_oracle(&rp, &script, "griffon");
+}
+
+/// A long message from host 0 into the slow host 6.
+const LONG: Op = Op::Message(0, 6, 300 * 1448 + 17);
+/// A short message from host 0 to host 1: it shares host 0's link with
+/// [`LONG`] and completes first.
+const SHORT: Op = Op::Message(0, 1, 10 * 1448);
+
+#[test]
+fn a_transfer_left_alone_mid_flight_matches_the_oracle() {
+    for zero_latency in [false, true] {
+        let rp = platform(SharingPolicy::Shared, 125e6, zero_latency);
+        // The state the lone pass takes over once the short message is
+        // done: frames on hop 0's counter, in arrival streams, and queued
+        // at the slow last hop.
+        let mut net = PacketNet::new(&rp, PacketConfig::default());
+        start(&mut net, &rp, LONG);
+        let short = start(&mut net, &rp, SHORT);
+        assert_eq!(
+            net.advance_to_next().map(|(_, done)| done),
+            Some(vec![short])
+        );
+        let slot = net.lone_transfer().expect("the long message is alone");
+        let Some(Pending::Transfer(t)) = net.actions.get(slot) else {
+            unreachable!("the lone action is a transfer");
+        };
+        assert!(t.unsent > 0, "frames left on hop 0's counter");
+        assert!(t.queues.iter().any(|q| !q.is_empty()), "frames queued");
+        assert!(
+            t.route
+                .iter()
+                .any(|l| !net.channels[l.index()].arrivals.is_empty()),
+            "frames in flight"
+        );
+
+        let script: Script = vec![(vec![LONG, SHORT], 0)];
+        assert_matches_oracle(&rp, &script, &format!("zero latency: {zero_latency}"));
+    }
+}
+
+#[test]
+fn a_message_started_as_a_lone_transfer_completes_matches_the_oracle() {
+    // The second advance completes the long message in the lone pass;
+    // two messages and an empty sleep start at that instant. Without
+    // latency, every frame's idle and arrival tie and `seq` alone orders
+    // them.
+    let script: Script = vec![
+        (vec![LONG, SHORT], 2),
+        (
+            vec![
+                Op::Message(1, 6, 20 * 1448),
+                Op::Message(0, 3, 5000),
+                Op::Sleep(0.0),
+            ],
+            0,
+        ),
+    ];
+    for zero_latency in [true, false] {
+        let rp = platform(SharingPolicy::Shared, 125e6, zero_latency);
+        assert_matches_oracle(&rp, &script, &format!("zero latency: {zero_latency}"));
+    }
+}
+
+#[test]
+fn a_lone_message_over_a_fat_pipe_stays_in_the_event_loop() {
+    let bytes = 40 * 1448 + 3;
+    for zero_latency in [false, true] {
+        let fat_core = platform(SharingPolicy::FatPipe, 125e6, zero_latency);
+        // Across the FatPipe core (a middle hop), and into host 2's
+        // FatPipe link (the last hop).
+        for (src, dst) in [(0, 3), (0, 2)] {
+            let mut net = PacketNet::new(&fat_core, PacketConfig::default());
+            net.start_message(&fat_core, HostIx(src), HostIx(dst), bytes);
+            assert_eq!(net.lone_transfer(), None, "{src} -> {dst}");
+            let script: Script = vec![(vec![Op::Message(src, dst, bytes)], 0)];
+            assert_matches_oracle(&fat_core, &script, &format!("{src} -> {dst}"));
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The frame loop allocates per message and per hop, never per frame: a
-//! warm message over an idle route, or two warm messages queueing at a
+//! warm message beside a pending sleep, or two warm messages queueing at a
 //! shared last hop, cost the same handful of blocks at 64 KiB as at 4 MiB,
-//! and none of them is a copy of its route.
+//! and none of them is a copy of its route. A message alone on the network
+//! is played in one pass and allocates no queue at all.
 //!
 //! Own test binary because it installs a counting global allocator (the
 //! library crates stay `forbid(unsafe_code)`).
@@ -84,7 +85,7 @@ fn four_hop_line() -> RoutedPlatform {
 }
 
 #[test]
-fn a_warm_message_allocates_per_hop_not_per_frame() {
+fn a_lone_warm_message_allocates_its_queue_table_and_completion_list() {
     const HOPS: usize = 4;
     let rp = four_hop_line();
     assert_eq!(rp.route(HostIx(0), HostIx(1)).len(), HOPS);
@@ -96,7 +97,40 @@ fn a_warm_message_allocates_per_hop_not_per_frame() {
         })
     };
     // Warm: the platform image's route cache, the action slab and the
-    // event heap.
+    // calendar.
+    message(4 << 20);
+    let mib = message(1 << 20);
+    let small = message(64 << 10);
+    let large = message(4 << 20);
+    // Alone on the network, the message is played in one pass and no
+    // frame waits in a later hop's queue: the per-hop queue table and the
+    // completion list are all it allocates.
+    assert_eq!(mib, 2, "1 MiB over {HOPS} hops: {mib} blocks");
+    assert_eq!((small, large), (mib, mib), "64 KiB / 1 MiB / 4 MiB");
+}
+
+#[test]
+fn a_warm_message_allocates_per_hop_not_per_frame() {
+    const HOPS: usize = 4;
+    let rp = four_hop_line();
+    assert_eq!(rp.route(HostIx(0), HostIx(1)).len(), HOPS);
+    let mut net = PacketNet::new(&rp, PacketConfig::default());
+    // A pending sleep keeps the message company, so the event loop plays
+    // its frames.
+    net.start_sleep(1e3);
+    let mut message = |bytes: u64| {
+        let mut id = None;
+        let blocks = allocations(|| {
+            id = Some(net.start_message(&rp, HostIx(0), HostIx(1), bytes));
+            net.advance_to_next();
+        });
+        let id = id.expect("the message started");
+        assert!(net.is_done(id), "the message completes before the sleep");
+        assert_eq!(net.running_actions(), 1, "the sleep is still pending");
+        blocks
+    };
+    // Warm: the route cache, the action slab, the calendar and every
+    // channel's arrival stream.
     message(4 << 20);
     let mib = message(1 << 20);
     let small = message(64 << 10);
