@@ -7,7 +7,7 @@
 //! between, which is all the "sequential, under the control of the kernel"
 //! contract of the paper (§5.1) asks for.
 //!
-//! **Memory.** One anonymous `mmap` per fiber, lowest page `PROT_NONE`:
+//! **Memory.** One anonymous `mmap` per stack, lowest page `PROT_NONE`:
 //!
 //! ```text
 //!  base                base + PAGE                                  base + len
@@ -16,8 +16,17 @@
 //!
 //! The pages are untouched until the stack grows into them (no zero-fill),
 //! an overflow faults on the guard instead of reaching a neighbour's stack,
-//! and a fiber costs two kernel mappings (`vm.max_map_count` bounds the
-//! actor count at ~32k by default).
+//! and a stack costs two kernel mappings (`vm.max_map_count` bounds the
+//! stacks a process holds at ~32k by default).
+//!
+//! A mapping outlives its fiber. When a fiber ends, its whole mapping, guard
+//! page still `PROT_NONE`, joins a spare list of the thread it ran on, one
+//! list per mapping length, and the next [`Fiber::new`] of that length takes
+//! it instead of calling the kernel: a repeated run of the same size maps,
+//! protects, unmaps and faults in nothing new. Only an ended fiber gives a
+//! mapping back, so the live and spare stacks of a thread never outnumber
+//! the most fibers it had live at once, and a spare keeps the pages its last
+//! fiber touched resident. The spares are unmapped when the thread exits.
 //!
 //! **Switch.** [`switch`] pushes the six callee-saved registers of the
 //! System V x86-64 ABI (`rbp rbx r12 r13 r14 r15`), exchanges `rsp` with the
@@ -26,10 +35,12 @@
 //! call. MXCSR and the x87 control word are not saved: both sides run code of
 //! the same program under the same settings.
 //!
-//! **First frame.** A fresh stack is seeded so that the first switch "returns"
-//! into [`entry`]: six zero register slots, then `entry`'s address, then a
-//! null return address that ends backtraces. `top` is 16-byte aligned, so
-//! `entry` starts with `rsp ≡ 8 (mod 16)`, exactly as after a `call`.
+//! **First frame.** A new fiber's stack is seeded so that the first switch
+//! "returns" into [`entry`]: six zero register slots, then `entry`'s
+//! address, then a null return address that ends backtraces. All eight words
+//! are written, as a recycled stack holds whatever its last fiber left.
+//! `top` is 16-byte aligned, so `entry` starts with `rsp ≡ 8 (mod 16)`,
+//! exactly as after a `call`.
 //!
 //! **Panics and kills.** A panic in the body is caught at the fiber's base
 //! (the unwinder never crosses a switch) and handed to the resumer. Dropping
@@ -58,7 +69,7 @@ compile_error!(
 );
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
@@ -122,6 +133,40 @@ struct Control {
 thread_local! {
     /// The innermost fiber running on this thread, null outside any.
     static CURRENT: Cell<*const Control> = const { Cell::new(ptr::null()) };
+    /// The stacks of fibers that ended on this thread.
+    static SPARES: Spares = const { Spares(RefCell::new(Vec::new())) };
+}
+
+/// Whole stack mappings, guard page included, that no fiber holds: the bases
+/// of each mapping length in one list, for the next fiber of that length.
+struct Spares(RefCell<Vec<(usize, Vec<NonNull<u8>>)>>);
+
+impl Spares {
+    fn take(&self, len: usize) -> Option<NonNull<u8>> {
+        let mut lists = self.0.borrow_mut();
+        lists.iter_mut().find(|(l, _)| *l == len)?.1.pop()
+    }
+
+    fn put(&self, len: usize, base: NonNull<u8>) {
+        let mut lists = self.0.borrow_mut();
+        match lists.iter_mut().find(|(l, _)| *l == len) {
+            Some((_, bases)) => bases.push(base),
+            None => lists.push((len, vec![base])),
+        }
+    }
+}
+
+impl Drop for Spares {
+    /// Runs when the thread exits: gives every spare back to the kernel.
+    fn drop(&mut self) {
+        for (len, bases) in self.0.get_mut().drain(..) {
+            for base in bases {
+                // SAFETY: a spare is a whole mapping of `len` bytes that no
+                // fiber holds and nothing points into.
+                unsafe { munmap(base.as_ptr(), len) };
+            }
+        }
+    }
 }
 
 /// Unwinds a suspended fiber whose owner is dropped; never leaves the fiber.
@@ -136,36 +181,26 @@ pub(crate) struct Fiber {
 }
 
 impl Fiber {
-    /// Maps a stack of `stack_size` bytes rounded up to whole pages, plus
-    /// one guard page, and seeds it to run `body` on the first
+    /// Takes a stack of `stack_size` bytes rounded up to whole pages, plus
+    /// one guard page — a spare of that length if the thread has one, a
+    /// fresh mapping otherwise — and seeds it to run `body` on the first
     /// [`resume`](Self::resume). Panics if the kernel refuses the mapping.
     pub(crate) fn new(stack_size: usize, body: Box<dyn FnOnce()>) -> Fiber {
         assert!(stack_size <= MAX_STACK, "actor stack size above 1 TiB");
         let len = stack_size.max(1).next_multiple_of(PAGE) + PAGE;
-        // SAFETY: a fresh private anonymous mapping at an address of the
-        // kernel's choosing aliases nothing.
-        let base = unsafe { mmap(ptr::null_mut(), len, PROT_RW, MAP_PRIVATE_ANON, -1, 0) };
-        if base as isize == -1 {
-            map_failed(std::io::Error::last_os_error(), "mmap", len);
-        }
-        // SAFETY: `base..base + PAGE` is the bottom of the mapping just made
-        // and nothing points into it yet.
-        if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
-            let err = std::io::Error::last_os_error();
-            // SAFETY: unmaps exactly the mapping made above, still unused.
-            unsafe { munmap(base, len) };
-            map_failed(err, "mprotect", len);
-        }
+        let spare = SPARES.try_with(|spares| spares.take(len)).ok().flatten();
+        let base = spare.unwrap_or_else(|| map_stack(len)).as_ptr();
         // SAFETY: all offsets stay inside the `len - PAGE >= PAGE` writable
-        // bytes above the guard. `base + len` is page-aligned and `Control`'s
-        // size is a multiple of its 16-byte alignment, so `ctl` and `top` are
-        // 16-aligned. The words below `top` are the first frame described in
-        // the module docs; its six register slots are zero as mapped.
+        // bytes above the guard, which no fiber holds. `base + len` is
+        // page-aligned and `Control`'s size is a multiple of its 16-byte
+        // alignment, so `ctl` and `top` are 16-aligned. The eight words below
+        // `top` are the first frame described in the module docs.
         unsafe {
             let ctl = base.add(len).cast::<Control>().sub(1);
             let top = ctl.cast::<usize>();
             top.sub(1).write(0);
             top.sub(2).write(entry as *const () as usize);
+            ptr::write_bytes(top.sub(8), 0, 6);
             ctl.write(Control {
                 other_sp: Cell::new(top.sub(8).cast()),
                 done: Cell::new(false),
@@ -215,15 +250,43 @@ impl Drop for Fiber {
         }
         // SAFETY: never started or done: no frame lives on the stack and
         // `CURRENT` does not point here. `ctl` was written by `new` and is
-        // dropped once, here; then exactly the mapping `new` made goes away.
+        // dropped once, here; then exactly the mapping `new` took is handed
+        // on, to the spares of this thread (a `Fiber` is `!Send`, so the one
+        // it was made on) or, once they are gone at thread exit, to `munmap`.
         // An error of `munmap` would leak the mapping, which is all `drop`
         // can do about it.
         unsafe {
             ptr::drop_in_place(self.ctl.as_ptr());
-            let base = self.ctl.as_ptr().add(1).cast::<u8>().sub(self.len);
-            munmap(base, self.len);
+            let base = self.ctl.add(1).cast::<u8>().sub(self.len);
+            if SPARES
+                .try_with(|spares| spares.put(self.len, base))
+                .is_err()
+            {
+                munmap(base.as_ptr(), self.len);
+            }
         }
     }
+}
+
+/// Maps `len` bytes whose lowest page is the guard. Panics if the kernel
+/// refuses.
+fn map_stack(len: usize) -> NonNull<u8> {
+    // SAFETY: a fresh private anonymous mapping at an address of the
+    // kernel's choosing aliases nothing.
+    let base = unsafe { mmap(ptr::null_mut(), len, PROT_RW, MAP_PRIVATE_ANON, -1, 0) };
+    if base as isize == -1 {
+        map_failed(std::io::Error::last_os_error(), "mmap", len);
+    }
+    // SAFETY: `base..base + PAGE` is the bottom of the mapping just made
+    // and nothing points into it yet.
+    if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
+        let err = std::io::Error::last_os_error();
+        // SAFETY: unmaps exactly the mapping made above, still unused.
+        unsafe { munmap(base, len) };
+        map_failed(err, "mprotect", len);
+    }
+    // SAFETY: `mmap` succeeded, so `base` is not null.
+    unsafe { NonNull::new_unchecked(base) }
 }
 
 /// Suspends the innermost running fiber: its `resume` returns `Ok(false)`,
@@ -298,16 +361,35 @@ pub(crate) fn huge_page_interior(addr: usize, bytes: usize) -> Range<usize> {
 
 fn map_failed(err: std::io::Error, call: &str, len: usize) -> ! {
     panic!(
-        "{call} of a {len}-byte actor stack failed: {err}; every live actor holds 2 memory \
-         mappings — check `sysctl vm.max_map_count` and `ulimit -v`"
+        "{call} of a {len}-byte actor stack failed: {err}; every stack a thread holds, live \
+         or spare, is 2 memory mappings — check `sysctl vm.max_map_count` and `ulimit -v`"
     )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{huge_page_interior, HUGE_PAGE};
+    use super::{huge_page_interior, Fiber, HUGE_PAGE};
 
     const MIB: usize = 1 << 20;
+
+    #[test]
+    fn an_ended_fibers_stack_goes_to_the_next_fiber_of_its_length() {
+        let mut ran = Fiber::new(64 * 1024, Box::new(|| {}));
+        assert_eq!(ran.resume().ok(), Some(true));
+        let top = ran.ctl;
+        drop(ran);
+        let larger = Fiber::new(128 * 1024, Box::new(|| {}));
+        assert_ne!(larger.ctl, top, "a 64 KiB spare served a 128 KiB stack");
+        let never_started = Fiber::new(64 * 1024, Box::new(|| unreachable!()));
+        assert_eq!(never_started.ctl, top, "the spare was not reused");
+        drop(never_started);
+        let mut again = Fiber::new(64 * 1024, Box::new(|| {}));
+        assert_eq!(
+            again.ctl, top,
+            "a never-started fiber kept its stack from the spares"
+        );
+        assert_eq!(again.resume().ok(), Some(true));
+    }
 
     #[test]
     fn a_block_without_a_whole_extent_has_no_interior() {

@@ -22,9 +22,17 @@
 //! A simcall round-trip is two user-level context switches (six registers
 //! and a stack pointer each) and no system call; the runnable set is a dense
 //! id-ordered worklist sorted in place (no per-event allocation); an actor
-//! costs one lazily-touched mapping of [`DEFAULT_STACK_SIZE`] plus a guard
+//! runs on one lazily-touched mapping of [`DEFAULT_STACK_SIZE`] plus a guard
 //! page, so tens of thousands fit in one process; and drive loops can
 //! recycle their event buffer through [`Simix::run_ready_into`].
+//!
+//! A finished or dropped actor's stack stays mapped as a spare of its
+//! thread, and the next actor spawned there with the same stack size takes
+//! it: a simulation re-run on one thread maps nothing new and faults in no
+//! stack page it already touched. A thread holds at most as many stacks,
+//! live and spare together, as it ever had actors live at once, and the
+//! pages those actors touched stay resident until the thread exits, when
+//! the spares are unmapped.
 //!
 //! A drive loop sees this crate through the four-method [`Scheduler`] seam.
 //! [`Simix`] implements it with one fiber per actor, for bodies that are
@@ -85,7 +93,8 @@ pub struct ActorId(pub u32);
 pub enum ActorEvent<Req> {
     /// The actor issued a simcall and is now blocked on it.
     Request(ActorId, Req),
-    /// The actor's body returned; its stack has been freed.
+    /// The actor's body returned; its stack is free for the next actor
+    /// spawned on this thread.
     Finished(ActorId),
 }
 
@@ -671,33 +680,28 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stack_overflow_dies_on_the_guard_page() {
-        // Re-executes this test in a child process; there an actor recurses
-        // past its 64 KiB stack. The guard page makes that a SIGSEGV, not a
-        // scribble over the neighbouring actor's stack.
+    /// Recurses `depth` frames deep, each pinning a 4 KiB buffer of
+    /// non-zero bytes: about `4 * depth` KiB of stack, left dirty.
+    fn burn(depth: usize) -> u64 {
+        let buf = std::hint::black_box([depth as u8 | 1; 4096]);
+        if depth == 0 {
+            buf[0] as u64
+        } else {
+            burn(depth - 1) + buf[4095] as u64
+        }
+    }
+
+    /// Set in the child process the guard-page tests re-execute themselves
+    /// in.
+    const OVERFLOW_CHILD: &str = "SIMIX_OVERFLOW_CHILD";
+
+    /// Re-executes test `name` in a child process with [`OVERFLOW_CHILD`]
+    /// set, and asserts that the child died by SIGSEGV.
+    fn assert_child_dies_on_the_guard_page(name: &str) {
         use std::os::unix::process::ExitStatusExt;
-        const CHILD: &str = "SIMIX_OVERFLOW_CHILD";
-        fn burn(depth: usize) -> u64 {
-            let buf = std::hint::black_box([depth as u8; 4096]);
-            if depth == 0 {
-                buf[0] as u64
-            } else {
-                burn(depth - 1) + buf[4095] as u64
-            }
-        }
-        if std::env::var_os(CHILD).is_some() {
-            let mut sx = Simix::<u64, ()>::with_stack_size(64 * 1024);
-            sx.spawn(|_| {}); // a neighbour below the overflowing stack
-            sx.spawn(|h| {
-                h.simcall(burn(500));
-            });
-            sx.run_ready();
-            unreachable!("2 MiB of frames fit a 64 KiB stack");
-        }
         let child = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "tests::stack_overflow_dies_on_the_guard_page"])
-            .env(CHILD, "1")
+            .args(["--exact", name])
+            .env(OVERFLOW_CHILD, "1")
             .output()
             .unwrap();
         assert_eq!(
@@ -710,11 +714,116 @@ mod tests {
     }
 
     #[test]
+    fn stack_overflow_dies_on_the_guard_page() {
+        // In a child process, an actor recurses past its 64 KiB stack. The
+        // guard page makes that a SIGSEGV, not a scribble over the
+        // neighbouring actor's stack.
+        if std::env::var_os(OVERFLOW_CHILD).is_some() {
+            let mut sx = Simix::<u64, ()>::with_stack_size(64 * 1024);
+            sx.spawn(|_| {}); // a neighbour below the overflowing stack
+            sx.spawn(|h| {
+                h.simcall(burn(500));
+            });
+            sx.run_ready();
+            unreachable!("2 MiB of frames fit a 64 KiB stack");
+        }
+        assert_child_dies_on_the_guard_page("tests::stack_overflow_dies_on_the_guard_page");
+    }
+
+    #[test]
+    fn a_recycled_stack_keeps_its_guard_page() {
+        // As above, but the overflowing actor runs on the stack an earlier
+        // 64 KiB actor finished on: a spare keeps its guard page.
+        fn maps() -> usize {
+            let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
+            maps.lines().count()
+        }
+        if std::env::var_os(OVERFLOW_CHILD).is_some() {
+            let mut sx = Simix::<u64, ()>::with_stack_size(64 * 1024);
+            sx.spawn(|_| {});
+            assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(ActorId(0))]);
+            let before = maps();
+            sx.spawn(|h| {
+                h.simcall(burn(500));
+            });
+            assert_eq!(maps(), before, "the overflowing actor got a fresh stack");
+            sx.run_ready();
+            unreachable!("2 MiB of frames fit a 64 KiB stack");
+        }
+        assert_child_dies_on_the_guard_page("tests::a_recycled_stack_keeps_its_guard_page");
+    }
+
+    #[test]
+    fn recycled_stacks_run_a_new_simulation() {
+        // A run in which one rank panics mid-run, then a runtime dropped with
+        // blocked and never-started actors: every stack they leave is dirty
+        // (scribbled, unwound) and a spare of this thread. A new runtime on
+        // those stacks must still run 1 000 actors through 3 simcalls each.
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            let mut sx = Simix::<u32, u32>::new();
+            for i in 0..64 {
+                sx.spawn(move |h| {
+                    h.simcall(burn(16) as u32);
+                    unreachable!("rank {i} is never resolved");
+                });
+            }
+            sx.spawn(|_| {
+                burn(16);
+                std::panic::panic_any(77_i64)
+            });
+            sx.run_ready();
+        }))
+        .expect_err("the rank's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<i64>(), Some(&77));
+        let mut sx = Simix::<(), ()>::new();
+        for _ in 0..500 {
+            sx.spawn(|h| {
+                burn(8);
+                h.simcall(());
+            });
+        }
+        assert_eq!(sx.run_ready().len(), 500);
+        for _ in 0..100 {
+            sx.spawn(|_| unreachable!("never started"));
+        }
+        drop(sx);
+
+        const N: u32 = 1_000;
+        let mut sx = Simix::<u32, u32>::new();
+        for i in 0..N {
+            sx.spawn(move |h| {
+                for k in 0..3u32 {
+                    assert_eq!(h.simcall(i * 3 + k), i * 3 + k + 1);
+                }
+            });
+        }
+        let mut events = Vec::new();
+        let (mut answered, mut finished) = (0u32, 0u32);
+        loop {
+            sx.run_ready_into(&mut events);
+            if events.is_empty() {
+                break;
+            }
+            for ev in events.drain(..) {
+                match ev {
+                    ActorEvent::Request(id, v) => {
+                        assert_eq!(v / 3, id.0, "a request from the wrong actor");
+                        answered += 1;
+                        sx.resolve(id, v + 1);
+                    }
+                    ActorEvent::Finished(_) => finished += 1,
+                }
+            }
+        }
+        assert_eq!((answered, finished), (3 * N, N));
+    }
+
+    #[test]
     fn ten_thousand_actors_stress() {
         // The scaling contract: 10k actors each doing a few simcalls all
         // complete, every batch resumes in strictly increasing id order,
         // and a second 10k-actor runtime dropped while its actors are
-        // blocked joins every thread promptly.
+        // blocked unwinds every fiber promptly.
         const N: u32 = 10_000;
         let mut sx = Simix::<u32, u32>::new();
         for i in 0..N {
@@ -762,21 +871,13 @@ mod tests {
             });
         }
         let _ = blocked.run_ready();
-        drop(blocked); // must join all 10k threads without hanging
+        drop(blocked); // must unwind all 10k fibers without hanging
     }
 
     #[test]
     fn custom_stack_size_is_honoured() {
         // A recursive body that would overflow a 256 KiB stack runs fine
         // with a larger one (each frame pins a 4 KiB buffer).
-        fn burn(depth: usize) -> u64 {
-            let buf = [depth as u8; 4096];
-            if depth == 0 {
-                buf[0] as u64
-            } else {
-                burn(depth - 1) + buf[4095] as u64
-            }
-        }
         let mut sx = Simix::<u64, ()>::with_stack_size(4 * 1024 * 1024);
         assert_eq!(sx.stack_size(), 4 * 1024 * 1024);
         let id = sx.spawn(|h| {
@@ -784,6 +885,26 @@ mod tests {
         });
         let ev = sx.run_ready();
         assert!(matches!(ev[0], ActorEvent::Request(i, _) if i == id));
+        sx.resolve(id, ());
+        assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(id)]);
+    }
+
+    #[test]
+    fn a_larger_stack_never_gets_a_smaller_spare() {
+        // Default-size actors finish first and leave 256 KiB spares on this
+        // thread; a 4 MiB runtime's 2 MiB recursion must get a 4 MiB stack.
+        let mut sx = Simix::<(), ()>::new();
+        for _ in 0..8 {
+            sx.spawn(|_| {
+                burn(4);
+            });
+        }
+        assert_eq!(sx.run_ready().len(), 8);
+        let mut sx = Simix::<u64, ()>::with_stack_size(4 * 1024 * 1024);
+        let id = sx.spawn(|h| {
+            h.simcall(burn(500));
+        });
+        assert!(matches!(sx.run_ready()[..], [ActorEvent::Request(i, _)] if i == id));
         sx.resolve(id, ());
         assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(id)]);
     }

@@ -1,6 +1,8 @@
 //! What an actor costs the process, measured from `/proc`: two kernel
-//! mappings while it lives, none after, and never an OS thread — so 16 384
-//! actors run on default sysctls (`vm.max_map_count` = 65 530).
+//! mappings per stack, kept as a spare of its thread when the actor ends and
+//! reused by the next actor of that thread, none once the thread has exited,
+//! and never an OS thread — so 16 384 actors run on default sysctls
+//! (`vm.max_map_count` = 65 530).
 //!
 //! This test lives alone in its binary, as one `#[test]`: it reads the
 //! process-wide mapping and thread counts, which sibling tests on harness
@@ -54,33 +56,55 @@ fn run(actors: u32, calls: u32, mut probe: impl FnMut()) {
     assert_eq!(finished, actors);
 }
 
+/// Runs `f` on a new thread, whose spare list starts empty, and joins it:
+/// its spare stacks are unmapped by the time this returns.
+fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+    std::thread::spawn(f)
+        .join()
+        .expect("the measuring thread panicked");
+}
+
 #[test]
 fn actors_cost_two_mappings_and_no_thread() {
     let threads = process_threads();
 
-    // Mappings. One warm-up round first, so that the allocator's own arenas
-    // exist before the baseline is taken.
-    run(1_000, 1, || {});
+    // Mappings. One warm-up thread first, so that the allocator's arena for
+    // it and the C library's cached thread stack exist before the baseline
+    // is taken; the measuring thread reuses both.
+    on_fresh_thread(|| run(1_000, 1, || {}));
     let baseline = process_maps();
-    let mut peak = 0;
-    run(1_000, 1, || peak = peak.max(process_maps()));
-    let per_actor = (peak - baseline) as f64 / 1_000.0;
-    assert!(
-        (1.9..=2.1).contains(&per_actor),
-        "{per_actor} mappings per live actor (stack + guard page = 2)"
+    on_fresh_thread(move || {
+        let before = process_maps();
+        let mut peak = 0;
+        run(1_000, 1, || peak = peak.max(process_maps()));
+        let per_actor = (peak - before) as f64 / 1_000.0;
+        assert!(
+            (1.9..=2.1).contains(&per_actor),
+            "{per_actor} mappings per live actor (stack + guard page = 2)"
+        );
+        // Finished actors left their stacks as spares; equal and smaller
+        // runs, and blocked and never-started actors, map nothing new.
+        let kept = process_maps();
+        let no_new_mapping = || assert!(process_maps() <= kept, "a spare was not reused");
+        run(1_000, 1, no_new_mapping);
+        run(300, 2, no_new_mapping);
+        let mut sx = Simix::<(), ()>::new();
+        for _ in 0..500 {
+            sx.spawn(|h| h.simcall(()));
+        }
+        assert_eq!(sx.run_ready().len(), 500);
+        for _ in 0..500 {
+            sx.spawn(|_| unreachable!("never started"));
+        }
+        no_new_mapping();
+        drop(sx);
+        assert_eq!(process_maps(), kept, "dropped actors' stacks leaked");
+    });
+    assert_eq!(
+        process_maps(),
+        baseline,
+        "spare stacks outlived their thread"
     );
-    // Finished actors gave theirs back; blocked and never-started ones do.
-    assert_eq!(process_maps(), baseline, "finished actors' stacks leaked");
-    let mut sx = Simix::<(), ()>::new();
-    for _ in 0..500 {
-        sx.spawn(|h| h.simcall(()));
-    }
-    assert_eq!(sx.run_ready().len(), 500);
-    for _ in 0..500 {
-        sx.spawn(|_| unreachable!("never started"));
-    }
-    drop(sx);
-    assert_eq!(process_maps(), baseline, "dropped actors' stacks leaked");
 
     // Scale: 16 384 actors x 3 simcalls, and the thread count never moves.
     run(16_384, 3, || {

@@ -14,14 +14,19 @@ use smpi_suite::smpi::World;
 use smpi_suite::surf::TransferModel;
 use smpi_suite::workloads::{ep_block, EpPartial};
 
-/// `Threads:` of `/proc/self/status`.
-fn process_threads() -> u64 {
+/// The value of line `key` of `/proc/self/status`, units included.
+fn process_status(key: &str) -> String {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     let line = status
         .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("Threads: line");
-    line.trim().parse().expect("thread count")
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))
+        .unwrap_or_else(|| panic!("{key}: line"));
+    line.trim().to_string()
+}
+
+/// `Threads:` of `/proc/self/status`.
+fn process_threads() -> u64 {
+    process_status("Threads").parse().expect("thread count")
 }
 
 #[test]
@@ -120,6 +125,13 @@ fn online_16384_ranks_on_default_sysctls() {
         report.profile.local_simcalls,
         report.memory.peak_bytes,
         report.memory.logical_peak_bytes,
+    );
+    // The finished ranks' stacks stay mapped as spares of this thread, with
+    // the pages they touched: their footprint is part of these two.
+    println!(
+        "after the run: VmRSS {}, VmHWM {}",
+        process_status("VmRSS"),
+        process_status("VmHWM")
     );
     let kernel = report.profile.kernel.as_ref().expect("surf counts always");
     print!("{}", kernel.render());
