@@ -16,24 +16,24 @@ use surf_sim::{EngineConfig, TransferModel};
 
 /// `true` when the `REPRO_FAST` environment variable trims sweep sizes for
 /// smoke-testing the harness.
-pub fn fast() -> bool {
+pub(crate) fn fast() -> bool {
     std::env::var_os("REPRO_FAST").is_some()
 }
 
 /// The griffon platform (calibration cluster), cached.
-pub fn griffon_rp() -> Arc<RoutedPlatform> {
+pub(crate) fn griffon_rp() -> Arc<RoutedPlatform> {
     static RP: OnceLock<Arc<RoutedPlatform>> = OnceLock::new();
     Arc::clone(RP.get_or_init(|| Arc::new(RoutedPlatform::new(griffon()))))
 }
 
 /// The gdx platform (transfer-target cluster), cached.
-pub fn gdx_rp() -> Arc<RoutedPlatform> {
+pub(crate) fn gdx_rp() -> Arc<RoutedPlatform> {
     static RP: OnceLock<Arc<RoutedPlatform>> = OnceLock::new();
     Arc::clone(RP.get_or_init(|| Arc::new(RoutedPlatform::new(gdx()))))
 }
 
 /// Nominal route reference between two hosts of a platform.
-pub fn route_ref(rp: &RoutedPlatform, a: usize, b: usize) -> RouteRef {
+pub(crate) fn route_ref(rp: &RoutedPlatform, a: usize, b: usize) -> RouteRef {
     RouteRef {
         latency: rp.latency(HostIx(a as u32), HostIx(b as u32)),
         bandwidth: rp.bandwidth(HostIx(a as u32), HostIx(b as u32)),
@@ -41,7 +41,7 @@ pub fn route_ref(rp: &RoutedPlatform, a: usize, b: usize) -> RouteRef {
 }
 
 /// The ping-pong calibration sweep sizes.
-pub fn calibration_sizes() -> Vec<u64> {
+pub(crate) fn calibration_sizes() -> Vec<u64> {
     if fast() {
         let mut v = Vec::new();
         let mut s = 1u64;
@@ -56,7 +56,7 @@ pub fn calibration_sizes() -> Vec<u64> {
 }
 
 /// SKaMPI-equivalent measurements on the packet-level griffon (cached).
-pub fn calibration_samples() -> &'static [Sample] {
+pub(crate) fn calibration_samples() -> &'static [Sample] {
     static SAMPLES: OnceLock<Vec<Sample>> = OnceLock::new();
     SAMPLES.get_or_init(|| {
         let rp = griffon_rp();
@@ -66,31 +66,31 @@ pub fn calibration_samples() -> &'static [Sample] {
 }
 
 /// The calibration route (two same-cabinet griffon nodes).
-pub fn calibration_route() -> RouteRef {
+pub(crate) fn calibration_route() -> RouteRef {
     route_ref(&griffon_rp(), 0, 1)
 }
 
 /// The 3-segment piece-wise linear model fitted from the calibration
 /// (cached) — SMPI's production model for every figure.
-pub fn piecewise_model() -> &'static TransferModel {
+pub(crate) fn piecewise_model() -> &'static TransferModel {
     static M: OnceLock<TransferModel> = OnceLock::new();
     M.get_or_init(|| fit_piecewise(calibration_samples(), 3, calibration_route()))
 }
 
 /// The best-fit affine baseline (cached).
-pub fn best_affine_model() -> &'static TransferModel {
+pub(crate) fn best_affine_model() -> &'static TransferModel {
     static M: OnceLock<TransferModel> = OnceLock::new();
     M.get_or_init(|| fit_best_affine(calibration_samples(), calibration_route()))
 }
 
 /// The default affine baseline (cached).
-pub fn default_affine_model() -> &'static TransferModel {
+pub(crate) fn default_affine_model() -> &'static TransferModel {
     static M: OnceLock<TransferModel> = OnceLock::new();
     M.get_or_init(|| fit_default_affine(calibration_samples(), calibration_route()))
 }
 
 /// SMPI world on a platform with the calibrated piece-wise model.
-pub fn smpi_world(rp: Arc<RoutedPlatform>) -> World {
+pub(crate) fn smpi_world(rp: Arc<RoutedPlatform>) -> World {
     World::smpi(rp, piecewise_model().clone())
 }
 
@@ -98,7 +98,7 @@ pub fn smpi_world(rp: Arc<RoutedPlatform>) -> World {
 /// "each communication ... will get the maximal bandwidth, i.e., 1 Gigabit
 /// per second, whatever the number of concurrent communications" — the
 /// baseline mimicking the contention-blind simulators of §2 (Figs. 7, 11).
-pub fn smpi_world_no_contention(rp: Arc<RoutedPlatform>) -> World {
+pub(crate) fn smpi_world_no_contention(rp: Arc<RoutedPlatform>) -> World {
     World::new(
         rp,
         Backend::Surf {
@@ -113,24 +113,24 @@ pub fn smpi_world_no_contention(rp: Arc<RoutedPlatform>) -> World {
 }
 
 /// The emulated real cluster with the OpenMPI personality.
-pub fn openmpi_world(rp: Arc<RoutedPlatform>) -> World {
+pub(crate) fn openmpi_world(rp: Arc<RoutedPlatform>) -> World {
     World::testbed(rp, MpiProfile::openmpi_like())
 }
 
 /// The emulated real cluster with the MPICH2 personality.
-pub fn mpich2_world(rp: Arc<RoutedPlatform>) -> World {
+pub(crate) fn mpich2_world(rp: Arc<RoutedPlatform>) -> World {
     World::testbed(rp, MpiProfile::mpich2_like())
 }
 
 /// Minimal fixed-width table rendering for the repro binary's output.
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// New table with column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -138,13 +138,13 @@ impl Table {
     }
 
     /// Appends a row (must match the header length).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len());
         self.rows.push(cells);
     }
 
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -173,16 +173,16 @@ impl Table {
 }
 
 /// Formats seconds as microseconds (the unit of Figs. 3–5, 8, 12).
-pub fn us(t: f64) -> String {
+pub(crate) fn us(t: f64) -> String {
     format!("{:.1}", t * 1e6)
 }
 
 /// Formats seconds with 4 decimals (the unit of Figs. 7, 9, 11, 15, 17, 18).
-pub fn secs(t: f64) -> String {
+pub(crate) fn secs(t: f64) -> String {
     format!("{t:.4}")
 }
 
 /// Formats bytes as MiB.
-pub fn mib(b: u64) -> String {
+pub(crate) fn mib(b: u64) -> String {
     format!("{:.1}", b as f64 / (1024.0 * 1024.0))
 }

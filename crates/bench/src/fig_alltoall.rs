@@ -33,12 +33,12 @@ pub struct Fig11 {
 
 impl Fig11 {
     /// Contention-aware accuracy.
-    pub fn smpi_vs_openmpi(&self) -> ErrorSummary {
+    pub(crate) fn smpi_vs_openmpi(&self) -> ErrorSummary {
         ErrorSummary::compare(&self.smpi, &self.openmpi)
     }
 
     /// Contention-blind accuracy (the ~78% underestimation of the paper).
-    pub fn nocontention_vs_openmpi(&self) -> ErrorSummary {
+    pub(crate) fn nocontention_vs_openmpi(&self) -> ErrorSummary {
         ErrorSummary::compare(&self.smpi_nc, &self.openmpi)
     }
 

@@ -20,7 +20,7 @@ use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
 /// A platform big enough for `nprocs` ranks: griffon when it fits (the
 /// paper's real runs), otherwise a synthetic GbE cluster of exactly that
 /// size (the paper's beyond-the-testbed scaling runs, §7.2).
-pub fn dt_platform(nprocs: usize) -> Arc<RoutedPlatform> {
+pub(crate) fn dt_platform(nprocs: usize) -> Arc<RoutedPlatform> {
     if nprocs <= griffon_rp().platform().num_hosts() {
         griffon_rp()
     } else {
@@ -46,7 +46,7 @@ fn run_dt(world: &World, class: DtClass, shape: DtGraph) -> DtRun {
 }
 
 /// Result of one DT run.
-pub struct DtRun {
+pub(crate) struct DtRun {
     /// Simulated completion time, seconds.
     pub makespan: f64,
     /// Actual (folded) peak application bytes.
@@ -65,7 +65,7 @@ pub struct Fig15 {
 
 impl Fig15 {
     /// SMPI vs OpenMPI error across all runs.
-    pub fn summary(&self) -> ErrorSummary {
+    pub(crate) fn summary(&self) -> ErrorSummary {
         let s: Vec<f64> = self.rows.iter().map(|r| r.2).collect();
         let o: Vec<f64> = self.rows.iter().map(|r| r.3).collect();
         ErrorSummary::compare(&s, &o)
@@ -114,7 +114,7 @@ pub struct Fig16 {
 
 impl Fig16 {
     /// Average folding factor across rows.
-    pub fn mean_factor(&self) -> f64 {
+    pub(crate) fn mean_factor(&self) -> f64 {
         let fs: Vec<f64> = self
             .rows
             .iter()

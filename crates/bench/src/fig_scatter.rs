@@ -45,17 +45,17 @@ pub struct Fig7 {
 
 impl Fig7 {
     /// SMPI-vs-MPICH2 error (the paper quotes ~5.3% average).
-    pub fn smpi_vs_mpich2(&self) -> ErrorSummary {
+    pub(crate) fn smpi_vs_mpich2(&self) -> ErrorSummary {
         ErrorSummary::compare(&self.smpi, &self.mpich2)
     }
 
     /// OpenMPI-vs-MPICH2 implementation spread, the paper's yardstick.
-    pub fn openmpi_vs_mpich2(&self) -> ErrorSummary {
+    pub(crate) fn openmpi_vs_mpich2(&self) -> ErrorSummary {
         ErrorSummary::compare(&self.openmpi, &self.mpich2)
     }
 
     /// No-contention error vs MPICH2.
-    pub fn nocontention_vs_mpich2(&self) -> ErrorSummary {
+    pub(crate) fn nocontention_vs_mpich2(&self) -> ErrorSummary {
         ErrorSummary::compare(&self.smpi_nc, &self.mpich2)
     }
 
@@ -113,7 +113,7 @@ pub struct SizeSweep {
 
 impl SizeSweep {
     /// SMPI vs OpenMPI error across the sweep.
-    pub fn summary(&self) -> ErrorSummary {
+    pub(crate) fn summary(&self) -> ErrorSummary {
         let s: Vec<f64> = self.rows.iter().map(|r| r.1).collect();
         let o: Vec<f64> = self.rows.iter().map(|r| r.2).collect();
         ErrorSummary::compare(&s, &o)
@@ -121,7 +121,7 @@ impl SizeSweep {
 
     /// Error restricted to sizes above `min_bytes` (the paper: "over 10 KiB
     /// is reasonably accurate").
-    pub fn summary_above(&self, min_bytes: u64) -> ErrorSummary {
+    pub(crate) fn summary_above(&self, min_bytes: u64) -> ErrorSummary {
         let s: Vec<f64> = self
             .rows
             .iter()
@@ -186,7 +186,7 @@ pub struct Fig9 {
 
 impl Fig9 {
     /// SMPI vs OpenMPI error.
-    pub fn summary(&self) -> ErrorSummary {
+    pub(crate) fn summary(&self) -> ErrorSummary {
         let s: Vec<f64> = self.rows.iter().map(|r| r.1).collect();
         let o: Vec<f64> = self.rows.iter().map(|r| r.2).collect();
         ErrorSummary::compare(&s, &o)

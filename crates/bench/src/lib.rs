@@ -16,7 +16,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod common;
+pub(crate) mod common;
 pub mod e2e;
 pub mod fig_alltoall;
 pub mod fig_dt;

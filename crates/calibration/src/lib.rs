@@ -7,10 +7,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod model;
+pub(crate) mod model;
 pub mod pingpong;
 
-pub use model::{
-    fit_best_affine, fit_default_affine, fit_piecewise, model_axis, predict, RouteRef,
-};
+pub use model::{fit_best_affine, fit_default_affine, fit_piecewise, predict, RouteRef};
 pub use pingpong::{default_sizes, pingpong, Sample};

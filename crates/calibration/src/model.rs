@@ -134,21 +134,6 @@ fn log_interp(lo: f64, hi: f64, t: f64) -> f64 {
     (lo.ln() + (hi.ln() - lo.ln()) * t).exp()
 }
 
-/// All three instantiations from one measurement set, as a named list — the
-/// calibration axis of a scenario matrix. Sweep drivers cross these against
-/// platforms, backends and noise models instead of picking one point model
-/// (a calibration is just another swept dimension).
-pub fn model_axis(samples: &[Sample], route: RouteRef) -> Vec<(String, TransferModel)> {
-    vec![
-        (
-            "affine-default".to_string(),
-            fit_default_affine(samples, route),
-        ),
-        ("affine-best".to_string(), fit_best_affine(samples, route)),
-        ("piecewise-3".to_string(), fit_piecewise(samples, 3, route)),
-    ]
-}
-
 /// Closed-form predictions of a model over the calibration sizes, for
 /// accuracy summaries (Figs. 3–5 are no-contention single-flow curves, so
 /// the closed form equals the engine's behaviour).

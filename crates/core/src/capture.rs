@@ -153,7 +153,7 @@ impl TiOp {
     /// v1 spelling (`region + <name>`): v1 predates [`TiOp::Coll`], and a
     /// trace captured today must still encode byte-identically to the v1
     /// goldens. The annotation survives only in the v2 binary format.
-    pub fn v1_line(&self) -> String {
+    pub(crate) fn v1_line(&self) -> String {
         match self {
             TiOp::Coll { name, .. } => TiOp::Region {
                 name: name.clone(),
@@ -161,20 +161,6 @@ impl TiOp {
             }
             .line(),
             other => other.line(),
-        }
-    }
-
-    /// The op with v2-only information erased: [`TiOp::Coll`] becomes the
-    /// region entry it replaced; everything else is unchanged. Mapping a
-    /// v2-decoded stream through this yields exactly the v1 view of the
-    /// same capture (the cross-format equality tests rely on it).
-    pub fn downgrade(&self) -> TiOp {
-        match self {
-            TiOp::Coll { name, .. } => TiOp::Region {
-                name: name.clone(),
-                enter: true,
-            },
-            other => other.clone(),
         }
     }
 }
@@ -270,23 +256,12 @@ impl TiTrace {
         s
     }
 
-    /// The trace with v2-only information erased (see [`TiOp::downgrade`]).
-    pub fn downgraded(&self) -> TiTrace {
-        TiTrace {
-            ranks: self
-                .ranks
-                .iter()
-                .map(|ops| ops.iter().map(TiOp::downgrade).collect())
-                .collect(),
-        }
-    }
-
     /// Serializes the trace in the versioned `TITRACE v1` text format.
     ///
     /// Floats use Rust's shortest-round-trip `Display`, so the codec is
     /// lossless and re-encoding a decoded trace reproduces the input
     /// byte for byte. Logical collectives are written in their v1 spelling
-    /// (see [`TiOp::v1_line`]), so v1 output is stable across the v2
+    /// (see `TiOp::v1_line`), so v1 output is stable across the v2
     /// capture changes.
     pub fn encode(&self) -> String {
         let mut buf = Vec::new();
@@ -298,7 +273,7 @@ impl TiTrace {
     /// Streams the `TITRACE v1` text format into `w` without building the
     /// whole document in memory. Wrap files in a
     /// [`std::io::BufWriter`] — the encoder issues one write per line.
-    pub fn encode_to(&self, mut w: impl std::io::Write) -> std::io::Result<()> {
+    pub(crate) fn encode_to(&self, mut w: impl std::io::Write) -> std::io::Result<()> {
         writeln!(w, "TITRACE v1")?;
         writeln!(w, "ranks {}", self.ranks.len())?;
         for (r, ops) in self.ranks.iter().enumerate() {
@@ -329,7 +304,7 @@ impl TiTrace {
     /// Streams a `TITRACE v1` document out of a [`std::io::BufRead`],
     /// decoding line by line (no whole-file string). Short reads and
     /// malformed lines surface as typed [`TraceIoError`]s, never panics.
-    pub fn decode_from(r: impl std::io::BufRead) -> Result<TiTrace, TraceIoError> {
+    pub(crate) fn decode_from(r: impl std::io::BufRead) -> Result<TiTrace, TraceIoError> {
         let err =
             |line: usize, message: String| TraceIoError::Format(TiDecodeError { line, message });
         let mut lines = r.lines().enumerate();

@@ -20,7 +20,7 @@
 //!   string dictionary (footer); repeated (peer, cid, tag) route triples
 //!   are referenced by a per-block route index after first use.
 //! * **Self-contained blocks.** Ops are grouped into blocks of
-//!   [`DEFAULT_BLOCK_OPS`]; every delta context resets at a block
+//!   `DEFAULT_BLOCK_OPS` (4 096) ops; every delta context resets at a block
 //!   boundary, so any block can be decoded knowing only the dictionary.
 //!   That is what makes *streaming* work on both ends: the capture
 //!   writer seals and forgets blocks as the run progresses (bounded
@@ -62,14 +62,14 @@ use crate::runtime::WaitMode;
 use smpi_obs::CodecStats;
 
 /// Leading magic of a `TITRACE2` file.
-pub const TIT2_MAGIC: &[u8; 8] = b"TITRACE2";
+pub(crate) const TIT2_MAGIC: &[u8; 8] = b"TITRACE2";
 /// Trailing magic (lets a reader validate the file end before seeking).
-pub const TIT2_TRAILER: &[u8; 8] = b"TIT2END\n";
+pub(crate) const TIT2_TRAILER: &[u8; 8] = b"TIT2END\n";
 /// Default ops per sealed block. Blocks are the unit of capture flushing
 /// and replay residency; 4096 ops keep both in the tens of kilobytes.
-pub const DEFAULT_BLOCK_OPS: usize = 4096;
+pub(crate) const DEFAULT_BLOCK_OPS: usize = 4096;
 /// Default global staging budget for the streaming capture writer.
-pub const DEFAULT_WRITER_BUDGET: usize = 4 << 20;
+pub(crate) const DEFAULT_WRITER_BUDGET: usize = 4 << 20;
 
 // Sanity caps applied while decoding untrusted bytes: a corrupted count
 // must produce a typed error, not a giant allocation.
@@ -919,7 +919,7 @@ impl<W: Write> TiV2Writer<W> {
 }
 
 /// Encodes a whole in-memory trace to `TITRACE2` bytes, chunking each rank
-/// into [`DEFAULT_BLOCK_OPS`]-sized blocks. Deterministic, and stable
+/// into blocks of `DEFAULT_BLOCK_OPS` (4 096) ops. Deterministic, and stable
 /// under round-trips: `encode_v2(&decode_v2(&b)?) == b`.
 pub fn encode_v2(trace: &TiTrace) -> Vec<u8> {
     encode_v2_blocks(trace, DEFAULT_BLOCK_OPS)
@@ -1138,7 +1138,7 @@ struct Resident {
 /// that counter (see [`ReaderStats::resident_peak_bytes`]) is how the
 /// benches *prove* replay memory is bounded by block size, not trace
 /// length.
-pub struct DecodedBlock {
+pub(crate) struct DecodedBlock {
     /// The block's ops, in capture order.
     pub ops: Vec<TiOp>,
     cost: u64,
@@ -1333,7 +1333,7 @@ impl TiV2Reader {
     /// holds at most one decoded block at a time.
     ///
     /// As an [`Iterator`] it panics on i/o failure or block corruption
-    /// discovered mid-stream; [`TiOpIter::try_next`] returns them instead
+    /// discovered mid-stream; `TiOpIter::try_next` returns them instead
     /// (and [`materialize`](Self::materialize) is a fully checked decode).
     pub fn rank_iter(self: &Arc<Self>, rank: usize) -> TiOpIter {
         assert!(rank < self.nranks, "rank {rank} out of range");
@@ -1370,7 +1370,7 @@ pub struct TiOpIter {
 impl TiOpIter {
     /// The next op, or the i/o failure or block corruption met while
     /// fetching it (`open` validates the container shape, not every block).
-    pub fn try_next(&mut self) -> Result<Option<TiOp>, TraceIoError> {
+    pub(crate) fn try_next(&mut self) -> Result<Option<TiOp>, TraceIoError> {
         loop {
             if let Some((blk, ix)) = &mut self.cur {
                 if *ix < blk.ops.len() {
@@ -1391,7 +1391,7 @@ impl TiOpIter {
     }
 }
 
-/// Panics where [`TiOpIter::try_next`] returns an error.
+/// Panics where `TiOpIter::try_next` returns an error.
 impl Iterator for TiOpIter {
     type Item = TiOp;
 

@@ -20,14 +20,14 @@
 //! | `reduce_scatter` | reduce + scatterv |
 //! | `alltoall` / `alltoallv` | pairwise exchange (Fig. 10) |
 //!
-//! Alternative algorithms for ablation studies live in [`variants`].
+//! Alternative algorithms for ablation studies live in `variants`.
 
-pub mod alltoall;
-pub mod basic;
-pub mod gather;
-pub mod reduce;
+pub(crate) mod alltoall;
+pub(crate) mod basic;
+pub(crate) mod gather;
+pub(crate) mod reduce;
 pub mod tree;
-pub mod variants;
+pub(crate) mod variants;
 
 use crate::comm::Comm;
 use crate::ctx::Ctx;
@@ -35,7 +35,7 @@ use crate::ctx::Ctx;
 /// Reserved tag space for collective traffic (applications should use tags
 /// below this; context ids already isolate communicators, the tag only
 /// separates phases within one collective).
-pub const COLL_TAG_BASE: i32 = 1 << 20;
+pub(crate) const COLL_TAG_BASE: i32 = 1 << 20;
 
 pub(crate) const TAG_BARRIER: i32 = COLL_TAG_BASE;
 pub(crate) const TAG_BCAST: i32 = COLL_TAG_BASE + 1;

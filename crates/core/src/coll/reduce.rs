@@ -27,7 +27,7 @@ impl Ctx<'_> {
     }
 
     /// Binomial-tree reduction (commutative operators).
-    pub fn reduce_binomial<T: Datatype>(
+    pub(crate) fn reduce_binomial<T: Datatype>(
         &self,
         send: &[T],
         op: &Op<T>,
@@ -58,7 +58,7 @@ impl Ctx<'_> {
 
     /// Linear reduction preserving rank order (non-commutative operators):
     /// the root receives every contribution and folds 0 ⊕ 1 ⊕ … ⊕ (p−1).
-    pub fn reduce_linear<T: Datatype>(
+    pub(crate) fn reduce_linear<T: Datatype>(
         &self,
         send: &[T],
         op: &Op<T>,
@@ -70,7 +70,6 @@ impl Ctx<'_> {
         let r = self.comm_rank(comm);
         if r == root {
             // Collect all contributions, then fold in rank order.
-            let mut parts: Vec<Vec<T>> = Vec::with_capacity(p);
             let mut reqs = Vec::new();
             for i in 0..p {
                 if i == root {
@@ -89,7 +88,6 @@ impl Ctx<'_> {
             for part in iter {
                 op.fold_into(&mut acc, &part);
             }
-            parts.clear();
             Some(acc)
         } else {
             self.send(send, root, TAG_REDUCE, comm);
@@ -114,7 +112,7 @@ impl Ctx<'_> {
     }
 
     /// Recursive-doubling allreduce (power-of-two ranks, commutative op).
-    pub fn allreduce_rdb<T: Datatype>(&self, send: &[T], op: &Op<T>, comm: &Comm) -> Vec<T> {
+    pub(crate) fn allreduce_rdb<T: Datatype>(&self, send: &[T], op: &Op<T>, comm: &Comm) -> Vec<T> {
         let _region = self.coll_region("allreduce_rdb");
         let p = comm.size();
         assert!(p.is_power_of_two());

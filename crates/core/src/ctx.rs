@@ -26,7 +26,7 @@
 //! waits, compute, sleep) describe simulated work, so they switch to the
 //! maestro and back (two user-level context switches). **Local simcalls** —
 //! pure bookkeeping with no simulated cost — are answered inside the rank
-//! from [`crate::state::SharedState`] without switching: `wtime` reads the
+//! from `crate::state::SharedState` without switching: `wtime` reads the
 //! published clock, sampling decisions consult the shared sample tables,
 //! `shared_malloc` hits the folded heap, and communicator/rank metadata
 //! (`rank`, `size`, `comm_create`) never leaves the rank. Ranks and maestro
@@ -201,7 +201,7 @@ impl<'h> Ctx<'h> {
     /// Simulated time in seconds (`MPI_Wtime`).
     ///
     /// Local simcall tier: answered from the maestro-published
-    /// [`crate::state::SimClock`] without switching to the maestro.
+    /// `crate::state::SimClock` without switching to the maestro.
     /// Simulated time only advances while every rank is blocked, so the
     /// value is identical to what a maestro round-trip ([`Simcall::Now`])
     /// returns — minus the two context switches.

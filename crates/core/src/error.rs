@@ -18,7 +18,7 @@ use std::fmt;
 
 use crate::flight::Postmortem;
 
-pub use surf_sim::{StallError, StuckAction};
+pub(crate) use surf_sim::StallError;
 
 /// A simulation failed to make progress.
 #[derive(Debug)]

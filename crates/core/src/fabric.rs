@@ -31,7 +31,7 @@ pub struct FabricToken(pub u64);
 
 impl FabricToken {
     /// The token's slot: its low 32 bits.
-    pub fn slot(self) -> u32 {
+    pub(crate) fn slot(self) -> u32 {
         self.0 as u32
     }
 }
@@ -40,14 +40,14 @@ impl FabricToken {
 ///
 /// # Token contract
 ///
-/// Every `start_*` returns a [`FabricToken`] packing `generation << 32 |
+/// Every `start_*` returns a `FabricToken` packing `generation << 32 |
 /// slot`: `slot` indexes the fabric's table of live actions and may be
 /// reused as soon as [`advance`](Fabric::advance) has returned the action's
 /// token, `generation` changes on each reuse. So no two tokens in flight
 /// share a slot, the slots in use stay as few as the fabric's concurrent
 /// actions, and a token of a completed action never equals a newer one.
 /// The runtime relies on all three: it indexes its pending-token table by
-/// [`FabricToken::slot`], compares the whole token on lookup, and claims
+/// `FabricToken::slot`, compares the whole token on lookup, and claims
 /// every token of an `advance` batch before dispatching any (dispatch
 /// starts actions, which may reuse a slot the batch just freed). Both
 /// backends hand out their slab handles' raw packing
@@ -104,7 +104,7 @@ pub trait Fabric {
 }
 
 /// The flow-level backend (SMPI's own model).
-pub struct SurfFabric {
+pub(crate) struct SurfFabric {
     rp: Arc<RoutedPlatform>,
     sim: Simulation,
     model: TransferModel,
@@ -120,7 +120,7 @@ impl SurfFabric {
     /// instantiating the platform's image with an optional
     /// [`PlatformPerturbation`] overlay. `None` — or the identity overlay —
     /// is bit-exact with the nominal platform.
-    pub fn new(
+    pub(crate) fn new(
         rp: Arc<RoutedPlatform>,
         model: TransferModel,
         engine: EngineConfig,
@@ -191,7 +191,7 @@ impl Fabric for SurfFabric {
 }
 
 /// The packet-level backend (ground truth).
-pub struct PacketFabric {
+pub(crate) struct PacketFabric {
     rp: Arc<RoutedPlatform>,
     net: PacketNet,
 }
@@ -200,7 +200,7 @@ impl PacketFabric {
     /// Builds the backend over a routed platform, with an optional
     /// [`PlatformPerturbation`] overlay scaling channel bandwidth/latency
     /// and host speeds.
-    pub fn new(
+    pub(crate) fn new(
         rp: Arc<RoutedPlatform>,
         config: PacketConfig,
         perturb: Option<&PlatformPerturbation>,
@@ -343,7 +343,7 @@ impl MpiProfile {
     }
 
     /// `true` when a message of `bytes` uses the eager protocol.
-    pub fn is_eager(&self, bytes: u64) -> bool {
+    pub(crate) fn is_eager(&self, bytes: u64) -> bool {
         bytes <= self.eager_threshold
     }
 }

@@ -1,6 +1,6 @@
 //! MPI message matching with per-(source, tag) FIFOs.
 //!
-//! The MPI matching rule (used by [`crate::runtime`]): a receive posted on
+//! The MPI matching rule (used by `crate::runtime`): a receive posted on
 //! `(cid, dst)` matches the **earliest compatible unmatched message** in
 //! send-post order (the non-overtaking guarantee), where the receive's
 //! source/tag may each be a wildcard ([`ANY_SOURCE`]/[`ANY_TAG`]).
@@ -212,7 +212,7 @@ impl<T: Copy> MsgFifos<T> {
     /// Every unmatched message queued for `(cid, dst)` as
     /// `(src, tag, seq, id)`, in push (send-post) order. Diagnostics only —
     /// this walks every bucket.
-    pub fn envelopes(&self, cid: u32, dst: u32) -> Vec<(u32, i32, u64, T)> {
+    pub(crate) fn envelopes(&self, cid: u32, dst: u32) -> Vec<(u32, i32, u64, T)> {
         let entries = self.chans.entries(cid, dst).into_iter();
         entries
             .map(|((src, tag), seq, id)| (src, tag, seq, id))
@@ -221,7 +221,7 @@ impl<T: Copy> MsgFifos<T> {
 
     /// Locates a queued message by id, returning its
     /// `(cid, dst, src, tag)`. Diagnostics only — a full scan.
-    pub fn find(&self, id: T) -> Option<(u32, u32, u32, i32)>
+    pub(crate) fn find(&self, id: T) -> Option<(u32, u32, u32, i32)>
     where
         T: PartialEq,
     {
@@ -284,7 +284,7 @@ impl<T: Copy> RecvFifos<T> {
     /// Every unmatched receive posted on `(cid, dst)` as
     /// `(src, tag, seq, id)` (wildcards included), in push (post) order.
     /// Diagnostics only — this walks every bucket.
-    pub fn specs(&self, cid: u32, dst: u32) -> Vec<(i32, i32, u64, T)> {
+    pub(crate) fn specs(&self, cid: u32, dst: u32) -> Vec<(i32, i32, u64, T)> {
         let entries = self.chans.entries(cid, dst).into_iter();
         entries
             .map(|((src, tag), seq, id)| (src, tag, seq, id))
@@ -293,7 +293,7 @@ impl<T: Copy> RecvFifos<T> {
 
     /// Locates a posted receive by id, returning its
     /// `(cid, dst, src, tag)` specification. Diagnostics only — a full scan.
-    pub fn find(&self, id: T) -> Option<(u32, u32, i32, i32)>
+    pub(crate) fn find(&self, id: T) -> Option<(u32, u32, i32, i32)>
     where
         T: PartialEq,
     {

@@ -16,7 +16,7 @@
 //!   the streaming variant that writes the same bytes section by section
 //!   to any [`std::io::Write`] sink without building the whole report in
 //!   memory first;
-//! * [`RunReport::chrome_trace`] — a Chrome Trace Event Format export
+//! * `RunReport::chrome_trace` — a Chrome Trace Event Format export
 //!   (load in `chrome://tracing` or Perfetto): one complete ("X") event
 //!   per rank-state interval from the metrics timelines;
 //!   [`RunReport::write_chrome_trace`] streams the same bytes to any
@@ -301,14 +301,15 @@ impl<R> RunReport<R> {
     /// [`crate::world::World::metrics`]) become complete (`"X"`) events on
     /// one thread row per rank. Timestamps are simulated microseconds. The
     /// metadata header is always emitted, with or without metrics.
-    pub fn chrome_trace(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn chrome_trace(&self) -> String {
         let mut buf = Vec::new();
         self.write_chrome_trace(&mut buf)
             .expect("in-memory chrome-trace write cannot fail");
         String::from_utf8(buf).expect("chrome trace is UTF-8")
     }
 
-    /// Streaming variant of [`RunReport::chrome_trace`]: writes the same
+    /// Streaming variant of `RunReport::chrome_trace`: writes the same
     /// bytes event by event to any [`io::Write`] sink. A long run's
     /// rank-state intervals never have to be materialized as one giant
     /// string — mirror of [`RunReport::write_json`].

@@ -186,9 +186,9 @@ pub enum SimResp {
 }
 
 /// The simix runtime specialized to the SMPI protocol.
-pub type Sx = Simix<Simcall, SimResp>;
+pub(crate) type Sx = Simix<Simcall, SimResp>;
 /// Actor-side handle specialized to the SMPI protocol.
-pub type SxHandle = simix::ActorHandle<Simcall, SimResp>;
+pub(crate) type SxHandle = simix::ActorHandle<Simcall, SimResp>;
 
 /// A live message: its slab slot, and its sequence number (the send-post
 /// order the matching store keeps), which the slot must still hold for the
@@ -284,7 +284,7 @@ struct Waiting {
 
 /// The progress engine. Owns the fabric and all protocol state; the
 /// [`crate::world::World`] runner wires it to a `Simix` instance.
-pub struct Runtime {
+pub(crate) struct Runtime {
     fabric: Box<dyn Fabric>,
     profile: MpiProfile,
     /// World rank -> host placement.
@@ -351,7 +351,11 @@ pub struct Runtime {
 impl Runtime {
     /// Creates a runtime over a fabric for `nranks` ranks placed on hosts
     /// round-robin (`placement[r]` is rank r's host).
-    pub fn new(fabric: Box<dyn Fabric>, profile: MpiProfile, placement: Vec<HostIx>) -> Self {
+    pub(crate) fn new(
+        fabric: Box<dyn Fabric>,
+        profile: MpiProfile,
+        placement: Vec<HostIx>,
+    ) -> Self {
         let n = placement.len();
         Runtime {
             fabric,
@@ -389,26 +393,26 @@ impl Runtime {
     /// Installs a metrics recorder on the maestro and (a clone of it) on the
     /// fabric. Protocol counters, per-rank state timelines and the fabric's
     /// own metrics all land in the same [`smpi_obs::MemoryRecorder`].
-    pub fn set_recorder(&mut self, rec: Rec) {
+    pub(crate) fn set_recorder(&mut self, rec: Rec) {
         self.fabric.set_recorder(rec.clone());
         self.rec = rec;
     }
 
     /// Enables wall-clock phase timing in [`drive`](Self::drive).
-    pub fn enable_profiling(&mut self) {
+    pub(crate) fn enable_profiling(&mut self) {
         self.profiling = true;
     }
 
     /// Installs the clock the maestro publishes simulated time to. Ranks
     /// holding a clone answer `MPI_Wtime` locally, without switching to the
     /// maestro (the local simcall tier; see [`crate::state::SimClock`]).
-    pub fn set_clock(&mut self, clock: Rc<SimClock>) {
+    pub(crate) fn set_clock(&mut self, clock: Rc<SimClock>) {
         clock.publish(self.now());
         self.clock = clock;
     }
 
     /// Snapshots the accumulated metrics, or `None` when no recorder is set.
-    pub fn take_metrics(&self) -> Option<smpi_obs::MetricsReport> {
+    pub(crate) fn take_metrics(&self) -> Option<smpi_obs::MetricsReport> {
         self.rec.snapshot()
     }
 
@@ -416,7 +420,7 @@ impl Runtime {
     /// its per-link share integrals and bottleneck residency, plus the
     /// fabric's link-name table. `None` unless a recorder was enabled (the
     /// fabric records no attribution without one).
-    pub fn take_contention(&mut self) -> Option<ContentionReport> {
+    pub(crate) fn take_contention(&mut self) -> Option<ContentionReport> {
         if !self.rec.is_enabled() {
             return None;
         }
@@ -428,7 +432,7 @@ impl Runtime {
 
     /// The simulator's self-profile (valid after [`drive`](Self::drive)).
     /// `wall_seconds` is left for the caller, which owns the outer clock.
-    pub fn self_profile(&self) -> SelfProfile {
+    pub(crate) fn self_profile(&self) -> SelfProfile {
         SelfProfile {
             phases: if self.profiling {
                 vec![
@@ -452,17 +456,17 @@ impl Runtime {
     }
 
     /// Enables event tracing (see [`crate::trace`]).
-    pub fn enable_tracing(&mut self) {
+    pub(crate) fn enable_tracing(&mut self) {
         self.trace = Some(Vec::new());
     }
 
     /// Takes the recorded trace (empty if tracing was off).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.take().unwrap_or_default()
     }
 
     /// Enables time-independent trace capture (see [`crate::capture`]).
-    pub fn enable_capture(&mut self) {
+    pub(crate) fn enable_capture(&mut self) {
         self.capture = Some(Capture::new(self.finish_times.len()));
     }
 
@@ -470,7 +474,7 @@ impl Runtime {
     /// `TITRACE2` format as the run progresses, holding at most
     /// `budget_bytes` of staged ops (see [`crate::capture_v2`]). The sink
     /// is finalized by [`take_capture_stats`](Self::take_capture_stats).
-    pub fn enable_capture_stream(
+    pub(crate) fn enable_capture_stream(
         &mut self,
         out: Box<dyn std::io::Write + Send>,
         block_ops: usize,
@@ -486,7 +490,7 @@ impl Runtime {
 
     /// Takes the captured time-independent trace, if in-memory capture was
     /// enabled (`None` for streaming capture — the ops are on disk).
-    pub fn take_capture(&mut self) -> Option<TiTrace> {
+    pub(crate) fn take_capture(&mut self) -> Option<TiTrace> {
         match &self.capture {
             Some(cap) if !cap.is_streaming() => self.capture.take().map(Capture::into_trace),
             _ => None,
@@ -496,7 +500,7 @@ impl Runtime {
     /// Finalizes a streaming capture (flush + footer), returning the codec
     /// counters. `None` unless [`enable_capture_stream`](Self::enable_capture_stream)
     /// was used.
-    pub fn take_capture_stats(&mut self) -> Option<std::io::Result<smpi_obs::CodecStats>> {
+    pub(crate) fn take_capture_stats(&mut self) -> Option<std::io::Result<smpi_obs::CodecStats>> {
         match &self.capture {
             Some(cap) if cap.is_streaming() => {
                 Some(self.capture.take().expect("just matched").finish_stream())
@@ -514,12 +518,12 @@ impl Runtime {
     }
 
     /// Current simulated time in seconds.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.fabric.now().as_secs()
     }
 
     /// Per-rank completion times (valid after [`drive`](Self::drive)).
-    pub fn finish_times(&self) -> &[f64] {
+    pub(crate) fn finish_times(&self) -> &[f64] {
         &self.finish_times
     }
 
@@ -529,7 +533,10 @@ impl Runtime {
     /// Fails with [`SimError::Stall`] when the fabric has in-flight work
     /// that can never complete, and [`SimError::Deadlock`] when ranks are
     /// blocked with nothing in flight.
-    pub fn drive<S: Scheduler<Simcall, SimResp>>(&mut self, sx: &mut S) -> Result<(), SimError> {
+    pub(crate) fn drive<S: Scheduler<Simcall, SimResp>>(
+        &mut self,
+        sx: &mut S,
+    ) -> Result<(), SimError> {
         let mut alive = sx.num_actors();
         if self.rec.is_enabled() {
             let t = self.now();

@@ -25,7 +25,7 @@ use crate::ctx::Ctx;
 
 /// Aggregated timings for one sampling site.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SampleStats {
+pub(crate) struct SampleStats {
     /// Number of executions measured so far.
     pub count: u32,
     /// Sum of simulated durations of the measured executions.
@@ -34,7 +34,7 @@ pub struct SampleStats {
 
 impl SampleStats {
     /// Mean measured duration.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -51,18 +51,19 @@ enum Key {
 
 /// The shared sampling table.
 #[derive(Debug, Default)]
-pub struct SampleStore {
+pub(crate) struct SampleStore {
     inner: RefCell<HashMap<Key, SampleStats>>,
 }
 
 impl SampleStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Statistics of a local site for one rank (None if never sampled).
-    pub fn local_stats(&self, site: &str, rank: u32) -> Option<SampleStats> {
+    #[cfg(test)]
+    pub(crate) fn local_stats(&self, site: &str, rank: u32) -> Option<SampleStats> {
         self.inner
             .borrow()
             .get(&Key::Local(site.to_string(), rank))
@@ -70,7 +71,8 @@ impl SampleStore {
     }
 
     /// Statistics of a global site.
-    pub fn global_stats(&self, site: &str) -> Option<SampleStats> {
+    #[cfg(test)]
+    pub(crate) fn global_stats(&self, site: &str) -> Option<SampleStats> {
         self.inner
             .borrow()
             .get(&Key::Global(site.to_string()))

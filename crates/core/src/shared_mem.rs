@@ -38,7 +38,7 @@ use crate::state::SharedState;
 /// Tracks simulated-application memory usage (bytes): current and peak, both
 /// actual (folded) and logical (unfolded).
 #[derive(Debug, Default)]
-pub struct MemoryTracker {
+pub(crate) struct MemoryTracker {
     inner: RefCell<MemInner>,
 }
 
@@ -72,12 +72,12 @@ impl MemoryReport {
 
 impl MemoryTracker {
     /// Fresh tracker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records an allocation.
-    pub fn allocate(&self, actual: u64, logical: u64) {
+    pub(crate) fn allocate(&self, actual: u64, logical: u64) {
         let mut m = self.inner.borrow_mut();
         m.current += actual;
         m.peak = m.peak.max(m.current);
@@ -86,14 +86,14 @@ impl MemoryTracker {
     }
 
     /// Records a deallocation.
-    pub fn release(&self, actual: u64, logical: u64) {
+    pub(crate) fn release(&self, actual: u64, logical: u64) {
         let mut m = self.inner.borrow_mut();
         m.current = m.current.saturating_sub(actual);
         m.logical_current = m.logical_current.saturating_sub(logical);
     }
 
     /// Current + peak usage.
-    pub fn report(&self) -> MemoryReport {
+    pub(crate) fn report(&self) -> MemoryReport {
         let m = self.inner.borrow();
         MemoryReport {
             peak_bytes: m.peak,
@@ -157,7 +157,7 @@ impl<T> Drop for Buffer<T> {
 
 /// The folded allocation table, keyed by allocation site.
 #[derive(Default)]
-pub struct SharedHeap {
+pub(crate) struct SharedHeap {
     inner: RefCell<HashMap<String, HeapEntry>>,
 }
 
@@ -169,7 +169,7 @@ impl std::fmt::Debug for SharedHeap {
 
 impl SharedHeap {
     /// Empty heap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -26,28 +26,28 @@ use crate::shared_mem::{MemoryTracker, SharedHeap};
 /// maestro share one thread, so program order is the only ordering there
 /// is, and a `Cell` is all the clock needs.
 #[derive(Debug, Default)]
-pub struct SimClock(Cell<f64>);
+pub(crate) struct SimClock(Cell<f64>);
 
 impl SimClock {
     /// A clock at t = 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current simulated time in seconds.
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.0.get()
     }
 
     /// Publishes a new simulated time (maestro only).
-    pub fn publish(&self, t: f64) {
+    pub(crate) fn publish(&self, t: f64) {
         self.0.set(t);
     }
 }
 
 /// Per-run configuration visible to ranks.
 #[derive(Debug, Clone)]
-pub struct RunConfig {
+pub(crate) struct RunConfig {
     /// Multiplier from host wall-clock seconds to simulated seconds for
     /// measured CPU bursts (§3.1: "a factor by which CPU burst durations can
     /// be scaled to account for a performance differential between the host
@@ -76,7 +76,7 @@ impl Default for RunConfig {
 /// Everything ranks share: context-id registry, sampling tables, the folded
 /// heap, the memory accountant and the published simulated clock.
 #[derive(Debug)]
-pub struct SharedState {
+pub(crate) struct SharedState {
     /// Context-id agreement for communicator creation.
     pub registry: CommRegistry,
     /// CPU-burst sampling tables (`SMPI_SAMPLE_*`).
@@ -97,7 +97,7 @@ pub struct SharedState {
 
 impl SharedState {
     /// Fresh state for a run.
-    pub fn new(config: RunConfig) -> Self {
+    pub(crate) fn new(config: RunConfig) -> Self {
         SharedState {
             registry: CommRegistry::new(),
             sampling: SampleStore::new(),
@@ -110,12 +110,12 @@ impl SharedState {
     }
 
     /// Counts one local-tier simcall (answered without leaving the rank).
-    pub fn count_local_call(&self) {
+    pub(crate) fn count_local_call(&self) {
         self.local_calls.set(self.local_calls.get() + 1);
     }
 
     /// Total local-tier simcalls so far.
-    pub fn local_calls(&self) -> u64 {
+    pub(crate) fn local_calls(&self) -> u64 {
         self.local_calls.get()
     }
 }

@@ -80,7 +80,7 @@ impl<T> PostWindow<T> {
     }
 
     /// Mutable access to the entry stored under `post`, if live.
-    pub fn get_mut(&mut self, post: u32) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, post: u32) -> Option<&mut T> {
         match post.checked_sub(self.base) {
             Some(off) => self.ring.get_mut(off as usize)?.as_mut(),
             None => {
@@ -104,7 +104,8 @@ impl<T> PostWindow<T> {
 
     /// Slots the window has allocated (ring and stragglers): its footprint,
     /// which follows the live count, not the post count.
-    pub fn slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
         self.ring.capacity() + self.stragglers.capacity()
     }
 

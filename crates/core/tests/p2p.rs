@@ -566,7 +566,6 @@ mod payload {
             let (ta, tb) = (a.ti_trace.unwrap(), b.ti_trace.unwrap());
             assert_eq!(ta.encode(), tb.encode(), "TITRACE v1");
             assert_eq!(encode_v2(&ta), encode_v2(&tb), "TITRACE v2");
-            assert_eq!(ta.downgraded().encode(), tb.downgraded().encode());
         }
     }
 }

@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-/// Tuning for [`align_streams`].
+/// Tuning for `align_streams`.
 #[derive(Debug, Clone)]
 pub struct AlignConfig {
     /// Maximum items buffered per side while searching for a resync point.
@@ -49,7 +49,7 @@ impl Default for AlignConfig {
 
 /// Classification of one aligned item (or item pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Edit {
+pub(crate) enum Edit {
     /// Present and equal in both streams.
     Match,
     /// Present in both streams at aligned positions, but different.
@@ -62,7 +62,7 @@ pub enum Edit {
 
 /// How the first divergence between the streams presented itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DivergeKind {
+pub(crate) enum DivergeKind {
     /// Both streams had an item at the divergence point, and they differ.
     Mismatch,
     /// Stream `a` ended while `b` still had items.
@@ -73,7 +73,7 @@ pub enum DivergeKind {
 
 /// The first point where the two streams stopped agreeing, with context.
 #[derive(Debug, Clone)]
-pub struct Divergence<T> {
+pub(crate) struct Divergence<T> {
     /// 0-based index of the diverging item in stream `a`.
     pub index_a: u64,
     /// 0-based index of the diverging item in stream `b`.
@@ -83,16 +83,16 @@ pub struct Divergence<T> {
     /// The last matched items before the divergence (oldest first).
     pub context: Vec<T>,
     /// Up to [`AlignConfig::context`] items of stream `a` from the
-    /// divergence point (empty for [`DivergeKind::TailB`]).
+    /// divergence point (empty for `DivergeKind::TailB`).
     pub a: Vec<T>,
     /// Up to [`AlignConfig::context`] items of stream `b` from the
-    /// divergence point (empty for [`DivergeKind::TailA`]).
+    /// divergence point (empty for `DivergeKind::TailA`).
     pub b: Vec<T>,
 }
 
 /// Aggregate result of aligning two streams.
 #[derive(Debug, Clone)]
-pub struct StreamDiff<T> {
+pub(crate) struct StreamDiff<T> {
     /// First divergence, `None` when the streams are identical.
     pub first: Option<Divergence<T>>,
     /// Items present and equal in both streams.
@@ -133,7 +133,8 @@ impl<T> Default for StreamDiff<T> {
 
 impl<T> StreamDiff<T> {
     /// `true` when the streams were item-for-item identical.
-    pub fn is_identical(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_identical(&self) -> bool {
         self.first.is_none() && self.mutated == 0 && self.added == 0 && self.removed == 0
     }
 }
@@ -186,7 +187,12 @@ impl<T, I: Iterator<Item = T>> Feed<T, I> {
 /// the aggregate [`StreamDiff`]. `sink` receives, in stream order, each
 /// edit with the participating item from each side ([`Edit::Match`] and
 /// [`Edit::Mutate`] carry both; insertions/deletions carry one).
-pub fn align_streams<T, IA, IB, S>(a: IA, b: IB, cfg: &AlignConfig, mut sink: S) -> StreamDiff<T>
+pub(crate) fn align_streams<T, IA, IB, S>(
+    a: IA,
+    b: IB,
+    cfg: &AlignConfig,
+    mut sink: S,
+) -> StreamDiff<T>
 where
     T: PartialEq + Clone,
     IA: Iterator<Item = T>,

@@ -13,7 +13,7 @@ use smpi_obs::json::JsonBuf;
 
 /// Line-level divergence report between an actual and a golden text.
 #[derive(Debug, Clone)]
-pub struct GoldenDiff {
+pub(crate) struct GoldenDiff {
     /// Identifier used for the artifact file name.
     pub name: String,
     /// Matched lines.
@@ -36,12 +36,12 @@ pub struct GoldenDiff {
 
 impl GoldenDiff {
     /// `true` when the texts are line-for-line identical.
-    pub fn is_identical(&self) -> bool {
+    pub(crate) fn is_identical(&self) -> bool {
         self.first.is_none()
     }
 
     /// Deterministic JSON artifact.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.key("kind").str_val("golden_diff");
@@ -72,7 +72,7 @@ impl GoldenDiff {
     }
 
     /// Human-readable divergence report (what the failing assert prints).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
@@ -108,7 +108,7 @@ impl GoldenDiff {
 }
 
 /// Aligns `got` against the golden `want` line by line.
-pub fn diff_golden(name: &str, want: &str, got: &str) -> GoldenDiff {
+pub(crate) fn diff_golden(name: &str, want: &str, got: &str) -> GoldenDiff {
     let cfg = AlignConfig {
         context: 2,
         ..AlignConfig::default()

@@ -6,13 +6,13 @@
 //! broken golden only says *that* two runs differ. This crate explains
 //! *where and why*, in two aligned layers:
 //!
-//! * [`trace_diff`] — streams two captures ([`smpi::TraceSource`]s:
+//! * `trace_diff` — streams two captures ([`smpi::TraceSource`]s:
 //!   TITRACE v1 or v2, in memory or on disk) with bounded memory, aligns
 //!   the per-rank op streams (exact-match fast path,
 //!   windowed resync across insertions/deletions), and reports the first
 //!   divergent op per rank with context in TITRACE op syntax plus a
 //!   whole-run edit summary by op kind;
-//! * [`report_diff`] — deep structural comparison of two
+//! * `report_diff` — deep structural comparison of two
 //!   [`smpi::RunReport`]s: metrics top movers, kernel counters, time
 //!   series re-bucketed to a common grid, per-link/per-rank contention
 //!   deltas, and which segments entered or left the critical path.
@@ -27,15 +27,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod align;
-pub mod golden;
-pub mod report_diff;
-pub mod trace_diff;
+pub(crate) mod align;
+pub(crate) mod golden;
+pub(crate) mod report_diff;
+pub(crate) mod trace_diff;
 
-pub use align::{AlignConfig, Divergence, Edit, StreamDiff};
-pub use golden::{assert_golden, diff_golden, GoldenDiff};
-pub use report_diff::{diff_reports, ContentionDiff, MetricsDiff, ReportDiff};
+pub use align::AlignConfig;
+pub use golden::assert_golden;
+pub use report_diff::{
+    diff_reports, ContentionDiff, CpDiff, LinkDelta, MetricsDiff, Mover, ReportDiff,
+};
 pub use smpi_obs::json::JsonValue;
 pub use trace_diff::{
-    diff_sources, diff_trace_files, diff_traces, FirstDivergence, RankDiff, TraceDiff,
+    diff_trace_files, diff_traces, FirstDivergence, KindCounts, RankDiff, TraceDiff,
 };

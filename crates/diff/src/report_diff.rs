@@ -25,7 +25,7 @@ pub struct Mover {
 
 impl Mover {
     /// Signed change `b - a`.
-    pub fn delta(&self) -> f64 {
+    pub(crate) fn delta(&self) -> f64 {
         self.b - self.a
     }
 }
@@ -119,7 +119,7 @@ pub struct ReportDiff {
 
 impl ReportDiff {
     /// `true` when every compared (simulated) quantity is identical.
-    pub fn is_identical(&self) -> bool {
+    pub(crate) fn is_identical(&self) -> bool {
         self.sim_time.0 == self.sim_time.1
             && self.nranks.0 == self.nranks.1
             && self.finish_changed == 0
@@ -499,8 +499,6 @@ pub fn diff_reports<RA, RB>(a: &RunReport<RA>, b: &RunReport<RB>, top_k: usize) 
     let kernel = match (&a.profile.kernel, &b.profile.kernel) {
         (Some(ka), Some(kb)) => [
             ("reshares", ka.reshares, kb.reshares),
-            ("heap_rebuilds", ka.heap_rebuilds, kb.heap_rebuilds),
-            ("heap_orphans", ka.heap_orphans, kb.heap_orphans),
             ("classes_folded", ka.classes_folded, kb.classes_folded),
             (
                 "batched_completions",

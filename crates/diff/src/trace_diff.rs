@@ -20,7 +20,7 @@ use smpi_obs::json::JsonBuf;
 use crate::align::{align_streams, AlignConfig, DivergeKind, Edit};
 
 /// Short classifier for an op, used by the per-kind edit summary.
-pub fn op_kind(op: &TiOp) -> &'static str {
+pub(crate) fn op_kind(op: &TiOp) -> &'static str {
     match op {
         TiOp::Compute { .. } => "compute",
         TiOp::Sleep { .. } => "sleep",
@@ -355,7 +355,7 @@ where
 /// Diffs two traces, wherever they live, rank by rank. Stops at the first
 /// op a source fails to deliver (a `TITRACE2` block found corrupt
 /// mid-stream) and returns that error.
-pub fn diff_sources(
+pub(crate) fn diff_sources(
     a: &TraceSource,
     b: &TraceSource,
     cfg: &AlignConfig,

@@ -7,7 +7,7 @@
 //! back to a percentage.
 
 /// `|ln x − ln r|`. Panics on non-positive inputs (times are positive).
-pub fn log_error(x: f64, r: f64) -> f64 {
+pub(crate) fn log_error(x: f64, r: f64) -> f64 {
     assert!(
         x > 0.0 && r > 0.0,
         "log error needs positive values ({x}, {r})"
@@ -17,12 +17,12 @@ pub fn log_error(x: f64, r: f64) -> f64 {
 
 /// Converts a (possibly aggregated) log error back to a fractional error:
 /// `e^le − 1` (multiply by 100 for the paper's percentages).
-pub fn to_fraction(le: f64) -> f64 {
+pub(crate) fn to_fraction(le: f64) -> f64 {
     le.exp() - 1.0
 }
 
 /// Mean log error over paired samples.
-pub fn mean_log_error(xs: &[f64], rs: &[f64]) -> f64 {
+pub(crate) fn mean_log_error(xs: &[f64], rs: &[f64]) -> f64 {
     assert_eq!(xs.len(), rs.len());
     assert!(!xs.is_empty());
     xs.iter()
@@ -33,7 +33,7 @@ pub fn mean_log_error(xs: &[f64], rs: &[f64]) -> f64 {
 }
 
 /// Maximum log error over paired samples.
-pub fn max_log_error(xs: &[f64], rs: &[f64]) -> f64 {
+pub(crate) fn max_log_error(xs: &[f64], rs: &[f64]) -> f64 {
     assert_eq!(xs.len(), rs.len());
     xs.iter()
         .zip(rs)

@@ -14,14 +14,10 @@ pub struct LinearFit {
 
 impl LinearFit {
     /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, x: f64) -> f64 {
         self.intercept + self.slope * x
     }
-}
-
-/// Least-squares fit. Panics on fewer than 2 points or zero x-variance.
-pub fn fit(xs: &[f64], ys: &[f64]) -> LinearFit {
-    fit_weighted(xs, ys, None)
 }
 
 /// Weighted least squares: minimizes `Σ wᵢ (α + β·xᵢ − yᵢ)²`. With
@@ -29,7 +25,7 @@ pub fn fit(xs: &[f64], ys: &[f64]) -> LinearFit {
 /// accuracy is judged with the logarithmic error of §7.1, because residuals
 /// count proportionally to the measured value. `None` weights are all-ones
 /// (plain OLS).
-pub fn fit_weighted(xs: &[f64], ys: &[f64], ws: Option<&[f64]>) -> LinearFit {
+pub(crate) fn fit_weighted(xs: &[f64], ys: &[f64], ws: Option<&[f64]>) -> LinearFit {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len();
     assert!(n >= 2, "need at least two points to fit a line");
@@ -61,6 +57,12 @@ pub fn fit_weighted(xs: &[f64], ys: &[f64], ws: Option<&[f64]>) -> LinearFit {
         slope,
         r2,
     }
+}
+
+/// Least-squares fit. Panics on fewer than 2 points or zero x-variance.
+#[cfg(test)]
+pub(crate) fn fit(xs: &[f64], ys: &[f64]) -> LinearFit {
+    fit_weighted(xs, ys, None)
 }
 
 #[cfg(test)]

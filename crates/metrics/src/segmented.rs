@@ -15,7 +15,7 @@ use crate::regress::{fit_weighted, LinearFit};
 
 /// Minimum points per segment (a 2-point fit has r² = 1 by construction and
 /// would let the optimizer cheat).
-pub const MIN_POINTS: usize = 3;
+pub(crate) const MIN_POINTS: usize = 3;
 
 /// One fitted segment over `[lo, hi)` in x-space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +39,8 @@ pub struct SegmentedFit {
 
 impl SegmentedFit {
     /// Prediction at `x` (the segment whose range contains `x`).
-    pub fn predict(&self, x: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, x: f64) -> f64 {
         for s in &self.segments {
             if x < s.x_hi {
                 return s.fit.predict(x);
@@ -49,17 +50,12 @@ impl SegmentedFit {
     }
 }
 
-/// Fits `k` segments to `(xs, ys)` maximizing the product of r², with plain
-/// (absolute) least squares per segment. Points need not be sorted. Panics
-/// if there are fewer than `k * MIN_POINTS` points.
-pub fn fit_segments(xs: &[f64], ys: &[f64], k: usize) -> SegmentedFit {
-    fit_segments_impl(xs, ys, k, false)
-}
-
-/// Like [`fit_segments`] but with *relative* least squares (1/y² weights)
-/// per segment. This is the right variant for transfer times judged by the
-/// logarithmic error: segments spanning decades of message size would
-/// otherwise be fitted only to their largest points.
+/// Fits `k` segments to `(xs, ys)` maximizing the product of r², with
+/// *relative* least squares (1/y² weights) per segment. Points need not be
+/// sorted. Panics if there are fewer than `k * MIN_POINTS` points. This is
+/// the right variant for transfer times judged by the logarithmic error:
+/// segments spanning decades of message size would otherwise be fitted
+/// only to their largest points.
 pub fn fit_segments_relative(xs: &[f64], ys: &[f64], k: usize) -> SegmentedFit {
     fit_segments_impl(xs, ys, k, true)
 }
@@ -147,10 +143,19 @@ fn fit_segments_impl(xs: &[f64], ys: &[f64], k: usize, relative: bool) -> Segmen
     }
 }
 
+/// Fits `k` segments to `(xs, ys)` maximizing the product of r², with plain
+/// (absolute) least squares per segment. Points need not be sorted. Panics
+/// if there are fewer than `k * MIN_POINTS` points.
+#[cfg(test)]
+pub(crate) fn fit_segments(xs: &[f64], ys: &[f64], k: usize) -> SegmentedFit {
+    fit_segments_impl(xs, ys, k, false)
+}
+
 /// Convenience: tries 1..=max_k segments and returns each fit (for the
 /// paper's "in practice, the model should be instantiated for 3 segments"
 /// ablation).
-pub fn fit_segment_sweep(xs: &[f64], ys: &[f64], max_k: usize) -> Vec<SegmentedFit> {
+#[cfg(test)]
+pub(crate) fn fit_segment_sweep(xs: &[f64], ys: &[f64], max_k: usize) -> Vec<SegmentedFit> {
     (1..=max_k)
         .filter(|k| xs.len() >= k * MIN_POINTS)
         .map(|k| fit_segments_relative(xs, ys, k))

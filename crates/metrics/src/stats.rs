@@ -1,13 +1,13 @@
 //! Small summary-statistics helpers used across the benchmark harness.
 
 /// Arithmetic mean. Panics on empty input.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
 /// Sample variance (n−1 denominator); 0 for fewer than two samples.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -15,23 +15,18 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Minimum. Panics on empty input.
-pub fn min(xs: &[f64]) -> f64 {
+pub(crate) fn min(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 /// Maximum. Panics on empty input (returns -inf).
-pub fn max(xs: &[f64]) -> f64 {
+pub(crate) fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Median (averages the middle pair for even lengths).
-pub fn median(xs: &[f64]) -> f64 {
+pub(crate) fn median(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
     let mut v = xs.to_vec();
     v.sort_by(f64::total_cmp);
@@ -41,13 +36,6 @@ pub fn median(xs: &[f64]) -> f64 {
     } else {
         (v[n / 2 - 1] + v[n / 2]) / 2.0
     }
-}
-
-/// Geometric mean of positive samples.
-pub fn geomean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty());
-    assert!(xs.iter().all(|&x| x > 0.0));
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -74,11 +62,5 @@ mod tests {
     fn variance_matches_formula() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
-        assert!((stddev(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_of_powers() {
-        assert!((geomean(&[1.0, 4.0, 16.0]) - 4.0).abs() < 1e-12);
     }
 }

@@ -16,10 +16,10 @@ pub struct KernelProfile {
     pub reshares: u64,
     /// Always 0: the completion heap is addressable, so it is never
     /// rebuilt. Kept, like `parallel_components`, only because the frozen
-    /// `benchmark/` reads it.
+    /// `benchmark/` reads it; nothing renders, serializes or diffs it.
     pub heap_rebuilds: u64,
     /// Always 0: a rate change re-keys its heap entry in place, so no stale
-    /// entry exists to be dropped. Kept for the frozen `benchmark/`.
+    /// entry exists to be dropped. Kept for the frozen `benchmark/` alone.
     pub heap_orphans: u64,
     /// Flows folded away into uniform-round route-class representatives
     /// (each saved a solver variable).
@@ -54,10 +54,7 @@ impl KernelProfile {
     /// Human-readable summary lines (indented for the self-profile).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "  kernel: {} reshares, heap {} rebuilds / {} orphans\n",
-            self.reshares, self.heap_rebuilds, self.heap_orphans
-        ));
+        out.push_str(&format!("  kernel: {} reshares\n", self.reshares));
         out.push_str(&format!(
             "  kernel fast path: {} classes folded, {} batched completions\n",
             self.classes_folded, self.batched_completions
@@ -84,12 +81,10 @@ impl KernelProfile {
     }
 
     /// JSON object for machine consumption.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.key("reshares").uint_val(self.reshares);
-        j.key("heap_rebuilds").uint_val(self.heap_rebuilds);
-        j.key("heap_orphans").uint_val(self.heap_orphans);
         j.key("classes_folded").uint_val(self.classes_folded);
         j.key("batched_completions")
             .uint_val(self.batched_completions);
@@ -132,7 +127,7 @@ pub struct CodecStats {
 
 impl CodecStats {
     /// Human-readable summary lines (indented for the self-profile).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "  trace codec: {} ops -> {} blocks ({} compressed), {} dict entries\n",
@@ -151,7 +146,7 @@ impl CodecStats {
     }
 
     /// JSON object for machine consumption.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut j = JsonBuf::new();
         j.begin_obj();
         j.key("ops").uint_val(self.ops);
@@ -218,7 +213,7 @@ impl SelfProfile {
 
     /// Simulated seconds per wall-clock second (the paper's slowdown
     /// metric, inverted: > 1 means faster than real time).
-    pub fn acceleration(&self) -> f64 {
+    pub(crate) fn acceleration(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.sim_time / self.wall_seconds
         } else {
@@ -417,7 +412,7 @@ mod tests {
     fn kernel_profile_renders_and_serializes() {
         let k = sample_kernel();
         let text = k.render();
-        assert!(text.contains("10 reshares, heap"), "got: {text}");
+        assert!(text.contains("10 reshares\n"), "got: {text}");
         assert!(text.contains("component size"), "got: {text}");
         assert!(text.contains("solve wall-clock"), "got: {text}");
         assert!(
@@ -431,8 +426,6 @@ mod tests {
         let json = k.to_json();
         for key in [
             "reshares",
-            "heap_rebuilds",
-            "heap_orphans",
             "classes_folded",
             "batched_completions",
             "fillings",

@@ -25,7 +25,7 @@ pub enum StateOp {
     Set(&'static str),
 }
 
-/// Accumulating recorder; snapshot with [`MemoryRecorder::snapshot`].
+/// Accumulating recorder behind an enabled [`Rec`]; [`Rec::snapshot`] reads it.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     counters: BTreeMap<String, u64>,
@@ -38,12 +38,12 @@ pub struct MemoryRecorder {
 
 impl MemoryRecorder {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Produces an immutable, sorted snapshot of everything recorded.
-    pub fn snapshot(&self) -> MetricsReport {
+    pub(crate) fn snapshot(&self) -> MetricsReport {
         MetricsReport {
             counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             fcounters: self
@@ -206,25 +206,29 @@ impl Rec {
 
     /// Adds to a floating-point counter.
     #[inline]
-    pub fn fcounter_add(&self, key: &str, delta: f64) {
+    #[cfg(test)]
+    pub(crate) fn fcounter_add(&self, key: &str, delta: f64) {
         self.with(|r| r.fcounter_add(key, delta));
     }
 
     /// Appends a gauge sample.
     #[inline]
-    pub fn gauge_set(&self, key: &str, time: f64, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn gauge_set(&self, key: &str, time: f64, value: f64) {
         self.with(|r| r.gauge_set(key, time, value));
     }
 
     /// Raises a high-water mark.
     #[inline]
-    pub fn hwm(&self, key: &str, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn hwm(&self, key: &str, value: f64) {
         self.with(|r| r.hwm(key, value));
     }
 
     /// Records a histogram observation.
     #[inline]
-    pub fn observe(&self, key: &str, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn observe(&self, key: &str, value: f64) {
         self.with(|r| r.observe(key, value));
     }
 

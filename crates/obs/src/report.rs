@@ -150,7 +150,8 @@ impl MetricsReport {
     }
 
     /// High-water mark for `key` (0 when absent).
-    pub fn hwm(&self, key: &str) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hwm(&self, key: &str) -> f64 {
         self.hwms
             .iter()
             .find(|(k, _)| k == key)

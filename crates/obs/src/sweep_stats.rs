@@ -55,22 +55,6 @@ impl SweepStats {
         }
         j.end_arr();
     }
-
-    /// Renders a fixed-width per-worker table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>7} {:>10} {:>10}\n",
-            "worker", "scenarios", "busy_s"
-        ));
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "{:>7} {:>10} {:>10.3}\n",
-                i, w.scenarios, w.busy_s
-            ));
-        }
-        out
-    }
 }
 
 impl Deterministic for SweepStats {

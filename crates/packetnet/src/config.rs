@@ -29,7 +29,7 @@ impl Default for PacketConfig {
 impl PacketConfig {
     /// Number of frames needed for a message of `bytes` (at least one: even
     /// zero-byte MPI messages put a header frame on the wire).
-    pub fn frame_count(&self, bytes: u64) -> u64 {
+    pub(crate) fn frame_count(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             1
         } else {

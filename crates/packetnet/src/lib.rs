@@ -24,8 +24,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod net;
+pub(crate) mod config;
+pub(crate) mod net;
 
 pub use config::PacketConfig;
 pub use net::{PacketActionId, PacketNet};

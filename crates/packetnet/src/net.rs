@@ -513,7 +513,8 @@ impl PacketNet {
     }
 
     /// High-water mark of concurrently live actions.
-    pub fn peak_actions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn peak_actions(&self) -> usize {
         self.actions.peak()
     }
 

@@ -73,7 +73,11 @@ pub fn flat_cluster(prefix: &str, n: usize, cfg: &ClusterConfig) -> Platform {
 /// Builds a two-level cluster: one switch per cabinet, every cabinet switch
 /// connected to a spine switch. `cabinets[i]` is the node count of cabinet
 /// `i`; hosts are named `prefix-<global index>`.
-pub fn hierarchical_cluster(prefix: &str, cabinets: &[usize], cfg: &ClusterConfig) -> Platform {
+pub(crate) fn hierarchical_cluster(
+    prefix: &str,
+    cabinets: &[usize],
+    cfg: &ClusterConfig,
+) -> Platform {
     assert!(!cabinets.is_empty() && cabinets.iter().all(|&c| c > 0));
     let mut p = Platform::new();
     let spine = p.add_switch(format!("{prefix}-spine"));

@@ -86,17 +86,17 @@ impl PlatformPerturbation {
 
     /// Speed factor for host `h` (`1.0` past the vector end, so partial
     /// overlays behave as identity for the remainder).
-    pub fn host_factor(&self, h: usize) -> f64 {
+    pub(crate) fn host_factor(&self, h: usize) -> f64 {
         self.host_speed.get(h).copied().unwrap_or(1.0)
     }
 
     /// Bandwidth factor for platform link `l`.
-    pub fn bandwidth_factor(&self, l: usize) -> f64 {
+    pub(crate) fn bandwidth_factor(&self, l: usize) -> f64 {
         self.link_bandwidth.get(l).copied().unwrap_or(1.0)
     }
 
     /// Latency factor for platform link `l`.
-    pub fn latency_factor(&self, l: usize) -> f64 {
+    pub(crate) fn latency_factor(&self, l: usize) -> f64 {
         self.link_latency.get(l).copied().unwrap_or(1.0)
     }
 }

@@ -30,7 +30,7 @@ const UNREACHABLE: u32 = u32::MAX;
 
 impl Routes {
     /// Builds the all-pairs next-hop table with one BFS per node.
-    pub fn build(platform: &Platform) -> Self {
+    pub(crate) fn build(platform: &Platform) -> Self {
         let n = platform.num_nodes();
         // Adjacency: (neighbor, link, direction), sorted for determinism.
         let mut adj: Vec<Vec<(u32, u32, u8)>> = vec![Vec::new(); n];
@@ -90,7 +90,7 @@ impl Routes {
 
     /// The hop sequence from node `src` to node `dst` (empty when
     /// `src == dst`). Panics if the nodes are disconnected.
-    pub fn node_route(&self, src: NodeIx, dst: NodeIx) -> Vec<Hop> {
+    pub(crate) fn node_route(&self, src: NodeIx, dst: NodeIx) -> Vec<Hop> {
         let n = self.num_nodes;
         let mut route = Vec::new();
         let mut cur = src.0 as usize;
@@ -108,11 +108,6 @@ impl Routes {
             cur = nxt as usize;
         }
         route
-    }
-
-    /// Number of hops between two nodes.
-    pub fn hop_count(&self, src: NodeIx, dst: NodeIx) -> usize {
-        self.node_route(src, dst).len()
     }
 }
 
@@ -269,15 +264,6 @@ mod tests {
         p.add_explicit_route(HostIx(0), HostIx(1), vec![Hop::fwd(detour)]);
         let rp = RoutedPlatform::new(p);
         assert_eq!(rp.route(HostIx(0), HostIx(1)), vec![Hop::fwd(detour)]);
-    }
-
-    #[test]
-    fn hop_count_matches_route_len() {
-        let p = line_platform();
-        let routes = Routes::build(&p);
-        let a = p.host_node(HostIx(0));
-        let b = p.host_node(HostIx(1));
-        assert_eq!(routes.hop_count(a, b), routes.node_route(a, b).len());
     }
 
     #[test]

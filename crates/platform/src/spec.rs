@@ -54,7 +54,7 @@ pub enum Dir {
 
 impl Dir {
     /// The opposite direction.
-    pub fn flip(self) -> Dir {
+    pub(crate) fn flip(self) -> Dir {
         match self {
             Dir::Forward => Dir::Reverse,
             Dir::Reverse => Dir::Forward,
@@ -73,7 +73,7 @@ pub struct Hop {
 
 impl Hop {
     /// Forward-direction hop over `link`.
-    pub fn fwd(link: LinkIx) -> Hop {
+    pub(crate) fn fwd(link: LinkIx) -> Hop {
         Hop {
             link,
             dir: Dir::Forward,
@@ -81,7 +81,7 @@ impl Hop {
     }
 
     /// The same hop walked the other way.
-    pub fn flip(self) -> Hop {
+    pub(crate) fn flip(self) -> Hop {
         Hop {
             link: self.link,
             dir: self.dir.flip(),
@@ -122,7 +122,7 @@ pub struct Link {
 
 /// An edge of the topology: `link` connects nodes `a` and `b` (full duplex).
 #[derive(Debug, Clone, Copy)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// One endpoint.
     pub a: NodeIx,
     /// The other endpoint.
@@ -179,7 +179,7 @@ impl Platform {
     }
 
     /// Adds a link (not yet attached to the topology).
-    pub fn add_link(
+    pub(crate) fn add_link(
         &mut self,
         name: impl Into<String>,
         bandwidth: f64,
@@ -210,7 +210,7 @@ impl Platform {
     /// Connects two nodes with an existing link (full duplex edge). A link
     /// may realize at most one edge: directionality would be ambiguous
     /// otherwise.
-    pub fn connect(&mut self, a: NodeIx, b: NodeIx, link: LinkIx) {
+    pub(crate) fn connect(&mut self, a: NodeIx, b: NodeIx, link: LinkIx) {
         assert!(a != b, "self-loop edges are not allowed");
         assert!((a.0 as usize) < self.nodes.len());
         assert!((b.0 as usize) < self.nodes.len());
@@ -241,7 +241,7 @@ impl Platform {
     /// Declares an explicit route between two hosts, overriding shortest-path
     /// routing. Symmetric: the reverse route (links reversed, directions
     /// flipped) is registered automatically unless one already exists.
-    pub fn add_explicit_route(&mut self, src: HostIx, dst: HostIx, hops: Vec<Hop>) {
+    pub(crate) fn add_explicit_route(&mut self, src: HostIx, dst: HostIx, hops: Vec<Hop>) {
         let rev: Vec<Hop> = hops.iter().rev().map(|h| h.flip()).collect();
         self.explicit_routes.insert((src, dst), hops);
         self.explicit_routes.entry((dst, src)).or_insert(rev);
@@ -253,7 +253,7 @@ impl Platform {
     }
 
     /// Number of nodes (hosts + switches).
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
@@ -268,12 +268,12 @@ impl Platform {
     }
 
     /// Host metadata.
-    pub fn host(&self, h: HostIx) -> &Node {
+    pub(crate) fn host(&self, h: HostIx) -> &Node {
         &self.nodes[self.hosts[h.0 as usize].0 as usize]
     }
 
     /// Compute speed of a host in flop/s.
-    pub fn host_speed(&self, h: HostIx) -> f64 {
+    pub(crate) fn host_speed(&self, h: HostIx) -> f64 {
         match self.host(h).kind {
             NodeKind::Host { speed } => speed,
             NodeKind::Switch => unreachable!("host index points at a switch"),
@@ -281,42 +281,42 @@ impl Platform {
     }
 
     /// All hosts, in index order.
-    pub fn host_indices(&self) -> impl Iterator<Item = HostIx> + '_ {
+    pub(crate) fn host_indices(&self) -> impl Iterator<Item = HostIx> + '_ {
         (0..self.hosts.len() as u32).map(HostIx)
     }
 
     /// Node metadata.
-    pub fn node(&self, n: NodeIx) -> &Node {
+    pub(crate) fn node(&self, n: NodeIx) -> &Node {
         &self.nodes[n.0 as usize]
     }
 
     /// Link metadata.
-    pub fn link(&self, l: LinkIx) -> &Link {
+    pub(crate) fn link(&self, l: LinkIx) -> &Link {
         &self.links[l.0 as usize]
     }
 
     /// All topology edges.
-    pub fn edges(&self) -> &[Edge] {
+    pub(crate) fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
     /// All links.
-    pub fn links(&self) -> &[Link] {
+    pub(crate) fn links(&self) -> &[Link] {
         &self.links
     }
 
     /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
     /// Looks a node up by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeIx> {
+    pub(crate) fn node_by_name(&self, name: &str) -> Option<NodeIx> {
         self.names.get(name).copied()
     }
 
     /// Looks a host up by name.
-    pub fn host_by_name(&self, name: &str) -> Option<HostIx> {
+    pub(crate) fn host_by_name(&self, name: &str) -> Option<HostIx> {
         let node = self.node_by_name(name)?;
         self.hosts
             .iter()
@@ -330,17 +330,17 @@ impl Platform {
     }
 
     /// Explicitly declared route for a host pair, if any.
-    pub fn explicit_route(&self, src: HostIx, dst: HostIx) -> Option<&[Hop]> {
+    pub(crate) fn explicit_route(&self, src: HostIx, dst: HostIx) -> Option<&[Hop]> {
         self.explicit_routes.get(&(src, dst)).map(|v| v.as_slice())
     }
 
     /// Sum of nominal latencies along a route.
-    pub fn route_latency(&self, route: &[Hop]) -> f64 {
+    pub(crate) fn route_latency(&self, route: &[Hop]) -> f64 {
         route.iter().map(|h| self.link(h.link).latency).sum()
     }
 
     /// Minimum nominal bandwidth along a route.
-    pub fn route_bandwidth(&self, route: &[Hop]) -> f64 {
+    pub(crate) fn route_bandwidth(&self, route: &[Hop]) -> f64 {
         route
             .iter()
             .map(|h| self.link(h.link).bandwidth)

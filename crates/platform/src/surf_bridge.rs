@@ -79,7 +79,7 @@ type RouteCache = Mutex<HashMap<(HostIx, HostIx), Arc<[LinkId]>>>;
 
 impl PlatformImage {
     /// Computes the resources of `rp`, their parameters and names.
-    pub fn build(rp: &RoutedPlatform) -> Self {
+    pub(crate) fn build(rp: &RoutedPlatform) -> Self {
         let p = rp.platform();
         let mut resources = Vec::new();
         let mut names = Vec::new();

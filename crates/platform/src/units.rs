@@ -7,7 +7,7 @@
 
 /// Error produced when a unit string cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitError {
+pub(crate) struct UnitError {
     /// The offending input.
     pub input: String,
     /// What was expected.
@@ -45,7 +45,7 @@ fn parse_value(num: &str, input: &str, expected: &'static str) -> Result<f64, Un
 
 /// Parses a bandwidth such as `125MBps` (bytes/s) or `1Gbps` (bits/s) into
 /// bytes per second. A bare number is taken as bytes/s.
-pub fn parse_bandwidth(s: &str) -> Result<f64, UnitError> {
+pub(crate) fn parse_bandwidth(s: &str) -> Result<f64, UnitError> {
     const EXPECTED: &str = "bandwidth (e.g. 125MBps, 1Gbps)";
     let (num, suffix) = split_suffix(s);
     let v = parse_value(num, s, EXPECTED)?;
@@ -70,7 +70,7 @@ pub fn parse_bandwidth(s: &str) -> Result<f64, UnitError> {
 
 /// Parses a latency such as `50us`, `1.5ms` or `2s` into seconds. A bare
 /// number is taken as seconds.
-pub fn parse_latency(s: &str) -> Result<f64, UnitError> {
+pub(crate) fn parse_latency(s: &str) -> Result<f64, UnitError> {
     const EXPECTED: &str = "latency (e.g. 50us, 1ms)";
     let (num, suffix) = split_suffix(s);
     let v = parse_value(num, s, EXPECTED)?;
@@ -91,7 +91,7 @@ pub fn parse_latency(s: &str) -> Result<f64, UnitError> {
 
 /// Parses a compute speed such as `1Gf` or `2.5Gf` into flop/s. A bare
 /// number is taken as flop/s.
-pub fn parse_speed(s: &str) -> Result<f64, UnitError> {
+pub(crate) fn parse_speed(s: &str) -> Result<f64, UnitError> {
     const EXPECTED: &str = "speed (e.g. 2.5Gf)";
     let (num, suffix) = split_suffix(s);
     let v = parse_value(num, s, EXPECTED)?;
@@ -112,7 +112,7 @@ pub fn parse_speed(s: &str) -> Result<f64, UnitError> {
 }
 
 /// Formats a bandwidth in bytes/s with the largest exact-looking suffix.
-pub fn format_bandwidth(bytes_per_sec: f64) -> String {
+pub(crate) fn format_bandwidth(bytes_per_sec: f64) -> String {
     if bytes_per_sec >= 1e9 {
         format!("{}GBps", bytes_per_sec / 1e9)
     } else if bytes_per_sec >= 1e6 {
@@ -125,7 +125,7 @@ pub fn format_bandwidth(bytes_per_sec: f64) -> String {
 }
 
 /// Formats a latency in seconds.
-pub fn format_latency(secs: f64) -> String {
+pub(crate) fn format_latency(secs: f64) -> String {
     if secs == 0.0 {
         "0s".to_string()
     } else if secs < 1e-6 {
@@ -140,7 +140,7 @@ pub fn format_latency(secs: f64) -> String {
 }
 
 /// Formats a speed in flop/s.
-pub fn format_speed(flops: f64) -> String {
+pub(crate) fn format_speed(flops: f64) -> String {
     if flops >= 1e9 {
         format!("{}Gf", flops / 1e9)
     } else if flops >= 1e6 {

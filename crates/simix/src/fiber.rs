@@ -10,7 +10,7 @@
 //! **Memory.** One anonymous `mmap` per stack, lowest page `PROT_NONE`:
 //!
 //! ```text
-//!  base                base + PAGE                                  base + len
+//!  base                base + PAGE                                  base + LEN
 //!  | guard (PROT_NONE) | stack, grows down <-- first frame | Control |
 //! ```
 //!
@@ -19,11 +19,12 @@
 //! and a stack costs two kernel mappings (`vm.max_map_count` bounds the
 //! stacks a process holds at ~32k by default).
 //!
-//! A mapping outlives its fiber. When a fiber ends, its whole mapping, guard
-//! page still `PROT_NONE`, joins a spare list of the thread it ran on, one
-//! list per mapping length, and the next [`Fiber::new`] of that length takes
-//! it instead of calling the kernel: a repeated run of the same size maps,
-//! protects, unmaps and faults in nothing new. Only an ended fiber gives a
+//! Every stack is [`DEFAULT_STACK_SIZE`] bytes above its guard page, so all
+//! mappings have one length. A mapping outlives its fiber. When a fiber
+//! ends, its whole mapping, guard page still `PROT_NONE`, joins the spare
+//! list of the thread it ran on, and the next [`Fiber::new`] there takes it
+//! instead of calling the kernel: a repeated run maps, protects, unmaps and
+//! faults in nothing new. Only an ended fiber gives a
 //! mapping back, so the live and spare stacks of a thread never outnumber
 //! the most fibers it had live at once, and a spare keeps the pages its last
 //! fiber touched resident. The spares are unmapped when the thread exits.
@@ -74,8 +75,11 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
 
+use crate::DEFAULT_STACK_SIZE;
+
 const PAGE: usize = 4096;
-const MAX_STACK: usize = 1 << 40;
+/// Bytes of one stack mapping: the stack plus its guard page.
+const LEN: usize = DEFAULT_STACK_SIZE + PAGE;
 const PROT_NONE: i32 = 0;
 const PROT_RW: i32 = 1 | 2;
 #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -137,34 +141,17 @@ thread_local! {
     static SPARES: Spares = const { Spares(RefCell::new(Vec::new())) };
 }
 
-/// Whole stack mappings, guard page included, that no fiber holds: the bases
-/// of each mapping length in one list, for the next fiber of that length.
-struct Spares(RefCell<Vec<(usize, Vec<NonNull<u8>>)>>);
-
-impl Spares {
-    fn take(&self, len: usize) -> Option<NonNull<u8>> {
-        let mut lists = self.0.borrow_mut();
-        lists.iter_mut().find(|(l, _)| *l == len)?.1.pop()
-    }
-
-    fn put(&self, len: usize, base: NonNull<u8>) {
-        let mut lists = self.0.borrow_mut();
-        match lists.iter_mut().find(|(l, _)| *l == len) {
-            Some((_, bases)) => bases.push(base),
-            None => lists.push((len, vec![base])),
-        }
-    }
-}
+/// Whole stack mappings, guard page included, that no fiber holds: the
+/// bases, for the next fibers of this thread.
+struct Spares(RefCell<Vec<NonNull<u8>>>);
 
 impl Drop for Spares {
     /// Runs when the thread exits: gives every spare back to the kernel.
     fn drop(&mut self) {
-        for (len, bases) in self.0.get_mut().drain(..) {
-            for base in bases {
-                // SAFETY: a spare is a whole mapping of `len` bytes that no
-                // fiber holds and nothing points into.
-                unsafe { munmap(base.as_ptr(), len) };
-            }
+        for base in self.0.get_mut().drain(..) {
+            // SAFETY: a spare is a whole mapping of `LEN` bytes that no fiber
+            // holds and nothing points into.
+            unsafe { munmap(base.as_ptr(), LEN) };
         }
     }
 }
@@ -175,28 +162,25 @@ struct Killed;
 /// A coroutine with its own guarded stack, bound to the thread that made it
 /// (the raw pointers keep it — and whatever owns it — `!Send`).
 pub(crate) struct Fiber {
-    /// At the very top of the mapping, which is `len` bytes long.
+    /// At the very top of the mapping, which is `LEN` bytes long.
     ctl: NonNull<Control>,
-    len: usize,
 }
 
 impl Fiber {
-    /// Takes a stack of `stack_size` bytes rounded up to whole pages, plus
-    /// one guard page — a spare of that length if the thread has one, a
-    /// fresh mapping otherwise — and seeds it to run `body` on the first
-    /// [`resume`](Self::resume). Panics if the kernel refuses the mapping.
-    pub(crate) fn new(stack_size: usize, body: Box<dyn FnOnce()>) -> Fiber {
-        assert!(stack_size <= MAX_STACK, "actor stack size above 1 TiB");
-        let len = stack_size.max(1).next_multiple_of(PAGE) + PAGE;
-        let spare = SPARES.try_with(|spares| spares.take(len)).ok().flatten();
-        let base = spare.unwrap_or_else(|| map_stack(len)).as_ptr();
-        // SAFETY: all offsets stay inside the `len - PAGE >= PAGE` writable
-        // bytes above the guard, which no fiber holds. `base + len` is
+    /// Takes a stack of [`DEFAULT_STACK_SIZE`] bytes plus one guard page — a
+    /// spare if the thread has one, a fresh mapping otherwise — and seeds it
+    /// to run `body` on the first [`resume`](Self::resume). Panics if the
+    /// kernel refuses the mapping.
+    pub(crate) fn new(body: Box<dyn FnOnce()>) -> Fiber {
+        let spare = SPARES.try_with(|spares| spares.0.borrow_mut().pop());
+        let base = spare.ok().flatten().unwrap_or_else(map_stack).as_ptr();
+        // SAFETY: all offsets stay inside the `LEN - PAGE >= PAGE` writable
+        // bytes above the guard, which no fiber holds. `base + LEN` is
         // page-aligned and `Control`'s size is a multiple of its 16-byte
         // alignment, so `ctl` and `top` are 16-aligned. The eight words below
         // `top` are the first frame described in the module docs.
         unsafe {
-            let ctl = base.add(len).cast::<Control>().sub(1);
+            let ctl = base.add(LEN).cast::<Control>().sub(1);
             let top = ctl.cast::<usize>();
             top.sub(1).write(0);
             top.sub(2).write(entry as *const () as usize);
@@ -209,7 +193,7 @@ impl Fiber {
                 panic: Cell::new(None),
             });
             let ctl = NonNull::new_unchecked(ctl);
-            Fiber { ctl, len }
+            Fiber { ctl }
         }
     }
 
@@ -257,33 +241,33 @@ impl Drop for Fiber {
         // can do about it.
         unsafe {
             ptr::drop_in_place(self.ctl.as_ptr());
-            let base = self.ctl.add(1).cast::<u8>().sub(self.len);
+            let base = self.ctl.add(1).cast::<u8>().sub(LEN);
             if SPARES
-                .try_with(|spares| spares.put(self.len, base))
+                .try_with(|spares| spares.0.borrow_mut().push(base))
                 .is_err()
             {
-                munmap(base.as_ptr(), self.len);
+                munmap(base.as_ptr(), LEN);
             }
         }
     }
 }
 
-/// Maps `len` bytes whose lowest page is the guard. Panics if the kernel
+/// Maps `LEN` bytes whose lowest page is the guard. Panics if the kernel
 /// refuses.
-fn map_stack(len: usize) -> NonNull<u8> {
+fn map_stack() -> NonNull<u8> {
     // SAFETY: a fresh private anonymous mapping at an address of the
     // kernel's choosing aliases nothing.
-    let base = unsafe { mmap(ptr::null_mut(), len, PROT_RW, MAP_PRIVATE_ANON, -1, 0) };
+    let base = unsafe { mmap(ptr::null_mut(), LEN, PROT_RW, MAP_PRIVATE_ANON, -1, 0) };
     if base as isize == -1 {
-        map_failed(std::io::Error::last_os_error(), "mmap", len);
+        map_failed(std::io::Error::last_os_error(), "mmap");
     }
     // SAFETY: `base..base + PAGE` is the bottom of the mapping just made
     // and nothing points into it yet.
     if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
         let err = std::io::Error::last_os_error();
         // SAFETY: unmaps exactly the mapping made above, still unused.
-        unsafe { munmap(base, len) };
-        map_failed(err, "mprotect", len);
+        unsafe { munmap(base, LEN) };
+        map_failed(err, "mprotect");
     }
     // SAFETY: `mmap` succeeded, so `base` is not null.
     unsafe { NonNull::new_unchecked(base) }
@@ -359,9 +343,9 @@ pub(crate) fn huge_page_interior(addr: usize, bytes: usize) -> Range<usize> {
     start..end.max(start)
 }
 
-fn map_failed(err: std::io::Error, call: &str, len: usize) -> ! {
+fn map_failed(err: std::io::Error, call: &str) -> ! {
     panic!(
-        "{call} of a {len}-byte actor stack failed: {err}; every stack a thread holds, live \
+        "{call} of a {LEN}-byte actor stack failed: {err}; every stack a thread holds, live \
          or spare, is 2 memory mappings — check `sysctl vm.max_map_count` and `ulimit -v`"
     )
 }
@@ -374,16 +358,14 @@ mod tests {
 
     #[test]
     fn an_ended_fibers_stack_goes_to_the_next_fiber_of_its_length() {
-        let mut ran = Fiber::new(64 * 1024, Box::new(|| {}));
+        let mut ran = Fiber::new(Box::new(|| {}));
         assert_eq!(ran.resume().ok(), Some(true));
         let top = ran.ctl;
         drop(ran);
-        let larger = Fiber::new(128 * 1024, Box::new(|| {}));
-        assert_ne!(larger.ctl, top, "a 64 KiB spare served a 128 KiB stack");
-        let never_started = Fiber::new(64 * 1024, Box::new(|| unreachable!()));
+        let never_started = Fiber::new(Box::new(|| unreachable!()));
         assert_eq!(never_started.ctl, top, "the spare was not reused");
         drop(never_started);
-        let mut again = Fiber::new(64 * 1024, Box::new(|| {}));
+        let mut again = Fiber::new(Box::new(|| {}));
         assert_eq!(
             again.ctl, top,
             "a never-started fiber kept its stack from the spares"

@@ -22,14 +22,14 @@
 //! A simcall round-trip is two user-level context switches (six registers
 //! and a stack pointer each) and no system call; the runnable set is a dense
 //! id-ordered worklist sorted in place (no per-event allocation); an actor
-//! runs on one lazily-touched mapping of [`DEFAULT_STACK_SIZE`] plus a guard
-//! page, so tens of thousands fit in one process; and drive loops can
-//! recycle their event buffer through [`Simix::run_ready_into`].
+//! runs on one lazily-touched 256 KiB mapping plus a guard page, so tens of
+//! thousands fit in one process; and drive loops can recycle their event
+//! buffer through [`Simix::run_ready_into`].
 //!
-//! A finished or dropped actor's stack stays mapped as a spare of its
-//! thread, and the next actor spawned there with the same stack size takes
-//! it: a simulation re-run on one thread maps nothing new and faults in no
-//! stack page it already touched. A thread holds at most as many stacks,
+//! Every actor gets a stack of that one size. A finished or dropped actor's
+//! stack stays mapped as a spare of its thread, and the next actor spawned
+//! there takes it: a simulation re-run on one thread maps nothing new and
+//! faults in no stack page it already touched. A thread holds at most as many stacks,
 //! live and spare together, as it ever had actors live at once, and the
 //! pages those actors touched stay resident until the thread exits, when
 //! the spares are unmapped.
@@ -81,7 +81,7 @@ use fiber::Fiber;
 /// sets on the (heap-allocated) simulated buffers, so a small fixed stack
 /// is enough — and it is what lets 16k+ actors coexist in one process
 /// (16k × 256 KiB = 4 GiB of address space, touched lazily).
-pub const DEFAULT_STACK_SIZE: usize = 256 * 1024;
+pub(crate) const DEFAULT_STACK_SIZE: usize = 256 * 1024;
 
 /// Identifier of an actor (dense, in spawn order). For SMPI this is the MPI
 /// rank within `MPI_COMM_WORLD`.
@@ -221,32 +221,16 @@ pub struct Simix<Req, Resp> {
     /// `None` once the actor has finished.
     actors: Vec<Option<Actor<Req, Resp>>>,
     work: Worklist,
-    /// Stack size for subsequently spawned actors.
-    stack_size: usize,
 }
 
 impl<Req: 'static, Resp: 'static> Simix<Req, Resp> {
-    /// Creates an empty runtime with [`DEFAULT_STACK_SIZE`] actor stacks.
+    /// Creates an empty runtime. Each actor it spawns runs on a 256 KiB
+    /// stack with one guard page mapped below it.
     pub fn new() -> Self {
-        Self::with_stack_size(DEFAULT_STACK_SIZE)
-    }
-
-    /// Creates an empty runtime whose actors get `stack_size`-byte stacks
-    /// (rounded up to whole pages; one guard page is mapped below each).
-    /// Raise this for rank bodies with deep recursion or large stack
-    /// buffers; lower it to pack more actors into the address space.
-    pub fn with_stack_size(stack_size: usize) -> Self {
-        assert!(stack_size > 0, "actor stack size must be non-zero");
         Simix {
             actors: Vec::new(),
             work: Worklist::default(),
-            stack_size,
         }
-    }
-
-    /// The stack size given to spawned actors.
-    pub fn stack_size(&self) -> usize {
-        self.stack_size
     }
 
     /// Spawns an actor. It becomes runnable and will execute during the next
@@ -269,7 +253,7 @@ impl<Req: 'static, Resp: 'static> Simix<Req, Resp> {
             id,
             mail: Rc::clone(&mail),
         };
-        let fiber = Fiber::new(self.stack_size, Box::new(move || body(&handle)));
+        let fiber = Fiber::new(Box::new(move || body(&handle)));
         self.actors.push(Some(Actor { fiber, mail }));
         id
     }
@@ -291,7 +275,7 @@ impl<Req: 'static, Resp: 'static> Simix<Req, Resp> {
     /// caller-owned buffer, so a steady-state drive loop performs no
     /// allocation for scheduling.
     pub fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>) {
-        let Simix { actors, work, .. } = self;
+        let Simix { actors, work } = self;
         work.run_batch(events, |id| Self::step(&mut actors[id.0 as usize], id));
     }
 
@@ -320,11 +304,6 @@ impl<Req: 'static, Resp: 'static> Simix<Req, Resp> {
             .unwrap_or_else(|| panic!("resolving a finished actor {id:?}"));
         actor.mail.response.set(Some(resp));
         self.work.mark(id);
-    }
-
-    /// `true` while the actor has not finished.
-    pub fn is_alive(&self, id: ActorId) -> bool {
-        self.actors[id.0 as usize].is_some()
     }
 }
 
@@ -421,7 +400,7 @@ mod tests {
         let id = sx.spawn(|_| {});
         let events = sx.run_ready();
         assert_eq!(events, vec![ActorEvent::Finished(id)]);
-        assert!(!sx.is_alive(id));
+        assert!(sx.actors[id.0 as usize].is_none());
         assert!(sx.run_ready().is_empty());
     }
 
@@ -715,17 +694,17 @@ mod tests {
 
     #[test]
     fn stack_overflow_dies_on_the_guard_page() {
-        // In a child process, an actor recurses past its 64 KiB stack. The
+        // In a child process, an actor recurses past its 256 KiB stack. The
         // guard page makes that a SIGSEGV, not a scribble over the
         // neighbouring actor's stack.
         if std::env::var_os(OVERFLOW_CHILD).is_some() {
-            let mut sx = Simix::<u64, ()>::with_stack_size(64 * 1024);
+            let mut sx = Simix::<u64, ()>::new();
             sx.spawn(|_| {}); // a neighbour below the overflowing stack
             sx.spawn(|h| {
                 h.simcall(burn(500));
             });
             sx.run_ready();
-            unreachable!("2 MiB of frames fit a 64 KiB stack");
+            unreachable!("2 MiB of frames fit a 256 KiB stack");
         }
         assert_child_dies_on_the_guard_page("tests::stack_overflow_dies_on_the_guard_page");
     }
@@ -733,13 +712,13 @@ mod tests {
     #[test]
     fn a_recycled_stack_keeps_its_guard_page() {
         // As above, but the overflowing actor runs on the stack an earlier
-        // 64 KiB actor finished on: a spare keeps its guard page.
+        // actor finished on: a spare keeps its guard page.
         fn maps() -> usize {
             let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
             maps.lines().count()
         }
         if std::env::var_os(OVERFLOW_CHILD).is_some() {
-            let mut sx = Simix::<u64, ()>::with_stack_size(64 * 1024);
+            let mut sx = Simix::<u64, ()>::new();
             sx.spawn(|_| {});
             assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(ActorId(0))]);
             let before = maps();
@@ -748,7 +727,7 @@ mod tests {
             });
             assert_eq!(maps(), before, "the overflowing actor got a fresh stack");
             sx.run_ready();
-            unreachable!("2 MiB of frames fit a 64 KiB stack");
+            unreachable!("2 MiB of frames fit a 256 KiB stack");
         }
         assert_child_dies_on_the_guard_page("tests::a_recycled_stack_keeps_its_guard_page");
     }
@@ -859,9 +838,7 @@ mod tests {
         }
         assert_eq!(rounds, 4, "3 simcall rounds + 1 finish round");
         assert_eq!(finished, N);
-        for i in 0..N {
-            assert!(!sx.is_alive(ActorId(i)));
-        }
+        assert!(sx.actors.iter().all(Option::is_none));
 
         let mut blocked = Simix::<(), ()>::new();
         for _ in 0..N {
@@ -872,41 +849,6 @@ mod tests {
         }
         let _ = blocked.run_ready();
         drop(blocked); // must unwind all 10k fibers without hanging
-    }
-
-    #[test]
-    fn custom_stack_size_is_honoured() {
-        // A recursive body that would overflow a 256 KiB stack runs fine
-        // with a larger one (each frame pins a 4 KiB buffer).
-        let mut sx = Simix::<u64, ()>::with_stack_size(4 * 1024 * 1024);
-        assert_eq!(sx.stack_size(), 4 * 1024 * 1024);
-        let id = sx.spawn(|h| {
-            h.simcall(burn(500));
-        });
-        let ev = sx.run_ready();
-        assert!(matches!(ev[0], ActorEvent::Request(i, _) if i == id));
-        sx.resolve(id, ());
-        assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(id)]);
-    }
-
-    #[test]
-    fn a_larger_stack_never_gets_a_smaller_spare() {
-        // Default-size actors finish first and leave 256 KiB spares on this
-        // thread; a 4 MiB runtime's 2 MiB recursion must get a 4 MiB stack.
-        let mut sx = Simix::<(), ()>::new();
-        for _ in 0..8 {
-            sx.spawn(|_| {
-                burn(4);
-            });
-        }
-        assert_eq!(sx.run_ready().len(), 8);
-        let mut sx = Simix::<u64, ()>::with_stack_size(4 * 1024 * 1024);
-        let id = sx.spawn(|h| {
-            h.simcall(burn(500));
-        });
-        assert!(matches!(sx.run_ready()[..], [ActorEvent::Request(i, _)] if i == id));
-        sx.resolve(id, ());
-        assert_eq!(sx.run_ready(), vec![ActorEvent::Finished(id)]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Key {
 
     /// The event's schedule sequence number.
     #[inline]
-    pub fn seq(self) -> u64 {
+    pub(crate) fn seq(self) -> u64 {
         self.0 as u64
     }
 }
@@ -66,12 +66,14 @@ impl Calendar {
     }
 
     /// Number of ids with an entry.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// `true` when no id has an entry.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
@@ -123,7 +125,7 @@ impl Calendar {
     }
 
     /// Removes and returns the earliest entry.
-    pub fn pop(&mut self) -> Option<(Key, u32)> {
+    pub(crate) fn pop(&mut self) -> Option<(Key, u32)> {
         let top = self.peek()?;
         self.remove(top.1);
         Some(top)

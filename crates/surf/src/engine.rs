@@ -469,11 +469,6 @@ impl Simulation {
         self.now
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Adds a link with `bandwidth` bytes/s and `latency` seconds.
     pub fn add_link(&mut self, bandwidth: f64, latency: f64) -> LinkId {
         assert!(bandwidth > 0.0 && bandwidth.is_finite());
@@ -516,16 +511,6 @@ impl Simulation {
         }
     }
 
-    /// Nominal bandwidth of a link in bytes/s.
-    pub fn link_bandwidth(&self, link: LinkId) -> f64 {
-        self.links[link.index()].bandwidth
-    }
-
-    /// Nominal latency of a link in seconds.
-    pub fn link_latency(&self, link: LinkId) -> f64 {
-        self.links[link.index()].latency
-    }
-
     /// Adds a host computing at `speed` flop/s.
     pub fn add_host(&mut self, speed: f64) -> HostId {
         assert!(speed > 0.0 && speed.is_finite());
@@ -536,18 +521,13 @@ impl Simulation {
         HostId::from_index(self.hosts.len() - 1)
     }
 
-    /// Compute speed of a host in flop/s.
-    pub fn host_speed(&self, host: HostId) -> f64 {
-        self.hosts[host.index()].speed
-    }
-
     /// Sum of nominal latencies along a route.
-    pub fn route_latency(&self, route: &[LinkId]) -> f64 {
+    pub(crate) fn route_latency(&self, route: &[LinkId]) -> f64 {
         route.iter().map(|l| self.links[l.index()].latency).sum()
     }
 
     /// Minimum nominal bandwidth along a route.
-    pub fn route_bandwidth(&self, route: &[LinkId]) -> f64 {
+    pub(crate) fn route_bandwidth(&self, route: &[LinkId]) -> f64 {
         route
             .iter()
             .map(|l| self.links[l.index()].bandwidth)
@@ -798,24 +778,28 @@ impl Simulation {
 
     /// `true` once the action has completed. A recycled slot bumps its
     /// generation, so handles of completed actions stay "done" forever.
-    pub fn is_done(&self, action: ActionId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_done(&self, action: ActionId) -> bool {
         !self.actions.contains(action.slot, action.gen)
     }
 
     /// Number of actions still running.
-    pub fn running_actions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn running_actions(&self) -> usize {
         self.actions.len()
     }
 
     /// High-water mark of concurrently running actions (the slab's peak).
-    pub fn peak_actions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn peak_actions(&self) -> usize {
         self.actions.peak()
     }
 
     /// Current allocated rate of a running action (bytes/s or flop/s), or
     /// `None` once it completed. Rates are up to date only after the next
     /// event query (they are recomputed lazily).
-    pub fn action_rate(&self, action: ActionId) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn action_rate(&self, action: ActionId) -> Option<f64> {
         self.actions
             .get_tagged(action.slot, action.gen)
             .map(|a| a.rate)
@@ -1176,7 +1160,8 @@ impl Simulation {
     /// The simulated time of the next action completion, or `None` if no
     /// action is running. Returns `SimTime::INFINITY` when actions are
     /// running but none can progress (the stall condition).
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    #[cfg(test)]
+    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
         self.flush_reshare();
         match self.events.peek() {
             Some((key, _slot)) => Some(key.time()),

@@ -65,7 +65,7 @@ impl Hasher for FastHasher {
 }
 
 /// Builds [`FastHasher`]s (zero-sized).
-pub type FastBuild = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` hashed by [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, FastBuild>;

@@ -58,7 +58,8 @@ impl ActionId {
     }
 
     /// The slab slot (reused across action lifetimes).
-    pub fn slot(self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn slot(self) -> u32 {
         self.slot
     }
 

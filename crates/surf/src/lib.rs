@@ -6,7 +6,7 @@
 //!
 //! The kernel is a **sequential discrete-event simulator** whose network
 //! model is *flow-level* rather than packet-level: contention is resolved
-//! analytically by a max-min fairness solver ([`lmm`]), and
+//! analytically by a max-min fairness solver ([`MaxMinProblem`]), and
 //! point-to-point performance follows a **piece-wise linear** model
 //! ([`model::TransferModel`]) whose segments capture IP framing and the MPI
 //! eager/rendezvous protocol switch.
@@ -21,17 +21,33 @@
 //! assert_eq!(done.len(), 1);
 //! assert!((t.as_secs() - (50e-6 + 1e6 / 125e6)).abs() < 1e-9);
 //! ```
+//!
+//! ## Test seams
+//!
+//! A few `pub` items have no caller outside tests and the benchmark suite,
+//! and stay public on purpose. [`MaxMinProblem`] (with
+//! [`add_variable_class`](MaxMinProblem::add_variable_class) and
+//! [`CnstId`]) is the solver driven directly, by the benchmark's solver
+//! probe and by `tests/lmm_props.rs`.
+//! [`solve_reference`](MaxMinProblem::solve_reference),
+//! [`solve_reference_with_bottlenecks`](MaxMinProblem::solve_reference_with_bottlenecks),
+//! [`solve_heap`](MaxMinProblem::solve_heap) and
+//! [`solve_scan`](MaxMinProblem::solve_scan) are the from-scratch oracle
+//! and the two forced finders those properties pin the production solver
+//! against. [`EngineConfig::tcp_window`] is the only way a test can make a
+//! rate-0 flow (every bandwidth and `bw_factor` is asserted positive), so
+//! without it the stall path would go untested.
 
 #![forbid(unsafe_code)]
 
 pub mod calendar;
-pub mod engine;
+pub(crate) mod engine;
 pub mod hash;
-pub mod ids;
-pub mod lmm;
-pub mod model;
-pub mod slab;
-pub mod time;
+pub(crate) mod ids;
+pub(crate) mod lmm;
+pub(crate) mod model;
+pub(crate) mod slab;
+pub(crate) mod time;
 
 pub use engine::{EngineConfig, Simulation, StallError, StuckAction};
 pub use ids::{ActionId, HostId, LinkId};

@@ -126,7 +126,8 @@ pub struct CnstId(usize);
 
 impl CnstId {
     /// The constraint's insertion index within its problem.
-    pub fn index(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -697,13 +698,8 @@ impl MaxMinProblem {
     }
 
     /// Number of variables.
-    pub fn num_variables(&self) -> usize {
+    pub(crate) fn num_variables(&self) -> usize {
         self.flat.bounds.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.flat.capacities.len()
     }
 
     fn solve_by(&self, argmin: Argmin) -> Vec<f64> {

@@ -92,7 +92,8 @@ impl<T> Slab<T> {
     }
 
     /// The live entry in `slot` iff its generation matches.
-    pub fn get_tagged(&self, slot: u32, gen: u32) -> Option<&T> {
+    #[cfg(test)]
+    pub(crate) fn get_tagged(&self, slot: u32, gen: u32) -> Option<&T> {
         self.slots
             .get(slot as usize)
             .filter(|e| e.gen == gen)
@@ -120,12 +121,13 @@ impl<T> Slab<T> {
     }
 
     /// Number of allocated slots (live + free); the arena footprint.
-    pub fn capacity_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity_slots(&self) -> usize {
         self.slots.len()
     }
 
     /// Iterates over live entries as `(slot, generation, &value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32, &T)> {
         self.slots
             .iter()
             .enumerate()
@@ -133,7 +135,7 @@ impl<T> Slab<T> {
     }
 
     /// Iterates over live entries as `(slot, generation, &mut value)`.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u32, u32, &mut T)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (u32, u32, &mut T)> {
         self.slots
             .iter_mut()
             .enumerate()

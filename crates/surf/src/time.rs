@@ -23,12 +23,12 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0.0);
 
     /// A time later than every reachable simulation instant.
-    pub const INFINITY: SimTime = SimTime(f64::INFINITY);
+    pub(crate) const INFINITY: SimTime = SimTime(f64::INFINITY);
 
     /// Creates a time from seconds. Panics on NaN or negative values: a NaN
     /// clock would silently corrupt the event calendar's ordering. `-0.0`
     /// is accepted and stored as `+0.0`.
-    pub fn from_secs(secs: f64) -> Self {
+    pub(crate) fn from_secs(secs: f64) -> Self {
         assert!(secs >= 0.0 && !secs.is_nan(), "invalid SimTime: {secs}");
         SimTime(secs + 0.0)
     }
@@ -40,13 +40,8 @@ impl SimTime {
 
     /// The IEEE-754 bits of the seconds. Times are non-negative and never
     /// `-0.0`, so these bits order exactly like the times themselves.
-    pub fn to_bits(self) -> u64 {
+    pub(crate) fn to_bits(self) -> u64 {
         self.0.to_bits()
-    }
-
-    /// `true` for the unreachable infinite horizon.
-    pub fn is_infinite(self) -> bool {
-        self.0.is_infinite()
     }
 
     /// Duration from `earlier` to `self`, saturating at zero so that tiny

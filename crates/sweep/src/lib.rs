@@ -16,14 +16,14 @@
 //! Three properties are load-bearing:
 //!
 //! * **Shared-immutable platforms.** Workers share `Arc<RoutedPlatform>`s
-//!   (and through them the memoized [`smpi_platform::PlatformImage`]); each
+//!   (and through them the memoized `smpi_platform::PlatformImage`); each
 //!   scenario materializes its own per-run simulation state, so scenarios
 //!   are independent and embarrassingly parallel.
 //! * **Scheduling-independent determinism.** Stochastic perturbations are
 //!   drawn from a counter-based generator ([`rng::CbRng`]) keyed by
 //!   `(sweep seed, platform, noise axis, replication)` — *never* by worker
 //!   id or completion order — and results stream through a reorder buffer
-//!   ([`table::OrderedEmitter`]) keyed by stable scenario id. The results
+//!   (`table::OrderedEmitter`) keyed by stable scenario id. The results
 //!   table is byte-identical for 1 worker or 16.
 //! * **Bounded memory.** One JSON line per finished scenario is emitted as
 //!   soon as its id is next in sequence; only completion skew is buffered.
@@ -48,13 +48,15 @@ use smpi_obs::{SweepStats, WorkerStats};
 use smpi_platform::RoutedPlatform;
 use surf_sim::{EngineConfig, TransferModel};
 
-pub mod noise;
-pub mod rng;
-pub mod table;
+pub(crate) mod noise;
+pub(crate) mod rng;
+pub(crate) mod table;
 
 pub use noise::NoiseModel;
 pub use rng::CbRng;
-pub use table::{Distribution, OrderedEmitter};
+pub use table::Distribution;
+
+use table::OrderedEmitter;
 
 /// What a scenario executes.
 #[derive(Clone)]
@@ -104,7 +106,8 @@ impl Program {
     }
 
     /// An on-line (capture-on-the-fly) program.
-    pub fn online(
+    #[cfg(test)]
+    pub(crate) fn online(
         name: impl Into<String>,
         ranks: usize,
         body: impl Fn(&Ctx) + Send + Sync + 'static,
@@ -792,7 +795,7 @@ mod tests {
             std::env::temp_dir().join(format!("smpi_sweep_stream_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ring.tit2");
-        smpi_replay::save_trace(&path, &trace).unwrap();
+        std::fs::write(&path, smpi::encode_v2(&trace)).unwrap();
         let reader = Arc::new(smpi::TiV2Reader::open(&path).unwrap());
 
         let mut stream_cfg = cfg.clone();

@@ -53,7 +53,7 @@ impl NoiseModel {
     }
 
     /// `true` when every amplitude is exactly zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.link_bandwidth == 0.0 && self.link_latency == 0.0 && self.host_speed == 0.0
     }
 

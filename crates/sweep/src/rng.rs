@@ -52,17 +52,17 @@ impl CbRng {
     }
 
     /// The raw 64-bit value of this stream at `counter`.
-    pub fn at(&self, counter: u64) -> u64 {
+    pub(crate) fn at(&self, counter: u64) -> u64 {
         mix(self.key.wrapping_add(counter.wrapping_mul(GAMMA)))
     }
 
     /// Uniform double in `[0, 1)` at `counter` (53 mantissa bits).
-    pub fn uniform(&self, counter: u64) -> f64 {
+    pub(crate) fn uniform(&self, counter: u64) -> f64 {
         (self.at(counter) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform double in `[-1, 1)` at `counter`.
-    pub fn symmetric(&self, counter: u64) -> f64 {
+    pub(crate) fn symmetric(&self, counter: u64) -> f64 {
         2.0 * self.uniform(counter) - 1.0
     }
 }

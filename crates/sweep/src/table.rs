@@ -37,7 +37,7 @@ pub struct Distribution {
 
 impl Distribution {
     /// Summarizes `samples` (must be non-empty; order irrelevant).
-    pub fn from_samples(samples: &[f64]) -> Self {
+    pub(crate) fn from_samples(samples: &[f64]) -> Self {
         assert!(!samples.is_empty(), "distribution over zero samples");
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite makespans"));
@@ -56,7 +56,7 @@ impl Distribution {
     }
 
     /// Appends this summary as a JSON object value.
-    pub fn append_json(&self, j: &mut JsonBuf) {
+    pub(crate) fn append_json(&self, j: &mut JsonBuf) {
         j.begin_obj();
         j.key("n").uint_val(self.n as u64);
         j.key("min").num_val(self.min);
@@ -90,7 +90,7 @@ fn gap_record(from: usize, to: usize) -> String {
 /// still buffered behind a missing id — a worker panicked mid-sweep — the
 /// buffered tail is flushed in id order with an explicit gap-record line
 /// marking each hole, instead of being silently discarded.
-pub struct OrderedEmitter<W: Write> {
+pub(crate) struct OrderedEmitter<W: Write> {
     /// `None` only after `finish`/`abort` moved the sink out.
     sink: Option<W>,
     next: usize,
@@ -100,7 +100,7 @@ pub struct OrderedEmitter<W: Write> {
 
 impl<W: Write> OrderedEmitter<W> {
     /// Creates an emitter over `sink`, expecting ids `0, 1, 2, …`.
-    pub fn new(sink: W) -> Self {
+    pub(crate) fn new(sink: W) -> Self {
         OrderedEmitter {
             sink: Some(sink),
             next: 0,
@@ -112,7 +112,7 @@ impl<W: Write> OrderedEmitter<W> {
     /// Submits the line of scenario `id` (no trailing newline). Writes it —
     /// and any buffered successors it unblocks — if `id` is the next
     /// consecutive id; buffers it otherwise.
-    pub fn push(&mut self, id: usize, line: String) -> std::io::Result<()> {
+    pub(crate) fn push(&mut self, id: usize, line: String) -> std::io::Result<()> {
         assert!(id >= self.next, "scenario {id} emitted twice");
         self.pending.insert(id, line);
         self.high_water = self.high_water.max(self.pending.len());
@@ -126,7 +126,7 @@ impl<W: Write> OrderedEmitter<W> {
     }
 
     /// Largest number of lines ever buffered (the reorder-buffer footprint).
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
@@ -153,7 +153,7 @@ impl<W: Write> OrderedEmitter<W> {
     /// (a gap in the id sequence was never filled); the panic still leaves
     /// a complete stream behind — the drop flush writes the tail with gap
     /// records.
-    pub fn finish(mut self) -> std::io::Result<W> {
+    pub(crate) fn finish(mut self) -> std::io::Result<W> {
         assert!(
             self.pending.is_empty(),
             "emitter finished with {} lines stuck behind missing id {}",
@@ -167,7 +167,7 @@ impl<W: Write> OrderedEmitter<W> {
 
     /// Aborts the stream after a worker failure: flushes the buffered tail
     /// with explicit gap records and returns the sink.
-    pub fn abort(mut self) -> std::io::Result<W> {
+    pub(crate) fn abort(mut self) -> std::io::Result<W> {
         self.flush_with_gaps()?;
         Ok(self.sink.take().expect("emitter already finished"))
     }

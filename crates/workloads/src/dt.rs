@@ -39,7 +39,7 @@ pub enum DtClass {
 
 impl DtClass {
     /// Number of leaf (widest-layer) nodes.
-    pub fn leaves(self) -> usize {
+    pub(crate) fn leaves(self) -> usize {
         match self {
             DtClass::S => 4,
             DtClass::W => 8,

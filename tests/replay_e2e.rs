@@ -33,15 +33,16 @@ fn dt_online(world: &World, class: DtClass, shape: DtGraph) -> smpi_suite::smpi:
 fn dt_cross_validation_on_griffon() {
     let world = griffon_world().capture(true);
     let online = dt_online(&world, DtClass::W, DtGraph::Bh);
-    let cv = replay::cross_validate(&world, &online);
+    let replayed = replay::replay(&world, online.ti_trace.as_ref().unwrap()).sim_time;
     assert!(
-        cv.within(0.001),
-        "DT replay drifted: online {} vs replayed {} (rel {:.2e})",
-        cv.online,
-        cv.replayed,
-        cv.rel_err
+        (replayed - online.sim_time).abs() <= 0.001 * online.sim_time,
+        "DT replay drifted: online {} vs replayed {replayed}",
+        online.sim_time
     );
-    assert_eq!(cv.online, cv.replayed, "same-world replay should be exact");
+    assert_eq!(
+        online.sim_time, replayed,
+        "same-world replay should be exact"
+    );
 }
 
 /// NAS EP on griffon. EP's compute bursts are *measured* (wall-clock
@@ -56,13 +57,11 @@ fn ep_cross_validation_on_griffon() {
     };
     let world = griffon_world().capture(true);
     let online = world.run(8, move |ctx| ep_rank(ctx, cfg));
-    let cv = replay::cross_validate(&world, &online);
+    let replayed = replay::replay(&world, online.ti_trace.as_ref().unwrap()).sim_time;
     assert!(
-        cv.within(0.001),
-        "EP replay drifted: online {} vs replayed {} (rel {:.2e})",
-        cv.online,
-        cv.replayed,
-        cv.rel_err
+        (replayed - online.sim_time).abs() <= 0.001 * online.sim_time,
+        "EP replay drifted: online {} vs replayed {replayed}",
+        online.sim_time
     );
 }
 
@@ -136,7 +135,7 @@ fn captured_trace_matches_golden_file() {
 /// format (opcodes, deltas, dictionary, anchor compression) against
 /// silent drift, and pins the v1 <-> v2 relationship: the binary golden
 /// decodes to exactly the captured trace, while the v1 text golden is its
-/// lossy downgrade (logical collectives re-spelled as region entries).
+/// lossy v1 rendering (logical collectives re-spelled as region entries).
 /// Regenerate both with `BLESS=1 cargo test --test replay_e2e`.
 #[test]
 fn captured_trace_matches_v2_golden_file() {
@@ -156,15 +155,14 @@ fn captured_trace_matches_v2_golden_file() {
         "captured v2 trace drifted from the golden file"
     );
 
-    // Cross-format equality: v2 is lossless, v1 is the downgrade.
+    // Cross-format equality: v2 is lossless, v1 is its rendering.
     let v2 = decode_v2(&golden).unwrap();
     assert_eq!(&v2, trace, "binary golden must decode to the capture");
     let v1_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/dt_s_bh.tit");
-    let v1 = TiTrace::decode(&std::fs::read_to_string(v1_path).unwrap()).unwrap();
     assert_eq!(
-        v1,
-        v2.downgraded(),
-        "v1 and v2 goldens must describe the same capture"
+        std::fs::read_to_string(v1_path).unwrap(),
+        v2.encode(),
+        "the v1 golden must be the v1 rendering of the v2 golden"
     );
 
     // Replaying the binary golden reproduces the on-line makespan with
@@ -357,7 +355,7 @@ fn event_driven_replay_matches_the_stackful_oracle() {
     std::fs::create_dir_all(&dir).unwrap();
     for (name, trace) in traces {
         let path = dir.join(format!("{name}.tit2"));
-        replay::save_trace(&path, &trace).unwrap();
+        std::fs::write(&path, smpi_suite::smpi::encode_v2(&trace)).unwrap();
         let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&path).unwrap());
         let trace = Arc::new(trace);
         for (platform, base) in [("griffon", griffon_world()), ("gdx", gdx_world())] {
