@@ -24,10 +24,10 @@
 //! ends, its whole mapping, guard page still `PROT_NONE`, joins the spare
 //! list of the thread it ran on, and the next [`Fiber::new`] there takes it
 //! instead of calling the kernel: a repeated run maps, protects, unmaps and
-//! faults in nothing new. Only an ended fiber gives a
-//! mapping back, so the live and spare stacks of a thread never outnumber
-//! the most fibers it had live at once, and a spare keeps the pages its last
-//! fiber touched resident. The spares are unmapped when the thread exits.
+//! faults in nothing new. Only an ended fiber gives a mapping back, so the
+//! live and spare stacks of a thread never outnumber the most fibers it had
+//! live at once, and a spare keeps the pages its last fiber touched
+//! resident. The spares are unmapped when the thread exits.
 //!
 //! **Switch.** [`switch`] pushes the six callee-saved registers of the
 //! System V x86-64 ABI (`rbp rbx r12 r13 r14 r15`), exchanges `rsp` with the
@@ -80,6 +80,7 @@ use crate::DEFAULT_STACK_SIZE;
 const PAGE: usize = 4096;
 /// Bytes of one stack mapping: the stack plus its guard page.
 const LEN: usize = DEFAULT_STACK_SIZE + PAGE;
+const _: () = assert!(DEFAULT_STACK_SIZE >= PAGE && DEFAULT_STACK_SIZE.is_multiple_of(PAGE));
 const PROT_NONE: i32 = 0;
 const PROT_RW: i32 = 1 | 2;
 #[cfg(any(target_os = "linux", target_os = "android"))]
