@@ -19,8 +19,7 @@ use std::sync::Arc;
 use packetnet::{PacketConfig, PacketNet};
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
 use smpi_platform::{HostIx, PlatformPerturbation, RoutedPlatform};
-use surf_sim::hash::FastMap;
-use surf_sim::{EngineConfig, LinkId, SimTime, Simulation, TransferModel};
+use surf_sim::{EngineConfig, SimTime, Simulation, TransferModel};
 
 use crate::error::SimError;
 
@@ -108,10 +107,6 @@ pub(crate) struct SurfFabric {
     rp: Arc<RoutedPlatform>,
     sim: Simulation,
     model: TransferModel,
-    /// The image's routes this run has used, by `src << 32 | dst`: filled
-    /// on first use, so a run pays for the pairs it talks over (never
-    /// hosts²) and each route stays the image's shared `Arc`.
-    routes: FastMap<u64, Arc<[LinkId]>>,
 }
 
 impl SurfFabric {
@@ -128,12 +123,7 @@ impl SurfFabric {
     ) -> Self {
         let mut sim = Simulation::with_config(engine);
         rp.image().instantiate(&mut sim, perturb);
-        SurfFabric {
-            rp,
-            sim,
-            model,
-            routes: FastMap::default(),
-        }
+        SurfFabric { rp, sim, model }
     }
 }
 
@@ -144,12 +134,9 @@ impl Fabric for SurfFabric {
 
     fn start_transfer(&mut self, src: HostIx, dst: HostIx, bytes: u64) -> FabricToken {
         assert_ne!(src, dst, "self-transfers are handled by the runtime");
-        let rp = &self.rp;
-        let key = u64::from(src.0) << 32 | u64::from(dst.0);
-        let route = self
-            .routes
-            .entry(key)
-            .or_insert_with(|| rp.image().route(rp, src, dst));
+        // The image's shared store: a lock-free read once the pair is
+        // routed, so the run keeps no table of its own.
+        let route = self.rp.image().route(&self.rp, src, dst);
         let action = self.sim.start_transfer(route, bytes as f64, &self.model);
         FabricToken(action.raw())
     }
@@ -408,14 +395,14 @@ mod tests {
         let mut p = PacketFabric::new(Arc::clone(&rp), PacketConfig::default(), None);
         s.start_transfer(a, b, 1000);
         p.start_transfer(a, b, 100_000);
-        let route = rp.image().route(&rp, a, b);
-        assert!(Arc::ptr_eq(&route, &rp.image().route(&rp, a, b)));
-        // The image's cache, the surf fabric's per-run table, this handle,
-        // and the packet message in flight: the table and the message hold
-        // the shared route, not a copy.
-        assert_eq!(Arc::strong_count(&route), 4);
-        while p.advance().unwrap().is_some() {}
+        let route = Arc::clone(rp.image().route(&rp, a, b));
+        assert!(Arc::ptr_eq(&route, rp.image().route(&rp, a, b)));
+        // The image's store, this handle, and the packet message in flight:
+        // the message holds the shared route, not a copy, and the surf
+        // fabric keeps none of its own.
         assert_eq!(Arc::strong_count(&route), 3);
+        while p.advance().unwrap().is_some() {}
+        assert_eq!(Arc::strong_count(&route), 2);
         drop(s);
         assert_eq!(Arc::strong_count(&route), 2);
     }

@@ -23,14 +23,12 @@ impl LinearFit {
 /// Weighted least squares: minimizes `Σ wᵢ (α + β·xᵢ − yᵢ)²`. With
 /// `wᵢ = 1/yᵢ²` this becomes *relative* least squares — the right loss when
 /// accuracy is judged with the logarithmic error of §7.1, because residuals
-/// count proportionally to the measured value. `None` weights are all-ones
-/// (plain OLS).
-pub(crate) fn fit_weighted(xs: &[f64], ys: &[f64], ws: Option<&[f64]>) -> LinearFit {
+/// count proportionally to the measured value. All-ones weights are plain
+/// OLS.
+pub(crate) fn fit_weighted(xs: &[f64], ys: &[f64], ws: &[f64]) -> LinearFit {
     assert_eq!(xs.len(), ys.len());
     let n = xs.len();
     assert!(n >= 2, "need at least two points to fit a line");
-    let ones = vec![1.0; n];
-    let ws = ws.unwrap_or(&ones);
     assert_eq!(ws.len(), n);
     assert!(ws.iter().all(|&w| w > 0.0 && w.is_finite()));
     let wsum: f64 = ws.iter().sum();
@@ -62,7 +60,7 @@ pub(crate) fn fit_weighted(xs: &[f64], ys: &[f64], ws: Option<&[f64]>) -> Linear
 /// Least-squares fit. Panics on fewer than 2 points or zero x-variance.
 #[cfg(test)]
 pub(crate) fn fit(xs: &[f64], ys: &[f64]) -> LinearFit {
-    fit_weighted(xs, ys, None)
+    fit_weighted(xs, ys, &vec![1.0; xs.len()])
 }
 
 #[cfg(test)]
@@ -123,8 +121,8 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 1000.0, 1100.0, 1200.0];
         let ys = [1.0, 2.0, 3.0, 2500.0, 2700.0, 2900.0];
         let w: Vec<f64> = ys.iter().map(|y| 1.0 / (y * y)).collect();
-        let rel = fit_weighted(&xs, &ys, Some(&w));
-        let plain = fit_weighted(&xs, &ys, None);
+        let rel = fit_weighted(&xs, &ys, &w);
+        let plain = fit(&xs, &ys);
         let rel_err_small = ((rel.predict(2.0) - 2.0) / 2.0).abs();
         let plain_err_small = ((plain.predict(2.0) - 2.0) / 2.0).abs();
         assert!(rel_err_small < plain_err_small);
@@ -135,7 +133,7 @@ mod tests {
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 - 0.5 * x).collect();
         let a = fit(&xs, &ys);
-        let b = fit_weighted(&xs, &ys, Some(&[2.0; 20]));
+        let b = fit_weighted(&xs, &ys, &[2.0; 20]);
         assert!((a.slope - b.slope).abs() < 1e-12);
         assert!((a.intercept - b.intercept).abs() < 1e-12);
     }

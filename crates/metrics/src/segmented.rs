@@ -57,10 +57,6 @@ impl SegmentedFit {
 /// segments spanning decades of message size would otherwise be fitted
 /// only to their largest points.
 pub fn fit_segments_relative(xs: &[f64], ys: &[f64], k: usize) -> SegmentedFit {
-    fit_segments_impl(xs, ys, k, true)
-}
-
-fn fit_segments_impl(xs: &[f64], ys: &[f64], k: usize, relative: bool) -> SegmentedFit {
     assert_eq!(xs.len(), ys.len());
     assert!(k >= 1);
     let n = xs.len();
@@ -73,20 +69,20 @@ fn fit_segments_impl(xs: &[f64], ys: &[f64], k: usize, relative: bool) -> Segmen
     idx.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
     let sx: Vec<f64> = idx.iter().map(|&i| xs[i]).collect();
     let sy: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-    let weights: Option<Vec<f64>> =
-        relative.then(|| sy.iter().map(|&y| 1.0 / (y * y).max(1e-300)).collect());
+    let weights: Vec<f64> = sy.iter().map(|&y| 1.0 / (y * y).max(1e-300)).collect();
+    let seg_fit = |a: usize, b: usize| fit_weighted(&sx[a..b], &sy[a..b], &weights[a..b]);
 
-    let seg_fit = |a: usize, b: usize| -> LinearFit {
-        fit_weighted(&sx[a..b], &sy[a..b], weights.as_ref().map(|w| &w[a..b]))
-    };
-    // seg_score[a][b] = log r² of fitting points a..b (exclusive b).
-    // Computed lazily for valid ranges only.
-    let log_r2 = |a: usize, b: usize| -> f64 {
-        let f = seg_fit(a, b);
-        // Guard r² = 0 (log -inf is fine: that split will never win unless
-        // forced, which is the desired behaviour).
-        f.r2.max(1e-300).ln()
-    };
+    // log_r2[a * (n + 1) + b] = log r² of fitting points a..b (exclusive
+    // b), scored once for every segment some layer can end: the first
+    // starts at 0, a later one at MIN_POINTS or beyond. r² = 0 gives a
+    // finite floor, so that split never wins unless forced.
+    let mut log_r2 = vec![f64::NEG_INFINITY; (n + 1) * (n + 1)];
+    let starts = (0..=n - MIN_POINTS).filter(|&a| a == 0 || (k > 1 && a >= MIN_POINTS));
+    for a in starts {
+        for b in (a + MIN_POINTS)..=n {
+            log_r2[a * (n + 1) + b] = seg_fit(a, b).r2.max(1e-300).ln();
+        }
+    }
 
     // dp[j][i]: best Σ log r² covering the first i points with j segments.
     let neg = f64::NEG_INFINITY;
@@ -100,7 +96,7 @@ fn fit_segments_impl(xs: &[f64], ys: &[f64], k: usize, relative: bool) -> Segmen
                 if dp[j - 1][m] == neg {
                     continue;
                 }
-                let cand = dp[j - 1][m] + log_r2(m, i);
+                let cand = dp[j - 1][m] + log_r2[m * (n + 1) + i];
                 if cand > dp[j][i] {
                     dp[j][i] = cand;
                     cut[j][i] = m;
@@ -143,25 +139,6 @@ fn fit_segments_impl(xs: &[f64], ys: &[f64], k: usize, relative: bool) -> Segmen
     }
 }
 
-/// Fits `k` segments to `(xs, ys)` maximizing the product of r², with plain
-/// (absolute) least squares per segment. Points need not be sorted. Panics
-/// if there are fewer than `k * MIN_POINTS` points.
-#[cfg(test)]
-pub(crate) fn fit_segments(xs: &[f64], ys: &[f64], k: usize) -> SegmentedFit {
-    fit_segments_impl(xs, ys, k, false)
-}
-
-/// Convenience: tries 1..=max_k segments and returns each fit (for the
-/// paper's "in practice, the model should be instantiated for 3 segments"
-/// ablation).
-#[cfg(test)]
-pub(crate) fn fit_segment_sweep(xs: &[f64], ys: &[f64], max_k: usize) -> Vec<SegmentedFit> {
-    (1..=max_k)
-        .filter(|k| xs.len() >= k * MIN_POINTS)
-        .map(|k| fit_segments_relative(xs, ys, k))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,19 +164,9 @@ mod tests {
     }
 
     #[test]
-    fn single_segment_is_plain_ols() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
-        let sf = fit_segments(&xs, &ys, 1);
-        assert_eq!(sf.segments.len(), 1);
-        assert!((sf.segments[0].fit.slope - 2.0).abs() < 1e-12);
-        assert!((sf.score - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn recovers_three_regimes() {
         let (xs, ys) = synthetic();
-        let sf = fit_segments(&xs, &ys, 3);
+        let sf = fit_segments_relative(&xs, &ys, 3);
         assert_eq!(sf.segments.len(), 3);
         // Each regime's slope should be recovered within a few percent.
         let slopes: Vec<f64> = sf.segments.iter().map(|s| s.fit.slope).collect();
@@ -213,8 +180,9 @@ mod tests {
     #[test]
     fn more_segments_never_score_worse() {
         let (xs, ys) = synthetic();
-        let sweep = fit_segment_sweep(&xs, &ys, 4);
-        assert_eq!(sweep.len(), 4);
+        let sweep: Vec<SegmentedFit> = (1..=4)
+            .map(|k| fit_segments_relative(&xs, &ys, k))
+            .collect();
         for w in sweep.windows(2) {
             assert!(
                 w[1].score >= w[0].score - 1e-9,
@@ -228,7 +196,7 @@ mod tests {
     #[test]
     fn predictions_are_continuous_enough() {
         let (xs, ys) = synthetic();
-        let sf = fit_segments(&xs, &ys, 3);
+        let sf = fit_segments_relative(&xs, &ys, 3);
         for (&x, &y) in xs.iter().zip(&ys) {
             let p = sf.predict(x);
             assert!(
@@ -241,7 +209,7 @@ mod tests {
     #[test]
     fn segments_tile_the_axis() {
         let (xs, ys) = synthetic();
-        let sf = fit_segments(&xs, &ys, 3);
+        let sf = fit_segments_relative(&xs, &ys, 3);
         assert!(sf.segments.last().unwrap().x_hi.is_infinite());
         for w in sf.segments.windows(2) {
             assert!(w[0].x_hi <= w[1].x_lo + 1e-9 || w[0].x_hi <= w[1].x_hi);
@@ -251,6 +219,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn too_few_points_rejected() {
-        fit_segments(&[1.0, 2.0, 3.0, 4.0], &[1.0, 2.0, 3.0, 4.0], 2);
+        fit_segments_relative(&[1.0, 2.0, 3.0, 4.0], &[1.0, 2.0, 3.0, 4.0], 2);
     }
 }

@@ -152,7 +152,7 @@ impl Frame {
 /// A message in flight.
 #[derive(Debug)]
 struct Transfer {
-    /// The channels crossed, shared with the platform image's route cache.
+    /// The channels crossed, shared with the platform image's route store.
     route: Arc<[LinkId]>,
     /// Hop 0's queue is a counter: the frames not yet serialized onto the
     /// first channel, their payload bytes, and the instant they were all
@@ -413,7 +413,7 @@ impl PacketNet {
         dst: HostIx,
         bytes: u64,
     ) -> PacketActionId {
-        let route = rp.image().route(rp, src, dst);
+        let route = Arc::clone(rp.image().route(rp, src, dst));
         assert!(
             !route.is_empty(),
             "packet-net transfers require distinct hosts"

@@ -96,7 +96,7 @@ fn a_lone_warm_message_allocates_its_queue_table_and_completion_list() {
             net.run_to_completion();
         })
     };
-    // Warm: the platform image's route cache, the action slab and the
+    // Warm: the platform image's route store, the action slab and the
     // calendar.
     message(4 << 20);
     let mib = message(1 << 20);
@@ -129,7 +129,7 @@ fn a_warm_message_allocates_per_hop_not_per_frame() {
         assert_eq!(net.running_actions(), 1, "the sleep is still pending");
         blocks
     };
-    // Warm: the route cache, the action slab, the calendar and every
+    // Warm: the route store, the action slab, the calendar and every
     // channel's arrival stream.
     message(4 << 20);
     let mib = message(1 << 20);
@@ -193,7 +193,7 @@ fn a_warm_incast_allocates_per_hop_not_per_frame() {
 
     let mut net = PacketNet::new(&rp, PacketConfig::default());
     let mut incast = |bytes: u64| allocations(|| both(&mut net, bytes));
-    // Warm: the route cache, the action slab, the calendar, the misc heap
+    // Warm: the route store, the action slab, the calendar, the misc heap
     // and every channel's arrival stream.
     incast(4 << 20);
     let mib = incast(1 << 20);

@@ -19,7 +19,7 @@ pub(crate) mod xml;
 
 pub use cluster::{flat_cluster, gdx, griffon, ClusterConfig};
 pub use perturb::PlatformPerturbation;
-pub use routing::{RoutedPlatform, Routes};
+pub use routing::RoutedPlatform;
 pub use spec::{Dir, Hop, HostIx, Link, LinkIx, Node, NodeIx, NodeKind, Platform, SharingPolicy};
 pub use surf_bridge::PlatformImage;
 pub use xml::{from_xml, to_xml, XmlError};

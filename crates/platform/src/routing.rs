@@ -1,133 +1,128 @@
 //! Shortest-path routing over the platform graph.
 //!
-//! Routes between hosts are computed once with breadth-first search (hop
-//! count metric, deterministic tie-breaking by node insertion order) and
-//! stored as a next-hop table, exactly like the static routing of a real
-//! cluster fabric. Every hop records the link's traversal direction so that
-//! split-duplex links can be mapped onto their per-direction channels.
-//! Explicit routes declared on the [`Platform`] (e.g. parsed from an XML
-//! file) take precedence.
+//! Every node has one next-hop row: for each destination node, the first
+//! hop out of that node on a shortest path (hop-count metric, found by
+//! breadth-first search over the sorted adjacency, so ties break by node
+//! insertion order, then link). A row is computed the first time a route
+//! leaves its node, so building a [`RoutedPlatform`] costs O(nodes + links)
+//! and a run pays only for the nodes its routes leave. A route chains each
+//! node's own first hop, like the static routing of a real cluster fabric.
+//! Every hop records the link's traversal direction so that split-duplex
+//! links can be mapped onto their per-direction channels. Explicit routes
+//! declared on the [`Platform`] (e.g. parsed from an XML file) take
+//! precedence.
 
 use std::sync::{Arc, OnceLock};
 
-use crate::spec::{Dir, Hop, HostIx, LinkIx, NodeIx, Platform};
+use crate::spec::{Hop, HostIx, NodeIx, Platform};
 use crate::surf_bridge::PlatformImage;
 
-/// Precomputed routing tables for a platform.
+#[cfg(test)]
+mod oracle_tests;
+
+/// The routing state of a platform: its adjacency, and one next-hop row per
+/// node, built on first use.
 #[derive(Debug, Clone)]
-pub struct Routes {
-    num_nodes: usize,
-    /// `next_node[src * n + dst]`: the first node after `src` on the path to
-    /// `dst`, or `u32::MAX` when unreachable.
-    next_node: Vec<u32>,
-    /// The link from `src` to that node.
-    next_link: Vec<u32>,
-    /// Its traversal direction (0 = forward, 1 = reverse).
-    next_dir: Vec<u8>,
+pub(crate) struct Routes {
+    /// `adj[u]`: `(neighbour, hop from u)`, sorted, which is the search's
+    /// tie-break (node insertion order, then link, then direction).
+    adj: Vec<Vec<(u32, Hop)>>,
+    /// `rows[src]`, built once however many threads ask for it.
+    rows: Box<[OnceLock<Row>]>,
 }
 
-const UNREACHABLE: u32 = u32::MAX;
+/// A node's next-hop row: per destination node, the first hop towards it
+/// and the node that hop reaches, `None` for the node itself and for
+/// unreachable nodes.
+type Row = Box<[Option<(u32, Hop)>]>;
 
 impl Routes {
-    /// Builds the all-pairs next-hop table with one BFS per node.
-    pub(crate) fn build(platform: &Platform) -> Self {
+    /// Sorts the platform's adjacency; computes no row.
+    pub(crate) fn new(platform: &Platform) -> Self {
         let n = platform.num_nodes();
-        // Adjacency: (neighbor, link, direction), sorted for determinism.
-        let mut adj: Vec<Vec<(u32, u32, u8)>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<(u32, Hop)>> = vec![Vec::new(); n];
         for e in platform.edges() {
-            adj[e.a.0 as usize].push((e.b.0, e.link.0, 0));
-            adj[e.b.0 as usize].push((e.a.0, e.link.0, 1));
+            let hop = Hop::fwd(e.link);
+            adj[e.a.0 as usize].push((e.b.0, hop));
+            adj[e.b.0 as usize].push((e.a.0, hop.flip()));
         }
         for a in &mut adj {
             a.sort_unstable();
         }
-
-        let mut next_node = vec![UNREACHABLE; n * n];
-        let mut next_link = vec![UNREACHABLE; n * n];
-        let mut next_dir = vec![0u8; n * n];
-        let mut queue = std::collections::VecDeque::new();
-        // pred[v] = (previous node, link, dir) on the path src -> v.
-        let mut pred: Vec<(u32, u32, u8)> = Vec::new();
-
-        for src in 0..n {
-            pred.clear();
-            pred.resize(n, (UNREACHABLE, UNREACHABLE, 0));
-            queue.clear();
-            queue.push_back(src as u32);
-            pred[src] = (src as u32, UNREACHABLE, 0);
-            while let Some(u) = queue.pop_front() {
-                for &(v, l, d) in &adj[u as usize] {
-                    if pred[v as usize].0 == UNREACHABLE {
-                        pred[v as usize] = (u, l, d);
-                        queue.push_back(v);
-                    }
-                }
-            }
-            // Walk each destination's predecessor chain back to src; the hop
-            // adjacent to src is the first hop.
-            for dst in 0..n {
-                if dst == src || pred[dst].0 == UNREACHABLE {
-                    continue;
-                }
-                let mut cur = dst as u32;
-                let mut hop = pred[dst];
-                while hop.0 != src as u32 {
-                    cur = hop.0;
-                    hop = pred[cur as usize];
-                }
-                next_node[src * n + dst] = cur;
-                next_link[src * n + dst] = hop.1;
-                next_dir[src * n + dst] = hop.2;
-            }
-        }
         Routes {
-            num_nodes: n,
-            next_node,
-            next_link,
-            next_dir,
+            adj,
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
+    /// `src`'s next-hop row, computed by one breadth-first search on first
+    /// use: a neighbour of `src` is reached by its own edge, any other node
+    /// by the first hop of the node it was reached from.
+    fn row(&self, src: usize) -> &[Option<(u32, Hop)>] {
+        self.rows[src].get_or_init(|| {
+            let mut row = vec![None; self.adj.len()];
+            let mut queue = vec![src];
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &(v, hop) in &self.adj[u] {
+                    let v = v as usize;
+                    if v != src && row[v].is_none() {
+                        row[v] = if u == src {
+                            Some((v as u32, hop))
+                        } else {
+                            row[u]
+                        };
+                        queue.push(v);
+                    }
+                }
+            }
+            row.into_boxed_slice()
+        })
+    }
+
     /// The hop sequence from node `src` to node `dst` (empty when
-    /// `src == dst`). Panics if the nodes are disconnected.
+    /// `src == dst`): each node's own first hop, chained. Panics if the
+    /// nodes are disconnected.
     pub(crate) fn node_route(&self, src: NodeIx, dst: NodeIx) -> Vec<Hop> {
-        let n = self.num_nodes;
         let mut route = Vec::new();
         let mut cur = src.0 as usize;
         let dst = dst.0 as usize;
         while cur != dst {
-            let nxt = self.next_node[cur * n + dst];
-            assert!(nxt != UNREACHABLE, "no route between nodes {cur} and {dst}");
-            let link = LinkIx(self.next_link[cur * n + dst]);
-            let dir = if self.next_dir[cur * n + dst] == 0 {
-                Dir::Forward
-            } else {
-                Dir::Reverse
+            let Some((next, hop)) = self.row(cur)[dst] else {
+                panic!("no route between nodes {cur} and {dst}");
             };
-            route.push(Hop { link, dir });
-            cur = nxt as usize;
+            route.push(hop);
+            cur = next as usize;
         }
         route
     }
+
+    /// How many nodes' rows have been computed.
+    #[cfg(test)]
+    fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
+    }
 }
 
-/// A platform together with its routing tables: the object the simulators
+/// A platform together with its routing: the object the simulators
 /// actually query.
 #[derive(Debug, Clone)]
 pub struct RoutedPlatform {
     platform: Platform,
     routes: Routes,
     /// Lazily built network-resource image (see [`PlatformImage`]): one
-    /// plan and one route-translation cache for every run of either
-    /// backend over this platform.
+    /// plan and one route store for every run of either backend over this
+    /// platform.
     /// Cloning the `RoutedPlatform` shares the already-built image.
     image: OnceLock<Arc<PlatformImage>>,
 }
 
 impl RoutedPlatform {
-    /// Computes routing for a platform.
+    /// Wraps a platform for routing. Routes are computed on first use, so
+    /// this costs O(nodes + links).
     pub fn new(platform: Platform) -> Self {
-        let routes = Routes::build(&platform);
+        let routes = Routes::new(&platform);
         RoutedPlatform {
             platform,
             routes,
@@ -138,7 +133,7 @@ impl RoutedPlatform {
     /// The shared, immutable translation of this platform into network
     /// resources, built on first use. Every run of either backend builds
     /// its private network state *from* this image and resolves routes
-    /// *through* its shared memoization cache, so concurrent runs (sweep
+    /// *through* its shared route store, so concurrent runs (sweep
     /// workers, service requests) pay the translation cost once per
     /// platform, not per run.
     pub fn image(&self) -> &Arc<PlatformImage> {
@@ -175,7 +170,7 @@ impl RoutedPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SharingPolicy;
+    use crate::spec::{Dir, SharingPolicy};
 
     /// h0 - sw1 - sw2 - h1, plus h2 hanging off sw1.
     fn line_platform() -> Platform {

@@ -63,7 +63,7 @@ impl Dir {
 }
 
 /// One hop of a route: a link and the direction it is traversed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Hop {
     /// The link crossed.
     pub link: LinkIx,

@@ -9,8 +9,10 @@
 //! * which resources a platform link becomes, and their names;
 //! * host speeds and resource bandwidth/latency under an optional
 //!   [`PlatformPerturbation`] — the only place its factors are applied;
-//! * the resources a host-pair route crosses, memoized as one
-//!   `Arc<[LinkId]>` shared by every run of either backend.
+//! * the resources a host-pair route crosses, interned as one
+//!   `Arc<[LinkId]>` shared by every run of either backend, in a row per
+//!   source host that is allocated when that source is first routed and
+//!   read without a lock.
 //!
 //! Built once per platform (see [`crate::RoutedPlatform::image`]) and
 //! shared by every run, worker thread and scenario via `Arc`.
@@ -26,8 +28,7 @@
 //! `HostId::from_index(h)`: a fresh [`Simulation`] allocates ids in
 //! creation order, which [`PlatformImage::instantiate`] asserts.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use surf_sim::{HostId, LinkId, Simulation};
 
@@ -61,21 +62,23 @@ struct Resource {
 /// The immutable, shareable translation of a platform into network
 /// resources.
 ///
-/// `Send + Sync`: the only mutable state is the memoized route cache, which
-/// is behind a mutex and shared by design — a route translated by one
-/// worker is free for every other worker of a sweep.
+/// `Send + Sync`: the only state filled after construction is the route
+/// store, write-once per host pair and shared by design — a route
+/// translated by one worker is free for every other worker of a sweep.
 #[derive(Debug)]
 pub struct PlatformImage {
     host_speeds: Vec<f64>,
     resources: Vec<Resource>,
     links: Vec<LinkImage>,
     names: Vec<String>,
-    route_cache: RouteCache,
+    /// `routes[src][dst]`: the resources from host `src` to host `dst`.
+    /// A source's row is allocated when it is first routed, so memory is
+    /// O(sources routed × hosts).
+    routes: Box<[OnceLock<RouteRow>]>,
 }
 
-/// Memoized host-pair → resource-id route translations, shared across
-/// every run over the same image.
-type RouteCache = Mutex<HashMap<(HostIx, HostIx), Arc<[LinkId]>>>;
+/// One source host's translated routes, by destination host.
+type RouteRow = Box<[OnceLock<Arc<[LinkId]>>]>;
 
 impl PlatformImage {
     /// Computes the resources of `rp`, their parameters and names.
@@ -117,7 +120,7 @@ impl PlatformImage {
             resources,
             links,
             names,
-            route_cache: Mutex::new(HashMap::new()),
+            routes: p.host_indices().map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -170,27 +173,25 @@ impl PlatformImage {
         &self.names
     }
 
-    /// Resource ids along the route from `src` to `dst`, memoized in the
-    /// shared thread-safe cache (route translation is on the per-message
-    /// hot path and host pairs repeat constantly).
-    pub fn route(&self, rp: &RoutedPlatform, src: HostIx, dst: HostIx) -> Arc<[LinkId]> {
-        let cache = || self.route_cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(r) = cache().get(&(src, dst)) {
-            return Arc::clone(r);
-        }
-        let route: Arc<[LinkId]> = rp
-            .route(src, dst)
-            .into_iter()
-            .map(|hop| match self.links[hop.link.0 as usize] {
-                LinkImage::Single(id) => id,
-                LinkImage::Duplex(up, down) => match hop.dir {
-                    Dir::Forward => up,
-                    Dir::Reverse => down,
-                },
-            })
-            .collect();
-        cache().insert((src, dst), Arc::clone(&route));
-        route
+    /// Resource ids along the route from `src` to `dst`, translated on the
+    /// pair's first request and interned in the shared store: every later
+    /// request, from any run or thread, reads the same `Arc` without a
+    /// lock (route translation is on the per-message hot path).
+    pub fn route(&self, rp: &RoutedPlatform, src: HostIx, dst: HostIx) -> &Arc<[LinkId]> {
+        let row = self.routes[src.0 as usize]
+            .get_or_init(|| (0..self.num_hosts()).map(|_| OnceLock::new()).collect());
+        row[dst.0 as usize].get_or_init(|| {
+            rp.route(src, dst)
+                .into_iter()
+                .map(|hop| match self.links[hop.link.0 as usize] {
+                    LinkImage::Single(id) => id,
+                    LinkImage::Duplex(up, down) => match hop.dir {
+                        Dir::Forward => up,
+                        Dir::Reverse => down,
+                    },
+                })
+                .collect()
+        })
     }
 
     /// One-way latency of a control message of `header_bytes` from `src` to
@@ -203,8 +204,7 @@ impl PlatformImage {
         dst: HostIx,
         header_bytes: f64,
     ) -> f64 {
-        let route = self.route(rp, src, dst);
-        route
+        self.route(rp, src, dst)
             .iter()
             .map(|k| {
                 let r = &self.resources[k.index()];
@@ -255,33 +255,62 @@ mod tests {
         assert_eq!(rp.image().num_hosts(), 2);
         let route = rp.image().route(&rp, HostIx(0), HostIx(1));
         assert_eq!(route.len(), 2);
-        sim.start_transfer(&route, 125e6, &TransferModel::ideal());
+        sim.start_transfer(route, 125e6, &TransferModel::ideal());
         let (t, _) = sim.advance_to_next().unwrap();
         // Two 50 µs links then 1 s at 125 MB/s.
         assert!((t.as_secs() - (100e-6 + 1.0)).abs() < 1e-9);
     }
 
     #[test]
-    fn route_cache_returns_identical_routes() {
+    fn route_store_returns_identical_routes() {
         let rp = RoutedPlatform::new(flat_cluster("c", 3, &ClusterConfig::default()));
         let r1 = rp.image().route(&rp, HostIx(0), HostIx(2));
         let r2 = rp.image().route(&rp, HostIx(0), HostIx(2));
-        assert!(Arc::ptr_eq(&r1, &r2));
+        assert!(Arc::ptr_eq(r1, r2));
+    }
+
+    #[test]
+    fn concurrent_readers_share_every_route() {
+        // Four threads resolve every gdx pair through one image; each pair
+        // must be one `Arc`, equal to what one thread on a fresh platform
+        // resolves.
+        let rp = RoutedPlatform::new(crate::cluster::gdx());
+        let hosts = rp.platform().num_hosts() as u32;
+        let pairs = || (0..hosts).flat_map(|a| (0..hosts).map(move |b| (HostIx(a), HostIx(b))));
+        let resolved: Vec<Vec<Arc<[LinkId]>>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        pairs()
+                            .map(|(a, b)| Arc::clone(rp.image().route(&rp, a, b)))
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let alone = RoutedPlatform::new(crate::cluster::gdx());
+        for (i, (a, b)) in pairs().enumerate() {
+            assert_eq!(resolved[0][i], *alone.image().route(&alone, a, b));
+            for other in &resolved[1..] {
+                assert!(Arc::ptr_eq(&resolved[0][i], &other[i]), "{a:?} -> {b:?}");
+            }
+        }
     }
 
     #[test]
     fn image_is_shared_across_materializations() {
         let rp = RoutedPlatform::new(flat_cluster("c", 3, &ClusterConfig::default()));
         let image = Arc::clone(rp.image());
-        // Same Arc: one plan, one route cache, many runs.
+        // Same Arc: one plan, one route store, many runs.
         assert!(Arc::ptr_eq(&image, rp.clone().image()));
         // Ids agree across simulations (deterministic allocation).
         let (mut a, mut b) = (Simulation::new(), Simulation::new());
         image.instantiate(&mut a, None);
         image.instantiate(&mut b, None);
         let route = image.route(&rp, HostIx(0), HostIx(1));
-        a.start_transfer(&route, 1e6, &TransferModel::ideal());
-        b.start_transfer(&route, 1e6, &TransferModel::ideal());
+        a.start_transfer(route, 1e6, &TransferModel::ideal());
+        b.start_transfer(route, 1e6, &TransferModel::ideal());
         assert_eq!(
             a.advance_to_next().unwrap().0,
             b.advance_to_next().unwrap().0
@@ -308,7 +337,7 @@ mod tests {
         let mut sim = Simulation::new();
         rp.image().instantiate(&mut sim, Some(&perturb));
         let route = rp.image().route(&rp, HostIx(0), HostIx(1));
-        sim.start_transfer(&route, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(route, 1000.0, &TransferModel::ideal());
         let (t, _) = sim.advance_to_next().unwrap();
         assert!((t.as_secs() - 20.0).abs() < 1e-9);
     }
@@ -321,8 +350,8 @@ mod tests {
         let mut sim_b = Simulation::new();
         rp.image().instantiate(&mut sim_b, Some(&ident));
         let route = rp.image().route(&rp, HostIx(0), HostIx(3));
-        sim_a.start_transfer(&route, 12345.0, &TransferModel::default_affine());
-        sim_b.start_transfer(&route, 12345.0, &TransferModel::default_affine());
+        sim_a.start_transfer(route, 12345.0, &TransferModel::default_affine());
+        sim_b.start_transfer(route, 12345.0, &TransferModel::default_affine());
         let (ta, _) = sim_a.advance_to_next().unwrap();
         let (tb, _) = sim_b.advance_to_next().unwrap();
         assert_eq!(ta.as_secs().to_bits(), tb.as_secs().to_bits());
@@ -357,8 +386,8 @@ mod tests {
         let fwd = rp.image().route(&rp, HostIx(0), HostIx(1));
         let rev = rp.image().route(&rp, HostIx(1), HostIx(0));
         assert_ne!(fwd, rev, "directions must map to distinct resources");
-        sim.start_transfer(&fwd, 1000.0, &TransferModel::ideal());
-        sim.start_transfer(&rev, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(fwd, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(rev, 1000.0, &TransferModel::ideal());
         let (t, done) = sim.advance_to_next().unwrap();
         assert!((t.as_secs() - 10.0).abs() < 1e-9);
         assert_eq!(done.len(), 2);
@@ -380,8 +409,8 @@ mod tests {
         let mut sim = instantiated(&rp);
         let r1 = rp.image().route(&rp, HostIx(1), HostIx(0));
         let r2 = rp.image().route(&rp, HostIx(2), HostIx(0));
-        sim.start_transfer(&r1, 1000.0, &TransferModel::ideal());
-        sim.start_transfer(&r2, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(r1, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(r2, 1000.0, &TransferModel::ideal());
         let (t, done) = sim.advance_to_next().unwrap();
         // Both contend on host 0's incoming channel: 50 B/s each.
         assert!((t.as_secs() - 20.0).abs() < 1e-9);
@@ -421,8 +450,8 @@ mod tests {
         let rp = RoutedPlatform::new(p);
         let mut sim = instantiated(&rp);
         let route = rp.image().route(&rp, HostIx(0), HostIx(1));
-        sim.start_transfer(&route, 1000.0, &TransferModel::ideal());
-        sim.start_transfer(&route, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(route, 1000.0, &TransferModel::ideal());
+        sim.start_transfer(route, 1000.0, &TransferModel::ideal());
         let (t, done) = sim.advance_to_next().unwrap();
         assert!((t.as_secs() - 10.0).abs() < 1e-9);
         assert_eq!(done.len(), 2);

@@ -16,9 +16,9 @@
 //! Three properties are load-bearing:
 //!
 //! * **Shared-immutable platforms.** Workers share `Arc<RoutedPlatform>`s
-//!   (and through them the memoized `smpi_platform::PlatformImage`); each
-//!   scenario materializes its own per-run simulation state, so scenarios
-//!   are independent and embarrassingly parallel.
+//!   (and through them one `smpi_platform::PlatformImage` and its route
+//!   store); each scenario materializes its own per-run simulation state,
+//!   so scenarios are independent and embarrassingly parallel.
 //! * **Scheduling-independent determinism.** Stochastic perturbations are
 //!   drawn from a counter-based generator ([`rng::CbRng`]) keyed by
 //!   `(sweep seed, platform, noise axis, replication)` — *never* by worker
@@ -64,9 +64,11 @@ pub enum Workload {
     /// Replay of a captured time-independent trace (no application code,
     /// no payload memory — the sweep fast path). Workers share the source:
     /// an in-memory trace is never copied, and a `TITRACE2` file is pulled
-    /// block-by-block through its shared decoder, so the trace is decoded
-    /// (at most) once while N scenarios replay it and per-worker memory
-    /// stays bounded by block size.
+    /// block-by-block through its shared decoder, so per-worker memory
+    /// stays bounded by block size. A decoded block is shared while the
+    /// scenarios replaying it overlap and freed when the last of them
+    /// drops it: a scenario that starts later decodes it again (on one
+    /// worker, every scenario decodes every block).
     Replay(TraceSource),
     /// Capture-on-the-fly: run a rank body on-line. Needed when the swept
     /// axis changes the simcall stream itself (e.g. collective algorithm
@@ -808,11 +810,42 @@ mod tests {
         report_t.strip_nondeterminism();
         report_s.strip_nondeterminism();
         assert_eq!(report_t.to_json(), report_s.to_json());
-        // The decoder was shared: blocks decoded at most once per residency
-        // window, far fewer times than scenarios replayed.
+        // The decoder was shared: a block is decoded at most once per
+        // residency window.
         let stats = reader.stats();
         assert!(stats.blocks_decoded + stats.cache_hits > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn one_worker_decodes_every_block_once_per_scenario() {
+        // A decoded block lives while some scenario holds it; one worker
+        // runs scenarios one after another, so none is ever shared.
+        let cfg = SweepConfig {
+            workers: 1,
+            ..small_config()
+        };
+        let trace = match &cfg.programs[0].workload {
+            Workload::Replay(TraceSource::Mem(t)) => Arc::clone(t),
+            _ => unreachable!("small_config is trace-fed"),
+        };
+        let dir =
+            std::env::temp_dir().join(format!("smpi_sweep_decode_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ring.tit2");
+        std::fs::write(&path, smpi::encode_v2(&trace)).unwrap();
+        let reader = Arc::new(smpi::TiV2Reader::open(&path).unwrap());
+        let stream_cfg = SweepConfig {
+            programs: vec![Program::stream("ring", Arc::clone(&reader))],
+            ..cfg
+        };
+        let (report, _) = run_sweep(&stream_cfg, Vec::new()).unwrap();
+        // Each of the ring's 4 ranks fits one block.
+        let stats = reader.stats();
+        assert_eq!(report.scenarios, 24);
+        assert_eq!(stats.blocks_decoded, 24 * 4);
+        assert_eq!(stats.cache_hits, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
