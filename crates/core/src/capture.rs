@@ -235,6 +235,16 @@ impl TiTrace {
         self.ranks.len()
     }
 
+    /// Estimated bytes the decoded ops occupy in memory, with the per-op
+    /// cost the `TITRACE2` reader's residency counter charges a block.
+    pub fn decoded_bytes(&self) -> u64 {
+        self.ranks
+            .iter()
+            .flatten()
+            .map(|op| op_cost(op) as u64)
+            .sum()
+    }
+
     /// Aggregate statistics over every rank's op sequence.
     pub fn summary(&self) -> TiSummary {
         let mut s = TiSummary::default();

@@ -2,7 +2,7 @@
 //!
 //! A capture reaches its consumers (replay, sweeps, diffs) either fully
 //! decoded in memory — the `ti_trace` of a run report, or a `TITRACE v1`
-//! text file — or on disk behind the shared `TITRACE2` block decoder.
+//! text file — or on disk behind the `TITRACE2` block decoder.
 //! [`TraceSource`] is that choice, made once: [`TraceSource::open`] is the
 //! only code that sniffs a file's magic, and [`TraceCursor`] is the one
 //! per-rank op cursor every consumer steps.
@@ -21,8 +21,8 @@ pub enum TraceSource {
     /// Fully decoded, in memory.
     Mem(Arc<TiTrace>),
     /// A `TITRACE2` file behind its block-streaming reader: ops are decoded
-    /// block by block as cursors advance, and concurrent cursors share
-    /// decoded blocks, so memory is bounded by block size, not trace length.
+    /// block by block as cursors advance, each cursor owning the block it
+    /// is in, so memory is bounded by block size, not trace length.
     File(Arc<TiV2Reader>),
 }
 

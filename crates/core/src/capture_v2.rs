@@ -55,7 +55,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 use crate::capture::{TiOp, TiTrace, TraceIoError};
 use crate::runtime::WaitMode;
@@ -1133,14 +1133,13 @@ struct Resident {
     peak: AtomicU64,
 }
 
-/// One decoded block, shared by every iterator currently inside it. Drop
-/// of the last reference returns its bytes to the residency counter —
-/// that counter (see [`ReaderStats::resident_peak_bytes`]) is how the
-/// benches *prove* replay memory is bounded by block size, not trace
-/// length.
-pub(crate) struct DecodedBlock {
-    /// The block's ops, in capture order.
-    pub ops: Vec<TiOp>,
+/// One decoded block, owned by the one cursor stepping through it. Its
+/// drop returns its bytes to the residency counter — that counter (see
+/// [`ReaderStats::resident_peak_bytes`]) is how the tests *prove* replay
+/// memory is bounded by block size, not trace length.
+struct DecodedBlock {
+    /// The block's ops not yet handed out, in capture order.
+    ops: std::vec::IntoIter<TiOp>,
     cost: u64,
     resident: Arc<Resident>,
 }
@@ -1156,8 +1155,6 @@ impl Drop for DecodedBlock {
 pub struct ReaderStats {
     /// Blocks decoded from disk.
     pub blocks_decoded: u64,
-    /// Block requests served from the shared in-flight cache.
-    pub cache_hits: u64,
     /// Estimated bytes of decoded blocks currently alive.
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes` over the reader's lifetime.
@@ -1168,11 +1165,12 @@ pub struct ReaderStats {
 ///
 /// `open` reads only the header and footer (dictionary + block index);
 /// ops are decoded lazily, one block at a time, as [`TiOpIter`]s pull
-/// them. Blocks alive in any iterator are shared through a `Weak` cache,
-/// so N replay workers sweeping the same region of the trace decode each
-/// block once — stream once, replay many — while blocks nobody holds are
-/// freed immediately. Residency is therefore bounded by (blocks in
-/// flight) × (block size), independent of trace length.
+/// them. A block belongs to one rank and a replay steps one cursor per
+/// rank, so each cursor owns the block it is in and frees it on leaving
+/// it; the reader keeps no decoded ops, and every pass over the file
+/// decodes it again. Residency is therefore bounded by (live cursors) ×
+/// (block size), independent of trace length. To replay one file many
+/// times, [`materialize`](Self::materialize) it once (a sweep does).
 pub struct TiV2Reader {
     file: Mutex<std::fs::File>,
     nranks: usize,
@@ -1181,12 +1179,10 @@ pub struct TiV2Reader {
     /// Per-rank block ids, in op order.
     rank_blocks: Vec<Vec<usize>>,
     total_ops: u64,
-    cache: Vec<Mutex<Weak<DecodedBlock>>>,
     /// Raw payload of the first block (the shared LZ dictionary), cached.
     anchor: std::sync::OnceLock<Vec<u8>>,
     resident: Arc<Resident>,
     blocks_decoded: AtomicU64,
-    cache_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for TiV2Reader {
@@ -1233,9 +1229,6 @@ impl TiV2Reader {
         for (i, b) in layout.blocks.iter().enumerate() {
             rank_blocks[b.rank as usize].push(i);
         }
-        let cache = (0..layout.blocks.len())
-            .map(|_| Mutex::new(Weak::new()))
-            .collect();
         Ok(TiV2Reader {
             file: Mutex::new(file),
             nranks: layout.nranks,
@@ -1243,11 +1236,9 @@ impl TiV2Reader {
             blocks: layout.blocks,
             rank_blocks,
             total_ops: layout.total_ops,
-            cache,
             anchor: std::sync::OnceLock::new(),
             resident: Arc::new(Resident::default()),
             blocks_decoded: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
         })
     }
 
@@ -1279,26 +1270,17 @@ impl TiV2Reader {
         self.total_ops
     }
 
-    /// Decode-side counters (cache behaviour, residency high-water mark).
+    /// Decode-side counters (blocks decoded, residency high-water mark).
     pub fn stats(&self) -> ReaderStats {
         ReaderStats {
             blocks_decoded: self.blocks_decoded.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
             resident_bytes: self.resident.bytes.load(Ordering::Relaxed),
             resident_peak_bytes: self.resident.peak.load(Ordering::Relaxed),
         }
     }
 
-    /// Fetches block `id`, decoding it from disk unless some iterator
-    /// already holds it (shared `Weak` cache).
-    fn block(&self, id: usize) -> Result<Arc<DecodedBlock>, TraceIoError> {
-        let slot = self.cache[id].lock().expect("block cache poisoned");
-        if let Some(blk) = slot.upgrade() {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(blk);
-        }
-        // Keep the slot locked while decoding so concurrent iterators
-        // landing on the same block decode it exactly once.
+    /// Reads and decodes block `id` from disk.
+    fn block(&self, id: usize) -> Result<DecodedBlock, TraceIoError> {
         let meta = self.blocks[id];
         let mut buf = vec![0u8; meta.len as usize];
         {
@@ -1319,14 +1301,11 @@ impl TiV2Reader {
         let now = self.resident.bytes.fetch_add(cost, Ordering::Relaxed) + cost;
         self.resident.peak.fetch_max(now, Ordering::Relaxed);
         self.blocks_decoded.fetch_add(1, Ordering::Relaxed);
-        let blk = Arc::new(DecodedBlock {
-            ops,
+        Ok(DecodedBlock {
+            ops: ops.into_iter(),
             cost,
             resident: Arc::clone(&self.resident),
-        });
-        let mut slot = slot;
-        *slot = Arc::downgrade(&blk);
-        Ok(blk)
+        })
     }
 
     /// A streaming iterator over rank `rank`'s ops. Decodes block-by-block;
@@ -1351,8 +1330,7 @@ impl TiV2Reader {
         let mut ranks = vec![Vec::new(); self.nranks];
         for (ops, blocks) in ranks.iter_mut().zip(&self.rank_blocks) {
             for &id in blocks {
-                let blk = self.block(id)?;
-                ops.extend(blk.ops.iter().cloned());
+                ops.extend(&mut self.block(id)?.ops);
             }
         }
         Ok(TiTrace { ranks })
@@ -1364,7 +1342,7 @@ pub struct TiOpIter {
     reader: Arc<TiV2Reader>,
     rank: usize,
     next_block: usize,
-    cur: Option<(Arc<DecodedBlock>, usize)>,
+    cur: Option<DecodedBlock>,
 }
 
 impl TiOpIter {
@@ -1372,21 +1350,17 @@ impl TiOpIter {
     /// fetching it (`open` validates the container shape, not every block).
     pub(crate) fn try_next(&mut self) -> Result<Option<TiOp>, TraceIoError> {
         loop {
-            if let Some((blk, ix)) = &mut self.cur {
-                if *ix < blk.ops.len() {
-                    let op = blk.ops[*ix].clone();
-                    *ix += 1;
-                    return Ok(Some(op));
-                }
-                self.cur = None; // drop the block before fetching the next
+            if let Some(op) = self.cur.as_mut().and_then(|blk| blk.ops.next()) {
+                return Ok(Some(op));
             }
+            self.cur = None; // drop the block before fetching the next
             let ids = &self.reader.rank_blocks[self.rank];
             if self.next_block >= ids.len() {
                 return Ok(None);
             }
             let id = ids[self.next_block];
             self.next_block += 1;
-            self.cur = Some((self.reader.block(id)?, 0));
+            self.cur = Some(self.reader.block(id)?);
         }
     }
 }

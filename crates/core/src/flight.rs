@@ -67,7 +67,11 @@ pub(crate) struct FlightRecorder {
 impl FlightRecorder {
     pub(crate) fn new(nranks: usize) -> Self {
         FlightRecorder {
-            rings: vec![VecDeque::with_capacity(FLIGHT_DEPTH); nranks],
+            // Not `vec![ring; n]`: a `VecDeque` clone is sized to its
+            // length, so every ring but the last would start empty.
+            rings: (0..nranks)
+                .map(|_| VecDeque::with_capacity(FLIGHT_DEPTH))
+                .collect(),
         }
     }
 
@@ -239,6 +243,14 @@ impl Postmortem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_ring_is_allocated_at_full_depth() {
+        let f = FlightRecorder::new(4);
+        for ring in &f.rings {
+            assert!(ring.capacity() >= FLIGHT_DEPTH, "{}", ring.capacity());
+        }
+    }
 
     #[test]
     fn ring_is_bounded_and_keeps_the_tail() {

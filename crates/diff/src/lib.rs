@@ -13,9 +13,9 @@
 //!   divergent op per rank with context in TITRACE op syntax plus a
 //!   whole-run edit summary by op kind;
 //! * `report_diff` — deep structural comparison of two
-//!   [`smpi::RunReport`]s: metrics top movers, kernel counters, time
-//!   series re-bucketed to a common grid, per-link/per-rank contention
-//!   deltas, and which segments entered or left the critical path.
+//!   [`smpi::RunReport`]s: metrics top movers, kernel counters,
+//!   per-link/per-rank contention deltas, and which segments entered or
+//!   left the critical path.
 //!
 //! Both emit a deterministic JSON document (byte-identical across
 //! repeated invocations on the same inputs) and a human-readable

@@ -37,10 +37,11 @@
 //! report, or a v1 text file), an `Arc<`[`TiV2Reader`]`>` (a `TITRACE2`
 //! file behind its block-streaming reader: ops are decoded block by block
 //! as each rank's cursor advances, so replay memory is bounded by block
-//! size rather than trace length, and concurrent replays of the same file
-//! share decoded blocks — stream once, replay many), or whatever
-//! [`TraceSource::open`] found on disk. Replication sweeps share one
-//! source across workers: each call builds a private runtime and fabric.
+//! size rather than trace length, and every replay of the file decodes it
+//! again), or whatever [`TraceSource::open`] found on disk. To replay one
+//! file many times, materialize it once, as replication sweeps do: they
+//! share one decoded trace across workers, and each call builds a private
+//! runtime and fabric.
 //!
 //! [`replay`] panics where [`try_replay`] returns a typed [`ReplayError`]
 //! — a deadlock or stall with its postmortem, a block found corrupt

@@ -15,10 +15,11 @@
 //!
 //! Three properties are load-bearing:
 //!
-//! * **Shared-immutable platforms.** Workers share `Arc<RoutedPlatform>`s
+//! * **Shared-immutable inputs.** Workers share `Arc<RoutedPlatform>`s
 //!   (and through them one `smpi_platform::PlatformImage` and its route
-//!   store); each scenario materializes its own per-run simulation state,
-//!   so scenarios are independent and embarrassingly parallel.
+//!   store) and one decoded copy of each trace, a `TITRACE2` file decoded
+//!   once per sweep; each scenario materializes its own per-run simulation
+//!   state, so scenarios are independent and embarrassingly parallel.
 //! * **Scheduling-independent determinism.** Stochastic perturbations are
 //!   drawn from a counter-based generator ([`rng::CbRng`]) keyed by
 //!   `(sweep seed, platform, noise axis, replication)` — *never* by worker
@@ -42,7 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use smpi::{Backend, Ctx, MpiProfile, RunReport, TiTrace, TraceSource, World};
+use smpi::{Backend, Ctx, MpiProfile, RunReport, TiTrace, TraceIoError, TraceSource, World};
 use smpi_obs::json::JsonBuf;
 use smpi_obs::{SweepStats, WorkerStats};
 use smpi_platform::RoutedPlatform;
@@ -62,13 +63,12 @@ use table::OrderedEmitter;
 #[derive(Clone)]
 pub enum Workload {
     /// Replay of a captured time-independent trace (no application code,
-    /// no payload memory — the sweep fast path). Workers share the source:
-    /// an in-memory trace is never copied, and a `TITRACE2` file is pulled
-    /// block-by-block through its shared decoder, so per-worker memory
-    /// stays bounded by block size. A decoded block is shared while the
-    /// scenarios replaying it overlap and freed when the last of them
-    /// drops it: a scenario that starts later decodes it again (on one
-    /// worker, every scenario decodes every block).
+    /// no payload memory — the sweep fast path). Workers share one decoded
+    /// copy: an in-memory trace is never copied, and a `TITRACE2` file is
+    /// decoded once, with a checked decode, when [`run_sweep`] starts, so
+    /// a corrupt block fails the sweep before any scenario runs. The sweep
+    /// holds that copy until it returns and reports its size
+    /// ([`SweepReport::trace_bytes`]).
     Replay(TraceSource),
     /// Capture-on-the-fly: run a rank body on-line. Needed when the swept
     /// axis changes the simcall stream itself (e.g. collective algorithm
@@ -99,7 +99,7 @@ impl Program {
         }
     }
 
-    /// A streaming-replay program over a shared `TITRACE2` decoder.
+    /// A replay program over a `TITRACE2` file, decoded once per sweep.
     pub fn stream(name: impl Into<String>, reader: Arc<smpi::TiV2Reader>) -> Self {
         Program {
             name: name.into(),
@@ -290,7 +290,12 @@ pub struct SweepReport {
     pub workers: usize,
     /// Master seed the sweep ran under.
     pub seed: u64,
-    /// Wall-clock seconds for the whole sweep (host-dependent).
+    /// Bytes of decoded trace the sweep held while it ran: every replay
+    /// program's ops, at the per-op cost [`TiTrace::decoded_bytes`]
+    /// charges (deterministic, equal trace-fed and stream-fed).
+    pub trace_bytes: u64,
+    /// Wall-clock seconds for the whole sweep, decoding included
+    /// (host-dependent).
     pub wall_s: f64,
     /// Scenario throughput (host-dependent).
     pub scenarios_per_s: f64,
@@ -324,6 +329,7 @@ impl SweepReport {
         j.key("scenarios").uint_val(self.scenarios as u64);
         j.key("workers").uint_val(self.workers as u64);
         j.key("seed").uint_val(self.seed);
+        j.key("trace_bytes").uint_val(self.trace_bytes);
         j.key("wall_s").num_val(self.wall_s);
         j.key("scenarios_per_s").num_val(self.scenarios_per_s);
         j.key("reorder_high_water")
@@ -379,6 +385,7 @@ impl SweepReport {
                 d.max
             ));
         }
+        out.push_str(&format!("decoded trace held: {} B\n", self.trace_bytes));
         out
     }
 }
@@ -487,7 +494,37 @@ fn scenario_rng(seed: u64, platform: usize, noise: usize, rep: u32) -> CbRng {
         .stream(rep as u64)
 }
 
-fn run_scenario(cfg: &SweepConfig, sc: &ScenarioSpec) -> Outcome {
+/// Every program's workload as the scenarios run it, `TITRACE2` files
+/// decoded into memory (checked: a corrupt block is an error naming it,
+/// not a panic in every scenario), and the bytes of decoded trace held.
+fn decode_programs(programs: &[Program]) -> io::Result<(Vec<Workload>, u64)> {
+    let mut trace_bytes = 0;
+    let workloads = programs
+        .iter()
+        .map(|prog| {
+            let workload = match &prog.workload {
+                Workload::Replay(source @ TraceSource::File(_)) => {
+                    let trace = source.clone().materialize().map_err(|e| {
+                        let kind = match &e {
+                            TraceIoError::Io(io) => io.kind(),
+                            _ => io::ErrorKind::InvalidData,
+                        };
+                        io::Error::new(kind, format!("program '{}': {e}", prog.name))
+                    })?;
+                    Workload::Replay(Arc::new(trace).into())
+                }
+                workload => workload.clone(),
+            };
+            if let Workload::Replay(TraceSource::Mem(trace)) = &workload {
+                trace_bytes += trace.decoded_bytes();
+            }
+            Ok(workload)
+        })
+        .collect::<io::Result<_>>()?;
+    Ok((workloads, trace_bytes))
+}
+
+fn run_scenario(cfg: &SweepConfig, workloads: &[Workload], sc: &ScenarioSpec) -> Outcome {
     let (_, rp) = &cfg.platforms[sc.platform];
     let (backend, profile) = match &cfg.fabrics[sc.fabric].1 {
         FabricKind::Surf { engine, profile } => {
@@ -512,7 +549,7 @@ fn run_scenario(cfg: &SweepConfig, sc: &ScenarioSpec) -> Outcome {
         let rng = scenario_rng(cfg.seed, sc.platform, sc.noise, sc.rep);
         world = world.perturbation(Arc::new(axis.model.sample(rp.platform(), &rng)));
     }
-    let report: RunReport<()> = match &cfg.programs[sc.program].workload {
+    let report: RunReport<()> = match &workloads[sc.program] {
         Workload::Replay(source) => smpi_replay::replay(&world, source.clone()),
         Workload::Online { ranks, body } => {
             let body = Arc::clone(body);
@@ -573,6 +610,11 @@ struct SharedEmit<W: Write> {
 /// `sink` (in stable scenario-id order regardless of completion order) and
 /// returning the aggregated report.
 ///
+/// Each `TITRACE2` program is decoded into memory once, after the clock
+/// starts (so [`SweepReport::wall_s`] counts it), and every scenario
+/// replays that copy; a decode failure is returned before any scenario
+/// runs, with nothing written to `sink`.
+///
 /// Determinism contract: for a fixed config (matrix + seed), the bytes
 /// written to `sink` and every `cells` distribution are identical for any
 /// `workers` value. Host-dependent fields (`wall_s`, `scenarios_per_s`,
@@ -594,6 +636,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
     });
 
     let start = Instant::now();
+    let (workloads, trace_bytes) = decode_programs(&cfg.programs)?;
     let joined: Vec<std::thread::Result<WorkerStats>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.workers)
             .map(|_| {
@@ -601,6 +644,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
                 let shared = &shared;
                 let scenarios = &scenarios;
                 let cells = &cells;
+                let workloads = &workloads;
                 s.spawn(move || {
                     let mut stats = WorkerStats::default();
                     loop {
@@ -610,7 +654,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
                         }
                         let sc = &scenarios[id];
                         let t0 = Instant::now();
-                        let out = run_scenario(cfg, sc);
+                        let out = run_scenario(cfg, workloads, sc);
                         stats.busy_s += t0.elapsed().as_secs_f64();
                         stats.scenarios += 1;
                         let line = render_line(cfg, cells, id, sc, &out);
@@ -676,6 +720,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
             scenarios: n,
             workers: cfg.workers,
             seed: cfg.seed,
+            trace_bytes,
             wall_s,
             scenarios_per_s: if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 },
             reorder_high_water,
@@ -782,69 +827,115 @@ mod tests {
         assert!(report.to_json().contains("\"cells\""));
     }
 
-    #[test]
-    fn stream_fed_sweep_is_byte_identical_to_trace_fed() {
-        // Feeding workers from the shared TITRACE2 block decoder must not
-        // change a single output byte relative to the in-memory trace path.
-        let cfg = small_config();
-        let trace = match &cfg.programs[0].workload {
+    /// The ring trace of `cfg`'s only program.
+    fn ring_trace(cfg: &SweepConfig) -> Arc<TiTrace> {
+        match &cfg.programs[0].workload {
             Workload::Replay(TraceSource::Mem(t)) => Arc::clone(t),
             _ => unreachable!("small_config is trace-fed"),
-        };
-        // Per-process path: concurrent test invocations must not race on
-        // the capture file.
-        let dir =
-            std::env::temp_dir().join(format!("smpi_sweep_stream_test_{}", std::process::id()));
+        }
+    }
+
+    /// Writes `bytes` to a per-process temporary file (concurrent test
+    /// invocations must not race on it) and opens its reader.
+    fn open_tit2(name: &str, bytes: &[u8]) -> (std::path::PathBuf, Arc<smpi::TiV2Reader>) {
+        let dir = std::env::temp_dir().join(format!("smpi_sweep_{name}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ring.tit2");
-        std::fs::write(&path, smpi::encode_v2(&trace)).unwrap();
-        let reader = Arc::new(smpi::TiV2Reader::open(&path).unwrap());
+        std::fs::write(&path, bytes).unwrap();
+        (dir, Arc::new(smpi::TiV2Reader::open(&path).unwrap()))
+    }
 
+    /// A sink that stays readable after the sweep consumed it.
+    #[derive(Clone, Debug, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stream_fed_sweep_is_byte_identical_to_trace_fed() {
+        // Feeding workers from a TITRACE2 file must not change a single
+        // output byte relative to the in-memory trace path.
+        let cfg = small_config();
+        let (dir, reader) = open_tit2("stream", &smpi::encode_v2(&ring_trace(&cfg)));
         let mut stream_cfg = cfg.clone();
-        stream_cfg.programs = vec![Program::stream("ring", Arc::clone(&reader))];
+        stream_cfg.programs = vec![Program::stream("ring", reader)];
 
         let (mut report_t, lines_t) = run_sweep(&cfg, Vec::new()).unwrap();
         let (mut report_s, lines_s) = run_sweep(&stream_cfg, Vec::new()).unwrap();
         assert_eq!(lines_t, lines_s, "scenario lines diverge");
+        assert!(report_t.trace_bytes > 0);
+        assert_eq!(report_t.trace_bytes, report_s.trace_bytes);
         use smpi_obs::Deterministic as _;
         report_t.strip_nondeterminism();
         report_s.strip_nondeterminism();
         assert_eq!(report_t.to_json(), report_s.to_json());
-        // The decoder was shared: a block is decoded at most once per
-        // residency window.
-        let stats = reader.stats();
-        assert!(stats.blocks_decoded + stats.cache_hits > 0);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn one_worker_decodes_every_block_once_per_scenario() {
-        // A decoded block lives while some scenario holds it; one worker
-        // runs scenarios one after another, so none is ever shared.
+    fn a_sweep_decodes_every_block_once() {
+        // The sweep decodes the file up front and every scenario replays
+        // that copy, however many workers share it.
+        let trace = ring_trace(&small_config());
+        for workers in [1, 4] {
+            let (dir, reader) = open_tit2(&format!("decode{workers}"), &smpi::encode_v2(&trace));
+            let cfg = SweepConfig {
+                programs: vec![Program::stream("ring", Arc::clone(&reader))],
+                workers,
+                ..small_config()
+            };
+            let (report, _) = run_sweep(&cfg, Vec::new()).unwrap();
+            assert_eq!(report.scenarios, 24);
+            // Each of the ring's 4 ranks fits one block.
+            assert_eq!(reader.stats().blocks_decoded, 4, "{workers} workers");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_corrupt_block_fails_the_sweep_before_any_scenario() {
+        let cfg = small_config();
+        let trace = ring_trace(&cfg);
+        let bytes = Shared::default();
+        let mut w = smpi::TiV2Writer::new(bytes.clone(), trace.num_ranks());
+        let mut second_block = 0;
+        for (rank, ops) in trace.ranks.iter().enumerate() {
+            if rank == 1 {
+                second_block = bytes.0.lock().unwrap().len();
+            }
+            w.write_block(rank as u32, ops).unwrap();
+        }
+        w.finish().unwrap();
+        let mut bytes = std::mem::take(&mut *bytes.0.lock().unwrap());
+        // Block header: varint(rank) varint(nops) u8(comp) ...; flip the
+        // compression tag of rank 1's block into an unknown one.
+        bytes[second_block + 2] ^= 0xff;
+        let (dir, reader) = open_tit2("corrupt", &bytes);
         let cfg = SweepConfig {
-            workers: 1,
-            ..small_config()
-        };
-        let trace = match &cfg.programs[0].workload {
-            Workload::Replay(TraceSource::Mem(t)) => Arc::clone(t),
-            _ => unreachable!("small_config is trace-fed"),
-        };
-        let dir =
-            std::env::temp_dir().join(format!("smpi_sweep_decode_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ring.tit2");
-        std::fs::write(&path, smpi::encode_v2(&trace)).unwrap();
-        let reader = Arc::new(smpi::TiV2Reader::open(&path).unwrap());
-        let stream_cfg = SweepConfig {
-            programs: vec![Program::stream("ring", Arc::clone(&reader))],
+            programs: vec![Program::stream("ring", reader)],
             ..cfg
         };
-        let (report, _) = run_sweep(&stream_cfg, Vec::new()).unwrap();
-        // Each of the ring's 4 ranks fits one block.
-        let stats = reader.stats();
-        assert_eq!(report.scenarios, 24);
-        assert_eq!(stats.blocks_decoded, 24 * 4);
-        assert_eq!(stats.cache_hits, 0);
+        let sink = Shared::default();
+        let err = run_sweep(&cfg, sink.clone()).expect_err("a corrupt block fails the sweep");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("program 'ring'"), "{msg}");
+        assert!(
+            msg.contains("TITRACE2 decode error in block header"),
+            "{msg}"
+        );
+        assert!(!msg.contains("panicked"), "{msg}");
+        assert!(
+            sink.0.lock().unwrap().is_empty(),
+            "the sweep wrote to its sink"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -871,18 +962,6 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_gap_and_flushes_tail() {
-        use std::sync::Mutex;
-        #[derive(Clone, Debug)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let plat = tiny_platform("p0", 4);
         let trace = capture_ring(&plat.1);
         let cfg = SweepConfig {
@@ -899,13 +978,12 @@ mod tests {
             seed: 7,
             strip_hostdep: true,
         };
-        let store = Arc::new(Mutex::new(Vec::new()));
-        let err = run_sweep(&cfg, Shared(Arc::clone(&store)))
-            .expect_err("a dead worker must fail the sweep");
+        let store = Shared::default();
+        let err = run_sweep(&cfg, store.clone()).expect_err("a dead worker must fail the sweep");
         assert!(err.to_string().contains("panicked"), "{err}");
         // The surviving scenario was flushed behind an explicit gap record
         // instead of being silently dropped with the reorder buffer.
-        let text = String::from_utf8(store.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(store.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "stream: {text}");
         assert!(lines[0].contains("\"type\":\"sweep-gap\""), "{}", lines[0]);

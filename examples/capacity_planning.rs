@@ -50,7 +50,7 @@ fn main() {
     world.run(16, move |ctx| {
         timed_alltoall(ctx, chunk);
     });
-    // Every sweep worker streams ops from this one shared block decoder.
+    // The sweep decodes this file once and every worker replays that copy.
     let reader = Arc::new(smpi_suite::smpi::TiV2Reader::open(&tit2).expect("open capture"));
 
     // The purchase matrix: platforms × models × weather.
