@@ -16,11 +16,10 @@
 //!   the streaming variant that writes the same bytes section by section
 //!   to any [`std::io::Write`] sink without building the whole report in
 //!   memory first;
-//! * `RunReport::chrome_trace` — a Chrome Trace Event Format export
-//!   (load in `chrome://tracing` or Perfetto): one complete ("X") event
-//!   per rank-state interval from the metrics timelines;
-//!   [`RunReport::write_chrome_trace`] streams the same bytes to any
-//!   sink, so large runs never materialize the export in memory;
+//! * [`RunReport::write_chrome_trace`] — a Chrome Trace Event Format
+//!   export (load in `chrome://tracing` or Perfetto): one complete ("X")
+//!   event per rank-state interval from the metrics timelines, streamed
+//!   to any sink, so large runs never materialize the export in memory;
 //! * [`RunReport::critical_path`] — the longest dependency chain through
 //!   the trace, attributing each segment to a rank or — when contention
 //!   attribution names a bottleneck — to a specific network link.
@@ -295,24 +294,13 @@ impl<R> RunReport<R> {
         out.write_all(b"}")
     }
 
-    /// Renders the run as a Chrome Trace Event Format JSON object (open in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>). Rank-state
-    /// intervals from the metrics timelines (needs
-    /// [`crate::world::World::metrics`]) become complete (`"X"`) events on
-    /// one thread row per rank. Timestamps are simulated microseconds. The
-    /// metadata header is always emitted, with or without metrics.
-    #[cfg(test)]
-    pub(crate) fn chrome_trace(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_chrome_trace(&mut buf)
-            .expect("in-memory chrome-trace write cannot fail");
-        String::from_utf8(buf).expect("chrome trace is UTF-8")
-    }
-
-    /// Streaming variant of `RunReport::chrome_trace`: writes the same
-    /// bytes event by event to any [`io::Write`] sink. A long run's
-    /// rank-state intervals never have to be materialized as one giant
-    /// string — mirror of [`RunReport::write_json`].
+    /// Writes the run as a Chrome Trace Event Format JSON object (open in
+    /// `chrome://tracing` or <https://ui.perfetto.dev>), event by event, to
+    /// any [`io::Write`] sink. Rank-state intervals from the metrics
+    /// timelines (needs [`crate::world::World::metrics`]) become complete
+    /// (`"X"`) events on one thread row per rank. Timestamps are simulated
+    /// microseconds. The metadata header is always emitted, with or without
+    /// metrics.
     pub fn write_chrome_trace<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
         use smpi_obs::json::escape;
         let us = |t: f64| t * 1e6;
@@ -636,7 +624,9 @@ mod tests {
             ti_trace: None,
             contention: None,
         };
-        let ct = report.chrome_trace();
+        let mut ct = Vec::new();
+        report.write_chrome_trace(&mut ct).unwrap();
+        let ct = String::from_utf8(ct).unwrap();
         // Without metrics the trace is the metadata header alone: the
         // process and one named thread per rank.
         assert_eq!(
@@ -649,9 +639,6 @@ mod tests {
              {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\
              \"args\":{\"name\":\"rank 1\"}}]}"
         );
-        let mut buf = Vec::new();
-        report.write_chrome_trace(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), ct);
     }
 
     #[test]
@@ -684,7 +671,9 @@ mod tests {
             ti_trace: None,
             contention: None,
         };
-        let ct = report.chrome_trace();
+        let mut ct = Vec::new();
+        report.write_chrome_trace(&mut ct).unwrap();
+        let ct = String::from_utf8(ct).unwrap();
         // Closed interval (compute, 0 -> 2 s) and the end-of-run
         // truncated one (wait, 2 -> 5 s), both on tid 1.
         assert!(ct.contains(
@@ -695,9 +684,6 @@ mod tests {
             "{\"name\":\"wait\",\"cat\":\"rank\",\"ph\":\"X\",\"ts\":2000000,\
              \"dur\":3000000,\"pid\":0,\"tid\":1}"
         ));
-        let mut buf = Vec::new();
-        report.write_chrome_trace(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), ct);
     }
 
     #[test]

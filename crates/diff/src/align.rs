@@ -131,14 +131,6 @@ impl<T> Default for StreamDiff<T> {
     }
 }
 
-impl<T> StreamDiff<T> {
-    /// `true` when the streams were item-for-item identical.
-    #[cfg(test)]
-    pub(crate) fn is_identical(&self) -> bool {
-        self.first.is_none() && self.mutated == 0 && self.added == 0 && self.removed == 0
-    }
-}
-
 /// One stream side: a lookahead buffer over an iterator, counting consumed
 /// items so divergence indices are exact even deep into the stream.
 struct Feed<T, I: Iterator<Item = T>> {
@@ -419,15 +411,15 @@ mod tests {
     #[test]
     fn identical_streams_are_identical() {
         let d = diff(&["x", "y", "z"], &["x", "y", "z"]);
-        assert!(d.is_identical());
-        assert_eq!(d.matched, 3);
         assert!(d.first.is_none());
+        assert_eq!((d.matched, d.mutated, d.added, d.removed), (3, 0, 0, 0));
     }
 
     #[test]
     fn empty_streams_are_identical() {
         let d = diff(&[], &[]);
-        assert!(d.is_identical());
+        assert!(d.first.is_none());
+        assert_eq!((d.matched, d.mutated, d.added, d.removed), (0, 0, 0, 0));
         assert_eq!((d.len_a, d.len_b), (0, 0));
     }
 

@@ -13,6 +13,3 @@ pub mod segmented;
 
 pub use logerr::ErrorSummary;
 pub use regress::LinearFit;
-
-#[cfg(test)]
-mod stats;

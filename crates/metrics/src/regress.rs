@@ -57,12 +57,6 @@ pub(crate) fn fit_weighted(xs: &[f64], ys: &[f64], ws: &[f64]) -> LinearFit {
     }
 }
 
-/// Least-squares fit. Panics on fewer than 2 points or zero x-variance.
-#[cfg(test)]
-pub(crate) fn fit(xs: &[f64], ys: &[f64]) -> LinearFit {
-    fit_weighted(xs, ys, &vec![1.0; xs.len()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +65,7 @@ mod tests {
     fn exact_line_recovered() {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
-        let f = fit(&xs, &ys);
+        let f = fit_weighted(&xs, &ys, &[1.0; 10]);
         assert!((f.intercept - 3.0).abs() < 1e-12);
         assert!((f.slope - 2.0).abs() < 1e-12);
         assert!((f.r2 - 1.0).abs() < 1e-12);
@@ -93,7 +87,7 @@ mod tests {
                     }
             })
             .collect();
-        let f = fit(&xs, &ys);
+        let f = fit_weighted(&xs, &ys, &[1.0; 50]);
         assert!(f.r2 < 0.99);
         assert!(f.r2 > 0.5);
     }
@@ -102,7 +96,7 @@ mod tests {
     fn constant_data_r2_is_one() {
         let xs = [1.0, 2.0, 3.0];
         let ys = [4.0, 4.0, 4.0];
-        let f = fit(&xs, &ys);
+        let f = fit_weighted(&xs, &ys, &[1.0; 3]);
         assert_eq!(f.slope, 0.0);
         assert_eq!(f.r2, 1.0);
     }
@@ -110,7 +104,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_single_point() {
-        fit(&[1.0], &[1.0]);
+        fit_weighted(&[1.0], &[1.0], &[1.0]);
     }
 
     #[test]
@@ -122,7 +116,7 @@ mod tests {
         let ys = [1.0, 2.0, 3.0, 2500.0, 2700.0, 2900.0];
         let w: Vec<f64> = ys.iter().map(|y| 1.0 / (y * y)).collect();
         let rel = fit_weighted(&xs, &ys, &w);
-        let plain = fit(&xs, &ys);
+        let plain = fit_weighted(&xs, &ys, &[1.0; 6]);
         let rel_err_small = ((rel.predict(2.0) - 2.0) / 2.0).abs();
         let plain_err_small = ((plain.predict(2.0) - 2.0) / 2.0).abs();
         assert!(rel_err_small < plain_err_small);
@@ -132,7 +126,7 @@ mod tests {
     fn uniform_weights_match_plain_ols() {
         let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 - 0.5 * x).collect();
-        let a = fit(&xs, &ys);
+        let a = fit_weighted(&xs, &ys, &[1.0; 20]);
         let b = fit_weighted(&xs, &ys, &[2.0; 20]);
         assert!((a.slope - b.slope).abs() < 1e-12);
         assert!((a.intercept - b.intercept).abs() < 1e-12);

@@ -393,7 +393,7 @@ mod tests {
         let rec = crate::Rec::enabled();
         let mut k = KernelProfile::default();
         for v in values {
-            rec.observe("h", v);
+            rec.with(|r| r.observe("h", v));
             k.cascade.observe(v);
         }
         // Bucket i counts values whose ceiling has bit-length i (bucket 0

@@ -204,34 +204,6 @@ impl Rec {
         self.with(|r| r.counter_add(key, delta));
     }
 
-    /// Adds to a floating-point counter.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn fcounter_add(&self, key: &str, delta: f64) {
-        self.with(|r| r.fcounter_add(key, delta));
-    }
-
-    /// Appends a gauge sample.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn gauge_set(&self, key: &str, time: f64, value: f64) {
-        self.with(|r| r.gauge_set(key, time, value));
-    }
-
-    /// Raises a high-water mark.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn hwm(&self, key: &str, value: f64) {
-        self.with(|r| r.hwm(key, value));
-    }
-
-    /// Records a histogram observation.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn observe(&self, key: &str, value: f64) {
-        self.with(|r| r.observe(key, value));
-    }
-
     /// Pushes a container state.
     #[inline]
     pub fn state_push(&self, kind: &'static str, id: u32, time: f64, state: &'static str) {
@@ -274,8 +246,10 @@ mod tests {
         let rec = Rec::enabled();
         rec.counter_add("sends", 2);
         rec.counter_add("sends", 3);
-        rec.fcounter_add("bytes", 1.5);
-        rec.fcounter_add("bytes", 2.5);
+        rec.with(|r| {
+            r.fcounter_add("bytes", 1.5);
+            r.fcounter_add("bytes", 2.5);
+        });
         let snap = rec.snapshot().unwrap();
         assert_eq!(snap.counter("sends"), 5);
         assert_eq!(snap.fcounter("bytes"), 4.0);
@@ -285,9 +259,11 @@ mod tests {
     #[test]
     fn hwm_keeps_maximum() {
         let rec = Rec::enabled();
-        rec.hwm("depth", 3.0);
-        rec.hwm("depth", 7.0);
-        rec.hwm("depth", 5.0);
+        rec.with(|r| {
+            r.hwm("depth", 3.0);
+            r.hwm("depth", 7.0);
+            r.hwm("depth", 5.0);
+        });
         let snap = rec.snapshot().unwrap();
         assert_eq!(snap.hwms, vec![("depth".to_string(), 7.0)]);
     }
@@ -295,8 +271,10 @@ mod tests {
     #[test]
     fn gauge_timeline_preserves_order() {
         let rec = Rec::enabled();
-        rec.gauge_set("util", 0.0, 0.5);
-        rec.gauge_set("util", 1.0, 0.9);
+        rec.with(|r| {
+            r.gauge_set("util", 0.0, 0.5);
+            r.gauge_set("util", 1.0, 0.9);
+        });
         let snap = rec.snapshot().unwrap();
         assert_eq!(snap.gauges[0].1, vec![(0.0, 0.5), (1.0, 0.9)]);
     }
@@ -304,10 +282,12 @@ mod tests {
     #[test]
     fn histogram_buckets_by_log2() {
         let rec = Rec::enabled();
-        rec.observe("lat", 0.0); // bucket 0
-        rec.observe("lat", 1.0); // bucket 1
-        rec.observe("lat", 3.0); // ceil -> 3, 2 bits -> bucket 2
-        rec.observe("lat", 1000.0); // 10 bits -> bucket 10
+        rec.with(|r| {
+            r.observe("lat", 0.0); // bucket 0
+            r.observe("lat", 1.0); // bucket 1
+            r.observe("lat", 3.0); // ceil -> 3, 2 bits -> bucket 2
+            r.observe("lat", 1000.0); // 10 bits -> bucket 10
+        });
         let snap = rec.snapshot().unwrap();
         let h = &snap.histograms[0].1;
         assert_eq!(h.count, 4);

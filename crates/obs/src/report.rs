@@ -149,15 +149,6 @@ impl MetricsReport {
             .map_or(0.0, |(_, v)| *v)
     }
 
-    /// High-water mark for `key` (0 when absent).
-    #[cfg(test)]
-    pub(crate) fn hwm(&self, key: &str) -> f64 {
-        self.hwms
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0.0, |(_, v)| *v)
-    }
-
     /// Gauge timeline for `key`, if sampled.
     pub fn gauge(&self, key: &str) -> Option<&[(f64, f64)]> {
         self.gauges
@@ -268,10 +259,12 @@ mod tests {
     fn sample_report() -> MetricsReport {
         let rec = Rec::enabled();
         rec.counter_add("core.sends.eager", 4);
-        rec.fcounter_add("surf.link.0.bytes", 1024.0);
-        rec.gauge_set("surf.link.0.util", 0.5, 0.75);
-        rec.hwm("packetnet.port.2.queue_depth", 6.0);
-        rec.observe("packetnet.hop_latency_ns", 1500.0);
+        rec.with(|r| {
+            r.fcounter_add("surf.link.0.bytes", 1024.0);
+            r.gauge_set("surf.link.0.util", 0.5, 0.75);
+            r.hwm("packetnet.port.2.queue_depth", 6.0);
+            r.observe("packetnet.hop_latency_ns", 1500.0);
+        });
         rec.state_set("rank", 0, 0.0, "computing");
         rec.state_push("rank", 0, 1.0, "blocked_in_recv");
         rec.state_pop("rank", 0, 3.0);
@@ -283,7 +276,10 @@ mod tests {
         let r = sample_report();
         assert_eq!(r.counter("core.sends.eager"), 4);
         assert_eq!(r.fcounter("surf.link.0.bytes"), 1024.0);
-        assert_eq!(r.hwm("packetnet.port.2.queue_depth"), 6.0);
+        assert_eq!(
+            r.hwms,
+            vec![("packetnet.port.2.queue_depth".to_string(), 6.0)]
+        );
         assert_eq!(r.gauge("surf.link.0.util").unwrap(), &[(0.5, 0.75)]);
         assert_eq!(r.histogram("packetnet.hop_latency_ns").unwrap().count, 1);
         assert_eq!(r.timeline("rank", 0).unwrap().events.len(), 3);

@@ -80,8 +80,10 @@
 //! suite. [`replay_stream`] is [`replay`] under the name the frozen
 //! benchmark's replay workload calls. The doc-hidden `replay_on_fibers`
 //! runs the same rank scripts as one fiber each through `World::try_run`:
-//! it is the stackful oracle `tests/replay_e2e.rs` diffs [`try_replay`]
-//! against, not a production path.
+//! it is the stackful oracle the suite's `tests/replay_e2e.rs` diffs
+//! [`try_replay`] against, not a production path. Replication sweeps
+//! (`smpi-sweep`) call [`replay`] and nothing else: a sweep program is a
+//! captured trace, never a rank body.
 
 #![forbid(unsafe_code)]
 

@@ -65,18 +65,6 @@ impl Calendar {
         self.heap.first().copied()
     }
 
-    /// Number of ids with an entry.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no id has an entry.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Publishes `key` for `id`, replacing the entry it may already have.
     /// A key at the infinite horizon (the event can never happen) leaves
     /// the id without an entry.
@@ -199,11 +187,11 @@ mod tests {
         h.set(7, k(1.0, 7)); // moves to the front
         h.set(0, k(99.0, 0)); // moves to the back
         h.set(3, Key::new(SimTime::INFINITY, 3)); // can never happen: no entry
-        assert_eq!(h.len(), 7);
+        assert_eq!(h.heap.len(), 7);
         let order: Vec<u32> = std::iter::from_fn(|| h.pop()).map(|e| e.1).collect();
         assert_eq!(order, vec![7, 1, 2, 4, 5, 6, 0]);
         h.remove(5); // absent: no-op
-        assert!(h.is_empty());
+        assert_eq!(h.peek(), None);
     }
 
     #[test]
@@ -238,7 +226,7 @@ mod tests {
                 .min();
             let top = h.peek().map(|(key, id)| (key.time(), key.seq(), id));
             assert_eq!(top, min);
-            assert_eq!(h.len(), model.iter().flatten().count());
+            assert_eq!(h.heap.len(), model.iter().flatten().count());
         }
     }
 

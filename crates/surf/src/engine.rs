@@ -22,7 +22,7 @@
 //! only on the *currently live* actions (and usually only on the affected
 //! ones), never on the total number of actions ever started — and so that a
 //! steady-state event allocates nothing but the `Vec` of completions it
-//! returns (`tests/reshare_allocs.rs`):
+//! returns (the suite's `tests/reshare_allocs.rs`):
 //!
 //! * actions live in a generation-tagged [`Slab`] whose
 //!   slots are recycled on completion, so iteration and memory stay
@@ -1364,7 +1364,7 @@ impl Simulation {
         assert_eq!(self.classes.len(), 0, "leaked classes");
         assert!(self.links.iter().all(|l| l.classes.is_empty()));
         assert!(self.hosts.iter().all(|h| h.classes.is_empty()));
-        assert_eq!(self.events.len(), 0, "leaked calendar entries");
+        assert_eq!(self.events.peek(), None, "leaked calendar entries");
     }
 }
 
@@ -1582,7 +1582,7 @@ mod tests {
         // The next action reuses the slot with a new generation: the old
         // handle must stay "done" and never alias the new action.
         let b = sim.start_exec(h, 100.0);
-        assert_eq!(b.slot(), a.slot(), "slot should be recycled");
+        assert_eq!(b.slot, a.slot, "slot should be recycled");
         assert_ne!(b.raw(), a.raw());
         assert!(sim.is_done(a));
         assert!(!sim.is_done(b));
@@ -1822,7 +1822,7 @@ mod tests {
         assert_eq!(sim.advance_to_next().unwrap().1, vec![a]);
         // `c` takes `a`'s recycled slot, below `b`'s, but is younger.
         let c = sim.start_sleep(2.0);
-        assert!(c.slot() < b.slot());
+        assert!(c.slot < b.slot);
         let d = sim.start_sleep(2.0);
         let (t, done) = sim.advance_to_next().unwrap();
         approx(t.as_secs(), 3.0);

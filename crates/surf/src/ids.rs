@@ -57,12 +57,6 @@ impl ActionId {
         ActionId { slot, gen }
     }
 
-    /// The slab slot (reused across action lifetimes).
-    #[cfg(test)]
-    pub(crate) fn slot(self) -> u32 {
-        self.slot
-    }
-
     /// Packs the handle into a single `u64` (`generation << 32 | slot`),
     /// unique over the whole simulation run. Used by transport backends to
     /// derive completion tokens.
@@ -104,7 +98,7 @@ mod tests {
     #[test]
     fn action_raw_packs_slot_and_generation() {
         let a = ActionId::new(7, 3);
-        assert_eq!(a.slot(), 7);
+        assert_eq!(a.slot, 7);
         assert_eq!(a.raw(), (3u64 << 32) | 7);
         assert_eq!(a.to_string(), "ActionId#7.3");
         assert_ne!(ActionId::new(7, 3).raw(), ActionId::new(7, 4).raw());

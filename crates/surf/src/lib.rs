@@ -28,7 +28,7 @@
 //! and stay public on purpose. [`MaxMinProblem`] (with
 //! [`add_variable_class`](MaxMinProblem::add_variable_class) and
 //! [`CnstId`]) is the solver driven directly, by the benchmark's solver
-//! probe and by `tests/lmm_props.rs`.
+//! probe and by this crate's `tests/lmm_props.rs`.
 //! [`solve_reference`](MaxMinProblem::solve_reference),
 //! [`solve_reference_with_bottlenecks`](MaxMinProblem::solve_reference_with_bottlenecks),
 //! [`solve_heap`](MaxMinProblem::solve_heap) and
@@ -37,6 +37,17 @@
 //! against. [`EngineConfig::tcp_window`] is the only way a test can make a
 //! rate-0 flow (every bandwidth and `bw_factor` is asserted positive), so
 //! without it the stall path would go untested.
+//!
+//! The rest of the kernel's test surface is `#[cfg(test)]` and never
+//! ships. The simulation's full-rebuild oracle (its `oracle_route` /
+//! `oracle_host` action fields, the `full_rebuild_oracle` switch and the
+//! branch that takes it in `flush_reshare`) is what the differential tests
+//! in `engine/oracle_tests.rs` compare the one shipped reshare path
+//! against. `CnstId::index`, `Simulation::{is_done, action_rate,
+//! next_event_time}` and `Slab::get_tagged` are that oracle's read side.
+//! `Simulation::{running_actions, peak_actions}`, `Slab::capacity_slots`
+//! and the class table's `len` are the footprint checks of the engine's
+//! and the slab's unit tests (slots recycle, nothing leaks at drain).
 
 #![forbid(unsafe_code)]
 

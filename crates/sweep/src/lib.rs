@@ -2,11 +2,10 @@
 //!
 //! The paper's capture-once/replay-many workflow made single re-simulations
 //! cheap; this crate makes *populations* of them cheap. A [`SweepConfig`]
-//! crosses a scenario matrix — programs (captured time-independent traces
-//! or capture-on-the-fly rank bodies, e.g. for collective-variant studies)
+//! crosses a scenario matrix — programs (captured time-independent traces)
 //! × platforms × network backends (the surf flow kernel or the packet-level
 //! substrate) × calibrated transfer models × injected noise — and
-//! [`run_sweep`] executes every cell's replications across a pool of worker
+//! [`run_sweep`] replays every cell's replications across a pool of worker
 //! threads, each running one whole simulation at a time. Workers claim
 //! scenario ids in increasing order from one shared atomic cursor; a
 //! scenario is milliseconds to seconds of work, so one `fetch_add` per claim
@@ -43,7 +42,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use smpi::{Backend, Ctx, MpiProfile, RunReport, TiTrace, TraceIoError, TraceSource, World};
+use smpi::{Backend, MpiProfile, TiTrace, TraceIoError, TraceSource, World};
 use smpi_obs::json::JsonBuf;
 use smpi_obs::{SweepStats, WorkerStats};
 use smpi_platform::RoutedPlatform;
@@ -59,35 +58,19 @@ pub use table::Distribution;
 
 use table::OrderedEmitter;
 
-/// What a scenario executes.
-#[derive(Clone)]
-pub enum Workload {
-    /// Replay of a captured time-independent trace (no application code,
-    /// no payload memory — the sweep fast path). Workers share one decoded
-    /// copy: an in-memory trace is never copied, and a `TITRACE2` file is
-    /// decoded once, with a checked decode, when [`run_sweep`] starts, so
-    /// a corrupt block fails the sweep before any scenario runs. The sweep
-    /// holds that copy until it returns and reports its size
-    /// ([`SweepReport::trace_bytes`]).
-    Replay(TraceSource),
-    /// Capture-on-the-fly: run a rank body on-line. Needed when the swept
-    /// axis changes the simcall stream itself (e.g. collective algorithm
-    /// variants), which a fixed trace cannot express.
-    Online {
-        /// MPI ranks to spawn.
-        ranks: usize,
-        /// The rank body (shared across workers).
-        body: Arc<dyn Fn(&Ctx) + Send + Sync>,
-    },
-}
-
-/// A named program axis entry.
+/// A named program axis entry: a captured time-independent trace that
+/// every scenario replays (no application code, no payload memory).
+/// Workers share one decoded copy: an in-memory trace is never copied, and
+/// a `TITRACE2` file is decoded once, with a checked decode, when
+/// [`run_sweep`] starts, so a corrupt block fails the sweep before any
+/// scenario runs. The sweep holds that copy until it returns and reports
+/// its size ([`SweepReport::trace_bytes`]).
 #[derive(Clone)]
 pub struct Program {
     /// Label used in results tables.
     pub name: String,
-    /// What to execute.
-    pub workload: Workload,
+    /// The trace to replay.
+    pub source: TraceSource,
 }
 
 impl Program {
@@ -95,7 +78,7 @@ impl Program {
     pub fn trace(name: impl Into<String>, trace: Arc<TiTrace>) -> Self {
         Program {
             name: name.into(),
-            workload: Workload::Replay(trace.into()),
+            source: trace.into(),
         }
     }
 
@@ -103,23 +86,7 @@ impl Program {
     pub fn stream(name: impl Into<String>, reader: Arc<smpi::TiV2Reader>) -> Self {
         Program {
             name: name.into(),
-            workload: Workload::Replay(reader.into()),
-        }
-    }
-
-    /// An on-line (capture-on-the-fly) program.
-    #[cfg(test)]
-    pub(crate) fn online(
-        name: impl Into<String>,
-        ranks: usize,
-        body: impl Fn(&Ctx) + Send + Sync + 'static,
-    ) -> Self {
-        Program {
-            name: name.into(),
-            workload: Workload::Online {
-                ranks,
-                body: Arc::new(body),
-            },
+            source: reader.into(),
         }
     }
 }
@@ -494,37 +461,26 @@ fn scenario_rng(seed: u64, platform: usize, noise: usize, rep: u32) -> CbRng {
         .stream(rep as u64)
 }
 
-/// Every program's workload as the scenarios run it, `TITRACE2` files
+/// Every program's trace as the scenarios replay it, `TITRACE2` files
 /// decoded into memory (checked: a corrupt block is an error naming it,
-/// not a panic in every scenario), and the bytes of decoded trace held.
-fn decode_programs(programs: &[Program]) -> io::Result<(Vec<Workload>, u64)> {
-    let mut trace_bytes = 0;
-    let workloads = programs
+/// not a panic in every scenario).
+fn decode_programs(programs: &[Program]) -> io::Result<Vec<Arc<TiTrace>>> {
+    programs
         .iter()
-        .map(|prog| {
-            let workload = match &prog.workload {
-                Workload::Replay(source @ TraceSource::File(_)) => {
-                    let trace = source.clone().materialize().map_err(|e| {
-                        let kind = match &e {
-                            TraceIoError::Io(io) => io.kind(),
-                            _ => io::ErrorKind::InvalidData,
-                        };
-                        io::Error::new(kind, format!("program '{}': {e}", prog.name))
-                    })?;
-                    Workload::Replay(Arc::new(trace).into())
-                }
-                workload => workload.clone(),
-            };
-            if let Workload::Replay(TraceSource::Mem(trace)) = &workload {
-                trace_bytes += trace.decoded_bytes();
-            }
-            Ok(workload)
+        .map(|prog| match &prog.source {
+            TraceSource::Mem(trace) => Ok(Arc::clone(trace)),
+            file => file.clone().materialize().map(Arc::new).map_err(|e| {
+                let kind = match &e {
+                    TraceIoError::Io(io) => io.kind(),
+                    _ => io::ErrorKind::InvalidData,
+                };
+                io::Error::new(kind, format!("program '{}': {e}", prog.name))
+            }),
         })
-        .collect::<io::Result<_>>()?;
-    Ok((workloads, trace_bytes))
+        .collect()
 }
 
-fn run_scenario(cfg: &SweepConfig, workloads: &[Workload], sc: &ScenarioSpec) -> Outcome {
+fn run_scenario(cfg: &SweepConfig, traces: &[Arc<TiTrace>], sc: &ScenarioSpec) -> Outcome {
     let (_, rp) = &cfg.platforms[sc.platform];
     let (backend, profile) = match &cfg.fabrics[sc.fabric].1 {
         FabricKind::Surf { engine, profile } => {
@@ -549,13 +505,7 @@ fn run_scenario(cfg: &SweepConfig, workloads: &[Workload], sc: &ScenarioSpec) ->
         let rng = scenario_rng(cfg.seed, sc.platform, sc.noise, sc.rep);
         world = world.perturbation(Arc::new(axis.model.sample(rp.platform(), &rng)));
     }
-    let report: RunReport<()> = match &workloads[sc.program] {
-        Workload::Replay(source) => smpi_replay::replay(&world, source.clone()),
-        Workload::Online { ranks, body } => {
-            let body = Arc::clone(body);
-            world.run(*ranks, move |ctx| body(ctx))
-        }
-    };
+    let report = smpi_replay::replay(&world, Arc::clone(&traces[sc.program]));
     Outcome {
         cell: sc.cell,
         makespan: report.sim_time,
@@ -613,7 +563,8 @@ struct SharedEmit<W: Write> {
 /// Each `TITRACE2` program is decoded into memory once, after the clock
 /// starts (so [`SweepReport::wall_s`] counts it), and every scenario
 /// replays that copy; a decode failure is returned before any scenario
-/// runs, with nothing written to `sink`.
+/// runs, with nothing written to `sink`. So is an invalid config, as an
+/// [`io::ErrorKind::InvalidInput`] error that names what is wrong.
 ///
 /// Determinism contract: for a fixed config (matrix + seed), the bytes
 /// written to `sink` and every `cells` distribution are identical for any
@@ -624,8 +575,12 @@ struct SharedEmit<W: Write> {
 /// [`strip_nondeterminism`](smpi_obs::Deterministic::strip_nondeterminism)
 /// zeroes the report-level ones.
 pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(SweepReport, W)> {
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid sweep config: {e}"));
+    cfg.validate().map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("invalid sweep config: {e}"),
+        )
+    })?;
     let (scenarios, cells) = cfg.enumerate();
     let n = scenarios.len();
     let next = AtomicUsize::new(0);
@@ -636,7 +591,8 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
     });
 
     let start = Instant::now();
-    let (workloads, trace_bytes) = decode_programs(&cfg.programs)?;
+    let traces = decode_programs(&cfg.programs)?;
+    let trace_bytes = traces.iter().map(|t| t.decoded_bytes()).sum();
     let joined: Vec<std::thread::Result<WorkerStats>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.workers)
             .map(|_| {
@@ -644,7 +600,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
                 let shared = &shared;
                 let scenarios = &scenarios;
                 let cells = &cells;
-                let workloads = &workloads;
+                let traces = &traces;
                 s.spawn(move || {
                     let mut stats = WorkerStats::default();
                     loop {
@@ -654,7 +610,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
                         }
                         let sc = &scenarios[id];
                         let t0 = Instant::now();
-                        let out = run_scenario(cfg, workloads, sc);
+                        let out = run_scenario(cfg, traces, sc);
                         stats.busy_s += t0.elapsed().as_secs_f64();
                         stats.scenarios += 1;
                         let line = render_line(cfg, cells, id, sc, &out);
@@ -829,9 +785,9 @@ mod tests {
 
     /// The ring trace of `cfg`'s only program.
     fn ring_trace(cfg: &SweepConfig) -> Arc<TiTrace> {
-        match &cfg.programs[0].workload {
-            Workload::Replay(TraceSource::Mem(t)) => Arc::clone(t),
-            _ => unreachable!("small_config is trace-fed"),
+        match &cfg.programs[0].source {
+            TraceSource::Mem(t) => Arc::clone(t),
+            TraceSource::File(_) => unreachable!("small_config is trace-fed"),
         }
     }
 
@@ -940,34 +896,33 @@ mod tests {
     }
 
     #[test]
-    fn online_workloads_sweep_too() {
-        let plat = tiny_platform("p0", 4);
-        let cfg = SweepConfig {
-            programs: vec![Program::online("allred", 4, |ctx| {
-                let x = [ctx.rank() as f64];
-                ctx.allreduce(&x, &smpi::op::sum::<f64>(), &ctx.world());
-            })],
-            platforms: vec![plat],
-            fabrics: vec![("surf".into(), FabricKind::surf())],
-            calibrations: vec![("affine".into(), TransferModel::default_affine())],
-            noises: vec![NoiseAxis::none()],
-            workers: 2,
-            seed: 0,
-            strip_hostdep: true,
-        };
-        let (report, _) = run_sweep(&cfg, Vec::new()).unwrap();
-        assert_eq!(report.scenarios, 1);
-        assert!(report.cells[0].makespan.min > 0.0);
-    }
-
-    #[test]
     fn worker_panic_surfaces_gap_and_flushes_tail() {
+        use smpi::{TiOp, WaitMode};
         let plat = tiny_platform("p0", 4);
         let trace = capture_ring(&plat.1);
+        // Rank 1 waits on a receive nobody sends to: `replay` panics on
+        // the deadlock, killing its worker.
+        let deadlock = TiTrace {
+            ranks: vec![
+                vec![TiOp::Compute { flops: 1e6 }],
+                vec![
+                    TiOp::Recv {
+                        src: 0,
+                        cid: 0,
+                        tag: 9,
+                        max_bytes: 64,
+                    },
+                    TiOp::Wait {
+                        reqs: vec![0],
+                        mode: WaitMode::All,
+                    },
+                ],
+            ],
+        };
         let cfg = SweepConfig {
             programs: vec![
-                // Scenario 0: the rank body panics, killing its worker.
-                Program::online("boom", 2, |_ctx| panic!("injected failure")),
+                // Scenario 0 deadlocks; scenario 1 survives.
+                Program::trace("boom", Arc::new(deadlock)),
                 Program::trace("ring", trace),
             ],
             platforms: vec![plat],
@@ -994,18 +949,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs at least one calibration")]
     fn surf_without_calibration_is_rejected() {
-        let plat = tiny_platform("p0", 2);
         let trace = capture_ring(&tiny_platform("c", 4).1);
-        let cfg = SweepConfig {
+        let valid = SweepConfig {
             programs: vec![Program::trace("ring", trace)],
-            platforms: vec![plat],
+            platforms: vec![tiny_platform("p0", 2)],
             fabrics: vec![("surf".into(), FabricKind::surf())],
-            calibrations: vec![],
+            calibrations: vec![("affine".into(), TransferModel::default_affine())],
             noises: vec![NoiseAxis::none()],
             ..Default::default()
         };
-        let _ = run_sweep(&cfg, Vec::new());
+        let no_calibration = SweepConfig {
+            calibrations: vec![],
+            ..valid.clone()
+        };
+        let no_workers = SweepConfig {
+            workers: 0,
+            ..valid.clone()
+        };
+        let no_replications = SweepConfig {
+            noises: vec![NoiseAxis::jitter("j10", 0.1, 0)],
+            ..valid
+        };
+        for (cfg, why) in [
+            (
+                no_calibration,
+                "a surf fabric needs at least one calibration",
+            ),
+            (no_workers, "sweep needs at least one worker"),
+            (no_replications, "noise axis 'j10' has zero replications"),
+        ] {
+            let sink = Shared::default();
+            let err = run_sweep(&cfg, sink.clone()).expect_err(why);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(err.to_string(), format!("invalid sweep config: {why}"));
+            assert!(sink.0.lock().unwrap().is_empty(), "{why}: wrote to sink");
+        }
     }
 }

@@ -3,68 +3,16 @@
 //! shared last hop, cost the same handful of blocks at 64 KiB as at 4 MiB,
 //! and none of them is a copy of its route. A message alone on the network
 //! is played in one pass and allocates no queue at all.
-//!
-//! Own test binary because it installs a counting global allocator (the
-//! library crates stay `forbid(unsafe_code)`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc;
 
 use packetnet::{PacketConfig, PacketNet};
 use smpi_obs::Rec;
 use smpi_platform::{HostIx, Platform, RoutedPlatform, SharingPolicy};
 
-struct Counting;
-
-thread_local! {
-    /// Only the thread inside [`allocations`] counts, and only while
-    /// `COUNTING` is set (the harness's other threads count nothing).
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static BLOCKS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    if COUNTING.with(Cell::get) {
-        BLOCKS.with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the only addition is a bump of
-// const-initialised, destructor-free thread-locals, which neither allocates
-// nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: see the impl comment.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Blocks allocated (or grown) while `f` runs on this thread.
 fn allocations(f: impl FnOnce()) -> usize {
-    BLOCKS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    BLOCKS.with(Cell::get)
+    alloc::tally(0, f).1.blocks
 }
 
 /// Two hosts four equal links apart: host link, two switch-to-switch

@@ -5,12 +5,10 @@
 //! a view of it, and a body shared out of a rank's buffer is no block at
 //! all until the rank writes the buffer while the body is in flight.
 //!
-//! Own test binary because it installs a counting global allocator (the
-//! library crates stay `forbid(unsafe_code)`). Every run here has folding
-//! off, so each rank's buffers are its own.
+//! Every run here has folding off, so each rank's buffers are its own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc;
+
 use std::sync::Arc;
 
 use smpi::{Ctx, Payload, World};
@@ -18,52 +16,6 @@ use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
 use smpi_workloads::dt::unfolded_bytes;
 use smpi_workloads::{build_graph, dt_rank, DtClass, DtGraph};
 use surf_sim::TransferModel;
-
-struct Counting;
-
-thread_local! {
-    /// Blocks at least this large count (the harness's other threads, and
-    /// everything outside [`large_blocks`], count nothing).
-    static THRESHOLD: Cell<usize> = const { Cell::new(usize::MAX) };
-    static BLOCKS: Cell<usize> = const { Cell::new(0) };
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(size: usize) {
-    if size >= THRESHOLD.with(Cell::get) {
-        BLOCKS.with(|n| n.set(n.get() + 1));
-        BYTES.with(|n| n.set(n.get() + size));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the only addition is a bump of
-// const-initialised, destructor-free thread-locals, which neither allocates
-// nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: see the impl comment.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: see the impl comment.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: see the impl comment.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: see the impl comment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Runs `body` on `ranks` ranks (they are fibers on this thread) and
 /// returns the (count, bytes) of the blocks of at least `threshold` bytes
@@ -79,12 +31,8 @@ fn large_blocks(
         &ClusterConfig::default(),
     )));
     let world = World::smpi(rp, TransferModel::ideal()).ram_folding(false);
-    BLOCKS.with(|n| n.set(0));
-    BYTES.with(|n| n.set(0));
-    THRESHOLD.with(|t| t.set(threshold));
-    world.run(ranks, body);
-    THRESHOLD.with(|t| t.set(usize::MAX));
-    (BLOCKS.with(Cell::get), BYTES.with(Cell::get))
+    let (_, tally) = alloc::tally(threshold, || world.run(ranks, body));
+    (tally.blocks, tally.bytes)
 }
 
 const MIB: usize = 1 << 20;

@@ -7,53 +7,14 @@
 //! the cursor hands out and the one the flight ring keeps — plus the
 //! kernel's per-event completion `Vec`. This test pins that count on a ring
 //! exchange, so a table that starts allocating per op again shows up.
-//!
-//! Own test binary because it installs a counting global allocator (the
-//! library crates stay `forbid(unsafe_code)`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc;
+
 use std::sync::Arc;
 
 use smpi::{TiOp, TiTrace, WaitMode, World};
 use smpi_platform::{flat_cluster, ClusterConfig, RoutedPlatform};
 use surf_sim::TransferModel;
-
-struct Counting;
-
-thread_local! {
-    /// Allocations made by this thread (the harness's own threads must not
-    /// leak into the count).
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    ALLOCS.with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the only addition is a bump of a
-// const-initialised, destructor-free thread-local, which neither allocates
-// nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: see the impl comment.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const RANKS: u32 = 16;
 
@@ -95,10 +56,9 @@ fn ring(rounds: u32) -> TiTrace {
 
 /// Blocks allocated by one replay of `trace` on `world`.
 fn blocks(world: &World, trace: &Arc<TiTrace>) -> usize {
-    let before = ALLOCS.with(Cell::get);
-    let report = smpi_replay::replay(world, Arc::clone(trace));
+    let (report, tally) = alloc::tally(0, || smpi_replay::replay(world, Arc::clone(trace)));
     assert!(report.sim_time > 0.0);
-    ALLOCS.with(Cell::get) - before
+    tally.blocks
 }
 
 #[test]

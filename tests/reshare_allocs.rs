@@ -1,50 +1,10 @@
 //! A steady-state kernel event allocates nothing but the `Vec` of
 //! completions it hands back: reshare, solve and the completion heap work
 //! in buffers the simulation keeps.
-//!
-//! Own test binary because it installs a counting global allocator (the
-//! library crates stay `forbid(unsafe_code)`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc;
 
 use surf_sim::{LinkId, Segment, Simulation, TransferModel};
-
-struct Counting;
-
-thread_local! {
-    /// Allocations made by this thread (the harness's own threads must not
-    /// leak into the count).
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    ALLOCS.with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the only addition is a bump of a
-// const-initialised, destructor-free thread-local, which neither allocates
-// nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: see the impl comment.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: see the impl comment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const HOSTS: usize = 128;
 const UPLINKS: usize = 8;
@@ -73,13 +33,15 @@ fn round(
         ];
         sim.start_transfer(&route, 2e5 + 1.3e4 * flow as f64, model);
     }
-    let before = ALLOCS.with(Cell::get);
-    let mut events = 0;
-    while let Some((_, done)) = sim.advance_to_next() {
-        assert!(done.len() <= 4, "a batch that regrows its Vec would count");
-        events += 1;
-    }
-    (events, ALLOCS.with(Cell::get) - before)
+    let (events, tally) = alloc::tally(0, || {
+        let mut events = 0;
+        while let Some((_, done)) = sim.advance_to_next() {
+            assert!(done.len() <= 4, "a batch that regrows its Vec would count");
+            events += 1;
+        }
+        events
+    });
+    (events, tally.blocks)
 }
 
 #[test]
