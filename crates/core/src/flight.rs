@@ -3,12 +3,14 @@
 //! Every rank keeps a short ring of its most recent simcalls and request
 //! completions, encoded as the same [`TiOp`] lines the capture layer uses
 //! (`TITRACE v1` syntax — one vocabulary for traces and diagnostics). The
-//! ring is always on: its cost is one `VecDeque` push per simcall, which is
-//! noise next to the maestro's matching and fabric work for the same
-//! simcall. The recorder is a sink: the runtime hands it finished ops whose
-//! waits already carry per-rank post indices
-//! ([`crate::runtime::ReqId::post`]), so `[post N]` here, in a
-//! [`PendingReq`] and in a captured trace is one number.
+//! ring is always on: its cost is one `VecDeque` push per simcall, plus,
+//! for a wait, the `Vec` of post indices its [`TiOp::Wait`] carries, which
+//! the runtime allocates for every wait before `Runtime::log` hands it
+//! over (an allocation-site sample put it at 11 % of the `sweep_grid`
+//! benchmark's allocations and 15 % of `coll_scale`'s). The recorder is a
+//! sink: the runtime hands it finished ops whose waits already carry
+//! per-rank post indices ([`crate::runtime::ReqId::post`]), so `[post N]`
+//! here, in a [`PendingReq`] and in a captured trace is one number.
 //!
 //! When the maestro detects that the simulation cannot make progress
 //! ([`crate::error::SimError`]), it snapshots the rings and the matching

@@ -34,13 +34,18 @@
 //!   ever stored;
 //! * the max-min system is *live*. A sharing action belongs to a route
 //!   class (`classes.rs`: same deduplicated route — or host — and same
-//!   rate-bound bit pattern), a class keeps its members in birth order, and
-//!   a link or host lists the classes constraining on it. A change marks
-//!   the constraints it touched dirty; the reshare walks link → class →
-//!   link from them, so finding a dirty component and writing its problem
-//!   cost O(classes), and only installing the new rates visits members.
-//!   The problem goes into the one `lmm::Workspace` the simulation owns and is
-//!   solved in place. A component whose classes share one bound is written
+//!   rate-bound bit pattern), a class keeps its members in birth order and
+//!   its oldest member's seq beside them, and a link or host lists the
+//!   classes constraining on it. A change marks the constraints it touched
+//!   dirty; the reshare walks link → class → link from them, counting the
+//!   members it reaches as it goes, and orders a component's classes by
+//!   their oldest member — by radix over the seq bits in use from 256
+//!   classes on, by comparison below, one helper for both (`sort_by_seq`,
+//!   which also orders a mixed-bound component's members). So finding a
+//!   dirty component, ordering it and writing its problem cost O(classes),
+//!   and only installing the new rates visits members. The problem goes
+//!   into the one `lmm::Workspace` the simulation owns and is solved in
+//!   place. A component whose classes share one bound is written
 //!   one variable per class with its member count; a mixed-bound component
 //!   one variable per member. A component of one class (every host, every
 //!   route class alone on its links) is not written at all: `lmm::rate_alone`
@@ -61,7 +66,7 @@ use crate::lmm::{self, Workspace};
 use crate::model::TransferModel;
 use crate::slab::Slab;
 use crate::time::SimTime;
-use classes::{ClassTable, UserKey, DETACHED};
+use classes::{sort_by_seq, ClassTable, UserKey, DETACHED};
 use smpi_obs::{FlowAttribution, KernelProfile, Rec};
 use std::ops::Range;
 use std::time::Instant;
@@ -303,6 +308,9 @@ struct ReshareScratch {
     /// A mixed-bound component's members, `(seq, slot, class)` in birth
     /// order.
     members: Vec<(u64, u32, u32)>,
+    /// `sort_by_seq`'s second buffers for `comp_classes` and `members`.
+    class_tmp: Vec<(u64, u32)>,
+    member_tmp: Vec<(u64, u32, u32)>,
 }
 
 /// `cnst_link` entry of a host constraint.
@@ -822,8 +830,9 @@ impl Simulation {
     /// component of the constraint↔class graph reachable from them. Within
     /// a component classes are ordered by their oldest member, and the
     /// components by theirs (*component-birth order*) — the orders a birth-
-    /// ordered walk over the members themselves would produce.
-    fn collect_dirty_components(&self, sc: &mut ReshareScratch) {
+    /// ordered walk over the members themselves would produce. Returns the
+    /// members of the classes collected (the reshare's cascade).
+    fn collect_dirty_components(&self, sc: &mut ReshareScratch) -> usize {
         sc.epoch += 1;
         let epoch = sc.epoch;
         if sc.class_stamp.len() < self.classes.capacity_slots() {
@@ -837,6 +846,7 @@ impl Simulation {
         }
         sc.comp_classes.clear();
         sc.comps.clear();
+        let mut cascade = 0;
         for &seed in &self.dirty {
             if !sc.visit(seed) {
                 continue; // a duplicate, or swallowed by an earlier component
@@ -854,7 +864,8 @@ impl Simulation {
                     }
                     sc.class_stamp[k as usize] = epoch;
                     let class = &self.classes[k];
-                    sc.comp_classes.push((class.members[0].0, k));
+                    sc.comp_classes.push((class.oldest, k));
+                    cascade += class.members.len();
                     for l in class.listed_on() {
                         if sc.visit(Res::Link(l.0)) {
                             sc.stack.push(Res::Link(l.0));
@@ -864,14 +875,17 @@ impl Simulation {
                 }
             }
             let end = sc.comp_classes.len();
+            if end > start + 1 {
+                sort_by_seq(&mut sc.comp_classes[start..], &mut sc.class_tmp, |x| x.0);
+            }
             if end > start {
-                sc.comp_classes[start..].sort_unstable();
                 sc.comps.push((start as u32, end as u32));
             }
         }
         let comp_classes = &sc.comp_classes;
         sc.comps
             .sort_unstable_by_key(|&(start, _)| comp_classes[start as usize].0);
+        cascade
     }
 
     /// Writes one component's max-min problem into the workspace and
@@ -918,7 +932,7 @@ impl Simulation {
                 sc.members
                     .extend(members.iter().map(|&(seq, slot)| (seq, slot, k)));
             }
-            sc.members.sort_unstable();
+            sort_by_seq(&mut sc.members, &mut sc.member_tmp, |x| x.0);
             for i in 0..sc.members.len() {
                 let k = sc.members[i].2;
                 self.write_variable(sc, k, 1);
@@ -958,13 +972,8 @@ impl Simulation {
     /// is written, solved and applied on its own, in component-birth order.
     fn reshare(&mut self) {
         let mut sc = std::mem::take(&mut self.scratch);
-        self.collect_dirty_components(&mut sc);
+        let cascade = self.collect_dirty_components(&mut sc);
         self.kstats.reshares += 1;
-        let cascade: usize = sc
-            .comp_classes
-            .iter()
-            .map(|&(_, k)| self.classes[k].members.len())
-            .sum();
         self.kstats.cascade.observe(cascade as f64);
         // Per-variable bottlenecks are computed only while recording
         // (attribution is meaningless — and not free — otherwise).

@@ -56,6 +56,9 @@ pub(super) struct Class {
     refs: u32,
     /// Sharing members in birth order.
     pub(super) members: Vec<UserKey>,
+    /// `members[0].0` while there are members: the component walk reads
+    /// it for every class it visits, without touching `members`' buffer.
+    pub(super) oldest: u64,
     /// Listed on at least one link or host.
     pub(super) attached: bool,
 }
@@ -76,6 +79,9 @@ impl Class {
     pub(super) fn join(&mut self, key: UserKey) {
         let at = self.members.partition_point(|m| *m < key);
         self.members.insert(at, key);
+        if at == 0 {
+            self.oldest = key.0;
+        }
     }
 
     /// Removes a sharing member; `false` when `key` never joined (a flow
@@ -84,10 +90,59 @@ impl Class {
         match self.members.binary_search(&key) {
             Ok(at) => {
                 self.members.remove(at);
+                if let (0, Some(&(seq, _))) = (at, self.members.first()) {
+                    self.oldest = seq;
+                }
                 true
             }
             Err(_) => false,
         }
+    }
+}
+
+/// Length from which [`sort_by_seq`] orders by radix. Below it the
+/// comparison sort's `n log n` costs less than two or three radix passes
+/// and their 256 buckets each; at 1 024 elements the radix takes half as
+/// long.
+const RADIX_MIN_LEN: usize = 256;
+
+/// Sorts `items` by their birth seqs, which must be distinct, so the order
+/// is the one `sort_unstable` gives keys that start with them. Long inputs
+/// go through an LSD radix sort, 8 bits a pass over `seq - min` (the seq
+/// bits in use), with `tmp` as the second buffer; short ones through the
+/// comparison sort.
+pub(super) fn sort_by_seq<T: Copy>(items: &mut [T], tmp: &mut Vec<T>, seq: impl Fn(&T) -> u64) {
+    if items.len() < RADIX_MIN_LEN {
+        items.sort_unstable_by_key(seq);
+        return;
+    }
+    let (lo, hi) = items.iter().fold((u64::MAX, 0), |(lo, hi), x| {
+        let s = seq(x);
+        (lo.min(s), hi.max(s))
+    });
+    let passes = (u64::BITS - (hi - lo).leading_zeros()).div_ceil(8);
+    tmp.clear();
+    tmp.extend_from_slice(items);
+    let (mut src, mut dst) = (&mut *items, tmp.as_mut_slice());
+    for pass in 0..passes {
+        let digit = |x: &T| ((seq(x) - lo) >> (8 * pass)) as u8 as usize;
+        let mut at = [0usize; 256];
+        for x in src.iter() {
+            at[digit(x)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut at {
+            (*slot, start) = (start, start + *slot);
+        }
+        for x in src.iter() {
+            let d = digit(x);
+            dst[at[d]] = *x;
+            at[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    if passes % 2 == 1 {
+        dst.copy_from_slice(src);
     }
 }
 
@@ -198,5 +253,60 @@ impl Index<u32> for ClassTable {
 impl IndexMut<u32> for ClassTable {
     fn index_mut(&mut self, k: u32) -> &mut Class {
         &mut self.slots[k as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `sort_by_seq` orders as `sort_unstable` does, whichever way it
+    /// sorts: empty and one-element input, lengths either side of
+    /// `RADIX_MIN_LEN`, seq spans of one to eight radix passes, and seqs at
+    /// the top of the range a birth counter reaches.
+    #[test]
+    fn sort_by_seq_matches_sort_unstable() {
+        let mut x = 5u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let top = u64::MAX >> 1;
+        let (mut pairs_tmp, mut triples_tmp) = (Vec::new(), Vec::new());
+        for len in [
+            0,
+            1,
+            2,
+            RADIX_MIN_LEN - 1,
+            RADIX_MIN_LEN,
+            RADIX_MIN_LEN + 1,
+            1024,
+        ] {
+            // (lowest seq, gap between consecutive seqs)
+            for (base, gap) in [
+                (0, 1),
+                (3_000_000, 37),
+                (1 << 20, 4099),
+                (0, top / 1024),
+                (top - 4 * 1024, 3),
+            ] {
+                let mut seqs: Vec<u64> = (0..len as u64).map(|i| base + i * gap).collect();
+                for i in (1..seqs.len()).rev() {
+                    seqs.swap(i, next() as usize % (i + 1));
+                }
+                let mut pairs: Vec<(u64, u32)> = seqs.iter().map(|&s| (s, next() as u32)).collect();
+                let mut triples: Vec<(u64, u32, u32)> =
+                    pairs.iter().map(|&(s, k)| (s, k, next() as u32)).collect();
+                let (mut want_pairs, mut want_triples) = (pairs.clone(), triples.clone());
+                want_pairs.sort_unstable();
+                want_triples.sort_unstable();
+                sort_by_seq(&mut pairs, &mut pairs_tmp, |x| x.0);
+                sort_by_seq(&mut triples, &mut triples_tmp, |x| x.0);
+                assert_eq!(pairs, want_pairs, "len {len}, base {base}, gap {gap}");
+                assert_eq!(triples, want_triples, "len {len}, base {base}, gap {gap}");
+            }
+        }
     }
 }

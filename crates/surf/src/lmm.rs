@@ -40,29 +40,37 @@
 //!
 //! Each round of the loop needs the constraint and the bounded variable
 //! with the smallest saturation level. A constraint's λ depends only on its
-//! own usage and member count, so both production finders keep it cached in
-//! `cur_lam` and recompute it only for the constraints the round's freezes
+//! own usage and member count, so the production solve keeps it cached in
+//! `cur_lam` and recomputes it only for the constraints the round's freezes
 //! touched; the bounded variables sit pre-sorted behind a cursor that skips
-//! the frozen ones. They differ in how they take the minimum over `cur_lam`,
-//! chosen by problem size (`SCAN_SOLVER_MAX_VARS`, set from the table
-//! `scan_vs_heap_cutoff_table` prints; EXPERIMENTS records it):
+//! the frozen ones. The minimum over `cur_lam` is taken two ways:
 //!
-//! * **scan** — a linear min over the cached λ bit patterns, `O(rounds · C)`
-//!   compares and no division outside the touched constraints.
-//! * **heap** — the cached λs also feed a lazily-invalidated min-heap of
-//!   `(λ bits, constraint)`: `O((V + C) log + Σ degree log C)`, the
-//!   difference between milliseconds and minutes when an allreduce round
-//!   couples 16k flows into one component.
+//! * **scan** — a linear min over the cached λ bit patterns: `C` compares a
+//!   round, no division outside the touched constraints, nothing to build.
+//! * **heap** — a lazily-invalidated min-heap of `(λ bits, constraint)`,
+//!   built from `cur_lam` in one heapify and re-keyed at every touch:
+//!   `O((V + C) log C)` for the whole solve, the difference between
+//!   milliseconds and minutes when an allreduce round couples 16k flows
+//!   into one component.
+//!
+//! Every production solve starts with the scan, and builds the heap once
+//! the rounds it has scanned cost more than the heap would:
+//! after `⌊(V + C) · ⌈log₂(C + 1)⌉ / C⌋ + 1` rounds (`Argmin::production`;
+//! the table `switch_round_table` prints shows where that falls, and
+//! EXPERIMENTS records it). A coupled round of 1 024 flows over 1 032 links
+//! fills in about six rounds, under the 22 it may scan, and never builds
+//! the heap.
 //!
 //! Both reproduce the same selection (smallest λ, ties to the lowest index,
 //! constraints before bounds) and share the freeze step, so the freeze
-//! sequence — and therefore every rate — is bitwise-identical. The oracle
-//! they are pinned against is the original from-scratch scan, which
-//! recomputes every live constraint's λ and compares every unfrozen bounded
-//! variable every round:
+//! sequence — and therefore every rate — is bitwise-identical whichever
+//! round the heap takes over at. The oracle they are pinned against is the
+//! original from-scratch scan, which recomputes every live constraint's λ
+//! and compares every unfrozen bounded variable every round:
 //! [`solve_reference`](MaxMinProblem::solve_reference) runs it, nothing
-//! else does, and `tests/lmm_props.rs` forces each production finder at any
-//! size and compares it with the oracle bitwise.
+//! else does, and `tests/lmm_props.rs` forces the scan alone, the heap from
+//! round 1 and the heap from a later round at any size, and compares each
+//! with the oracle bitwise.
 //!
 //! # Folded classes
 //!
@@ -139,30 +147,36 @@ pub struct VarId(usize);
 /// "No constraint" in the solver's `u32` bottleneck array.
 const NO_CNST: u32 = u32::MAX;
 
-/// Variable-count cutoff up to which a solve scans the cached λs for each
-/// round's argmin instead of keeping them in a heap. The two follow the
-/// identical freeze schedule bitwise (`tests/lmm_props.rs` pins them), so
-/// the cutoff is purely a performance constant; see the module docs for
-/// where it was measured.
-const SCAN_SOLVER_MAX_VARS: usize = 512;
-
 /// How a round finds the smallest saturation level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Argmin {
     /// The oracle: recompute every λ from scratch each round.
     Reference,
-    /// Linear min over the cached λs.
-    Scan,
-    /// Lazily-invalidated heap over the cached λs.
-    Heap,
+    /// The cached λs: a linear min over them for the rounds before
+    /// `heap_from`, a lazily-invalidated heap built from them from that
+    /// round on (1: from the start; `NEVER`: not at all).
+    Cached { heap_from: u32 },
 }
 
+/// `heap_from` of a solve that never builds the heap.
+const NEVER: u32 = u32::MAX;
+
 impl Argmin {
-    fn for_size(vars: usize) -> Self {
-        if vars <= SCAN_SOLVER_MAX_VARS {
-            Argmin::Scan
-        } else {
-            Argmin::Heap
+    /// The production finder for `p`, of `V` variables over `C`
+    /// constraints: it scans, and builds the heap only once the rounds
+    /// already scanned have cost more than building and keeping it would.
+    /// A scan round costs `C` compares; the heap costs about
+    /// `(V + C) · log₂ C` (each live constraint keyed once, each freeze
+    /// re-keying its constraints), so the heap takes over after
+    /// `⌊(V + C) · ⌈log₂(C + 1)⌉ / C⌋ + 1` scanned rounds — never for a
+    /// problem done in fewer.
+    fn production(p: &Flat) -> Self {
+        let v = p.bounds.len() as u64;
+        let c = p.capacities.len().max(1) as u64;
+        let log = u64::from(u64::BITS - c.leading_zeros());
+        let scanned = (v + c) * log / c + 1;
+        Argmin::Cached {
+            heap_from: u32::try_from(scanned + 1).unwrap_or(NEVER),
         }
     }
 }
@@ -340,23 +354,18 @@ impl Scratch {
         (p.capacities[c] - self.frozen_usage[c]).max(0.0) / self.members[c] as f64
     }
 
-    /// Production set-up: cache every live constraint's λ (and key it in
-    /// the heap when `heap`), sort the bounded variables.
-    fn init_cache(&mut self, p: &Flat, heap: bool) {
+    /// Production set-up: cache every live constraint's λ and sort the
+    /// bounded variables.
+    fn init_cache(&mut self, p: &Flat) {
         let nc = p.capacities.len();
         self.cur_lam.clear();
         self.cur_lam.resize(nc, DEAD);
         self.stale.clear();
         self.stale.resize(nc, false);
         self.touched.clear();
-        self.lam_heap.clear();
         for c in 0..nc {
             if self.members[c] > 0 {
-                let bits = self.lam_of(p, c).to_bits();
-                self.cur_lam[c] = bits;
-                if heap {
-                    self.lam_heap.push(Reverse((bits, c as u32)));
-                }
+                self.cur_lam[c] = self.lam_of(p, c).to_bits();
             }
         }
         self.border.clear();
@@ -366,6 +375,15 @@ impl Scratch {
                 .map(|v| (p.bounds[v].to_bits(), v as u32)),
         );
         self.border.sort_unstable();
+    }
+
+    /// Keys every live constraint's cached λ in the heap, in one heapify:
+    /// from here on the round's argmin is [`heap_argmin`](Self::heap_argmin).
+    fn build_heap(&mut self) {
+        self.lam_heap.clear();
+        let live = self.cur_lam.iter().enumerate().filter(|&(_, &b)| b != DEAD);
+        self.lam_heap
+            .extend(live.map(|(c, &bits)| Reverse((bits, c as u32))));
     }
 
     /// The oracle's selection, recomputed from scratch: every live
@@ -570,10 +588,10 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
         s.rate.copy_from_slice(&p.bounds);
         return 0; // `reset` left every bottleneck at `NO_CNST`
     }
-    let heap = argmin == Argmin::Heap;
+    let mut heap = false;
     let mut bcur = 0usize;
     if cached {
-        s.init_cache(p, heap);
+        s.init_cache(p);
     }
     let mut level = 0.0_f64;
     let mut remaining = p.bounds.len();
@@ -582,8 +600,17 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
         rounds += 1;
         let (best, pick) = match argmin {
             Argmin::Reference => s.reference_argmin(p),
-            Argmin::Scan => s.scan_argmin(&mut bcur),
-            Argmin::Heap => s.heap_argmin(&mut bcur),
+            Argmin::Cached { heap_from } => {
+                if !heap && rounds >= heap_from {
+                    s.build_heap();
+                    heap = true;
+                }
+                if heap {
+                    s.heap_argmin(&mut bcur)
+                } else {
+                    s.scan_argmin(&mut bcur)
+                }
+            }
         };
         if best.is_infinite() {
             // Only unbounded variables on capacity-free constraints remain
@@ -697,11 +724,6 @@ impl MaxMinProblem {
         VarId(v)
     }
 
-    /// Number of variables.
-    pub(crate) fn num_variables(&self) -> usize {
-        self.flat.bounds.len()
-    }
-
     fn solve_by(&self, argmin: Argmin) -> Vec<f64> {
         let mut s = Scratch::default();
         solve_core(&self.flat, &mut s, argmin, false);
@@ -715,23 +737,31 @@ impl MaxMinProblem {
     /// infinite rate; this is rejected in debug builds because it always
     /// indicates a modelling error upstream.
     pub fn solve(&self) -> Vec<f64> {
-        self.solve_by(Argmin::for_size(self.num_variables()))
+        self.solve_by(Argmin::production(&self.flat))
     }
 
-    /// The heap finder unconditionally, bypassing the size dispatch of
-    /// [`solve`](Self::solve). Exists so the differential property tests
-    /// can pin it against [`solve_reference`](Self::solve_reference) on
-    /// problems of any size.
+    /// The heap finder from round 1, bypassing the round count at which
+    /// [`solve`](Self::solve) builds it. Exists so the differential property
+    /// tests can pin it against [`solve_reference`](Self::solve_reference)
+    /// on problems of any size.
     #[doc(hidden)]
     pub fn solve_heap(&self) -> Vec<f64> {
-        self.solve_by(Argmin::Heap)
+        self.solve_heap_from(1)
     }
 
-    /// The cached-λ scan finder unconditionally; the counterpart of
-    /// [`solve_heap`](Self::solve_heap).
+    /// The cached-λ scan for every round, never the heap; the counterpart
+    /// of [`solve_heap`](Self::solve_heap).
     #[doc(hidden)]
     pub fn solve_scan(&self) -> Vec<f64> {
-        self.solve_by(Argmin::Scan)
+        self.solve_heap_from(NEVER)
+    }
+
+    /// The scan for the rounds before `round`, the heap from `round` on:
+    /// the mid-solve switch [`solve`](Self::solve) makes, at a round the
+    /// tests choose.
+    #[doc(hidden)]
+    pub fn solve_heap_from(&self, round: u32) -> Vec<f64> {
+        self.solve_by(Argmin::Cached { heap_from: round })
     }
 
     /// The oracle: the original O(rounds · (V + C)) progressive filling,
@@ -751,7 +781,7 @@ impl MaxMinProblem {
     /// returned rates are bitwise-identical to a plain solve of the same
     /// problem; only the extra bookkeeping differs.
     pub fn solve_with_bottlenecks(&self) -> (Vec<f64>, Vec<Option<CnstId>>) {
-        self.bottlenecks_by(Argmin::for_size(self.num_variables()))
+        self.bottlenecks_by(Argmin::production(&self.flat))
     }
 
     /// [`solve_with_bottlenecks`](Self::solve_with_bottlenecks) by the
@@ -821,7 +851,7 @@ impl Workspace {
     /// per variable. Returns the rounds of progressive filling, 0 when the
     /// problem needed none (module docs).
     pub(crate) fn solve(&mut self, bottlenecks: bool) -> u32 {
-        let argmin = Argmin::for_size(self.num_variables());
+        let argmin = Argmin::production(&self.flat);
         solve_core(&self.flat, &mut self.scratch, argmin, bottlenecks)
     }
 
@@ -968,19 +998,22 @@ mod tests {
         assert_eq!(bn[b.0], Some(l));
     }
 
-    /// The measurement behind `SCAN_SOLVER_MAX_VARS`: every finder on two
-    /// problem shapes, in one reused scratch — the way the engine's
-    /// workspace runs them. `probe` is the benchmark probe's (every
-    /// variable crosses four of `vars / 4` constraints, random bounds);
-    /// `route` is a coupled collective round as the engine writes it (one
-    /// variable per flow over its two private links and the uplinks of its
-    /// two groups of a 32-host-per-uplink tree, one shared bound), which
-    /// has four times the probe's constraints per variable. Prints the
-    /// table EXPERIMENTS records (`ref_us` is the oracle, for scale):
-    /// `cargo test --release -p surf-sim --lib cutoff -- --ignored --nocapture`.
+    /// The measurement behind `Argmin::production`'s switch round: every
+    /// finder on two problem shapes, in one reused scratch — the way the
+    /// engine's workspace runs them. `probe` is the benchmark probe's
+    /// (every variable crosses four of `vars / 4` constraints, random
+    /// bounds); `route` is a coupled collective round as the engine writes
+    /// it (one variable per flow over its two private links and the uplinks
+    /// of its two groups of a 32-host-per-uplink tree, one shared bound),
+    /// which has four times the probe's constraints per variable. Prints
+    /// each problem's filling rounds, the round from which the production
+    /// solve uses the heap (`-`: a problem done before it), and the time of
+    /// the oracle (`ref_us`, for scale), the scan alone, the heap from
+    /// round 1 and the production solve:
+    /// `cargo test --release -p surf-sim --lib switch_round -- --ignored --nocapture`.
     #[test]
     #[ignore = "a measurement, not a check"]
-    fn scan_vs_heap_cutoff_table() {
+    fn switch_round_table() {
         let mut x = 11u64;
         let mut below = move |n: usize| {
             x = x
@@ -989,8 +1022,8 @@ mod tests {
             ((x >> 33) as usize) % n
         };
         println!(
-            "{:>6} {:>6} {:>12} {:>12} {:>12} {:>7}",
-            "shape", "vars", "ref_us", "scan_us", "heap_us", "ratio"
+            "{:>6} {:>6} {:>6} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}",
+            "shape", "vars", "cnsts", "rounds", "heap", "ref_us", "scan_us", "heap_us", "solve_us"
         );
         for shape in ["probe", "route"] {
             for vars in [64usize, 128, 256, 512, 1024, 2048, 4096] {
@@ -1020,6 +1053,8 @@ mod tests {
                     }
                 }
                 let mut s = Scratch::default();
+                let rounds = solve_core(&p.flat, &mut s, Argmin::Reference, false);
+                let production = Argmin::production(&p.flat);
                 let mut time = |argmin: Argmin| {
                     let reps = (200_000 / vars).max(20);
                     let mut samples: Vec<f64> = (0..9)
@@ -1036,13 +1071,42 @@ mod tests {
                     samples[samples.len() / 2]
                 };
                 let reference = time(Argmin::Reference);
-                let (scan, heap) = (time(Argmin::Scan), time(Argmin::Heap));
+                let scan = time(Argmin::Cached { heap_from: NEVER });
+                let heap = time(Argmin::Cached { heap_from: 1 });
+                let solve = time(production);
+                let Argmin::Cached { heap_from } = production else {
+                    unreachable!("the production finder caches")
+                };
+                let switch = if heap_from <= rounds {
+                    heap_from.to_string()
+                } else {
+                    "-".into()
+                };
                 println!(
-                    "{shape:>6} {vars:>6} {reference:>12.2} {scan:>12.2} {heap:>12.2} {:>7.2}",
-                    scan / heap
+                    "{shape:>6} {vars:>6} {:>6} {rounds:>6} {switch:>6} {reference:>10.2} {scan:>10.2} {heap:>10.2} {solve:>10.2}",
+                    p.flat.capacities.len()
                 );
             }
         }
+    }
+
+    /// `lmm_props`' staircase (64 flows, each alone on its own link and
+    /// all on a shared one, freezing one per round) takes the production
+    /// solve through both finders: 14 scanned rounds, then the heap.
+    #[test]
+    fn a_staircase_switches_to_the_heap_mid_solve() {
+        let mut p = MaxMinProblem::new();
+        let shared = p.add_constraint(1e6);
+        for i in (1..=64).rev() {
+            let own = p.add_constraint(f64::from(i) * 10.0);
+            p.add_variable(f64::INFINITY, &[own, shared]);
+        }
+        let rounds = solve_core(&p.flat, &mut Scratch::default(), Argmin::Reference, false);
+        assert_eq!(rounds, 64);
+        assert_eq!(
+            Argmin::production(&p.flat),
+            Argmin::Cached { heap_from: 15 }
+        );
     }
 
     #[test]

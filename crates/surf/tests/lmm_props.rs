@@ -8,8 +8,9 @@
 //! 4. Non-negativity of all rates.
 //!
 //! Plus *bitwise* differential pins (see the `lmm` module docs): each
-//! production argmin finder — the cached-λ scan and the heap — forced at
-//! every problem size against the from-scratch oracle
+//! production argmin finder — the cached-λ scan and the heap, the heap
+//! built at round 1 or mid-solve — forced at every problem size against the
+//! from-scratch oracle
 //! ([`MaxMinProblem::solve_reference`]), on random problems and on
 //! generators aimed at the corners where a cache could drift (equal-λ ties
 //! between constraints and bounds, zero-capacity constraints, zero bounds
@@ -64,8 +65,9 @@ impl CornerProblem {
     }
 }
 
-/// Problems of 1 to 400 variables (either side of the scan/heap cutoff)
-/// drawn from small value sets, so they hit the corners: capacities of 0
+/// Problems of 1 to 400 variables (solved in fewer rounds than the
+/// production solve scans before it builds the heap, and in more) drawn
+/// from small value sets, so they hit the corners: capacities of 0
 /// and round values whose fair shares equal the round bounds (a constraint
 /// and a bound saturating at the same λ), bounds of −0.0 (whose bit pattern
 /// sorts after every λ) and folded classes with finite bounds.
@@ -105,13 +107,16 @@ fn corner_problem() -> impl Strategy<Value = CornerProblem> {
         .prop_map(|(capacities, vars)| CornerProblem { capacities, vars })
 }
 
-/// Asserts that the cached scan, the heap and the size-dispatched `solve`
-/// each reproduce the oracle's rates bit for bit.
+/// Asserts that the cached scan, the heap from round 1, the heap taking
+/// over mid-solve and the production `solve` each reproduce the oracle's
+/// rates bit for bit.
 fn assert_finders_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
     let oracle = p.solve_reference();
     for (name, rates) in [
         ("scan", p.solve_scan()),
         ("heap", p.solve_heap()),
+        ("heap from round 2", p.solve_heap_from(2)),
+        ("heap from round 5", p.solve_heap_from(5)),
         ("solve", p.solve()),
         ("bottlenecks", p.solve_with_bottlenecks().0),
     ] {
@@ -377,7 +382,7 @@ proptest! {
         prop_assert_eq!(build(), build());
     }
 
-    /// The production solver (lazy min-heap + bound cursor) must follow the
+    /// The production solver (cached λs + bound cursor) must follow the
     /// exact freeze schedule of the naive reference scan: every returned
     /// rate is bit-for-bit identical, including ties, unbounded variables
     /// and folded classes.
@@ -399,13 +404,14 @@ proptest! {
             };
             p.add_variable_class(bound, members.into(), &subset(&cs, mask, i));
         }
-        // `solve_scan` / `solve_heap` bypass the size dispatch, so each
-        // production finder is pinned on these small instances itself.
+        // `solve_scan` / `solve_heap` bypass the round count at which the
+        // production solve switches, so each finder is pinned on these
+        // small instances itself.
         assert_finders_match_oracle(&p)?;
     }
 
     /// The same pin on the corner generator, at every size from one
-    /// variable to well past the scan/heap cutoff.
+    /// variable to 400.
     #[test]
     fn finders_match_the_oracle_on_corner_problems(cp in corner_problem()) {
         assert_finders_match_oracle(&cp.build())?;
@@ -557,6 +563,20 @@ fn each_corner_is_covered() {
     p.add_variable_class(25.0, 3, &[l]);
     p.add_variable_class(f64::INFINITY, 2, &[l]);
     check(&p, &[25.0, 112.5]);
+
+    // A staircase: 64 flows, each alone on a link of its own capacity and
+    // all on one shared link, saturate one per round. The production solve
+    // scans 14 rounds before the heap pays (`lmm::Argmin::production`), so
+    // it builds the heap mid-solve, with 50 flows left.
+    let mut p = MaxMinProblem::new();
+    let shared = p.add_constraint(1e6);
+    let want: Vec<f64> = (1..=64).map(|i| f64::from(i) * 10.0).collect();
+    for &cap in want.iter().rev() {
+        let own = p.add_constraint(cap);
+        p.add_variable(f64::INFINITY, &[own, shared]);
+    }
+    let want: Vec<f64> = want.into_iter().rev().collect();
+    check(&p, &want);
 }
 
 /// Picks a non-empty constraint subset from `mask` (falling back to one

@@ -46,6 +46,7 @@ use smpi::{Backend, MpiProfile, TiTrace, TraceIoError, TraceSource, World};
 use smpi_obs::json::JsonBuf;
 use smpi_obs::{SweepStats, WorkerStats};
 use smpi_platform::RoutedPlatform;
+use smpi_replay::ReplayError;
 use surf_sim::{EngineConfig, TransferModel};
 
 pub(crate) mod noise;
@@ -480,7 +481,11 @@ fn decode_programs(programs: &[Program]) -> io::Result<Vec<Arc<TiTrace>>> {
         .collect()
 }
 
-fn run_scenario(cfg: &SweepConfig, traces: &[Arc<TiTrace>], sc: &ScenarioSpec) -> Outcome {
+fn run_scenario(
+    cfg: &SweepConfig,
+    traces: &[Arc<TiTrace>],
+    sc: &ScenarioSpec,
+) -> Result<Outcome, ReplayError> {
     let (_, rp) = &cfg.platforms[sc.platform];
     let (backend, profile) = match &cfg.fabrics[sc.fabric].1 {
         FabricKind::Surf { engine, profile } => {
@@ -505,14 +510,38 @@ fn run_scenario(cfg: &SweepConfig, traces: &[Arc<TiTrace>], sc: &ScenarioSpec) -
         let rng = scenario_rng(cfg.seed, sc.platform, sc.noise, sc.rep);
         world = world.perturbation(Arc::new(axis.model.sample(rp.platform(), &rng)));
     }
-    let report = smpi_replay::replay(&world, Arc::clone(&traces[sc.program]));
-    Outcome {
+    let report = smpi_replay::try_replay(&world, Arc::clone(&traces[sc.program]))?;
+    Ok(Outcome {
         cell: sc.cell,
         makespan: report.sim_time,
         simcalls: report.profile.simcalls,
         wall_s: report.wall.as_secs_f64(),
         peak_bytes: report.memory.peak_bytes,
-    }
+    })
+}
+
+/// The error a sweep returns for the failed scenarios `failed` (`(id,
+/// error text)`, at least one): it names the first by id and its cell, and
+/// carries that scenario's error, postmortem included.
+fn scenario_error(
+    cells: &[CellKey],
+    scenarios: &[ScenarioSpec],
+    mut failed: Vec<(usize, String)>,
+) -> io::Error {
+    failed.sort_unstable_by_key(|&(id, _)| id);
+    let (id, why) = &failed[0];
+    let sc = &scenarios[*id];
+    let key = &cells[sc.cell];
+    let more = match failed.len() - 1 {
+        0 => String::new(),
+        n => format!(" ({n} more scenario(s) failed)"),
+    };
+    io::Error::other(format!(
+        "scenario {id} (program '{}', platform '{}', fabric '{}', calibration '{}', \
+         noise '{}', rep {}) failed{more}; partial results flushed with sweep-gap \
+         records: {why}",
+        key.program, key.platform, key.fabric, key.calibration, key.noise, sc.rep
+    ))
 }
 
 fn render_line(
@@ -554,6 +583,8 @@ struct SharedEmit<W: Write> {
     emitter: OrderedEmitter<W>,
     outcomes: Vec<Option<Outcome>>,
     io_err: Option<io::Error>,
+    /// `(id, error text)` of every scenario whose replay failed.
+    failed: Vec<(usize, String)>,
 }
 
 /// Runs the whole matrix, streaming one JSON line per finished scenario to
@@ -565,6 +596,11 @@ struct SharedEmit<W: Write> {
 /// replays that copy; a decode failure is returned before any scenario
 /// runs, with nothing written to `sink`. So is an invalid config, as an
 /// [`io::ErrorKind::InvalidInput`] error that names what is wrong.
+///
+/// A scenario whose replay fails (a deadlock, a stall, a protocol error)
+/// does not stop the others: they run, `sink` gets their lines with a
+/// `sweep-gap` record in its place, and the sweep returns an error that
+/// names it by id and cell and carries its error, postmortem included.
 ///
 /// Determinism contract: for a fixed config (matrix + seed), the bytes
 /// written to `sink` and every `cells` distribution are identical for any
@@ -588,6 +624,7 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
         emitter: OrderedEmitter::new(sink),
         outcomes: vec![None; n],
         io_err: None,
+        failed: Vec::new(),
     });
 
     let start = Instant::now();
@@ -613,6 +650,16 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
                         let out = run_scenario(cfg, traces, sc);
                         stats.busy_s += t0.elapsed().as_secs_f64();
                         stats.scenarios += 1;
+                        let out = match out {
+                            Ok(out) => out,
+                            Err(e) => {
+                                let mut sh = shared
+                                    .lock()
+                                    .expect("a sweep worker panicked holding the shared state");
+                                sh.failed.push((id, e.to_string()));
+                                continue;
+                            }
+                        };
                         let line = render_line(cfg, cells, id, sc, &out);
                         let mut sh = shared.lock().unwrap();
                         sh.outcomes[id] = Some(out);
@@ -644,6 +691,11 @@ pub fn run_sweep<W: Write + Send>(cfg: &SweepConfig, sink: W) -> io::Result<(Swe
         return Err(io::Error::other(format!(
             "{panicked} sweep worker(s) panicked; partial results flushed with sweep-gap records"
         )));
+    }
+    if !sh.failed.is_empty() {
+        // The same flush: a failed scenario is a gap like a dead worker's.
+        sh.emitter.abort()?;
+        return Err(scenario_error(&cells, &scenarios, sh.failed));
     }
     let worker_stats: Vec<WorkerStats> = joined
         .into_iter()
@@ -895,13 +947,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn worker_panic_surfaces_gap_and_flushes_tail() {
+    /// A ring program and a program that deadlocks (rank 1 waits on a
+    /// receive nobody sends to), on one platform and fabric.
+    fn ring_and_deadlock(workers: usize) -> SweepConfig {
         use smpi::{TiOp, WaitMode};
         let plat = tiny_platform("p0", 4);
         let trace = capture_ring(&plat.1);
-        // Rank 1 waits on a receive nobody sends to: `replay` panics on
-        // the deadlock, killing its worker.
         let deadlock = TiTrace {
             ranks: vec![
                 vec![TiOp::Compute { flops: 1e6 }],
@@ -919,9 +970,9 @@ mod tests {
                 ],
             ],
         };
-        let cfg = SweepConfig {
+        SweepConfig {
             programs: vec![
-                // Scenario 0 deadlocks; scenario 1 survives.
+                // Scenario 0 deadlocks; scenario 1 runs.
                 Program::trace("boom", Arc::new(deadlock)),
                 Program::trace("ring", trace),
             ],
@@ -929,23 +980,73 @@ mod tests {
             fabrics: vec![("surf".into(), FabricKind::surf())],
             calibrations: vec![("affine".into(), TransferModel::default_affine())],
             noises: vec![NoiseAxis::none()],
-            workers: 2,
+            workers,
             seed: 7,
             strip_hostdep: true,
-        };
-        let store = Shared::default();
-        let err = run_sweep(&cfg, store.clone()).expect_err("a dead worker must fail the sweep");
-        assert!(err.to_string().contains("panicked"), "{err}");
-        // The surviving scenario was flushed behind an explicit gap record
-        // instead of being silently dropped with the reorder buffer.
-        let text = String::from_utf8(store.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "stream: {text}");
-        assert!(lines[0].contains("\"type\":\"sweep-gap\""), "{}", lines[0]);
-        assert!(lines[0].contains("\"missing_from\":0"), "{}", lines[0]);
-        assert!(lines[0].contains("\"missing_to\":0"), "{}", lines[0]);
-        assert!(lines[1].contains("\"scenario\":1"), "{}", lines[1]);
-        assert!(lines[1].contains("\"program\":\"ring\""), "{}", lines[1]);
+        }
+    }
+
+    #[test]
+    fn a_failed_scenario_is_named_and_the_tail_flushed() {
+        for workers in [1, 2] {
+            let store = Shared::default();
+            let err = run_sweep(&ring_and_deadlock(workers), store.clone())
+                .expect_err("a deadlocked scenario must fail the sweep");
+            let msg = err.to_string();
+            assert!(
+                msg.starts_with(
+                    "scenario 0 (program 'boom', platform 'p0', fabric 'surf', \
+                     calibration 'affine', noise 'none', rep 0) failed"
+                ),
+                "{msg}"
+            );
+            assert!(msg.contains("deadlock: 1 rank(s) blocked"), "{msg}");
+            // The postmortem names the blocked rank and its receive.
+            assert!(msg.contains("rank 1"), "{msg}");
+            assert!(!msg.contains("panicked"), "{msg}");
+            // The other scenario ran even on one worker, and was flushed
+            // behind an explicit gap record.
+            let text = String::from_utf8(store.0.lock().unwrap().clone()).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 2, "stream: {text}");
+            assert!(lines[0].contains("\"type\":\"sweep-gap\""), "{}", lines[0]);
+            assert!(lines[0].contains("\"missing_from\":0"), "{}", lines[0]);
+            assert!(lines[0].contains("\"missing_to\":0"), "{}", lines[0]);
+            assert!(lines[1].contains("\"scenario\":1"), "{}", lines[1]);
+            assert!(lines[1].contains("\"program\":\"ring\""), "{}", lines[1]);
+        }
+    }
+
+    /// A sink whose first write panics, and which takes writes after it.
+    #[derive(Clone, Debug, Default)]
+    struct PanicsOnce(Shared, Arc<std::sync::atomic::AtomicBool>);
+    impl Write for PanicsOnce {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.1.swap(true, Ordering::Relaxed) {
+                panic!("the sink fails");
+            }
+            self.0.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A panic inside a worker is not a scenario's error: the sweep still
+    /// fails, and says a worker panicked.
+    #[test]
+    fn a_worker_panic_fails_the_sweep() {
+        // The one scenario's line goes into a sink that panics: its worker
+        // dies holding the shared state.
+        let mut cfg = ring_and_deadlock(2);
+        cfg.programs.remove(0);
+        let sink = PanicsOnce::default();
+        let err = run_sweep(&cfg, sink.clone()).expect_err("a dead worker must fail the sweep");
+        assert_eq!(
+            err.to_string(),
+            "1 sweep worker(s) panicked; partial results flushed with sweep-gap records"
+        );
+        assert!(sink.0 .0.lock().unwrap().is_empty());
     }
 
     #[test]

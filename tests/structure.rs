@@ -147,3 +147,99 @@ fn doc_paths_exist() {
     }
     assert!(missing.is_empty(), "{}", missing.join("\n"));
 }
+
+/// Every file at or under `path` (repository-relative), recursively, in
+/// sorted order, with its text and repository-relative path.
+fn files_under(path: &str) -> Vec<(String, String)> {
+    fn walk(path: &Path, out: &mut Vec<PathBuf>) {
+        if !path.is_dir() {
+            return out.push(path.to_path_buf());
+        }
+        let mut entries: Vec<PathBuf> = fs::read_dir(path)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        for entry in entries {
+            walk(&entry, out);
+        }
+    }
+    let mut paths = Vec::new();
+    walk(&root().join(path), &mut paths);
+    paths
+        .into_iter()
+        .map(|file| {
+            let rel = file.strip_prefix(root()).unwrap().display().to_string();
+            (rel, fs::read_to_string(&file).unwrap_or_default())
+        })
+        .collect()
+}
+
+/// The `path:line: text` of every line at or under `path` that contains
+/// one of `needles`, outside the files in `except`.
+fn lines_with(path: &str, needles: &[&str], except: &[&str]) -> Vec<String> {
+    let mut hits = Vec::new();
+    for (path, text) in files_under(path) {
+        if except.contains(&path.as_str()) {
+            continue;
+        }
+        for (i, line) in text.lines().enumerate() {
+            if needles.iter().any(|n| line.contains(n)) {
+                hits.push(format!("{path}:{}: {line}", i + 1));
+            }
+        }
+    }
+    hits
+}
+
+/// "The max-min system stays live". The shipped reshare writes route
+/// classes into the simulation's own `lmm::Workspace`; the owned
+/// `MaxMinProblem` belongs to the full-rebuild oracle
+/// (`engine/oracle_tests.rs`, a `#[cfg(test)]` module) and to tests. The
+/// completion calendar is addressable: nothing validates, skips or
+/// compacts stale entries any more. Set when the reshare started to walk
+/// live route classes (commit 30416a9).
+#[test]
+fn the_max_min_system_stays_live() {
+    let engine = fs::read_to_string(root().join("crates/surf/src/engine.rs")).unwrap();
+    let uses = lines_with("crates/surf/src/engine.rs", &["MaxMinProblem"], &[]);
+    assert!(uses.is_empty(), "{}", uses.join("\n"));
+    let lines: Vec<&str> = engine.lines().collect();
+    let at = lines
+        .iter()
+        .position(|&l| l == "mod oracle_tests;")
+        .expect("engine.rs declares `mod oracle_tests;`");
+    assert_eq!(at.checked_sub(1).map(|i| lines[i]), Some("#[cfg(test)]"));
+    let stale = ["compact_heap", "entry_valid", "heap_orphans +="];
+    let hits = lines_with("crates/surf/src", &stale, &[]);
+    assert!(hits.is_empty(), "{}", hits.join("\n"));
+}
+
+/// "The solver takes no weights". Every flow counts as one: a solver
+/// variable is a flow or a folded class of them, and a constraint's member
+/// count is an integer. No per-variable weight, weight sum or snap-to-zero
+/// comes back. Set when the solver went over to counted unit flows
+/// (commit 54d4faf).
+#[test]
+fn the_solver_takes_no_weights() {
+    let needles = ["add_weighted_variable", "weights", "wsum_init"];
+    let hits = lines_with("crates/surf/src", &needles, &[]);
+    assert!(hits.is_empty(), "{}", hits.join("\n"));
+}
+
+/// "The solver fills only contended components", its source half (the
+/// step's `lmm_props` and `work_ledger` runs are tier-1 tests already). A
+/// one-class component is rated by `lmm::rate_alone`, and a problem no
+/// constraint can saturate returns its bounds, both pinned bitwise against
+/// the filling; that holds only while the λ arithmetic lives in `lmm.rs`
+/// alone, so the engine computes none of its own. Set when the solver
+/// stopped filling what contention does not decide (commit 7a94061).
+#[test]
+fn the_solver_fills_only_contended_components() {
+    let hits = lines_with(
+        "crates/surf/src",
+        &["max(0.0) /"],
+        &["crates/surf/src/lmm.rs"],
+    );
+    assert!(hits.is_empty(), "{}", hits.join("\n"));
+}
