@@ -16,9 +16,7 @@ use std::sync::Arc;
 pub struct Group {
     members: Arc<Vec<u32>>,
     /// `(world rank, local rank)` of every member, sorted by world rank:
-    /// [`local_rank`](Self::local_rank) is a binary search. Empty when the
-    /// members are exactly `0..n` (every world group), whose local rank is
-    /// the world rank.
+    /// [`local_rank`](Self::local_rank) is a binary search.
     by_world: Arc<[(u32, u32)]>,
 }
 
@@ -39,16 +37,12 @@ impl Hash for Group {
 impl Group {
     /// Builds a group from world ranks. Ranks must be distinct.
     pub fn new(members: Vec<u32>) -> Self {
-        let identity = (0u32..).zip(&members).all(|(r, &w)| r == w);
-        let mut by_world: Vec<(u32, u32)> = Vec::new();
-        if !identity {
-            by_world.extend((0u32..).zip(&members).map(|(r, &w)| (w, r)));
-            by_world.sort_unstable();
-            assert!(
-                by_world.windows(2).all(|p| p[0].0 != p[1].0),
-                "group members must be distinct"
-            );
-        }
+        let mut by_world: Vec<(u32, u32)> = (0u32..).zip(&members).map(|(r, &w)| (w, r)).collect();
+        by_world.sort_unstable();
+        assert!(
+            by_world.windows(2).all(|p| p[0].0 != p[1].0),
+            "group members must be distinct"
+        );
         Group {
             members: Arc::new(members),
             by_world: by_world.into(),
@@ -76,12 +70,8 @@ impl Group {
     }
 
     /// Local rank of world rank `w` (`MPI_Group_rank`), if a member.
-    /// O(1) for a group of exactly `0..n`, O(log size) otherwise; no
-    /// allocation.
+    /// O(log size), no allocation.
     pub fn local_rank(&self, w: u32) -> Option<usize> {
-        if self.by_world.is_empty() {
-            return ((w as usize) < self.members.len()).then_some(w as usize);
-        }
         let at = self.by_world.binary_search_by_key(&w, |&(m, _)| m).ok()?;
         Some(self.by_world[at].1 as usize)
     }
@@ -200,9 +190,7 @@ mod tests {
         // A permuted sub-group: every fifth rank, backwards.
         let sub = world.incl(&(0..37).rev().step_by(5).collect::<Vec<_>>());
         let scattered = Group::new(vec![90, 3, 41, 7, 1000, 0]);
-        // Exactly `0..n`, built without `world`: the searchless case.
-        let identity = Group::new((0..1024).collect());
-        for g in [&world, &sub, &scattered, &identity, &Group::new(vec![])] {
+        for g in [&world, &sub, &scattered, &Group::new(vec![])] {
             for w in 0..1100 {
                 assert_eq!(g.local_rank(w), scan(g, w), "world rank {w}");
             }

@@ -34,18 +34,18 @@
 //!   ever stored;
 //! * the max-min system is *live*. A sharing action belongs to a route
 //!   class (`classes.rs`: same deduplicated route — or host — and same
-//!   rate-bound bit pattern), a class keeps its members in birth order and
-//!   its oldest member's seq beside them, and a link or host lists the
-//!   classes constraining on it. A change marks the constraints it touched
-//!   dirty; the reshare walks link → class → link from them, counting the
-//!   members it reaches as it goes, and orders a component's classes by
-//!   their oldest member — by radix over the seq bits in use from 256
-//!   classes on, by comparison below, one helper for both (`sort_by_seq`,
-//!   which also orders a mixed-bound component's members). So finding a
-//!   dirty component, ordering it and writing its problem cost O(classes),
-//!   and only installing the new rates visits members. The problem goes
-//!   into the one `lmm::Workspace` the simulation owns and is solved in
-//!   place. A component whose classes share one bound is written
+//!   rate-bound bit pattern), a class keeps its members in birth order, and
+//!   a link or host lists the classes constraining on it. A change marks
+//!   the constraints it touched dirty; the reshare walks link → class →
+//!   link from them, counting the members it reaches as it goes, and
+//!   orders a component's classes by their oldest member — by radix over
+//!   the seq bits in use from 256 classes on, by comparison below, one
+//!   helper for both (`sort_by_seq`, which also orders a mixed-bound
+//!   component's members). So finding a dirty component, ordering it and
+//!   writing its problem cost O(classes), and only installing the new
+//!   rates visits members. The problem goes into the one `lmm::Workspace`
+//!   the simulation owns and is solved in place. A component whose
+//!   classes share one bound is written
 //!   one variable per class with its member count; a mixed-bound component
 //!   one variable per member. A component of one class (every host, every
 //!   route class alone on its links) is not written at all: `lmm::rate_alone`
@@ -864,7 +864,7 @@ impl Simulation {
                     }
                     sc.class_stamp[k as usize] = epoch;
                     let class = &self.classes[k];
-                    sc.comp_classes.push((class.oldest, k));
+                    sc.comp_classes.push((class.members[0].0, k));
                     cascade += class.members.len();
                     for l in class.listed_on() {
                         if sc.visit(Res::Link(l.0)) {

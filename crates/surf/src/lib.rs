@@ -30,13 +30,12 @@
 //! [`CnstId`]) is the solver driven directly, by the benchmark's solver
 //! probe and by this crate's `tests/lmm_props.rs`.
 //! [`solve_reference`](MaxMinProblem::solve_reference),
-//! [`solve_reference_with_bottlenecks`](MaxMinProblem::solve_reference_with_bottlenecks),
-//! [`solve_heap`](MaxMinProblem::solve_heap) and
-//! [`solve_scan`](MaxMinProblem::solve_scan) are the from-scratch oracle
-//! and the two forced finders those properties pin the production solver
-//! against. [`EngineConfig::tcp_window`] is the only way a test can make a
-//! rate-0 flow (every bandwidth and `bw_factor` is asserted positive), so
-//! without it the stall path would go untested.
+//! [`solve_reference_with_bottlenecks`](MaxMinProblem::solve_reference_with_bottlenecks)
+//! and [`solve_heap_from`](MaxMinProblem::solve_heap_from) are the
+//! from-scratch oracle and the forced finders those properties pin the
+//! production solver against. [`EngineConfig::tcp_window`] is the only way
+//! a test can make a rate-0 flow (every bandwidth and `bw_factor` is
+//! asserted positive), so without it the stall path would go untested.
 //!
 //! The rest of the kernel's test surface is `#[cfg(test)]` and never
 //! ships. The simulation's full-rebuild oracle (its `oracle_route` /

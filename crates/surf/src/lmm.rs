@@ -48,18 +48,25 @@
 //! * **scan** — a linear min over the cached λ bit patterns: `C` compares a
 //!   round, no division outside the touched constraints, nothing to build.
 //! * **heap** — a lazily-invalidated min-heap of `(λ bits, constraint)`,
-//!   built from `cur_lam` in one heapify and re-keyed at every touch:
-//!   `O((V + C) log C)` for the whole solve, the difference between
-//!   milliseconds and minutes when an allreduce round couples 16k flows
-//!   into one component.
+//!   built from `cur_lam` in one heapify and re-keyed at every λ a freeze
+//!   changes: `O((C + Σ degree) · log C)` for the whole solve, `Σ degree`
+//!   the memberships, against the scan's `O(rounds · C)` — the difference
+//!   between milliseconds and minutes when an allreduce round couples 16k
+//!   flows into one component and fills in thousands of rounds.
 //!
-//! Every production solve starts with the scan, and builds the heap once
-//! the rounds it has scanned cost more than the heap would:
-//! after `⌊(V + C) · ⌈log₂(C + 1)⌉ / C⌋ + 1` rounds (`Argmin::production`;
-//! the table `switch_round_table` prints shows where that falls, and
-//! EXPERIMENTS records it). A coupled round of 1 024 flows over 1 032 links
-//! fills in about six rounds, under the 22 it may scan, and never builds
-//! the heap.
+//! Which one is cheaper depends on how many λs a round changes, which only
+//! the solve itself sees. So every production solve starts with the scan
+//! and keeps two prices, in scanned constraints: what its rounds have cost
+//! (`C` each) and what the heap would have cost over the same rounds
+//! (`2 C` to build it, `8 · ⌈log₂(C + 1)⌉` for each λ a round changed);
+//! it builds the heap at the first round where the scan has cost more
+//! (`Argmin::Cached`). A problem whose rounds each change many λs among
+//! few constraints never builds it; one whose rounds change few among
+//! many builds it after a handful. `kernel_coupled`'s coupled rounds of
+//! 1 024 flows over 1 032 links fill in about six rounds, and one of its
+//! solves in 200 builds it.
+//! `switch_round_table` prints where the switch falls on two shapes and
+//! what each finder costs there; EXPERIMENTS records it.
 //!
 //! Both reproduce the same selection (smallest λ, ties to the lowest index,
 //! constraints before bounds) and share the freeze step, so the freeze
@@ -69,8 +76,9 @@
 //! and compares every unfrozen bounded variable every round:
 //! [`solve_reference`](MaxMinProblem::solve_reference) runs it, nothing
 //! else does, and `tests/lmm_props.rs` forces the scan alone, the heap from
-//! round 1 and the heap from a later round at any size, and compares each
-//! with the oracle bitwise.
+//! round 1 and the heap from a later round at any size
+//! ([`solve_heap_from`](MaxMinProblem::solve_heap_from)), and compares
+//! each with the oracle bitwise.
 //!
 //! # Folded classes
 //!
@@ -152,34 +160,22 @@ const NO_CNST: u32 = u32::MAX;
 enum Argmin {
     /// The oracle: recompute every λ from scratch each round.
     Reference,
-    /// The cached λs: a linear min over them for the rounds before
-    /// `heap_from`, a lazily-invalidated heap built from them from that
-    /// round on (1: from the start; `NEVER`: not at all).
-    Cached { heap_from: u32 },
+    /// The production finder: the cached λs, scanned until the heap would
+    /// have cost less over the rounds scanned so far, then a lazily-
+    /// invalidated heap built from them (module docs).
+    Cached,
+    /// The cached λs, scanned for the rounds before `round` and from a heap
+    /// from `round` on (1: from the start; `u32::MAX`: not at all),
+    /// whatever the prices say: the tests' way to force a finder.
+    HeapFrom(u32),
 }
 
-/// `heap_from` of a solve that never builds the heap.
-const NEVER: u32 = u32::MAX;
-
-impl Argmin {
-    /// The production finder for `p`, of `V` variables over `C`
-    /// constraints: it scans, and builds the heap only once the rounds
-    /// already scanned have cost more than building and keeping it would.
-    /// A scan round costs `C` compares; the heap costs about
-    /// `(V + C) · log₂ C` (each live constraint keyed once, each freeze
-    /// re-keying its constraints), so the heap takes over after
-    /// `⌊(V + C) · ⌈log₂(C + 1)⌉ / C⌋ + 1` scanned rounds — never for a
-    /// problem done in fewer.
-    fn production(p: &Flat) -> Self {
-        let v = p.bounds.len() as u64;
-        let c = p.capacities.len().max(1) as u64;
-        let log = u64::from(u64::BITS - c.leading_zeros());
-        let scanned = (v + c) * log / c + 1;
-        Argmin::Cached {
-            heap_from: u32::try_from(scanned + 1).unwrap_or(NEVER),
-        }
-    }
-}
+/// What `Argmin::Cached` charges the heap, in scanned constraints: building
+/// it costs `HEAP_BUILD` per constraint (one pass over `cur_lam` and a
+/// heapify), and each λ a round changes costs `HEAP_REKEY` per level of
+/// the heap (the push of its new key, the pop of its stale one).
+const HEAP_BUILD: u64 = 2;
+const HEAP_REKEY: u64 = 8;
 
 /// A problem as the flat arrays `solve_core` reads.
 #[derive(Debug, Default, Clone)]
@@ -259,8 +255,10 @@ struct Scratch {
     border: Vec<(u64, u32)>,
     touched: Vec<u32>,
     stale: Vec<bool>,
-    /// Heap finder: the lazily-invalidated min-heap over `cur_lam`.
+    /// Heap finder: the lazily-invalidated min-heap over `cur_lam`, and
+    /// the round it was built at (0: the last solve never built it).
     lam_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    heap_round: u32,
     /// Per constraint, `Σ mult · bound` over its variables: what it would
     /// carry if every variable ran at its bound.
     demand: Vec<f64>,
@@ -489,8 +487,10 @@ impl Scratch {
     /// Recomputes the cached λ of the constraints the round touched (and
     /// re-keys them in the heap when `heap`). λ depends only on the
     /// constraint's own usage and member count, so the values computed here
-    /// are the ones the oracle would recompute next round.
-    fn rekey_touched(&mut self, p: &Flat, heap: bool) {
+    /// are the ones the oracle would recompute next round. Returns the keys
+    /// the heap takes (or would take): the λs that changed and still live.
+    fn rekey_touched(&mut self, p: &Flat, heap: bool) -> u64 {
+        let mut keys = 0;
         for i in 0..self.touched.len() {
             let c = self.touched[i] as usize;
             self.stale[c] = false;
@@ -501,12 +501,16 @@ impl Scratch {
             };
             if self.cur_lam[c] != bits {
                 self.cur_lam[c] = bits;
-                if heap && bits != DEAD {
-                    self.lam_heap.push(Reverse((bits, c as u32)));
+                if bits != DEAD {
+                    keys += 1;
+                    if heap {
+                        self.lam_heap.push(Reverse((bits, c as u32)));
+                    }
                 }
             }
         }
         self.touched.clear();
+        keys
     }
 }
 
@@ -589,28 +593,38 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
         return 0; // `reset` left every bottleneck at `NO_CNST`
     }
     let mut heap = false;
+    s.heap_round = 0;
     let mut bcur = 0usize;
     if cached {
         s.init_cache(p);
     }
+    // `Argmin::Cached`'s prices, in scanned constraints: what the rounds
+    // scanned so far cost, and what the heap would have cost over them.
+    let nc = p.capacities.len() as u64;
+    let levels = u64::from(u64::BITS - nc.leading_zeros());
+    let (mut scan_cost, mut heap_cost) = (0, HEAP_BUILD * nc);
     let mut level = 0.0_f64;
     let mut remaining = p.bounds.len();
     let mut rounds = 0;
     while remaining > 0 {
         rounds += 1;
-        let (best, pick) = match argmin {
-            Argmin::Reference => s.reference_argmin(p),
-            Argmin::Cached { heap_from } => {
-                if !heap && rounds >= heap_from {
-                    s.build_heap();
-                    heap = true;
-                }
-                if heap {
-                    s.heap_argmin(&mut bcur)
-                } else {
-                    s.scan_argmin(&mut bcur)
-                }
+        if !heap && cached {
+            heap = match argmin {
+                Argmin::HeapFrom(round) => rounds >= round,
+                _ => scan_cost > heap_cost,
+            };
+            if heap {
+                s.build_heap();
+                s.heap_round = rounds;
             }
+        }
+        let (best, pick) = if !cached {
+            s.reference_argmin(p)
+        } else if heap {
+            s.heap_argmin(&mut bcur)
+        } else {
+            scan_cost += nc;
+            s.scan_argmin(&mut bcur)
         };
         if best.is_infinite() {
             // Only unbounded variables on capacity-free constraints remain
@@ -655,7 +669,7 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
             Pick::Nothing => unreachable!("a finite level always has a pick"),
         }
         if cached {
-            s.rekey_touched(p, heap);
+            heap_cost += HEAP_REKEY * levels * s.rekey_touched(p, heap);
         }
     }
     rounds
@@ -737,31 +751,18 @@ impl MaxMinProblem {
     /// infinite rate; this is rejected in debug builds because it always
     /// indicates a modelling error upstream.
     pub fn solve(&self) -> Vec<f64> {
-        self.solve_by(Argmin::production(&self.flat))
+        self.solve_by(Argmin::Cached)
     }
 
-    /// The heap finder from round 1, bypassing the round count at which
-    /// [`solve`](Self::solve) builds it. Exists so the differential property
-    /// tests can pin it against [`solve_reference`](Self::solve_reference)
-    /// on problems of any size.
-    #[doc(hidden)]
-    pub fn solve_heap(&self) -> Vec<f64> {
-        self.solve_heap_from(1)
-    }
-
-    /// The cached-λ scan for every round, never the heap; the counterpart
-    /// of [`solve_heap`](Self::solve_heap).
-    #[doc(hidden)]
-    pub fn solve_scan(&self) -> Vec<f64> {
-        self.solve_heap_from(NEVER)
-    }
-
-    /// The scan for the rounds before `round`, the heap from `round` on:
-    /// the mid-solve switch [`solve`](Self::solve) makes, at a round the
-    /// tests choose.
+    /// The cached-λ scan for the rounds before `round` and the heap from
+    /// `round` on, whatever [`solve`](Self::solve) would choose: 1 forces
+    /// the heap, `u32::MAX` the scan, anything between a mid-solve switch.
+    /// Exists so the differential property tests can pin each finder
+    /// against [`solve_reference`](Self::solve_reference) on problems of
+    /// any size.
     #[doc(hidden)]
     pub fn solve_heap_from(&self, round: u32) -> Vec<f64> {
-        self.solve_by(Argmin::Cached { heap_from: round })
+        self.solve_by(Argmin::HeapFrom(round))
     }
 
     /// The oracle: the original O(rounds · (V + C)) progressive filling,
@@ -781,7 +782,7 @@ impl MaxMinProblem {
     /// returned rates are bitwise-identical to a plain solve of the same
     /// problem; only the extra bookkeeping differs.
     pub fn solve_with_bottlenecks(&self) -> (Vec<f64>, Vec<Option<CnstId>>) {
-        self.bottlenecks_by(Argmin::production(&self.flat))
+        self.bottlenecks_by(Argmin::Cached)
     }
 
     /// [`solve_with_bottlenecks`](Self::solve_with_bottlenecks) by the
@@ -851,8 +852,7 @@ impl Workspace {
     /// per variable. Returns the rounds of progressive filling, 0 when the
     /// problem needed none (module docs).
     pub(crate) fn solve(&mut self, bottlenecks: bool) -> u32 {
-        let argmin = Argmin::production(&self.flat);
-        solve_core(&self.flat, &mut self.scratch, argmin, bottlenecks)
+        solve_core(&self.flat, &mut self.scratch, Argmin::Cached, bottlenecks)
     }
 
     /// Rate of variable `v` after [`solve`](Self::solve).
@@ -998,7 +998,7 @@ mod tests {
         assert_eq!(bn[b.0], Some(l));
     }
 
-    /// The measurement behind `Argmin::production`'s switch round: every
+    /// The measurement behind `Argmin::Cached`'s prices: every
     /// finder on two problem shapes, in one reused scratch — the way the
     /// engine's workspace runs them. `probe` is the benchmark probe's
     /// (every variable crosses four of `vars / 4` constraints, random
@@ -1054,7 +1054,11 @@ mod tests {
                 }
                 let mut s = Scratch::default();
                 let rounds = solve_core(&p.flat, &mut s, Argmin::Reference, false);
-                let production = Argmin::production(&p.flat);
+                solve_core(&p.flat, &mut s, Argmin::Cached, false);
+                let switch = match s.heap_round {
+                    0 => "-".to_string(),
+                    round => round.to_string(),
+                };
                 let mut time = |argmin: Argmin| {
                     let reps = (200_000 / vars).max(20);
                     let mut samples: Vec<f64> = (0..9)
@@ -1071,17 +1075,9 @@ mod tests {
                     samples[samples.len() / 2]
                 };
                 let reference = time(Argmin::Reference);
-                let scan = time(Argmin::Cached { heap_from: NEVER });
-                let heap = time(Argmin::Cached { heap_from: 1 });
-                let solve = time(production);
-                let Argmin::Cached { heap_from } = production else {
-                    unreachable!("the production finder caches")
-                };
-                let switch = if heap_from <= rounds {
-                    heap_from.to_string()
-                } else {
-                    "-".into()
-                };
+                let scan = time(Argmin::HeapFrom(u32::MAX));
+                let heap = time(Argmin::HeapFrom(1));
+                let solve = time(Argmin::Cached);
                 println!(
                     "{shape:>6} {vars:>6} {:>6} {rounds:>6} {switch:>6} {reference:>10.2} {scan:>10.2} {heap:>10.2} {solve:>10.2}",
                     p.flat.capacities.len()
@@ -1092,21 +1088,33 @@ mod tests {
 
     /// `lmm_props`' staircase (64 flows, each alone on its own link and
     /// all on a shared one, freezing one per round) takes the production
-    /// solve through both finders: 14 scanned rounds, then the heap.
+    /// solve through both finders: a round re-keys only the shared link, so
+    /// fifteen scanned rounds (65 constraints each) cost more than building
+    /// the heap and keying fifteen λs in it would have (`2 · 65 + 15 · 8 ·
+    /// 7`). Flows that each cross the same four links and freeze one
+    /// a round at their own bounds (51 rounds, then the links saturate)
+    /// re-key all four every round, more than a scan of four costs: the
+    /// heap never pays.
     #[test]
-    fn a_staircase_switches_to_the_heap_mid_solve() {
-        let mut p = MaxMinProblem::new();
-        let shared = p.add_constraint(1e6);
+    fn the_heap_takes_over_once_it_pays() {
+        let rounds_and_switch = |p: &MaxMinProblem| {
+            let mut s = Scratch::default();
+            let rounds = solve_core(&p.flat, &mut s, Argmin::Cached, false);
+            (rounds, s.heap_round)
+        };
+        let mut staircase = MaxMinProblem::new();
+        let shared = staircase.add_constraint(1e6);
         for i in (1..=64).rev() {
-            let own = p.add_constraint(f64::from(i) * 10.0);
-            p.add_variable(f64::INFINITY, &[own, shared]);
+            let own = staircase.add_constraint(f64::from(i) * 10.0);
+            staircase.add_variable(f64::INFINITY, &[own, shared]);
         }
-        let rounds = solve_core(&p.flat, &mut Scratch::default(), Argmin::Reference, false);
-        assert_eq!(rounds, 64);
-        assert_eq!(
-            Argmin::production(&p.flat),
-            Argmin::Cached { heap_from: 15 }
-        );
+        assert_eq!(rounds_and_switch(&staircase), (64, 16));
+        let mut bounded = MaxMinProblem::new();
+        let links: Vec<_> = (0..4).map(|_| bounded.add_constraint(2000.0)).collect();
+        for i in 1..=64 {
+            bounded.add_variable(f64::from(i), &links);
+        }
+        assert_eq!(rounds_and_switch(&bounded), (52, 0));
     }
 
     #[test]

@@ -113,8 +113,8 @@ fn corner_problem() -> impl Strategy<Value = CornerProblem> {
 fn assert_finders_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
     let oracle = p.solve_reference();
     for (name, rates) in [
-        ("scan", p.solve_scan()),
-        ("heap", p.solve_heap()),
+        ("scan", p.solve_heap_from(u32::MAX)),
+        ("heap", p.solve_heap_from(1)),
         ("heap from round 2", p.solve_heap_from(2)),
         ("heap from round 5", p.solve_heap_from(5)),
         ("solve", p.solve()),
@@ -404,9 +404,9 @@ proptest! {
             };
             p.add_variable_class(bound, members.into(), &subset(&cs, mask, i));
         }
-        // `solve_scan` / `solve_heap` bypass the round count at which the
-        // production solve switches, so each finder is pinned on these
-        // small instances itself.
+        // `solve_heap_from` bypasses the prices at which the production
+        // solve switches, so each finder is pinned on these small instances
+        // itself.
         assert_finders_match_oracle(&p)?;
     }
 
@@ -566,8 +566,8 @@ fn each_corner_is_covered() {
 
     // A staircase: 64 flows, each alone on a link of its own capacity and
     // all on one shared link, saturate one per round. The production solve
-    // scans 14 rounds before the heap pays (`lmm::Argmin::production`), so
-    // it builds the heap mid-solve, with 50 flows left.
+    // scans 15 rounds before the heap pays (`lmm::Argmin::Cached`), so it
+    // builds the heap mid-solve, with 49 flows left.
     let mut p = MaxMinProblem::new();
     let shared = p.add_constraint(1e6);
     let want: Vec<f64> = (1..=64).map(|i| f64::from(i) * 10.0).collect();
