@@ -29,11 +29,10 @@
 //! [`add_variable_class`](MaxMinProblem::add_variable_class) and
 //! [`CnstId`]) is the solver driven directly, by the benchmark's solver
 //! probe and by this crate's `tests/lmm_props.rs`.
-//! [`solve_reference`](MaxMinProblem::solve_reference),
+//! [`solve_reference`](MaxMinProblem::solve_reference) and
 //! [`solve_reference_with_bottlenecks`](MaxMinProblem::solve_reference_with_bottlenecks)
-//! and [`solve_heap_from`](MaxMinProblem::solve_heap_from) are the
-//! from-scratch oracle and the forced finders those properties pin the
-//! production solver against. [`EngineConfig::tcp_window`] is the only way
+//! are the from-scratch oracle those properties pin the production solver
+//! against. [`EngineConfig::tcp_window`] is the only way
 //! a test can make a rate-0 flow (every bandwidth and `bw_factor` is
 //! asserted positive), so without it the stall path would go untested.
 //!

@@ -19,15 +19,15 @@
 //! constraints saturates. The algorithm terminates after at most `V`
 //! freezes and yields the unique max-min fair allocation.
 //!
-//! # One core, two front doors
+//! # One core, one finder
 //!
 //! There is one progressive-filling loop, `solve_core`. It reads the
 //! problem as borrowed flat arrays (`Flat`: capacities, bounds,
 //! multiplicities and the variable → constraint memberships in CSR form)
 //! and keeps every piece of per-solve state (the transposed constraint →
 //! variable lists, `rate` / `frozen` / `frozen_usage` / member counts, each
-//! constraint's cached λ, the λ heap and the bound cursor) in a `Scratch`
-//! that is cleared, never freed. Two owners wrap it:
+//! constraint's cached λ and the bound cursor) in a `Scratch` that is
+//! cleared, never freed. Two owners wrap it:
 //!
 //! * [`MaxMinProblem`] — the owned front door: build with `add_*`, call
 //!   [`solve`](MaxMinProblem::solve), get a `Vec` back. Each solve brings
@@ -43,42 +43,32 @@
 //! own usage and member count, so the production solve keeps it cached in
 //! `cur_lam` and recomputes it only for the constraints the round's freezes
 //! touched; the bounded variables sit pre-sorted behind a cursor that skips
-//! the frozen ones. The minimum over `cur_lam` is taken two ways:
+//! the frozen ones. The minimum over `cur_lam` is one linear scan of the
+//! cached λ bit patterns (`Argmin::Cached`): `C` compares a round, no
+//! division outside the touched constraints, nothing to build, so
+//! `O(rounds · C)` for the whole solve.
 //!
-//! * **scan** — a linear min over the cached λ bit patterns: `C` compares a
-//!   round, no division outside the touched constraints, nothing to build.
-//! * **heap** — a lazily-invalidated min-heap of `(λ bits, constraint)`,
-//!   built from `cur_lam` in one heapify and re-keyed at every λ a freeze
-//!   changes: `O((C + Σ degree) · log C)` for the whole solve, `Σ degree`
-//!   the memberships, against the scan's `O(rounds · C)` — the difference
-//!   between milliseconds and minutes when an allreduce round couples 16k
-//!   flows into one component and fills in thousands of rounds.
+//! That is the cost the measured traffic needs. On a 2-vCPU x86-64 host,
+//! the largest problem of the 16 384-rank on-line run has at most 368
+//! variables over fourteen runs, and its solves average 45–51 µs. A
+//! lazily-invalidated λ heap, re-keyed at every λ a freeze changes, was
+//! faster on that host only on problems no run makes: from 2 048
+//! variables on a coupled collective round (4 096 variables over 4 224
+//! constraints, 65 rounds: 343 µs against the scan's 699 µs) and at 4 096
+//! variables on the benchmark probe's shape (1 474 rounds: 2 359 µs
+//! against 2 812 µs). Below that it lost or tied, and no single price of a
+//! re-key fitted both shapes, so it was deleted. A second finder comes
+//! back only together with a workload that solves problems that size
+//! (ROADMAP item 5).
 //!
-//! Which one is cheaper depends on how many λs a round changes, which only
-//! the solve itself sees. So every production solve starts with the scan
-//! and keeps two prices, in scanned constraints: what its rounds have cost
-//! (`C` each) and what the heap would have cost over the same rounds
-//! (`2 C` to build it, `8 · ⌈log₂(C + 1)⌉` for each λ a round changed);
-//! it builds the heap at the first round where the scan has cost more
-//! (`Argmin::Cached`). A problem whose rounds each change many λs among
-//! few constraints never builds it; one whose rounds change few among
-//! many builds it after a handful. `kernel_coupled`'s coupled rounds of
-//! 1 024 flows over 1 032 links fill in about six rounds, and one of its
-//! solves in 200 builds it.
-//! `switch_round_table` prints where the switch falls on two shapes and
-//! what each finder costs there; EXPERIMENTS records it.
-//!
-//! Both reproduce the same selection (smallest λ, ties to the lowest index,
-//! constraints before bounds) and share the freeze step, so the freeze
-//! sequence — and therefore every rate — is bitwise-identical whichever
-//! round the heap takes over at. The oracle they are pinned against is the
-//! original from-scratch scan, which recomputes every live constraint's λ
-//! and compares every unfrozen bounded variable every round:
-//! [`solve_reference`](MaxMinProblem::solve_reference) runs it, nothing
-//! else does, and `tests/lmm_props.rs` forces the scan alone, the heap from
-//! round 1 and the heap from a later round at any size
-//! ([`solve_heap_from`](MaxMinProblem::solve_heap_from)), and compares
-//! each with the oracle bitwise.
+//! The scan reproduces the oracle's selection (smallest λ, ties to the
+//! lowest index, constraints before bounds) and shares its freeze step, so
+//! the freeze sequence — and therefore every rate — is bitwise-identical.
+//! The oracle is the original from-scratch scan, which recomputes every
+//! live constraint's λ and compares every unfrozen bounded variable every
+//! round: [`solve_reference`](MaxMinProblem::solve_reference) runs it,
+//! nothing else does, and `tests/lmm_props.rs` compares the production
+//! solve with it bitwise at every size.
 //!
 //! # Folded classes
 //!
@@ -96,7 +86,7 @@
 //! # What the solver is not asked
 //!
 //! Progressive filling is only needed where contention decides. Two kinds of
-//! problem have an answer the production finders would reach bitwise
+//! problem have an answer the production scan would reach bitwise
 //! without filling, and get it directly (`Argmin::Reference`, the oracle,
 //! always fills):
 //!
@@ -132,8 +122,6 @@
 //! `tests/lmm_props.rs` holds both shortcuts bitwise to the oracle, with
 //! capacities a few ulps either side of the demand.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Handle to a constraint (a link, or a host's compute capacity).
@@ -160,22 +148,9 @@ const NO_CNST: u32 = u32::MAX;
 enum Argmin {
     /// The oracle: recompute every λ from scratch each round.
     Reference,
-    /// The production finder: the cached λs, scanned until the heap would
-    /// have cost less over the rounds scanned so far, then a lazily-
-    /// invalidated heap built from them (module docs).
+    /// The production finder: a linear scan of the cached λs (module docs).
     Cached,
-    /// The cached λs, scanned for the rounds before `round` and from a heap
-    /// from `round` on (1: from the start; `u32::MAX`: not at all),
-    /// whatever the prices say: the tests' way to force a finder.
-    HeapFrom(u32),
 }
-
-/// What `Argmin::Cached` charges the heap, in scanned constraints: building
-/// it costs `HEAP_BUILD` per constraint (one pass over `cur_lam` and a
-/// heapify), and each λ a round changes costs `HEAP_REKEY` per level of
-/// the heap (the push of its new key, the pop of its stale one).
-const HEAP_BUILD: u64 = 2;
-const HEAP_REKEY: u64 = 8;
 
 /// A problem as the flat arrays `solve_core` reads.
 #[derive(Debug, Default, Clone)]
@@ -211,7 +186,7 @@ impl Flat {
 
     /// Starts a variable with no memberships yet; they are appended to
     /// `var_cnsts` and the span closed by the caller. A zero bound is
-    /// stored as +0.0: the cached finders order levels by bit pattern, where
+    /// stored as +0.0: the scan orders levels by bit pattern, where
     /// −0.0 would sort after every λ.
     fn begin_variable(&mut self, bound: f64, mult: u32) -> usize {
         assert!(!bound.is_nan() && bound >= 0.0, "invalid bound {bound}");
@@ -247,18 +222,14 @@ struct Scratch {
     /// Per variable, the constraint that froze it (`NO_CNST`: its own
     /// bound). Filled only when a solve asks for bottlenecks.
     bottleneck: Vec<u32>,
-    /// Production finders: each constraint's current λ bit pattern (`DEAD`
-    /// once its member count hit 0), the bounded variables sorted by
-    /// `bound.to_bits()`, and the constraints whose λ inputs
+    /// The production scan's state: each constraint's current λ bit
+    /// pattern (`DEAD` once its member count hit 0), the bounded variables
+    /// sorted by `bound.to_bits()`, and the constraints whose λ inputs
     /// changed in the current round, each listed once (`stale` marks them).
     cur_lam: Vec<u64>,
     border: Vec<(u64, u32)>,
     touched: Vec<u32>,
     stale: Vec<bool>,
-    /// Heap finder: the lazily-invalidated min-heap over `cur_lam`, and
-    /// the round it was built at (0: the last solve never built it).
-    lam_heap: BinaryHeap<Reverse<(u64, u32)>>,
-    heap_round: u32,
     /// Per constraint, `Σ mult · bound` over its variables: what it would
     /// carry if every variable ran at its bound.
     demand: Vec<f64>,
@@ -274,7 +245,7 @@ const SLACK_PER_MEMBER: f64 = 2.0 * f64::EPSILON;
 const SLACK_MAX_MEMBERS: f64 = (1u64 << 40) as f64;
 
 /// Sentinel for "constraint left the λ search" (member count hit 0); larger
-/// than any real λ bit pattern, so stale heap entries can never match it.
+/// than any real λ bit pattern, so the scan never picks it.
 const DEAD: u64 = u64::MAX;
 
 impl Scratch {
@@ -375,15 +346,6 @@ impl Scratch {
         self.border.sort_unstable();
     }
 
-    /// Keys every live constraint's cached λ in the heap, in one heapify:
-    /// from here on the round's argmin is [`heap_argmin`](Self::heap_argmin).
-    fn build_heap(&mut self) {
-        self.lam_heap.clear();
-        let live = self.cur_lam.iter().enumerate().filter(|&(_, &b)| b != DEAD);
-        self.lam_heap
-            .extend(live.map(|(c, &bits)| Reverse((bits, c as u32))));
-    }
-
     /// The oracle's selection, recomputed from scratch: every live
     /// constraint's λ and every unfrozen bounded variable's, constraints
     /// first, a bound wins only with strictly smaller λ, ties to the lowest
@@ -413,7 +375,7 @@ impl Scratch {
     /// IEEE doubles order like their bit patterns and λ is never NaN here,
     /// so comparing bits compares levels; `DEAD` never wins, and neither
     /// does an infinite λ (the oracle's strict `<` against `INFINITY`).
-    fn scan_argmin(&mut self, bcur: &mut usize) -> (f64, Pick) {
+    fn scan_argmin(&self, bcur: &mut usize) -> (f64, Pick) {
         let mut best = f64::INFINITY.to_bits();
         let mut cbest = None;
         for (c, &bits) in self.cur_lam.iter().enumerate() {
@@ -423,23 +385,6 @@ impl Scratch {
             }
         }
         self.pick(cbest.map(|c| (best, c)), bcur)
-    }
-
-    /// The same selection from the λ heap: an entry is trusted only if it
-    /// matches the constraint's current λ.
-    fn heap_argmin(&mut self, bcur: &mut usize) -> (f64, Pick) {
-        let cbest = loop {
-            match self.lam_heap.peek() {
-                None => break None,
-                Some(&Reverse((bits, c))) => {
-                    if self.cur_lam[c as usize] == bits {
-                        break Some((bits, c as usize));
-                    }
-                    self.lam_heap.pop();
-                }
-            }
-        };
-        self.pick(cbest, bcur)
     }
 
     /// Settles the constraint candidate `cbest` against the bound cursor,
@@ -484,33 +429,21 @@ impl Scratch {
         }
     }
 
-    /// Recomputes the cached λ of the constraints the round touched (and
-    /// re-keys them in the heap when `heap`). λ depends only on the
-    /// constraint's own usage and member count, so the values computed here
-    /// are the ones the oracle would recompute next round. Returns the keys
-    /// the heap takes (or would take): the λs that changed and still live.
-    fn rekey_touched(&mut self, p: &Flat, heap: bool) -> u64 {
-        let mut keys = 0;
+    /// Recomputes the cached λ of the constraints the round touched. λ
+    /// depends only on the constraint's own usage and member count, so the
+    /// values computed here are the ones the oracle would recompute next
+    /// round.
+    fn rekey_touched(&mut self, p: &Flat) {
         for i in 0..self.touched.len() {
             let c = self.touched[i] as usize;
             self.stale[c] = false;
-            let bits = if self.members[c] > 0 {
+            self.cur_lam[c] = if self.members[c] > 0 {
                 self.lam_of(p, c).to_bits()
             } else {
                 DEAD
             };
-            if self.cur_lam[c] != bits {
-                self.cur_lam[c] = bits;
-                if bits != DEAD {
-                    keys += 1;
-                    if heap {
-                        self.lam_heap.push(Reverse((bits, c as u32)));
-                    }
-                }
-            }
         }
         self.touched.clear();
-        keys
     }
 }
 
@@ -527,7 +460,7 @@ enum Pick {
 /// as `begin_variable` stores it) and crossing constraints of the given
 /// capacities in index order; and the position of the constraint that froze
 /// it (`None`: its own bound did, or it crosses nothing). The production
-/// finders' arithmetic for one variable, operation for operation (module
+/// scan's arithmetic for one variable, operation for operation (module
 /// docs).
 pub(crate) fn rate_alone(
     bound: f64,
@@ -592,39 +525,19 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
         s.rate.copy_from_slice(&p.bounds);
         return 0; // `reset` left every bottleneck at `NO_CNST`
     }
-    let mut heap = false;
-    s.heap_round = 0;
     let mut bcur = 0usize;
     if cached {
         s.init_cache(p);
     }
-    // `Argmin::Cached`'s prices, in scanned constraints: what the rounds
-    // scanned so far cost, and what the heap would have cost over them.
-    let nc = p.capacities.len() as u64;
-    let levels = u64::from(u64::BITS - nc.leading_zeros());
-    let (mut scan_cost, mut heap_cost) = (0, HEAP_BUILD * nc);
     let mut level = 0.0_f64;
     let mut remaining = p.bounds.len();
     let mut rounds = 0;
     while remaining > 0 {
         rounds += 1;
-        if !heap && cached {
-            heap = match argmin {
-                Argmin::HeapFrom(round) => rounds >= round,
-                _ => scan_cost > heap_cost,
-            };
-            if heap {
-                s.build_heap();
-                s.heap_round = rounds;
-            }
-        }
-        let (best, pick) = if !cached {
-            s.reference_argmin(p)
-        } else if heap {
-            s.heap_argmin(&mut bcur)
-        } else {
-            scan_cost += nc;
+        let (best, pick) = if cached {
             s.scan_argmin(&mut bcur)
+        } else {
+            s.reference_argmin(p)
         };
         if best.is_infinite() {
             // Only unbounded variables on capacity-free constraints remain
@@ -669,7 +582,7 @@ fn solve_core(p: &Flat, s: &mut Scratch, argmin: Argmin, bottlenecks: bool) -> u
             Pick::Nothing => unreachable!("a finite level always has a pick"),
         }
         if cached {
-            heap_cost += HEAP_REKEY * levels * s.rekey_touched(p, heap);
+            s.rekey_touched(p);
         }
     }
     rounds
@@ -752,17 +665,6 @@ impl MaxMinProblem {
     /// indicates a modelling error upstream.
     pub fn solve(&self) -> Vec<f64> {
         self.solve_by(Argmin::Cached)
-    }
-
-    /// The cached-λ scan for the rounds before `round` and the heap from
-    /// `round` on, whatever [`solve`](Self::solve) would choose: 1 forces
-    /// the heap, `u32::MAX` the scan, anything between a mid-solve switch.
-    /// Exists so the differential property tests can pin each finder
-    /// against [`solve_reference`](Self::solve_reference) on problems of
-    /// any size.
-    #[doc(hidden)]
-    pub fn solve_heap_from(&self, round: u32) -> Vec<f64> {
-        self.solve_by(Argmin::HeapFrom(round))
     }
 
     /// The oracle: the original O(rounds · (V + C)) progressive filling,
@@ -996,125 +898,6 @@ mod tests {
         assert!((rates[a.0] - 50.0).abs() < EPS);
         assert!((rates[b.0] - 50.0).abs() < EPS);
         assert_eq!(bn[b.0], Some(l));
-    }
-
-    /// The measurement behind `Argmin::Cached`'s prices: every
-    /// finder on two problem shapes, in one reused scratch — the way the
-    /// engine's workspace runs them. `probe` is the benchmark probe's
-    /// (every variable crosses four of `vars / 4` constraints, random
-    /// bounds); `route` is a coupled collective round as the engine writes
-    /// it (one variable per flow over its two private links and the uplinks
-    /// of its two groups of a 32-host-per-uplink tree, one shared bound),
-    /// which has four times the probe's constraints per variable. Prints
-    /// each problem's filling rounds, the round from which the production
-    /// solve uses the heap (`-`: a problem done before it), and the time of
-    /// the oracle (`ref_us`, for scale), the scan alone, the heap from
-    /// round 1 and the production solve:
-    /// `cargo test --release -p surf-sim --lib switch_round -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "a measurement, not a check"]
-    fn switch_round_table() {
-        let mut x = 11u64;
-        let mut below = move |n: usize| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((x >> 33) as usize) % n
-        };
-        println!(
-            "{:>6} {:>6} {:>6} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}",
-            "shape", "vars", "cnsts", "rounds", "heap", "ref_us", "scan_us", "heap_us", "solve_us"
-        );
-        for shape in ["probe", "route"] {
-            for vars in [64usize, 128, 256, 512, 1024, 2048, 4096] {
-                let mut p = MaxMinProblem::new();
-                if shape == "probe" {
-                    let cnsts: Vec<_> = (0..(vars / 4).max(1))
-                        .map(|_| p.add_constraint(1e8 + below(1_000_000_000) as f64))
-                        .collect();
-                    for _ in 0..vars {
-                        let crossed: Vec<_> = (0..4).map(|_| cnsts[below(cnsts.len())]).collect();
-                        p.add_variable(1e6 + below(100_000_000) as f64, &crossed);
-                    }
-                } else {
-                    let private: Vec<_> = (0..vars).map(|_| p.add_constraint(1.25e8)).collect();
-                    let uplinks: Vec<_> = (0..vars.div_ceil(32))
-                        .map(|_| p.add_constraint(1.25e9))
-                        .collect();
-                    for src in 0..vars {
-                        let dst = (src + vars / 2 + 16) % vars;
-                        let route = [
-                            private[src],
-                            uplinks[src / 32],
-                            uplinks[dst / 32],
-                            private[dst],
-                        ];
-                        p.add_variable(1.1e8, &route);
-                    }
-                }
-                let mut s = Scratch::default();
-                let rounds = solve_core(&p.flat, &mut s, Argmin::Reference, false);
-                solve_core(&p.flat, &mut s, Argmin::Cached, false);
-                let switch = match s.heap_round {
-                    0 => "-".to_string(),
-                    round => round.to_string(),
-                };
-                let mut time = |argmin: Argmin| {
-                    let reps = (200_000 / vars).max(20);
-                    let mut samples: Vec<f64> = (0..9)
-                        .map(|_| {
-                            let t = std::time::Instant::now();
-                            for _ in 0..reps {
-                                solve_core(std::hint::black_box(&p.flat), &mut s, argmin, false);
-                                std::hint::black_box(&s.rate);
-                            }
-                            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-                        })
-                        .collect();
-                    samples.sort_by(f64::total_cmp);
-                    samples[samples.len() / 2]
-                };
-                let reference = time(Argmin::Reference);
-                let scan = time(Argmin::HeapFrom(u32::MAX));
-                let heap = time(Argmin::HeapFrom(1));
-                let solve = time(Argmin::Cached);
-                println!(
-                    "{shape:>6} {vars:>6} {:>6} {rounds:>6} {switch:>6} {reference:>10.2} {scan:>10.2} {heap:>10.2} {solve:>10.2}",
-                    p.flat.capacities.len()
-                );
-            }
-        }
-    }
-
-    /// `lmm_props`' staircase (64 flows, each alone on its own link and
-    /// all on a shared one, freezing one per round) takes the production
-    /// solve through both finders: a round re-keys only the shared link, so
-    /// fifteen scanned rounds (65 constraints each) cost more than building
-    /// the heap and keying fifteen λs in it would have (`2 · 65 + 15 · 8 ·
-    /// 7`). Flows that each cross the same four links and freeze one
-    /// a round at their own bounds (51 rounds, then the links saturate)
-    /// re-key all four every round, more than a scan of four costs: the
-    /// heap never pays.
-    #[test]
-    fn the_heap_takes_over_once_it_pays() {
-        let rounds_and_switch = |p: &MaxMinProblem| {
-            let mut s = Scratch::default();
-            let rounds = solve_core(&p.flat, &mut s, Argmin::Cached, false);
-            (rounds, s.heap_round)
-        };
-        let mut staircase = MaxMinProblem::new();
-        let shared = staircase.add_constraint(1e6);
-        for i in (1..=64).rev() {
-            let own = staircase.add_constraint(f64::from(i) * 10.0);
-            staircase.add_variable(f64::INFINITY, &[own, shared]);
-        }
-        assert_eq!(rounds_and_switch(&staircase), (64, 16));
-        let mut bounded = MaxMinProblem::new();
-        let links: Vec<_> = (0..4).map(|_| bounded.add_constraint(2000.0)).collect();
-        for i in 1..=64 {
-            bounded.add_variable(f64::from(i), &links);
-        }
-        assert_eq!(rounds_and_switch(&bounded), (52, 0));
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //!    saturated constraint (otherwise the allocation would not be max-min).
 //! 4. Non-negativity of all rates.
 //!
-//! Plus *bitwise* differential pins (see the `lmm` module docs): each
-//! production argmin finder — the cached-λ scan and the heap, the heap
-//! built at round 1 or mid-solve — forced at every problem size against the
-//! from-scratch oracle
-//! ([`MaxMinProblem::solve_reference`]), on random problems and on
-//! generators aimed at the corners where a cache could drift (equal-λ ties
-//! between constraints and bounds, zero-capacity constraints, zero bounds
-//! of either sign, folded classes with finite bounds); and folded class variables against their expanded members
-//! under the uniform-round precondition. Bitwise is deliberate — the
+//! Plus *bitwise* differential pins (see the `lmm` module docs): the
+//! production solve, whose rounds scan the cached λs, against the
+//! from-scratch oracle ([`MaxMinProblem::solve_reference`]) at every problem
+//! size, on random problems and on generators aimed at the corners where a
+//! cache could drift (equal-λ ties between constraints and bounds,
+//! zero-capacity constraints, zero bounds of either sign, folded classes
+//! with finite bounds); and folded class variables against their expanded
+//! members under the uniform-round precondition. Bitwise is deliberate — the
 //! engine's incremental reshare, the class-folding fast path and the e2e
 //! goldens all rely on the solver being a pure function of the problem, not
 //! merely accurate to a tolerance.
@@ -65,9 +64,8 @@ impl CornerProblem {
     }
 }
 
-/// Problems of 1 to 400 variables (solved in fewer rounds than the
-/// production solve scans before it builds the heap, and in more) drawn
-/// from small value sets, so they hit the corners: capacities of 0
+/// Problems of 1 to 400 variables drawn from small value sets, so they hit
+/// the corners: capacities of 0
 /// and round values whose fair shares equal the round bounds (a constraint
 /// and a bound saturating at the same λ), bounds of −0.0 (whose bit pattern
 /// sorts after every λ) and folded classes with finite bounds.
@@ -107,16 +105,11 @@ fn corner_problem() -> impl Strategy<Value = CornerProblem> {
         .prop_map(|(capacities, vars)| CornerProblem { capacities, vars })
 }
 
-/// Asserts that the cached scan, the heap from round 1, the heap taking
-/// over mid-solve and the production `solve` each reproduce the oracle's
-/// rates bit for bit.
-fn assert_finders_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
+/// Asserts that the production `solve` and `solve_with_bottlenecks` each
+/// reproduce the oracle's rates bit for bit.
+fn assert_solves_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
     let oracle = p.solve_reference();
     for (name, rates) in [
-        ("scan", p.solve_heap_from(u32::MAX)),
-        ("heap", p.solve_heap_from(1)),
-        ("heap from round 2", p.solve_heap_from(2)),
-        ("heap from round 5", p.solve_heap_from(5)),
         ("solve", p.solve()),
         ("bottlenecks", p.solve_with_bottlenecks().0),
     ] {
@@ -135,11 +128,11 @@ fn assert_finders_match_oracle(p: &MaxMinProblem) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// [`assert_finders_match_oracle`], plus the bottlenecks: the production
+/// [`assert_solves_match_oracle`], plus the bottlenecks: the production
 /// `solve_with_bottlenecks` names, per variable, the constraint the oracle
 /// names.
 fn assert_matches_oracle_with_bottlenecks(p: &MaxMinProblem) -> Result<(), TestCaseError> {
-    assert_finders_match_oracle(p)?;
+    assert_solves_match_oracle(p)?;
     let (rates, by) = p.solve_with_bottlenecks();
     let (oracle, oracle_by) = p.solve_reference_with_bottlenecks();
     for (v, (r, o)) in rates.iter().zip(&oracle).enumerate() {
@@ -404,17 +397,14 @@ proptest! {
             };
             p.add_variable_class(bound, members.into(), &subset(&cs, mask, i));
         }
-        // `solve_heap_from` bypasses the prices at which the production
-        // solve switches, so each finder is pinned on these small instances
-        // itself.
-        assert_finders_match_oracle(&p)?;
+        assert_solves_match_oracle(&p)?;
     }
 
     /// The same pin on the corner generator, at every size from one
     /// variable to 400.
     #[test]
     fn finders_match_the_oracle_on_corner_problems(cp in corner_problem()) {
-        assert_finders_match_oracle(&cp.build())?;
+        assert_solves_match_oracle(&cp.build())?;
     }
 
     /// A problem's only variable is rated in closed form, not filled: the
@@ -514,21 +504,21 @@ proptest! {
                 member, class, re[member], rf[class]
             );
         }
-        // The folded problem is also an ordinary problem: every finder
-        // must still track the oracle on it.
-        assert_finders_match_oracle(&folded)?;
+        // The folded problem is also an ordinary problem: the production
+        // solve must still track the oracle on it.
+        assert_solves_match_oracle(&folded)?;
     }
 }
 
 /// One hand-built instance per corner the generator aims at, so each is
 /// exercised on every run whatever the random draws: the expected rates
-/// are the oracle's, and every finder must reproduce them bitwise.
+/// are the oracle's, and the production solve must reproduce them bitwise.
 #[test]
 fn each_corner_is_covered() {
     let check = |p: &MaxMinProblem, want: &[f64]| {
         let oracle = p.solve_reference();
         assert_eq!(oracle, want, "oracle");
-        assert_finders_match_oracle(p).unwrap();
+        assert_solves_match_oracle(p).unwrap();
     };
 
     // Equal λ: two unit flows share a 100-capacity link (λ = 50) and one of
@@ -548,7 +538,7 @@ fn each_corner_is_covered() {
 
     // A −0.0 bound freezes its flow at zero first, leaving the whole link
     // to the other; it is stored as +0.0, because by bit pattern −0.0 would
-    // sort after every λ and the finders would split the link in two.
+    // sort after every λ and the scan would split the link in two.
     let mut p = MaxMinProblem::new();
     let l = p.add_constraint(10.0);
     p.add_variable(-0.0, &[l]);
@@ -565,9 +555,8 @@ fn each_corner_is_covered() {
     check(&p, &[25.0, 112.5]);
 
     // A staircase: 64 flows, each alone on a link of its own capacity and
-    // all on one shared link, saturate one per round. The production solve
-    // scans 15 rounds before the heap pays (`lmm::Argmin::Cached`), so it
-    // builds the heap mid-solve, with 49 flows left.
+    // all on one shared link, saturate one per round: 64 rounds, each of
+    // which changes one λ besides the saturated link's.
     let mut p = MaxMinProblem::new();
     let shared = p.add_constraint(1e6);
     let want: Vec<f64> = (1..=64).map(|i| f64::from(i) * 10.0).collect();
